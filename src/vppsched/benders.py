@@ -26,7 +26,7 @@ import numpy as np
 from . import lp
 from . import market as mk
 from .devices import infeasibility_suspects
-from .model import VppModel
+from .model import ScenarioBlock, VppModel
 from .scenarios import Scenario, ScenarioSet
 from .stochastic import CVAR, EXPECTATION, RiskMeasure, cvar_of_samples
 
@@ -109,21 +109,20 @@ class MasterProblem:
         self.fs = model.emit_first_stage(self.program)
         self.x_indices = self.fs.flat()
         self.theta = [self.program.add_variable(THETA_FLOOR, math.inf,
-                                                f"theta[{s}]").index
+                                                f"theta[{s}]")
                       for s in range(n_scenarios)]
         if risk.kind == EXPECTATION:
             for s in range(n_scenarios):
                 self.program.add_objective_term(self.theta[s], float(probs[s]))
         else:
-            gamma = self.program.add_variable(-math.inf, math.inf, "gamma")
-            self.gamma = gamma.index
-            self.program.add_objective_term(gamma.index, 1.0)
+            self.gamma = self.program.add_variable(-math.inf, math.inf, "gamma")
+            self.program.add_objective_term(self.gamma, 1.0)
             scale = 1.0 / (1.0 - risk.alpha)
             for s in range(n_scenarios):
                 y = self.program.add_variable(0.0, math.inf, f"tail[{s}]")
-                self.program.add_objective_term(y.index, float(probs[s]) * scale)
+                self.program.add_objective_term(y, float(probs[s]) * scale)
                 self.program.add_constraint(
-                    [(y.index, 1.0), (self.theta[s], -1.0), (gamma.index, 1.0)],
+                    [(y, 1.0), (self.theta[s], -1.0), (self.gamma, 1.0)],
                     lp.GE, 0.0, f"tail[{s}]")
         self.cuts: list[OptimalityCut] = []
 
@@ -147,9 +146,28 @@ class MasterProblem:
         sol = lp.solve(self.program)
         if sol.status != lp.OPTIMAL:
             raise BendersError(f"master problem ended with status {sol.status}")
-        x_hat = np.array([sol.primal[i] for i in self.x_indices])
+        x_hat = sol.primal[self.x_indices]
         self._last = sol
         return sol.objective, x_hat
+
+
+def solve_fixed_bids(model: VppModel, scenario: Scenario, scenario_index: int,
+                     x_hat: np.ndarray) -> tuple[lp.LpSolution, ScenarioBlock]:
+    """Solve one scenario's block with the bids pinned to ``x_hat``; serves
+    the Benders subproblems and the detail re-solves alike."""
+    template = model.template
+    if template.n_first != len(x_hat):
+        raise BendersError("first-stage vector length mismatch")
+    block = model.scenario_data(scenario)
+    sol = lp.solve(template.instantiate(block, x_hat, f"sub_{scenario_index}"))
+    if sol.status == lp.INFEASIBLE:
+        raise SubproblemInfeasible(
+            scenario_index,
+            infeasibility_suspects(model.park, scenario, model.horizon))
+    if sol.status != lp.OPTIMAL:
+        raise BendersError(
+            f"subproblem {scenario_index} ended with status {sol.status}")
+    return sol, block
 
 
 def solve_subproblem(model: VppModel, scenario: Scenario, scenario_index: int,
@@ -160,25 +178,8 @@ def solve_subproblem(model: VppModel, scenario: Scenario, scenario_index: int,
     those rows are exactly d(cost)/d(bid), so the returned affine function
     underestimates the recourse value everywhere (LP value functions of
     right-hand sides are convex)."""
-    program = lp.LinearProgram(f"sub_{scenario_index}")
-    fs = model.emit_first_stage(program, free_bounds=True)
-    x_idx = fs.flat()
-    if len(x_idx) != len(x_hat):
-        raise BendersError("first-stage vector length mismatch")
-    fix_rows = [program.add_constraint([(xi, 1.0)], lp.EQ, float(v), f"fix[{j}]")
-                for j, (xi, v) in enumerate(zip(x_idx, x_hat))]
-    block = model.build_block(program, scenario, fs)
-    program.add_objective_terms(block.groups.net_cost_terms())
-    sol = lp.solve(program)
-    if sol.status == lp.INFEASIBLE:
-        raise SubproblemInfeasible(
-            scenario_index,
-            infeasibility_suspects(model.park, scenario, model.horizon))
-    if sol.status != lp.OPTIMAL:
-        raise BendersError(
-            f"subproblem {scenario_index} ended with status {sol.status}")
-    gradient = np.array([sol.duals[r] for r in fix_rows])
-    return sol.objective, gradient
+    sol, _ = solve_fixed_bids(model, scenario, scenario_index, x_hat)
+    return sol.objective, sol.duals[:len(x_hat)].copy()
 
 
 def _solve_all_subproblems(model, scenarios, x_hat, workers):
@@ -211,6 +212,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
     if len(sset) == 0:
         raise BendersError("empty scenario set")
     model.validate()
+    model.template  # compile the block once, before the thread pool starts
     probs = sset.probabilities()
     master = MasterProblem(model, len(sset), probs, risk)
     report = ConvergenceReport()
@@ -228,6 +230,10 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
         if realized < best_obj:
             best_obj = realized
             best_x = x_hat.copy()
+        if lower - best_obj > options.tolerance * max(1.0, abs(best_obj)):
+            raise BendersError(f"lower bound {lower!r} exceeds upper bound "
+                               f"{best_obj!r} at iteration {it}: a cut is "
+                               f"invalid")
         gap = max(best_obj - lower, 0.0) / max(1.0, abs(best_obj))
         report.iterations = it
         report.lower_bounds.append(lower)
@@ -251,14 +257,5 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
         master.add_cuts(cuts)
 
     report.wall_time_s = time.perf_counter() - start
-    decision = model.extract_first_stage(master.fs, _pad_primal(master, best_x))
-    return BendersResult(decision, best_x, best_obj, report)
-
-
-def _pad_primal(master: MasterProblem, x: np.ndarray) -> np.ndarray:
-    """Place the flat first-stage vector into a primal-sized array so the
-    shared extraction helper can be reused."""
-    primal = np.zeros(master.program.num_variables)
-    for pos, idx in enumerate(master.x_indices):
-        primal[idx] = x[pos]
-    return primal
+    return BendersResult(model.first_stage_decision(best_x), best_x, best_obj,
+                         report)

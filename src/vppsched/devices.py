@@ -1,10 +1,11 @@
 """Device-level models for the four DER classes.
 
 Each ``emit_*`` function declares the device's per-step variables in a
-LinearProgram, adds its operating constraints for one scenario, and
-returns a handle carrying the variable indices, the device's linear
-operating-cost terms, and its nodal consumption terms (consumption
-positive, injection negative, in kW).
+LinearProgram, adds its operating constraints, puts its linear operating
+cost into the program's objective, and returns a handle carrying the
+variable indices and its nodal consumption terms (consumption positive,
+injection negative, in kW). Limits that depend on the scenario (capacity
+factors, vehicle availability, ambient temperature) are data slots.
 
 The thermal building model, the storage state recurrences, and the cost
 structures are reconstructed standard forms: a first-order RC envelope
@@ -153,37 +154,32 @@ class DeviceHandles:
     discharge: list[int] = field(default_factory=list)
     soc: list[int] = field(default_factory=list)
     temp: list[int] = field(default_factory=list)
-    cost_terms: list[tuple[int, float]] = field(default_factory=list)
     cons_p: list[list[tuple[int, float]]] = field(default_factory=list)  # per t
     cons_q: list[list[tuple[int, float]]] = field(default_factory=list)
     window: tuple[int, int] | None = None      # charging-event step range
 
 
 def emit_dg(program: lp.LinearProgram, dg: DistributedGenerator,
-            scenario: Scenario, horizon: MarketHorizon,
-            tag: str = "") -> DeviceHandles:
+            horizon: MarketHorizon) -> DeviceHandles:
     """Curtailable generator: output between zero and nominal power scaled by
     the scenario capacity factor; reactive power within the inverter's
     remaining headroom (a conservative box, zero when rating equals nominal)."""
-    cf = scenario.capacity_factor.get(dg.name)
-    if cf is None:
-        raise DeviceError(f"scenario has no capacity factors for {dg.name!r}")
     h = DeviceHandles(dg.name, dg.node)
     q_lim = _reactive_halfwidth(dg.inverter_kva, dg.nominal_kw)
     for t in range(horizon.step_count):
-        p = program.add_variable(0.0, dg.nominal_kw * float(cf[t]),
-                                 f"dg_{dg.name}{tag}[{t}]")
-        q = program.add_variable(-q_lim, q_lim, f"dgq_{dg.name}{tag}[{t}]")
-        h.p.append(p.index)
-        h.q.append(q.index)
-        h.cost_terms.append((p.index, dg.marginal_cost * horizon.step_hours))
-        h.cons_p.append([(p.index, -1.0)])
-        h.cons_q.append([(q.index, -1.0)])
+        cap = lp.Data("capacity_factor", dg.name, t, dg.nominal_kw)
+        p = program.add_variable(0.0, cap, f"dg_{dg.name}[{t}]")
+        q = program.add_variable(-q_lim, q_lim, f"dgq_{dg.name}[{t}]")
+        h.p.append(p)
+        h.q.append(q)
+        program.add_objective_term(p, dg.marginal_cost * horizon.step_hours)
+        h.cons_p.append([(p, -1.0)])
+        h.cons_q.append([(q, -1.0)])
     return h
 
 
-def emit_hp(program: lp.LinearProgram, hp: HeatPump, scenario: Scenario,
-            horizon: MarketHorizon, tag: str = "") -> DeviceHandles:
+def emit_hp(program: lp.LinearProgram, hp: HeatPump,
+            horizon: MarketHorizon) -> DeviceHandles:
     """Heat pump on a first-order RC building:
     T[t+1] = T[t] + (dt/C) * ((Tamb[t] - T[t]) / R + cop * P[t]),
     with the indoor temperature held inside the comfort band and returned
@@ -191,30 +187,29 @@ def emit_hp(program: lp.LinearProgram, hp: HeatPump, scenario: Scenario,
     h = DeviceHandles(hp.name, hp.node)
     T = horizon.step_count
     dt = horizon.step_hours
-    temp0 = program.add_variable(hp.initial_temp, hp.initial_temp,
-                                 f"hpT_{hp.name}{tag}[0]")
-    h.temp.append(temp0.index)
+    h.temp.append(program.add_variable(hp.initial_temp, hp.initial_temp,
+                                       f"hpT_{hp.name}[0]"))
     for t in range(1, T + 1):
         h.temp.append(program.add_variable(hp.comfort_min, hp.comfort_max,
-                                           f"hpT_{hp.name}{tag}[{t}]").index)
+                                           f"hpT_{hp.name}[{t}]"))
     leak = dt / (hp.thermal_capacitance * hp.thermal_resistance)
     gain = dt * hp.cop / hp.thermal_capacitance
     for t in range(T):
-        p = program.add_variable(0.0, hp.max_elec_kw, f"hp_{hp.name}{tag}[{t}]")
-        h.p.append(p.index)
+        p = program.add_variable(0.0, hp.max_elec_kw, f"hp_{hp.name}[{t}]")
+        h.p.append(p)
         program.add_constraint(
-            [(h.temp[t + 1], 1.0), (h.temp[t], -(1.0 - leak)), (p.index, -gain)],
-            lp.EQ, leak * float(scenario.ambient_temp[t]),
-            f"hp_dyn_{hp.name}{tag}[{t}]")
-        h.cons_p.append([(p.index, 1.0)])
+            [(h.temp[t + 1], 1.0), (h.temp[t], -(1.0 - leak)), (p, -gain)],
+            lp.EQ, lp.Data("ambient_temp", None, t, leak),
+            f"hp_dyn_{hp.name}[{t}]")
+        h.cons_p.append([(p, 1.0)])
         h.cons_q.append([])
     program.add_constraint([(h.temp[T], 1.0), (h.temp[0], -1.0)], lp.EQ, 0.0,
-                           f"hp_tie_{hp.name}{tag}")
+                           f"hp_tie_{hp.name}")
     return h
 
 
-def emit_ev(program: lp.LinearProgram, ev: EvChargingEvent, scenario: Scenario,
-            horizon: MarketHorizon, tag: str = "") -> DeviceHandles:
+def emit_ev(program: lp.LinearProgram, ev: EvChargingEvent,
+            horizon: MarketHorizon) -> DeviceHandles:
     """Charging event with vehicle-to-grid: state of charge follows
     soc[t+1] = soc[t] + (eff_c * Pch[t] - Pdis[t] / eff_d) * dt inside the
     window, power limits scale with the scenario availability factor, and
@@ -225,35 +220,34 @@ def emit_ev(program: lp.LinearProgram, ev: EvChargingEvent, scenario: Scenario,
     dt = horizon.step_hours
     h.cons_p = [[] for _ in range(horizon.step_count)]
     h.cons_q = [[] for _ in range(horizon.step_count)]
-    soc0 = program.add_variable(ev.arrival_soc_kwh, ev.arrival_soc_kwh,
-                                f"evS_{ev.name}{tag}[{ev.arrival}]")
-    h.soc.append(soc0.index)
+    h.soc.append(program.add_variable(ev.arrival_soc_kwh, ev.arrival_soc_kwh,
+                                      f"evS_{ev.name}[{ev.arrival}]"))
     for t in range(ev.arrival, ev.departure):
-        avail = float(scenario.ev_availability[t])
-        ch = program.add_variable(0.0, ev.max_charge_kw * avail,
-                                  f"evC_{ev.name}{tag}[{t}]")
-        dis = program.add_variable(0.0, ev.max_discharge_kw * avail,
-                                   f"evD_{ev.name}{tag}[{t}]")
-        nxt = program.add_variable(0.0, ev.battery_kwh,
-                                   f"evS_{ev.name}{tag}[{t + 1}]")
-        h.charge.append(ch.index)
-        h.discharge.append(dis.index)
+        ch = program.add_variable(
+            0.0, lp.Data("ev_availability", None, t, ev.max_charge_kw),
+            f"evC_{ev.name}[{t}]")
+        dis = program.add_variable(
+            0.0, lp.Data("ev_availability", None, t, ev.max_discharge_kw),
+            f"evD_{ev.name}[{t}]")
+        nxt = program.add_variable(0.0, ev.battery_kwh, f"evS_{ev.name}[{t + 1}]")
+        h.charge.append(ch)
+        h.discharge.append(dis)
         program.add_constraint(
-            [(nxt.index, 1.0), (h.soc[-1], -1.0),
-             (ch.index, -ev.charge_eff * dt), (dis.index, dt / ev.discharge_eff)],
-            lp.EQ, 0.0, f"ev_dyn_{ev.name}{tag}[{t}]")
-        h.soc.append(nxt.index)
-        h.cost_terms.append((dis.index, ev.discharge_compensation * dt))
-        h.cons_p[t] = [(ch.index, 1.0), (dis.index, -1.0)]
+            [(nxt, 1.0), (h.soc[-1], -1.0),
+             (ch, -ev.charge_eff * dt), (dis, dt / ev.discharge_eff)],
+            lp.EQ, 0.0, f"ev_dyn_{ev.name}[{t}]")
+        h.soc.append(nxt)
+        program.add_objective_term(dis, ev.discharge_compensation * dt)
+        h.cons_p[t] = [(ch, 1.0), (dis, -1.0)]
     window_hours = (ev.departure - ev.arrival) * dt
     program.add_constraint(
         [(h.soc[-1], 1.0), (h.soc[0], -1.0)], lp.GE,
-        ev.min_avg_charge_kw * window_hours, f"ev_min_{ev.name}{tag}")
+        ev.min_avg_charge_kw * window_hours, f"ev_min_{ev.name}")
     return h
 
 
-def emit_bess(program: lp.LinearProgram, bess: Bess, scenario: Scenario,
-              horizon: MarketHorizon, tag: str = "") -> DeviceHandles:
+def emit_bess(program: lp.LinearProgram, bess: Bess,
+              horizon: MarketHorizon) -> DeviceHandles:
     """Stationary battery: same state recurrence as vehicles, state of charge
     restored to its initial value at the end of the horizon, reactive power
     within the inverter headroom box, linear cycling cost on throughput."""
@@ -261,37 +255,28 @@ def emit_bess(program: lp.LinearProgram, bess: Bess, scenario: Scenario,
     T = horizon.step_count
     dt = horizon.step_hours
     q_lim = _reactive_halfwidth(bess.inverter_kva, bess.max_power_kw)
-    soc0 = program.add_variable(bess.initial_soc_kwh, bess.initial_soc_kwh,
-                                f"stS_{bess.name}{tag}[0]")
-    h.soc.append(soc0.index)
+    h.soc.append(program.add_variable(bess.initial_soc_kwh, bess.initial_soc_kwh,
+                                      f"stS_{bess.name}[0]"))
     for t in range(T):
-        ch = program.add_variable(0.0, bess.max_power_kw, f"stC_{bess.name}{tag}[{t}]")
-        dis = program.add_variable(0.0, bess.max_power_kw, f"stD_{bess.name}{tag}[{t}]")
-        q = program.add_variable(-q_lim, q_lim, f"stQ_{bess.name}{tag}[{t}]")
-        nxt = program.add_variable(0.0, bess.energy_kwh, f"stS_{bess.name}{tag}[{t + 1}]")
-        h.charge.append(ch.index)
-        h.discharge.append(dis.index)
-        h.q.append(q.index)
+        ch = program.add_variable(0.0, bess.max_power_kw, f"stC_{bess.name}[{t}]")
+        dis = program.add_variable(0.0, bess.max_power_kw, f"stD_{bess.name}[{t}]")
+        q = program.add_variable(-q_lim, q_lim, f"stQ_{bess.name}[{t}]")
+        nxt = program.add_variable(0.0, bess.energy_kwh, f"stS_{bess.name}[{t + 1}]")
+        h.charge.append(ch)
+        h.discharge.append(dis)
+        h.q.append(q)
         program.add_constraint(
-            [(nxt.index, 1.0), (h.soc[-1], -1.0),
-             (ch.index, -bess.charge_eff * dt), (dis.index, dt / bess.discharge_eff)],
-            lp.EQ, 0.0, f"st_dyn_{bess.name}{tag}[{t}]")
-        h.soc.append(nxt.index)
-        h.cost_terms.append((ch.index, bess.cycle_cost * dt))
-        h.cost_terms.append((dis.index, bess.cycle_cost * dt))
-        h.cons_p.append([(ch.index, 1.0), (dis.index, -1.0)])
-        h.cons_q.append([(q.index, -1.0)])
+            [(nxt, 1.0), (h.soc[-1], -1.0),
+             (ch, -bess.charge_eff * dt), (dis, dt / bess.discharge_eff)],
+            lp.EQ, 0.0, f"st_dyn_{bess.name}[{t}]")
+        h.soc.append(nxt)
+        program.add_objective_term(ch, bess.cycle_cost * dt)
+        program.add_objective_term(dis, bess.cycle_cost * dt)
+        h.cons_p.append([(ch, 1.0), (dis, -1.0)])
+        h.cons_q.append([(q, -1.0)])
     program.add_constraint([(h.soc[T], 1.0), (h.soc[0], -1.0)], lp.EQ, 0.0,
-                           f"st_tie_{bess.name}{tag}")
+                           f"st_tie_{bess.name}")
     return h
-
-
-def park_operating_cost(handles: list[DeviceHandles]) -> list[tuple[int, float]]:
-    """Total dispatch-plus-compensation cost as one linear expression."""
-    terms: list[tuple[int, float]] = []
-    for h in handles:
-        terms.extend(h.cost_terms)
-    return terms
 
 
 # -------------------------------------------------------------- diagnostics

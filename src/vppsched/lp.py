@@ -1,9 +1,14 @@
 """Sparse minimization LPs with primal solutions and constraint duals.
 
-The container keeps variables (with native lower/upper bounds, including
-free variables), sparse constraints, and a linear objective. ``solve``
+The container holds its program in arrays: column bounds and costs, and
+the rows as a sparse matrix with a sense and a right-hand side each. It
+grows through ``add_*`` or is built from arrays in one step. ``solve``
 hands the program to HiGHS dual simplex (via scipy) and reports primal
 values, per-constraint dual multipliers, and bound multipliers.
+
+A column upper bound, a right-hand side or a labelled cost may be left to
+data: ``Data`` names the series entry that supplies it, and the program
+records each such slot for whoever fills it in.
 
 Dual convention: every dual is the sensitivity of the optimal objective
 to that constraint's right-hand side (d obj / d rhs). In a minimization
@@ -15,15 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 LE = "<="
 GE = ">="
 EQ = "=="
 
 SENSES = (LE, GE, EQ)
+
+#: slot targets besides cost labels: a column upper bound, a row rhs
+UPPER = "upper"
+RHS = "rhs"
 
 #: feasibility / optimality tolerances the solution report is held to
 FEAS_TOL = 1e-7
@@ -45,20 +56,16 @@ class LpSolveError(Exception):
     """Numerical breakdown or iteration limit inside the solver backend."""
 
 
-@dataclass(frozen=True)
-class VariableRef:
-    index: int
-    lower: float
-    upper: float
-    name: str = ""
+class Data(NamedTuple):
+    """A coefficient supplied by data: ``series[step] * scale / divisor``,
+    where the series is data field ``field`` (its item ``key`` for keyed
+    fields). The divisor keeps conversions that divide exact."""
 
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    terms: tuple[tuple[int, float], ...]
-    sense: str
-    rhs: float
-    name: str = ""
+    field: str
+    key: object = None
+    step: int = 0
+    scale: float = 1.0
+    divisor: float = 1.0
 
 
 @dataclass
@@ -75,50 +82,110 @@ class LpSolution:
     upper_marginals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-class LinearProgram:
-    """Minimization LP built incrementally; immutable once handed to solve."""
+#: the arrays of a program: columns, rows in CSR form, row sense and rhs
+_ARRAYS = dict(lower=float, upper=float, cost=float, indptr=np.int64,
+               indices=np.int64, data=float, sense="<U2", rhs=float)
 
-    def __init__(self, name: str = ""):
+
+class LinearProgram:
+    """Minimization LP in arrays, given as keywords (see ``_ARRAYS``) or
+    grown through ``add_*``, whose calls are buffered and merged into the
+    arrays on the next read. Names may be given as a function, evaluated on
+    first use."""
+
+    def __init__(self, name: str = "", col_names=None, row_names=None,
+                 **arrays):
         self.name = name
-        self.variables: list[VariableRef] = []
-        self.constraints: list[LinearConstraint] = []
-        self.objective: dict[int, float] = {}
+        arrays.setdefault("indptr", [0])
+        self._arrays = {key: np.asarray(arrays.get(key, ()), dtype=dtype)
+                        for key, dtype in _ARRAYS.items()}
+        self._names = [col_names or [], row_names or []]
+        self._cols, self._rows, self._costs = [], [], []
+        #: data slots (target, index, Data); the target is UPPER, RHS or the
+        #: label of a cost stream
+        self.slots: list[tuple[str, int, Data]] = []
+
+    def __getattr__(self, key):
+        arrays = self.__dict__.get("_arrays", {})
+        if key not in arrays:
+            raise AttributeError(key)
+        self._flush()
+        return arrays[key]
+
+    def _flush(self) -> None:
+        a = self._arrays
+        if self._cols:
+            lo, hi = np.array(self._cols, dtype=float).reshape(-1, 2).T
+            a["lower"], a["upper"] = np.r_[a["lower"], lo], np.r_[a["upper"], hi]
+            a["cost"] = np.r_[a["cost"], np.zeros(len(lo))]
+            self._cols = []
+        if self._costs:
+            idx, coef = zip(*self._costs)
+            a["cost"] = a["cost"].copy()
+            np.add.at(a["cost"], list(idx), coef)
+            self._costs = []
+        if self._rows:
+            terms, sense, rhs = zip(*self._rows)
+            new = dict(indptr=a["indptr"][-1] + np.cumsum([len(t) for t in terms]),
+                       indices=[i for t in terms for i, _ in t],
+                       data=[c for t in terms for _, c in t], sense=sense, rhs=rhs)
+            for key, values in new.items():
+                a[key] = np.concatenate((a[key], np.array(values, dtype=_ARRAYS[key])))
+            self._rows = []
+
+    @property
+    def matrix(self) -> csr_matrix:
+        return csr_matrix((self.data, self.indices, self.indptr),
+                          shape=(len(self.rhs), len(self.lower)))
+
+    def _named(self, k: int) -> list[str]:
+        if callable(self._names[k]):
+            self._names[k] = self._names[k]()
+        return self._names[k]
+
+    col_names = property(lambda self: self._named(0))
+    row_names = property(lambda self: self._named(1))
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self._arrays["lower"]) + len(self._cols)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._arrays["rhs"]) + len(self._rows)
 
-    def add_variable(self, lower: float = 0.0, upper: float = math.inf,
-                     name: str = "") -> VariableRef:
+    def add_variable(self, lower: float = 0.0, upper: float | Data = math.inf,
+                     name: str = "") -> int:
+        """Append a column and return its index. An upper bound given as
+        ``Data`` is a slot (placeholder +inf)."""
+        slot, upper = (upper, math.inf) if isinstance(upper, Data) else (None, upper)
         if math.isnan(lower) or math.isnan(upper):
             raise LpError(f"variable {name!r}: NaN bound")
         if lower > upper:
             raise LpError(f"variable {name!r}: inverted bounds [{lower}, {upper}]")
-        ref = VariableRef(len(self.variables), float(lower), float(upper), name)
-        self.variables.append(ref)
-        return ref
+        if slot is not None:
+            self.slots.append((UPPER, self.num_variables, slot))
+        self._cols.append((float(lower), float(upper)))
+        self.col_names.append(name)
+        return self.num_variables - 1
 
-    def add_variables(self, n: int, lower: float = 0.0, upper: float = math.inf,
-                      name: str = "") -> list[VariableRef]:
-        return [self.add_variable(lower, upper, f"{name}[{k}]") for k in range(n)]
-
-    def add_constraint(self, terms, sense: str, rhs: float, name: str = "") -> int:
+    def add_constraint(self, terms, sense: str, rhs: float | Data,
+                       name: str = "") -> int:
         """Append a constraint; ``terms`` is an iterable of (var index, coef).
+        A right-hand side given as ``Data`` is a slot (placeholder 0).
 
         Returns the row index (position in the dual vector)."""
+        slot, rhs = (rhs, 0.0) if isinstance(rhs, Data) else (None, rhs)
         if sense not in SENSES:
             raise LpError(f"constraint {name!r}: unknown sense {sense!r}")
         if not math.isfinite(rhs):
             raise LpError(f"constraint {name!r}: non-finite rhs {rhs}")
         seen = set()
         clean = []
+        n = self.num_variables
         for idx, coef in terms:
             idx = int(idx)
-            if idx < 0 or idx >= len(self.variables):
+            if idx < 0 or idx >= n:
                 raise LpError(f"constraint {name!r}: unknown variable index {idx}")
             if idx in seen:
                 raise LpError(f"constraint {name!r}: duplicate variable index {idx}")
@@ -126,19 +193,18 @@ class LinearProgram:
                 raise LpError(f"constraint {name!r}: non-finite coefficient on {idx}")
             seen.add(idx)
             clean.append((idx, float(coef)))
-        self.constraints.append(LinearConstraint(tuple(clean), sense, float(rhs), name))
-        return len(self.constraints) - 1
+        if slot is not None:
+            self.slots.append((RHS, self.num_constraints, slot))
+        self._rows.append((clean, sense, float(rhs)))
+        self.row_names.append(name)
+        return self.num_constraints - 1
 
     def add_objective_term(self, index: int, coef: float) -> None:
-        if index < 0 or index >= len(self.variables):
+        if index < 0 or index >= self.num_variables:
             raise LpError(f"objective: unknown variable index {index}")
         if not math.isfinite(coef):
             raise LpError(f"objective: non-finite coefficient on {index}")
-        self.objective[index] = self.objective.get(index, 0.0) + float(coef)
-
-    def add_objective_terms(self, terms) -> None:
-        for idx, coef in terms:
-            self.add_objective_term(idx, coef)
+        self._costs.append((index, float(coef)))
 
 
 def _status_from_scipy(code: int) -> str:
@@ -155,48 +221,17 @@ def solve(program: LinearProgram, maxiter: int = 200_000) -> LpSolution:
     """Solve to optimality with HiGHS dual simplex; never fails silently.
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
-    n = program.num_variables
-    c = np.zeros(n)
-    for idx, coef in program.objective.items():
-        c[idx] = coef
-    bounds = [(v.lower if math.isfinite(v.lower) else None,
-               v.upper if math.isfinite(v.upper) else None)
-              for v in program.variables]
+    A, sense, rhs = program.matrix, program.sense, program.rhs
+    eq_rows = np.flatnonzero(sense == EQ)
+    ub_rows = np.flatnonzero(sense != EQ)
+    # HiGHS via linprog takes A_ub x <= b_ub: >= rows enter negated
+    sign = np.where(sense[ub_rows] == LE, 1.0, -1.0)
+    A_ub = A[ub_rows]
+    A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
 
-    ub_rows: list[tuple[int, float]] = []   # (constraint position, sign flip)
-    eq_rows: list[int] = []
-    ub_data, ub_i, ub_j, ub_rhs = [], [], [], []
-    eq_data, eq_i, eq_j, eq_rhs = [], [], [], []
-    for pos, ct in enumerate(program.constraints):
-        if ct.sense == EQ:
-            row = len(eq_rhs)
-            eq_rows.append(pos)
-            eq_rhs.append(ct.rhs)
-            for idx, coef in ct.terms:
-                eq_i.append(row)
-                eq_j.append(idx)
-                eq_data.append(coef)
-        else:
-            sign = 1.0 if ct.sense == LE else -1.0
-            row = len(ub_rhs)
-            ub_rows.append((pos, sign))
-            ub_rhs.append(sign * ct.rhs)
-            for idx, coef in ct.terms:
-                ub_i.append(row)
-                ub_j.append(idx)
-                ub_data.append(sign * coef)
-
-    from scipy.sparse import csr_matrix
-
-    A_ub = b_ub = A_eq = b_eq = None
-    if ub_rhs:
-        A_ub = csr_matrix((ub_data, (ub_i, ub_j)), shape=(len(ub_rhs), n))
-        b_ub = np.asarray(ub_rhs)
-    if eq_rhs:
-        A_eq = csr_matrix((eq_data, (eq_i, eq_j)), shape=(len(eq_rhs), n))
-        b_eq = np.asarray(eq_rhs)
-
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+    res = linprog(program.cost, A_ub=A_ub, b_ub=sign * rhs[ub_rows],
+                  A_eq=A[eq_rows], b_eq=rhs[eq_rows],
+                  bounds=np.column_stack((program.lower, program.upper)),
                   method="highs-ds",
                   options={"maxiter": maxiter,
                            "primal_feasibility_tolerance": _SOLVER_TOL,
@@ -206,15 +241,9 @@ def solve(program: LinearProgram, maxiter: int = 200_000) -> LpSolution:
         return LpSolution(status, math.nan, np.zeros(0), np.zeros(0))
 
     duals = np.zeros(program.num_constraints)
-    if ub_rhs:
-        marg = np.asarray(res.ineqlin.marginals)
-        for row, (pos, sign) in enumerate(ub_rows):
-            # marginal is d obj / d (sign * rhs); chain rule restores d obj / d rhs
-            duals[pos] = sign * marg[row]
-    if eq_rhs:
-        marg = np.asarray(res.eqlin.marginals)
-        for row, pos in enumerate(eq_rows):
-            duals[pos] = marg[row]
+    # marginal is d obj / d (sign * rhs); chain rule restores d obj / d rhs
+    duals[ub_rows] = sign * np.asarray(res.ineqlin.marginals)
+    duals[eq_rows] = np.asarray(res.eqlin.marginals)
 
     return LpSolution(OPTIMAL, float(res.fun), np.asarray(res.x), duals,
                       np.asarray(res.lower.marginals),
@@ -227,19 +256,11 @@ def dual_objective(program: LinearProgram, solution: LpSolution) -> float:
     every optimal solve (strong duality)."""
     if solution.status != OPTIMAL:
         raise LpError("dual objective is only defined for optimal solutions")
-    total = sum(ct.rhs * solution.duals[pos]
-                for pos, ct in enumerate(program.constraints))
-    for v in program.variables:
-        if math.isfinite(v.lower):
-            total += v.lower * solution.lower_marginals[v.index]
-        if math.isfinite(v.upper):
-            total += v.upper * solution.upper_marginals[v.index]
-    return float(total)
-
-
-def evaluate_terms(terms, primal: np.ndarray) -> float:
-    """Value of a linear expression (list of (index, coef)) at a primal point."""
-    return float(sum(coef * primal[idx] for idx, coef in terms))
+    lo, hi = program.lower, program.upper
+    fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+    return float(program.rhs @ solution.duals
+                 + lo[fin_lo] @ solution.lower_marginals[fin_lo]
+                 + hi[fin_hi] @ solution.upper_marginals[fin_hi])
 
 
 def _fmt_coef(coef: float, name: str) -> str:
@@ -250,23 +271,26 @@ def _fmt_coef(coef: float, name: str) -> str:
 def write_lp_text(program: LinearProgram) -> str:
     """Fixed-format LP text (Minimize / Subject To / Bounds / End) for
     cross-checking against external LP tooling."""
-    names = [v.name if v.name else f"x{v.index}" for v in program.variables]
+    names = [n if n else f"x{j}" for j, n in enumerate(program.col_names)]
+    cost, lower, upper = program.cost, program.lower, program.upper
+    indptr, indices, data = program.indptr, program.indices, program.data
     out = ["Minimize", " obj:"]
-    parts = [_fmt_coef(coef, names[idx]) for idx, coef in sorted(program.objective.items())]
+    parts = [_fmt_coef(cost[j], names[j]) for j in np.flatnonzero(cost)]
     out[1] += " " + " ".join(parts) if parts else " 0 " + (names[0] if names else "x0")
     out.append("Subject To")
-    for pos, ct in enumerate(program.constraints):
-        label = ct.name if ct.name else f"c{pos}"
-        body = " ".join(_fmt_coef(coef, names[idx]) for idx, coef in ct.terms)
+    ops = {LE: "<=", GE: ">=", EQ: "="}
+    for pos, (label, sense, rhs) in enumerate(zip(program.row_names,
+                                                  program.sense, program.rhs)):
+        span = range(indptr[pos], indptr[pos + 1])
+        body = " ".join(_fmt_coef(data[k], names[indices[k]]) for k in span)
         if not body:
             body = "0 " + names[0]
-        op = {LE: "<=", GE: ">=", EQ: "="}[ct.sense]
-        out.append(f" {label}: {body} {op} {ct.rhs:.17g}")
+        out.append(f" {label or f'c{pos}'}: {body} {ops[sense]} {rhs:.17g}")
     out.append("Bounds")
-    for v in program.variables:
-        lo = "-inf" if not math.isfinite(v.lower) else f"{v.lower:.17g}"
-        hi = "+inf" if not math.isfinite(v.upper) else f"{v.upper:.17g}"
-        out.append(f" {lo} <= {names[v.index]} <= {hi}")
+    for j, name in enumerate(names):
+        lo = "-inf" if not math.isfinite(lower[j]) else f"{lower[j]:.17g}"
+        hi = "+inf" if not math.isfinite(upper[j]) else f"{upper[j]:.17g}"
+        out.append(f" {lo} <= {name} <= {hi}")
     out.append("End")
     return "\n".join(out) + "\n"
 

@@ -9,9 +9,10 @@ Conventions used throughout, asserted by tests:
   * device and market volumes are in kW, prices per MWh (per MW for
     capacity), so every energy expression converts with a factor 1/1000.
 
-Expression builders return lists of (variable index, coefficient) pairs;
-their ``*_value`` twins evaluate the same formulas on plain numbers and
-are used for solver-independent reporting.
+``bind_costs`` attaches each revenue and cost stream to its columns as
+data slots (prices and tariffs are data); the ``*_value`` twins evaluate
+the same formulas on plain numbers and are used for solver-independent
+reporting.
 """
 
 from __future__ import annotations
@@ -137,24 +138,24 @@ def emit_first_stage(program: lp.LinearProgram, horizon: MarketHorizon,
     """Create the shared bid variables. Day-ahead bids are capped by the
     park's deliverable power; capacity bids by the prequalified power
     (offering beyond it could never be activated)."""
-    dam = [program.add_variable(-dam_cap_kw, dam_cap_kw, f"dam[{t}]").index
+    dam = [program.add_variable(-dam_cap_kw, dam_cap_kw, f"dam[{t}]")
            for t in range(horizon.step_count)]
     pbar = config.prequalified_power_kw
-    rcm_up = [program.add_variable(0.0, pbar, f"rcm_up[{w}]").index
+    rcm_up = [program.add_variable(0.0, pbar, f"rcm_up[{w}]")
               for w in range(horizon.window_count)]
-    rcm_dn = [program.add_variable(0.0, pbar, f"rcm_dn[{w}]").index
+    rcm_dn = [program.add_variable(0.0, pbar, f"rcm_dn[{w}]")
               for w in range(horizon.window_count)]
     return FirstStageVars(dam, rcm_up, rcm_dn)
 
 
 def emit_second_stage(program: lp.LinearProgram, horizon: MarketHorizon,
-                      config: MarketConfig, tag: str = "") -> SecondStageVars:
+                      config: MarketConfig) -> SecondStageVars:
     """Per-scenario market recourse variables. Activations are bounded by the
     prequalified power; imbalance volumes are unbounded above, which makes
     every first-stage bid recoverable (complete recourse)."""
     T = horizon.step_count
     pbar = config.prequalified_power_kw
-    mk = lambda name, lo, hi: [program.add_variable(lo, hi, f"{name}{tag}[{t}]").index
+    mk = lambda name, lo, hi: [program.add_variable(lo, hi, f"{name}[{t}]")
                                for t in range(T)]
     return SecondStageVars(
         ram_up=mk("ram_up", 0.0, pbar),
@@ -198,17 +199,42 @@ def emit_position_balance(program: lp.LinearProgram, horizon: MarketHorizon,
     return rows
 
 
-# ----------------------------------------------------- expression builders
+# ------------------------------------------------------- revenue and cost
 
 def _check_len(a, n, label):
     if len(a) != n:
         raise MarketError(f"{label}: expected length {n}, got {len(a)}")
 
 
-def dam_revenue_terms(prices, dam_vars, step_hours):
-    _check_len(prices, len(dam_vars), "day-ahead prices")
-    f = step_hours / KW_PER_MW
-    return [(v, float(p) * f) for v, p in zip(dam_vars, prices)]
+def check_series_length(field: str, series, horizon: MarketHorizon) -> None:
+    """Every data series spans the horizon; reserve capacity prices carry
+    one value per booking window."""
+    _check_len(series, horizon.window_count if field.startswith("rcm_")
+               else horizon.step_count, field)
+
+
+def bind_costs(program: lp.LinearProgram, horizon: MarketHorizon,
+               fs: FirstStageVars, ss: SecondStageVars,
+               wit_vars_by_bus: dict[int, list[int]]) -> None:
+    """Attach every revenue and cost stream to its columns as data slots.
+    Energy is priced per MWh of power times step duration; capacity is
+    paid per window, not per hour; both activation directions are
+    remunerated energy; short imbalance positions pay, long ones are
+    remunerated (negative cost); grid charges apply to the energy withdrawn
+    at every node."""
+    f = horizon.step_hours / KW_PER_MW
+    streams = [("r_dam", "day_ahead_price", fs.dam, f, 1.0),
+               ("r_rcm", "rcm_up_price", fs.rcm_up, 1.0, KW_PER_MW),
+               ("r_rcm", "rcm_dn_price", fs.rcm_dn, 1.0, KW_PER_MW),
+               ("r_ram", "ram_up_price", ss.ram_up, f, 1.0),
+               ("r_ram", "ram_dn_price", ss.ram_dn, f, 1.0),
+               ("c_imb", "imbalance_short_price", ss.imb_short, f, 1.0),
+               ("c_imb", "imbalance_long_price", ss.imb_long, -f, 1.0)]
+    streams += [("c_tariff", "tariff_per_mwh", wit_vars_by_bus[bus], f, 1.0)
+                for bus in sorted(wit_vars_by_bus)]
+    for label, field, cols, scale, divisor in streams:
+        program.slots += [(label, col, lp.Data(field, None, t, scale, divisor))
+                          for t, col in enumerate(cols)]
 
 
 def dam_revenue_value(prices, dam_kw, step_hours) -> float:
@@ -216,28 +242,9 @@ def dam_revenue_value(prices, dam_kw, step_hours) -> float:
     return float(np.sum(np.asarray(prices) * np.asarray(dam_kw))) * step_hours / KW_PER_MW
 
 
-def rcm_revenue_terms(up_prices, dn_prices, up_vars, dn_vars):
-    # capacity is paid per window, not per hour: no step-duration factor
-    _check_len(up_prices, len(up_vars), "capacity prices (up)")
-    _check_len(dn_prices, len(dn_vars), "capacity prices (dn)")
-    terms = [(v, float(p) / KW_PER_MW) for v, p in zip(up_vars, up_prices)]
-    terms += [(v, float(p) / KW_PER_MW) for v, p in zip(dn_vars, dn_prices)]
-    return terms
-
-
 def rcm_revenue_value(up_prices, dn_prices, up_kw, dn_kw) -> float:
     return float(np.sum(np.asarray(up_prices) * np.asarray(up_kw))
                  + np.sum(np.asarray(dn_prices) * np.asarray(dn_kw))) / KW_PER_MW
-
-
-def ram_revenue_terms(up_prices, dn_prices, up_vars, dn_vars, step_hours):
-    # both directions are remunerated energy, hence both enter positively
-    _check_len(up_prices, len(up_vars), "activation prices (up)")
-    _check_len(dn_prices, len(dn_vars), "activation prices (dn)")
-    f = step_hours / KW_PER_MW
-    terms = [(v, float(p) * f) for v, p in zip(up_vars, up_prices)]
-    terms += [(v, float(p) * f) for v, p in zip(dn_vars, dn_prices)]
-    return terms
 
 
 def ram_revenue_value(up_prices, dn_prices, up_kw, dn_kw, step_hours) -> float:
@@ -246,34 +253,11 @@ def ram_revenue_value(up_prices, dn_prices, up_kw, dn_kw, step_hours) -> float:
         * step_hours / KW_PER_MW
 
 
-def tariff_cost_terms(tariff_per_mwh, wit_vars_by_bus, step_hours):
-    """Grid charges on the energy withdrawn at every node; the per-MWh tariff
-    is applied to step energy (power times step duration)."""
-    f = step_hours / KW_PER_MW
-    terms = []
-    for bus in sorted(wit_vars_by_bus):
-        wit_vars = wit_vars_by_bus[bus]
-        _check_len(tariff_per_mwh, len(wit_vars), "tariff schedule")
-        terms += [(v, float(c) * f) for v, c in zip(wit_vars, tariff_per_mwh)]
-    return terms
-
-
 def tariff_cost_value(tariff_per_mwh, wit_kw_by_bus, step_hours) -> float:
     total = 0.0
     for bus, series in wit_kw_by_bus.items():
         total += float(np.sum(np.asarray(tariff_per_mwh) * np.asarray(series)))
     return total * step_hours / KW_PER_MW
-
-
-def imbalance_cost_terms(short_prices, long_prices, short_vars, long_vars,
-                         step_hours):
-    """Short positions pay, long positions are remunerated (negative cost)."""
-    _check_len(short_prices, len(short_vars), "short imbalance prices")
-    _check_len(long_prices, len(long_vars), "long imbalance prices")
-    f = step_hours / KW_PER_MW
-    terms = [(v, float(p) * f) for v, p in zip(short_vars, short_prices)]
-    terms += [(v, -float(p) * f) for v, p in zip(long_vars, long_prices)]
-    return terms
 
 
 def imbalance_cost_value(short_prices, long_prices, short_kw, long_kw,

@@ -1,17 +1,19 @@
-"""Model assembly: one shared first stage plus per-scenario constraint blocks.
+"""Model assembly: one shared first stage plus a scenario block compiled once.
 
-``VppModel`` bundles the horizon, network, device park, and market
-configuration, and knows how to emit everything one scenario needs into a
-LinearProgram: device constraints, grid flow constraints, market recourse
-variables, coupling rows, and the six cost/revenue term groups that make
-up the scenario's net cost. The extensive form and the decomposition
-subproblems are both built from this factory, which keeps them provably
-consistent.
+The two-stage program has fixed recourse: the recourse matrix W and the
+technology matrix T are the same in every scenario. A scenario changes
+only data: costs (the six prices), right-hand sides (loads, ambient
+temperature) and column bounds (PV capacity factors, EV availability).
+``VppModel.build_block`` emits the block once into a template program,
+the emitters leaving every scenario-dependent entry as a data slot, and
+``BlockTemplate.data`` fills the slots for one scenario, vectorized, as
+six per-stream cost vectors, right-hand sides and bounds. Every solve path
+stacks or instantiates that one template; the tariff is data too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,56 +23,144 @@ from . import market as mk
 from . import network as nw
 from .scenarios import Scenario
 
+#: cost streams in CostBreakdown order; the first three are revenues
+STREAMS = ("r_dam", "r_rcm", "r_ram", "c_ops", "c_tariff", "c_imb")
+
 
 class ModelError(Exception):
     pass
 
 
-def merge_terms(terms) -> list[tuple[int, float]]:
-    """Sum coefficients sharing a variable index (constraint rows must not
-    carry duplicates)."""
-    acc: dict[int, float] = {}
-    for idx, coef in terms:
-        acc[idx] = acc.get(idx, 0.0) + coef
-    return [(idx, coef) for idx, coef in acc.items() if coef != 0.0]
-
-
 @dataclass
-class CostTermGroups:
-    """Linear expressions (over LP variables) for each stream of one
-    scenario's net cost."""
+class BlockHandles:
+    """Column indices of everything ``build_block`` emits."""
 
-    r_dam: list[tuple[int, float]]
-    r_rcm: list[tuple[int, float]]
-    r_ram: list[tuple[int, float]]
-    c_ops: list[tuple[int, float]]
-    c_tariff: list[tuple[int, float]]
-    c_imb: list[tuple[int, float]]
+    devices: list[dv.DeviceHandles]
+    grid: nw.GridHandles
+    second_stage: mk.SecondStageVars
 
-    def net_cost_terms(self) -> list[tuple[int, float]]:
-        signed = [(self.r_dam, -1.0), (self.r_rcm, -1.0), (self.r_ram, -1.0),
-                  (self.c_ops, 1.0), (self.c_tariff, 1.0), (self.c_imb, 1.0)]
-        out = []
-        for terms, sign in signed:
-            out.extend((idx, sign * coef) for idx, coef in terms)
-        return merge_terms(out)
 
-    def breakdown(self, primal: np.ndarray) -> mk.CostBreakdown:
-        ev = lambda terms: lp.evaluate_terms(terms, primal)
-        return mk.CostBreakdown.from_components(
-            ev(self.r_dam), ev(self.r_rcm), ev(self.r_ram),
-            ev(self.c_ops), ev(self.c_tariff), ev(self.c_imb))
+class BlockTemplate:
+    """A block compiled once: the program holds W, T and every
+    scenario-independent coefficient, its data slots the rest. The first
+    ``n_first`` columns are the first stage; the block's own columns
+    follow. Instantiating never changes the template."""
+
+    def __init__(self, program: lp.LinearProgram, horizon: mk.MarketHorizon,
+                 first_stage: mk.FirstStageVars | None = None,
+                 handles: BlockHandles | None = None):
+        self.program = program
+        self.horizon = horizon
+        self.first_stage = first_stage
+        self.handles = handles
+        self.n_first = len(first_stage.flat()) if first_stage else 0
+        self.n_block = program.num_variables - self.n_first
+        # the slots as arrays; each reads one entry of one data series
+        target, index, data = zip(*program.slots) if program.slots else [()] * 3
+        series: dict[tuple, int] = {}
+        self.source = np.array([series.setdefault((d.field, d.key), len(series))
+                                for d in data], dtype=np.int64)
+        self.series = list(series)
+        self.step = np.array([d.step for d in data], dtype=np.int64)
+        self.scale = np.array([d.scale for d in data], dtype=float)
+        self.divisor = np.array([d.divisor for d in data], dtype=float)
+        self.target, self.targets = np.array(target), sorted(set(target))
+        self.index = np.array(index, dtype=np.int64)
+        program.matrix      # settle the arrays before instantiations share them
+
+    def data(self, scenario, tariff=None, offset: int = 0) -> "ScenarioBlock":
+        """Fill every data slot from one scenario (and the grid tariff), for
+        a copy of the block whose own columns start ``offset`` further on.
+        Every series must span the horizon; buses without a load series
+        carry none. Bad values raise LpError as ``add_*`` would."""
+        arrays = []
+        for name, key in self.series:
+            values = tariff if name == "tariff_per_mwh" else getattr(scenario, name)
+            if isinstance(values, dict):
+                if key not in values and name == "capacity_factor":
+                    raise dv.DeviceError(
+                        f"scenario has no capacity factors for {key!r}")
+                values = values.get(key, np.zeros(self.horizon.step_count))
+            mk.check_series_length(name, values, self.horizon)
+            arrays.append(np.asarray(values, dtype=float))
+        offsets = np.cumsum([0] + [len(a) for a in arrays])
+        values = np.concatenate(arrays or [np.zeros(0)])[
+            offsets[self.source] + self.step] * self.scale / self.divisor
+
+        # an upper bound may be +inf but not below its lower bound; a
+        # right-hand side or a cost must be finite
+        p, up = self.program, self.target == lp.UPPER
+        bad = np.isnan(values) | ~up & np.isinf(values)
+        bad[up] |= values[up] < p.lower[self.index[up]]
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            raise lp.LpError(f"scenario data {self.series[self.source[k]]} "
+                             f"step {self.step[k]}: bad value {values[k]}")
+        upper, rhs = p.upper.copy(), p.rhs.copy()
+        streams = {name: np.zeros(p.num_variables) for name in STREAMS}
+        streams["c_ops"] = p.cost.copy()
+        for target in self.targets:
+            at = self.target == target
+            (upper if target == lp.UPPER else rhs if target == lp.RHS
+             else streams[target])[self.index[at]] = values[at]
+        columns = np.arange(p.num_variables)
+        columns[self.n_first:] += offset
+        return ScenarioBlock(scenario, self, upper, rhs, streams, columns)
+
+    def instantiate(self, block: "ScenarioBlock", bids=None,
+                    name: str = "") -> lp.LinearProgram:
+        """The block for one scenario as a program of its own.
+
+        Given bids, the first-stage columns are freed and pinned to them by
+        leading equality rows ``fix[j]``, whose duals are d(cost)/d(bid),
+        and the program minimizes the scenario's net cost. Without bids the
+        first stage keeps its bounds and the objective is zero: a
+        feasibility probe of the block."""
+        p = self.program
+        nf = 0 if bids is None else self.n_first
+        lower, upper = p.lower.copy(), block.upper.copy()
+        lower[:nf], upper[:nf] = -np.inf, np.inf
+        return lp.LinearProgram(
+            name, lambda: list(p.col_names),
+            lambda: [f"fix[{j}]" for j in range(nf)] + p.row_names,
+            lower=lower, upper=upper,
+            cost=np.zeros(len(lower)) if bids is None else block.net_cost(),
+            indptr=np.r_[np.arange(nf), p.indptr + nf],
+            indices=np.r_[np.arange(nf), p.indices], data=np.r_[np.ones(nf), p.data],
+            sense=np.r_[np.full(nf, lp.EQ), p.sense],
+            rhs=np.r_[[] if bids is None else bids, block.rhs])
 
 
 @dataclass
 class ScenarioBlock:
-    """Handles for everything emitted for one scenario."""
+    """One scenario's data in the compiled block: column upper bounds, row
+    right-hand sides and, per stream, the cost of every column (revenues
+    counted positive). Inside a larger program, template column j is the
+    program's column ``columns[j]``."""
 
     scenario: Scenario
-    devices: list[dv.DeviceHandles]
-    grid: nw.GridHandles
-    second_stage: mk.SecondStageVars
-    groups: CostTermGroups
+    template: BlockTemplate
+    upper: np.ndarray
+    rhs: np.ndarray
+    streams: dict[str, np.ndarray]
+    columns: np.ndarray
+
+    def net_cost(self) -> np.ndarray:
+        s = self.streams
+        return -s["r_dam"] - s["r_rcm"] - s["r_ram"] \
+            + s["c_ops"] + s["c_tariff"] + s["c_imb"]
+
+    def breakdown(self, primal: np.ndarray) -> mk.CostBreakdown:
+        x = primal[self.columns]
+        return mk.CostBreakdown.from_components(
+            *(float(self.streams[name] @ x) for name in STREAMS))
+
+    @property
+    def second_stage(self) -> mk.SecondStageVars:
+        """The market recourse columns, as columns of the program."""
+        ss = self.template.handles.second_stage
+        return mk.SecondStageVars(**{name: self.columns[idxs].tolist()
+                                     for name, idxs in vars(ss).items()})
 
 
 @dataclass
@@ -82,6 +172,8 @@ class VppModel:
     flow_segments: int = 8
     dam_bid_cap_kw: float | None = None
     _topo: nw.Topology | None = field(default=None, repr=False)
+    _template: BlockTemplate | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def validate(self) -> nw.Topology:
         if self._topo is None:
@@ -100,34 +192,43 @@ class VppModel:
             return self.dam_bid_cap_kw
         return self.park.total_power_kw() + self.market.prequalified_power_kw
 
-    def emit_first_stage(self, program: lp.LinearProgram,
-                         free_bounds: bool = False) -> mk.FirstStageVars:
-        if free_bounds:
-            # subproblem use: bids get pinned by equality rows instead
-            dam = [program.add_variable(-np.inf, np.inf, f"dam[{t}]").index
-                   for t in range(self.horizon.step_count)]
-            rcm_up = [program.add_variable(-np.inf, np.inf, f"rcm_up[{w}]").index
-                      for w in range(self.horizon.window_count)]
-            rcm_dn = [program.add_variable(-np.inf, np.inf, f"rcm_dn[{w}]").index
-                      for w in range(self.horizon.window_count)]
-            return mk.FirstStageVars(dam, rcm_up, rcm_dn)
+    def emit_first_stage(self, program: lp.LinearProgram) -> mk.FirstStageVars:
         return mk.emit_first_stage(program, self.horizon, self.market,
                                    self.dam_cap_kw)
 
-    def build_block(self, program: lp.LinearProgram, scenario: Scenario,
-                    fs: mk.FirstStageVars, tag: str = "") -> ScenarioBlock:
-        """Emit one scenario's full constraint block and cost expressions."""
+    @property
+    def template(self) -> BlockTemplate:
+        """The scenario block, compiled on first use."""
+        if self._template is None:
+            self.validate()
+            program = lp.LinearProgram("block")
+            fs = self.emit_first_stage(program)
+            self._template = BlockTemplate(program, self.horizon, fs,
+                                           self.build_block(program, fs))
+        return self._template
+
+    def scenario_data(self, scenario: Scenario, offset: int = 0) -> ScenarioBlock:
+        return self.template.data(scenario, self.market.tariff_per_mwh, offset)
+
+    def with_tariff(self, tariff: np.ndarray) -> "VppModel":
+        """This model under another grid tariff. The tariff is data, so the
+        twin shares the compiled block."""
+        twin = replace(self, market=mk.MarketConfig(
+            self.market.prequalified_power_kw, tariff))
+        twin._template = self.template
+        return twin
+
+    def build_block(self, program: lp.LinearProgram,
+                    fs: mk.FirstStageVars) -> BlockHandles:
+        """Emit the scenario block: device, grid and market rows, with every
+        scenario-dependent bound, right-hand side and cost left to a data
+        slot. ``template`` calls it once per model."""
         topo = self.validate()
         hz = self.horizon
-        handles: list[dv.DeviceHandles] = []
-        for dg in self.park.dgs:
-            handles.append(dv.emit_dg(program, dg, scenario, hz, tag))
-        for hp in self.park.hps:
-            handles.append(dv.emit_hp(program, hp, scenario, hz, tag))
-        for ev in self.park.evs:
-            handles.append(dv.emit_ev(program, ev, scenario, hz, tag))
-        for b in self.park.bess:
-            handles.append(dv.emit_bess(program, b, scenario, hz, tag))
+        handles = [dv.emit_dg(program, d, hz) for d in self.park.dgs] \
+            + [dv.emit_hp(program, d, hz) for d in self.park.hps] \
+            + [dv.emit_ev(program, d, hz) for d in self.park.evs] \
+            + [dv.emit_bess(program, d, hz) for d in self.park.bess]
 
         cons_p: dict[int, list[list[tuple[int, float]]]] = {}
         cons_q: dict[int, list[list[tuple[int, float]]]] = {}
@@ -140,64 +241,49 @@ class VppModel:
                 if t < len(h.cons_q):
                     tq[t].extend(h.cons_q[t])
 
-        grid = nw.emit_distflow(program, self.network, topo, hz, cons_p, cons_q,
-                                scenario.load_active, scenario.load_reactive, tag)
-        nw.emit_flow_limits(program, self.network, grid, hz,
-                            self.flow_segments, tag)
+        grid = nw.emit_distflow(program, self.network, topo, hz, cons_p, cons_q)
+        nw.emit_flow_limits(program, self.network, grid, hz, self.flow_segments)
 
-        ss = mk.emit_second_stage(program, hz, self.market, tag)
+        ss = mk.emit_second_stage(program, hz, self.market)
         mk.emit_reserve_coupling(program, hz, fs, ss)
         mk.emit_position_balance(program, hz, fs, ss, grid.pcc)
 
-        dt = hz.step_hours
-        groups = CostTermGroups(
-            r_dam=mk.dam_revenue_terms(scenario.day_ahead_price, fs.dam, dt),
-            r_rcm=mk.rcm_revenue_terms(scenario.rcm_up_price,
-                                       scenario.rcm_dn_price,
-                                       fs.rcm_up, fs.rcm_dn),
-            r_ram=mk.ram_revenue_terms(scenario.ram_up_price,
-                                       scenario.ram_dn_price,
-                                       ss.ram_up, ss.ram_dn, dt),
-            c_ops=dv.park_operating_cost(handles),
-            c_tariff=mk.tariff_cost_terms(self.market.tariff_per_mwh,
-                                          grid.wit, dt),
-            c_imb=mk.imbalance_cost_terms(scenario.imbalance_short_price,
-                                          scenario.imbalance_long_price,
-                                          ss.imb_short, ss.imb_long, dt),
-        )
-        return ScenarioBlock(scenario, handles, grid, ss, groups)
+        mk.bind_costs(program, hz, fs, ss, grid.wit)
+        return BlockHandles(handles, grid, ss)
 
-    def extract_first_stage(self, fs: mk.FirstStageVars,
-                            primal: np.ndarray) -> mk.FirstStageDecision:
+    def first_stage_decision(self, x: np.ndarray) -> mk.FirstStageDecision:
+        """Bids from the flat first-stage vector (day-ahead per step, then
+        capacity up and down per window)."""
+        T, W = self.horizon.step_count, self.horizon.window_count
         clip0 = lambda a: np.where(np.abs(a) < 1e-12, 0.0, a)
-        return mk.FirstStageDecision(
-            p_dam_kw=np.array([primal[i] for i in fs.dam]),
-            p_rcm_up_kw=clip0(np.array([primal[i] for i in fs.rcm_up])),
-            p_rcm_dn_kw=clip0(np.array([primal[i] for i in fs.rcm_dn])),
-        )
+        return mk.FirstStageDecision(np.array(x[:T]), clip0(x[T:T + W]),
+                                     clip0(x[T + W:T + 2 * W]))
 
 
 def extract_block_series(block: ScenarioBlock, primal: np.ndarray) -> dict:
     """Numeric second-stage series for reporting and persistence."""
-    take = lambda idxs: np.array([primal[i] for i in idxs])
+    x = primal[block.columns]
+    handles = block.template.handles
+    take = lambda idxs: x[idxs]
+    ss = handles.second_stage
     out = {
-        "ram_up_kw": take(block.second_stage.ram_up),
-        "ram_dn_kw": take(block.second_stage.ram_dn),
-        "imb_short_kw": take(block.second_stage.imb_short),
-        "imb_long_kw": take(block.second_stage.imb_long),
-        "p_vpp_kw": take(block.second_stage.p_vpp),
-        "pcc_kw": take(block.grid.pcc),
-        "wit_kw": {bus: take(idxs) for bus, idxs in block.grid.wit.items()},
+        "ram_up_kw": take(ss.ram_up),
+        "ram_dn_kw": take(ss.ram_dn),
+        "imb_short_kw": take(ss.imb_short),
+        "imb_long_kw": take(ss.imb_long),
+        "p_vpp_kw": take(ss.p_vpp),
+        "pcc_kw": take(handles.grid.pcc),
+        "wit_kw": {bus: take(idxs) for bus, idxs in handles.grid.wit.items()},
         "devices": {},
     }
-    steps = len(block.second_stage.ram_up)
+    steps = len(ss.ram_up)
 
     def padded(idxs, start):
         series = np.zeros(steps)
         series[start:start + len(idxs)] = take(idxs)
         return series
 
-    for h in block.devices:
+    for h in handles.devices:
         start = h.window[0] if h.window else 0
         entry = {}
         if h.p:

@@ -156,41 +156,36 @@ class GridHandles:
 def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
                   topo: Topology, horizon: MarketHorizon,
                   cons_p_terms: dict[int, list[list[tuple[int, float]]]],
-                  cons_q_terms: dict[int, list[list[tuple[int, float]]]],
-                  load_p: dict[int, np.ndarray],
-                  load_q: dict[int, np.ndarray],
-                  tag: str = "") -> GridHandles:
+                  cons_q_terms: dict[int, list[list[tuple[int, float]]]]
+                  ) -> GridHandles:
     """Emit nodal balances, voltage recursion, coupling-point definition, and
-    withdrawal epigraphs for one scenario.
+    withdrawal epigraphs.
 
     ``cons_*_terms[bus][t]`` lists (variable, coefficient) pairs whose sum is
     the bus's controllable consumption in kW at step t (device injections
-    enter with negative coefficients); ``load_*`` carry the fixed loads."""
+    enter with negative coefficients). The fixed loads of every bus are data
+    (``load_active``, ``load_reactive``) in the right-hand sides."""
     T = horizon.step_count
     root = network.root_id()
     scale = 1.0 / network.s_base_kw
 
-    branch_p = {k: [program.add_variable(-math.inf, math.inf, f"fp{tag}[{k},{t}]").index
+    branch_p = {k: [program.add_variable(-math.inf, math.inf, f"fp[{k},{t}]")
                     for t in range(T)] for k in range(len(network.branches))}
-    branch_q = {k: [program.add_variable(-math.inf, math.inf, f"fq{tag}[{k},{t}]").index
+    branch_q = {k: [program.add_variable(-math.inf, math.inf, f"fq[{k},{t}]")
                     for t in range(T)] for k in range(len(network.branches))}
     bus_v = {}
     for bus in network.buses:
         if bus.id == root:
-            bus_v[bus.id] = [program.add_variable(1.0, 1.0, f"v{tag}[{bus.id},{t}]").index
+            bus_v[bus.id] = [program.add_variable(1.0, 1.0, f"v[{bus.id},{t}]")
                              for t in range(T)]
         else:
             bus_v[bus.id] = [program.add_variable(bus.v_min, bus.v_max,
-                                                  f"v{tag}[{bus.id},{t}]").index
+                                                  f"v[{bus.id},{t}]")
                              for t in range(T)]
-    pcc = [program.add_variable(-math.inf, math.inf, f"pcc{tag}[{t}]").index
+    pcc = [program.add_variable(-math.inf, math.inf, f"pcc[{t}]")
            for t in range(T)]
-    wit = {b.id: [program.add_variable(0.0, math.inf, f"wit{tag}[{b.id},{t}]").index
+    wit = {b.id: [program.add_variable(0.0, math.inf, f"wit[{b.id},{t}]")
                   for t in range(T)] for b in network.buses}
-
-    def fixed(load, bus, t):
-        series = load.get(bus)
-        return float(series[t]) if series is not None else 0.0
 
     def var_terms(table, bus, t):
         per_bus = table.get(bus)
@@ -201,8 +196,6 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
             i = bus.id
             cons_p = var_terms(cons_p_terms, i, t)
             cons_q = var_terms(cons_q_terms, i, t)
-            base_p = fixed(load_p, i, t)
-            base_q = fixed(load_q, i, t)
             # power balance: inflow - outflow = local consumption
             terms_p = [(idx, coef * scale) for idx, coef in cons_p]
             terms_q = [(idx, coef * scale) for idx, coef in cons_q]
@@ -214,15 +207,18 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
             for k in topo.child_branches[i]:
                 terms_p.append((branch_p[k][t], 1.0))
                 terms_q.append((branch_q[k][t], 1.0))
-            program.add_constraint(terms_p, lp.EQ, -base_p * scale,
-                                   f"balP{tag}[{i},{t}]")
+            program.add_constraint(terms_p, lp.EQ,
+                                   lp.Data("load_active", i, t, -scale),
+                                   f"balP[{i},{t}]")
             if i != root:
-                program.add_constraint(terms_q, lp.EQ, -base_q * scale,
-                                       f"balQ{tag}[{i},{t}]")
+                program.add_constraint(terms_q, lp.EQ,
+                                       lp.Data("load_reactive", i, t, -scale),
+                                       f"balQ[{i},{t}]")
 
             # withdrawal epigraph: wit >= local consumption, wit >= 0
             wit_terms = [(wit[i][t], 1.0)] + [(idx, -coef) for idx, coef in cons_p]
-            program.add_constraint(wit_terms, lp.GE, base_p, f"wit{tag}[{i},{t}]")
+            program.add_constraint(wit_terms, lp.GE, lp.Data("load_active", i, t),
+                                   f"wit[{i},{t}]")
 
         for k in range(len(network.branches)):
             up, dn = branch_endpoints(network, topo, k)
@@ -230,14 +226,14 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
             program.add_constraint(
                 [(bus_v[dn][t], 1.0), (bus_v[up][t], -1.0),
                  (branch_p[k][t], 2.0 * br.r_pu), (branch_q[k][t], 2.0 * br.x_pu)],
-                lp.EQ, 0.0, f"vdrop{tag}[{k},{t}]")
+                lp.EQ, 0.0, f"vdrop[{k},{t}]")
 
     return GridHandles(branch_p, branch_q, bus_v, pcc, wit)
 
 
 def emit_flow_limits(program: lp.LinearProgram, network: RadialNetwork,
                      handles: GridHandles, horizon: MarketHorizon,
-                     segments: int = 8, tag: str = "") -> list[int]:
+                     segments: int = 8) -> list[int]:
     """Inscribed regular polygon for P^2 + Q^2 <= s_max^2 on every branch:
     cos(a_k) P + sin(a_k) Q <= s_max cos(pi/K) for a_k = 2 pi k / K."""
     if segments < 4:
@@ -253,7 +249,7 @@ def emit_flow_limits(program: lp.LinearProgram, network: RadialNetwork,
                 rows.append(program.add_constraint(
                     [(handles.branch_p[k][t], math.cos(ang)),
                      (handles.branch_q[k][t], math.sin(ang))],
-                    lp.LE, rhs, f"flow{tag}[{k},{t},{seg}]"))
+                    lp.LE, rhs, f"flow[{k},{t},{seg}]"))
     return rows
 
 

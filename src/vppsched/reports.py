@@ -21,7 +21,6 @@ from . import lp
 from . import market as mk
 from . import stochastic as st
 from .config import RunConfig, file_sha256
-from .market import MarketConfig
 from .model import VppModel, extract_block_series
 from .scenarios import Scenario, ScenarioSet
 
@@ -59,17 +58,8 @@ def scenario_details(model: VppModel, scenario: Scenario, s_index: int,
     """Re-solve one scenario with the bids frozen and return its breakdown
     and dispatch series; used to materialize second-stage artifacts for
     decomposition runs."""
-    program = lp.LinearProgram(f"detail_{s_index}")
-    fs = model.emit_first_stage(program, free_bounds=True)
-    for j, (xi, v) in enumerate(zip(fs.flat(), x)):
-        program.add_constraint([(xi, 1.0)], lp.EQ, float(v), f"fix[{j}]")
-    block = model.build_block(program, scenario, fs)
-    program.add_objective_terms(block.groups.net_cost_terms())
-    sol = lp.solve(program)
-    if sol.status != lp.OPTIMAL:
-        raise ReportError(f"scenario {s_index} detail solve: {sol.status}")
-    return block.groups.breakdown(sol.primal), \
-        extract_block_series(block, sol.primal)
+    sol, block = bd.solve_fixed_bids(model, scenario, s_index, x)
+    return block.breakdown(sol.primal), extract_block_series(block, sol.primal)
 
 
 @dataclass
@@ -89,10 +79,11 @@ def solve_with_method(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
                       lp_dump_path: str | None = None) -> SolveOutput:
     if method == "extensive":
         if max_variables is not None:
-            estimate = estimate_extensive_variables(model, len(sset))
-            if estimate > max_variables:
+            tpl = model.template
+            size = tpl.n_first + len(sset) * tpl.n_block
+            if size > max_variables:
                 raise ReportError(
-                    f"extensive form would need ~{estimate} variables, above "
+                    f"extensive form would need {size} variables, above "
                     f"the size guard of {max_variables}; use the benders method")
         ef = st.build_extensive(model, sset, risk)
         if lp_dump_path:
@@ -120,20 +111,6 @@ def solve_with_method(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
                            converged=res.report.converged,
                            iterations=res.report.iterations, trace=trace)
     raise ReportError(f"unknown solve method {method!r}")
-
-
-def estimate_extensive_variables(model: VppModel, n_scenarios: int) -> int:
-    T = model.horizon.step_count
-    n_bus = len(model.network.buses)
-    n_branch = len(model.network.branches)
-    per_dev = sum(2 * T for _ in model.park.dgs) \
-        + sum(2 * T + 1 for _ in model.park.hps) \
-        + sum(3 * (ev.departure - ev.arrival) + 1 for ev in model.park.evs) \
-        + sum(4 * T + 1 for _ in model.park.bess)
-    per_grid = (2 * n_branch + 2 * n_bus + 1) * T
-    per_market = 5 * T
-    first = T + 2 * model.horizon.window_count
-    return first + n_scenarios * (per_dev + per_grid + per_market)
 
 
 def write_solution(out_dir: str, model: VppModel, sset: ScenarioSet,
@@ -377,7 +354,8 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
                  levels: list[float] | None = None) -> tuple[list[SweepRow], dict]:
     """Scale the tariff down in the low window and up in the high window by
     the same fraction, re-solve the risk-neutral program per level on the
-    same scenario set, and report changes against the unmodified baseline."""
+    same scenario set, and report changes against the unmodified baseline.
+    The tariff is data: every level shares the model's compiled block."""
     levels = cfg.sweep_levels if levels is None else levels
     low_steps = cfg.window_steps(cfg.sweep_low_hours)
     high_steps = cfg.window_steps(cfg.sweep_high_hours)
@@ -395,13 +373,9 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
             tariff[t] *= (1.0 - lvl)
         for t in high_steps:
             tariff[t] *= (1.0 + lvl)
-        lvl_model = VppModel(model.horizon, model.network, model.park,
-                             MarketConfig(model.market.prequalified_power_kw,
-                                          tariff),
-                             model.flow_segments, model.dam_bid_cap_kw)
         try:
             out = solve_with_method(
-                lvl_model, sset, risk, cfg.sweep_method,
+                model.with_tariff(tariff), sset, risk, cfg.sweep_method,
                 bd.BendersOptions(**cfg.benders_options),
                 cfg.extensive_max_variables)
         except (st.StochasticError, bd.BendersError, ReportError) as exc:

@@ -1,6 +1,12 @@
 """Extensive-form assembly of the two-stage program and the empirical
 tail-risk evaluator.
 
+The extensive form stacks the compiled scenario block once per scenario:
+the template's rows repeat with the block columns shifted by a per-scenario
+offset, the first-stage columns are shared (so non-anticipativity holds by
+construction), and each scenario supplies only its costs, right-hand sides
+and column bounds.
+
 Risk handling: under expectation the objective is the probability-weighted
 sum of scenario net costs. Under the tail measure the objective is
 gamma + sum_s pi_s * y_s / (1 - alpha) with y_s >= C_s - gamma, y_s >= 0,
@@ -18,7 +24,7 @@ import numpy as np
 from . import lp
 from . import market as mk
 from .devices import infeasibility_suspects
-from .model import ScenarioBlock, VppModel, merge_terms
+from .model import ScenarioBlock, VppModel
 from .scenarios import ScenarioSet
 
 EXPECTATION = "expectation"
@@ -70,49 +76,60 @@ class ExtensiveSolution:
 
 def build_extensive(model: VppModel, sset: ScenarioSet,
                     risk: RiskMeasure) -> ExtensiveForm:
-    """One LP over all scenarios with the bid variables shared (first-stage
-    columns appear in every scenario block, so non-anticipativity holds by
-    construction)."""
+    """One LP over all scenarios: the compiled block stacked once per
+    scenario, block columns shifted, around the shared bid columns (so
+    non-anticipativity holds by construction)."""
     if len(sset) == 0:
         raise StochasticError("empty scenario set")
     model.validate()
-    program = lp.LinearProgram("extensive")
-    fs = model.emit_first_stage(program)
-    blocks = [model.build_block(program, scen, fs, tag=f"_s{k}")
+    tpl = model.template
+    p, nf, nb, S = tpl.program, tpl.n_first, tpl.n_block, len(sset)
+    blocks = [model.scenario_data(scen, k * nb)
               for k, scen in enumerate(sset.scenarios)]
     probs = sset.probabilities()
+    cost = np.zeros(nf + S * nb)
+    if risk.kind == EXPECTATION:
+        for pi, block in zip(probs, blocks):
+            cost[block.columns] += pi * block.net_cost()
+    program = lp.LinearProgram(
+        "extensive",
+        lambda: p.col_names[:nf] + [f"s{k}_{name}" for k in range(S)
+                                    for name in p.col_names[nf:]],
+        lambda: [f"s{k}_{name}" for k in range(S) for name in p.row_names],
+        lower=np.r_[p.lower[:nf], np.tile(p.lower[nf:], S)],
+        upper=np.concatenate([p.upper[:nf]] + [b.upper[nf:] for b in blocks]),
+        cost=cost, indptr=np.r_[0, np.cumsum(np.tile(np.diff(p.indptr), S))],
+        indices=np.concatenate([b.columns[p.indices] for b in blocks]),
+        data=np.tile(p.data, S), sense=np.tile(p.sense, S),
+        rhs=np.concatenate([b.rhs for b in blocks]))
 
     gamma_index = None
     aux_indices = None
-    if risk.kind == EXPECTATION:
-        for pi, block in zip(probs, blocks):
-            program.add_objective_terms(
-                (idx, pi * coef) for idx, coef in block.groups.net_cost_terms())
-    else:
-        gamma = program.add_variable(-math.inf, math.inf, "gamma")
-        gamma_index = gamma.index
+    if risk.kind == CVAR:
+        gamma_index = program.add_variable(-math.inf, math.inf, "gamma")
         aux_indices = []
         scale = 1.0 / (1.0 - risk.alpha)
-        program.add_objective_term(gamma.index, 1.0)
+        program.add_objective_term(gamma_index, 1.0)
         for k, (pi, block) in enumerate(zip(probs, blocks)):
             y = program.add_variable(0.0, math.inf, f"tail[{k}]")
-            aux_indices.append(y.index)
-            program.add_objective_term(y.index, pi * scale)
+            aux_indices.append(y)
+            program.add_objective_term(y, pi * scale)
             # y_k >= C_k - gamma
-            terms = [(y.index, 1.0), (gamma.index, 1.0)]
-            terms += [(idx, -coef) for idx, coef in block.groups.net_cost_terms()]
-            program.add_constraint(merge_terms(terms), lp.GE, 0.0, f"tail[{k}]")
-    return ExtensiveForm(program, fs, blocks, risk, probs, gamma_index,
-                         aux_indices)
+            net = block.net_cost()
+            nz = np.flatnonzero(net)
+            terms = [(y, 1.0), (gamma_index, 1.0)]
+            terms += zip(block.columns[nz], -net[nz])
+            program.add_constraint(terms, lp.GE, 0.0, f"tail[{k}]")
+    return ExtensiveForm(program, tpl.first_stage, blocks, risk, probs,
+                         gamma_index, aux_indices)
 
 
 def _diagnose_infeasible(model: VppModel, sset: ScenarioSet) -> ModelInfeasible:
-    """Probe scenario blocks one at a time (first stage left free) to name
-    the violated block and any device whose envelope check fails."""
+    """Probe scenario blocks one at a time (bids within their bounds) to
+    name the violated block and any device whose envelope check fails."""
+    tpl = model.template
     for k, scen in enumerate(sset.scenarios):
-        probe = lp.LinearProgram(f"probe_{k}")
-        fs = model.emit_first_stage(probe)
-        model.build_block(probe, scen, fs, tag="")
+        probe = tpl.instantiate(model.scenario_data(scen), name=f"probe_{k}")
         if lp.solve(probe).status == lp.INFEASIBLE:
             suspects = infeasibility_suspects(model.park, scen, model.horizon)
             return ModelInfeasible(
@@ -129,9 +146,9 @@ def solve_extensive(model: VppModel, ef: ExtensiveForm,
         raise _diagnose_infeasible(model, sset)
     if sol.status != lp.OPTIMAL:
         raise StochasticError(f"extensive form ended with status {sol.status}")
-    breakdowns = [block.groups.breakdown(sol.primal) for block in ef.blocks]
+    breakdowns = [block.breakdown(sol.primal) for block in ef.blocks]
     costs = np.array([b.total for b in breakdowns])
-    decision = model.extract_first_stage(ef.first_stage, sol.primal)
+    decision = model.first_stage_decision(sol.primal[ef.first_stage.flat()])
     return ExtensiveSolution(sol.objective, decision, breakdowns, costs, sol)
 
 

@@ -54,22 +54,10 @@ def vertex_enumeration_optimum(prog, feas_tol=1e-8):
     solves the square systems in a single batched call, and filters by
     feasibility of the full constraint set. Requires finite bounds."""
     n = prog.num_variables
-    planes_a, planes_b = [], []
-    for ct in prog.constraints:
-        row = np.zeros(n)
-        for idx, coef in ct.terms:
-            row[idx] = coef
-        planes_a.append(row)
-        planes_b.append(ct.rhs)
-    for v in prog.variables:
-        e = np.zeros(n)
-        e[v.index] = 1.0
-        planes_a.append(e.copy())
-        planes_b.append(v.lower)
-        planes_a.append(e.copy())
-        planes_b.append(v.upper)
-    A = np.asarray(planes_a)
-    b = np.asarray(planes_b)
+    # constraint rows, then each variable's lower and upper bound plane
+    A = np.vstack((prog.matrix.toarray(), np.repeat(np.eye(n), 2, axis=0)))
+    b = np.concatenate((prog.rhs,
+                        np.column_stack((prog.lower, prog.upper)).ravel()))
 
     combos = np.asarray(list(itertools.combinations(range(len(b)), n)))
     mats = A[combos]                      # (ncomb, n, n)
@@ -82,25 +70,21 @@ def vertex_enumeration_optimum(prog, feas_tol=1e-8):
 
     feasible = np.ones(len(pts), dtype=bool)
     scale = 1.0 + np.abs(b)
-    for pos, ct in enumerate(prog.constraints):
+    for pos, sense in enumerate(prog.sense):
         vals = pts @ A[pos]
         resid = vals - b[pos]
         tol = feas_tol * scale[pos]
-        if ct.sense == lp.LE:
+        if sense == lp.LE:
             feasible &= resid <= tol
-        elif ct.sense == lp.GE:
+        elif sense == lp.GE:
             feasible &= resid >= -tol
         else:
             feasible &= np.abs(resid) <= tol
-    for v in prog.variables:
-        feasible &= pts[:, v.index] >= v.lower - feas_tol
-        feasible &= pts[:, v.index] <= v.upper + feas_tol
+    feasible &= np.all(pts >= prog.lower - feas_tol, axis=1)
+    feasible &= np.all(pts <= prog.upper + feas_tol, axis=1)
     if not feasible.any():
         return math.inf
-    c = np.zeros(n)
-    for idx, coef in prog.objective.items():
-        c[idx] = coef
-    return float(np.min(pts[feasible] @ c))
+    return float(np.min(pts[feasible] @ prog.cost))
 
 
 def cvar_by_threshold_scan(costs, probs, alpha):

@@ -153,3 +153,17 @@ def test_invalid_options_rejected(desk, desk_scenarios):
                    bd.BendersOptions(tolerance=0.0))
     with pytest.raises(bd.BendersError):
         bd.iterate(desk.model, sg.ScenarioSet([], 0), EXPECT)
+
+
+def test_crossed_bounds_raise(desk, desk_scenarios, monkeypatch):
+    # a lower bound above the realized upper bound can only come from an
+    # invalid cut; it must not pass as a closed gap
+    solve = bd.MasterProblem.solve
+
+    def inflated(self):
+        lower, x_hat = solve(self)
+        return lower + 1e3, x_hat
+
+    monkeypatch.setattr(bd.MasterProblem, "solve", inflated)
+    with pytest.raises(bd.BendersError, match="exceeds upper bound"):
+        bd.iterate(desk.model, desk_scenarios, EXPECT)

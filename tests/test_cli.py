@@ -199,6 +199,28 @@ def test_lp_dump_flag(desk_dir):
                      "--dump-lp", str(root / "nope.lp")]) == 2
 
 
+@pytest.mark.parametrize("risk", ["neutral", "cvar"])
+def test_lp_dump_names_every_column_and_row(desk_dir, risk):
+    from vppsched.config import load_config
+    root, cfg = desk_dir
+    path = root / f"model_{risk}.lp"
+    assert cli.main(["solve", "--config", cfg, "--method", "extensive",
+                     "--risk", risk, "--out", str(root / f"dump_{risk}"),
+                     "--dump-lp", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    rows = lines[lines.index("Subject To") + 1:lines.index("Bounds")]
+    bounds = lines[lines.index("Bounds") + 1:lines.index("End")]
+    tpl = load_config(cfg).build_model().template
+    S = 6
+    extra = 0 if risk == "neutral" else S
+    assert len(bounds) == tpl.n_first + S * tpl.n_block + extra + bool(extra)
+    assert len(rows) == S * tpl.program.num_constraints + extra
+    row_names = [line.split(":")[0].strip() for line in rows]
+    col_names = [line.split(" <= ")[1] for line in bounds]
+    assert len(set(row_names)) == len(rows)
+    assert len(set(col_names)) == len(bounds)
+
+
 def test_shipped_instances_match_generator(tmp_path):
     """The checked-in instance directories must be exactly reproducible."""
     import pathlib

@@ -8,9 +8,11 @@ from vppsched import lp
 from vppsched.market import MarketHorizon
 
 from test_scenarios import make_base
+from vppsched.model import BlockTemplate
 from vppsched.scenarios import build_scenarios, zero_error_specs
 
 H8 = MarketHorizon(8, 0.25, 1.0)
+PV = dv.DistributedGenerator("pv1", 1, 5.0, 6.0, 0.1)
 
 
 def plain_scenario(steps=8, **overrides):
@@ -20,9 +22,15 @@ def plain_scenario(steps=8, **overrides):
     return build_scenarios(base, zero_error_specs(), 1, seed=0).scenarios[0]
 
 
+def instantiate(program, scenario, horizon=H8):
+    """The emitted program with the scenario's data in its slots (and a
+    zero objective)."""
+    template = BlockTemplate(program, horizon)
+    return template.instantiate(template.data(scenario))
+
+
 def bounds_of(program, idx):
-    v = program.variables[idx]
-    return v.lower, v.upper
+    return program.lower[idx], program.upper[idx]
 
 
 # ---------------------------------------------------------------------- DG
@@ -31,8 +39,8 @@ def test_dg_night_hours_pin_output_to_zero():
     scen = plain_scenario()
     scen.capacity_factor["pv1"] = np.zeros(8)
     program = lp.LinearProgram()
-    h = dv.emit_dg(program, dv.DistributedGenerator("pv1", 1, 5.0, 6.0, 0.1),
-                   scen, H8)
+    h = dv.emit_dg(program, PV, H8)
+    program = instantiate(program, scen)
     assert all(bounds_of(program, i) == (0.0, 0.0) for i in h.p)
 
 
@@ -40,8 +48,8 @@ def test_dg_upper_bound_scales_with_capacity_factor():
     scen = plain_scenario()
     scen.capacity_factor["pv1"] = np.full(8, 0.6)
     program = lp.LinearProgram()
-    h = dv.emit_dg(program, dv.DistributedGenerator("pv1", 1, 5.0, 6.0, 0.1),
-                   scen, H8)
+    h = dv.emit_dg(program, PV, H8)
+    program = instantiate(program, scen)
     assert bounds_of(program, h.p[0]) == (0.0, pytest.approx(3.0))
 
 
@@ -50,7 +58,8 @@ def test_dg_without_reactive_headroom():
     scen.capacity_factor["pv1"] = np.full(8, 1.0)
     program = lp.LinearProgram()
     h = dv.emit_dg(program, dv.DistributedGenerator("pv1", 1, 6.0, 6.0, 0.0),
-                   scen, H8)
+                   H8)
+    program = instantiate(program, scen)
     assert all(bounds_of(program, i) == (0.0, 0.0) for i in h.q)
 
 
@@ -72,7 +81,8 @@ def hp_fixture(max_kw=4.0, comfort=(19.0, 23.0), initial=21.0, cop=3.0,
 def test_hp_equilibrium_needs_no_power():
     scen = plain_scenario(ambient_temp=np.full(8, 21.0))
     program = lp.LinearProgram()
-    h = dv.emit_hp(program, hp_fixture(), scen, H8)
+    h = dv.emit_hp(program, hp_fixture(), H8)
+    program = instantiate(program, scen)
     for i in h.p:
         program.add_objective_term(i, 1.0)
     sol = lp.solve(program)
@@ -86,7 +96,8 @@ def test_hp_recurrence_matches_discrete_simulation():
     hp = hp_fixture(comfort=(-50.0, 80.0), initial=20.0, cop=3.0, r=5.0, c=10.0)
     scen = plain_scenario(ambient_temp=np.zeros(8))
     program = lp.LinearProgram()
-    h = dv.emit_hp(program, hp, scen, H8)
+    h = dv.emit_hp(program, hp, H8)
+    program = instantiate(program, scen)
     program.add_constraint([(h.p[0], 1.0)], lp.EQ, 2.0, "pin_power")
     # leave later steps unconstrained but feasible: drop terminal tie effect
     sol = lp.solve(program)
@@ -101,18 +112,18 @@ def test_hp_recurrence_matches_discrete_simulation():
 def test_hp_terminal_temperature_tie(desk, desk_scenarios, desk_neutral):
     ef, sol = desk_neutral
     for block in ef.blocks:
-        for h in block.devices:
+        x = sol.solution.primal[block.columns]
+        for h in block.template.handles.devices:
             if h.temp:
-                assert abs(sol.solution.primal[h.temp[-1]]
-                           - sol.solution.primal[h.temp[0]]) <= 1e-7
+                assert abs(x[h.temp[-1]] - x[h.temp[0]]) <= 1e-7
 
 
 def test_undersized_heater_is_lp_infeasible():
     hp = hp_fixture(max_kw=0.05, comfort=(19.0, 23.0), initial=19.0)
     scen = plain_scenario(ambient_temp=np.full(8, -30.0))
     program = lp.LinearProgram()
-    dv.emit_hp(program, hp, scen, H8)
-    assert lp.solve(program).status == lp.INFEASIBLE
+    dv.emit_hp(program, hp, H8)
+    assert lp.solve(instantiate(program, scen)).status == lp.INFEASIBLE
     assert not dv.hp_comfort_reachable(hp, scen.ambient_temp, H8)
     park = dv.DerPark(hps=[hp])
     assert dv.infeasibility_suspects(park, scen, H8) == ["hp1"]
@@ -139,7 +150,8 @@ def test_full_battery_allows_idle():
     ev = ev_fixture(arrival_soc_kwh=40.0)
     scen = plain_scenario()
     program = lp.LinearProgram()
-    h = dv.emit_ev(program, ev, scen, H8)
+    h = dv.emit_ev(program, ev, H8)
+    program = instantiate(program, scen)
     for i in h.charge + h.discharge:
         program.add_objective_term(i, 1.0)
     sol = lp.solve(program)
@@ -151,7 +163,8 @@ def test_minimum_average_charge_enforced():
     ev = ev_fixture(min_avg_charge_kw=7.0, max_charge_kw=30.0)
     scen = plain_scenario(ev_availability=np.ones(8))
     program = lp.LinearProgram()
-    h = dv.emit_ev(program, ev, scen, H8)
+    h = dv.emit_ev(program, ev, H8)
+    program = instantiate(program, scen)
     for i in h.charge:
         program.add_objective_term(i, 1.0)
     sol = lp.solve(program)
@@ -164,7 +177,8 @@ def test_single_step_charge_recurrence():
     ev = ev_fixture(arrival=0, departure=1, charge_eff=0.9, max_charge_kw=20.0)
     scen = plain_scenario(ev_availability=np.ones(8))
     program = lp.LinearProgram()
-    h = dv.emit_ev(program, ev, scen, H8)
+    h = dv.emit_ev(program, ev, H8)
+    program = instantiate(program, scen)
     program.add_constraint([(h.charge[0], 1.0)], lp.EQ, 10.0, "pin")
     program.add_constraint([(h.discharge[0], 1.0)], lp.EQ, 0.0, "pin2")
     sol = lp.solve(program)
@@ -176,14 +190,15 @@ def test_zero_availability_forces_idle():
     ev = ev_fixture()
     scen = plain_scenario(ev_availability=np.zeros(8))
     program = lp.LinearProgram()
-    h = dv.emit_ev(program, ev, scen, H8)
+    h = dv.emit_ev(program, ev, H8)
+    program = instantiate(program, scen)
     assert all(bounds_of(program, i) == (0.0, 0.0) for i in h.charge + h.discharge)
 
 
 def test_window_outside_horizon_rejected():
     ev = ev_fixture(departure=9)
     with pytest.raises(dv.DeviceError):
-        dv.emit_ev(lp.LinearProgram(), ev, plain_scenario(), H8)
+        dv.emit_ev(lp.LinearProgram(), ev, H8)
 
 
 def test_ev_validation():
@@ -213,9 +228,8 @@ def bess_fixture(**kw):
 
 
 def test_bess_terminal_state_restored():
-    scen = plain_scenario()
     program = lp.LinearProgram()
-    h = dv.emit_bess(program, bess_fixture(), scen, H8)
+    h = dv.emit_bess(program, bess_fixture(), H8)
     # force some cycling, then check the tie still holds
     program.add_constraint([(h.charge[1], 1.0)], lp.GE, 4.0, "force")
     for i in h.charge + h.discharge:
@@ -226,10 +240,9 @@ def test_bess_terminal_state_restored():
 
 
 def test_bess_round_trip_energy_accounting():
-    scen = plain_scenario()
     program = lp.LinearProgram()
     b = bess_fixture(initial_soc_kwh=0.0)
-    h = dv.emit_bess(program, b, scen, H8)
+    h = dv.emit_bess(program, b, H8)
     program.add_constraint([(h.charge[0], 1.0)], lp.GE, 5.0, "force")
     for i in h.charge + h.discharge:
         program.add_objective_term(i, 0.001)
@@ -241,7 +254,7 @@ def test_bess_round_trip_energy_accounting():
 
 def test_bess_reactive_box():
     program = lp.LinearProgram()
-    h = dv.emit_bess(program, bess_fixture(), plain_scenario(), H8)
+    h = dv.emit_bess(program, bess_fixture(), H8)
     lim = math.sqrt(12.0 ** 2 - 10.0 ** 2)
     lo, hi = bounds_of(program, h.q[0])
     assert lo == pytest.approx(-lim) and hi == pytest.approx(lim)
@@ -257,31 +270,37 @@ def test_bess_validation():
 # --------------------------------------------------------------- aggregates
 
 def test_operating_cost_is_sum_of_device_terms():
-    scen = plain_scenario()
+    # each emitter puts its device's operating cost into the objective
     program = lp.LinearProgram()
-    dg = dv.emit_dg(program, dv.DistributedGenerator("pv1", 1, 5.0, 6.0, 0.1),
-                    scen, H8)
-    b = dv.emit_bess(program, bess_fixture(cycle_cost=0.02), scen, H8)
-    total = dv.park_operating_cost([dg, b])
-    assert total == dg.cost_terms + b.cost_terms
+    dv.emit_dg(program, PV, H8)
+    dv.emit_bess(program, bess_fixture(cycle_cost=0.02), H8)
+    alone = [lp.LinearProgram(), lp.LinearProgram()]
+    dv.emit_dg(alone[0], PV, H8)
+    dv.emit_bess(alone[1], bess_fixture(cycle_cost=0.02), H8)
+    assert np.array_equal(program.cost,
+                          np.concatenate([p.cost for p in alone]))
     rng = np.random.default_rng(3)
     primal = rng.uniform(0.0, 2.0, size=program.num_variables)
-    assert lp.evaluate_terms(total, primal) == pytest.approx(
-        lp.evaluate_terms(dg.cost_terms, primal)
-        + lp.evaluate_terms(b.cost_terms, primal))
+    n_dg = alone[0].num_variables
+    assert program.cost @ primal == pytest.approx(
+        alone[0].cost @ primal[:n_dg] + alone[1].cost @ primal[n_dg:])
 
 
 def test_dg_operating_cost_value():
     # 2 kW for 4 quarter-hour steps at 0.1 per kWh costs 0.2
-    scen = plain_scenario()
-    scen.capacity_factor["pv1"] = np.full(8, 1.0)
     program = lp.LinearProgram()
-    h = dv.emit_dg(program, dv.DistributedGenerator("pv1", 1, 5.0, 6.0, 0.1),
-                   scen, H8)
+    h = dv.emit_dg(program, PV, H8)
     primal = np.zeros(program.num_variables)
     for i in h.p[:4]:
         primal[i] = 2.0
-    assert lp.evaluate_terms(h.cost_terms, primal) == pytest.approx(0.2)
+    assert program.cost @ primal == pytest.approx(0.2)
+
+
+def test_missing_capacity_factor_rejected():
+    program = lp.LinearProgram()
+    dv.emit_dg(program, dv.DistributedGenerator("pv9", 1, 5.0, 6.0, 0.1), H8)
+    with pytest.raises(dv.DeviceError):
+        instantiate(program, plain_scenario())
 
 
 def test_park_totals_match_portfolio_scale():

@@ -12,9 +12,9 @@ from oracles import random_feasible_bounded_lp, vertex_enumeration_optimum
 def test_add_variable_assigns_dense_indices():
     p = lp.LinearProgram()
     v0 = p.add_variable(0.0, math.inf, "Pdam_0")
-    assert v0.index == 0
+    assert v0 == 0
     v1 = p.add_variable(-math.inf, math.inf, "gamma")
-    assert v1.index == 1 and not math.isfinite(v1.lower)
+    assert v1 == 1 and not math.isfinite(p.lower[v1])
 
 
 def test_add_variable_rejects_inverted_bounds():
@@ -27,20 +27,20 @@ def test_add_constraint_rejects_duplicates_and_unknowns():
     p = lp.LinearProgram()
     x = p.add_variable(0.0, 1.0, "x")
     with pytest.raises(lp.LpError):
-        p.add_constraint([(x.index, 1.0), (x.index, 2.0)], lp.LE, 1.0)
+        p.add_constraint([(x, 1.0), (x, 2.0)], lp.LE, 1.0)
     with pytest.raises(lp.LpError):
         p.add_constraint([(5, 1.0)], lp.LE, 1.0)
     with pytest.raises(lp.LpError):
-        p.add_constraint([(x.index, math.inf)], lp.LE, 1.0)
+        p.add_constraint([(x, math.inf)], lp.LE, 1.0)
     with pytest.raises(lp.LpError):
-        p.add_constraint([(x.index, 1.0)], "<", 1.0)
+        p.add_constraint([(x, 1.0)], "<", 1.0)
 
 
 def test_single_variable_ge_dual_is_one():
     p = lp.LinearProgram()
     x = p.add_variable(0.0, math.inf, "x")
-    row = p.add_constraint([(x.index, 1.0)], lp.GE, 1.0, "floor")
-    p.add_objective_term(x.index, 1.0)
+    row = p.add_constraint([(x, 1.0)], lp.GE, 1.0, "floor")
+    p.add_objective_term(x, 1.0)
     sol = lp.solve(p)
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
@@ -53,10 +53,10 @@ def test_box_maximization_vertex():
     p = lp.LinearProgram()
     x = p.add_variable(0.0, math.inf, "x")
     y = p.add_variable(0.0, math.inf, "y")
-    p.add_constraint([(x.index, 1.0)], lp.LE, 1.0)
-    p.add_constraint([(y.index, 1.0)], lp.LE, 1.0)
-    p.add_objective_term(x.index, -1.0)
-    p.add_objective_term(y.index, -2.0)
+    p.add_constraint([(x, 1.0)], lp.LE, 1.0)
+    p.add_constraint([(y, 1.0)], lp.LE, 1.0)
+    p.add_objective_term(x, -1.0)
+    p.add_objective_term(y, -2.0)
     sol = lp.solve(p)
     assert sol.objective == pytest.approx(-3.0, abs=1e-9)
     assert sol.primal == pytest.approx([1.0, 1.0])
@@ -66,16 +66,16 @@ def test_box_maximization_vertex():
 def test_contradictory_bounds_infeasible():
     p = lp.LinearProgram()
     x = p.add_variable(0.0, math.inf, "x")
-    p.add_constraint([(x.index, 1.0)], lp.GE, 1.0)
-    p.add_constraint([(x.index, 1.0)], lp.LE, 0.0)
-    p.add_objective_term(x.index, 1.0)
+    p.add_constraint([(x, 1.0)], lp.GE, 1.0)
+    p.add_constraint([(x, 1.0)], lp.LE, 0.0)
+    p.add_objective_term(x, 1.0)
     assert lp.solve(p).status == lp.INFEASIBLE
 
 
 def test_unbounded_reported():
     p = lp.LinearProgram()
     x = p.add_variable(0.0, math.inf, "x")
-    p.add_objective_term(x.index, -1.0)
+    p.add_objective_term(x, -1.0)
     assert lp.solve(p).status == lp.UNBOUNDED
 
 
@@ -91,8 +91,8 @@ def test_degenerate_zero_objective():
 def test_dual_objective_requires_optimal():
     p = lp.LinearProgram()
     x = p.add_variable(0.0, math.inf, "x")
-    p.add_constraint([(x.index, 1.0)], lp.GE, 1.0)
-    p.add_constraint([(x.index, 1.0)], lp.LE, 0.0)
+    p.add_constraint([(x, 1.0)], lp.GE, 1.0)
+    p.add_constraint([(x, 1.0)], lp.LE, 0.0)
     sol = lp.solve(p)
     with pytest.raises(lp.LpError):
         lp.dual_objective(p, sol)
@@ -104,10 +104,11 @@ def test_dual_sign_conventions():
     x = p.add_variable(-math.inf, math.inf, "x")
     y = p.add_variable(-math.inf, math.inf, "y")
     z = p.add_variable(-math.inf, math.inf, "z")
-    rge = p.add_constraint([(x.index, 1.0)], lp.GE, 2.0)
-    rle = p.add_constraint([(y.index, 1.0)], lp.LE, 3.0)
-    req = p.add_constraint([(z.index, 1.0)], lp.EQ, 4.0)
-    p.add_objective_terms([(x.index, 1.0), (y.index, -1.0), (z.index, -1.0)])
+    rge = p.add_constraint([(x, 1.0)], lp.GE, 2.0)
+    rle = p.add_constraint([(y, 1.0)], lp.LE, 3.0)
+    req = p.add_constraint([(z, 1.0)], lp.EQ, 4.0)
+    for idx, coef in [(x, 1.0), (y, -1.0), (z, -1.0)]:
+        p.add_objective_term(idx, coef)
     sol = lp.solve(p)
     assert sol.status == lp.OPTIMAL
     assert sol.duals[rge] >= -1e-12
@@ -118,8 +119,8 @@ def test_dual_sign_conventions():
 def test_free_variable_handled_natively():
     p = lp.LinearProgram()
     x = p.add_variable(-math.inf, math.inf, "x")
-    p.add_constraint([(x.index, 1.0)], lp.GE, -5.0)
-    p.add_objective_term(x.index, 1.0)
+    p.add_constraint([(x, 1.0)], lp.GE, -5.0)
+    p.add_objective_term(x, 1.0)
     sol = lp.solve(p)
     assert sol.objective == pytest.approx(-5.0, abs=1e-9)
 
@@ -151,29 +152,26 @@ def test_primal_feasibility_residuals():
     for _ in range(40):
         prog = random_feasible_bounded_lp(rng)
         sol = lp.solve(prog)
-        for ct in prog.constraints:
-            val = sum(coef * sol.primal[idx] for idx, coef in ct.terms)
-            if ct.sense == lp.LE:
-                assert val <= ct.rhs + lp.FEAS_TOL * (1 + abs(ct.rhs))
-            elif ct.sense == lp.GE:
-                assert val >= ct.rhs - lp.FEAS_TOL * (1 + abs(ct.rhs))
+        values = prog.matrix @ sol.primal
+        for val, sense, rhs in zip(values, prog.sense, prog.rhs):
+            if sense == lp.LE:
+                assert val <= rhs + lp.FEAS_TOL * (1 + abs(rhs))
+            elif sense == lp.GE:
+                assert val >= rhs - lp.FEAS_TOL * (1 + abs(rhs))
             else:
-                assert val == pytest.approx(ct.rhs, abs=lp.FEAS_TOL * (1 + abs(ct.rhs)))
+                assert val == pytest.approx(rhs, abs=lp.FEAS_TOL * (1 + abs(rhs)))
 
 
 def test_lp_text_export_roundtrip_structure():
     p = lp.LinearProgram("demo")
     x = p.add_variable(0.0, 2.0, "x")
     y = p.add_variable(-1.0, math.inf, "y")
-    p.add_constraint([(x.index, 1.0), (y.index, -2.0)], lp.GE, 0.5, "link")
-    p.add_objective_terms([(x.index, 1.0), (y.index, 0.25)])
+    p.add_constraint([(x, 1.0), (y, -2.0)], lp.GE, 0.5, "link")
+    p.add_objective_term(x, 1.0)
+    p.add_objective_term(y, 0.25)
     text = lp.write_lp_text(p)
     assert text.startswith("Minimize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
     assert "link:" in text and ">= 0.5" in text
     assert "-1 <= y <= +inf" in text
 
-
-def test_evaluate_terms():
-    primal = np.array([2.0, -1.0, 0.5])
-    assert lp.evaluate_terms([(0, 1.0), (2, 4.0)], primal) == pytest.approx(4.0)

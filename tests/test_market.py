@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from vppsched import lp
 from vppsched import market as mk
+from vppsched.model import BlockTemplate
 
 
 # ----------------------------------------------------------------- horizon
@@ -66,24 +68,55 @@ def test_ram_revenue_both_directions_positive():
     assert both == pytest.approx(7.5 + 5.0)
 
 
+def market_data(program, horizon, **series):
+    """Stream costs the program's data slots take under the given series."""
+    return BlockTemplate(program, horizon).data(SimpleNamespace(**series),
+                                                series.get("tariff_per_mwh"))
+
+
 def test_terms_match_value_twins():
     rng = np.random.default_rng(12)
-    prices = rng.uniform(-50, 150, size=4)
-    vols = rng.uniform(-20, 20, size=4)
+    hz = mk.MarketHorizon(4, 0.25, 0.5)
+    price = lambda: rng.uniform(-50, 150, size=4)
+    series = dict(day_ahead_price=price(), ram_up_price=price(),
+                  ram_dn_price=price(), imbalance_short_price=price(),
+                  imbalance_long_price=price(), tariff_per_mwh=price(),
+                  rcm_up_price=rng.uniform(0, 10, size=2),
+                  rcm_dn_price=rng.uniform(0, 10, size=2))
     program = lp.LinearProgram()
-    idx = [program.add_variable(-100, 100, f"x{t}").index for t in range(4)]
-    primal = np.zeros(4)
-    primal[:] = vols
-    terms = mk.dam_revenue_terms(prices, idx, 0.25)
-    assert lp.evaluate_terms(terms, primal) == pytest.approx(
-        mk.dam_revenue_value(prices, vols, 0.25))
+    cols = lambda n: [program.add_variable(-100, 100) for _ in range(n)]
+    fs = mk.FirstStageVars(cols(4), cols(2), cols(2))
+    ss = mk.SecondStageVars(cols(4), cols(4), cols(4), cols(4), cols(4))
+    wit = {1: cols(4), 2: cols(4)}
+    mk.bind_costs(program, hz, fs, ss, wit)
+    data = market_data(program, hz, **series)
+    x = rng.uniform(-20, 20, size=program.num_variables)
+    s = series
+    value = {
+        "r_dam": mk.dam_revenue_value(s["day_ahead_price"], x[fs.dam], 0.25),
+        "r_rcm": mk.rcm_revenue_value(s["rcm_up_price"], s["rcm_dn_price"],
+                                      x[fs.rcm_up], x[fs.rcm_dn]),
+        "r_ram": mk.ram_revenue_value(s["ram_up_price"], s["ram_dn_price"],
+                                      x[ss.ram_up], x[ss.ram_dn], 0.25),
+        "c_imb": mk.imbalance_cost_value(s["imbalance_short_price"],
+                                         s["imbalance_long_price"],
+                                         x[ss.imb_short], x[ss.imb_long], 0.25),
+        "c_tariff": mk.tariff_cost_value(s["tariff_per_mwh"],
+                                         {b: x[c] for b, c in wit.items()}, 0.25),
+    }
+    for stream, expected in value.items():
+        assert data.streams[stream] @ x == pytest.approx(expected)
 
 
 def test_length_mismatch_raises():
     with pytest.raises(mk.MarketError):
-        mk.dam_revenue_terms([1.0, 2.0], [0], 0.25)
-    with pytest.raises(mk.MarketError):
-        mk.ram_revenue_terms([1.0], [1.0], [0], [0, 1], 0.25)
+        mk.dam_revenue_value([1.0, 2.0], [0.0], 0.25)
+    hz = mk.MarketHorizon(4, 0.25, 0.5)
+    for field, n in (("day_ahead_price", 2), ("ram_up_price", 5),
+                     ("rcm_dn_price", 4)):
+        with pytest.raises(mk.MarketError):
+            mk.check_series_length(field, np.ones(n), hz)
+    mk.check_series_length("rcm_dn_price", np.ones(2), hz)
 
 
 # ------------------------------------------------------------------- costs
@@ -154,8 +187,8 @@ def test_zero_prequalified_power_kills_reserve_chain():
     ss = mk.emit_second_stage(program, hz, cfg)
     mk.emit_reserve_coupling(program, hz, fs, ss)
     # maximize capacity revenue; everything is still pinned at zero
-    program.add_objective_terms(
-        (i, -1.0) for i in fs.rcm_up + fs.rcm_dn + ss.ram_up + ss.ram_dn)
+    for i in fs.rcm_up + fs.rcm_dn + ss.ram_up + ss.ram_dn:
+        program.add_objective_term(i, -1.0)
     sol = lp.solve(program)
     assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
@@ -164,11 +197,11 @@ def test_bid_above_prequalified_power_infeasible():
     hz, cfg = small_market(pbar=10.0)
     program = lp.LinearProgram()
     # subproblem-style free bids pinned beyond the prequalified level
-    dam = [program.add_variable(-math.inf, math.inf, f"dam[{t}]").index
+    dam = [program.add_variable(-math.inf, math.inf, f"dam[{t}]")
            for t in range(hz.step_count)]
-    rcm_up = [program.add_variable(-math.inf, math.inf, f"up[{w}]").index
+    rcm_up = [program.add_variable(-math.inf, math.inf, f"up[{w}]")
               for w in range(hz.window_count)]
-    rcm_dn = [program.add_variable(-math.inf, math.inf, f"dn[{w}]").index
+    rcm_dn = [program.add_variable(-math.inf, math.inf, f"dn[{w}]")
               for w in range(hz.window_count)]
     fs = mk.FirstStageVars(dam, rcm_up, rcm_dn)
     ss = mk.emit_second_stage(program, hz, cfg)
@@ -182,7 +215,7 @@ def test_position_balance_chooses_cheapest_slack():
     program = lp.LinearProgram()
     fs = mk.emit_first_stage(program, hz, cfg, dam_cap_kw=50.0)
     ss = mk.emit_second_stage(program, hz, cfg)
-    pcc = [program.add_variable(-math.inf, math.inf, f"pcc[{t}]").index
+    pcc = [program.add_variable(-math.inf, math.inf, f"pcc[{t}]")
            for t in range(2)]
     mk.emit_position_balance(program, hz, fs, ss, pcc)
     program.add_constraint([(fs.dam[0], 1.0)], lp.EQ, 10.0, "pin_dam")
@@ -192,9 +225,10 @@ def test_position_balance_chooses_cheapest_slack():
     for t in range(2):
         program.add_constraint([(ss.ram_up[t], 1.0)], lp.EQ, 0.0, f"no_up{t}")
         program.add_constraint([(ss.ram_dn[t], 1.0)], lp.EQ, 0.0, f"no_dn{t}")
-    terms = mk.imbalance_cost_terms([150.0, 150.0], [40.0, 40.0],
-                                    ss.imb_short, ss.imb_long, hz.step_hours)
-    program.add_objective_terms(terms)
+    # short positions pay 150 per MWh, long ones receive 40
+    for t in range(2):
+        program.add_objective_term(ss.imb_short[t], 150.0 * hz.step_hours / 1000)
+        program.add_objective_term(ss.imb_long[t], -40.0 * hz.step_hours / 1000)
     sol = lp.solve(program)
     assert sol.status == lp.OPTIMAL
     # delivering 8 against a 10 kW sale leaves a 2 kW short position

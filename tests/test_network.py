@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,15 @@ from vppsched import lp
 from vppsched import network as nw
 from vppsched.market import MarketHorizon
 
+from test_devices import instantiate
+
 H1 = MarketHorizon(1, 0.25, 0.25)
+
+
+def with_loads(program, load_p, load_q=None, horizon=H1):
+    """The emitted grid program with the given fixed loads (kW, kvar)."""
+    loads = SimpleNamespace(load_active=load_p, load_reactive=load_q or {})
+    return instantiate(program, loads, horizon)
 
 
 def chain_network(n, r=0.01, x=0.0, s_max=250.0):
@@ -75,8 +84,8 @@ def solve_flows(net, load_p, load_q=None, cons_p=None, cons_q=None,
     topo = nw.validate_radial(net)
     program = lp.LinearProgram()
     handles = nw.emit_distflow(program, net, topo, horizon,
-                               cons_p or {}, cons_q or {},
-                               load_p, load_q or {})
+                               cons_p or {}, cons_q or {})
+    program = with_loads(program, load_p, load_q, horizon)
     for bus, idxs in handles.wit.items():
         for i in idxs:
             program.add_objective_term(i, wit_weight)
@@ -108,9 +117,9 @@ def test_exporting_leaf_has_zero_withdrawal():
     program = lp.LinearProgram()
     topo = nw.validate_radial(net)
     pv = program.add_variable(1.0, 1.0, "pv")        # 1 kW injection, pinned
-    cons_p = {1: [[(pv.index, -1.0)]]}
-    handles = nw.emit_distflow(program, net, topo, H1, cons_p, {},
-                               {1: np.array([0.0])}, {1: np.array([0.0])})
+    cons_p = {1: [[(pv, -1.0)]]}
+    handles = nw.emit_distflow(program, net, topo, H1, cons_p, {})
+    program = with_loads(program, {1: np.array([0.0])}, {1: np.array([0.0])})
     for idxs in handles.wit.values():
         program.add_objective_term(idxs[0], 1.0)
     sol = lp.solve(program)
@@ -184,9 +193,9 @@ def test_flow_limit_rows_bind_in_lp():
     program = lp.LinearProgram()
     topo = nw.validate_radial(net)
     # a 500 kW load cannot fit through a 100 kVA branch
-    handles = nw.emit_distflow(program, net, topo, H1, {}, {},
-                               {1: np.array([500.0])}, {1: np.array([0.0])})
+    handles = nw.emit_distflow(program, net, topo, H1, {}, {})
     nw.emit_flow_limits(program, net, handles, H1, segments=8)
+    program = with_loads(program, {1: np.array([500.0])}, {1: np.array([0.0])})
     assert lp.solve(program).status == lp.INFEASIBLE
 
 
@@ -194,8 +203,7 @@ def test_flow_limits_reject_small_k():
     net = chain_network(2)
     program = lp.LinearProgram()
     topo = nw.validate_radial(net)
-    handles = nw.emit_distflow(program, net, topo, H1, {}, {},
-                               {1: np.array([1.0])}, {1: np.array([0.0])})
+    handles = nw.emit_distflow(program, net, topo, H1, {}, {})
     with pytest.raises(nw.NetworkError):
         nw.emit_flow_limits(program, net, handles, H1, segments=3)
 

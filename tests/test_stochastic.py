@@ -137,9 +137,11 @@ def test_breakdown_components_reconcile(desk_neutral):
 
 def test_first_stage_columns_shared_across_blocks(desk_neutral):
     ef, _ = desk_neutral
-    dam_ids = set(ef.first_stage.dam)
+    bids = ef.first_stage.flat()
     for block in ef.blocks:
-        assert {idx for idx, _ in block.groups.r_dam} == dam_ids
+        assert list(block.columns[bids]) == bids
+        dam_revenue = np.flatnonzero(block.streams["r_dam"])
+        assert set(block.columns[dam_revenue]) == set(ef.first_stage.dam)
 
 
 def test_risk_ordering_between_strategies(desk, desk_scenarios, desk_neutral,
@@ -176,7 +178,7 @@ def test_withdrawal_matches_positive_part_of_consumption(desk, desk_neutral):
         scen = block.scenario
         for bus in desk.model.network.bus_ids():
             cons = np.array(scen.load_active.get(bus, np.zeros(8)), dtype=float).copy()
-            for h in block.devices:
+            for h in block.template.handles.devices:
                 if h.node != bus:
                     continue
                 entry = series["devices"][h.name]
