@@ -10,8 +10,15 @@ volumes are unbounded, so every bid vector admits a feasible second stage
 still reports infeasibility indicates a physically inconsistent model and
 aborts with diagnostics.
 
-Subproblems may be solved on a thread pool; results are merged by scenario
-index, so the outcome does not depend on the worker count.
+The recourse is fixed, so every subproblem is the same matrix with its own
+costs, bounds and right-hand sides: the run builds that matrix once, keeps
+per scenario only its data vectors and the basis of its last solve, and
+each iteration changes only the bids on the fixing rows and re-solves from
+that basis. The master likewise re-solves from its previous basis, the new
+cut rows entering with basic slacks. Subproblems may be solved on a thread
+pool opened once per run; results are merged by scenario index, and each
+scenario's sequence of solves is its own, so the outcome does not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -81,8 +90,6 @@ class ConvergenceReport:
     lower_bounds: list[float] = field(default_factory=list)
     upper_bounds: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    subproblem_solves: int = 0
     converged: bool = False
 
     @property
@@ -99,7 +106,8 @@ class BendersResult:
 
 
 class MasterProblem:
-    """First-stage LP refined by accumulated optimality cuts."""
+    """First-stage LP refined by accumulated optimality cuts, re-solved from
+    the basis of its previous solve."""
 
     def __init__(self, model: VppModel, n_scenarios: int, probs: np.ndarray,
                  risk: RiskMeasure):
@@ -124,42 +132,55 @@ class MasterProblem:
                 self.program.add_constraint(
                     [(y, 1.0), (self.theta[s], -1.0), (self.gamma, 1.0)],
                     lp.GE, 0.0, f"tail[{s}]")
-        self.cuts: list[OptimalityCut] = []
+        # each scenario's cuts, stacked: intercepts and gradient rows
+        n = len(self.x_indices)
+        self.intercepts = [np.zeros(0) for _ in range(n_scenarios)]
+        self.gradients = [np.zeros((0, n)) for _ in range(n_scenarios)]
+        self.basis = None
+        self._basis_rows = 0
+        #: simplex iterations of the last solve
+        self.iterations = 0
+
+    @property
+    def num_cuts(self) -> int:
+        return sum(len(b) for b in self.intercepts)
 
     def add_cuts(self, cuts: list[OptimalityCut]) -> int:
         """Append theta_s >= intercept + gradient . x rows, dropping cuts
-        identical to one already present. Returns the number added."""
+        that match (``OptimalityCut.matches``) one already present for
+        their scenario. Returns the number added."""
         added = 0
         for cut in cuts:
-            if any(cut.matches(old) for old in self.cuts):
+            s, g, b = cut.scenario, cut.gradient, cut.intercept
+            scale = 1.0 + float(np.max(np.abs(g), initial=0.0))
+            if np.any((np.abs(self.intercepts[s] - b)
+                       <= _CUT_DEDUPE_TOL * (1.0 + abs(b)))
+                      & np.all(np.abs(self.gradients[s] - g)
+                               <= _CUT_DEDUPE_TOL * scale, axis=1)):
                 continue
-            terms = [(self.theta[cut.scenario], 1.0)]
-            terms += [(xi, -g) for xi, g in zip(self.x_indices, cut.gradient)
-                      if g != 0.0]
-            self.program.add_constraint(terms, lp.GE, cut.intercept,
-                                        f"cut[{cut.scenario},{len(self.cuts)}]")
-            self.cuts.append(cut)
+            terms = [(self.theta[s], 1.0)]
+            terms += [(xi, -gi) for xi, gi in zip(self.x_indices, g)
+                      if gi != 0.0]
+            self.program.add_constraint(terms, lp.GE, b,
+                                        f"cut[{s},{self.num_cuts}]")
+            self.intercepts[s] = np.append(self.intercepts[s], b)
+            self.gradients[s] = np.vstack((self.gradients[s], g))
             added += 1
         return added
 
     def solve(self) -> tuple[float, np.ndarray]:
-        sol = lp.solve(self.program)
+        rows = self.program.num_constraints
+        if self.basis is not None:
+            lp.with_basic_rows(self.basis, rows - self._basis_rows)
+        sol, self.basis = lp.solve_warm(self.program, self.basis)
+        self._basis_rows, self.iterations = rows, sol.iterations
         if sol.status != lp.OPTIMAL:
             raise BendersError(f"master problem ended with status {sol.status}")
-        x_hat = sol.primal[self.x_indices]
-        self._last = sol
-        return sol.objective, x_hat
+        return sol.objective, sol.primal[self.x_indices]
 
 
-def solve_fixed_bids(model: VppModel, scenario: Scenario, scenario_index: int,
-                     x_hat: np.ndarray) -> tuple[lp.LpSolution, ScenarioBlock]:
-    """Solve one scenario's block with the bids pinned to ``x_hat``; serves
-    the Benders subproblems and the detail re-solves alike."""
-    template = model.template
-    if template.n_first != len(x_hat):
-        raise BendersError("first-stage vector length mismatch")
-    block = model.scenario_data(scenario)
-    sol = lp.solve(template.instantiate(block, x_hat, f"sub_{scenario_index}"))
+def _checked(sol: lp.LpSolution, model: VppModel, scenario: Scenario,
+             scenario_index: int) -> lp.LpSolution:
     if sol.status == lp.INFEASIBLE:
         raise SubproblemInfeasible(
             scenario_index,
@@ -167,41 +188,80 @@ def solve_fixed_bids(model: VppModel, scenario: Scenario, scenario_index: int,
     if sol.status != lp.OPTIMAL:
         raise BendersError(
             f"subproblem {scenario_index} ended with status {sol.status}")
-    return sol, block
+    return sol
 
 
-def solve_subproblem(model: VppModel, scenario: Scenario, scenario_index: int,
+def solve_fixed_bids(model: VppModel, scenario: Scenario, scenario_index: int,
+                     x_hat: np.ndarray) -> tuple[lp.LpSolution, ScenarioBlock]:
+    """Solve one scenario's block with the bids pinned to ``x_hat``, cold;
+    serves the detail re-solves."""
+    template = model.template
+    if template.n_first != len(x_hat):
+        raise BendersError("first-stage vector length mismatch")
+    block = model.scenario_data(scenario)
+    sol = lp.solve(template.instantiate(block, x_hat, f"sub_{scenario_index}"))
+    return _checked(sol, model, scenario, scenario_index), block
+
+
+@dataclass
+class Subproblem:
+    """One scenario's subproblem in a Benders run: its data on the matrix
+    all scenarios share, and the basis of its last solve."""
+
+    model: VppModel
+    index: int
+    scenario: Scenario
+    form: lp.ColumnForm
+    basis: object = None
+    #: simplex iterations of the last solve
+    iterations: int = 0
+
+
+def subproblems(model: VppModel, scenarios: list[Scenario]) -> list[Subproblem]:
+    """The subproblems of a run: the compiled block with the bid-fixing
+    rows ``fix[j]`` in front, as ``BlockTemplate.instantiate`` lays it out,
+    in column-wise form once; per scenario its costs, bounds and rows."""
+    template = model.template
+    matrix = None
+    subs = []
+    for s, scenario in enumerate(scenarios):
+        program = template.instantiate(model.scenario_data(scenario),
+                                       np.zeros(template.n_first))
+        if matrix is None:
+            matrix = program.matrix.tocsc()
+        subs.append(Subproblem(model, s, scenario, lp.ColumnForm(
+            matrix, program.cost, program.lower, program.upper,
+            *lp.row_bounds(program.sense, program.rhs))))
+    return subs
+
+
+def solve_subproblem(sub: Subproblem,
                      x_hat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Second-stage value and a subgradient at the given bids.
+    """Second-stage value and a subgradient at the given bids, solved from
+    the subproblem's last basis.
 
     The bids enter as free variables pinned by equality rows; the duals of
     those rows are exactly d(cost)/d(bid), so the returned affine function
     underestimates the recourse value everywhere (LP value functions of
     right-hand sides are convex)."""
-    sol, _ = solve_fixed_bids(model, scenario, scenario_index, x_hat)
-    return sol.objective, sol.duals[:len(x_hat)].copy()
-
-
-def _solve_all_subproblems(model, scenarios, x_hat, workers):
-    n = len(scenarios)
-    costs = np.empty(n)
-    grads: list[np.ndarray] = [None] * n
-    if workers <= 1:
-        for s in range(n):
-            costs[s], grads[s] = solve_subproblem(model, scenarios[s], s, x_hat)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {s: pool.submit(solve_subproblem, model, scenarios[s],
-                                      s, x_hat) for s in range(n)}
-            for s in range(n):
-                costs[s], grads[s] = futures[s].result()
-    return costs, grads
+    n = len(x_hat)
+    if sub.model.template.n_first != n:
+        raise BendersError("first-stage vector length mismatch")
+    sub.form.row_lo[:n] = sub.form.row_hi[:n] = x_hat
+    sol, sub.basis = lp.solve_warm(sub.form, sub.basis)
+    sub.iterations = sol.iterations
+    _checked(sol, sub.model, sub.scenario, sub.index)
+    return sol.objective, sol.duals[:n].copy()
 
 
 def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             options: BendersOptions | None = None,
             trace_cb=None) -> BendersResult:
     """Run the cut loop until the relative bound gap closes.
+
+    ``trace_cb`` receives one row per iteration: iteration, lower bound,
+    upper bound, gap, seconds since the start, simplex iterations of the
+    iteration's solves and the number of cuts it added.
 
     Returns the incumbent decision with a convergence report; if the
     iteration limit is hit the report carries converged=False and the best
@@ -212,50 +272,54 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
     if len(sset) == 0:
         raise BendersError("empty scenario set")
     model.validate()
-    model.template  # compile the block once, before the thread pool starts
     probs = sset.probabilities()
     master = MasterProblem(model, len(sset), probs, risk)
+    subs = subproblems(model, sset.scenarios)
     report = ConvergenceReport()
     start = time.perf_counter()
 
     best_obj = math.inf
     best_x = None
-    for it in range(1, options.max_iterations + 1):
-        lower, x_hat = master.solve()
-        costs, grads = _solve_all_subproblems(model, sset.scenarios, x_hat,
-                                              options.workers)
-        report.subproblem_solves += len(sset)
-        realized = cvar_of_samples(costs, probs, risk.alpha) \
-            if risk.kind == CVAR else float(probs @ costs)
-        if realized < best_obj:
-            best_obj = realized
-            best_x = x_hat.copy()
-        if lower - best_obj > options.tolerance * max(1.0, abs(best_obj)):
-            raise BendersError(f"lower bound {lower!r} exceeds upper bound "
-                               f"{best_obj!r} at iteration {it}: a cut is "
-                               f"invalid")
-        gap = max(best_obj - lower, 0.0) / max(1.0, abs(best_obj))
-        report.iterations = it
-        report.lower_bounds.append(lower)
-        report.upper_bounds.append(best_obj)
-        report.gaps.append(gap)
-        if trace_cb is not None:
-            trace_cb(it, lower, best_obj, gap, time.perf_counter() - start)
-        if gap <= options.tolerance:
-            report.converged = True
-            break
-        cuts = []
-        for s in range(len(sset)):
-            intercept = float(costs[s] - grads[s] @ x_hat)
-            cut = OptimalityCut(s, intercept, grads[s])
-            # audit: the cut must reproduce the subproblem value at x_hat
-            resid = abs(intercept + float(grads[s] @ x_hat) - costs[s])
-            if resid > 1e-6 * (1.0 + abs(costs[s])):
-                raise BendersError(f"invalid cut for scenario {s}: "
-                                   f"residual {resid:.3e}")
-            cuts.append(cut)
-        master.add_cuts(cuts)
+    with ThreadPoolExecutor(options.workers) if options.workers > 1 \
+            else nullcontext() as pool:
+        for it in range(1, options.max_iterations + 1):
+            lower, x_hat = master.solve()
+            values = list((pool.map if pool else map)(solve_subproblem, subs,
+                                                      repeat(x_hat)))
+            costs = np.array([cost for cost, _ in values])
+            realized = cvar_of_samples(costs, probs, risk.alpha) \
+                if risk.kind == CVAR else float(probs @ costs)
+            if realized < best_obj:
+                best_obj = realized
+                best_x = x_hat.copy()
+            if lower - best_obj > options.tolerance * max(1.0, abs(best_obj)):
+                raise BendersError(f"lower bound {lower!r} exceeds upper bound "
+                                   f"{best_obj!r} at iteration {it}: a cut is "
+                                   f"invalid")
+            gap = max(best_obj - lower, 0.0) / max(1.0, abs(best_obj))
+            report.iterations = it
+            report.lower_bounds.append(lower)
+            report.upper_bounds.append(best_obj)
+            report.gaps.append(gap)
+            report.converged = gap <= options.tolerance
+            added = 0 if report.converged else master.add_cuts(
+                [_cut(s, cost, grad, x_hat)
+                 for s, (cost, grad) in enumerate(values)])
+            if trace_cb is not None:
+                trace_cb(it, lower, best_obj, gap, time.perf_counter() - start,
+                         master.iterations + sum(sub.iterations for sub in subs),
+                         added)
+            if report.converged:
+                break
 
-    report.wall_time_s = time.perf_counter() - start
     return BendersResult(model.first_stage_decision(best_x), best_x, best_obj,
                          report)
+
+
+def _cut(s: int, cost: float, grad: np.ndarray, x_hat: np.ndarray) -> OptimalityCut:
+    intercept = float(cost - grad @ x_hat)
+    # audit: the cut must reproduce the subproblem value at x_hat
+    resid = abs(intercept + float(grad @ x_hat) - cost)
+    if resid > 1e-6 * (1.0 + abs(cost)):
+        raise BendersError(f"invalid cut for scenario {s}: residual {resid:.3e}")
+    return OptimalityCut(s, intercept, grad)

@@ -3,8 +3,12 @@
 The container holds its program in arrays: column bounds and costs, and
 the rows as a sparse matrix with a sense and a right-hand side each. It
 grows through ``add_*`` or is built from arrays in one step. ``solve``
-hands the program to HiGHS dual simplex (via scipy) and reports primal
-values, per-constraint dual multipliers, and bound multipliers.
+hands the program to HiGHS dual simplex through ``scipy.optimize.linprog``
+and reports primal values, per-constraint dual multipliers, and bound
+multipliers. ``solve_warm`` does the same on scipy's bundled HiGHS binding
+directly, from an optional starting basis, and returns the final basis:
+a sequence of programs that differ only in data (the Benders subproblems,
+the master gaining cut rows) re-solves in a few simplex iterations.
 
 A column upper bound, a right-hand side or a labelled cost may be left to
 data: ``Data`` names the series entry that supplies it, and the program
@@ -23,8 +27,34 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # scipy older than 1.15 has no bundled binding
+    _highs = None
+
+#: the names of scipy's private HiGHS binding that ``solve_warm`` uses
+_BINDING = ("_Highs", "_Highs.passModel", "_Highs.setBasis", "_Highs.getBasis",
+            "HighsBasis", "HighsBasisStatus", "HighsOptions")
+
+
+def _binding(name: str):
+    obj = _highs
+    for part in name.split("."):
+        obj = getattr(obj, part, None)
+    return obj
+
+
+_MISSING = [name for name in _BINDING if _binding(name) is None]
+if _MISSING:
+    raise ImportError(
+        "vppsched needs scipy>=1.15, whose bundled HiGHS binding "
+        "scipy.optimize._highspy._core provides "
+        f"{', '.join(_BINDING)}; scipy {scipy.__version__} lacks "
+        f"{', '.join(_MISSING)}")
 
 LE = "<="
 GE = ">="
@@ -42,6 +72,8 @@ OPT_TOL = 1e-7
 
 #: tolerances passed to the backend (two orders below the report contract)
 _SOLVER_TOL = 1e-9
+#: simplex iteration limit of a solve
+_MAX_ITERATIONS = 200_000
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -80,6 +112,8 @@ class LpSolution:
     duals: np.ndarray
     lower_marginals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     upper_marginals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    #: simplex iterations the solve took
+    iterations: int = 0
 
 
 #: the arrays of a program: columns, rows in CSR form, row sense and rhs
@@ -217,7 +251,7 @@ def _status_from_scipy(code: int) -> str:
     raise LpSolveError(f"solver reported failure (scipy status {code})")
 
 
-def solve(program: LinearProgram, maxiter: int = 200_000) -> LpSolution:
+def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
     """Solve to optimality with HiGHS dual simplex; never fails silently.
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
@@ -238,7 +272,8 @@ def solve(program: LinearProgram, maxiter: int = 200_000) -> LpSolution:
                            "dual_feasibility_tolerance": _SOLVER_TOL})
     status = _status_from_scipy(res.status)
     if status != OPTIMAL:
-        return LpSolution(status, math.nan, np.zeros(0), np.zeros(0))
+        return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
+                          iterations=int(res.nit))
 
     duals = np.zeros(program.num_constraints)
     # marginal is d obj / d (sign * rhs); chain rule restores d obj / d rhs
@@ -247,7 +282,103 @@ def solve(program: LinearProgram, maxiter: int = 200_000) -> LpSolution:
 
     return LpSolution(OPTIMAL, float(res.fun), np.asarray(res.x), duals,
                       np.asarray(res.lower.marginals),
-                      np.asarray(res.upper.marginals))
+                      np.asarray(res.upper.marginals), int(res.nit))
+
+
+class ColumnForm(NamedTuple):
+    """A program as HiGHS takes it: ``row_lo <= matrix @ x <= row_hi`` and
+    ``lower <= x <= upper``, the matrix column-wise. Programs that differ
+    only in data may share one matrix."""
+
+    matrix: csc_matrix
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+
+
+def row_bounds(sense: np.ndarray, rhs: np.ndarray):
+    """Row ranges ``(row_lo, row_hi)`` of rows given by sense and rhs."""
+    return np.where(sense == LE, -np.inf, rhs), np.where(sense == GE, np.inf, rhs)
+
+
+def column_form(program: LinearProgram) -> ColumnForm:
+    return ColumnForm(program.matrix.tocsc(), program.cost, program.lower,
+                      program.upper, *row_bounds(program.sense, program.rhs))
+
+
+def _warm_options():
+    opts = _highs.HighsOptions()
+    opts.output_flag = False
+    opts.log_to_console = False
+    opts.solver = "simplex"
+    opts.simplex_strategy = \
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.primal_feasibility_tolerance = _SOLVER_TOL
+    opts.dual_feasibility_tolerance = _SOLVER_TOL
+    opts.simplex_iteration_limit = _MAX_ITERATIONS
+    return opts
+
+
+_WARM_OPTIONS = _warm_options()
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
+_AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
+_HS = _highs.HighsModelStatus
+#: HiGHS model status to report status, as ``linprog`` maps it
+_WARM_STATUS = {_HS.kOptimal: OPTIMAL, _HS.kInfeasible: INFEASIBLE,
+                _HS.kModelError: INFEASIBLE, _HS.kUnbounded: UNBOUNDED}
+
+
+def solve_warm(program: LinearProgram | ColumnForm, basis=None):
+    """Solve like ``solve``, on a fresh HiGHS instance started from
+    ``basis`` (a basis this function returned for a program of the same
+    shape; presolve is skipped then). Returns the solution, with the same
+    dual convention and status mapping as ``solve``, and the final basis
+    (None unless optimal).
+
+    Raises LpSolveError on numerical breakdown or iteration exhaustion."""
+    form = program if isinstance(program, ColumnForm) else column_form(program)
+    A = form.matrix
+    m, n = A.shape
+    highs = _highs._Highs()
+    highs.passOptions(_WARM_OPTIONS)
+    if highs.passModel(n, m, A.nnz, _COLWISE, _MINIMIZE, 0.0, form.cost,
+                       form.lower, form.upper, form.row_lo, form.row_hi,
+                       A.indptr, A.indices, A.data,
+                       np.zeros(n, np.int32)) == _highs.HighsStatus.kError:
+        raise LpSolveError("HiGHS rejected the program")
+    if basis is not None and highs.setBasis(basis) == _highs.HighsStatus.kError:
+        raise LpSolveError("HiGHS rejected the starting basis")
+    highs.run()
+    iterations = int(highs.getInfo().simplex_iteration_count)
+    code = highs.getModelStatus()
+    if code not in _WARM_STATUS:
+        raise LpSolveError(f"solver reported failure (HiGHS model status "
+                           f"{highs.modelStatusToString(code)})")
+    if _WARM_STATUS[code] != OPTIMAL:
+        return LpSolution(_WARM_STATUS[code], math.nan, np.zeros(0),
+                          np.zeros(0), iterations=iterations), None
+
+    sol, basis = highs.getSolution(), highs.getBasis()
+    # a column's dual is a lower or an upper bound multiplier by its status
+    col_status = np.fromiter(map(int, basis.col_status), np.int8, n)
+    col_dual = np.asarray(sol.col_dual)
+    lower_marginals = np.where(col_status == _AT_LOWER, col_dual, 0.0)
+    upper_marginals = np.where(col_status == _AT_UPPER, col_dual, 0.0)
+    return LpSolution(OPTIMAL, float(highs.getInfo().objective_function_value),
+                      np.asarray(sol.col_value), np.asarray(sol.row_dual),
+                      lower_marginals, upper_marginals, iterations), basis
+
+
+def with_basic_rows(basis, count: int):
+    """``basis`` for its program with ``count`` rows appended: the new rows
+    enter basic (their slacks), so the old vertex stays a basis."""
+    basis.row_status = basis.row_status \
+        + [_highs.HighsBasisStatus.kBasic] * count
+    return basis
 
 
 def dual_objective(program: LinearProgram, solution: LpSolution) -> float:

@@ -181,8 +181,7 @@ def write_solution(out_dir: str, model: VppModel, sset: ScenarioSet,
     if out.trace:
         _write_csv(os.path.join(out_dir, "trace.csv"),
                    ["iteration", "lower_bound", "upper_bound", "gap",
-                    "wall_time_s"],
-                   [(it, lb, ub, gap, wt) for it, lb, ub, gap, wt in out.trace])
+                    "wall_time_s", "simplex_iters", "cuts_added"], out.trace)
 
 
 # --------------------------------------------------------------- evaluation

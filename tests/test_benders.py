@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from vppsched import benders as bd
+from vppsched import lp
+from vppsched import reports as rp
 from vppsched import scenarios as sg
 from vppsched import stochastic as st
 
@@ -19,18 +23,18 @@ def test_subproblem_value_matches_extensive_blocks(desk, desk_scenarios,
     x_star = np.concatenate([sol.first_stage.p_dam_kw,
                              sol.first_stage.p_rcm_up_kw,
                              sol.first_stage.p_rcm_dn_kw])
+    subs = bd.subproblems(desk.model, desk_scenarios.scenarios)
     for s in (0, 3, 7):
-        cost, _ = bd.solve_subproblem(desk.model, desk_scenarios.scenarios[s],
-                                      s, x_star)
+        cost, _ = bd.solve_subproblem(subs[s], x_star)
         assert cost == pytest.approx(sol.breakdowns[s].total, rel=1e-6, abs=1e-6)
 
 
 def test_subgradient_inequality_by_finite_differences(desk, desk_scenarios):
-    scen = desk_scenarios.scenarios[0]
+    sub, = bd.subproblems(desk.model, desk_scenarios.scenarios[:1])
     n = desk.model.horizon.step_count + 2 * desk.model.horizon.window_count
     x_hat = np.zeros(n)
     x_hat[:desk.model.horizon.step_count] = 2.0
-    f0, grad = bd.solve_subproblem(desk.model, scen, 0, x_hat)
+    f0, grad = bd.solve_subproblem(sub, x_hat)
     rng = np.random.default_rng(2)
     for j in rng.choice(n, size=4, replace=False):
         for delta in (0.5, -0.5):
@@ -38,15 +42,15 @@ def test_subgradient_inequality_by_finite_differences(desk, desk_scenarios):
             x_pert[j] += delta
             if j >= desk.model.horizon.step_count and x_pert[j] < 0:
                 continue   # capacity bids live in the nonnegative orthant
-            f1, _ = bd.solve_subproblem(desk.model, scen, 0, x_pert)
+            f1, _ = bd.solve_subproblem(sub, x_pert)
             assert f1 >= f0 + grad[j] * delta - 1e-6 * (1 + abs(f0))
 
 
 def test_cut_intercept_reproduces_value_at_origin_point(desk, desk_scenarios):
-    scen = desk_scenarios.scenarios[1]
+    sub = bd.subproblems(desk.model, desk_scenarios.scenarios)[1]
     n = desk.model.horizon.step_count + 2 * desk.model.horizon.window_count
     x_hat = np.full(n, 1.5)
-    f, g = bd.solve_subproblem(desk.model, scen, 1, x_hat)
+    f, g = bd.solve_subproblem(sub, x_hat)
     intercept = f - float(g @ x_hat)
     assert intercept + float(g @ x_hat) == pytest.approx(f, abs=1e-9)
 
@@ -64,6 +68,68 @@ def test_master_cut_dedupe(desk, desk_scenarios):
     # same coefficients for another scenario are a different cut
     assert master.add_cuts([bd.OptimalityCut(1, 5.0,
                                              np.ones(len(master.x_indices)))]) == 1
+
+
+def test_cut_dedupe_matches_pairwise_scan(desk):
+    # the stacked per-scenario test accepts exactly what the pairwise
+    # OptimalityCut.matches scan over all earlier cuts accepts
+    master = bd.MasterProblem(desk.model, 3, np.full(3, 1.0 / 3.0), EXPECT)
+    n = len(master.x_indices)
+    tol = bd._CUT_DEDUPE_TOL
+    rng = np.random.default_rng(11)
+    cuts = []
+    for _ in range(80):
+        if cuts and rng.random() < 0.6:
+            # a copy of an earlier cut, moved by a multiple of the tolerance,
+            # sometimes filed under another scenario
+            base = cuts[int(rng.integers(len(cuts)))]
+            step = float(rng.choice([0.0, 0.5, 0.99, 1.01, 3.0]))
+            scale = 1.0 + float(np.max(np.abs(base.gradient), initial=0.0))
+            moved = rng.choice([-1.0, 1.0], n) * (rng.random(n) < 0.3)
+            s = base.scenario if rng.random() < 0.8 else int(rng.integers(3))
+            cuts.append(bd.OptimalityCut(
+                s, base.intercept + step * tol * (1.0 + abs(base.intercept))
+                * float(rng.choice([-1.0, 1.0])),
+                base.gradient + step * tol * scale * moved))
+        else:
+            g = rng.normal(size=n) * float(rng.choice([1.0, 1e3]))
+            g[rng.random(n) < 0.5] = 0.0
+            cuts.append(bd.OptimalityCut(int(rng.integers(3)),
+                                         float(rng.normal() * 100.0), g))
+    accepted = []
+    for cut in cuts:
+        if not any(cut.matches(old) for old in accepted):
+            accepted.append(cut)
+    assert 0 < len(accepted) < len(cuts)
+    rows = master.program.num_constraints
+    assert master.add_cuts(cuts) == len(accepted) == master.num_cuts
+    assert master.program.num_constraints == rows + len(accepted)
+    for s in range(3):
+        mine = [c for c in accepted if c.scenario == s]
+        assert np.array_equal(master.intercepts[s], [c.intercept for c in mine])
+        assert np.array_equal(master.gradients[s],
+                              np.array([c.gradient for c in mine]).reshape(-1, n))
+
+
+def test_warm_subproblems_match_cold_solves(desk, desk_scenarios, monkeypatch):
+    # along the first master iterates, each subproblem re-solved from its
+    # last basis has the value of a cold solve of the instantiated block
+    warm = bd.solve_subproblem
+    template = desk.model.template
+    iterations = []
+
+    def compared(sub, x_hat):
+        cost, grad = warm(sub, x_hat)
+        block = desk.model.scenario_data(sub.scenario)
+        cold = lp.solve(template.instantiate(block, x_hat))
+        assert cost == pytest.approx(cold.objective, rel=1e-9)
+        iterations.append(sub.iterations)
+        return cost, grad
+
+    monkeypatch.setattr(bd, "solve_subproblem", compared)
+    bd.iterate(desk.model, desk_scenarios, EXPECT,
+               bd.BendersOptions(tolerance=1e-12, max_iterations=6))
+    assert len(iterations) == 6 * len(desk_scenarios)
 
 
 def test_single_scenario_convergence(desk):
@@ -130,6 +196,55 @@ def test_worker_count_does_not_change_result(desk, desk_scenarios,
     assert parallel.report.iterations == serial.report.iterations
     assert np.allclose(parallel.x, serial.x, atol=1e-9)
     assert parallel.objective == pytest.approx(serial.objective, abs=1e-9)
+
+
+def test_worker_count_bit_identical_under_thread_stress(desk, desk_scenarios,
+                                                        desk_benders):
+    # every scenario keeps its own basis, so its sequence of solves, and the
+    # whole run, cannot depend on which worker takes it or when
+    serial = desk_benders
+    out = {}
+    run = threading.Thread(target=lambda: out.setdefault("res", bd.iterate(
+        desk.model, desk_scenarios, EXPECT, bd.BendersOptions(workers=8))),
+        daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run.start()
+        run.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not run.is_alive() and "res" in out
+    parallel = out["res"]
+    assert parallel.report.iterations == serial.report.iterations
+    assert np.array_equal(parallel.x, serial.x)
+    assert parallel.objective == serial.objective
+
+
+def test_trace_reports_solver_effort(desk, desk_scenarios, tmp_path,
+                                     monkeypatch):
+    masters = []
+    init = bd.MasterProblem.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        masters.append(self)
+
+    monkeypatch.setattr(bd.MasterProblem, "__init__", recorded)
+    out = rp.solve_with_method(desk.model, desk_scenarios, EXPECT, "benders")
+    rp.write_solution(str(tmp_path), desk.model, desk_scenarios, out,
+                      "benders", EXPECT, "config", "manifest", 0.0)
+    with open(tmp_path / "trace.csv") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh]
+    assert header == ["iteration", "lower_bound", "upper_bound", "gap",
+                      "wall_time_s", "simplex_iters", "cuts_added"]
+    assert len(rows) == out.iterations
+    simplex_iters = [int(r[5]) for r in rows]
+    cuts_added = [int(r[6]) for r in rows]
+    assert simplex_iters[0] > 0 and min(simplex_iters) >= 0
+    assert sum(cuts_added) == masters[0].num_cuts > 0
+    assert cuts_added[-1] == 0       # the converged iteration adds no cut
 
 
 def test_subproblem_infeasibility_aborts_with_diagnostics(desk):

@@ -1,5 +1,9 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -175,3 +179,77 @@ def test_lp_text_export_roundtrip_structure():
     assert "link:" in text and ">= 0.5" in text
     assert "-1 <= y <= +inf" in text
 
+
+
+def test_warm_solve_matches_vertex_enumeration():
+    rng = np.random.default_rng(20261018)
+    for _ in range(120):
+        prog = random_feasible_bounded_lp(rng)
+        sol, basis = lp.solve_warm(prog)
+        assert sol.status == lp.OPTIMAL
+        best = vertex_enumeration_optimum(prog)
+        assert sol.objective == pytest.approx(best, abs=1e-7, rel=1e-7)
+        dual = lp.dual_objective(prog, sol)
+        assert abs(sol.objective - dual) <= lp.OPT_TOL * (1.0 + abs(sol.objective))
+        # the same data from its own basis is already optimal
+        again, _ = lp.solve_warm(prog, basis)
+        assert again.iterations == 0
+        assert again.objective == pytest.approx(sol.objective, abs=1e-9)
+
+
+def test_warm_solve_reports_status_like_solve():
+    p = lp.LinearProgram()
+    x = p.add_variable(0.0, math.inf, "x")
+    p.add_constraint([(x, 1.0)], lp.GE, 1.0)
+    p.add_constraint([(x, 1.0)], lp.LE, 0.0)
+    p.add_objective_term(x, 1.0)
+    sol, basis = lp.solve_warm(p)
+    assert sol.status == lp.solve(p).status == lp.INFEASIBLE and basis is None
+    q = lp.LinearProgram()
+    y = q.add_variable(0.0, math.inf, "y")
+    q.add_objective_term(y, -1.0)
+    assert lp.solve_warm(q)[0].status == lp.solve(q).status == lp.UNBOUNDED
+
+
+def test_warm_solve_after_appended_rows():
+    # the Benders master: rows appended after a solve enter with basic
+    # slacks; a row the optimum satisfies costs no iteration
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        prog = random_feasible_bounded_lp(rng)
+        sol, basis = lp.solve_warm(prog)
+        x = sol.primal
+        coefs = rng.uniform(-2.0, 2.0, size=prog.num_variables)
+        slack = float(rng.uniform(-1.0, 1.0))
+        prog.add_constraint(list(enumerate(coefs)), lp.LE, float(coefs @ x) + slack)
+        warm, _ = lp.solve_warm(prog, lp.with_basic_rows(basis, 1))
+        cold = lp.solve(prog)
+        assert warm.status == cold.status
+        if cold.status == lp.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-7,
+                                                   rel=1e-7)
+        if slack >= 0:
+            assert warm.iterations == 0
+
+
+def test_import_names_a_missing_binding():
+    # a scipy whose HiGHS binding lacks a name the warm path uses is refused
+    # at import, naming what is missing and the scipy that has it
+    code = textwrap.dedent("""
+        import types
+        import scipy.optimize._highspy as pkg
+        fake = types.ModuleType("fake")
+        fake.__dict__.update({k: v for k, v in vars(pkg._core).items()
+                              if k != "HighsBasis"})
+        pkg._core = fake
+        try:
+            import vppsched.lp
+        except ImportError as exc:
+            print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(lp.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert "scipy>=1.15" in out.stdout
+    assert out.stdout.strip().endswith("lacks HighsBasis")

@@ -112,20 +112,20 @@ def test_scenario_data_is_checked_on_every_instantiation(desk):
 
 
 def test_threads_share_the_compiled_block(desk, desk_scenarios):
-    # Benders workers instantiate the one template concurrently; a data race
-    # on it would change a subproblem's value or subgradient
+    # Benders workers solve subproblems on one shared matrix concurrently; a
+    # data race on it would change a subproblem's value or subgradient
     model = VppModel(desk.model.horizon, desk.model.network, desk.model.park,
                      desk.model.market)
     scenarios = desk_scenarios.scenarios
     x = np.full(model.template.n_first, 1.0)
-    serial = [bd.solve_subproblem(model, scen, k, x)
-              for k, scen in enumerate(scenarios)]
+    serial = [bd.solve_subproblem(sub, x)
+              for sub in bd.subproblems(model, scenarios)]
+    subs = bd.subproblems(model, [scenarios[k % 10] for k in range(40)])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(bd.solve_subproblem, model, scenarios[k % 10],
-                                   k % 10, x) for k in range(40)]
+            futures = [pool.submit(bd.solve_subproblem, sub, x) for sub in subs]
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
