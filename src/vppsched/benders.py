@@ -1,10 +1,12 @@
 """Multi-cut Benders decomposition of the two-stage program.
 
 The master optimizes the bid variables plus one recourse approximation
-theta_s per scenario (and the tail variables when the risk measure is the
-CVaR). Each iteration fixes the bids, solves every scenario subproblem
-independently, reads the duals of the bid-fixing rows as subgradients of
-the recourse value, and appends one optimality cut per scenario. Imbalance
+theta_s per scenario under the risk objective of ``stochastic`` (and its
+tail rows when the risk measure is the CVaR). Each iteration fixes the
+bids, solves every scenario subproblem independently, reads the duals of
+the bid-fixing rows as subgradients of the recourse value, and appends
+one optimality cut per scenario. The report of a run is its iteration
+trace, one row per iteration as ``trace.csv`` records it. Imbalance
 volumes are unbounded, so every bid vector admits a feasible second stage
 (complete recourse) and no feasibility cuts are needed; a subproblem that
 still reports infeasibility indicates a physically inconsistent model and
@@ -29,15 +31,17 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import lp
 from . import market as mk
 from .devices import infeasibility_suspects
 from .model import ScenarioBlock, VppModel
 from .scenarios import Scenario, ScenarioSet
-from .stochastic import CVAR, EXPECTATION, RiskMeasure, cvar_of_samples
+from .stochastic import RiskMeasure, add_risk_objective, risk_functional
 
 #: initial lower bound on each recourse approximation (currency units)
 THETA_FLOOR = -1e7
@@ -84,17 +88,27 @@ class OptimalityCut:
                            <= _CUT_DEDUPE_TOL * scale))
 
 
+class TraceRow(NamedTuple):
+    """One iteration: its bounds and gap, seconds since the start, simplex
+    iterations of its master and subproblem solves, cuts it added."""
+
+    iteration: int
+    lower_bound: float
+    upper_bound: float
+    gap: float
+    wall_time_s: float
+    simplex_iters: int
+    cuts_added: int
+
+
 @dataclass
 class ConvergenceReport:
-    iterations: int = 0
-    lower_bounds: list[float] = field(default_factory=list)
-    upper_bounds: list[float] = field(default_factory=list)
-    gaps: list[float] = field(default_factory=list)
+    trace: list[TraceRow] = field(default_factory=list)
     converged: bool = False
 
     @property
-    def final_gap(self) -> float:
-        return self.gaps[-1] if self.gaps else math.inf
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 @dataclass
@@ -106,74 +120,78 @@ class BendersResult:
 
 
 class MasterProblem:
-    """First-stage LP refined by accumulated optimality cuts, re-solved from
-    the basis of its previous solve."""
+    """First-stage LP refined by optimality cuts, re-solved from the basis
+    of its previous solve: a head built once (the bids, theta_s and the
+    risk objective over them) and the cuts, kept once as arrays in
+    acceptance order, so that new cut rows come last."""
 
     def __init__(self, model: VppModel, n_scenarios: int, probs: np.ndarray,
                  risk: RiskMeasure):
-        self.model = model
-        self.risk = risk
-        self.program = lp.LinearProgram("master")
-        self.fs = model.emit_first_stage(self.program)
-        self.x_indices = self.fs.flat()
-        self.theta = [self.program.add_variable(THETA_FLOOR, math.inf,
-                                                f"theta[{s}]")
-                      for s in range(n_scenarios)]
-        if risk.kind == EXPECTATION:
-            for s in range(n_scenarios):
-                self.program.add_objective_term(self.theta[s], float(probs[s]))
-        else:
-            self.gamma = self.program.add_variable(-math.inf, math.inf, "gamma")
-            self.program.add_objective_term(self.gamma, 1.0)
-            scale = 1.0 / (1.0 - risk.alpha)
-            for s in range(n_scenarios):
-                y = self.program.add_variable(0.0, math.inf, f"tail[{s}]")
-                self.program.add_objective_term(y, float(probs[s]) * scale)
-                self.program.add_constraint(
-                    [(y, 1.0), (self.theta[s], -1.0), (self.gamma, 1.0)],
-                    lp.GE, 0.0, f"tail[{s}]")
-        # each scenario's cuts, stacked: intercepts and gradient rows
-        n = len(self.x_indices)
-        self.intercepts = [np.zeros(0) for _ in range(n_scenarios)]
-        self.gradients = [np.zeros((0, n)) for _ in range(n_scenarios)]
+        self.head = lp.LinearProgram("master")
+        self.x_indices = np.array(model.emit_first_stage(self.head).flat())
+        self.theta = np.array([self.head.add_variable(THETA_FLOOR, math.inf,
+                                                      f"theta[{s}]")
+                               for s in range(n_scenarios)])
+        add_risk_objective(self.head, risk, probs,
+                           [(self.theta[s:s + 1], np.ones(1))
+                            for s in range(n_scenarios)])
+        self.scenarios = np.zeros(0, dtype=np.int64)
+        self.intercepts = np.zeros(0)
+        self.gradients = np.zeros((0, len(self.x_indices)))
         self.basis = None
-        self._basis_rows = 0
         #: simplex iterations of the last solve
         self.iterations = 0
 
     @property
     def num_cuts(self) -> int:
-        return sum(len(b) for b in self.intercepts)
+        return len(self.intercepts)
 
     def add_cuts(self, cuts: list[OptimalityCut]) -> int:
-        """Append theta_s >= intercept + gradient . x rows, dropping cuts
-        that match (``OptimalityCut.matches``) one already present for
-        their scenario. Returns the number added."""
+        """Append the cuts, dropping those that match
+        (``OptimalityCut.matches``) one already present for their
+        scenario. Returns the number added."""
         added = 0
         for cut in cuts:
             s, g, b = cut.scenario, cut.gradient, cut.intercept
+            mine = self.scenarios == s
             scale = 1.0 + float(np.max(np.abs(g), initial=0.0))
-            if np.any((np.abs(self.intercepts[s] - b)
+            if np.any((np.abs(self.intercepts[mine] - b)
                        <= _CUT_DEDUPE_TOL * (1.0 + abs(b)))
-                      & np.all(np.abs(self.gradients[s] - g)
+                      & np.all(np.abs(self.gradients[mine] - g)
                                <= _CUT_DEDUPE_TOL * scale, axis=1)):
                 continue
-            terms = [(self.theta[s], 1.0)]
-            terms += [(xi, -gi) for xi, gi in zip(self.x_indices, g)
-                      if gi != 0.0]
-            self.program.add_constraint(terms, lp.GE, b,
-                                        f"cut[{s},{self.num_cuts}]")
-            self.intercepts[s] = np.append(self.intercepts[s], b)
-            self.gradients[s] = np.vstack((self.gradients[s], g))
+            self.scenarios = np.append(self.scenarios, s)
+            self.intercepts = np.append(self.intercepts, b)
+            self.gradients = np.vstack((self.gradients, g))
             added += 1
         return added
 
+    def form(self) -> lp.ColumnForm:
+        """The head's rows and then one row per cut,
+        theta_s - gradient . x >= intercept, its zero gradient entries
+        left out."""
+        head, k = self.head, self.num_cuts
+        columns = np.column_stack((
+            self.theta[self.scenarios],
+            np.broadcast_to(self.x_indices, self.gradients.shape)))
+        coef = np.column_stack((np.ones(k), -self.gradients))
+        keep = coef != 0.0
+        matrix = csr_matrix(
+            (np.r_[head.data, coef[keep]], np.r_[head.indices, columns[keep]],
+             np.r_[head.indptr, head.indptr[-1] + np.cumsum(keep.sum(1))]),
+            shape=(len(head.rhs) + k, len(head.lower)))
+        row_lo, row_hi = lp.row_bounds(head.sense, head.rhs)
+        return lp.ColumnForm(matrix.tocsc(), head.cost, head.lower, head.upper,
+                             np.r_[row_lo, self.intercepts],
+                             np.r_[row_hi, np.full(k, np.inf)])
+
     def solve(self) -> tuple[float, np.ndarray]:
-        rows = self.program.num_constraints
+        form = self.form()
         if self.basis is not None:
-            lp.with_basic_rows(self.basis, rows - self._basis_rows)
-        sol, self.basis = lp.solve_warm(self.program, self.basis)
-        self._basis_rows, self.iterations = rows, sol.iterations
+            lp.with_basic_rows(self.basis, len(form.row_lo)
+                               - len(self.basis.row_status))
+        sol, self.basis = lp.solve_warm(form, self.basis)
+        self.iterations = sol.iterations
         if sol.status != lp.OPTIMAL:
             raise BendersError(f"master problem ended with status {sol.status}")
         return sol.objective, sol.primal[self.x_indices]
@@ -255,13 +273,8 @@ def solve_subproblem(sub: Subproblem,
 
 
 def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
-            options: BendersOptions | None = None,
-            trace_cb=None) -> BendersResult:
+            options: BendersOptions | None = None) -> BendersResult:
     """Run the cut loop until the relative bound gap closes.
-
-    ``trace_cb`` receives one row per iteration: iteration, lower bound,
-    upper bound, gap, seconds since the start, simplex iterations of the
-    iteration's solves and the number of cuts it added.
 
     Returns the incumbent decision with a convergence report; if the
     iteration limit is hit the report carries converged=False and the best
@@ -286,9 +299,8 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             lower, x_hat = master.solve()
             values = list((pool.map if pool else map)(solve_subproblem, subs,
                                                       repeat(x_hat)))
-            costs = np.array([cost for cost, _ in values])
-            realized = cvar_of_samples(costs, probs, risk.alpha) \
-                if risk.kind == CVAR else float(probs @ costs)
+            realized = risk_functional([cost for cost, _ in values], probs,
+                                       risk)
             if realized < best_obj:
                 best_obj = realized
                 best_x = x_hat.copy()
@@ -297,18 +309,13 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
                                    f"{best_obj!r} at iteration {it}: a cut is "
                                    f"invalid")
             gap = max(best_obj - lower, 0.0) / max(1.0, abs(best_obj))
-            report.iterations = it
-            report.lower_bounds.append(lower)
-            report.upper_bounds.append(best_obj)
-            report.gaps.append(gap)
             report.converged = gap <= options.tolerance
             added = 0 if report.converged else master.add_cuts(
                 [_cut(s, cost, grad, x_hat)
                  for s, (cost, grad) in enumerate(values)])
-            if trace_cb is not None:
-                trace_cb(it, lower, best_obj, gap, time.perf_counter() - start,
-                         master.iterations + sum(sub.iterations for sub in subs),
-                         added)
+            report.trace.append(TraceRow(
+                it, lower, best_obj, gap, time.perf_counter() - start,
+                master.iterations + sum(sub.iterations for sub in subs), added))
             if report.converged:
                 break
 

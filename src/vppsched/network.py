@@ -231,24 +231,35 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
     return GridHandles(branch_p, branch_q, bus_v, pcc, wit)
 
 
+def polygon_sides(segments: int) -> list[tuple[float, float]]:
+    """(cos a_k, sin a_k) for a_k = 2 pi k / K: the side normals of the
+    flow polygon, with the components that vanish on the axes (a_k a
+    multiple of pi/2) exactly zero rather than rounding residue."""
+    return [tuple(0.0 if abs(v) < 1e-12 else v
+                  for v in (math.cos(ang), math.sin(ang)))
+            for ang in (2.0 * math.pi * seg / segments
+                        for seg in range(segments))]
+
+
 def emit_flow_limits(program: lp.LinearProgram, network: RadialNetwork,
                      handles: GridHandles, horizon: MarketHorizon,
                      segments: int = 8) -> list[int]:
     """Inscribed regular polygon for P^2 + Q^2 <= s_max^2 on every branch:
-    cos(a_k) P + sin(a_k) Q <= s_max cos(pi/K) for a_k = 2 pi k / K."""
+    cos(a_k) P + sin(a_k) Q <= s_max cos(pi/K) for a_k = 2 pi k / K; only
+    nonzero coefficients are stored."""
     if segments < 4:
         raise NetworkError("flow polygon needs at least 4 segments")
     rows = []
+    sides = polygon_sides(segments)
     offset_factor = math.cos(math.pi / segments)
     for k, br in enumerate(network.branches):
         s_max_pu = br.s_max_kva / network.s_base_kw
         rhs = s_max_pu * offset_factor
         for t in range(horizon.step_count):
-            for seg in range(segments):
-                ang = 2.0 * math.pi * seg / segments
+            p, q = handles.branch_p[k][t], handles.branch_q[k][t]
+            for seg, (c, s) in enumerate(sides):
                 rows.append(program.add_constraint(
-                    [(handles.branch_p[k][t], math.cos(ang)),
-                     (handles.branch_q[k][t], math.sin(ang))],
+                    [(idx, coef) for idx, coef in ((p, c), (q, s)) if coef],
                     lp.LE, rhs, f"flow[{k},{t},{seg}]"))
     return rows
 
@@ -256,11 +267,7 @@ def emit_flow_limits(program: lp.LinearProgram, network: RadialNetwork,
 def polygon_admits(p: float, q: float, s_max: float, segments: int) -> bool:
     """Membership test mirroring emit_flow_limits, for checks and tooling."""
     rhs = s_max * math.cos(math.pi / segments)
-    for seg in range(segments):
-        ang = 2.0 * math.pi * seg / segments
-        if math.cos(ang) * p + math.sin(ang) * q > rhs + 1e-12:
-            return False
-    return True
+    return all(c * p + s * q <= rhs + 1e-12 for c, s in polygon_sides(segments))
 
 
 # ----------------------------------------------------------------- file io

@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from . import benders as bd
 from . import lp
@@ -70,7 +71,7 @@ class SolveOutput:
     series: list[dict]
     converged: bool = True
     iterations: int | None = None
-    trace: list[tuple] = field(default_factory=list)
+    trace: list[bd.TraceRow] = field(default_factory=list)
 
 
 def solve_with_method(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
@@ -98,9 +99,7 @@ def solve_with_method(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
             raise ReportError("LP export is only available for the extensive "
                               "method (the decomposition never materializes "
                               "one monolithic program)")
-        trace: list[tuple] = []
-        res = bd.iterate(model, sset, risk, benders_opts,
-                         trace_cb=lambda *row: trace.append(row))
+        res = bd.iterate(model, sset, risk, benders_opts)
         breakdowns = []
         series = []
         for s, scen in enumerate(sset.scenarios):
@@ -109,7 +108,8 @@ def solve_with_method(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
             series.append(ser)
         return SolveOutput(res.objective, res.first_stage, breakdowns, series,
                            converged=res.report.converged,
-                           iterations=res.report.iterations, trace=trace)
+                           iterations=res.report.iterations,
+                           trace=res.report.trace)
     raise ReportError(f"unknown solve method {method!r}")
 
 
@@ -131,6 +131,7 @@ def write_solution(out_dir: str, model: VppModel, sset: ScenarioSet,
         "config_hash": config_hash,
         "scenario_manifest_hash": manifest_hash,
         "runtime_s": runtime_s,
+        "scipy_version": scipy.__version__,
         "scenario_count": len(sset),
         "step_count": hz.step_count,
         "step_hours": hz.step_hours,
@@ -179,9 +180,8 @@ def write_solution(out_dir: str, model: VppModel, sset: ScenarioSet,
         _write_csv(os.path.join(out_dir, f"dispatch_{s:04d}.csv"), header, rows)
 
     if out.trace:
-        _write_csv(os.path.join(out_dir, "trace.csv"),
-                   ["iteration", "lower_bound", "upper_bound", "gap",
-                    "wall_time_s", "simplex_iters", "cuts_added"], out.trace)
+        _write_csv(os.path.join(out_dir, "trace.csv"), bd.TraceRow._fields,
+                   out.trace)
 
 
 # --------------------------------------------------------------- evaluation

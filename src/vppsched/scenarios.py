@@ -315,28 +315,66 @@ def build_scenarios(base: BaseForecast, specs: dict[str, ErrorSpec],
 
 
 # ---------------------------------------------------------------------------
-# persistence: one CSV per scenario plus a manifest; floats are written with
-# repr(), which round-trips doubles exactly
+# persistence: the forecast and every scenario are tables of one layout, one
+# row per step (t, the reserve capacity prices of its window, then the
+# per-step series), plus a manifest for a scenario set; floats are written
+# with repr(), which round-trips doubles exactly
 # ---------------------------------------------------------------------------
 
-def _scenario_columns(scen: Scenario) -> list[tuple[str, np.ndarray]]:
-    cols = [
-        ("dam_price", scen.day_ahead_price),
-        ("ram_up_price", scen.ram_up_price),
-        ("ram_dn_price", scen.ram_dn_price),
-        ("mfrr_up_price", scen.mfrr_up_price),
-        ("mfrr_dn_price", scen.mfrr_dn_price),
-        ("imb_short_price", scen.imbalance_short_price),
-        ("imb_long_price", scen.imbalance_long_price),
-        ("ambient_temp", scen.ambient_temp),
-        ("ev_availability", scen.ev_availability),
-    ]
-    for name in sorted(scen.capacity_factor):
-        cols.append((f"cf_{name}", scen.capacity_factor[name]))
-    for bus in sorted(scen.load_active):
-        cols.append((f"load_p_{bus}", scen.load_active[bus]))
-        cols.append((f"load_q_{bus}", scen.load_reactive[bus]))
-    return cols
+#: per-step columns and the fields they hold, in file order; the forecast
+#: has no imbalance prices
+_COLUMNS = (
+    ("dam_price", "day_ahead_price"),
+    ("ram_up_price", "ram_up_price"),
+    ("ram_dn_price", "ram_dn_price"),
+    ("mfrr_up_price", "mfrr_up_price"),
+    ("mfrr_dn_price", "mfrr_dn_price"),
+    ("imb_short_price", "imbalance_short_price"),
+    ("imb_long_price", "imbalance_long_price"),
+    ("ambient_temp", "ambient_temp"),
+    ("ev_availability", "ev_availability"),
+)
+
+
+def _write_table(path: str, series, steps_per_window: int) -> None:
+    """Write a ``BaseForecast`` or a ``Scenario`` as one table."""
+    cols = [(name, getattr(series, attr)) for name, attr in _COLUMNS
+            if hasattr(series, attr)]
+    for name in sorted(series.capacity_factor):
+        cols.append((f"cf_{name}", series.capacity_factor[name]))
+    for bus in sorted(series.load_active):
+        cols.append((f"load_p_{bus}", series.load_active[bus]))
+        cols.append((f"load_q_{bus}", series.load_reactive[bus]))
+    header = ["t", "rcm_up_price", "rcm_dn_price"] + [name for name, _ in cols]
+    lines = [",".join(header)]
+    for t in range(series.step_count):
+        w = t // steps_per_window
+        row = [str(t), repr(float(series.rcm_up_price[w])),
+               repr(float(series.rcm_dn_price[w]))]
+        row += [repr(float(values[t])) for _, values in cols]
+        lines.append(",".join(row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_table(path: str, steps_per_window: int) -> dict:
+    """The fields a table holds, as keywords of ``BaseForecast`` (or of
+    ``Scenario``, less its probability)."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    data = {name: np.array([float(r[k]) for r in rows])
+            for k, name in enumerate(header) if name != "t"}
+    fields = {attr: data[name] for name, attr in _COLUMNS if name in data}
+    for name in ("rcm_up_price", "rcm_dn_price"):
+        fields[name] = data[name][::steps_per_window].copy()
+    fields["capacity_factor"] = {name[3:]: data[name] for name in data
+                                 if name.startswith("cf_")}
+    fields["load_active"] = {int(name[7:]): data[name] for name in data
+                             if name.startswith("load_p_")}
+    fields["load_reactive"] = {int(name[7:]): data[name] for name in data
+                               if name.startswith("load_q_")}
+    return fields
 
 
 def save_scenario_set(sset: ScenarioSet, path: str, step_hours: float,
@@ -366,17 +404,8 @@ def save_scenario_set(sset: ScenarioSet, path: str, step_hours: float,
     with open(os.path.join(path, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     for i, scen in enumerate(sset.scenarios):
-        cols = _scenario_columns(scen)
-        header = ["t", "rcm_up_price", "rcm_dn_price"] + [name for name, _ in cols]
-        lines = [",".join(header)]
-        for t in range(scen.step_count):
-            w = t // steps_per_window
-            row = [str(t), repr(float(scen.rcm_up_price[w])),
-                   repr(float(scen.rcm_dn_price[w]))]
-            row += [repr(float(series[t])) for _, series in cols]
-            lines.append(",".join(row))
-        with open(os.path.join(path, f"scenario_{i:04d}.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_table(os.path.join(path, f"scenario_{i:04d}.csv"), scen,
+                     steps_per_window)
 
 
 def load_scenario_set(path: str) -> tuple[ScenarioSet, dict]:
@@ -387,33 +416,11 @@ def load_scenario_set(path: str) -> tuple[ScenarioSet, dict]:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     steps_per_window = int(round(manifest["rcm_window_hours"] / manifest["step_hours"]))
-    scenarios = []
-    for i in range(manifest["count"]):
-        fname = os.path.join(path, f"scenario_{i:04d}.csv")
-        with open(fname) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        data = {name: np.array([float(r[k]) for r in rows])
-                for k, name in enumerate(header) if name != "t"}
-        window_rows = range(0, manifest["step_count"], steps_per_window)
-        cf = {name: data[f"cf_{name}"] for name in manifest["dg_names"]}
-        load_p = {bus: data[f"load_p_{bus}"] for bus in manifest["load_buses"]}
-        load_q = {bus: data[f"load_q_{bus}"] for bus in manifest["load_buses"]}
-        scenarios.append(Scenario(
-            day_ahead_price=data["dam_price"],
-            rcm_up_price=np.array([data["rcm_up_price"][t] for t in window_rows]),
-            rcm_dn_price=np.array([data["rcm_dn_price"][t] for t in window_rows]),
-            ram_up_price=data["ram_up_price"],
-            ram_dn_price=data["ram_dn_price"],
-            mfrr_up_price=data["mfrr_up_price"],
-            mfrr_dn_price=data["mfrr_dn_price"],
-            ambient_temp=data["ambient_temp"],
-            ev_availability=data["ev_availability"],
-            capacity_factor=cf, load_active=load_p, load_reactive=load_q,
-            imbalance_short_price=data["imb_short_price"],
-            imbalance_long_price=data["imb_long_price"],
-            probability=manifest["probabilities"][i],
-        ))
+    scenarios = [
+        Scenario(**_read_table(os.path.join(path, f"scenario_{i:04d}.csv"),
+                               steps_per_window),
+                 probability=manifest["probabilities"][i])
+        for i in range(manifest["count"])]
     return ScenarioSet(scenarios, manifest["seed"]), manifest
 
 
@@ -440,59 +447,12 @@ def save_base_forecast(base: BaseForecast, path: str, step_hours: float,
     """Single-CSV forecast: reserve-capacity prices are expanded onto the
     dispatch grid (constant within each booking window)."""
     base.validate()
-    steps_per_window = int(round(rcm_window_hours / step_hours))
-    cols = [
-        ("dam_price", base.day_ahead_price),
-        ("ram_up_price", base.ram_up_price),
-        ("ram_dn_price", base.ram_dn_price),
-        ("mfrr_up_price", base.mfrr_up_price),
-        ("mfrr_dn_price", base.mfrr_dn_price),
-        ("ambient_temp", base.ambient_temp),
-        ("ev_availability", base.ev_availability),
-    ]
-    for name in sorted(base.capacity_factor):
-        cols.append((f"cf_{name}", base.capacity_factor[name]))
-    for bus in sorted(base.load_active):
-        cols.append((f"load_p_{bus}", base.load_active[bus]))
-        cols.append((f"load_q_{bus}", base.load_reactive[bus]))
-    header = ["t", "rcm_up_price", "rcm_dn_price"] + [name for name, _ in cols]
-    lines = [",".join(header)]
-    for t in range(base.step_count):
-        w = t // steps_per_window
-        row = [str(t), repr(float(base.rcm_up_price[w])),
-               repr(float(base.rcm_dn_price[w]))]
-        row += [repr(float(series[t])) for _, series in cols]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, base, int(round(rcm_window_hours / step_hours)))
 
 
 def load_base_forecast(path: str, step_hours: float,
                        rcm_window_hours: float) -> BaseForecast:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = {name: np.array([float(r[k]) for r in rows])
-            for k, name in enumerate(header) if name != "t"}
-    steps = len(rows)
-    steps_per_window = int(round(rcm_window_hours / step_hours))
-    window_rows = range(0, steps, steps_per_window)
-    cf = {name[3:]: data[name] for name in data if name.startswith("cf_")}
-    load_p = {int(name[7:]): data[name] for name in data
-              if name.startswith("load_p_")}
-    load_q = {int(name[7:]): data[name] for name in data
-              if name.startswith("load_q_")}
-    base = BaseForecast(
-        day_ahead_price=data["dam_price"],
-        rcm_up_price=np.array([data["rcm_up_price"][t] for t in window_rows]),
-        rcm_dn_price=np.array([data["rcm_dn_price"][t] for t in window_rows]),
-        ram_up_price=data["ram_up_price"],
-        ram_dn_price=data["ram_dn_price"],
-        mfrr_up_price=data["mfrr_up_price"],
-        mfrr_dn_price=data["mfrr_dn_price"],
-        ambient_temp=data["ambient_temp"],
-        ev_availability=data["ev_availability"],
-        capacity_factor=cf, load_active=load_p, load_reactive=load_q,
-    )
+    base = BaseForecast(**_read_table(
+        path, int(round(rcm_window_hours / step_hours))))
     base.validate()
     return base

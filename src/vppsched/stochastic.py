@@ -1,17 +1,21 @@
-"""Extensive-form assembly of the two-stage program and the empirical
-tail-risk evaluator.
-
-The extensive form stacks the compiled scenario block once per scenario:
-the template's rows repeat with the block columns shifted by a per-scenario
-offset, the first-stage columns are shared (so non-anticipativity holds by
-construction), and each scenario supplies only its costs, right-hand sides
-and column bounds.
+"""The risk layer of the two-stage program, its extensive form, and the
+empirical tail-risk evaluator.
 
 Risk handling: under expectation the objective is the probability-weighted
 sum of scenario net costs. Under the tail measure the objective is
 gamma + sum_s pi_s * y_s / (1 - alpha) with y_s >= C_s - gamma, y_s >= 0,
 the standard linear certainty-equivalent of the expected cost in the worst
 (1 - alpha) tail. Minimizing it penalizes adverse cost realizations.
+``add_risk_objective`` writes this objective into a program once, for any
+per-scenario cost terms: the extensive form passes each block's net cost,
+the Benders master its recourse approximations theta_s.
+``risk_functional`` evaluates the same measure on realized costs.
+
+The extensive form stacks the compiled scenario block once per scenario:
+the template's rows repeat with the block columns shifted by a per-scenario
+offset, the first-stage columns are shared (so non-anticipativity holds by
+construction), and each scenario supplies only its costs, right-hand sides
+and column bounds.
 """
 
 from __future__ import annotations
@@ -61,8 +65,6 @@ class ExtensiveForm:
     blocks: list[ScenarioBlock]
     risk: RiskMeasure
     probabilities: np.ndarray
-    gamma_index: int | None = None
-    aux_indices: list[int] | None = None
 
 
 @dataclass
@@ -87,10 +89,6 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
     blocks = [model.scenario_data(scen, k * nb)
               for k, scen in enumerate(sset.scenarios)]
     probs = sset.probabilities()
-    cost = np.zeros(nf + S * nb)
-    if risk.kind == EXPECTATION:
-        for pi, block in zip(probs, blocks):
-            cost[block.columns] += pi * block.net_cost()
     program = lp.LinearProgram(
         "extensive",
         lambda: p.col_names[:nf] + [f"s{k}_{name}" for k in range(S)
@@ -98,30 +96,37 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
         lambda: [f"s{k}_{name}" for k in range(S) for name in p.row_names],
         lower=np.r_[p.lower[:nf], np.tile(p.lower[nf:], S)],
         upper=np.concatenate([p.upper[:nf]] + [b.upper[nf:] for b in blocks]),
-        cost=cost, indptr=np.r_[0, np.cumsum(np.tile(np.diff(p.indptr), S))],
+        cost=np.zeros(nf + S * nb),
+        indptr=np.r_[0, np.cumsum(np.tile(np.diff(p.indptr), S))],
         indices=np.concatenate([b.columns[p.indices] for b in blocks]),
         data=np.tile(p.data, S), sense=np.tile(p.sense, S),
         rhs=np.concatenate([b.rhs for b in blocks]))
+    add_risk_objective(program, risk, probs,
+                       [(block.columns, block.net_cost()) for block in blocks])
+    return ExtensiveForm(program, tpl.first_stage, blocks, risk, probs)
 
-    gamma_index = None
-    aux_indices = None
-    if risk.kind == CVAR:
-        gamma_index = program.add_variable(-math.inf, math.inf, "gamma")
-        aux_indices = []
-        scale = 1.0 / (1.0 - risk.alpha)
-        program.add_objective_term(gamma_index, 1.0)
-        for k, (pi, block) in enumerate(zip(probs, blocks)):
-            y = program.add_variable(0.0, math.inf, f"tail[{k}]")
-            aux_indices.append(y)
-            program.add_objective_term(y, pi * scale)
-            # y_k >= C_k - gamma
-            net = block.net_cost()
-            nz = np.flatnonzero(net)
-            terms = [(y, 1.0), (gamma_index, 1.0)]
-            terms += zip(block.columns[nz], -net[nz])
-            program.add_constraint(terms, lp.GE, 0.0, f"tail[{k}]")
-    return ExtensiveForm(program, tpl.first_stage, blocks, risk, probs,
-                         gamma_index, aux_indices)
+
+def add_risk_objective(program: lp.LinearProgram, risk: RiskMeasure,
+                       probs: np.ndarray, costs) -> None:
+    """Add to ``program`` the objective of the risk measure over the
+    scenario costs C_s = coefficients . x[columns], one
+    ``(columns, coefficients)`` pair per scenario in ``costs``; under the
+    CVaR with the columns ``gamma`` and ``tail[s]`` and the rows
+    ``tail[s]``."""
+    if risk.kind == EXPECTATION:
+        for pi, (columns, coef) in zip(probs, costs):
+            program.cost[columns] += pi * coef
+        return
+    gamma = program.add_variable(-math.inf, math.inf, "gamma")
+    program.add_objective_term(gamma, 1.0)
+    scale = 1.0 / (1.0 - risk.alpha)
+    for k, (pi, (columns, coef)) in enumerate(zip(probs, costs)):
+        y = program.add_variable(0.0, math.inf, f"tail[{k}]")
+        program.add_objective_term(y, pi * scale)
+        nz = np.flatnonzero(coef)
+        program.add_constraint([(y, 1.0), (gamma, 1.0)]
+                               + list(zip(columns[nz], -coef[nz])),
+                               lp.GE, 0.0, f"tail[{k}]")
 
 
 def _diagnose_infeasible(model: VppModel, sset: ScenarioSet) -> ModelInfeasible:
@@ -179,6 +184,7 @@ def cvar_of_samples(costs, probs, alpha: float) -> float:
 
 
 def risk_functional(costs, probs, risk: RiskMeasure) -> float:
+    """The risk measure of realized scenario costs."""
     if risk.kind == EXPECTATION:
         return float(np.asarray(probs) @ np.asarray(costs))
     return cvar_of_samples(costs, probs, risk.alpha)

@@ -58,16 +58,65 @@ def test_cut_intercept_reproduces_value_at_origin_point(desk, desk_scenarios):
 def test_master_cut_dedupe(desk, desk_scenarios):
     master = bd.MasterProblem(desk.model, len(desk_scenarios),
                               desk_scenarios.probabilities(), EXPECT)
-    rows_before = master.program.num_constraints
+    rows_before = master.form().matrix.shape[0]
     cut = bd.OptimalityCut(0, 5.0, np.ones(len(master.x_indices)))
     assert master.add_cuts([cut]) == 1
     assert master.add_cuts([bd.OptimalityCut(0, 5.0,
                                              np.ones(len(master.x_indices)))]) == 0
-    assert master.program.num_constraints == rows_before + 1
+    assert master.form().matrix.shape[0] == rows_before + 1
     assert master.add_cuts([]) == 0
     # same coefficients for another scenario are a different cut
     assert master.add_cuts([bd.OptimalityCut(1, 5.0,
                                              np.ones(len(master.x_indices)))]) == 1
+
+
+def _risk_layer(program, n, m, costs, probs, risk):
+    """The part of ``program`` that states the risk measure, given that its
+    first ``n`` columns and ``m`` rows come before it and that scenario s
+    costs C_s = costs[s][1] . x[costs[s][0]]: the objective on the first
+    columns must be sum_s pi_s C_s under expectation and nothing under the
+    CVaR, and each later row must hold -C_s; returned are the later
+    columns' costs and bounds and the later rows, with C_s taken out and
+    columns counted from ``n``."""
+    weighted = np.zeros(n)
+    if risk.kind == st.EXPECTATION:
+        for pi, (columns, coef) in zip(probs, costs):
+            weighted[columns] += pi * coef
+    assert np.array_equal(program.cost[:n], weighted)
+    A = program.matrix
+    rows = []
+    for s in range(program.num_constraints - m):
+        row = A[m + s]
+        assert {int(j): v for j, v in zip(row.indices, row.data) if j < n} \
+            == {int(j): -v for j, v in zip(*costs[s]) if v != 0.0}
+        rows.append({int(j) - n: v for j, v in zip(row.indices, row.data)
+                     if j >= n})
+    return (program.cost[n:].tolist(), program.lower[n:].tolist(),
+            program.upper[n:].tolist(), rows, program.sense[m:].tolist(),
+            program.rhs[m:].tolist())
+
+
+@pytest.mark.parametrize("risk", [EXPECT, CVAR9], ids=["neutral", "cvar"])
+def test_master_and_extensive_share_the_risk_rows(desk, desk_scenarios, risk):
+    # the master's head states over theta_s what the extensive form states
+    # over the scenario net costs C_s: the same objective and tail rows
+    probs = desk_scenarios.probabilities()
+    S = len(probs)
+    ef = st.build_extensive(desk.model, desk_scenarios, risk)
+    master = bd.MasterProblem(desk.model, S, probs, risk)
+    tpl = desk.model.template
+    first_stage = lp.LinearProgram()
+    desk.model.emit_first_stage(first_stage)
+    ext = _risk_layer(ef.program, tpl.n_first + S * tpl.n_block,
+                      S * tpl.program.num_constraints,
+                      [(b.columns, b.net_cost()) for b in ef.blocks], probs,
+                      risk)
+    head = _risk_layer(master.head, len(master.x_indices) + S,
+                       first_stage.num_constraints,
+                       [(master.theta[s:s + 1], np.ones(1)) for s in range(S)],
+                       probs, risk)
+    assert ext == head
+    assert len(ext[3]) == (0 if risk.kind == st.EXPECTATION else S)
 
 
 def test_cut_dedupe_matches_pairwise_scan(desk):
@@ -101,13 +150,15 @@ def test_cut_dedupe_matches_pairwise_scan(desk):
         if not any(cut.matches(old) for old in accepted):
             accepted.append(cut)
     assert 0 < len(accepted) < len(cuts)
-    rows = master.program.num_constraints
+    rows = master.form().matrix.shape[0]
     assert master.add_cuts(cuts) == len(accepted) == master.num_cuts
-    assert master.program.num_constraints == rows + len(accepted)
+    assert master.form().matrix.shape[0] == rows + len(accepted)
     for s in range(3):
         mine = [c for c in accepted if c.scenario == s]
-        assert np.array_equal(master.intercepts[s], [c.intercept for c in mine])
-        assert np.array_equal(master.gradients[s],
+        stored = master.scenarios == s
+        assert np.array_equal(master.intercepts[stored],
+                              [c.intercept for c in mine])
+        assert np.array_equal(master.gradients[stored],
                               np.array([c.gradient for c in mine]).reshape(-1, n))
 
 
@@ -163,7 +214,8 @@ def test_bound_sandwich_and_monotone_bounds(desk, desk_scenarios, desk_neutral,
                                             desk_benders):
     _, ext = desk_neutral
     res = desk_benders
-    lbs, ubs = res.report.lower_bounds, res.report.upper_bounds
+    lbs = [row.lower_bound for row in res.report.trace]
+    ubs = [row.upper_bound for row in res.report.trace]
     for i in range(1, len(lbs)):
         assert lbs[i] >= lbs[i - 1] - 1e-9
         assert ubs[i] <= ubs[i - 1] + 1e-9
@@ -177,7 +229,8 @@ def test_infinite_tolerance_returns_first_iterate(desk, desk_scenarios):
                      bd.BendersOptions(tolerance=math.inf))
     assert res.report.iterations == 1
     assert res.report.converged
-    assert res.report.lower_bounds[0] <= res.report.upper_bounds[0] + 1e-9
+    first = res.report.trace[0]
+    assert first.lower_bound <= first.upper_bound + 1e-9
 
 
 def test_iteration_limit_flags_failure(desk, desk_scenarios):

@@ -47,6 +47,13 @@ def test_scenarios_change_only_data(case, bids):
         assert not np.array_equal(a.cost, b.cost)
 
 
+def test_compiled_block_stores_no_vanishing_coefficients(case):
+    # the flow polygon's axis sides put no cos/sin rounding residue or
+    # explicit zero into the matrix
+    model, _ = case
+    assert np.all(np.abs(model.template.program.data) >= 1e-12)
+
+
 @pytest.mark.parametrize("risk", [EXPECT, CVAR9])
 def test_extensive_form_stacks_the_template(case, risk):
     model, sset = case
