@@ -8,7 +8,9 @@ and reports primal values, per-constraint dual multipliers, and bound
 multipliers. ``solve_warm`` does the same on scipy's bundled HiGHS binding
 directly, from an optional starting basis, and returns the final basis:
 a sequence of programs that differ only in data (the Benders subproblems,
-the master gaining cut rows) re-solves in a few simplex iterations.
+the master gaining cut rows, the tariff-sweep levels) re-solves in a few
+simplex iterations. It splits the bound multipliers by basis status only
+when they are first read. No other module touches the solver backend.
 
 A column upper bound, a right-hand side or a labelled cost may be left to
 data: ``Data`` names the series entry that supplies it, and the program
@@ -23,7 +25,8 @@ nonpositive, and duals of ``==`` rows are free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -110,10 +113,19 @@ class LpSolution:
     objective: float
     primal: np.ndarray
     duals: np.ndarray
-    lower_marginals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    upper_marginals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     #: simplex iterations the solve took
     iterations: int = 0
+    #: the bound multipliers (lower, upper), or a function computing them,
+    #: called on first read
+    bound_marginals: object = (np.zeros(0), np.zeros(0))
+
+    def _marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        if callable(self.bound_marginals):
+            self.bound_marginals = self.bound_marginals()
+        return self.bound_marginals
+
+    lower_marginals = property(lambda self: self._marginals()[0])
+    upper_marginals = property(lambda self: self._marginals()[1])
 
 
 #: the arrays of a program: columns, rows in CSR form, row sense and rhs
@@ -281,8 +293,8 @@ def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
     duals[eq_rows] = np.asarray(res.eqlin.marginals)
 
     return LpSolution(OPTIMAL, float(res.fun), np.asarray(res.x), duals,
-                      np.asarray(res.lower.marginals),
-                      np.asarray(res.upper.marginals), int(res.nit))
+                      int(res.nit), (np.asarray(res.lower.marginals),
+                                     np.asarray(res.upper.marginals)))
 
 
 class ColumnForm(NamedTuple):
@@ -363,14 +375,19 @@ def solve_warm(program: LinearProgram | ColumnForm, basis=None):
                           np.zeros(0), iterations=iterations), None
 
     sol, basis = highs.getSolution(), highs.getBasis()
-    # a column's dual is a lower or an upper bound multiplier by its status
-    col_status = np.fromiter(map(int, basis.col_status), np.int8, n)
-    col_dual = np.asarray(sol.col_dual)
-    lower_marginals = np.where(col_status == _AT_LOWER, col_dual, 0.0)
-    upper_marginals = np.where(col_status == _AT_UPPER, col_dual, 0.0)
     return LpSolution(OPTIMAL, float(highs.getInfo().objective_function_value),
                       np.asarray(sol.col_value), np.asarray(sol.row_dual),
-                      lower_marginals, upper_marginals, iterations), basis
+                      iterations, partial(_bound_marginals, sol, basis)), basis
+
+
+def _bound_marginals(sol, basis) -> tuple[np.ndarray, np.ndarray]:
+    """The bound multipliers of a warm solve: a column's dual is a lower or
+    an upper bound multiplier by its basis status. Only the column statuses
+    are read, which ``with_basic_rows`` leaves alone."""
+    col_dual = np.asarray(sol.col_dual)
+    col_status = np.fromiter(map(int, basis.col_status), np.int8, len(col_dual))
+    return (np.where(col_status == _AT_LOWER, col_dual, 0.0),
+            np.where(col_status == _AT_UPPER, col_dual, 0.0))
 
 
 def with_basic_rows(basis, count: int):

@@ -5,6 +5,10 @@ Everything written here is CSV plus a small JSON summary; schemas carry
 units in the column names. Reports are recomputable from the persisted
 primal series without re-solving, and every artifact embeds the config
 hash and the scenario-manifest hash it was produced from.
+
+The sweep's levels differ only in tariff costs. Under the extensive method
+they are solved in order, each from the optimal basis of the last level
+that solved; a one-shot extensive solve stays a cold solve.
 """
 
 from __future__ import annotations
@@ -79,21 +83,11 @@ def solve_with_method(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
                       max_variables: int | None = None,
                       lp_dump_path: str | None = None) -> SolveOutput:
     if method == "extensive":
-        if max_variables is not None:
-            tpl = model.template
-            size = tpl.n_first + len(sset) * tpl.n_block
-            if size > max_variables:
-                raise ReportError(
-                    f"extensive form would need {size} variables, above "
-                    f"the size guard of {max_variables}; use the benders method")
+        _check_extensive_size(model, sset, max_variables)
         ef = st.build_extensive(model, sset, risk)
         if lp_dump_path:
             lp.write_lp_file(ef.program, lp_dump_path)
-        sol = st.solve_extensive(model, ef, sset)
-        series = [extract_block_series(block, sol.solution.primal)
-                  for block in ef.blocks]
-        return SolveOutput(sol.objective, sol.first_stage, sol.breakdowns,
-                           series)
+        return _extensive_output(ef, st.solve_extensive(model, ef, sset))
     if method == "benders":
         if lp_dump_path:
             raise ReportError("LP export is only available for the extensive "
@@ -111,6 +105,25 @@ def solve_with_method(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
                            iterations=res.report.iterations,
                            trace=res.report.trace)
     raise ReportError(f"unknown solve method {method!r}")
+
+
+def _check_extensive_size(model: VppModel, sset: ScenarioSet,
+                          max_variables: int | None) -> None:
+    if max_variables is None:
+        return
+    tpl = model.template
+    size = tpl.n_first + len(sset) * tpl.n_block
+    if size > max_variables:
+        raise ReportError(
+            f"extensive form would need {size} variables, above "
+            f"the size guard of {max_variables}; use the benders method")
+
+
+def _extensive_output(ef: st.ExtensiveForm,
+                      sol: st.ExtensiveSolution) -> SolveOutput:
+    series = [extract_block_series(block, sol.solution.primal)
+              for block in ef.blocks]
+    return SolveOutput(sol.objective, sol.first_stage, sol.breakdowns, series)
 
 
 def write_solution(out_dir: str, model: VppModel, sset: ScenarioSet,
@@ -349,12 +362,41 @@ def _pct(value: float, base: float) -> float:
     return 100.0 * (value - base) / abs(base)
 
 
+def _level_solver(cfg: RunConfig, sset: ScenarioSet, risk: st.RiskMeasure):
+    """The solve of one sweep level, as a function of the level's model.
+
+    Under the extensive method the levels share one warm start: the first
+    level solves cold and each later one re-solves its extensive form from
+    the optimal basis of the last level that solved. Levels differ only in
+    tariff costs, so that basis stays primal feasible and a level takes a
+    few dozen simplex iterations."""
+    if cfg.sweep_method != "extensive":
+        return lambda model: solve_with_method(
+            model, sset, risk, cfg.sweep_method,
+            bd.BendersOptions(**cfg.benders_options),
+            cfg.extensive_max_variables)
+    basis = None
+
+    def solve(model: VppModel) -> SolveOutput:
+        nonlocal basis
+        _check_extensive_size(model, sset, cfg.extensive_max_variables)
+        ef = st.build_extensive(model, sset, risk)
+        sol, optimal = lp.solve_warm(ef.program, basis)
+        if optimal is not None:     # a failed level keeps the last basis
+            basis = optimal
+        return _extensive_output(ef, st.extensive_solution(model, ef, sset, sol))
+
+    return solve
+
+
 def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
                  levels: list[float] | None = None) -> tuple[list[SweepRow], dict]:
     """Scale the tariff down in the low window and up in the high window by
     the same fraction, re-solve the risk-neutral program per level on the
     same scenario set, and report changes against the unmodified baseline.
-    The tariff is data: every level shares the model's compiled block."""
+    The tariff is data: every level shares the model's compiled block, and
+    ``_level_solver`` solves the levels in order. Level order affects only
+    which optimal vertex a degenerate level returns."""
     levels = cfg.sweep_levels if levels is None else levels
     low_steps = cfg.window_steps(cfg.sweep_low_hours)
     high_steps = cfg.window_steps(cfg.sweep_high_hours)
@@ -362,6 +404,7 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     dt = model.horizon.step_hours
     risk = st.RiskMeasure(st.EXPECTATION)
     probs = sset.probabilities()
+    solve = _level_solver(cfg, sset, risk)
 
     rows: list[SweepRow] = []
     profiles: dict[float, np.ndarray] = {}
@@ -373,11 +416,8 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
         for t in high_steps:
             tariff[t] *= (1.0 + lvl)
         try:
-            out = solve_with_method(
-                model.with_tariff(tariff), sset, risk, cfg.sweep_method,
-                bd.BendersOptions(**cfg.benders_options),
-                cfg.extensive_max_variables)
-        except (st.StochasticError, bd.BendersError, ReportError) as exc:
+            out = solve(model.with_tariff(tariff))
+        except (st.StochasticError, bd.BendersError, ReportError):
             rows.append(SweepRow(lvl, math.nan, math.nan, math.nan, math.nan,
                                  math.nan, math.nan, failed=True))
             profiles[lvl] = np.full(model.horizon.step_count, math.nan)

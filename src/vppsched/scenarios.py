@@ -416,12 +416,27 @@ def load_scenario_set(path: str) -> tuple[ScenarioSet, dict]:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     steps_per_window = int(round(manifest["rcm_window_hours"] / manifest["step_hours"]))
-    scenarios = [
-        Scenario(**_read_table(os.path.join(path, f"scenario_{i:04d}.csv"),
-                               steps_per_window),
-                 probability=manifest["probabilities"][i])
-        for i in range(manifest["count"])]
+    scenarios = []
+    for i in range(manifest["count"]):
+        table = os.path.join(path, f"scenario_{i:04d}.csv")
+        fields = _read_table(table, steps_per_window)
+        _check_manifest(table, fields, manifest)
+        scenarios.append(Scenario(**fields,
+                                  probability=manifest["probabilities"][i]))
     return ScenarioSet(scenarios, manifest["seed"]), manifest
+
+
+def _check_manifest(table: str, fields: dict, manifest: dict) -> None:
+    """Raise unless a scenario table has the generators, load buses and
+    step count its manifest records."""
+    found = (("dg_names", sorted(fields["capacity_factor"])),
+             ("load_buses", sorted(fields["load_active"])),
+             ("load_buses", sorted(fields["load_reactive"])),
+             ("step_count", len(fields["day_ahead_price"])))
+    for key, value in found:
+        if value != manifest[key]:
+            raise ScenarioError(f"{table}: {key} {value} differs from the "
+                                f"manifest's {manifest[key]}")
 
 
 def zero_error_specs() -> dict[str, ErrorSpec]:

@@ -146,7 +146,14 @@ def _diagnose_infeasible(model: VppModel, sset: ScenarioSet) -> ModelInfeasible:
 
 def solve_extensive(model: VppModel, ef: ExtensiveForm,
                     sset: ScenarioSet) -> ExtensiveSolution:
-    sol = lp.solve(ef.program)
+    return extensive_solution(model, ef, sset, lp.solve(ef.program))
+
+
+def extensive_solution(model: VppModel, ef: ExtensiveForm, sset: ScenarioSet,
+                       sol: lp.LpSolution) -> ExtensiveSolution:
+    """The solution of the extensive form from the solver's report on its
+    program: raises ``ModelInfeasible`` (naming the block) or
+    ``StochasticError`` unless the report is optimal."""
     if sol.status == lp.INFEASIBLE:
         raise _diagnose_infeasible(model, sset)
     if sol.status != lp.OPTIMAL:

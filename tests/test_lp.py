@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import pickle
@@ -230,6 +231,50 @@ def test_warm_solve_after_appended_rows():
                                                    rel=1e-7)
         if slack >= 0:
             assert warm.iterations == 0
+
+
+def test_warm_bound_multipliers_do_not_depend_on_later_use_of_the_basis():
+    # the multipliers are split by basis status when first read; appending
+    # rows to the returned basis and re-solving from it must not move them
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        prog = random_feasible_bounded_lp(rng)
+        early, _ = lp.solve_warm(prog)
+        expected = (early.lower_marginals, early.upper_marginals)
+        late, basis = lp.solve_warm(prog)
+        prog.add_constraint([(0, 1.0)], lp.LE, 1e9)
+        lp.solve_warm(prog, lp.with_basic_rows(basis, 1))
+        assert np.array_equal(late.lower_marginals, expected[0])
+        assert np.array_equal(late.upper_marginals, expected[1])
+
+
+def test_only_lp_touches_the_solver_backend():
+    # one solver-backend seam: no other module imports scipy.optimize or
+    # names linprog or the private HiGHS binding
+    package = os.path.dirname(lp.__file__)
+    banned = {"linprog", "_highspy"}
+    offenders = []
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py") or fname == "lp.py":
+            continue
+        with open(os.path.join(package, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if any(n.startswith("scipy.optimize") or banned & set(n.split("."))
+                   for n in names):
+                offenders.append(f"{fname}:{node.lineno}")
+    assert offenders == []
 
 
 def test_import_names_a_missing_binding():

@@ -231,6 +231,34 @@ def test_save_twice_byte_identical(tmp_path):
         assert a == b
 
 
+def _rename_column(path, old, new):
+    header, rest = path.read_text().split("\n", 1)
+    assert old in header.split(",")
+    path.write_text(header.replace(old, new) + "\n" + rest)
+
+
+def _drop_last_row(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+@pytest.mark.parametrize("table,edit,field", [
+    ("scenario_0001.csv", lambda p: _rename_column(p, "cf_pv1", "cf_pv9"),
+     "dg_names"),
+    ("scenario_0001.csv", lambda p: _rename_column(p, "load_q_2", "load_q_7"),
+     "load_buses"),
+    ("scenario_0002.csv", _drop_last_row, "step_count"),
+])
+def test_tables_must_match_the_manifest(tmp_path, table, edit, field):
+    # the manifest records the generators, load buses and step count; a
+    # table that disagrees is refused by name
+    sset = sg.build_scenarios(make_base(), sg.DEFAULT_ERROR_SPECS, 3, seed=7)
+    sg.save_scenario_set(sset, str(tmp_path), 0.25, 1.0)
+    sg.load_scenario_set(str(tmp_path))
+    edit(tmp_path / table)
+    with pytest.raises(sg.ScenarioError, match=f"{table}: {field}"):
+        sg.load_scenario_set(str(tmp_path))
+
+
 def test_missing_manifest_is_explicit(tmp_path):
     with pytest.raises(sg.ScenarioError):
         sg.load_scenario_set(str(tmp_path / "nope"))

@@ -1,0 +1,129 @@
+"""The tariff sweep re-solves each level from the previous level's optimal
+basis: every level must still equal its own cold extensive solve, repeat
+bit for bit, survive a failed level, and stay on the warm seam."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from vppsched import instance as im
+from vppsched import lp
+from vppsched import reports as rp
+from vppsched import scenarios as sg
+from vppsched import stochastic as st
+from vppsched.config import load_config
+
+LEVELS = [round(0.1 * k, 1) for k in range(11)]
+NEUTRAL = st.RiskMeasure(st.EXPECTATION)
+REL = 1e-9
+
+#: tariff windows inside each preset's horizon (desk spans 08:00-10:00)
+WINDOWS = {"desk": ([8, 9], [9, 10]), "day": ([10, 14], [17, 21])}
+
+
+@pytest.fixture(scope="module", params=["desk", "day"])
+def case(request, tmp_path_factory):
+    name = request.param
+    path = im.write_instance(im.PRESETS[name](),
+                             str(tmp_path_factory.mktemp(name)),
+                             scenario_count=5, scenario_seed=42)
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["tariff_sweep"]["low_window_hours"], \
+        raw["tariff_sweep"]["high_window_hours"] = WINDOWS[name]
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    cfg = load_config(path)
+    sset = sg.build_scenarios(cfg.load_forecast(), cfg.error_specs(), 5, 42)
+    return cfg, cfg.build_model(), sset
+
+
+def cold_level(cfg, model, sset, level):
+    """Expected profit and low/high-window withdrawals of one level, from a
+    cold extensive solve of the model under that level's tariff."""
+    low = cfg.window_steps(cfg.sweep_low_hours)
+    high = cfg.window_steps(cfg.sweep_high_hours)
+    tariff = model.market.tariff_per_mwh.copy()
+    tariff[low] *= 1.0 - level
+    tariff[high] *= 1.0 + level
+    out = rp.solve_with_method(model.with_tariff(tariff), sset, NEUTRAL,
+                               "extensive")
+    probs = sset.probabilities()
+    profile = sum(pi * np.maximum(series["pcc_kw"], 0.0)
+                  for pi, series in zip(probs, out.series))
+    dt = model.horizon.step_hours
+    return (-float(probs @ np.array([b.total for b in out.breakdowns])),
+            float(np.sum(profile[low])) * dt, float(np.sum(profile[high])) * dt)
+
+
+def assert_matches_cold(row, cold):
+    for got, want in zip((row.expected_profit, row.low_withdrawal_kwh,
+                          row.high_withdrawal_kwh), cold):
+        assert got == pytest.approx(want, rel=REL, abs=REL)
+
+
+def test_every_level_matches_its_cold_solve(case):
+    cfg, model, sset = case
+    rows, _ = rp.tariff_sweep(cfg, model, sset, LEVELS)
+    assert [r.level for r in rows] == LEVELS and not any(r.failed for r in rows)
+    for row in rows:
+        assert_matches_cold(row, cold_level(cfg, model, sset, row.level))
+    if cfg.raw["preset"] == "day":
+        # day withdraws in both windows, so the tariff moves the optimum;
+        # desk only exports, and its levels change costs but not the optimum
+        assert rows[-1].expected_profit < rows[0].expected_profit
+
+
+def test_two_sweeps_are_bitwise_equal(case):
+    cfg, model, sset = case
+    rows_a, prof_a = rp.tariff_sweep(cfg, model, sset, LEVELS)
+    rows_b, prof_b = rp.tariff_sweep(cfg, model, sset, LEVELS)
+    assert rows_a == rows_b
+    assert list(prof_a) == list(prof_b)
+    for level in prof_a:
+        assert np.array_equal(prof_a[level], prof_b[level])
+
+
+def test_failed_level_keeps_the_last_optimal_basis(case, monkeypatch):
+    cfg, model, sset = case
+    warm = lp.solve_warm
+    calls = []
+
+    def failing_at_level_3(program, basis=None):
+        sol, out = warm(program, basis)
+        if len(calls) == 3:
+            sol, out = lp.LpSolution(lp.INFEASIBLE, math.nan, np.zeros(0),
+                                     np.zeros(0)), None
+        calls.append((basis, out))
+        return sol, out
+
+    monkeypatch.setattr(lp, "solve_warm", failing_at_level_3)
+    rows, profiles = rp.tariff_sweep(cfg, model, sset, LEVELS[:6])
+    assert [r.failed for r in rows] == [False, False, False, True, False,
+                                        False]
+    assert math.isnan(rows[3].expected_profit)
+    assert np.isnan(profiles[LEVELS[3]]).all()
+    # level 4 starts from level 2's basis, the last one that solved
+    assert calls[0][0] is None and calls[4][0] is calls[2][1]
+    for row in rows[4:]:
+        assert_matches_cold(row, cold_level(cfg, model, sset, row.level))
+
+
+def test_extensive_sweep_runs_on_the_warm_seam_only(case, monkeypatch):
+    cfg, model, sset = case
+    counts = {"linprog": 0, "solve_warm": 0}
+
+    def counted(name):
+        original = getattr(lp, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lp, name, wrapper)
+
+    counted("linprog")
+    counted("solve_warm")
+    rp.tariff_sweep(cfg, model, sset, LEVELS)
+    assert counts == {"linprog": 0, "solve_warm": len(LEVELS)}
