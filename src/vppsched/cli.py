@@ -23,6 +23,7 @@ from . import benders as bd
 from . import reports as rp
 from . import scenarios as sg
 from . import stochastic as st
+from . import tables
 from .config import ConfigError, load_config
 from .instance import PRESETS, write_instance
 
@@ -136,6 +137,10 @@ def cmd_tariff_sweep(args) -> int:
     model = cfg.build_model()
     sset = _load_scenarios(cfg)
     levels = _parse_levels(args.levels) if args.levels else None
+    for label, hours in (("low", cfg.sweep_low_hours), ("high", cfg.sweep_high_hours)):
+        if not cfg.window_steps(hours):
+            print(f"warning: {label} tariff window {list(hours)} h selects no step; "
+                  "window hours count from the horizon start", file=sys.stderr)
     rows, profiles = rp.tariff_sweep(cfg, model, sset, levels)
     out_dir = args.out or os.path.join(cfg.output_dir, "tariff_sweep")
     rp.write_sweep_report(rows, profiles, out_dir, cfg.config_hash)
@@ -199,7 +204,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ConfigError, sg.ScenarioError, rp.ReportError) as exc:
+    except (UsageError, ConfigError, sg.ScenarioError, rp.ReportError,
+            tables.TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (st.ModelInfeasible, bd.SubproblemInfeasible) as exc:

@@ -53,6 +53,8 @@ class RunConfig:
         for lvl in self.sweep_levels:
             if not (0.0 <= lvl <= 1.0):
                 raise ConfigError(f"sweep level {lvl} outside [0, 1]")
+        if self.raw.get("tariff_sweep", {}).get("method", "extensive") != "extensive":
+            raise ConfigError("tariff_sweep method: the sweep solves only 'extensive'")
 
     def resolve(self, rel: str) -> str:
         return rel if os.path.isabs(rel) else os.path.join(self.base_dir, rel)
@@ -120,10 +122,6 @@ class RunConfig:
         sw = self.raw.get("tariff_sweep", {})
         hi = sw.get("high_window_hours", [17, 21])
         return float(hi[0]), float(hi[1])
-
-    @property
-    def sweep_method(self) -> str:
-        return str(self.raw.get("tariff_sweep", {}).get("method", "extensive"))
 
     def error_specs(self) -> dict[str, ErrorSpec]:
         raw = self.raw.get("scenarios", {}).get("error_specs")

@@ -16,13 +16,12 @@ kWh compensation for vehicle owners.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lp
+from . import lp, tables
 from .market import MarketHorizon
 from .scenarios import Scenario
 
@@ -329,96 +328,35 @@ def infeasibility_suspects(park: DerPark, scenario: Scenario,
 
 # ----------------------------------------------------------------- file io
 
-def _read_rows(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+#: table columns of each device class, one per field in field order
+DG_COLUMNS = ("name", "node", "nominal_kw", "inverter_kva",
+              "marginal_cost_per_kwh")
+HP_COLUMNS = ("name", "node", "max_elec_kw", "cop",
+              "thermal_resistance_k_per_kw", "thermal_capacitance_kwh_per_k",
+              "comfort_min_c", "comfort_max_c", "initial_temp_c")
+EV_COLUMNS = ("name", "node", "arrival_step", "departure_step", "battery_kwh",
+              "arrival_soc_kwh", "max_charge_kw", "max_discharge_kw",
+              "charge_eff", "discharge_eff", "min_avg_charge_kw",
+              "discharge_compensation_per_kwh")
+BESS_COLUMNS = ("name", "node", "energy_kwh", "max_power_kw", "inverter_kva",
+                "charge_eff", "discharge_eff", "initial_soc_kwh",
+                "cycle_cost_per_kwh")
+
+#: the class and the columns of each ``DerPark`` list, in field order
+_SCHEMAS = ((DistributedGenerator, DG_COLUMNS), (HeatPump, HP_COLUMNS),
+            (EvChargingEvent, EV_COLUMNS), (Bess, BESS_COLUMNS))
 
 
 def load_der_park(dg_path=None, hp_path=None, ev_path=None,
                   bess_path=None) -> DerPark:
-    """Assemble a park from per-class CSV files (any subset may be absent).
-
-    Column schemas (units in the names):
-      dg:   name,node,nominal_kw,inverter_kva,marginal_cost_per_kwh
-      hp:   name,node,max_elec_kw,cop,thermal_resistance_k_per_kw,
-            thermal_capacitance_kwh_per_k,comfort_min_c,comfort_max_c,
-            initial_temp_c
-      ev:   name,node,arrival_step,departure_step,battery_kwh,
-            arrival_soc_kwh,max_charge_kw,max_discharge_kw,charge_eff,
-            discharge_eff,min_avg_charge_kw,discharge_compensation_per_kwh
-      bess: name,node,energy_kwh,max_power_kw,inverter_kva,charge_eff,
-            discharge_eff,initial_soc_kwh,cycle_cost_per_kwh
-    """
-    park = DerPark()
-    if dg_path:
-        for r in _read_rows(dg_path):
-            park.dgs.append(DistributedGenerator(
-                r["name"], int(r["node"]), float(r["nominal_kw"]),
-                float(r["inverter_kva"]), float(r["marginal_cost_per_kwh"])))
-    if hp_path:
-        for r in _read_rows(hp_path):
-            park.hps.append(HeatPump(
-                r["name"], int(r["node"]), float(r["max_elec_kw"]),
-                float(r["cop"]), float(r["thermal_resistance_k_per_kw"]),
-                float(r["thermal_capacitance_kwh_per_k"]),
-                float(r["comfort_min_c"]), float(r["comfort_max_c"]),
-                float(r["initial_temp_c"])))
-    if ev_path:
-        for r in _read_rows(ev_path):
-            park.evs.append(EvChargingEvent(
-                r["name"], int(r["node"]), int(r["arrival_step"]),
-                int(r["departure_step"]), float(r["battery_kwh"]),
-                float(r["arrival_soc_kwh"]), float(r["max_charge_kw"]),
-                float(r["max_discharge_kw"]), float(r["charge_eff"]),
-                float(r["discharge_eff"]), float(r["min_avg_charge_kw"]),
-                float(r.get("discharge_compensation_per_kwh", 0.0) or 0.0)))
-    if bess_path:
-        for r in _read_rows(bess_path):
-            park.bess.append(Bess(
-                r["name"], int(r["node"]), float(r["energy_kwh"]),
-                float(r["max_power_kw"]), float(r["inverter_kva"]),
-                float(r["charge_eff"]), float(r["discharge_eff"]),
-                float(r["initial_soc_kwh"]), float(r["cycle_cost_per_kwh"])))
-    return park
+    """Assemble a park from per-class tables (any subset may be absent)."""
+    paths = (dg_path, hp_path, ev_path, bess_path)
+    return DerPark(*(tables.read_records(path, cls, columns) if path else []
+                     for path, (cls, columns) in zip(paths, _SCHEMAS)))
 
 
 def save_der_park(park: DerPark, dg_path, hp_path, ev_path, bess_path) -> None:
-    with open(dg_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "node", "nominal_kw", "inverter_kva",
-                    "marginal_cost_per_kwh"])
-        for d in park.dgs:
-            w.writerow([d.name, d.node, repr(d.nominal_kw), repr(d.inverter_kva),
-                        repr(d.marginal_cost)])
-    with open(hp_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "node", "max_elec_kw", "cop",
-                    "thermal_resistance_k_per_kw", "thermal_capacitance_kwh_per_k",
-                    "comfort_min_c", "comfort_max_c", "initial_temp_c"])
-        for d in park.hps:
-            w.writerow([d.name, d.node, repr(d.max_elec_kw), repr(d.cop),
-                        repr(d.thermal_resistance), repr(d.thermal_capacitance),
-                        repr(d.comfort_min), repr(d.comfort_max),
-                        repr(d.initial_temp)])
-    with open(ev_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "node", "arrival_step", "departure_step",
-                    "battery_kwh", "arrival_soc_kwh", "max_charge_kw",
-                    "max_discharge_kw", "charge_eff", "discharge_eff",
-                    "min_avg_charge_kw", "discharge_compensation_per_kwh"])
-        for d in park.evs:
-            w.writerow([d.name, d.node, d.arrival, d.departure,
-                        repr(d.battery_kwh), repr(d.arrival_soc_kwh),
-                        repr(d.max_charge_kw), repr(d.max_discharge_kw),
-                        repr(d.charge_eff), repr(d.discharge_eff),
-                        repr(d.min_avg_charge_kw), repr(d.discharge_compensation)])
-    with open(bess_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "node", "energy_kwh", "max_power_kw", "inverter_kva",
-                    "charge_eff", "discharge_eff", "initial_soc_kwh",
-                    "cycle_cost_per_kwh"])
-        for d in park.bess:
-            w.writerow([d.name, d.node, repr(d.energy_kwh), repr(d.max_power_kw),
-                        repr(d.inverter_kva), repr(d.charge_eff),
-                        repr(d.discharge_eff), repr(d.initial_soc_kwh),
-                        repr(d.cycle_cost)])
+    for path, (_, columns), records in zip(
+            (dg_path, hp_path, ev_path, bess_path), _SCHEMAS,
+            (park.dgs, park.hps, park.evs, park.bess)):
+        tables.write_records(path, columns, records)

@@ -170,7 +170,6 @@ class VppModel:
     park: dv.DerPark
     market: mk.MarketConfig
     flow_segments: int = 8
-    dam_bid_cap_kw: float | None = None
     _topo: nw.Topology | None = field(default=None, repr=False)
     _template: BlockTemplate | None = field(default=None, init=False,
                                             repr=False, compare=False)
@@ -188,8 +187,6 @@ class VppModel:
     def dam_cap_kw(self) -> float:
         """Cap on day-ahead bid magnitude; bounds the first stage before any
         recourse information exists. Applied identically in every solve path."""
-        if self.dam_bid_cap_kw is not None:
-            return self.dam_bid_cap_kw
         return self.park.total_power_kw() + self.market.prequalified_power_kw
 
     def emit_first_stage(self, program: lp.LinearProgram) -> mk.FirstStageVars:

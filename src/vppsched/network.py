@@ -13,13 +13,12 @@ quantities stay in kW/kvar and are scaled at the nodal-balance boundary.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
+from . import lp, tables
 from .market import MarketHorizon
 
 
@@ -86,7 +85,6 @@ class Topology:
     child_branches: dict[int, list[int]]   # bus -> branch indices leaving it
     direction: dict[int, int]              # branch index -> +1 if stored
                                            # from->to points away from root
-    depth: dict[int, int] = field(default_factory=dict)
 
 
 def validate_radial(network: RadialNetwork) -> Topology:
@@ -111,7 +109,7 @@ def validate_radial(network: RadialNetwork) -> Topology:
         adjacency[br.from_bus].append((br.to_bus, k))
         adjacency[br.to_bus].append((br.from_bus, k))
 
-    topo = Topology([root], {}, {i: [] for i in ids}, {}, {root: 0})
+    topo = Topology([root], {}, {i: [] for i in ids}, {})
     seen = {root}
     frontier = [root]
     while frontier:
@@ -125,7 +123,6 @@ def validate_radial(network: RadialNetwork) -> Topology:
                 topo.parent_branch[other] = k
                 topo.child_branches[bus].append(k)
                 topo.direction[k] = 1 if network.branches[k].from_bus == bus else -1
-                topo.depth[other] = topo.depth[bus] + 1
                 nxt.append(other)
         frontier = nxt
     if len(seen) != len(ids):
@@ -272,37 +269,22 @@ def polygon_admits(p: float, q: float, s_max: float, segments: int) -> bool:
 
 # ----------------------------------------------------------------- file io
 
+#: table columns of ``Bus`` and ``Branch``, one per field in field order
+BUS_COLUMNS = ("bus", "v_min_pu2", "v_max_pu2", "is_root")
+BRANCH_COLUMNS = ("from_bus", "to_bus", "r_pu", "x_pu", "s_max_kva")
+
+
 def load_network(bus_path: str, branch_path: str, base_mva: float,
                  base_kv: float) -> RadialNetwork:
-    """Bus table columns: bus,v_min_pu2,v_max_pu2,is_root.
-    Branch table columns: from_bus,to_bus,r_pu,x_pu,s_max_kva."""
-    buses = []
-    with open(bus_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            buses.append(Bus(int(row["bus"]), float(row["v_min_pu2"]),
-                             float(row["v_max_pu2"]),
-                             row["is_root"].strip().lower() in ("1", "true")))
-    branches = []
-    with open(branch_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            branches.append(Branch(int(row["from_bus"]), int(row["to_bus"]),
-                                   float(row["r_pu"]), float(row["x_pu"]),
-                                   float(row["s_max_kva"])))
-    return RadialNetwork(buses, branches, base_mva, base_kv)
+    return RadialNetwork(tables.read_records(bus_path, Bus, BUS_COLUMNS),
+                         tables.read_records(branch_path, Branch,
+                                             BRANCH_COLUMNS),
+                         base_mva, base_kv)
 
 
 def save_network(network: RadialNetwork, bus_path: str, branch_path: str) -> None:
-    with open(bus_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bus", "v_min_pu2", "v_max_pu2", "is_root"])
-        for b in network.buses:
-            w.writerow([b.id, repr(b.v_min), repr(b.v_max), int(b.is_root)])
-    with open(branch_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["from_bus", "to_bus", "r_pu", "x_pu", "s_max_kva"])
-        for br in network.branches:
-            w.writerow([br.from_bus, br.to_bus, repr(br.r_pu), repr(br.x_pu),
-                        repr(br.s_max_kva)])
+    tables.write_records(bus_path, BUS_COLUMNS, network.buses)
+    tables.write_records(branch_path, BRANCH_COLUMNS, network.branches)
 
 
 def make_synthetic_feeder(bus_count: int, seed: int, base_mva: float = 0.4,

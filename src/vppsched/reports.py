@@ -6,9 +6,9 @@ units in the column names. Reports are recomputable from the persisted
 primal series without re-solving, and every artifact embeds the config
 hash and the scenario-manifest hash it was produced from.
 
-The sweep's levels differ only in tariff costs. Under the extensive method
-they are solved in order, each from the optimal basis of the last level
-that solved; a one-shot extensive solve stays a cold solve.
+The sweep's levels differ only in tariff costs. They are solved in order,
+each from the optimal basis of the last level that solved; a one-shot
+extensive solve stays a cold solve.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -25,6 +25,7 @@ from . import benders as bd
 from . import lp
 from . import market as mk
 from . import stochastic as st
+from . import tables
 from .config import RunConfig, file_sha256
 from .model import VppModel, extract_block_series
 from .scenarios import Scenario, ScenarioSet
@@ -32,21 +33,6 @@ from .scenarios import Scenario, ScenarioSet
 
 class ReportError(Exception):
     pass
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) if isinstance(x, (int, str)) else repr(float(x))
-                              for x in row) + "\n")
-
-
-def _read_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return header, rows
 
 
 def scenario_manifest_hash(scenario_dir: str) -> str:
@@ -153,48 +139,37 @@ def write_solution(out_dir: str, model: VppModel, sset: ScenarioSet,
         json.dump(summary, fh, indent=1, sort_keys=True)
 
     fsd = out.first_stage
-    _write_csv(os.path.join(out_dir, "first_stage.csv"),
-               ["t", "p_dam_kw", "window", "p_rcm_up_kw", "p_rcm_dn_kw"],
-               [(t, fsd.p_dam_kw[t], hz.window_of(t),
-                 fsd.p_rcm_up_kw[hz.window_of(t)],
-                 fsd.p_rcm_dn_kw[hz.window_of(t)])
-                for t in range(hz.step_count)])
+    window = [hz.window_of(t) for t in range(hz.step_count)]
+    tables.write_columns(os.path.join(out_dir, "first_stage.csv"), {
+        "t": range(hz.step_count), "p_dam_kw": fsd.p_dam_kw, "window": window,
+        "p_rcm_up_kw": fsd.p_rcm_up_kw[window],
+        "p_rcm_dn_kw": fsd.p_rcm_dn_kw[window]})
 
     probs = sset.probabilities()
-    _write_csv(os.path.join(out_dir, "breakdown.csv"),
-               ["scenario", "probability", "r_dam", "r_rcm", "r_ram",
-                "c_ops", "c_tariff", "c_imb", "total_cost", "profit"],
-               [(s, probs[s], b.r_dam, b.r_rcm, b.r_ram, b.c_ops, b.c_tariff,
-                 b.c_imb, b.total, -b.total)
-                for s, b in enumerate(out.breakdowns)])
+    tables.write(os.path.join(out_dir, "breakdown.csv"),
+                 ["scenario", "probability", "r_dam", "r_rcm", "r_ram",
+                  "c_ops", "c_tariff", "c_imb", "total_cost", "profit"],
+                 [(s, probs[s], b.r_dam, b.r_rcm, b.r_ram, b.c_ops, b.c_tariff,
+                   b.c_imb, b.total, -b.total)
+                  for s, b in enumerate(out.breakdowns)])
 
     for s, series in enumerate(out.series):
-        header = ["t", "ram_up_kw", "ram_dn_kw", "imb_short_kw", "imb_long_kw",
-                  "p_vpp_kw", "pcc_kw"]
-        cols = [np.arange(hz.step_count), series["ram_up_kw"],
-                series["ram_dn_kw"], series["imb_short_kw"],
-                series["imb_long_kw"], series["p_vpp_kw"], series["pcc_kw"]]
+        cols = {"t": range(hz.step_count)}
+        for name in ("ram_up_kw", "ram_dn_kw", "imb_short_kw", "imb_long_kw",
+                     "p_vpp_kw", "pcc_kw"):
+            cols[name] = series[name]
         for bus in sorted(series["wit_kw"]):
-            header.append(f"wit_{bus}_kw")
-            cols.append(series["wit_kw"][bus])
+            cols[f"wit_{bus}_kw"] = series["wit_kw"][bus]
         for name in sorted(series["devices"]):
             entry = series["devices"][name]
-            if "p_kw" in entry:
-                header.append(f"dev_{name}_p_kw")
-                cols.append(entry["p_kw"])
-            if "charge_kw" in entry:
-                header.append(f"dev_{name}_charge_kw")
-                cols.append(entry["charge_kw"])
-                header.append(f"dev_{name}_discharge_kw")
-                cols.append(entry["discharge_kw"])
-        rows = [tuple(int(col[t]) if k == 0 else col[t]
-                      for k, col in enumerate(cols))
-                for t in range(hz.step_count)]
-        _write_csv(os.path.join(out_dir, f"dispatch_{s:04d}.csv"), header, rows)
+            for key in ("p_kw", "charge_kw", "discharge_kw"):
+                if key in entry:
+                    cols[f"dev_{name}_{key}"] = entry[key]
+        tables.write_columns(os.path.join(out_dir, f"dispatch_{s:04d}.csv"), cols)
 
     if out.trace:
-        _write_csv(os.path.join(out_dir, "trace.csv"), bd.TraceRow._fields,
-                   out.trace)
+        tables.write(os.path.join(out_dir, "trace.csv"), bd.TraceRow._fields,
+                     out.trace)
 
 
 # --------------------------------------------------------------- evaluation
@@ -233,12 +208,10 @@ def evaluate_solution(cfg: RunConfig, solution_dir: str,
     hz = model.horizon
     dt = hz.step_hours
 
-    _, fs_rows = _read_csv(os.path.join(solution_dir, "first_stage.csv"))
-    p_dam = np.array([float(r[1]) for r in fs_rows])
-    rcm_up = np.array([float(fs_rows[w * hz.steps_per_window][3])
-                       for w in range(hz.window_count)])
-    rcm_dn = np.array([float(fs_rows[w * hz.steps_per_window][4])
-                       for w in range(hz.window_count)])
+    fs = tables.read_columns(os.path.join(solution_dir, "first_stage.csv"))
+    p_dam = fs["p_dam_kw"]
+    rcm_up = fs["p_rcm_up_kw"][::hz.steps_per_window]
+    rcm_dn = fs["p_rcm_dn_kw"][::hz.steps_per_window]
 
     dg_cost = {d.name: d.marginal_cost for d in model.park.dgs}
     ev_comp = {d.name: d.discharge_compensation for d in model.park.evs}
@@ -250,16 +223,14 @@ def evaluate_solution(cfg: RunConfig, solution_dir: str,
                                 "c_tariff", "c_imb")}
     withdrawn = 0.0
     for s, scen in enumerate(sset.scenarios):
-        header, rows = _read_csv(os.path.join(solution_dir,
-                                              f"dispatch_{s:04d}.csv"))
-        col = {name: np.array([float(r[k]) for r in rows])
-               for k, name in enumerate(header)}
+        col = tables.read_columns(os.path.join(solution_dir,
+                                               f"dispatch_{s:04d}.csv"))
         r_dam = mk.dam_revenue_value(scen.day_ahead_price, p_dam, dt)
         r_rcm = mk.rcm_revenue_value(scen.rcm_up_price, scen.rcm_dn_price,
                                      rcm_up, rcm_dn)
         r_ram = mk.ram_revenue_value(scen.ram_up_price, scen.ram_dn_price,
                                      col["ram_up_kw"], col["ram_dn_kw"], dt)
-        wit = {int(name[4:-3]): col[name] for name in header
+        wit = {int(name[4:-3]): col[name] for name in col
                if name.startswith("wit_")}
         c_tariff = mk.tariff_cost_value(model.market.tariff_per_mwh, wit, dt)
         c_imb = mk.imbalance_cost_value(scen.imbalance_short_price,
@@ -324,22 +295,21 @@ def write_profit_report(report: ProfitReport, out_dir: str) -> None:
     }
     with open(os.path.join(out_dir, "profit_report.json"), "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
-    _write_csv(os.path.join(out_dir, "streams.csv"),
-               ["stream", "expected_value"],
-               sorted(report.streams.items()))
-    _write_csv(os.path.join(out_dir, "profits.csv"),
-               ["scenario", "probability", "profit"],
-               [(s, report.probabilities[s], report.profits[s])
-                for s in range(len(report.profits))])
+    tables.write(os.path.join(out_dir, "streams.csv"),
+                 ["stream", "expected_value"],
+                 sorted(report.streams.items()))
+    tables.write_columns(os.path.join(out_dir, "profits.csv"), {
+        "scenario": range(len(report.profits)),
+        "probability": report.probabilities, "profit": report.profits})
     lo, hi = float(np.min(report.profits)), float(np.max(report.profits))
     if hi <= lo:
         hi = lo + 1.0
     bins = min(20, max(5, len(report.profits) // 2))
     counts, edges = np.histogram(report.profits, bins=bins, range=(lo, hi),
                                  weights=report.probabilities)
-    _write_csv(os.path.join(out_dir, "profit_histogram.csv"),
-               ["bin_left", "bin_right", "probability_mass"],
-               [(edges[i], edges[i + 1], counts[i]) for i in range(bins)])
+    tables.write(os.path.join(out_dir, "profit_histogram.csv"),
+                 ["bin_left", "bin_right", "probability_mass"],
+                 [(edges[i], edges[i + 1], counts[i]) for i in range(bins)])
 
 
 # -------------------------------------------------------------- tariff sweep
@@ -362,41 +332,28 @@ def _pct(value: float, base: float) -> float:
     return 100.0 * (value - base) / abs(base)
 
 
-def _level_solver(cfg: RunConfig, sset: ScenarioSet, risk: st.RiskMeasure):
-    """The solve of one sweep level, as a function of the level's model.
-
-    Under the extensive method the levels share one warm start: the first
-    level solves cold and each later one re-solves its extensive form from
-    the optimal basis of the last level that solved. Levels differ only in
-    tariff costs, so that basis stays primal feasible and a level takes a
-    few dozen simplex iterations."""
-    if cfg.sweep_method != "extensive":
-        return lambda model: solve_with_method(
-            model, sset, risk, cfg.sweep_method,
-            bd.BendersOptions(**cfg.benders_options),
-            cfg.extensive_max_variables)
-    basis = None
-
-    def solve(model: VppModel) -> SolveOutput:
-        nonlocal basis
-        _check_extensive_size(model, sset, cfg.extensive_max_variables)
-        ef = st.build_extensive(model, sset, risk)
-        sol, optimal = lp.solve_warm(ef.program, basis)
-        if optimal is not None:     # a failed level keeps the last basis
-            basis = optimal
-        return _extensive_output(ef, st.extensive_solution(model, ef, sset, sol))
-
-    return solve
+def _solve_level(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
+                 basis, max_variables: int) -> tuple[SolveOutput, object]:
+    """One sweep level's extensive solve from ``basis``, and the basis the
+    next level starts from: this level's optimal one, or ``basis`` again."""
+    _check_extensive_size(model, sset, max_variables)
+    ef = st.build_extensive(model, sset, risk)
+    sol, optimal = lp.solve_warm(ef.program, basis)
+    out = _extensive_output(ef, st.extensive_solution(model, ef, sset, sol))
+    return out, basis if optimal is None else optimal
 
 
 def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
                  levels: list[float] | None = None) -> tuple[list[SweepRow], dict]:
     """Scale the tariff down in the low window and up in the high window by
-    the same fraction, re-solve the risk-neutral program per level on the
-    same scenario set, and report changes against the unmodified baseline.
-    The tariff is data: every level shares the model's compiled block, and
-    ``_level_solver`` solves the levels in order. Level order affects only
-    which optimal vertex a degenerate level returns."""
+    the same fraction, re-solve the risk-neutral extensive form per level on
+    the same scenario set, and report changes against the unmodified
+    baseline. The tariff is data: every level shares the model's compiled
+    block. The first level solves cold and each later one re-solves from
+    the optimal basis of the last level that solved; levels differ only in
+    tariff costs, so that basis stays primal feasible and a level takes a
+    few dozen simplex iterations. Level order affects only which optimal
+    vertex a degenerate level returns."""
     levels = cfg.sweep_levels if levels is None else levels
     low_steps = cfg.window_steps(cfg.sweep_low_hours)
     high_steps = cfg.window_steps(cfg.sweep_high_hours)
@@ -404,7 +361,7 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     dt = model.horizon.step_hours
     risk = st.RiskMeasure(st.EXPECTATION)
     probs = sset.probabilities()
-    solve = _level_solver(cfg, sset, risk)
+    basis = None
 
     rows: list[SweepRow] = []
     profiles: dict[float, np.ndarray] = {}
@@ -416,8 +373,9 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
         for t in high_steps:
             tariff[t] *= (1.0 + lvl)
         try:
-            out = solve(model.with_tariff(tariff))
-        except (st.StochasticError, bd.BendersError, ReportError):
+            out, basis = _solve_level(model.with_tariff(tariff), sset, risk,
+                                      basis, cfg.extensive_max_variables)
+        except (st.StochasticError, ReportError):
             rows.append(SweepRow(lvl, math.nan, math.nan, math.nan, math.nan,
                                  math.nan, math.nan, failed=True))
             profiles[lvl] = np.full(model.horizon.step_count, math.nan)
@@ -425,8 +383,8 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
         profile = np.zeros(model.horizon.step_count)
         for pi, series in zip(probs, out.series):
             profile += pi * np.maximum(series["pcc_kw"], 0.0)
-        low_kwh = float(np.sum(profile[low_steps])) * dt if low_steps else 0.0
-        high_kwh = float(np.sum(profile[high_steps])) * dt if high_steps else 0.0
+        low_kwh = float(np.sum(profile[low_steps])) * dt
+        high_kwh = float(np.sum(profile[high_steps])) * dt
         profit = -float(probs @ np.array([b.total for b in out.breakdowns]))
         if base_profit is None:
             base_profit, base_low, base_high = profit, low_kwh, high_kwh
@@ -440,20 +398,12 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
 def write_sweep_report(rows: list[SweepRow], profiles: dict,
                        out_dir: str, config_hash: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "sweep.csv"),
-               ["level", "expected_profit", "profit_change_pct",
-                "low_withdrawal_kwh", "high_withdrawal_kwh",
-                "low_change_pct", "high_change_pct", "failed"],
-               [(r.level, r.expected_profit, r.profit_change_pct,
-                 r.low_withdrawal_kwh, r.high_withdrawal_kwh,
-                 r.low_change_pct, r.high_change_pct, int(r.failed))
-                for r in rows])
-    prof_rows = []
-    for lvl in sorted(profiles):
-        for t, val in enumerate(profiles[lvl]):
-            prof_rows.append((lvl, t, val))
-    _write_csv(os.path.join(out_dir, "withdrawal_profiles.csv"),
-               ["level", "t", "expected_pcc_import_kw"], prof_rows)
+    tables.write_records(os.path.join(out_dir, "sweep.csv"),
+                         [f.name for f in fields(SweepRow)], rows)
+    tables.write(os.path.join(out_dir, "withdrawal_profiles.csv"),
+                 ["level", "t", "expected_pcc_import_kw"],
+                 [(lvl, t, val) for lvl in sorted(profiles)
+                  for t, val in enumerate(profiles[lvl])])
     with open(os.path.join(out_dir, "sweep_summary.json"), "w") as fh:
         json.dump({"config_hash": config_hash,
                    "levels": [r.level for r in rows],

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tables
+
 #: canonical error-type ordering; Latin hypercube columns follow this order
 ERROR_NAMES = (
     "load",
@@ -317,8 +319,7 @@ def build_scenarios(base: BaseForecast, specs: dict[str, ErrorSpec],
 # ---------------------------------------------------------------------------
 # persistence: the forecast and every scenario are tables of one layout, one
 # row per step (t, the reserve capacity prices of its window, then the
-# per-step series), plus a manifest for a scenario set; floats are written
-# with repr(), which round-trips doubles exactly
+# per-step series), plus a manifest for a scenario set
 # ---------------------------------------------------------------------------
 
 #: per-step columns and the fields they hold, in file order; the forecast
@@ -338,34 +339,25 @@ _COLUMNS = (
 
 def _write_table(path: str, series, steps_per_window: int) -> None:
     """Write a ``BaseForecast`` or a ``Scenario`` as one table."""
-    cols = [(name, getattr(series, attr)) for name, attr in _COLUMNS
-            if hasattr(series, attr)]
+    cols = {"t": range(series.step_count)}
+    for name in ("rcm_up_price", "rcm_dn_price"):
+        cols[name] = np.repeat(getattr(series, name), steps_per_window)
+    cols.update((name, getattr(series, attr)) for name, attr in _COLUMNS
+                if hasattr(series, attr))
     for name in sorted(series.capacity_factor):
-        cols.append((f"cf_{name}", series.capacity_factor[name]))
+        cols[f"cf_{name}"] = series.capacity_factor[name]
     for bus in sorted(series.load_active):
-        cols.append((f"load_p_{bus}", series.load_active[bus]))
-        cols.append((f"load_q_{bus}", series.load_reactive[bus]))
-    header = ["t", "rcm_up_price", "rcm_dn_price"] + [name for name, _ in cols]
-    lines = [",".join(header)]
-    for t in range(series.step_count):
-        w = t // steps_per_window
-        row = [str(t), repr(float(series.rcm_up_price[w])),
-               repr(float(series.rcm_dn_price[w]))]
-        row += [repr(float(values[t])) for _, values in cols]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        cols[f"load_p_{bus}"] = series.load_active[bus]
+        cols[f"load_q_{bus}"] = series.load_reactive[bus]
+    tables.write_columns(path, cols)
 
 
-def _read_table(path: str, steps_per_window: int) -> dict:
-    """The fields a table holds, as keywords of ``BaseForecast`` (or of
-    ``Scenario``, less its probability)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = {name: np.array([float(r[k]) for r in rows])
-            for k, name in enumerate(header) if name != "t"}
-    fields = {attr: data[name] for name, attr in _COLUMNS if name in data}
+def _read_table(path: str, steps_per_window: int, cls) -> dict:
+    """The fields of ``cls`` (``BaseForecast``, or ``Scenario`` less its
+    probability) that a table holds, as keywords."""
+    data = tables.read_columns(path)
+    fields = {attr: data[name] for name, attr in _COLUMNS
+              if attr in cls.__dataclass_fields__}
     for name in ("rcm_up_price", "rcm_dn_price"):
         fields[name] = data[name][::steps_per_window].copy()
     fields["capacity_factor"] = {name[3:]: data[name] for name in data
@@ -419,7 +411,7 @@ def load_scenario_set(path: str) -> tuple[ScenarioSet, dict]:
     scenarios = []
     for i in range(manifest["count"]):
         table = os.path.join(path, f"scenario_{i:04d}.csv")
-        fields = _read_table(table, steps_per_window)
+        fields = _read_table(table, steps_per_window, Scenario)
         _check_manifest(table, fields, manifest)
         scenarios.append(Scenario(**fields,
                                   probability=manifest["probabilities"][i]))
@@ -468,6 +460,6 @@ def save_base_forecast(base: BaseForecast, path: str, step_hours: float,
 def load_base_forecast(path: str, step_hours: float,
                        rcm_window_hours: float) -> BaseForecast:
     base = BaseForecast(**_read_table(
-        path, int(round(rcm_window_hours / step_hours))))
+        path, int(round(rcm_window_hours / step_hours)), BaseForecast))
     base.validate()
     return base

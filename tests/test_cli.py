@@ -156,11 +156,56 @@ def test_convergence_failure_exit_code(desk_dir):
     assert summary["converged"] is False
 
 
-def test_tariff_sweep_level_parsing_and_output(desk_dir):
+def malformed_solve(tmp_path, capsys, table, edit):
+    """Exit code and stderr of a desk solve after ``edit`` rewrote the lines
+    of one of its tables."""
+    cfg = write_instance(desk_instance(), str(tmp_path), scenario_count=2)
+    assert cli.main(["generate-scenarios", "--config", cfg]) == 0
+    path = tmp_path / table
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["solve", "--config", cfg, "--method", "extensive"])
+    return rc, capsys.readouterr().err, str(path)
+
+
+def test_table_without_a_column_is_usage_error(tmp_path, capsys):
+    def drop_nominal_kw(lines):
+        k = lines[0].split(",").index("nominal_kw")
+        return [",".join(c for j, c in enumerate(line.split(",")) if j != k)
+                for line in lines]
+    rc, err, path = malformed_solve(tmp_path, capsys, "dg.csv", drop_nominal_kw)
+    assert rc == 2
+    assert f"{path}, line 1, column nominal_kw" in err
+
+
+def test_cut_off_scenario_row_is_usage_error(tmp_path, capsys):
+    def cut_row_3(lines):
+        lines[3] = ",".join(lines[3].split(",")[:-2])
+        return lines
+    rc, err, path = malformed_solve(tmp_path, capsys,
+                                    "scenarios/scenario_0001.csv", cut_row_3)
+    assert rc == 2
+    assert f"{path}, line 4, column load_p_" in err
+
+
+def test_sweep_method_other_than_extensive_is_refused(desk_dir):
+    root, cfg = desk_dir
+    raw = read_json(cfg)
+    raw["tariff_sweep"]["method"] = "benders"
+    other = root / "benders_sweep.json"
+    other.write_text(json.dumps(raw))
+    assert cli.main(["tariff-sweep", "--config", str(other)]) == 2
+
+
+def test_tariff_sweep_level_parsing_and_output(desk_dir, capsys):
     root, cfg = desk_dir
     rc = cli.main(["tariff-sweep", "--config", cfg, "--levels", "0:0.2:0.1",
                    "--out", str(root / "sweep")])
     assert rc == 0
+    # the preset windows (10-14 h, 17-21 h) miss the two-hour desk horizon
+    err = capsys.readouterr().err
+    assert "low tariff window [10.0, 14.0] h selects no step" in err
+    assert "high tariff window [17.0, 21.0] h selects no step" in err
     with open(root / "sweep" / "sweep.csv") as fh:
         lines = fh.read().strip().splitlines()
     assert len(lines) == 4      # header + 3 levels

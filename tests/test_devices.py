@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -315,12 +316,35 @@ def test_park_totals_match_portfolio_scale():
 
 
 def test_der_park_csv_roundtrip(tmp_path):
-    from vppsched.instance import desk_instance
-    park = desk_instance().model.park
+    from vppsched.instance import desk_instance, full_instance
     paths = [tmp_path / n for n in ("dg.csv", "hp.csv", "ev.csv", "bess.csv")]
-    dv.save_der_park(park, *paths)
-    back = dv.load_der_park(*paths)
-    assert back.dgs == park.dgs
-    assert back.hps == park.hps
-    assert back.evs == park.evs
-    assert back.bess == park.bess
+    for park in (desk_instance().model.park, full_instance().model.park):
+        dv.save_der_park(park, *paths)
+        assert dv.load_der_park(*paths) == park
+        # CRLF tables, as shipped before, read to the same park
+        for path in paths:
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert dv.load_der_park(*paths) == park
+        # the vehicle owners' compensation column is optional
+        lines = paths[2].read_text().splitlines()
+        assert lines[0].endswith(",discharge_compensation_per_kwh")
+        paths[2].write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                    for line in lines))
+        assert dv.load_der_park(ev_path=paths[2]).evs == [
+            dataclasses.replace(ev, discharge_compensation=0.0)
+            for ev in park.evs]
+
+
+def test_der_park_table_without_a_column_is_refused(tmp_path):
+    from vppsched.instance import desk_instance
+    from vppsched.tables import TableError
+    paths = [tmp_path / n for n in ("dg.csv", "hp.csv", "ev.csv", "bess.csv")]
+    dv.save_der_park(desk_instance().model.park, *paths)
+    paths[0].write_text("name,node,inverter_kva,marginal_cost_per_kwh\n"
+                        "pv1,2,12.0,0.02\n")
+    with pytest.raises(TableError, match="dg.csv, line 1, column nominal_kw"):
+        dv.load_der_park(*paths)
+    paths[0].write_text("name,node,nominal_kw,inverter_kva,marginal_cost_per_kwh\n"
+                        "pv1,2.5,10.0,12.0,0.02\n")
+    with pytest.raises(TableError, match="dg.csv, line 2, column node"):
+        dv.load_der_park(*paths)

@@ -212,9 +212,13 @@ def test_flow_limits_reject_small_k():
 
 def test_network_csv_roundtrip(tmp_path):
     net = nw.make_synthetic_feeder(12, seed=9)
-    nw.save_network(net, tmp_path / "buses.csv", tmp_path / "branches.csv")
-    back = nw.load_network(tmp_path / "buses.csv", tmp_path / "branches.csv",
-                           net.base_mva, net.base_kv)
-    assert [b.id for b in back.buses] == [b.id for b in net.buses]
-    assert all(a == b for a, b in zip(back.branches, net.branches))
+    paths = (tmp_path / "buses.csv", tmp_path / "branches.csv")
+    nw.save_network(net, *paths)
+    back = nw.load_network(*paths, net.base_mva, net.base_kv)
+    assert back == net
+    assert [b.is_root for b in back.buses] == [True] + [False] * 11
     nw.validate_radial(back)
+    # CRLF tables, as shipped before, read to the same network
+    for path in paths:
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert nw.load_network(*paths, net.base_mva, net.base_kv) == net

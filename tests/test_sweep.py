@@ -19,8 +19,9 @@ LEVELS = [round(0.1 * k, 1) for k in range(11)]
 NEUTRAL = st.RiskMeasure(st.EXPECTATION)
 REL = 1e-9
 
-#: tariff windows inside each preset's horizon (desk spans 08:00-10:00)
-WINDOWS = {"desk": ([8, 9], [9, 10]), "day": ([10, 14], [17, 21])}
+#: tariff windows inside each preset's horizon; window hours count from the
+#: horizon start, so the two desk hours are 0-2
+WINDOWS = {"desk": ([0, 1], [1, 2]), "day": ([10, 14], [17, 21])}
 
 
 @pytest.fixture(scope="module", params=["desk", "day"])
@@ -36,6 +37,8 @@ def case(request, tmp_path_factory):
     with open(path, "w") as fh:
         json.dump(raw, fh)
     cfg = load_config(path)
+    assert cfg.window_steps(cfg.sweep_low_hours)
+    assert cfg.window_steps(cfg.sweep_high_hours)
     sset = sg.build_scenarios(cfg.load_forecast(), cfg.error_specs(), 5, 42)
     return cfg, cfg.build_model(), sset
 
@@ -70,9 +73,11 @@ def test_every_level_matches_its_cold_solve(case):
     assert [r.level for r in rows] == LEVELS and not any(r.failed for r in rows)
     for row in rows:
         assert_matches_cold(row, cold_level(cfg, model, sset, row.level))
+    # both presets withdraw in both windows, so the tariff moves the optimum
+    assert rows[-1].low_withdrawal_kwh > rows[0].low_withdrawal_kwh
+    assert rows[-1].high_withdrawal_kwh < rows[0].high_withdrawal_kwh
     if cfg.raw["preset"] == "day":
-        # day withdraws in both windows, so the tariff moves the optimum;
-        # desk only exports, and its levels change costs but not the optimum
+        # day withdraws most in the high window, so its profit falls
         assert rows[-1].expected_profit < rows[0].expected_profit
 
 
