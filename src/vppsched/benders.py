@@ -10,7 +10,7 @@ trace, one row per iteration as ``trace.csv`` records it. Imbalance
 volumes are unbounded, so every bid vector admits a feasible second stage
 (complete recourse) and no feasibility cuts are needed; a subproblem that
 still reports infeasibility indicates a physically inconsistent model and
-aborts with diagnostics.
+aborts with ``stochastic.ModelInfeasible``.
 
 The recourse is fixed, so every subproblem is the same matrix with its own
 costs, bounds and right-hand sides: the run builds that matrix once, keeps
@@ -41,7 +41,8 @@ from . import market as mk
 from .devices import infeasibility_suspects
 from .model import ScenarioBlock, VppModel
 from .scenarios import Scenario, ScenarioSet
-from .stochastic import RiskMeasure, add_risk_objective, risk_functional
+from .stochastic import ModelInfeasible, RiskMeasure, add_risk_objective, \
+    risk_functional
 
 #: initial lower bound on each recourse approximation (currency units)
 THETA_FLOOR = -1e7
@@ -54,38 +55,11 @@ class BendersError(Exception):
     pass
 
 
-class SubproblemInfeasible(BendersError):
-    def __init__(self, scenario_index: int, suspects=()):
-        msg = f"scenario subproblem {scenario_index} infeasible"
-        if suspects:
-            msg += f" (device suspects: {', '.join(suspects)})"
-        super().__init__(msg)
-        self.scenario_index = scenario_index
-        self.suspects = list(suspects)
-
-
 @dataclass
 class BendersOptions:
     tolerance: float = 1e-6
     max_iterations: int = 200
     workers: int = 1
-
-
-@dataclass
-class OptimalityCut:
-    scenario: int
-    intercept: float
-    gradient: np.ndarray          # over the flat first-stage ordering
-
-    def matches(self, other: "OptimalityCut") -> bool:
-        if self.scenario != other.scenario:
-            return False
-        if abs(self.intercept - other.intercept) > _CUT_DEDUPE_TOL * (
-                1.0 + abs(self.intercept)):
-            return False
-        scale = 1.0 + float(np.max(np.abs(self.gradient), initial=0.0))
-        return bool(np.all(np.abs(self.gradient - other.gradient)
-                           <= _CUT_DEDUPE_TOL * scale))
 
 
 class TraceRow(NamedTuple):
@@ -146,13 +120,14 @@ class MasterProblem:
     def num_cuts(self) -> int:
         return len(self.intercepts)
 
-    def add_cuts(self, cuts: list[OptimalityCut]) -> int:
-        """Append the cuts, dropping those that match
-        (``OptimalityCut.matches``) one already present for their
-        scenario. Returns the number added."""
+    def add_cuts(self, scenarios, intercepts, gradients) -> int:
+        """Append cut k, theta_s >= intercepts[k] + gradients[k] . x for
+        s = scenarios[k], unless a cut already present for s matches it:
+        intercepts within _CUT_DEDUPE_TOL * (1 + |intercept|) and every
+        gradient entry within _CUT_DEDUPE_TOL * (1 + max |gradient|).
+        Returns the number added."""
         added = 0
-        for cut in cuts:
-            s, g, b = cut.scenario, cut.gradient, cut.intercept
+        for s, b, g in zip(scenarios, intercepts, gradients):
             mine = self.scenarios == s
             scale = 1.0 + float(np.max(np.abs(g), initial=0.0))
             if np.any((np.abs(self.intercepts[mine] - b)
@@ -200,7 +175,7 @@ class MasterProblem:
 def _checked(sol: lp.LpSolution, model: VppModel, scenario: Scenario,
              scenario_index: int) -> lp.LpSolution:
     if sol.status == lp.INFEASIBLE:
-        raise SubproblemInfeasible(
+        raise ModelInfeasible(
             scenario_index,
             infeasibility_suspects(model.park, scenario, model.horizon))
     if sol.status != lp.OPTIMAL:
@@ -308,11 +283,21 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
                 raise BendersError(f"lower bound {lower!r} exceeds upper bound "
                                    f"{best_obj!r} at iteration {it}: a cut is "
                                    f"invalid")
-            gap = max(best_obj - lower, 0.0) / max(1.0, abs(best_obj))
+            gap = (best_obj - lower) / max(1.0, abs(best_obj))
             report.converged = gap <= options.tolerance
-            added = 0 if report.converged else master.add_cuts(
-                [_cut(s, cost, grad, x_hat)
-                 for s, (cost, grad) in enumerate(values)])
+            added = 0
+            if not report.converged:
+                intercepts = []
+                for s, (cost, grad) in enumerate(values):
+                    slope = float(grad @ x_hat)
+                    intercepts.append(cost - slope)
+                    # audit: the cut must reproduce the subproblem value at x_hat
+                    resid = abs(intercepts[-1] + slope - cost)
+                    if resid > 1e-6 * (1.0 + abs(cost)):
+                        raise BendersError(f"invalid cut for scenario {s}: "
+                                           f"residual {resid:.3e}")
+                added = master.add_cuts(range(len(subs)), intercepts,
+                                        [grad for _, grad in values])
             report.trace.append(TraceRow(
                 it, lower, best_obj, gap, time.perf_counter() - start,
                 master.iterations + sum(sub.iterations for sub in subs), added))
@@ -322,11 +307,3 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
     return BendersResult(model.first_stage_decision(best_x), best_x, best_obj,
                          report)
 
-
-def _cut(s: int, cost: float, grad: np.ndarray, x_hat: np.ndarray) -> OptimalityCut:
-    intercept = float(cost - grad @ x_hat)
-    # audit: the cut must reproduce the subproblem value at x_hat
-    resid = abs(intercept + float(grad @ x_hat) - cost)
-    if resid > 1e-6 * (1.0 + abs(cost)):
-        raise BendersError(f"invalid cut for scenario {s}: residual {resid:.3e}")
-    return OptimalityCut(s, intercept, grad)

@@ -8,8 +8,9 @@
     vpp-sched evaluate            --config FILE --solution DIR [--out DIR]
     vpp-sched tariff-sweep        --config FILE [--levels 0:1:0.1] [--out DIR]
 
-Exit codes: 0 success, 2 usage or configuration error, 3 infeasible model,
-4 convergence failure.
+Exit codes: 0 success; 2 usage error or a bad value in the configuration,
+an instance table or a scenario table; 3 infeasible model
+(``stochastic.ModelInfeasible``); 4 solver or convergence failure.
 """
 
 from __future__ import annotations
@@ -20,12 +21,16 @@ import sys
 import time
 
 from . import benders as bd
+from . import devices as dv
+from . import market as mk
+from . import network as nw
 from . import reports as rp
 from . import scenarios as sg
 from . import stochastic as st
 from . import tables
 from .config import ConfigError, load_config
 from .instance import PRESETS, write_instance
+from .model import ModelError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -205,10 +210,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, ConfigError, sg.ScenarioError, rp.ReportError,
-            tables.TableError) as exc:
+            tables.TableError, dv.DeviceError, nw.NetworkError,
+            ModelError, mk.MarketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (st.ModelInfeasible, bd.SubproblemInfeasible) as exc:
+    except st.ModelInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (st.StochasticError, bd.BendersError) as exc:

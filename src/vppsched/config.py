@@ -133,8 +133,7 @@ class RunConfig:
         net_cfg = self.raw["network"]
         network = load_network(self._file(net_cfg["buses"], "bus table"),
                                self._file(net_cfg["branches"], "branch table"),
-                               float(net_cfg.get("base_mva", 0.4)),
-                               float(net_cfg.get("base_kv", 0.4)))
+                               float(net_cfg.get("base_mva", 0.4)))
         dev = self.raw.get("devices", {})
         opt = lambda key: self._file(dev[key], key) if key in dev else None
         park = load_der_park(opt("dg"), opt("hp"), opt("ev"), opt("bess"))

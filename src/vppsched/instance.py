@@ -196,8 +196,7 @@ def write_instance(inst: Instance, out_dir: str,
     config = {
         "preset": inst.preset,
         "network": {"buses": "buses.csv", "branches": "branches.csv",
-                    "base_mva": inst.model.network.base_mva,
-                    "base_kv": inst.model.network.base_kv},
+                    "base_mva": inst.model.network.base_mva},
         "devices": {"dg": "dg.csv", "hp": "hp.csv", "ev": "ev.csv",
                     "bess": "bess.csv"},
         "forecast": "forecast.csv",

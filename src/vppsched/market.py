@@ -98,18 +98,11 @@ class CostBreakdown:
     c_ops: float
     c_tariff: float
     c_imb: float
-    total: float
 
-    @classmethod
-    def from_components(cls, r_dam, r_rcm, r_ram, c_ops, c_tariff, c_imb):
-        total = -(r_dam + r_rcm + r_ram) + c_ops + c_tariff + c_imb
-        return cls(r_dam, r_rcm, r_ram, c_ops, c_tariff, c_imb, total)
-
-    def __post_init__(self):
-        expected = -(self.r_dam + self.r_rcm + self.r_ram) \
+    @property
+    def total(self) -> float:
+        return -(self.r_dam + self.r_rcm + self.r_ram) \
             + self.c_ops + self.c_tariff + self.c_imb
-        if abs(self.total - expected) > 1e-9 * (1.0 + abs(expected)):
-            raise MarketError("cost breakdown does not reconcile")
 
 
 # ------------------------------------------------------------------ handles

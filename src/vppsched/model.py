@@ -13,7 +13,7 @@ stacks or instantiates that one template; the tariff is data too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import network as nw
 from .scenarios import Scenario
 
 #: cost streams in CostBreakdown order; the first three are revenues
-STREAMS = ("r_dam", "r_rcm", "r_ram", "c_ops", "c_tariff", "c_imb")
+STREAMS = tuple(f.name for f in fields(mk.CostBreakdown))
 
 
 class ModelError(Exception):
@@ -146,14 +146,13 @@ class ScenarioBlock:
     columns: np.ndarray
 
     def net_cost(self) -> np.ndarray:
-        s = self.streams
-        return -s["r_dam"] - s["r_rcm"] - s["r_ram"] \
-            + s["c_ops"] + s["c_tariff"] + s["c_imb"]
+        """Each column's cost: the breakdown total of its stream costs."""
+        return mk.CostBreakdown(**self.streams).total
 
     def breakdown(self, primal: np.ndarray) -> mk.CostBreakdown:
         x = primal[self.columns]
-        return mk.CostBreakdown.from_components(
-            *(float(self.streams[name] @ x) for name in STREAMS))
+        return mk.CostBreakdown(*(float(self.streams[name] @ x)
+                                  for name in STREAMS))
 
     @property
     def second_stage(self) -> mk.SecondStageVars:

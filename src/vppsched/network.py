@@ -60,7 +60,6 @@ class RadialNetwork:
     buses: list[Bus]
     branches: list[Branch]
     base_mva: float = 0.4
-    base_kv: float = 0.4
 
     @property
     def s_base_kw(self) -> float:
@@ -274,12 +273,12 @@ BUS_COLUMNS = ("bus", "v_min_pu2", "v_max_pu2", "is_root")
 BRANCH_COLUMNS = ("from_bus", "to_bus", "r_pu", "x_pu", "s_max_kva")
 
 
-def load_network(bus_path: str, branch_path: str, base_mva: float,
-                 base_kv: float) -> RadialNetwork:
+def load_network(bus_path: str, branch_path: str,
+                 base_mva: float) -> RadialNetwork:
     return RadialNetwork(tables.read_records(bus_path, Bus, BUS_COLUMNS),
                          tables.read_records(branch_path, Branch,
                                              BRANCH_COLUMNS),
-                         base_mva, base_kv)
+                         base_mva)
 
 
 def save_network(network: RadialNetwork, bus_path: str, branch_path: str) -> None:
@@ -288,7 +287,7 @@ def save_network(network: RadialNetwork, bus_path: str, branch_path: str) -> Non
 
 
 def make_synthetic_feeder(bus_count: int, seed: int, base_mva: float = 0.4,
-                          base_kv: float = 0.4, s_max_kva: float = 400.0,
+                          s_max_kva: float = 400.0,
                           v_band: float = 0.05) -> RadialNetwork:
     """Random radial feeder: bus 0 is the coupling point, each further bus
     attaches to a uniformly chosen existing bus."""
@@ -305,4 +304,4 @@ def make_synthetic_feeder(bus_count: int, seed: int, base_mva: float = 0.4,
         r = float(rng.uniform(0.002, 0.01))
         x = float(rng.uniform(0.5, 1.0)) * r
         branches.append(Branch(parent, i, r, x, s_max_kva))
-    return RadialNetwork(buses, branches, base_mva, base_kv)
+    return RadialNetwork(buses, branches, base_mva)

@@ -27,7 +27,7 @@ from . import market as mk
 from . import stochastic as st
 from . import tables
 from .config import RunConfig, file_sha256
-from .model import VppModel, extract_block_series
+from .model import STREAMS, VppModel, extract_block_series
 from .scenarios import Scenario, ScenarioSet
 
 
@@ -219,8 +219,7 @@ def evaluate_solution(cfg: RunConfig, solution_dir: str,
 
     probs = sset.probabilities()
     totals = np.zeros(len(sset))
-    streams = {k: 0.0 for k in ("r_dam", "r_rcm", "r_ram", "c_ops",
-                                "c_tariff", "c_imb")}
+    streams = dict.fromkeys(STREAMS, 0.0)
     withdrawn = 0.0
     for s, scen in enumerate(sset.scenarios):
         col = tables.read_columns(os.path.join(solution_dir,
@@ -245,12 +244,10 @@ def evaluate_solution(cfg: RunConfig, solution_dir: str,
         for name, cost in bess_cost.items():
             c_ops += cost * float(np.sum(col[f"dev_{name}_charge_kw"]
                                          + col[f"dev_{name}_discharge_kw"])) * dt
-        breakdown = mk.CostBreakdown.from_components(r_dam, r_rcm, r_ram,
-                                                     c_ops, c_tariff, c_imb)
+        breakdown = mk.CostBreakdown(r_dam, r_rcm, r_ram, c_ops, c_tariff,
+                                     c_imb)
         totals[s] = breakdown.total
-        for key, val in (("r_dam", r_dam), ("r_rcm", r_rcm), ("r_ram", r_ram),
-                         ("c_ops", c_ops), ("c_tariff", c_tariff),
-                         ("c_imb", c_imb)):
+        for key, val in vars(breakdown).items():
             streams[key] += probs[s] * val
         withdrawn += probs[s] * float(np.sum(np.maximum(col["pcc_kw"], 0.0))) * dt
 

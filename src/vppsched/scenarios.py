@@ -86,6 +86,12 @@ DEFAULT_ERROR_SPECS: dict[str, ErrorSpec] = {
 }
 
 
+def _within(x: np.ndarray, lo: float, hi: float = math.inf) -> bool:
+    """Every entry of ``x`` lies in [lo, hi]; a NaN does not."""
+    return bool(x.min(initial=math.inf) >= lo
+                and x.max(initial=-math.inf) <= hi)
+
+
 @dataclass
 class BaseForecast:
     """Point forecast for one delivery day.
@@ -123,14 +129,15 @@ class BaseForecast:
                 raise ScenarioError(f"{label} length != {t}")
         if len(self.rcm_dn_price) != self.window_count:
             raise ScenarioError("reserve capacity price vectors differ in length")
-        if np.any(self.rcm_up_price < 0) or np.any(self.rcm_dn_price < 0):
+        if not (_within(self.rcm_up_price, 0.0)
+                and _within(self.rcm_dn_price, 0.0)):
             raise ScenarioError("reserve capacity prices must be nonnegative")
         for name, cf in self.capacity_factor.items():
             if len(cf) != t:
                 raise ScenarioError(f"capacity factor {name!r} length != {t}")
-            if np.any(cf < 0) or np.any(cf > 1):
+            if not _within(cf, 0.0, 1.0):
                 raise ScenarioError(f"capacity factor {name!r} outside [0, 1]")
-        if np.any(self.ev_availability < 0) or np.any(self.ev_availability > 1):
+        if not _within(self.ev_availability, 0.0, 1.0):
             raise ScenarioError("ev availability outside [0, 1]")
         for d in (self.load_active, self.load_reactive):
             for bus, series in d.items():
@@ -140,23 +147,11 @@ class BaseForecast:
             raise ScenarioError("active/reactive load bus sets differ")
 
 
-@dataclass
-class Scenario:
-    """One joint realization: perturbed forecast plus derived imbalance
-    prices and its probability weight."""
+@dataclass(kw_only=True)
+class Scenario(BaseForecast):
+    """One joint realization: a perturbed forecast plus its imbalance
+    settlement prices and its probability weight."""
 
-    day_ahead_price: np.ndarray
-    rcm_up_price: np.ndarray
-    rcm_dn_price: np.ndarray
-    ram_up_price: np.ndarray
-    ram_dn_price: np.ndarray
-    mfrr_up_price: np.ndarray
-    mfrr_dn_price: np.ndarray
-    ambient_temp: np.ndarray
-    ev_availability: np.ndarray
-    capacity_factor: dict[str, np.ndarray]
-    load_active: dict[int, np.ndarray]
-    load_reactive: dict[int, np.ndarray]
     imbalance_short_price: np.ndarray    # per MWh, paid when under-delivering
     imbalance_long_price: np.ndarray     # per MWh, received when over-delivering
     probability: float
@@ -166,10 +161,6 @@ class Scenario:
             raise ScenarioError("scenario probability must be positive")
         if np.any(self.imbalance_short_price < self.imbalance_long_price - 1e-12):
             raise ScenarioError("imbalance short price below long price")
-
-    @property
-    def step_count(self) -> int:
-        return len(self.day_ahead_price)
 
 
 @dataclass
@@ -264,7 +255,8 @@ def imbalance_prices(day_ahead: np.ndarray, mfrr_up: np.ndarray,
     return short, long
 
 
-def _apply_errors(base: BaseForecast, draws: dict[str, float]) -> Scenario:
+def _apply_errors(base: BaseForecast, draws: dict[str, float],
+                  probability: float) -> Scenario:
     def scaled(series, name):
         return series * (1.0 + draws[name])
 
@@ -291,7 +283,7 @@ def _apply_errors(base: BaseForecast, draws: dict[str, float]) -> Scenario:
         ambient_temp=temp, ev_availability=ev, capacity_factor=cf,
         load_active=load_p, load_reactive=load_q,
         imbalance_short_price=short, imbalance_long_price=long,
-        probability=1.0,
+        probability=probability,
     )
 
 
@@ -310,9 +302,7 @@ def build_scenarios(base: BaseForecast, specs: dict[str, ErrorSpec],
     for s in range(n):
         draws = {name: inverse_transform(u[s, d], specs[name])
                  for d, name in enumerate(ERROR_NAMES)}
-        scen = _apply_errors(base, draws)
-        scen.probability = 1.0 / n
-        scenarios.append(scen)
+        scenarios.append(_apply_errors(base, draws, 1.0 / n))
     return ScenarioSet(scenarios, seed)
 
 
@@ -413,8 +403,13 @@ def load_scenario_set(path: str) -> tuple[ScenarioSet, dict]:
         table = os.path.join(path, f"scenario_{i:04d}.csv")
         fields = _read_table(table, steps_per_window, Scenario)
         _check_manifest(table, fields, manifest)
-        scenarios.append(Scenario(**fields,
-                                  probability=manifest["probabilities"][i]))
+        try:
+            scenario = Scenario(**fields,
+                                probability=manifest["probabilities"][i])
+            scenario.validate()
+        except ScenarioError as exc:
+            raise ScenarioError(f"{table}: {exc}") from exc
+        scenarios.append(scenario)
     return ScenarioSet(scenarios, manifest["seed"]), manifest
 
 

@@ -40,8 +40,17 @@ class StochasticError(Exception):
 
 
 class ModelInfeasible(StochasticError):
-    def __init__(self, message, scenario_index=None, suspects=()):
-        super().__init__(message)
+    """Scenario block ``scenario_index`` admits no second stage, with the
+    devices ``suspects`` whose envelope check fails; without an index the
+    blocks are infeasible only together, through the first stage."""
+
+    def __init__(self, scenario_index=None, suspects=()):
+        msg = "model infeasible through first-stage coupling"
+        if scenario_index is not None:
+            msg = f"scenario block {scenario_index} is infeasible"
+            if suspects:
+                msg += f" (device suspects: {', '.join(suspects)})"
+        super().__init__(msg)
         self.scenario_index = scenario_index
         self.suspects = list(suspects)
 
@@ -63,8 +72,6 @@ class ExtensiveForm:
     program: lp.LinearProgram
     first_stage: mk.FirstStageVars
     blocks: list[ScenarioBlock]
-    risk: RiskMeasure
-    probabilities: np.ndarray
 
 
 @dataclass
@@ -88,7 +95,6 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
     p, nf, nb, S = tpl.program, tpl.n_first, tpl.n_block, len(sset)
     blocks = [model.scenario_data(scen, k * nb)
               for k, scen in enumerate(sset.scenarios)]
-    probs = sset.probabilities()
     program = lp.LinearProgram(
         "extensive",
         lambda: p.col_names[:nf] + [f"s{k}_{name}" for k in range(S)
@@ -101,9 +107,9 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
         indices=np.concatenate([b.columns[p.indices] for b in blocks]),
         data=np.tile(p.data, S), sense=np.tile(p.sense, S),
         rhs=np.concatenate([b.rhs for b in blocks]))
-    add_risk_objective(program, risk, probs,
+    add_risk_objective(program, risk, sset.probabilities(),
                        [(block.columns, block.net_cost()) for block in blocks])
-    return ExtensiveForm(program, tpl.first_stage, blocks, risk, probs)
+    return ExtensiveForm(program, tpl.first_stage, blocks)
 
 
 def add_risk_objective(program: lp.LinearProgram, risk: RiskMeasure,
@@ -136,12 +142,9 @@ def _diagnose_infeasible(model: VppModel, sset: ScenarioSet) -> ModelInfeasible:
     for k, scen in enumerate(sset.scenarios):
         probe = tpl.instantiate(model.scenario_data(scen), name=f"probe_{k}")
         if lp.solve(probe).status == lp.INFEASIBLE:
-            suspects = infeasibility_suspects(model.park, scen, model.horizon)
-            return ModelInfeasible(
-                f"scenario block {k} is infeasible"
-                + (f" (device suspects: {', '.join(suspects)})" if suspects else ""),
-                scenario_index=k, suspects=suspects)
-    return ModelInfeasible("model infeasible through first-stage coupling")
+            return ModelInfeasible(k, infeasibility_suspects(model.park, scen,
+                                                             model.horizon))
+    return ModelInfeasible()
 
 
 def solve_extensive(model: VppModel, ef: ExtensiveForm,

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: LP optima come from
 exhaustive vertex enumeration, tail risk from direct minimization of the
 piecewise-linear certainty-equivalent over candidate thresholds, and the
-normal quantile from bisection of the CDF.
+normal quantile from bisection of the CDF, and duplicate Benders cuts from
+a pairwise comparison.
 """
 
 import itertools
@@ -114,3 +115,15 @@ def normal_quantile_by_bisection(p, tol=1e-12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def cut_matches(cut, other, tol):
+    """Whether Benders cut ``cut`` duplicates ``other``, each a
+    ``(scenario, intercept, gradient)`` triple: the same scenario, the
+    intercepts within tol * (1 + |intercept|) and every gradient entry
+    within tol * (1 + max |gradient|), both scales taken from ``cut``."""
+    (s, b, g), (s_old, b_old, g_old) = cut, other
+    if s != s_old or abs(b - b_old) > tol * (1.0 + abs(b)):
+        return False
+    scale = 1.0 + float(np.max(np.abs(g), initial=0.0))
+    return bool(np.all(np.abs(g - g_old) <= tol * scale))

@@ -11,6 +11,8 @@ from vppsched import reports as rp
 from vppsched import scenarios as sg
 from vppsched import stochastic as st
 
+from oracles import cut_matches
+
 EXPECT = st.RiskMeasure(st.EXPECTATION)
 CVAR9 = st.RiskMeasure(st.CVAR, 0.9)
 
@@ -56,18 +58,17 @@ def test_cut_intercept_reproduces_value_at_origin_point(desk, desk_scenarios):
 
 
 def test_master_cut_dedupe(desk, desk_scenarios):
+    # cuts taken at x_hat = 0, so that each intercept is the value there
     master = bd.MasterProblem(desk.model, len(desk_scenarios),
                               desk_scenarios.probabilities(), EXPECT)
+    n = len(master.x_indices)
     rows_before = master.form().matrix.shape[0]
-    cut = bd.OptimalityCut(0, 5.0, np.ones(len(master.x_indices)))
-    assert master.add_cuts([cut]) == 1
-    assert master.add_cuts([bd.OptimalityCut(0, 5.0,
-                                             np.ones(len(master.x_indices)))]) == 0
+    assert master.add_cuts([0], [5.0], [np.ones(n)]) == 1
+    assert master.add_cuts([0], [5.0], [np.ones(n)]) == 0
     assert master.form().matrix.shape[0] == rows_before + 1
-    assert master.add_cuts([]) == 0
+    assert master.add_cuts([], [], np.zeros((0, n))) == 0
     # same coefficients for another scenario are a different cut
-    assert master.add_cuts([bd.OptimalityCut(1, 5.0,
-                                             np.ones(len(master.x_indices)))]) == 1
+    assert master.add_cuts([1], [5.0], [np.ones(n)]) == 1
 
 
 def _risk_layer(program, n, m, costs, probs, risk):
@@ -121,7 +122,8 @@ def test_master_and_extensive_share_the_risk_rows(desk, desk_scenarios, risk):
 
 def test_cut_dedupe_matches_pairwise_scan(desk):
     # the stacked per-scenario test accepts exactly what the pairwise
-    # OptimalityCut.matches scan over all earlier cuts accepts
+    # oracle scan over all earlier cuts accepts; cuts are taken at
+    # x_hat = 0, so that each intercept is the value there
     master = bd.MasterProblem(desk.model, 3, np.full(3, 1.0 / 3.0), EXPECT)
     n = len(master.x_indices)
     tol = bd._CUT_DEDUPE_TOL
@@ -131,35 +133,36 @@ def test_cut_dedupe_matches_pairwise_scan(desk):
         if cuts and rng.random() < 0.6:
             # a copy of an earlier cut, moved by a multiple of the tolerance,
             # sometimes filed under another scenario
-            base = cuts[int(rng.integers(len(cuts)))]
+            base_s, base_b, base_g = cuts[int(rng.integers(len(cuts)))]
             step = float(rng.choice([0.0, 0.5, 0.99, 1.01, 3.0]))
-            scale = 1.0 + float(np.max(np.abs(base.gradient), initial=0.0))
+            scale = 1.0 + float(np.max(np.abs(base_g), initial=0.0))
             moved = rng.choice([-1.0, 1.0], n) * (rng.random(n) < 0.3)
-            s = base.scenario if rng.random() < 0.8 else int(rng.integers(3))
-            cuts.append(bd.OptimalityCut(
-                s, base.intercept + step * tol * (1.0 + abs(base.intercept))
+            s = base_s if rng.random() < 0.8 else int(rng.integers(3))
+            cuts.append((
+                s, base_b + step * tol * (1.0 + abs(base_b))
                 * float(rng.choice([-1.0, 1.0])),
-                base.gradient + step * tol * scale * moved))
+                base_g + step * tol * scale * moved))
         else:
             g = rng.normal(size=n) * float(rng.choice([1.0, 1e3]))
             g[rng.random(n) < 0.5] = 0.0
-            cuts.append(bd.OptimalityCut(int(rng.integers(3)),
-                                         float(rng.normal() * 100.0), g))
+            cuts.append((int(rng.integers(3)), float(rng.normal() * 100.0), g))
     accepted = []
     for cut in cuts:
-        if not any(cut.matches(old) for old in accepted):
+        if not any(cut_matches(cut, old, tol) for old in accepted):
             accepted.append(cut)
     assert 0 < len(accepted) < len(cuts)
     rows = master.form().matrix.shape[0]
-    assert master.add_cuts(cuts) == len(accepted) == master.num_cuts
+    scenarios, intercepts, gradients = zip(*cuts)
+    assert master.add_cuts(scenarios, intercepts, gradients) \
+        == len(accepted) == master.num_cuts
     assert master.form().matrix.shape[0] == rows + len(accepted)
     for s in range(3):
-        mine = [c for c in accepted if c.scenario == s]
+        mine = [c for c in accepted if c[0] == s]
         stored = master.scenarios == s
         assert np.array_equal(master.intercepts[stored],
-                              [c.intercept for c in mine])
+                              [c[1] for c in mine])
         assert np.array_equal(master.gradients[stored],
-                              np.array([c.gradient for c in mine]).reshape(-1, n))
+                              np.array([c[2] for c in mine]).reshape(-1, n))
 
 
 def test_warm_subproblems_match_cold_solves(desk, desk_scenarios, monkeypatch):
@@ -309,7 +312,7 @@ def test_subproblem_infeasibility_aborts_with_diagnostics(desk):
     model = VppModel(desk.model.horizon, desk.model.network, park,
                      desk.model.market)
     sset = sg.build_scenarios(desk.forecast, sg.zero_error_specs(), 1, seed=2)
-    with pytest.raises(bd.SubproblemInfeasible) as exc:
+    with pytest.raises(st.ModelInfeasible) as exc:
         bd.iterate(model, sset, EXPECT)
     assert exc.value.scenario_index == 0
     assert "ev_greedy" in exc.value.suspects
@@ -321,6 +324,34 @@ def test_invalid_options_rejected(desk, desk_scenarios):
                    bd.BendersOptions(tolerance=0.0))
     with pytest.raises(bd.BendersError):
         bd.iterate(desk.model, sg.ScenarioSet([], 0), EXPECT)
+
+
+def test_negative_gap_within_tolerance_is_recorded(desk, desk_scenarios,
+                                                   desk_benders, tmp_path,
+                                                   monkeypatch):
+    # a lower bound above the upper bound by less than the tolerance is a
+    # closed gap: the run converges and trace.csv keeps the signed gap
+    last = desk_benders.report.trace[-1]
+    tol = bd.BendersOptions().tolerance
+    lift = last.upper_bound - last.lower_bound \
+        + 0.5 * tol * max(1.0, abs(last.upper_bound))
+    solve = bd.MasterProblem.solve
+    calls = []
+
+    def lifted(self):
+        lower, x_hat = solve(self)
+        calls.append(lower)
+        return lower + (lift if len(calls) == last.iteration else 0.0), x_hat
+
+    monkeypatch.setattr(bd.MasterProblem, "solve", lifted)
+    out = rp.solve_with_method(desk.model, desk_scenarios, EXPECT, "benders")
+    assert out.converged and out.iterations == last.iteration
+    assert -tol <= out.trace[-1].gap < 0.0
+    rp.write_solution(str(tmp_path), desk.model, desk_scenarios, out,
+                      "benders", EXPECT, "config", "manifest", 0.0)
+    with open(tmp_path / "trace.csv") as fh:
+        final = fh.read().strip().splitlines()[-1].split(",")
+    assert float(final[3]) == out.trace[-1].gap
 
 
 def test_crossed_bounds_raise(desk, desk_scenarios, monkeypatch):

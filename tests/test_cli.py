@@ -188,6 +188,68 @@ def test_cut_off_scenario_row_is_usage_error(tmp_path, capsys):
     assert f"{path}, line 4, column load_p_" in err
 
 
+def set_cell(column, value):
+    """An edit that writes ``value`` into the first data row of the first
+    column whose name starts with ``column``."""
+    def edit(lines):
+        k = next(j for j, name in enumerate(lines[0].split(","))
+                 if name.startswith(column))
+        cells = lines[1].split(",")
+        cells[k] = value
+        lines[1] = ",".join(cells)
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("column,value,message", [
+    ("cf_", "1.5", "capacity factor 'pv1' outside [0, 1]"),
+    ("cf_", "nan", "capacity factor 'pv1' outside [0, 1]"),
+    ("ev_availability", "2.0", "ev availability outside [0, 1]"),
+    ("rcm_up_price", "-5.0", "reserve capacity prices must be nonnegative")],
+    ids=["cf-1.5", "cf-nan", "ev-2.0", "rcm-price-minus-5"])
+def test_out_of_range_scenario_value_is_usage_error(tmp_path, capsys, column,
+                                                    value, message):
+    # a scenario table is held to the range checks of the forecast
+    rc, err, path = malformed_solve(tmp_path, capsys,
+                                    "scenarios/scenario_0000.csv",
+                                    set_cell(column, value))
+    assert rc == 2
+    assert f"error: {path}: {message}" in err
+
+
+def edit_config(change):
+    """An edit of config.json that applies ``change`` to the document."""
+    def edit(lines):
+        raw = json.loads("\n".join(lines))
+        change(raw)
+        return json.dumps(raw, indent=1).splitlines()
+    return edit
+
+
+def _set_tariff_hours(raw):
+    raw["market"]["hourly_tariff_per_mwh"] = [206.5] * 23
+
+
+def _set_window(raw):
+    raw["horizon"]["rcm_window_hours"] = 0.3
+
+
+@pytest.mark.parametrize("table,edit,message", [
+    ("dg.csv", set_cell("marginal_cost_per_kwh", "-0.02"),
+     "pv1: negative marginal cost"),
+    ("config.json", edit_config(_set_tariff_hours),
+     "hourly tariff needs exactly 24 values"),
+    ("config.json", edit_config(_set_window),
+     "window duration must be an integer multiple of the step")],
+    ids=["negative-dg-cost", "23-tariff-hours", "window-0.3-h"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, table, edit,
+                                         message):
+    rc, err, _ = malformed_solve(tmp_path, capsys, table, edit)
+    assert rc == 2
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_method_other_than_extensive_is_refused(desk_dir):
     root, cfg = desk_dir
     raw = read_json(cfg)

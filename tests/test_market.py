@@ -141,9 +141,10 @@ def test_imbalance_long_is_revenue():
 
 
 def test_cost_breakdown_reconciles():
-    bd = mk.CostBreakdown.from_components(10.0, 2.0, 3.0, 4.0, 1.0, 2.0)
+    bd = mk.CostBreakdown(10.0, 2.0, 3.0, 4.0, 1.0, 2.0)
     assert bd.total == pytest.approx(-15.0 + 7.0)
-    with pytest.raises(mk.MarketError):
+    # the total is computed, never stored, so it cannot be passed in
+    with pytest.raises(TypeError):
         mk.CostBreakdown(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0)
 
 
@@ -151,7 +152,7 @@ def test_cost_breakdown_random_recomputation():
     rng = np.random.default_rng(8)
     for _ in range(50):
         r = rng.uniform(-10, 10, size=6)
-        bd = mk.CostBreakdown.from_components(*r)
+        bd = mk.CostBreakdown(*r)
         assert bd.total == pytest.approx(-(r[0] + r[1] + r[2]) + r[3] + r[4] + r[5])
 
 

@@ -214,11 +214,11 @@ def test_network_csv_roundtrip(tmp_path):
     net = nw.make_synthetic_feeder(12, seed=9)
     paths = (tmp_path / "buses.csv", tmp_path / "branches.csv")
     nw.save_network(net, *paths)
-    back = nw.load_network(*paths, net.base_mva, net.base_kv)
+    back = nw.load_network(*paths, net.base_mva)
     assert back == net
     assert [b.is_root for b in back.buses] == [True] + [False] * 11
     nw.validate_radial(back)
     # CRLF tables, as shipped before, read to the same network
     for path in paths:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert nw.load_network(*paths, net.base_mva, net.base_kv) == net
+    assert nw.load_network(*paths, net.base_mva) == net
