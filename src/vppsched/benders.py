@@ -61,6 +61,14 @@ class BendersOptions:
     max_iterations: int = 200
     workers: int = 1
 
+    def __post_init__(self):
+        if not self.tolerance > 0:
+            raise BendersError("tolerance must be positive")
+        if self.max_iterations < 1:
+            raise BendersError("max_iterations must be at least 1")
+        if self.workers < 1:
+            raise BendersError("workers must be at least 1")
+
 
 class TraceRow(NamedTuple):
     """One iteration: its bounds and gap, seconds since the start, simplex
@@ -255,8 +263,6 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
     iteration limit is hit the report carries converged=False and the best
     incumbent so far."""
     options = options or BendersOptions()
-    if options.tolerance <= 0:
-        raise BendersError("tolerance must be positive")
     if len(sset) == 0:
         raise BendersError("empty scenario set")
     model.validate()
@@ -291,9 +297,11 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
                 for s, (cost, grad) in enumerate(values):
                     slope = float(grad @ x_hat)
                     intercepts.append(cost - slope)
-                    # audit: the cut must reproduce the subproblem value at x_hat
+                    # audit: the cut must be finite and reproduce the
+                    # subproblem value at x_hat (a NaN fails the comparison)
                     resid = abs(intercepts[-1] + slope - cost)
-                    if resid > 1e-6 * (1.0 + abs(cost)):
+                    if not (np.isfinite(grad).all()
+                            and resid <= 1e-6 * (1.0 + abs(cost))):
                         raise BendersError(f"invalid cut for scenario {s}: "
                                            f"residual {resid:.3e}")
                 added = master.add_cuts(range(len(subs)), intercepts,

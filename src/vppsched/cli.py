@@ -11,6 +11,8 @@
 Exit codes: 0 success; 2 usage error or a bad value in the configuration,
 an instance table or a scenario table; 3 infeasible model
 (``stochastic.ModelInfeasible``); 4 solver or convergence failure.
+``--risk``, ``--alpha``, ``--workers`` and ``--levels`` are held to the
+checks of the configuration keys they override.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import benders as bd
 from . import devices as dv
+from . import lp
 from . import market as mk
 from . import network as nw
 from . import reports as rp
@@ -46,10 +50,10 @@ def _parse_levels(spec: str) -> list[float]:
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
-        raise UsageError(f"bad --levels spec {spec!r}, expected start:stop:step") \
-            from exc
+        raise argparse.ArgumentTypeError(
+            f"bad spec {spec!r}, expected start:stop:step") from exc
     if step <= 0 or stop < start:
-        raise UsageError(f"bad --levels range {spec!r}")
+        raise argparse.ArgumentTypeError(f"bad range {spec!r}")
     levels = []
     k = 0
     while True:
@@ -62,8 +66,6 @@ def _parse_levels(spec: str) -> list[float]:
 
 
 def cmd_make_instance(args) -> int:
-    if args.preset not in PRESETS:
-        raise UsageError(f"unknown preset {args.preset!r}")
     inst = PRESETS[args.preset](seed=args.seed) if args.seed is not None \
         else PRESETS[args.preset]()
     path = write_instance(inst, args.out, scenario_count=args.scenario_count,
@@ -74,8 +76,6 @@ def cmd_make_instance(args) -> int:
 
 def cmd_generate_scenarios(args) -> int:
     cfg = load_config(args.config)
-    if cfg.scenario_count < 1:
-        raise UsageError("scenario count must be at least 1")
     base = cfg.load_forecast()
     specs = cfg.error_specs()
     sset = sg.build_scenarios(base, specs, cfg.scenario_count,
@@ -97,24 +97,20 @@ def _load_scenarios(cfg):
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
+    flags = (("risk_measure", args.risk), ("alpha", args.alpha),
+             ("workers", args.workers))
+    cfg = replace(cfg, **{name: value for name, value in flags
+                          if value is not None})
     model = cfg.build_model()
     sset = _load_scenarios(cfg)
-    risk_kind = {"neutral": st.EXPECTATION, "cvar": st.CVAR}.get(
-        args.risk or ("cvar" if cfg.risk_kind == st.CVAR else "neutral"))
-    alpha = args.alpha if args.alpha is not None else cfg.alpha
-    risk = st.RiskMeasure(risk_kind, alpha)
-    opts_raw = cfg.benders_options
-    if args.workers is not None:
-        opts_raw["workers"] = args.workers
-    opts = bd.BendersOptions(**opts_raw)
     out_dir = args.out or os.path.join(
-        cfg.output_dir, f"solution_{args.method}_{risk.kind}")
+        cfg.output_dir, f"solution_{args.method}_{cfg.risk.kind}")
     started = time.perf_counter()
-    out = rp.solve_with_method(model, sset, risk, args.method, opts,
-                               cfg.extensive_max_variables,
+    out = rp.solve_with_method(model, sset, cfg.risk, args.method,
+                               cfg.benders, cfg.extensive_max_variables,
                                lp_dump_path=args.dump_lp)
     runtime = time.perf_counter() - started
-    rp.write_solution(out_dir, model, sset, out, args.method, risk,
+    rp.write_solution(out_dir, model, sset, out, args.method, cfg.risk,
                       cfg.config_hash,
                       rp.scenario_manifest_hash(cfg.scenario_dir), runtime)
     status = "converged" if out.converged else "NOT CONVERGED"
@@ -141,12 +137,11 @@ def cmd_tariff_sweep(args) -> int:
     cfg = load_config(args.config)
     model = cfg.build_model()
     sset = _load_scenarios(cfg)
-    levels = _parse_levels(args.levels) if args.levels else None
     for label, hours in (("low", cfg.sweep_low_hours), ("high", cfg.sweep_high_hours)):
         if not cfg.window_steps(hours):
             print(f"warning: {label} tariff window {list(hours)} h selects no step; "
                   "window hours count from the horizon start", file=sys.stderr)
-    rows, profiles = rp.tariff_sweep(cfg, model, sset, levels)
+    rows, profiles = rp.tariff_sweep(cfg, model, sset, args.levels)
     out_dir = args.out or os.path.join(cfg.output_dir, "tariff_sweep")
     rp.write_sweep_report(rows, profiles, out_dir, cfg.config_hash)
     failed = [r.level for r in rows if r.failed]
@@ -163,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-instance", help="write a synthetic instance")
-    p.add_argument("--preset", default="desk", help="desk, day, or full")
+    p.add_argument("--preset", default="desk", choices=sorted(PRESETS))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scenario-count", type=int, default=10)
@@ -194,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tariff-sweep", help="dynamic-tariff sensitivity sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--levels", default=None, help="start:stop:step, e.g. 0:1:0.1")
+    p.add_argument("--levels", type=_parse_levels, default=None,
+                   help="start:stop:step, e.g. 0:1:0.1")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tariff_sweep)
     return parser
@@ -217,7 +213,7 @@ def main(argv=None) -> int:
     except st.ModelInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (st.StochasticError, bd.BendersError) as exc:
+    except (st.StochasticError, bd.BendersError, lp.LpSolveError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

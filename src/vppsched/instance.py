@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RUN_DEFAULTS
 from .devices import Bess, DerPark, DistributedGenerator, EvChargingEvent, \
     HeatPump, save_der_park
 from .market import MarketConfig, MarketHorizon, expand_hourly_tariff
@@ -207,14 +208,7 @@ def write_instance(inst: Instance, out_dir: str,
         "flow_segments": inst.model.flow_segments,
         "scenarios": {"count": scenario_count, "seed": scenario_seed,
                       "dir": "scenarios"},
-        "risk": {"measure": "expectation", "alpha": 0.9},
-        "benders": {"tolerance": 1e-6, "max_iterations": 200, "workers": 1},
-        "extensive": {"max_variables": 400000},
-        "tariff_sweep": {"levels": [round(0.1 * k, 1) for k in range(11)],
-                         "low_window_hours": [10, 14],
-                         "high_window_hours": [17, 21],
-                         "method": "extensive"},
-        "output_dir": "runs",
+        **RUN_DEFAULTS,
     }
     path = os.path.join(out_dir, "config.json")
     with open(path, "w") as fh:

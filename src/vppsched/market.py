@@ -40,10 +40,11 @@ class MarketHorizon:
     rcm_window_hours: float
 
     def __post_init__(self):
-        if self.step_count < 1 or self.step_hours <= 0:
+        if not (self.step_count >= 1 and 0 < self.step_hours < np.inf):
             raise MarketError("horizon needs step_count >= 1 and step_hours > 0")
         ratio = self.rcm_window_hours / self.step_hours
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 \
+                or round(ratio) < 1:
             raise MarketError("window duration must be an integer multiple of the step")
         if self.step_count % int(round(ratio)) != 0:
             raise MarketError("steps must tile the booking windows exactly")

@@ -257,39 +257,23 @@ class VppModel:
 
 
 def extract_block_series(block: ScenarioBlock, primal: np.ndarray) -> dict:
-    """Numeric second-stage series for reporting and persistence."""
+    """The second-stage series as the columns of ``dispatch_NNNN.csv``
+    after ``t``, by name in file order; device series are zero outside a
+    charging event's window."""
     x = primal[block.columns]
     handles = block.template.handles
-    take = lambda idxs: x[idxs]
     ss = handles.second_stage
-    out = {
-        "ram_up_kw": take(ss.ram_up),
-        "ram_dn_kw": take(ss.ram_dn),
-        "imb_short_kw": take(ss.imb_short),
-        "imb_long_kw": take(ss.imb_long),
-        "p_vpp_kw": take(ss.p_vpp),
-        "pcc_kw": take(handles.grid.pcc),
-        "wit_kw": {bus: take(idxs) for bus, idxs in handles.grid.wit.items()},
-        "devices": {},
-    }
-    steps = len(ss.ram_up)
-
-    def padded(idxs, start):
-        series = np.zeros(steps)
-        series[start:start + len(idxs)] = take(idxs)
-        return series
-
-    for h in handles.devices:
+    out = {"ram_up_kw": x[ss.ram_up], "ram_dn_kw": x[ss.ram_dn],
+           "imb_short_kw": x[ss.imb_short], "imb_long_kw": x[ss.imb_long],
+           "p_vpp_kw": x[ss.p_vpp], "pcc_kw": x[handles.grid.pcc]}
+    for bus in sorted(handles.grid.wit):
+        out[f"wit_{bus}_kw"] = x[handles.grid.wit[bus]]
+    for h in sorted(handles.devices, key=lambda h: h.name):
         start = h.window[0] if h.window else 0
-        entry = {}
-        if h.p:
-            entry["p_kw"] = padded(h.p, start)
-        if h.charge:
-            entry["charge_kw"] = padded(h.charge, start)
-            entry["discharge_kw"] = padded(h.discharge, start)
-        if h.soc:
-            entry["soc_kwh"] = take(h.soc)
-        if h.temp:
-            entry["temp_c"] = take(h.temp)
-        out["devices"][h.name] = entry
+        for key, idxs in (("p", h.p), ("charge", h.charge),
+                          ("discharge", h.discharge)):
+            if idxs:
+                series = np.zeros(len(ss.ram_up))
+                series[start:start + len(idxs)] = x[idxs]
+                out[f"dev_{h.name}_{key}_kw"] = series
     return out

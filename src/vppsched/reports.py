@@ -154,18 +154,8 @@ def write_solution(out_dir: str, model: VppModel, sset: ScenarioSet,
                   for s, b in enumerate(out.breakdowns)])
 
     for s, series in enumerate(out.series):
-        cols = {"t": range(hz.step_count)}
-        for name in ("ram_up_kw", "ram_dn_kw", "imb_short_kw", "imb_long_kw",
-                     "p_vpp_kw", "pcc_kw"):
-            cols[name] = series[name]
-        for bus in sorted(series["wit_kw"]):
-            cols[f"wit_{bus}_kw"] = series["wit_kw"][bus]
-        for name in sorted(series["devices"]):
-            entry = series["devices"][name]
-            for key in ("p_kw", "charge_kw", "discharge_kw"):
-                if key in entry:
-                    cols[f"dev_{name}_{key}"] = entry[key]
-        tables.write_columns(os.path.join(out_dir, f"dispatch_{s:04d}.csv"), cols)
+        tables.write_columns(os.path.join(out_dir, f"dispatch_{s:04d}.csv"),
+                             {"t": range(hz.step_count), **series})
 
     if out.trace:
         tables.write(os.path.join(out_dir, "trace.csv"), bd.TraceRow._fields,
@@ -330,10 +320,9 @@ def _pct(value: float, base: float) -> float:
 
 
 def _solve_level(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
-                 basis, max_variables: int) -> tuple[SolveOutput, object]:
+                 basis) -> tuple[SolveOutput, object]:
     """One sweep level's extensive solve from ``basis``, and the basis the
     next level starts from: this level's optimal one, or ``basis`` again."""
-    _check_extensive_size(model, sset, max_variables)
     ef = st.build_extensive(model, sset, risk)
     sol, optimal = lp.solve_warm(ef.program, basis)
     out = _extensive_output(ef, st.extensive_solution(model, ef, sset, sol))
@@ -350,8 +339,16 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     the optimal basis of the last level that solved; levels differ only in
     tariff costs, so that basis stays primal feasible and a level takes a
     few dozen simplex iterations. Level order affects only which optimal
-    vertex a degenerate level returns."""
+    vertex a degenerate level returns. The levels lie in [0, 1] and the
+    first is 0, the unmodified tariff."""
     levels = cfg.sweep_levels if levels is None else levels
+    if not levels or levels[0] != 0.0:
+        raise ReportError("sweep levels must start at 0, the unmodified "
+                          "tariff the changes are reported against")
+    for lvl in levels:
+        if not (0.0 <= lvl <= 1.0):
+            raise ReportError(f"sweep level {lvl} outside [0, 1]")
+    _check_extensive_size(model, sset, cfg.extensive_max_variables)
     low_steps = cfg.window_steps(cfg.sweep_low_hours)
     high_steps = cfg.window_steps(cfg.sweep_high_hours)
     base_tariff = model.market.tariff_per_mwh.copy()
@@ -371,8 +368,8 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
             tariff[t] *= (1.0 + lvl)
         try:
             out, basis = _solve_level(model.with_tariff(tariff), sset, risk,
-                                      basis, cfg.extensive_max_variables)
-        except (st.StochasticError, ReportError):
+                                      basis)
+        except st.StochasticError:
             rows.append(SweepRow(lvl, math.nan, math.nan, math.nan, math.nan,
                                  math.nan, math.nan, failed=True))
             profiles[lvl] = np.full(model.horizon.step_count, math.nan)

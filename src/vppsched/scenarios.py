@@ -145,6 +145,14 @@ class BaseForecast:
                     raise ScenarioError(f"load series at bus {bus} length != {t}")
         if set(self.load_active) != set(self.load_reactive):
             raise ScenarioError("active/reactive load bus sets differ")
+        named = [(label, series) for label, value in vars(self).items()
+                 for series in (value.values() if isinstance(value, dict)
+                                else [value])]
+        # one test over every series at once; a series at a time is slow
+        if not np.isfinite(np.hstack([series for _, series in named])).all():
+            raise ScenarioError("non-finite value in " + next(
+                label for label, series in named
+                if not np.isfinite(series).all()))
 
 
 @dataclass(kw_only=True)
@@ -159,7 +167,8 @@ class Scenario(BaseForecast):
     def __post_init__(self):
         if self.probability <= 0:
             raise ScenarioError("scenario probability must be positive")
-        if np.any(self.imbalance_short_price < self.imbalance_long_price - 1e-12):
+        if not np.all(self.imbalance_short_price
+                      >= self.imbalance_long_price - 1e-12):
             raise ScenarioError("imbalance short price below long price")
 
 

@@ -63,7 +63,9 @@ class RiskMeasure:
     def __post_init__(self):
         if self.kind not in (EXPECTATION, CVAR):
             raise StochasticError(f"unknown risk measure {self.kind!r}")
-        if self.kind == CVAR and not (0.0 < self.alpha < 1.0):
+        # checked under both measures: the evaluator reports the cost CVaR
+        # at alpha for every solution
+        if not (0.0 < self.alpha < 1.0):
             raise StochasticError("alpha must lie in (0, 1)")
 
 

@@ -179,11 +179,13 @@ def test_criterion_07_distflow_conservation_and_polygon_soundness():
             for bus, load in scen.load_active.items():
                 total_load += load
             injections = -total_load.copy()
-            for name, entry in series["devices"].items():
-                if "p_kw" in entry and name.startswith("pv"):
-                    injections += entry["p_kw"]
-                elif "charge_kw" in entry:
-                    injections -= entry["charge_kw"] - entry["discharge_kw"]
+            for h in block.template.handles.devices:
+                dev = f"dev_{h.name}_"
+                if dev + "p_kw" in series and h.name.startswith("pv"):
+                    injections += series[dev + "p_kw"]
+                elif dev + "charge_kw" in series:
+                    injections -= series[dev + "charge_kw"] \
+                        - series[dev + "discharge_kw"]
             resid = np.abs(injections + series["pcc_kw"])
             scale = 1.0 + np.abs(total_load)
             assert np.all(resid <= 1e-9 * scale)

@@ -319,11 +319,32 @@ def test_subproblem_infeasibility_aborts_with_diagnostics(desk):
 
 
 def test_invalid_options_rejected(desk, desk_scenarios):
-    with pytest.raises(bd.BendersError):
-        bd.iterate(desk.model, desk_scenarios, EXPECT,
-                   bd.BendersOptions(tolerance=0.0))
+    for bad in ({"tolerance": 0.0}, {"tolerance": math.nan},
+                {"max_iterations": 0}, {"workers": 0}):
+        with pytest.raises(bd.BendersError):
+            bd.BendersOptions(**bad)
     with pytest.raises(bd.BendersError):
         bd.iterate(desk.model, sg.ScenarioSet([], 0), EXPECT)
+
+
+@pytest.mark.parametrize("entry", ["cost", "subgradient"])
+def test_non_finite_cut_is_refused(desk, desk_scenarios, monkeypatch, entry):
+    # a NaN passes any tolerance comparison; the audit must refuse it before
+    # the cut reaches the master
+    solve = bd.solve_subproblem
+
+    def nan_in_scenario_2(sub, x_hat):
+        cost, grad = solve(sub, x_hat)
+        if sub.index == 2:
+            if entry == "cost":
+                cost = math.nan
+            else:
+                grad[0] = math.nan
+        return cost, grad
+
+    monkeypatch.setattr(bd, "solve_subproblem", nan_in_scenario_2)
+    with pytest.raises(bd.BendersError, match="invalid cut for scenario 2"):
+        bd.iterate(desk.model, desk_scenarios, EXPECT)
 
 
 def test_negative_gap_within_tolerance_is_recorded(desk, desk_scenarios,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -205,8 +206,13 @@ def set_cell(column, value):
     ("cf_", "1.5", "capacity factor 'pv1' outside [0, 1]"),
     ("cf_", "nan", "capacity factor 'pv1' outside [0, 1]"),
     ("ev_availability", "2.0", "ev availability outside [0, 1]"),
-    ("rcm_up_price", "-5.0", "reserve capacity prices must be nonnegative")],
-    ids=["cf-1.5", "cf-nan", "ev-2.0", "rcm-price-minus-5"])
+    ("rcm_up_price", "-5.0", "reserve capacity prices must be nonnegative"),
+    ("dam_price", "nan", "non-finite value in day_ahead_price"),
+    ("ambient_temp", "nan", "non-finite value in ambient_temp"),
+    ("load_p_1", "nan", "non-finite value in load_active"),
+    ("imb_short_price", "nan", "imbalance short price below long price")],
+    ids=["cf-1.5", "cf-nan", "ev-2.0", "rcm-price-minus-5", "dam-price-nan",
+         "ambient-temp-nan", "load-nan", "imb-short-price-nan"])
 def test_out_of_range_scenario_value_is_usage_error(tmp_path, capsys, column,
                                                     value, message):
     # a scenario table is held to the range checks of the forecast
@@ -248,6 +254,114 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, table, edit,
     assert rc == 2
     assert f"error: {message}" in err
     assert "Traceback" not in err
+
+
+#: a config edit that deletes its key
+DROP = object()
+SOLVE = ["solve", "--method", "extensive"]
+
+
+@pytest.mark.parametrize("command,edits,message", [
+    (SOLVE, {"scenarios.count": "ten"}, "config key scenarios.count: "),
+    (SOLVE, {"benders.workers": "two"}, "config key benders.workers: "),
+    (SOLVE, {"benders.tolerance": None}, "config key benders.tolerance: "),
+    (SOLVE, {"risk.alpha": "x"}, "config key risk.alpha: "),
+    (SOLVE, {"horizon.step_count": "x"}, "config key horizon.step_count: "),
+    (SOLVE, {"extensive.max_variables": "big"},
+     "config key extensive.max_variables: "),
+    (SOLVE, {"tariff_sweep.levels": [0, "a"]},
+     "config key tariff_sweep.levels: "),
+    (SOLVE, {"flow_segments": "x"}, "config key flow_segments: "),
+    (SOLVE, {"network.base_mva": "x"}, "config key network.base_mva: "),
+    (SOLVE, {"market.prequalified_power_kw": "x"},
+     "config key market.prequalified_power_kw: "),
+    (SOLVE, {"risk": 5}, "config key risk.measure: 5 is not an object"),
+    (SOLVE, {"horizon.step_hours": DROP},
+     "config key horizon.step_hours: missing"),
+    (SOLVE, {"horizon.rcm_window_hours": DROP},
+     "config key horizon.rcm_window_hours: missing"),
+    (SOLVE, {"horizon.step_hours": math.nan},
+     "horizon needs step_count >= 1 and step_hours > 0"),
+    (SOLVE, {"horizon.rcm_window_hours": math.nan},
+     "window duration must be an integer multiple of the step"),
+    (["generate-scenarios"], {"risk.measure": "bogus"},
+     "unknown risk measure 'bogus'"),
+    (SOLVE, {"risk.measure": "expectation", "risk.alpha": 1.5},
+     "alpha must lie in (0, 1)"),
+    (SOLVE, {"benders.max_iterations": 0},
+     "max_iterations must be at least 1"),
+    (SOLVE, {"benders.tolerance": 0}, "tolerance must be positive"),
+    (SOLVE + ["--alpha", "1.5"], {}, "alpha must lie in (0, 1)"),
+    (SOLVE + ["--workers", "0"], {}, "workers must be at least 1"),
+    (["tariff-sweep", "--levels", "0:2:0.5"], {},
+     "sweep level 1.5 outside [0, 1]"),
+    (["tariff-sweep", "--levels", "0.5:1:0.5"], {},
+     "sweep levels must start at 0"),
+    (["tariff-sweep"], {"extensive.max_variables": 10},
+     "extensive form would need ")],
+    ids=["count-ten", "workers-two", "tolerance-null", "alpha-x",
+         "step-count-x", "max-variables-big", "levels-a", "flow-segments-x",
+         "base-mva-x", "prequalified-x", "risk-5", "no-step-hours",
+         "no-window-hours", "step-hours-nan", "window-hours-nan",
+         "measure-bogus", "expectation-alpha-1.5", "max-iterations-0",
+         "tolerance-0", "flag-alpha-1.5", "flag-workers-0", "flag-levels-to-2",
+         "flag-levels-from-0.5", "sweep-size-guard"])
+def test_bad_setting_is_usage_error(desk_dir, capsys, command, edits,
+                                    message):
+    # a setting from the config or from a flag is held to one check, which
+    # names the key or the range
+    root, cfg = desk_dir
+    raw = read_json(cfg)
+    for key, value in edits.items():
+        *path, last = key.split(".")
+        node = raw
+        for part in path:
+            node = node[part]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    edited = root / "edited.json"
+    edited.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = cli.main(command + ["--config", str(edited)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_run_settings_fall_back_on_run_defaults(tmp_path):
+    import copy
+    from dataclasses import fields
+    from vppsched.config import RUN_DEFAULTS, load_config
+    written = copy.deepcopy(RUN_DEFAULTS)
+    full = load_config(write_instance(desk_instance(), str(tmp_path)))
+    raw = read_json(full.path)
+    for key in RUN_DEFAULTS:
+        del raw[key]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(raw))
+    cfg = load_config(str(bare))
+    settings = lambda c: {f.name: getattr(c, f.name) for f in fields(c)
+                          if f.name not in ("path", "config_hash", "raw")}
+    assert settings(cfg) == settings(full)
+    assert RUN_DEFAULTS == written
+
+
+def test_solver_failure_exits_4(desk_dir, capsys, monkeypatch):
+    from vppsched import lp
+
+    def rejected(program):
+        raise lp.LpSolveError("HiGHS rejected the program")
+
+    root, cfg = desk_dir
+    monkeypatch.setattr(lp, "solve", rejected)
+    capsys.readouterr()
+    assert cli.main(SOLVE + ["--config", cfg,
+                             "--out", str(root / "rejected")]) == 4
+    assert "solver failure: HiGHS rejected the program" in \
+        capsys.readouterr().err
 
 
 def test_sweep_method_other_than_extensive_is_refused(desk_dir):

@@ -77,6 +77,9 @@ def test_risk_measure_validation():
         st.RiskMeasure("variance")
     with pytest.raises(st.StochasticError):
         st.RiskMeasure(st.CVAR, 1.5)
+    # the evaluator reports the cost CVaR at alpha under either measure
+    with pytest.raises(st.StochasticError):
+        st.RiskMeasure(st.EXPECTATION, 1.5)
 
 
 # -------------------------------------------------------- extensive builds
@@ -181,15 +184,16 @@ def test_withdrawal_matches_positive_part_of_consumption(desk, desk_neutral):
             for h in block.template.handles.devices:
                 if h.node != bus:
                     continue
-                entry = series["devices"][h.name]
-                if "charge_kw" in entry:
-                    cons += entry["charge_kw"] - entry["discharge_kw"]
+                dev = f"dev_{h.name}_"
+                if dev + "charge_kw" in series:
+                    cons += series[dev + "charge_kw"] \
+                        - series[dev + "discharge_kw"]
                 elif h.name.startswith("hp"):
-                    cons += entry["p_kw"]
+                    cons += series[dev + "p_kw"]
                 else:
-                    cons -= entry["p_kw"]
+                    cons -= series[dev + "p_kw"]
             expected = np.maximum(cons, 0.0)
-            assert np.allclose(series["wit_kw"][bus], expected, atol=1e-7)
+            assert np.allclose(series[f"wit_{bus}_kw"], expected, atol=1e-7)
 
 
 def test_infeasible_model_names_block_and_device(desk):
