@@ -3,14 +3,20 @@
 The master optimizes the bid variables plus one recourse approximation
 theta_s per scenario under the risk objective of ``stochastic`` (and its
 tail rows when the risk measure is the CVaR). Each iteration fixes the
-bids, solves every scenario subproblem independently, reads the duals of
-the bid-fixing rows as subgradients of the recourse value, and appends
-one optimality cut per scenario. The report of a run is its iteration
-trace, one row per iteration as ``trace.csv`` records it. Imbalance
-volumes are unbounded, so every bid vector admits a feasible second stage
-(complete recourse) and no feasibility cuts are needed; a subproblem that
-still reports infeasibility indicates a physically inconsistent model and
-aborts with ``stochastic.ModelInfeasible``.
+bids at a separation point, solves every scenario subproblem independently,
+reads the duals of the bid-fixing rows as subgradients of the recourse
+value, and appends one optimality cut per scenario. The separation point is
+the in-out point IN_OUT_ALPHA * core + (1 - IN_OUT_ALPHA) * x_master, with
+IN_OUT_ALPHA = 0.8 (Ben-Ameur & Neto 2007; Fischetti, Ljubic & Sinnl 2017),
+whose core is the incumbent (first the first master optimum x_master), and
+also x_master itself (a Kelley step) when no cut from the in-out point
+lifts a theta_s above its master value there; the master optimum stays the
+lower bound. The report of a run is its iteration trace, one row per master
+solve as ``trace.csv`` records it. Imbalance volumes are unbounded, so
+every bid vector admits a feasible second stage (complete recourse) and no
+feasibility cuts are needed; a subproblem that still reports infeasibility
+indicates a physically inconsistent model and aborts with
+``stochastic.ModelInfeasible``.
 
 The recourse is fixed, so every subproblem is the same matrix with its own
 costs, bounds and right-hand sides: the run builds that matrix once, keeps
@@ -49,6 +55,10 @@ THETA_FLOOR = -1e7
 
 #: duplicate-cut comparison tolerance
 _CUT_DEDUPE_TOL = 1e-12
+
+#: weight of the core in the separation point of in-out separation
+#: (Ben-Ameur & Neto 2007; Fischetti, Ljubic & Sinnl 2017)
+IN_OUT_ALPHA = 0.8
 
 
 class BendersError(Exception):
@@ -123,6 +133,8 @@ class MasterProblem:
         self.basis = None
         #: simplex iterations of the last solve
         self.iterations = 0
+        #: theta_s at the optimum of the last solve
+        self.theta_hat = np.zeros(n_scenarios)
 
     @property
     def num_cuts(self) -> int:
@@ -177,6 +189,7 @@ class MasterProblem:
         self.iterations = sol.iterations
         if sol.status != lp.OPTIMAL:
             raise BendersError(f"master problem ended with status {sol.status}")
+        self.theta_hat = sol.primal[self.theta]
         return sol.objective, sol.primal[self.x_indices]
 
 
@@ -276,15 +289,50 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
     best_x = None
     with ThreadPoolExecutor(options.workers) if options.workers > 1 \
             else nullcontext() as pool:
-        for it in range(1, options.max_iterations + 1):
-            lower, x_hat = master.solve()
+
+        def separate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+            """Solve every subproblem at ``x``, make ``x`` the incumbent
+            (and so the core) if its realized risk value beats it, and
+            return the audited cuts, one per scenario, with the simplex
+            iterations spent."""
+            nonlocal best_obj, best_x
             values = list((pool.map if pool else map)(solve_subproblem, subs,
-                                                      repeat(x_hat)))
-            realized = risk_functional([cost for cost, _ in values], probs,
-                                       risk)
+                                                      repeat(x)))
+            costs = np.array([cost for cost, _ in values])
+            gradients = np.array([grad for _, grad in values])
+            realized = risk_functional(costs, probs, risk)
             if realized < best_obj:
                 best_obj = realized
-                best_x = x_hat.copy()
+                best_x = x.copy()
+            # audit: each cut must be finite and reproduce the subproblem
+            # value at x (a NaN fails the comparison)
+            slopes = gradients @ x
+            intercepts = costs - slopes
+            resid = np.abs(intercepts + slopes - costs)
+            bad = ~(np.isfinite(gradients).all(axis=1)
+                    & (resid <= 1e-6 * (1.0 + np.abs(costs))))
+            if bad.any():
+                s = int(np.argmax(bad))
+                raise BendersError(f"invalid cut for scenario {s}: "
+                                   f"residual {resid[s]:.3e}")
+            return intercepts, gradients, sum(sub.iterations for sub in subs)
+
+        for it in range(1, options.max_iterations + 1):
+            lower, x_master = master.solve()
+            theta = master.theta_hat
+            # the core is the incumbent, so the first iteration has none;
+            # the master optimum is separated only if the cuts before it
+            # leave every theta_s at x_master where the master put it
+            points = [x_master] if best_x is None else \
+                [IN_OUT_ALPHA * best_x + (1.0 - IN_OUT_ALPHA) * x_master,
+                 x_master]
+            rounds = []
+            for x in points:
+                rounds.append(separate(x))
+                intercepts, gradients, _ = rounds[-1]
+                if np.any(intercepts + gradients @ x_master
+                          > theta + 1e-9 * (1.0 + np.abs(theta))):
+                    break
             if lower - best_obj > options.tolerance * max(1.0, abs(best_obj)):
                 raise BendersError(f"lower bound {lower!r} exceeds upper bound "
                                    f"{best_obj!r} at iteration {it}: a cut is "
@@ -293,25 +341,14 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             report.converged = gap <= options.tolerance
             added = 0
             if not report.converged:
-                intercepts = []
-                for s, (cost, grad) in enumerate(values):
-                    slope = float(grad @ x_hat)
-                    intercepts.append(cost - slope)
-                    # audit: the cut must be finite and reproduce the
-                    # subproblem value at x_hat (a NaN fails the comparison)
-                    resid = abs(intercepts[-1] + slope - cost)
-                    if not (np.isfinite(grad).all()
-                            and resid <= 1e-6 * (1.0 + abs(cost))):
-                        raise BendersError(f"invalid cut for scenario {s}: "
-                                           f"residual {resid:.3e}")
-                added = master.add_cuts(range(len(subs)), intercepts,
-                                        [grad for _, grad in values])
+                added = sum(master.add_cuts(range(len(subs)), intercepts,
+                                            gradients)
+                            for intercepts, gradients, _ in rounds)
             report.trace.append(TraceRow(
                 it, lower, best_obj, gap, time.perf_counter() - start,
-                master.iterations + sum(sub.iterations for sub in subs), added))
+                master.iterations + sum(n for _, _, n in rounds), added))
             if report.converged:
                 break
 
     return BendersResult(model.first_stage_decision(best_x), best_x, best_obj,
                          report)
-

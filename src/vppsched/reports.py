@@ -182,7 +182,8 @@ class ProfitReport:
 def evaluate_solution(cfg: RunConfig, solution_dir: str,
                       sset: ScenarioSet) -> ProfitReport:
     """Recompute every stream from the persisted dispatch series and the
-    scenario data; no solver objective values are reused."""
+    scenario data; no solver objective values are reused. The cost CVaR is
+    taken at the alpha that the solution's summary records."""
     summary_path = os.path.join(solution_dir, "summary.json")
     if not os.path.exists(summary_path):
         raise ReportError(f"no solution summary under {solution_dir}")
@@ -247,8 +248,8 @@ def evaluate_solution(cfg: RunConfig, solution_dir: str,
     report = ProfitReport(
         expected_profit=expected_profit,
         profit_std=math.sqrt(max(variance, 0.0)),
-        cost_cvar=st.cvar_of_samples(totals, probs, cfg.alpha),
-        alpha=cfg.alpha,
+        cost_cvar=st.cvar_of_samples(totals, probs, summary["alpha"]),
+        alpha=summary["alpha"],
         streams=streams,
         dam_sold_kwh=float(np.sum(np.maximum(p_dam, 0.0))) * dt,
         dam_bought_kwh=float(np.sum(np.maximum(-p_dam, 0.0))) * dt,

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from vppsched import cli
+from vppsched import stochastic as st
+from vppsched import tables
 from vppsched import instance as inst_mod
 from vppsched.instance import desk_instance, write_instance
 
@@ -115,6 +117,22 @@ def test_evaluate_matches_solver_objective(desk_dir):
     assert summary["objective"] == pytest.approx(summary["expected_cost"],
                                                  rel=1e-6)
     assert (root / "ext" / "evaluation" / "profit_histogram.csv").exists()
+
+
+def test_evaluate_takes_the_cvar_at_the_solution_alpha(desk_dir):
+    # the config says alpha 0.9; the solution was solved at 0.5
+    root, cfg = desk_dir
+    assert cli.main(["solve", "--config", cfg, "--method", "extensive",
+                     "--risk", "cvar", "--alpha", "0.5",
+                     "--out", str(root / "cvar05")]) == 0
+    assert cli.main(["evaluate", "--config", cfg,
+                     "--solution", str(root / "cvar05")]) == 0
+    report = read_json(root / "cvar05" / "evaluation" / "profit_report.json")
+    profits = tables.read_columns(str(root / "cvar05" / "evaluation"
+                                      / "profits.csv"))
+    assert report["alpha"] == 0.5
+    assert report["cost_cvar"] == st.cvar_of_samples(
+        -profits["profit"], profits["probability"], 0.5)
 
 
 def test_evaluate_refuses_foreign_scenarios(desk_dir, tmp_path):
