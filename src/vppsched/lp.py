@@ -5,12 +5,15 @@ the rows as a sparse matrix with a sense and a right-hand side each. It
 grows through ``add_*`` or is built from arrays in one step. ``solve``
 hands the program to HiGHS dual simplex through ``scipy.optimize.linprog``
 and reports primal values, per-constraint dual multipliers, and bound
-multipliers. ``solve_warm`` does the same on scipy's bundled HiGHS binding
-directly, from an optional starting basis, and returns the final basis:
-a sequence of programs that differ only in data (the Benders subproblems,
-the master gaining cut rows, the tariff-sweep levels) re-solves in a few
-simplex iterations. It splits the bound multipliers by basis status only
-when they are first read. No other module touches the solver backend.
+multipliers. ``HeldModel`` does the same on scipy's bundled HiGHS binding
+directly: it passes a program to HiGHS once and re-solves it after each
+cost change from the basis and factorization HiGHS holds, so the
+tariff-sweep levels, which differ only in costs, re-solve in a few
+simplex iterations. ``solve_warm`` is one solve on a fresh held model from
+an optional starting basis, returning the final basis: the Benders
+subproblems and the master gaining cut rows re-solve from their last one.
+Bound multipliers are split by basis status only when first read. No
+other module touches the solver backend.
 
 A column upper bound, a right-hand side or a labelled cost may be left to
 data: ``Data`` names the series entry that supplies it, and the program
@@ -39,9 +42,14 @@ try:
 except ImportError:  # scipy older than 1.15 has no bundled binding
     _highs = None
 
-#: the names of scipy's private HiGHS binding that ``solve_warm`` uses
-_BINDING = ("_Highs", "_Highs.passModel", "_Highs.setBasis", "_Highs.getBasis",
-            "HighsBasis", "HighsBasisStatus", "HighsOptions")
+#: the names of scipy's private HiGHS binding that ``HeldModel`` uses
+_BINDING = ("_Highs", "_Highs.passOptions", "_Highs.passModel",
+            "_Highs.changeColsCost", "_Highs.clearSolver", "_Highs.setBasis",
+            "_Highs.run", "_Highs.getInfo", "_Highs.getModelStatus",
+            "_Highs.modelStatusToString", "_Highs.getSolution",
+            "_Highs.getBasis", "HighsBasis", "HighsBasisStatus",
+            "HighsModelStatus", "HighsOptions", "HighsStatus", "MatrixFormat",
+            "ObjSense", "simplex_constants")
 
 
 def _binding(name: str):
@@ -340,44 +348,78 @@ _AT_LOWER = int(_highs.HighsBasisStatus.kLower)
 _AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
 _HS = _highs.HighsModelStatus
 #: HiGHS model status to report status, as ``linprog`` maps it
-_WARM_STATUS = {_HS.kOptimal: OPTIMAL, _HS.kInfeasible: INFEASIBLE,
-                _HS.kModelError: INFEASIBLE, _HS.kUnbounded: UNBOUNDED}
+_HIGHS_STATUS = {_HS.kOptimal: OPTIMAL, _HS.kInfeasible: INFEASIBLE,
+                 _HS.kModelError: INFEASIBLE, _HS.kUnbounded: UNBOUNDED}
+
+
+class HeldModel:
+    """A program held in one HiGHS instance, which receives it once. Each
+    ``solve`` may first replace the costs and then re-runs, so HiGHS keeps
+    its own basis and factorization between calls: programs that differ
+    only in costs (the tariff-sweep levels) re-solve in a few simplex
+    iterations. ``basis`` is the last optimal basis, or the starting one
+    (a basis of a program of the same shape; presolve is skipped then).
+    After a solve that ends not optimal, the next one restarts from
+    ``basis``, or cold without one."""
+
+    def __init__(self, program: LinearProgram | ColumnForm, basis=None):
+        form = program if isinstance(program, ColumnForm) else column_form(program)
+        A = form.matrix
+        m, n = A.shape
+        self._highs = highs = _highs._Highs()
+        highs.passOptions(_WARM_OPTIONS)
+        if highs.passModel(n, m, A.nnz, _COLWISE, _MINIMIZE, 0.0, form.cost,
+                           form.lower, form.upper, form.row_lo, form.row_hi,
+                           A.indptr, A.indices, A.data,
+                           np.zeros(n, np.int32)) == _highs.HighsStatus.kError:
+            raise LpSolveError("HiGHS rejected the program")
+        self._num_cols = n
+        self.basis = basis
+        #: whether HiGHS must restart from ``basis`` before the next run
+        self._restart = basis is not None
+
+    def solve(self, cost=None) -> LpSolution:
+        """Solve like the module's ``solve``, with the same dual convention
+        and status mapping, after replacing the costs by ``cost`` if given.
+
+        Raises LpSolveError on numerical breakdown or iteration exhaustion."""
+        highs = self._highs
+        if cost is not None:
+            cost = np.asarray(cost, dtype=float)
+            if cost.shape != (self._num_cols,):
+                raise LpError(f"{cost.shape} costs for {self._num_cols} columns")
+            highs.changeColsCost(self._num_cols,
+                                 np.arange(self._num_cols, dtype=np.int32), cost)
+        if self._restart:
+            if self.basis is None:
+                highs.clearSolver()
+            elif highs.setBasis(self.basis) == _highs.HighsStatus.kError:
+                raise LpSolveError("HiGHS rejected the starting basis")
+        self._restart = True
+        highs.run()
+        iterations = int(highs.getInfo().simplex_iteration_count)
+        code = highs.getModelStatus()
+        if code not in _HIGHS_STATUS:
+            raise LpSolveError(f"solver reported failure (HiGHS model status "
+                               f"{highs.modelStatusToString(code)})")
+        if _HIGHS_STATUS[code] != OPTIMAL:
+            return LpSolution(_HIGHS_STATUS[code], math.nan, np.zeros(0),
+                              np.zeros(0), iterations=iterations)
+        sol, self.basis = highs.getSolution(), highs.getBasis()
+        self._restart = False
+        return LpSolution(OPTIMAL, float(highs.getInfo().objective_function_value),
+                          np.asarray(sol.col_value), np.asarray(sol.row_dual),
+                          iterations, partial(_bound_marginals, sol, self.basis))
 
 
 def solve_warm(program: LinearProgram | ColumnForm, basis=None):
-    """Solve like ``solve``, on a fresh HiGHS instance started from
-    ``basis`` (a basis this function returned for a program of the same
-    shape; presolve is skipped then). Returns the solution, with the same
-    dual convention and status mapping as ``solve``, and the final basis
-    (None unless optimal).
+    """Solve once on a fresh ``HeldModel`` started from ``basis``. Returns
+    the solution and the final basis (None unless optimal).
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
-    form = program if isinstance(program, ColumnForm) else column_form(program)
-    A = form.matrix
-    m, n = A.shape
-    highs = _highs._Highs()
-    highs.passOptions(_WARM_OPTIONS)
-    if highs.passModel(n, m, A.nnz, _COLWISE, _MINIMIZE, 0.0, form.cost,
-                       form.lower, form.upper, form.row_lo, form.row_hi,
-                       A.indptr, A.indices, A.data,
-                       np.zeros(n, np.int32)) == _highs.HighsStatus.kError:
-        raise LpSolveError("HiGHS rejected the program")
-    if basis is not None and highs.setBasis(basis) == _highs.HighsStatus.kError:
-        raise LpSolveError("HiGHS rejected the starting basis")
-    highs.run()
-    iterations = int(highs.getInfo().simplex_iteration_count)
-    code = highs.getModelStatus()
-    if code not in _WARM_STATUS:
-        raise LpSolveError(f"solver reported failure (HiGHS model status "
-                           f"{highs.modelStatusToString(code)})")
-    if _WARM_STATUS[code] != OPTIMAL:
-        return LpSolution(_WARM_STATUS[code], math.nan, np.zeros(0),
-                          np.zeros(0), iterations=iterations), None
-
-    sol, basis = highs.getSolution(), highs.getBasis()
-    return LpSolution(OPTIMAL, float(highs.getInfo().objective_function_value),
-                      np.asarray(sol.col_value), np.asarray(sol.row_dual),
-                      iterations, partial(_bound_marginals, sol, basis)), basis
+    held = HeldModel(program, basis)
+    sol = held.solve()
+    return sol, held.basis if sol.status == OPTIMAL else None
 
 
 def _bound_marginals(sol, basis) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,10 @@ units in the column names. Reports are recomputable from the persisted
 primal series without re-solving, and every artifact embeds the config
 hash and the scenario-manifest hash it was produced from.
 
-The sweep's levels differ only in tariff costs. They are solved in order,
-each from the optimal basis of the last level that solved; a one-shot
-extensive solve stays a cold solve.
+The sweep's levels differ only in tariff costs. They are solved in order
+on one held HiGHS model, which receives the first level's extensive form
+and then only each later level's costs; a one-shot extensive solve stays
+a cold solve.
 """
 
 from __future__ import annotations
@@ -320,28 +321,20 @@ def _pct(value: float, base: float) -> float:
     return 100.0 * (value - base) / abs(base)
 
 
-def _solve_level(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
-                 basis) -> tuple[SolveOutput, object]:
-    """One sweep level's extensive solve from ``basis``, and the basis the
-    next level starts from: this level's optimal one, or ``basis`` again."""
-    ef = st.build_extensive(model, sset, risk)
-    sol, optimal = lp.solve_warm(ef.program, basis)
-    out = _extensive_output(ef, st.extensive_solution(model, ef, sset, sol))
-    return out, basis if optimal is None else optimal
-
-
 def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
                  levels: list[float] | None = None) -> tuple[list[SweepRow], dict]:
     """Scale the tariff down in the low window and up in the high window by
     the same fraction, re-solve the risk-neutral extensive form per level on
     the same scenario set, and report changes against the unmodified
     baseline. The tariff is data: every level shares the model's compiled
-    block. The first level solves cold and each later one re-solves from
-    the optimal basis of the last level that solved; levels differ only in
-    tariff costs, so that basis stays primal feasible and a level takes a
-    few dozen simplex iterations. Level order affects only which optimal
-    vertex a degenerate level returns. The levels lie in [0, 1] and the
-    first is 0, the unmodified tariff."""
+    block. The first level's extensive form goes to one ``lp.HeldModel``
+    and solves cold; each later level passes it only its costs and
+    re-solves from the basis HiGHS holds, or, after a failed level, from
+    the last optimal one. Levels differ only in tariff costs, so that
+    basis stays primal feasible and a level takes a few dozen simplex
+    iterations or none. Level order affects only which optimal vertex a
+    degenerate level returns. The levels lie in [0, 1] and the first is 0,
+    the unmodified tariff."""
     levels = cfg.sweep_levels if levels is None else levels
     if not levels or levels[0] != 0.0:
         raise ReportError("sweep levels must start at 0, the unmodified "
@@ -356,7 +349,7 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     dt = model.horizon.step_hours
     risk = st.RiskMeasure(st.EXPECTATION)
     probs = sset.probabilities()
-    basis = None
+    held = None
 
     rows: list[SweepRow] = []
     profiles: dict[float, np.ndarray] = {}
@@ -367,9 +360,16 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
             tariff[t] *= (1.0 - lvl)
         for t in high_steps:
             tariff[t] *= (1.0 + lvl)
+        level_model = model.with_tariff(tariff)
         try:
-            out, basis = _solve_level(model.with_tariff(tariff), sset, risk,
-                                      basis)
+            ef = st.build_extensive(level_model, sset, risk)
+            if held is None:
+                held = lp.HeldModel(ef.program)
+                sol = held.solve()
+            else:
+                sol = held.solve(ef.program.cost)
+            out = _extensive_output(ef, st.extensive_solution(level_model, ef,
+                                                              sset, sol))
         except st.StochasticError:
             rows.append(SweepRow(lvl, math.nan, math.nan, math.nan, math.nan,
                                  math.nan, math.nan, failed=True))

@@ -1,7 +1,10 @@
+import types
+
 import pytest
 
 from vppsched import benders as bd
 from vppsched import instance
+from vppsched import lp
 from vppsched import scenarios as sg
 from vppsched import stochastic as st
 
@@ -36,3 +39,49 @@ def desk_cvar(desk, desk_scenarios):
 @pytest.fixture(scope="session")
 def desk_benders(desk, desk_scenarios):
     return bd.iterate(desk.model, desk_scenarios, st.RiskMeasure(st.EXPECTATION))
+
+
+@pytest.fixture
+def record_highs(monkeypatch):
+    """``record(fail_run=None)`` gives ``lp`` a HiGHS class that logs the
+    calls its instances receive (``passModel``, ``clearSolver``,
+    ``setBasis`` with its basis, ``run``, and ``getBasis`` with the basis it
+    returns) and reports run number ``fail_run`` (from 1) infeasible, and
+    returns the log. ``linprog`` keeps scipy's own class."""
+
+    def record(fail_run=None):
+        log = []
+
+        class Recording(lp._highs._Highs):
+            def passModel(self, *args):
+                log.append(("passModel",))
+                return super().passModel(*args)
+
+            def clearSolver(self):
+                log.append(("clearSolver",))
+                return super().clearSolver()
+
+            def setBasis(self, basis):
+                log.append(("setBasis", basis))
+                return super().setBasis(basis)
+
+            def run(self):
+                log.append(("run",))
+                return super().run()
+
+            def getModelStatus(self):
+                if log.count(("run",)) == fail_run:
+                    return lp._highs.HighsModelStatus.kInfeasible
+                return super().getModelStatus()
+
+            def getBasis(self):
+                basis = super().getBasis()
+                log.append(("getBasis", basis))
+                return basis
+
+        binding = types.SimpleNamespace(**vars(lp._highs))
+        binding._Highs = Recording
+        monkeypatch.setattr(lp, "_highs", binding)
+        return log
+
+    return record

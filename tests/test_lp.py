@@ -248,6 +248,72 @@ def test_warm_bound_multipliers_do_not_depend_on_later_use_of_the_basis():
         assert np.array_equal(late.upper_marginals, expected[1])
 
 
+def test_held_model_after_a_cost_change_matches_vertex_enumeration():
+    # the tariff sweep: one held model, each re-solve with only new costs
+    rng = np.random.default_rng(20261019)
+    for _ in range(120):
+        prog = random_feasible_bounded_lp(rng)
+        held = lp.HeldModel(prog)
+        assert held.solve().status == lp.OPTIMAL
+        prog.cost[:] = rng.uniform(-3.0, 3.0, size=prog.num_variables)
+        sol = held.solve(prog.cost)
+        assert sol.status == lp.OPTIMAL
+        best = vertex_enumeration_optimum(prog)
+        assert sol.objective == pytest.approx(best, abs=1e-7, rel=1e-7)
+        dual = lp.dual_objective(prog, sol)
+        assert abs(sol.objective - dual) <= lp.OPT_TOL * (1.0 + abs(sol.objective))
+        # unchanged costs: HiGHS's own basis is already optimal
+        for cost in (None, prog.cost):
+            again = held.solve(cost)
+            assert again.iterations == 0
+            assert again.objective == pytest.approx(sol.objective, abs=1e-9)
+
+
+def test_held_solutions_do_not_depend_on_later_solves():
+    # a solution's duals and bound multipliers, the latter split by basis
+    # status when first read, must not move as the model re-solves
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        prog = random_feasible_bounded_lp(rng)
+        expected, _ = lp.solve_warm(prog)
+        held = lp.HeldModel(prog)
+        early = held.solve()
+        for _ in range(3):
+            held.solve(rng.uniform(-3.0, 3.0, size=prog.num_variables))
+        for got, want in [(early.primal, expected.primal),
+                          (early.duals, expected.duals),
+                          (early.lower_marginals, expected.lower_marginals),
+                          (early.upper_marginals, expected.upper_marginals)]:
+            assert np.array_equal(got, want)
+
+
+def test_held_model_restarts_after_a_solve_that_is_not_optimal(record_highs):
+    # min c . (x, y), x >= 0, 0 <= y <= 3, x + y >= 1: unbounded once c_x < 0;
+    # the next solve starts from the last optimal basis, or cold before one
+    p = lp.LinearProgram()
+    x = p.add_variable(0.0, math.inf, "x")
+    y = p.add_variable(0.0, 3.0, "y")
+    p.add_constraint([(x, 1.0), (y, 1.0)], lp.GE, 1.0)
+    p.add_objective_term(x, 1.0)
+    p.add_objective_term(y, 2.0)
+    log = record_highs()
+    held = lp.HeldModel(p)
+    assert held.solve().objective == pytest.approx(1.0, abs=1e-9)
+    optimal = held.basis
+    assert held.solve([-1.0, 1.0]).status == lp.UNBOUNDED
+    assert held.basis is optimal
+    assert held.solve([2.0, 1.0]).objective == pytest.approx(1.0, abs=1e-9)
+    assert log[-3:-1] == [("setBasis", optimal), ("run",)]
+    cold = lp.HeldModel(p)
+    assert cold.solve([-1.0, 1.0]).status == lp.UNBOUNDED
+    assert cold.basis is None
+    assert cold.solve([3.0, 4.0]).objective == pytest.approx(3.0, abs=1e-9)
+    assert log[-3:-1] == [("clearSolver",), ("run",)]
+    assert [entry[0] for entry in log].count("setBasis") == 1
+    with pytest.raises(lp.LpError):
+        cold.solve([1.0])
+
+
 def test_only_lp_touches_the_solver_backend():
     # one solver-backend seam: no other module imports scipy.optimize or
     # names linprog or the private HiGHS binding
@@ -278,7 +344,7 @@ def test_only_lp_touches_the_solver_backend():
 
 
 def test_import_names_a_missing_binding():
-    # a scipy whose HiGHS binding lacks a name the warm path uses is refused
+    # a scipy whose HiGHS binding lacks a name the held model uses is refused
     # at import, naming what is missing and the scipy that has it
     code = textwrap.dedent("""
         import types

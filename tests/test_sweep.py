@@ -1,6 +1,7 @@
-"""The tariff sweep re-solves each level from the previous level's optimal
-basis: every level must still equal its own cold extensive solve, repeat
-bit for bit, survive a failed level, and stay on the warm seam."""
+"""The tariff sweep holds one HiGHS model and re-solves each level on it
+with only the costs changed: every level must still equal its own cold
+extensive solve, repeat bit for bit, restart from the last optimal basis
+after a failed level, and pass its model to HiGHS once."""
 
 import json
 import math
@@ -91,44 +92,43 @@ def test_two_sweeps_are_bitwise_equal(case):
         assert np.array_equal(prof_a[level], prof_b[level])
 
 
-def test_failed_level_keeps_the_last_optimal_basis(case, monkeypatch):
+def test_failed_level_keeps_the_last_optimal_basis(case, monkeypatch,
+                                                  record_highs):
     cfg, model, sset = case
-    warm = lp.solve_warm
-    calls = []
-
-    def failing_at_level_3(program, basis=None):
-        sol, out = warm(program, basis)
-        if len(calls) == 3:
-            sol, out = lp.LpSolution(lp.INFEASIBLE, math.nan, np.zeros(0),
-                                     np.zeros(0)), None
-        calls.append((basis, out))
-        return sol, out
-
-    monkeypatch.setattr(lp, "solve_warm", failing_at_level_3)
+    log = record_highs(fail_run=4)
     rows, profiles = rp.tariff_sweep(cfg, model, sset, LEVELS[:6])
+    monkeypatch.undo()
     assert [r.failed for r in rows] == [False, False, False, True, False,
                                         False]
     assert math.isnan(rows[3].expected_profit)
     assert np.isnan(profiles[LEVELS[3]]).all()
-    # level 4 starts from level 2's basis, the last one that solved
-    assert calls[0][0] is None and calls[4][0] is calls[2][1]
+    # one model; only level 4 restarts, from level 2's basis, the last one
+    # that solved, although HiGHS itself holds level 3's
+    calls = [entry[0] for entry in log]
+    assert calls.count("passModel") == 1 and calls.count("run") == 6
+    runs = [k for k, name in enumerate(calls) if name == "run"]
+    bases = [entry[1] for entry in log if entry[0] == "getBasis"]
+    assert [entry for entry in log if entry[0] == "setBasis"] \
+        == [("setBasis", bases[2])]
+    assert calls.index("setBasis") == runs[4] - 1
     for row in rows[4:]:
         assert_matches_cold(row, cold_level(cfg, model, sset, row.level))
 
 
-def test_extensive_sweep_runs_on_the_warm_seam_only(case, monkeypatch):
+def test_extensive_sweep_runs_on_the_warm_seam_only(case, monkeypatch,
+                                                   record_highs):
     cfg, model, sset = case
-    counts = {"linprog": 0, "solve_warm": 0}
+    linprog_calls = []
+    linprog = lp.linprog
 
-    def counted(name):
-        original = getattr(lp, name)
+    def counted(*args, **kwargs):
+        linprog_calls.append(args)
+        return linprog(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(lp, name, wrapper)
-
-    counted("linprog")
-    counted("solve_warm")
+    monkeypatch.setattr(lp, "linprog", counted)
+    log = record_highs()
     rp.tariff_sweep(cfg, model, sset, LEVELS)
-    assert counts == {"linprog": 0, "solve_warm": len(LEVELS)}
+    calls = [entry[0] for entry in log]
+    assert linprog_calls == []
+    assert calls.count("passModel") == 1
+    assert calls.count("run") == len(LEVELS)
