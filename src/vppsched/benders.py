@@ -24,9 +24,9 @@ per scenario only its data vectors and the basis of its last solve, and
 each iteration changes only the bids on the fixing rows and re-solves from
 that basis. The master likewise re-solves from its previous basis, the new
 cut rows entering with basic slacks. Subproblems may be solved on a thread
-pool opened once per run; results are merged by scenario index, and each
-scenario's sequence of solves is its own, so the outcome does not depend on
-the worker count.
+pool opened once per run (``worker_map``); results are merged by scenario
+index, and each scenario's sequence of solves is its own, so the outcome
+does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -193,6 +193,19 @@ class MasterProblem:
         return sol.objective, sol.primal[self.x_indices]
 
 
+@contextmanager
+def worker_map(workers: int):
+    """A ``map`` that runs its calls on a pool of ``workers`` threads, open
+    for the block, and returns their results in input order; on one worker,
+    the built-in ``map`` and no pool. A call that raises re-raises when its
+    result is reached, so the first failure in input order surfaces."""
+    if workers == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        yield pool.map
+
+
 def _checked(sol: lp.LpSolution, model: VppModel, scenario: Scenario,
              scenario_index: int) -> lp.LpSolution:
     if sol.status == lp.INFEASIBLE:
@@ -287,8 +300,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
 
     best_obj = math.inf
     best_x = None
-    with ThreadPoolExecutor(options.workers) if options.workers > 1 \
-            else nullcontext() as pool:
+    with worker_map(options.workers) as parallel_map:
 
         def separate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
             """Solve every subproblem at ``x``, make ``x`` the incumbent
@@ -296,8 +308,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             return the audited cuts, one per scenario, with the simplex
             iterations spent."""
             nonlocal best_obj, best_x
-            values = list((pool.map if pool else map)(solve_subproblem, subs,
-                                                      repeat(x)))
+            values = list(parallel_map(solve_subproblem, subs, repeat(x)))
             costs = np.array([cost for cost, _ in values])
             gradients = np.array([grad for _, grad in values])
             realized = risk_functional(costs, probs, risk)

@@ -2,7 +2,9 @@
 
 The container holds its program in arrays: column bounds and costs, and
 the rows as a sparse matrix with a sense and a right-hand side each. It
-grows through ``add_*`` or is built from arrays in one step. ``solve``
+grows one row or column at a time through ``add_*``, many at once through
+``add_rows`` (CSR pieces) and ``add_variables`` under the same checks, or
+is built from arrays in one step. ``solve``
 hands the program to HiGHS dual simplex through ``scipy.optimize.linprog``
 and reports primal values, per-constraint dual multipliers, and bound
 multipliers. ``HeldModel`` does the same on scipy's bundled HiGHS binding
@@ -170,8 +172,7 @@ class LinearProgram:
         a = self._arrays
         if self._cols:
             lo, hi = np.array(self._cols, dtype=float).reshape(-1, 2).T
-            a["lower"], a["upper"] = np.r_[a["lower"], lo], np.r_[a["upper"], hi]
-            a["cost"] = np.r_[a["cost"], np.zeros(len(lo))]
+            self._extend(lower=lo, upper=hi, cost=np.zeros(len(lo)))
             self._cols = []
         if self._costs:
             idx, coef = zip(*self._costs)
@@ -180,12 +181,16 @@ class LinearProgram:
             self._costs = []
         if self._rows:
             terms, sense, rhs = zip(*self._rows)
-            new = dict(indptr=a["indptr"][-1] + np.cumsum([len(t) for t in terms]),
-                       indices=[i for t in terms for i, _ in t],
-                       data=[c for t in terms for _, c in t], sense=sense, rhs=rhs)
-            for key, values in new.items():
-                a[key] = np.concatenate((a[key], np.array(values, dtype=_ARRAYS[key])))
+            self._extend(indptr=a["indptr"][-1] + np.cumsum([len(t) for t in terms]),
+                         indices=[i for t in terms for i, _ in t],
+                         data=[c for t in terms for _, c in t], sense=sense, rhs=rhs)
             self._rows = []
+
+    def _extend(self, **arrays) -> None:
+        """Append to the program's arrays; the caller flushes first."""
+        for key, values in arrays.items():
+            self._arrays[key] = np.concatenate(
+                (self._arrays[key], np.asarray(values, dtype=_ARRAYS[key])))
 
     @property
     def matrix(self) -> csr_matrix:
@@ -213,15 +218,29 @@ class LinearProgram:
         """Append a column and return its index. An upper bound given as
         ``Data`` is a slot (placeholder +inf)."""
         slot, upper = (upper, math.inf) if isinstance(upper, Data) else (None, upper)
-        if math.isnan(lower) or math.isnan(upper):
-            raise LpError(f"variable {name!r}: NaN bound")
-        if lower > upper:
-            raise LpError(f"variable {name!r}: inverted bounds [{lower}, {upper}]")
+        _check_bounds(lower, upper, name)
         if slot is not None:
             self.slots.append((UPPER, self.num_variables, slot))
         self._cols.append((float(lower), float(upper)))
         self.col_names.append(name)
         return self.num_variables - 1
+
+    def add_variables(self, lower, upper, names: list[str]) -> np.ndarray:
+        """Append one column per name, in bulk: bounds are arrays or
+        scalars, never ``Data``. Refuses what ``add_variable`` refuses,
+        naming the first bad column. Returns the column indices."""
+        n = len(names)
+        lower = np.broadcast_to(np.asarray(lower, dtype=float), n)
+        upper = np.broadcast_to(np.asarray(upper, dtype=float), n)
+        bad = np.isnan(lower) | np.isnan(upper) | (lower > upper)
+        if bad.any():
+            k = int(np.argmax(bad))
+            _check_bounds(lower[k], upper[k], names[k])
+        self._flush()
+        first = self.num_variables
+        self._extend(lower=lower, upper=upper, cost=np.zeros(n))
+        self.col_names.extend(names)
+        return np.arange(first, first + n)
 
     def add_constraint(self, terms, sense: str, rhs: float | Data,
                        name: str = "") -> int:
@@ -230,6 +249,16 @@ class LinearProgram:
 
         Returns the row index (position in the dual vector)."""
         slot, rhs = (rhs, 0.0) if isinstance(rhs, Data) else (None, rhs)
+        clean = self._checked_row(terms, sense, rhs, name)
+        if slot is not None:
+            self.slots.append((RHS, self.num_constraints, slot))
+        self._rows.append((clean, sense, float(rhs)))
+        self.row_names.append(name)
+        return self.num_constraints - 1
+
+    def _checked_row(self, terms, sense, rhs, name) -> list[tuple[int, float]]:
+        """The (index, coef) pairs of a row that passes every check of an
+        added constraint; raises LpError naming the row otherwise."""
         if sense not in SENSES:
             raise LpError(f"constraint {name!r}: unknown sense {sense!r}")
         if not math.isfinite(rhs):
@@ -247,11 +276,52 @@ class LinearProgram:
                 raise LpError(f"constraint {name!r}: non-finite coefficient on {idx}")
             seen.add(idx)
             clean.append((idx, float(coef)))
-        if slot is not None:
-            self.slots.append((RHS, self.num_constraints, slot))
-        self._rows.append((clean, sense, float(rhs)))
-        self.row_names.append(name)
-        return self.num_constraints - 1
+        return clean
+
+    def add_rows(self, indptr, indices, data, sense, rhs,
+                 names: list[str]) -> np.ndarray:
+        """Append one constraint per name, in bulk, as CSR pieces: row k has
+        the terms ``indices[indptr[k]:indptr[k + 1]]`` with the coefficients
+        ``data`` at the same positions, the sense ``sense`` (one for every
+        row, or one per row) and the right-hand side ``rhs[k]``, which may
+        be ``Data`` (a slot, placeholder 0). Refuses exactly what
+        ``add_constraint`` refuses, naming the first bad row, and then adds
+        nothing. Returns the row indices."""
+        m = len(names)
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        data = np.asarray(data, dtype=float)
+        sense = np.broadcast_to(np.asarray(sense), m)
+        slots = [] if isinstance(rhs, np.ndarray) else \
+            [(k, r) for k, r in enumerate(rhs) if isinstance(r, Data)]
+        values = np.array([0.0 if isinstance(r, Data) else r for r in rhs]
+                          if slots else rhs, dtype=float)
+        if (len(indptr) != m + 1 or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
+                or indptr[-1] != len(indices) or len(data) != len(indices)
+                or len(values) != m):
+            raise LpError(f"{m} rows: malformed CSR pieces")
+        # a row is bad if it has a bad sense or rhs, a bad term, or an index
+        # twice (equal neighbours once the terms are sorted by row and index)
+        row = np.repeat(np.arange(m), np.diff(indptr))
+        bad = ~np.isin(sense, SENSES) | ~np.isfinite(values)
+        bad[row[(indices < 0) | (indices >= self.num_variables)
+                | ~np.isfinite(data)]] = True
+        order = np.lexsort((indices, row))
+        twice = np.diff(row[order]) == 0
+        twice &= np.diff(indices[order]) == 0
+        bad[row[order][1:][twice]] = True
+        if bad.any():
+            k = int(np.argmax(bad))
+            span = slice(indptr[k], indptr[k + 1])
+            self._checked_row(zip(indices[span], data[span]), str(sense[k]),
+                              float(values[k]), names[k])
+        self._flush()
+        first = self.num_constraints
+        self._extend(indptr=self._arrays["indptr"][-1] + indptr[1:],
+                     indices=indices, data=data, sense=sense, rhs=values)
+        self.slots += [(RHS, first + k, d) for k, d in slots]
+        self.row_names.extend(names)
+        return np.arange(first, first + m)
 
     def add_objective_term(self, index: int, coef: float) -> None:
         if index < 0 or index >= self.num_variables:
@@ -259,6 +329,13 @@ class LinearProgram:
         if not math.isfinite(coef):
             raise LpError(f"objective: non-finite coefficient on {index}")
         self._costs.append((index, float(coef)))
+
+
+def _check_bounds(lower: float, upper: float, name: str) -> None:
+    if math.isnan(lower) or math.isnan(upper):
+        raise LpError(f"variable {name!r}: NaN bound")
+    if lower > upper:
+        raise LpError(f"variable {name!r}: inverted bounds [{lower}, {upper}]")
 
 
 def _status_from_scipy(code: int) -> str:

@@ -8,7 +8,10 @@ temperature) and column bounds (PV capacity factors, EV availability).
 the emitters leaving every scenario-dependent entry as a data slot, and
 ``BlockTemplate.data`` fills the slots for one scenario, vectorized, as
 six per-stream cost vectors, right-hand sides and bounds. Every solve path
-stacks or instantiates that one template; the tariff is data too.
+stacks or instantiates that one template; the tariff is data too, the
+same for every scenario, so ``BlockTemplate.tariff_stream`` fills its
+stream once for all blocks. The grid, most of the block, is emitted in
+bulk (see ``network``).
 """
 
 from __future__ import annotations
@@ -106,6 +109,16 @@ class BlockTemplate:
         columns = np.arange(p.num_variables)
         columns[self.n_first:] += offset
         return ScenarioBlock(scenario, self, upper, rhs, streams, columns)
+
+    def tariff_stream(self, tariff) -> np.ndarray:
+        """The ``c_tariff`` stream that ``data`` fills in under ``tariff``,
+        by the same arithmetic; the tariff is not scenario data, so it is
+        the stream of every scenario's block."""
+        at = self.target == "c_tariff"
+        stream = np.zeros(self.program.num_variables)
+        stream[self.index[at]] = np.asarray(tariff, dtype=float)[self.step[at]] \
+            * self.scale[at] / self.divisor[at]
+        return stream
 
     def instantiate(self, block: "ScenarioBlock", bids=None,
                     name: str = "") -> lp.LinearProgram:

@@ -9,6 +9,10 @@ conservative with respect to the true circular limit.
 
 All network quantities inside the LP are per-unit; device and load
 quantities stay in kW/kvar and are scaled at the nodal-balance boundary.
+
+The grid is most of a compiled block, so its emitters build their columns
+and rows as arrays and append each kind in one bulk call, in the order a
+row-by-row emission would give.
 """
 
 from __future__ import annotations
@@ -160,71 +164,111 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
     ``cons_*_terms[bus][t]`` lists (variable, coefficient) pairs whose sum is
     the bus's controllable consumption in kW at step t (device injections
     enter with negative coefficients). The fixed loads of every bus are data
-    (``load_active``, ``load_reactive``) in the right-hand sides."""
-    T = horizon.step_count
+    (``load_active``, ``load_reactive``) in the right-hand sides.
+
+    The columns and the rows each go in as one bulk append. Rows run step by
+    step: per bus ``balP``, ``balQ`` (none at the root) and ``wit``, then
+    ``vdrop`` per branch; within a row the device terms come first in
+    ``balP``/``balQ`` and last in ``wit``."""
+    T, K = horizon.step_count, len(network.branches)
     root = network.root_id()
     scale = 1.0 / network.s_base_kw
+    ids = network.bus_ids()
+    steps = range(T)
 
-    branch_p = {k: [program.add_variable(-math.inf, math.inf, f"fp[{k},{t}]")
-                    for t in range(T)] for k in range(len(network.branches))}
-    branch_q = {k: [program.add_variable(-math.inf, math.inf, f"fq[{k},{t}]")
-                    for t in range(T)] for k in range(len(network.branches))}
-    bus_v = {}
-    for bus in network.buses:
-        if bus.id == root:
-            bus_v[bus.id] = [program.add_variable(1.0, 1.0, f"v[{bus.id},{t}]")
-                             for t in range(T)]
-        else:
-            bus_v[bus.id] = [program.add_variable(bus.v_min, bus.v_max,
-                                                  f"v[{bus.id},{t}]")
-                             for t in range(T)]
-    pcc = [program.add_variable(-math.inf, math.inf, f"pcc[{t}]")
-           for t in range(T)]
-    wit = {b.id: [program.add_variable(0.0, math.inf, f"wit[{b.id},{t}]")
-                  for t in range(T)] for b in network.buses}
+    v_lo = [1.0 if b.id == root else b.v_min for b in network.buses]
+    v_hi = [1.0 if b.id == root else b.v_max for b in network.buses]
+    fp, fq, v, pcc, wit = (
+        program.add_variables(lo, hi, names).reshape(-1, T)
+        for lo, hi, names in (
+            (-math.inf, math.inf, [f"fp[{k},{t}]" for k in range(K) for t in steps]),
+            (-math.inf, math.inf, [f"fq[{k},{t}]" for k in range(K) for t in steps]),
+            (np.repeat(v_lo, T), np.repeat(v_hi, T),
+             [f"v[{i},{t}]" for i in ids for t in steps]),
+            (-math.inf, math.inf, [f"pcc[{t}]" for t in steps]),
+            (0.0, math.inf, [f"wit[{i},{t}]" for i in ids for t in steps])))
 
-    def var_terms(table, bus, t):
-        per_bus = table.get(bus)
-        return list(per_bus[t]) if per_bus is not None else []
+    # the rows of one step, by bus position n: bal_p[n], bal_p[n] + 1
+    # (balQ, off the root) and wit_row[n]; vdrop[k] after every bus row
+    at = {i: n for n, i in enumerate(ids)}
+    per_bus = np.array([2 if i == root else 3 for i in ids])
+    bal_p = np.cumsum(per_bus) - per_bus
+    wit_row = bal_p + per_bus - 1
+    width = int(per_bus.sum()) + K
+    rest = [n for n, i in enumerate(ids) if i != root]
+    parent = [topo.parent_branch[ids[n]] for n in rest]
+    child = np.array([(at[i], k) for i in ids for k in topo.child_branches[i]],
+                     dtype=np.int64).reshape(-1, 2)
+    child_q = child[child[:, 0] != at[root]]
+    ends = np.array([[at[b] for b in branch_endpoints(network, topo, k)]
+                     for k in range(K)], dtype=np.int64).reshape(-1, 2)
 
-    for t in range(T):
-        for bus in network.buses:
-            i = bus.id
-            cons_p = var_terms(cons_p_terms, i, t)
-            cons_q = var_terms(cons_q_terms, i, t)
-            # power balance: inflow - outflow = local consumption
-            terms_p = [(idx, coef * scale) for idx, coef in cons_p]
-            terms_q = [(idx, coef * scale) for idx, coef in cons_q]
-            if i == root:
-                terms_p.append((pcc[t], -scale))
-            else:
-                terms_p.append((branch_p[topo.parent_branch[i]][t], -1.0))
-                terms_q.append((branch_q[topo.parent_branch[i]][t], -1.0))
-            for k in topo.child_branches[i]:
-                terms_p.append((branch_p[k][t], 1.0))
-                terms_q.append((branch_q[k][t], 1.0))
-            program.add_constraint(terms_p, lp.EQ,
-                                   lp.Data("load_active", i, t, -scale),
-                                   f"balP[{i},{t}]")
+    # terms as (row, column, coefficient), chunk after chunk; a stable sort
+    # by row keeps each row's terms in chunk order
+    rows, cols, coefs = [], [], []
+
+    def grid(row, col, coef):
+        """Terms on the step rows ``row`` of every step, columns (n, T)."""
+        rows.append(np.add.outer(np.asarray(row), width * np.arange(T)).ravel())
+        cols.append(col.ravel())
+        coefs.append(np.broadcast_to(np.reshape(coef, (-1, 1)), col.shape).ravel())
+
+    def devices(table, row_of, factor):
+        """The device terms of ``table`` on the rows ``row_of[bus]``, their
+        coefficients times ``factor``."""
+        terms = np.array([(width * t + row_of[at[bus]], idx, coef)
+                          for bus, per_step in table.items() if bus in at
+                          for t, step_terms in zip(steps, per_step)
+                          for idx, coef in step_terms], dtype=float).reshape(-1, 3)
+        rows.append(terms[:, 0].astype(np.int64))
+        cols.append(terms[:, 1].astype(np.int64))
+        coefs.append(terms[:, 2] * factor)
+
+    # balP: consumption, then the import or the parent branch, then children
+    devices(cons_p_terms, bal_p, scale)
+    grid([bal_p[at[root]]], pcc, -scale)
+    grid(bal_p[rest], fp[parent], -1.0)
+    grid(bal_p[child[:, 0]], fp[child[:, 1]], 1.0)
+    # balQ likewise, without the import
+    devices({i: terms for i, terms in cons_q_terms.items() if i != root},
+            bal_p + 1, scale)
+    grid(bal_p[rest] + 1, fq[parent], -1.0)
+    grid(bal_p[child_q[:, 0]] + 1, fq[child_q[:, 1]], 1.0)
+    # withdrawal epigraph: wit >= local consumption, wit >= 0
+    grid(wit_row, wit, 1.0)
+    devices(cons_p_terms, wit_row, -1.0)
+    # voltage drop along each branch, downstream minus upstream
+    vdrop = width - K + np.arange(K)
+    grid(vdrop, v[ends[:, 1]], 1.0)
+    grid(vdrop, v[ends[:, 0]], -1.0)
+    grid(vdrop, fp, [2.0 * br.r_pu for br in network.branches])
+    grid(vdrop, fq, [2.0 * br.x_pu for br in network.branches])
+
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")
+    sense, rhs, names = [], [], []
+    for t in steps:
+        for i in ids:
+            sense.append(lp.EQ)
+            rhs.append(lp.Data("load_active", i, t, -scale))
+            names.append(f"balP[{i},{t}]")
             if i != root:
-                program.add_constraint(terms_q, lp.EQ,
-                                       lp.Data("load_reactive", i, t, -scale),
-                                       f"balQ[{i},{t}]")
+                sense.append(lp.EQ)
+                rhs.append(lp.Data("load_reactive", i, t, -scale))
+                names.append(f"balQ[{i},{t}]")
+            sense.append(lp.GE)
+            rhs.append(lp.Data("load_active", i, t))
+            names.append(f"wit[{i},{t}]")
+        sense += [lp.EQ] * K
+        rhs += [0.0] * K
+        names += [f"vdrop[{k},{t}]" for k in range(K)]
+    program.add_rows(np.r_[0, np.cumsum(np.bincount(row, minlength=width * T))],
+                     np.concatenate(cols)[order], np.concatenate(coefs)[order],
+                     sense, rhs, names)
 
-            # withdrawal epigraph: wit >= local consumption, wit >= 0
-            wit_terms = [(wit[i][t], 1.0)] + [(idx, -coef) for idx, coef in cons_p]
-            program.add_constraint(wit_terms, lp.GE, lp.Data("load_active", i, t),
-                                   f"wit[{i},{t}]")
-
-        for k in range(len(network.branches)):
-            up, dn = branch_endpoints(network, topo, k)
-            br = network.branches[k]
-            program.add_constraint(
-                [(bus_v[dn][t], 1.0), (bus_v[up][t], -1.0),
-                 (branch_p[k][t], 2.0 * br.r_pu), (branch_q[k][t], 2.0 * br.x_pu)],
-                lp.EQ, 0.0, f"vdrop[{k},{t}]")
-
-    return GridHandles(branch_p, branch_q, bus_v, pcc, wit)
+    return GridHandles(dict(enumerate(fp.tolist())), dict(enumerate(fq.tolist())),
+                       dict(zip(ids, v.tolist())), pcc[0].tolist(),
+                       dict(zip(ids, wit.tolist())))
 
 
 def polygon_sides(segments: int) -> list[tuple[float, float]]:
@@ -239,25 +283,27 @@ def polygon_sides(segments: int) -> list[tuple[float, float]]:
 
 def emit_flow_limits(program: lp.LinearProgram, network: RadialNetwork,
                      handles: GridHandles, horizon: MarketHorizon,
-                     segments: int = 8) -> list[int]:
+                     segments: int = 8) -> np.ndarray:
     """Inscribed regular polygon for P^2 + Q^2 <= s_max^2 on every branch:
     cos(a_k) P + sin(a_k) Q <= s_max cos(pi/K) for a_k = 2 pi k / K; only
-    nonzero coefficients are stored."""
+    nonzero coefficients are stored. One bulk append, rows by branch, step
+    and side; returns their indices."""
     if segments < 4:
         raise NetworkError("flow polygon needs at least 4 segments")
-    rows = []
-    sides = polygon_sides(segments)
-    offset_factor = math.cos(math.pi / segments)
-    for k, br in enumerate(network.branches):
-        s_max_pu = br.s_max_kva / network.s_base_kw
-        rhs = s_max_pu * offset_factor
-        for t in range(horizon.step_count):
-            p, q = handles.branch_p[k][t], handles.branch_q[k][t]
-            for seg, (c, s) in enumerate(sides):
-                rows.append(program.add_constraint(
-                    [(idx, coef) for idx, coef in ((p, c), (q, s)) if coef],
-                    lp.LE, rhs, f"flow[{k},{t},{seg}]"))
-    return rows
+    T, K = horizon.step_count, len(network.branches)
+    pq = np.stack([np.array([flows[k] for k in range(K)], dtype=np.int64)
+                   .reshape(K, T) for flows in (handles.branch_p, handles.branch_q)],
+                  axis=-1)
+    cols = np.broadcast_to(pq[:, :, None, :], (K, T, segments, 2))
+    coef = np.broadcast_to(np.array(polygon_sides(segments)), cols.shape)
+    keep = coef != 0.0
+    s_max_pu = np.array([br.s_max_kva for br in network.branches]) \
+        / network.s_base_kw
+    return program.add_rows(
+        np.r_[0, np.cumsum(keep.sum(axis=-1).ravel())], cols[keep], coef[keep],
+        lp.LE, np.repeat(s_max_pu * math.cos(math.pi / segments), T * segments),
+        [f"flow[{k},{t},{seg}]" for k in range(K) for t in range(T)
+         for seg in range(segments)])
 
 
 def polygon_admits(p: float, q: float, s_max: float, segments: int) -> bool:

@@ -6,10 +6,12 @@ units in the column names. Reports are recomputable from the persisted
 primal series without re-solving, and every artifact embeds the config
 hash and the scenario-manifest hash it was produced from.
 
-The sweep's levels differ only in tariff costs. They are solved in order
-on one held HiGHS model, which receives the first level's extensive form
-and then only each later level's costs; a one-shot extensive solve stays
-a cold solve.
+The sweep's levels differ only in tariff costs. The extensive form is
+stacked once; a level recomputes only its tariff stream and cost vector.
+The levels are solved in order on one held HiGHS model, which receives the
+first level's program and then only each later level's costs; a one-shot
+extensive solve stays a cold solve. The detail re-solves of a Benders run
+go to the run's worker threads.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 
 import numpy as np
 import scipy
@@ -49,7 +52,7 @@ def scenario_details(model: VppModel, scenario: Scenario, s_index: int,
                      x: np.ndarray):
     """Re-solve one scenario with the bids frozen and return its breakdown
     and dispatch series; used to materialize second-stage artifacts for
-    decomposition runs."""
+    decomposition runs, one per scenario on the run's worker threads."""
     sol, block = bd.solve_fixed_bids(model, scenario, s_index, x)
     return block.breakdown(sol.primal), extract_block_series(block, sol.primal)
 
@@ -80,13 +83,13 @@ def solve_with_method(model: VppModel, sset: ScenarioSet, risk: st.RiskMeasure,
             raise ReportError("LP export is only available for the extensive "
                               "method (the decomposition never materializes "
                               "one monolithic program)")
+        benders_opts = benders_opts or bd.BendersOptions()
         res = bd.iterate(model, sset, risk, benders_opts)
-        breakdowns = []
-        series = []
-        for s, scen in enumerate(sset.scenarios):
-            b, ser = scenario_details(model, scen, s, res.x)
-            breakdowns.append(b)
-            series.append(ser)
+        with bd.worker_map(benders_opts.workers) as parallel_map:
+            details = list(parallel_map(scenario_details, repeat(model),
+                                        sset.scenarios, range(len(sset)),
+                                        repeat(res.x)))
+        breakdowns, series = (list(part) for part in zip(*details))
         return SolveOutput(res.objective, res.first_stage, breakdowns, series,
                            converged=res.report.converged,
                            iterations=res.report.iterations,
@@ -321,20 +324,37 @@ def _pct(value: float, base: float) -> float:
     return 100.0 * (value - base) / abs(base)
 
 
+def tariff_level(ef: st.ExtensiveForm, model: VppModel, probs: np.ndarray,
+                 tariff: np.ndarray) -> tuple[st.ExtensiveForm, np.ndarray]:
+    """The risk-neutral extensive form ``ef`` of ``model`` under another
+    tariff, without re-stacking: its blocks with the tariff stream replaced
+    and the program's cost vector under them. The tariff is not scenario
+    data, so one stream serves every block; both are bitwise what
+    ``st.build_extensive`` gives for ``model.with_tariff(tariff)``."""
+    stream = model.template.tariff_stream(tariff)
+    blocks = [replace(block, streams={**block.streams, "c_tariff": stream})
+              for block in ef.blocks]
+    cost = np.zeros(ef.program.num_variables)
+    st.add_expected_cost(cost, probs,
+                         [(block.columns, block.net_cost()) for block in blocks])
+    return replace(ef, blocks=blocks), cost
+
+
 def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
                  levels: list[float] | None = None) -> tuple[list[SweepRow], dict]:
     """Scale the tariff down in the low window and up in the high window by
     the same fraction, re-solve the risk-neutral extensive form per level on
     the same scenario set, and report changes against the unmodified
-    baseline. The tariff is data: every level shares the model's compiled
-    block. The first level's extensive form goes to one ``lp.HeldModel``
-    and solves cold; each later level passes it only its costs and
-    re-solves from the basis HiGHS holds, or, after a failed level, from
-    the last optimal one. Levels differ only in tariff costs, so that
-    basis stays primal feasible and a level takes a few dozen simplex
-    iterations or none. Level order affects only which optimal vertex a
-    degenerate level returns. The levels lie in [0, 1] and the first is 0,
-    the unmodified tariff."""
+    baseline. The tariff is data: the extensive form is stacked once, and a
+    level recomputes only the tariff stream and the cost vector
+    (``tariff_level``). The first level's program goes to one
+    ``lp.HeldModel`` and solves cold; each later level passes it only its
+    costs and re-solves from the basis HiGHS holds, or, after a failed
+    level, from the last optimal one. Levels differ only in tariff costs,
+    so that basis stays primal feasible and a level takes a few dozen
+    simplex iterations or none. Level order affects only which optimal
+    vertex a degenerate level returns. The levels lie in [0, 1] and the
+    first is 0, the unmodified tariff."""
     levels = cfg.sweep_levels if levels is None else levels
     if not levels or levels[0] != 0.0:
         raise ReportError("sweep levels must start at 0, the unmodified "
@@ -347,8 +367,8 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     high_steps = cfg.window_steps(cfg.sweep_high_hours)
     base_tariff = model.market.tariff_per_mwh.copy()
     dt = model.horizon.step_hours
-    risk = st.RiskMeasure(st.EXPECTATION)
     probs = sset.probabilities()
+    ef = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
     held = None
 
     rows: list[SweepRow] = []
@@ -360,16 +380,16 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
             tariff[t] *= (1.0 - lvl)
         for t in high_steps:
             tariff[t] *= (1.0 + lvl)
-        level_model = model.with_tariff(tariff)
+        level, cost = tariff_level(ef, model, probs, tariff)
         try:
-            ef = st.build_extensive(level_model, sset, risk)
             if held is None:
+                # level 0, the unmodified tariff: its costs are the program's
                 held = lp.HeldModel(ef.program)
                 sol = held.solve()
             else:
-                sol = held.solve(ef.program.cost)
-            out = _extensive_output(ef, st.extensive_solution(level_model, ef,
-                                                              sset, sol))
+                sol = held.solve(cost)
+            out = _extensive_output(level, st.extensive_solution(model, level,
+                                                                 sset, sol))
         except st.StochasticError:
             rows.append(SweepRow(lvl, math.nan, math.nan, math.nan, math.nan,
                                  math.nan, math.nan, failed=True))

@@ -122,8 +122,7 @@ def add_risk_objective(program: lp.LinearProgram, risk: RiskMeasure,
     CVaR with the columns ``gamma`` and ``tail[s]`` and the rows
     ``tail[s]``."""
     if risk.kind == EXPECTATION:
-        for pi, (columns, coef) in zip(probs, costs):
-            program.cost[columns] += pi * coef
+        add_expected_cost(program.cost, probs, costs)
         return
     gamma = program.add_variable(-math.inf, math.inf, "gamma")
     program.add_objective_term(gamma, 1.0)
@@ -135,6 +134,14 @@ def add_risk_objective(program: lp.LinearProgram, risk: RiskMeasure,
         program.add_constraint([(y, 1.0), (gamma, 1.0)]
                                + list(zip(columns[nz], -coef[nz])),
                                lp.GE, 0.0, f"tail[{k}]")
+
+
+def add_expected_cost(cost: np.ndarray, probs: np.ndarray, costs) -> None:
+    """Add to the cost vector ``cost`` the expectation of the scenario costs
+    given as in ``add_risk_objective``: each scenario's coefficients on its
+    columns, weighted by its probability, scenario after scenario."""
+    for pi, (columns, coef) in zip(probs, costs):
+        cost[columns] += pi * coef
 
 
 def _diagnose_infeasible(model: VppModel, sset: ScenarioSet) -> ModelInfeasible:

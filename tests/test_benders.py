@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -442,3 +443,55 @@ def test_crossed_bounds_raise(desk, desk_scenarios, monkeypatch):
     monkeypatch.setattr(bd.MasterProblem, "solve", inflated)
     with pytest.raises(bd.BendersError, match="exceeds upper bound"):
         bd.iterate(desk.model, desk_scenarios, EXPECT)
+
+
+def test_detail_resolves_do_not_depend_on_the_worker_count(desk,
+                                                           desk_scenarios):
+    # the detail re-solves run on the run's workers and merge by scenario;
+    # the 8-worker run shares the compiled block under thread stress
+    solve = lambda w: rp.solve_with_method(desk.model, desk_scenarios, EXPECT,
+                                           "benders", bd.BendersOptions(workers=w))
+    outs = [solve(w) for w in (1, 2, 4)]
+    stressed = {}
+    run = threading.Thread(target=lambda: stressed.setdefault("out", solve(8)),
+                           daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run.start()
+        run.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not run.is_alive() and "out" in stressed
+    outs.append(stressed["out"])
+    first = outs[0]
+    for out in outs[1:]:
+        assert out.objective == first.objective
+        assert out.breakdowns == first.breakdowns
+        assert out.iterations == first.iterations
+        for mine, theirs in zip(out.series, first.series):
+            assert list(mine) == list(theirs)
+            assert all(mine[k].tobytes() == theirs[k].tobytes() for k in mine)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_failed_detail_resolve_names_the_first_scenario(desk, desk_scenarios,
+                                                        monkeypatch, workers):
+    # scenarios 1 and 3 fail; 1 is the slower, yet it is the one reported
+    res = bd.iterate(desk.model, desk_scenarios, EXPECT,
+                     bd.BendersOptions(tolerance=math.inf))
+    solve = bd.solve_fixed_bids
+
+    def failing(model, scenario, s, x):
+        if s == 1:
+            time.sleep(0.2)
+        if s in (1, 3):
+            raise st.ModelInfeasible(s)
+        return solve(model, scenario, s, x)
+
+    monkeypatch.setattr(bd, "iterate", lambda *args: res)
+    monkeypatch.setattr(bd, "solve_fixed_bids", failing)
+    with pytest.raises(st.ModelInfeasible) as exc:
+        rp.solve_with_method(desk.model, desk_scenarios, EXPECT, "benders",
+                             bd.BendersOptions(workers=workers))
+    assert exc.value.scenario_index == 1

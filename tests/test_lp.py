@@ -41,6 +41,105 @@ def test_add_constraint_rejects_duplicates_and_unknowns():
         p.add_constraint([(x, 1.0)], "<", 1.0)
 
 
+def csr_pieces(rows):
+    """``add_rows`` arguments (but names) for rows given as
+    ``add_constraint`` takes them: (terms, sense, rhs)."""
+    terms = [t for t, _, _ in rows]
+    return (np.cumsum([0] + [len(t) for t in terms]),
+            [i for t in terms for i, _ in t], [c for t in terms for _, c in t],
+            [sense for _, sense, _ in rows], [rhs for _, _, rhs in rows])
+
+
+#: one bad row each, as ``add_constraint`` takes it, on two columns
+BAD_ROWS = {
+    "sense": ([(0, 1.0)], "<", 1.0),
+    "rhs": ([(0, 1.0)], lp.LE, math.inf),
+    "nan rhs": ([(0, 1.0)], lp.EQ, math.nan),
+    "index": ([(0, 1.0), (2, 1.0)], lp.LE, 1.0),
+    "negative index": ([(-1, 1.0)], lp.LE, 1.0),
+    "duplicate": ([(1, 1.0), (0, 2.0), (1, 3.0)], lp.GE, 1.0),
+    "coefficient": ([(0, math.nan)], lp.LE, 1.0),
+    "infinite coefficient": ([(1, -math.inf)], lp.GE, lp.Data("load")),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+def test_bulk_rows_refuse_what_add_constraint_refuses(bad):
+    # same message, naming the first bad row, and nothing is added
+    rows = [([(0, 1.0), (1, 2.0)], lp.EQ, lp.Data("load", None, 1)),
+            BAD_ROWS[bad], ([(1, 1.0), (0, 1.0)], lp.GE, 0.0), BAD_ROWS[bad]]
+    names = ["good", "bad", "fine", "worse"]
+    single, bulk = lp.LinearProgram(), lp.LinearProgram()
+    for p in (single, bulk):
+        p.add_variable(0.0, 1.0, "x")
+        p.add_variable(0.0, 1.0, "y")
+    with pytest.raises(lp.LpError) as one:
+        single.add_constraint(*rows[1], name="bad")
+    with pytest.raises(lp.LpError) as many:
+        bulk.add_rows(*csr_pieces(rows), names)
+    assert str(many.value) == str(one.value) and "'bad'" in str(many.value)
+    assert bulk.num_constraints == 0 and bulk.row_names == [] \
+        and bulk.slots == []
+    assert bulk.add_rows(*csr_pieces(rows[::2]), names[::2]).tolist() == [0, 1]
+
+
+def test_bulk_rows_refuse_malformed_pieces():
+    p = lp.LinearProgram()
+    p.add_variable(0.0, 1.0, "x")
+    for indptr, indices, data in (([0, 2], [0], [1.0]), ([1, 1], [0], [1.0]),
+                                  ([0, 1], [0], [1.0, 2.0]), ([0], [], [])):
+        with pytest.raises(lp.LpError):
+            p.add_rows(indptr, indices, data, lp.LE, [1.0], ["r"])
+    assert p.num_constraints == 0
+
+
+@pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan),
+                                          (2.0, 1.0)])
+def test_bulk_columns_refuse_what_add_variable_refuses(lower, upper):
+    single, bulk = lp.LinearProgram(), lp.LinearProgram()
+    with pytest.raises(lp.LpError) as one:
+        single.add_variable(lower, upper, "bad")
+    with pytest.raises(lp.LpError) as many:
+        bulk.add_variables([0.0, lower, lower], [1.0, upper, upper],
+                           ["good", "bad", "worse"])
+    assert str(many.value) == str(one.value) and "'bad'" in str(many.value)
+    assert bulk.num_variables == 0 and bulk.col_names == []
+
+
+def test_bulk_appends_match_one_at_a_time():
+    # interleaved with buffered single appends, the bulk ones give the same
+    # arrays, names and slots
+    rng = np.random.default_rng(11)
+    single, bulk = lp.LinearProgram(), lp.LinearProgram()
+    single.add_variable(0.0, lp.Data("cap", "a"), "u")
+    bulk.add_variable(0.0, lp.Data("cap", "a"), "u")
+    lower, upper = rng.uniform(-2, 0, 6), rng.uniform(0, 2, 6)
+    names = [f"x{j}" for j in range(6)]
+    for lo, hi, name in zip(lower, upper, names):
+        single.add_variable(lo, hi, name)
+    assert bulk.add_variables(lower, upper, names).tolist() == list(range(1, 7))
+    rows = []
+    for k in range(12):
+        idx = rng.choice(7, rng.integers(0, 5), replace=False)
+        rhs = lp.Data("load", k % 3, k) if k % 4 == 0 else float(rng.normal())
+        rows.append(([(int(i), float(rng.normal())) for i in idx],
+                     lp.SENSES[k % 3], rhs))
+    single.add_constraint(*rows[0], name="r0")
+    bulk.add_constraint(*rows[0], name="r0")
+    for k, row in enumerate(rows[1:], 1):
+        single.add_constraint(*row, name=f"r{k}")
+    bulk.add_rows(*csr_pieces(rows[1:]), [f"r{k}" for k in range(1, 12)])
+    for p in (single, bulk):
+        p.add_variable(-1.0, 1.0, "z")
+        p.add_constraint([(7, 1.0)], lp.LE, 0.5, "last")
+    for key in ("lower", "upper", "cost", "indptr", "indices", "data", "sense",
+                "rhs"):
+        a, b = getattr(single, key), getattr(bulk, key)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+    assert (single.col_names, single.row_names, single.slots) \
+        == (bulk.col_names, bulk.row_names, bulk.slots)
+
+
 def test_single_variable_ge_dual_is_one():
     p = lp.LinearProgram()
     x = p.add_variable(0.0, math.inf, "x")

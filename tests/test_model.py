@@ -1,6 +1,7 @@
 """Fixed recourse: the scenario block is compiled once, and scenarios change
 only its costs, right-hand sides and column bounds."""
 
+import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -139,3 +140,36 @@ def test_threads_share_the_compiled_block(desk, desk_scenarios):
     for k, (cost, grad) in enumerate(results):
         assert cost == serial[k % 10][0]
         assert np.array_equal(grad, serial[k % 10][1])
+
+
+#: sha256 of each preset's compiled template (see ``template_digest``),
+#: pinned when the grid block was still emitted row by row
+TEMPLATE_DIGESTS = {
+    "desk": "4c38ebb23b78a864b10ff7f492a9a592e610e2f4d623f85bfdd88ad5b375e06e",
+    "day": "492f3192100ba97183e7d6089406b242a43046859b693f96051ec6c920aa8391",
+    "full": "65b54f984ee0639201e4fa56bec3dca4ea2d392f4240ebe820f07a4341c39f2a",
+}
+
+
+def template_digest(model: VppModel) -> str:
+    """Digest of everything HiGHS is given from the compiled block: its
+    arrays with dtype and shape, row and column names, and data slots."""
+    p = model.template.program
+    h = hashlib.sha256()
+    for key in ("lower", "upper", "cost", "indptr", "indices", "data",
+                "sense", "rhs"):
+        a = getattr(p, key)
+        h.update(f"{key}:{a.dtype.str}:{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    for names in (p.col_names, p.row_names):
+        h.update("\n".join(names).encode())
+    h.update(repr(p.slots).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("preset", sorted(TEMPLATE_DIGESTS))
+def test_compiled_template_is_pinned(preset):
+    # the same arrays, names and slots in the same order, so every program
+    # stacked or instantiated from the template reaches HiGHS unchanged
+    assert template_digest(im.PRESETS[preset]().model) \
+        == TEMPLATE_DIGESTS[preset]

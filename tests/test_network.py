@@ -1,3 +1,4 @@
+import ast
 import math
 from types import SimpleNamespace
 
@@ -222,3 +223,113 @@ def test_network_csv_roundtrip(tmp_path):
     for path in paths:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert nw.load_network(*paths, net.base_mva) == net
+
+
+def test_grid_block_is_emitted_in_bulk():
+    # the grid is most of the block: network.py appends its rows through
+    # ``add_rows`` only, never one ``add_constraint`` call per row
+    with open(nw.__file__) as fh:
+        tree = ast.parse(fh.read())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_constraint"]
+    assert calls == []
+
+
+def row_by_row_grid(program, network, topo, horizon, cons_p, cons_q,
+                    segments):
+    """Reference for the bulk emitters: the grid block one ``add_variable``
+    and one ``add_constraint`` at a time, in the documented order."""
+    T, K = horizon.step_count, len(network.branches)
+    root = network.root_id()
+    scale = 1.0 / network.s_base_kw
+    free = lambda name: program.add_variable(-math.inf, math.inf, name)
+    fp = {k: [free(f"fp[{k},{t}]") for t in range(T)] for k in range(K)}
+    fq = {k: [free(f"fq[{k},{t}]") for t in range(T)] for k in range(K)}
+    v = {b.id: [program.add_variable(*((1.0, 1.0) if b.id == root
+                                       else (b.v_min, b.v_max)),
+                                     f"v[{b.id},{t}]") for t in range(T)]
+         for b in network.buses}
+    pcc = [free(f"pcc[{t}]") for t in range(T)]
+    wit = {b.id: [program.add_variable(0.0, math.inf, f"wit[{b.id},{t}]")
+                  for t in range(T)] for b in network.buses}
+    for t in range(T):
+        for b in network.buses:
+            i = b.id
+            own_p = cons_p[i][t] if i in cons_p else []
+            own_q = cons_q[i][t] if i in cons_q else []
+            up = [(pcc[t], -scale)] if i == root \
+                else [(fp[topo.parent_branch[i]][t], -1.0)]
+            program.add_constraint(
+                [(j, c * scale) for j, c in own_p] + up
+                + [(fp[k][t], 1.0) for k in topo.child_branches[i]],
+                lp.EQ, lp.Data("load_active", i, t, -scale), f"balP[{i},{t}]")
+            if i != root:
+                program.add_constraint(
+                    [(j, c * scale) for j, c in own_q]
+                    + [(fq[topo.parent_branch[i]][t], -1.0)]
+                    + [(fq[k][t], 1.0) for k in topo.child_branches[i]],
+                    lp.EQ, lp.Data("load_reactive", i, t, -scale),
+                    f"balQ[{i},{t}]")
+            program.add_constraint([(wit[i][t], 1.0)]
+                                   + [(j, -c) for j, c in own_p],
+                                   lp.GE, lp.Data("load_active", i, t),
+                                   f"wit[{i},{t}]")
+        for k, br in enumerate(network.branches):
+            up, dn = nw.branch_endpoints(network, topo, k)
+            program.add_constraint(
+                [(v[dn][t], 1.0), (v[up][t], -1.0), (fp[k][t], 2.0 * br.r_pu),
+                 (fq[k][t], 2.0 * br.x_pu)], lp.EQ, 0.0, f"vdrop[{k},{t}]")
+    for k, br in enumerate(network.branches):
+        rhs = br.s_max_kva / network.s_base_kw * math.cos(math.pi / segments)
+        for t in range(T):
+            for seg, (c, s) in enumerate(nw.polygon_sides(segments)):
+                program.add_constraint(
+                    [(j, a) for j, a in ((fp[k][t], c), (fq[k][t], s)) if a],
+                    lp.LE, rhs, f"flow[{k},{t},{seg}]")
+    return nw.GridHandles(fp, fq, v, pcc, wit)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bulk_grid_matches_row_by_row_emission(seed):
+    # random feeders in shuffled bus order, devices on any bus (the root
+    # too) and zero impedances: the same arrays, names, slots and handles
+    rng = np.random.default_rng(seed)
+    net = nw.make_synthetic_feeder(int(rng.integers(2, 9)), seed=seed)
+    buses = [net.buses[n] for n in rng.permutation(len(net.buses))]
+    branches = [nw.Branch(br.from_bus, br.to_bus, br.r_pu * (seed % 3 > 0),
+                          br.x_pu, br.s_max_kva) for br in net.branches]
+    net = nw.RadialNetwork(buses, branches)
+    horizon = MarketHorizon(int(rng.integers(1, 5)), 0.25, 0.25)
+    T = horizon.step_count
+    topo = nw.validate_radial(net)
+    terms = lambda: {b.id: [[(int(j), float(rng.normal()))
+                             for j in rng.choice(5, rng.integers(0, 4),
+                                                 replace=False)]
+                            for _ in range(T)]
+                     for b in buses if rng.random() < 0.7}
+    cons_p, cons_q = terms(), terms()
+    segments = int(rng.integers(4, 11))
+    programs, handles = [], []
+    for emit in ("bulk", "row by row"):
+        p = lp.LinearProgram()
+        for j in range(5):
+            p.add_variable(0.0, 1.0, f"d{j}")
+        if emit == "bulk":
+            h = nw.emit_distflow(p, net, topo, horizon, cons_p, cons_q)
+            nw.emit_flow_limits(p, net, h, horizon, segments)
+        else:
+            h = row_by_row_grid(p, net, topo, horizon, cons_p, cons_q,
+                                segments)
+        p.add_constraint([(0, 1.0)], lp.LE, 1.0, "after")
+        programs.append(p)
+        handles.append(h)
+    bulk, ref = programs
+    for key in ("lower", "upper", "cost", "indptr", "indices", "data",
+                "sense", "rhs"):
+        a, b = getattr(bulk, key), getattr(ref, key)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+    assert (bulk.col_names, bulk.row_names, repr(bulk.slots)) \
+        == (ref.col_names, ref.row_names, repr(ref.slots))
+    assert repr(handles[0]) == repr(handles[1])

@@ -132,3 +132,45 @@ def test_extensive_sweep_runs_on_the_warm_seam_only(case, monkeypatch,
     assert linprog_calls == []
     assert calls.count("passModel") == 1
     assert calls.count("run") == len(LEVELS)
+
+
+def test_levels_swap_only_the_tariff_costs(case, monkeypatch):
+    # the sweep stacks the extensive form once; each level's cost vector and
+    # breakdowns are bitwise those of a form built under the level's tariff
+    cfg, model, sset = case
+    passed = []
+    init, solve = lp.HeldModel.__init__, lp.HeldModel.solve
+
+    def held(self, program, basis=None):
+        passed.append(program.cost)        # the first level's, solved as is
+        init(self, program, basis)
+
+    def recorded(self, cost=None):
+        if cost is not None:
+            passed.append(cost)
+        return solve(self, cost)
+
+    monkeypatch.setattr(lp.HeldModel, "__init__", held)
+    monkeypatch.setattr(lp.HeldModel, "solve", recorded)
+    rp.tariff_sweep(cfg, model, sset, LEVELS)
+    monkeypatch.undo()
+    low = cfg.window_steps(cfg.sweep_low_hours)
+    high = cfg.window_steps(cfg.sweep_high_hours)
+    probs = sset.probabilities()
+    ef = st.build_extensive(model, sset, NEUTRAL)
+    x = np.random.default_rng(3).normal(size=ef.program.num_variables)
+    assert len(passed) == len(LEVELS)
+    for level, cost in zip(LEVELS, passed):
+        tariff = model.market.tariff_per_mwh.copy()
+        tariff[low] *= 1.0 - level
+        tariff[high] *= 1.0 + level
+        ref = st.build_extensive(model.with_tariff(tariff), sset, NEUTRAL)
+        form, swapped = rp.tariff_level(ef, model, probs, tariff)
+        assert np.asarray(cost).tobytes() == ref.program.cost.tobytes()
+        assert swapped.tobytes() == ref.program.cost.tobytes()
+        assert [b.breakdown(x) for b in form.blocks] \
+            == [b.breakdown(x) for b in ref.blocks]
+        for mine, theirs in zip(form.blocks, ref.blocks):
+            for name in theirs.streams:
+                assert mine.streams[name].tobytes() \
+                    == theirs.streams[name].tobytes()
