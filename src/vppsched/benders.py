@@ -142,24 +142,28 @@ class MasterProblem:
 
     def add_cuts(self, scenarios, intercepts, gradients) -> int:
         """Append cut k, theta_s >= intercepts[k] + gradients[k] . x for
-        s = scenarios[k], unless a cut already present for s matches it:
-        intercepts within _CUT_DEDUPE_TOL * (1 + |intercept|) and every
-        gradient entry within _CUT_DEDUPE_TOL * (1 + max |gradient|).
-        Returns the number added."""
-        added = 0
+        s = scenarios[k], unless a cut for s already held or accepted
+        earlier in the call matches it: intercepts within
+        _CUT_DEDUPE_TOL * (1 + |intercept|) and every gradient entry within
+        _CUT_DEDUPE_TOL * (1 + max |gradient|). The accepted cuts are
+        appended together. Returns the number added."""
+        accepted = []
         for s, b, g in zip(scenarios, intercepts, gradients):
             mine = self.scenarios == s
+            fresh = [(b2, g2) for s2, b2, g2 in accepted if s2 == s]
+            held_b = np.r_[self.intercepts[mine], [b2 for b2, _ in fresh]]
+            held_g = np.vstack([self.gradients[mine]] + [g2 for _, g2 in fresh])
             scale = 1.0 + float(np.max(np.abs(g), initial=0.0))
-            if np.any((np.abs(self.intercepts[mine] - b)
-                       <= _CUT_DEDUPE_TOL * (1.0 + abs(b)))
-                      & np.all(np.abs(self.gradients[mine] - g)
-                               <= _CUT_DEDUPE_TOL * scale, axis=1)):
-                continue
-            self.scenarios = np.append(self.scenarios, s)
-            self.intercepts = np.append(self.intercepts, b)
-            self.gradients = np.vstack((self.gradients, g))
-            added += 1
-        return added
+            if not np.any((np.abs(held_b - b) <= _CUT_DEDUPE_TOL * (1.0 + abs(b)))
+                          & np.all(np.abs(held_g - g) <= _CUT_DEDUPE_TOL * scale,
+                                   axis=1)):
+                accepted.append((s, b, g))
+        if accepted:
+            new_s, new_b, new_g = zip(*accepted)
+            self.scenarios = np.append(self.scenarios, new_s)
+            self.intercepts = np.append(self.intercepts, new_b)
+            self.gradients = np.vstack((self.gradients, *new_g))
+        return len(accepted)
 
     def form(self) -> lp.ColumnForm:
         """The head's rows and then one row per cut,

@@ -4,16 +4,19 @@ The container holds its program in arrays: column bounds and costs, and
 the rows as a sparse matrix with a sense and a right-hand side each. It
 grows one row or column at a time through ``add_*``, many at once through
 ``add_rows`` (CSR pieces) and ``add_variables`` under the same checks, or
-is built from arrays in one step. ``solve``
+is built from arrays in one step; ``tighten_bounds`` narrows the bounds
+of columns it holds. ``solve``
 hands the program to HiGHS dual simplex through ``scipy.optimize.linprog``
 and reports primal values, per-constraint dual multipliers, and bound
 multipliers. ``HeldModel`` does the same on scipy's bundled HiGHS binding
 directly: it passes a program to HiGHS once and re-solves it after each
-cost change from the basis and factorization HiGHS holds, so the
-tariff-sweep levels, which differ only in costs, re-solve in a few
-simplex iterations. ``solve_warm`` is one solve on a fresh held model from
-an optional starting basis, returning the final basis: the Benders
-subproblems and the master gaining cut rows re-solve from their last one.
+cost change with primal simplex from the basis and factorization HiGHS
+holds, which a cost change leaves primal feasible, so the tariff-sweep
+levels, which differ only in costs, re-solve in a few simplex
+iterations. ``solve_warm`` is one dual simplex solve on a fresh held
+model from an optional starting basis, returning the final basis: the
+Benders subproblems and the master gaining cut rows re-solve from their
+last one.
 Bound multipliers are split by basis status only when first read. No
 other module touches the solver backend.
 
@@ -46,7 +49,8 @@ except ImportError:  # scipy older than 1.15 has no bundled binding
 
 #: the names of scipy's private HiGHS binding that ``HeldModel`` uses
 _BINDING = ("_Highs", "_Highs.passOptions", "_Highs.passModel",
-            "_Highs.changeColsCost", "_Highs.clearSolver", "_Highs.setBasis",
+            "_Highs.changeColsCost", "_Highs.setOptionValue",
+            "_Highs.clearSolver", "_Highs.setBasis",
             "_Highs.run", "_Highs.getInfo", "_Highs.getModelStatus",
             "_Highs.modelStatusToString", "_Highs.getSolution",
             "_Highs.getBasis", "HighsBasis", "HighsBasisStatus",
@@ -242,6 +246,34 @@ class LinearProgram:
         self.col_names.extend(names)
         return np.arange(first, first + n)
 
+    def tighten_bounds(self, columns, lower, upper) -> None:
+        """Raise the lower bounds of ``columns`` to ``lower`` and lower their
+        upper bounds to ``upper`` (arrays or scalars; -inf and +inf leave a
+        side as it is), never loosening one. Refuses an unknown column, a
+        column whose upper bound is a data slot, and what ``add_variables``
+        refuses of the bounds that result, naming the first bad column, and
+        then changes nothing."""
+        self._flush()
+        columns = np.asarray(columns, dtype=np.int64)
+        unknown = (columns < 0) | (columns >= self.num_variables)
+        if unknown.any():
+            raise LpError(f"bounds: unknown variable index "
+                          f"{columns[np.argmax(unknown)]}")
+        slotted = np.isin(columns, [i for target, i, _ in self.slots
+                                    if target == UPPER])
+        if slotted.any():
+            raise LpError(f"variable {self.col_names[columns[np.argmax(slotted)]]!r}"
+                          f": upper bound is data")
+        lo, hi = self._arrays["lower"].copy(), self._arrays["upper"].copy()
+        with np.errstate(invalid="ignore"):     # a NaN bound is refused below
+            np.maximum.at(lo, columns, np.broadcast_to(lower, columns.shape))
+            np.minimum.at(hi, columns, np.broadcast_to(upper, columns.shape))
+        bad = np.isnan(lo) | np.isnan(hi) | (lo > hi)
+        if bad.any():
+            k = int(np.argmax(bad))
+            _check_bounds(lo[k], hi[k], self.col_names[k])
+        self._arrays.update(lower=lo, upper=hi)
+
     def add_constraint(self, terms, sense: str, rhs: float | Data,
                        name: str = "") -> int:
         """Append a constraint; ``terms`` is an iterable of (var index, coef).
@@ -419,6 +451,8 @@ def _warm_options():
 
 
 _WARM_OPTIONS = _warm_options()
+_DUAL = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_PRIMAL = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 _AT_LOWER = int(_highs.HighsBasisStatus.kLower)
@@ -434,10 +468,13 @@ class HeldModel:
     ``solve`` may first replace the costs and then re-runs, so HiGHS keeps
     its own basis and factorization between calls: programs that differ
     only in costs (the tariff-sweep levels) re-solve in a few simplex
-    iterations. ``basis`` is the last optimal basis, or the starting one
-    (a basis of a program of the same shape; presolve is skipped then).
-    After a solve that ends not optimal, the next one restarts from
-    ``basis``, or cold without one."""
+    iterations. A cost change leaves the held basis primal feasible, so a
+    re-solve after one runs primal simplex from it; every other solve (the
+    first, a restart without a basis, and ``solve_warm``) runs dual
+    simplex. ``basis`` is the last optimal basis, or the starting one (a
+    basis of a program of the same shape; presolve is skipped then). After
+    a solve that ends not optimal, the next one restarts from ``basis``, or
+    cold without one."""
 
     def __init__(self, program: LinearProgram | ColumnForm, basis=None):
         form = program if isinstance(program, ColumnForm) else column_form(program)
@@ -450,7 +487,8 @@ class HeldModel:
                            A.indptr, A.indices, A.data,
                            np.zeros(n, np.int32)) == _highs.HighsStatus.kError:
             raise LpSolveError("HiGHS rejected the program")
-        self._num_cols = n
+        self._columns = np.arange(n, dtype=np.int32)
+        self._strategy = _DUAL
         self.basis = basis
         #: whether HiGHS must restart from ``basis`` before the next run
         self._restart = basis is not None
@@ -460,21 +498,25 @@ class HeldModel:
         and status mapping, after replacing the costs by ``cost`` if given.
 
         Raises LpSolveError on numerical breakdown or iteration exhaustion."""
-        highs = self._highs
+        highs, n = self._highs, len(self._columns)
         if cost is not None:
             cost = np.asarray(cost, dtype=float)
-            if cost.shape != (self._num_cols,):
-                raise LpError(f"{cost.shape} costs for {self._num_cols} columns")
-            highs.changeColsCost(self._num_cols,
-                                 np.arange(self._num_cols, dtype=np.int32), cost)
+            if cost.shape != (n,):
+                raise LpError(f"{cost.shape} costs for {n} columns")
+            highs.changeColsCost(n, self._columns, cost)
         if self._restart:
             if self.basis is None:
                 highs.clearSolver()
             elif highs.setBasis(self.basis) == _highs.HighsStatus.kError:
                 raise LpSolveError("HiGHS rejected the starting basis")
+        strategy = _DUAL if cost is None or self.basis is None else _PRIMAL
+        if strategy != self._strategy:
+            highs.setOptionValue("simplex_strategy", strategy)
+            self._strategy = strategy
         self._restart = True
         highs.run()
-        iterations = int(highs.getInfo().simplex_iteration_count)
+        info = highs.getInfo()
+        iterations = int(info.simplex_iteration_count)
         code = highs.getModelStatus()
         if code not in _HIGHS_STATUS:
             raise LpSolveError(f"solver reported failure (HiGHS model status "
@@ -484,7 +526,7 @@ class HeldModel:
                               np.zeros(0), iterations=iterations)
         sol, self.basis = highs.getSolution(), highs.getBasis()
         self._restart = False
-        return LpSolution(OPTIMAL, float(highs.getInfo().objective_function_value),
+        return LpSolution(OPTIMAL, float(info.objective_function_value),
                           np.asarray(sol.col_value), np.asarray(sol.row_dual),
                           iterations, partial(_bound_marginals, sol, self.basis))
 

@@ -5,7 +5,8 @@ lossless linear branch-flow form: each branch carries the net consumption
 of the subtree below it, squared voltages drop along a branch by
 2*(r*P + x*Q), and the root voltage is pinned to 1 p.u.^2. Apparent-power
 branch limits are enforced by a regular inscribed polygon, which is
-conservative with respect to the true circular limit.
+conservative with respect to the true circular limit; its sides on an
+axis are bounds on the flow columns, the others rows.
 
 All network quantities inside the LP are per-unit; device and load
 quantities stay in kW/kvar and are scaled at the nodal-balance boundary.
@@ -285,29 +286,43 @@ def emit_flow_limits(program: lp.LinearProgram, network: RadialNetwork,
                      handles: GridHandles, horizon: MarketHorizon,
                      segments: int = 8) -> np.ndarray:
     """Inscribed regular polygon for P^2 + Q^2 <= s_max^2 on every branch:
-    cos(a_k) P + sin(a_k) Q <= s_max cos(pi/K) for a_k = 2 pi k / K; only
-    nonzero coefficients are stored. One bulk append, rows by branch, step
-    and side; returns their indices."""
+    cos(a_k) P + sin(a_k) Q <= s_max cos(pi/K) for a_k = 2 pi k / K. A side
+    on an axis has one nonzero component and is a bound on that flow
+    column (for K = 8, |P| and |Q| <= s_max cos(pi/8)); the other sides are
+    rows, with both coefficients, appended in bulk by branch, step and side.
+    Returns the row indices."""
     if segments < 4:
         raise NetworkError("flow polygon needs at least 4 segments")
     T, K = horizon.step_count, len(network.branches)
     pq = np.stack([np.array([flows[k] for k in range(K)], dtype=np.int64)
                    .reshape(K, T) for flows in (handles.branch_p, handles.branch_q)],
                   axis=-1)
-    cols = np.broadcast_to(pq[:, :, None, :], (K, T, segments, 2))
-    coef = np.broadcast_to(np.array(polygon_sides(segments)), cols.shape)
-    keep = coef != 0.0
-    s_max_pu = np.array([br.s_max_kva for br in network.branches]) \
-        / network.s_base_kw
+    sides = np.array(polygon_sides(segments))
+    on_axis = np.any(sides == 0.0, axis=1)
+    rhs = np.array([br.s_max_kva for br in network.branches]) \
+        / network.s_base_kw * math.cos(math.pi / segments)
+    # a side on an axis, c x <= rhs, bounds its one column x: x <= rhs / c
+    # for c > 0, x >= rhs / c for c < 0
+    for side in sides[on_axis]:
+        axis = int(side[0] == 0.0)
+        bound = np.repeat(rhs / side[axis], T)
+        program.tighten_bounds(pq[:, :, axis].ravel(),
+                               bound if side[axis] < 0 else -math.inf,
+                               bound if side[axis] > 0 else math.inf)
+    rows = np.flatnonzero(~on_axis)
+    cols = np.broadcast_to(pq[:, :, None, :], (K, T, len(rows), 2))
     return program.add_rows(
-        np.r_[0, np.cumsum(keep.sum(axis=-1).ravel())], cols[keep], coef[keep],
-        lp.LE, np.repeat(s_max_pu * math.cos(math.pi / segments), T * segments),
+        np.arange(0, 2 * K * T * len(rows) + 1, 2), cols.ravel(),
+        np.broadcast_to(sides[rows], cols.shape).ravel(), lp.LE,
+        np.repeat(rhs, T * len(rows)),
         [f"flow[{k},{t},{seg}]" for k in range(K) for t in range(T)
-         for seg in range(segments)])
+         for seg in rows])
 
 
 def polygon_admits(p: float, q: float, s_max: float, segments: int) -> bool:
-    """Membership test mirroring emit_flow_limits, for checks and tooling."""
+    """Membership test of the polygon that emit_flow_limits states, its axis
+    sides as column bounds and the rest as rows: every side checked here,
+    for checks and tooling."""
     rhs = s_max * math.cos(math.pi / segments)
     return all(c * p + s * q <= rhs + 1e-12 for c, s in polygon_sides(segments))
 

@@ -9,7 +9,8 @@ hash and the scenario-manifest hash it was produced from.
 The sweep's levels differ only in tariff costs. The extensive form is
 stacked once; a level recomputes only its tariff stream and cost vector.
 The levels are solved in order on one held HiGHS model, which receives the
-first level's program and then only each later level's costs; a one-shot
+first level's program and then only each later level's costs, and a level
+reads back only its scenario costs and coupling-point columns; a one-shot
 extensive solve stays a cold solve. The detail re-solves of a Benders run
 go to the run's worker threads.
 """
@@ -351,10 +352,13 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     ``lp.HeldModel`` and solves cold; each later level passes it only its
     costs and re-solves from the basis HiGHS holds, or, after a failed
     level, from the last optimal one. Levels differ only in tariff costs,
-    so that basis stays primal feasible and a level takes a few dozen
-    simplex iterations or none. Level order affects only which optimal
-    vertex a degenerate level returns. The levels lie in [0, 1] and the
-    first is 0, the unmodified tariff."""
+    so that basis stays primal feasible and primal simplex takes a few
+    dozen iterations from it, or none. A level's report reads only its
+    scenario costs, from ``st.extensive_solution`` (which also checks the
+    status), and the coupling-point columns of each block, not the full
+    dispatch series. Level order affects only which optimal vertex a
+    degenerate level returns. The levels lie in [0, 1] and the first is 0,
+    the unmodified tariff."""
     levels = cfg.sweep_levels if levels is None else levels
     if not levels or levels[0] != 0.0:
         raise ReportError("sweep levels must start at 0, the unmodified "
@@ -369,6 +373,7 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     dt = model.horizon.step_hours
     probs = sset.probabilities()
     ef = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
+    pcc = np.asarray(model.template.handles.grid.pcc)
     held = None
 
     rows: list[SweepRow] = []
@@ -388,19 +393,19 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
                 sol = held.solve()
             else:
                 sol = held.solve(cost)
-            out = _extensive_output(level, st.extensive_solution(model, level,
-                                                                 sset, sol))
+            costs = st.extensive_solution(model, level, sset,
+                                          sol).scenario_costs
         except st.StochasticError:
             rows.append(SweepRow(lvl, math.nan, math.nan, math.nan, math.nan,
                                  math.nan, math.nan, failed=True))
             profiles[lvl] = np.full(model.horizon.step_count, math.nan)
             continue
         profile = np.zeros(model.horizon.step_count)
-        for pi, series in zip(probs, out.series):
-            profile += pi * np.maximum(series["pcc_kw"], 0.0)
+        for pi, block in zip(probs, level.blocks):
+            profile += pi * np.maximum(sol.primal[block.columns[pcc]], 0.0)
         low_kwh = float(np.sum(profile[low_steps])) * dt
         high_kwh = float(np.sum(profile[high_steps])) * dt
-        profit = -float(probs @ np.array([b.total for b in out.breakdowns]))
+        profit = -float(probs @ costs)
         if base_profit is None:
             base_profit, base_low, base_high = profit, low_kwh, high_kwh
         rows.append(SweepRow(

@@ -41,16 +41,26 @@ def desk_benders(desk, desk_scenarios):
     return bd.iterate(desk.model, desk_scenarios, st.RiskMeasure(st.EXPECTATION))
 
 
+class HighsLog(list):
+    """The calls a recording HiGHS class received, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.strategies = []
+
+
 @pytest.fixture
 def record_highs(monkeypatch):
     """``record(fail_run=None)`` gives ``lp`` a HiGHS class that logs the
     calls its instances receive (``passModel``, ``clearSolver``,
     ``setBasis`` with its basis, ``run``, and ``getBasis`` with the basis it
     returns) and reports run number ``fail_run`` (from 1) infeasible, and
-    returns the log. ``linprog`` keeps scipy's own class."""
+    returns the log; ``log.strategies`` lists the simplex strategy in force
+    at each ``run``, as HiGHS reports it. ``linprog`` keeps scipy's own
+    class."""
 
     def record(fail_run=None):
-        log = []
+        log = HighsLog()
 
         class Recording(lp._highs._Highs):
             def passModel(self, *args):
@@ -67,6 +77,8 @@ def record_highs(monkeypatch):
 
             def run(self):
                 log.append(("run",))
+                log.strategies.append(
+                    self.getOptionValue("simplex_strategy")[1])
                 return super().run()
 
             def getModelStatus(self):

@@ -167,6 +167,58 @@ def test_cut_dedupe_matches_pairwise_scan(desk):
                               np.array([c[2] for c in mine]).reshape(-1, n))
 
 
+def test_cut_store_equals_one_at_a_time_appends(desk):
+    # each call appends its accepted cuts together; the stored arrays are
+    # bitwise those that appending each accepted cut on its own gives, on
+    # batches repeating cuts of the same call and of earlier calls
+    master = bd.MasterProblem(desk.model, 3, np.full(3, 1.0 / 3.0), EXPECT)
+    n = len(master.x_indices)
+    tol = bd._CUT_DEDUPE_TOL
+    rng = np.random.default_rng(5)
+    ref = [np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, n))]
+    seen = []
+    for _ in range(5):
+        batch = []
+        for _ in range(30):
+            pool = seen + batch
+            if pool and rng.random() < 0.5:
+                s, b, g = pool[int(rng.integers(len(pool)))]
+                batch.append((s, b + float(rng.choice([0.0, 0.5, 3.0])) * tol
+                              * (1.0 + abs(b)), g.copy()))
+            else:
+                batch.append((int(rng.integers(3)), float(rng.normal() * 10.0),
+                              rng.normal(size=n)))
+        seen += batch
+        added = master.add_cuts(*zip(*batch))
+        before = len(ref[1])
+        for s, b, g in batch:
+            mine = ref[0] == s
+            scale = 1.0 + float(np.max(np.abs(g), initial=0.0))
+            if np.any((np.abs(ref[1][mine] - b) <= tol * (1.0 + abs(b)))
+                      & np.all(np.abs(ref[2][mine] - g) <= tol * scale, axis=1)):
+                continue
+            ref = [np.append(ref[0], s), np.append(ref[1], b),
+                   np.vstack((ref[2], g))]
+        assert 0 < added == len(ref[1]) - before < len(batch)
+        for got, want in zip((master.scenarios, master.intercepts,
+                              master.gradients), ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("risk", [EXPECT, CVAR9], ids=["neutral", "cvar"])
+def test_benders_runs_dual_simplex_only(desk, desk_scenarios, record_highs,
+                                        risk):
+    # subproblems re-bound their fixing rows and the master gains rows: their
+    # warm bases are dual feasible, not primal, so every solve stays dual
+    log = record_highs()
+    res = bd.iterate(desk.model, desk_scenarios, risk)
+    assert res.report.converged
+    strategy = lp._highs.simplex_constants.SimplexStrategy
+    assert len(log.strategies) == [e[0] for e in log].count("run") > 0
+    assert set(log.strategies) == {int(strategy.kSimplexStrategyDual)}
+
+
 def test_warm_subproblems_match_cold_solves(desk, desk_scenarios, monkeypatch):
     # along the first master iterates, each subproblem re-solved from its
     # last basis has the value of a cold solve of the instantiated block

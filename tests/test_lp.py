@@ -106,6 +106,35 @@ def test_bulk_columns_refuse_what_add_variable_refuses(lower, upper):
     assert bulk.num_variables == 0 and bulk.col_names == []
 
 
+@pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan),
+                                          (2.0, 1.0)])
+def test_tightened_bounds_refuse_what_add_variable_refuses(lower, upper):
+    single, p = lp.LinearProgram(), lp.LinearProgram()
+    with pytest.raises(lp.LpError) as one:
+        single.add_variable(lower, upper, "bad")
+    p.add_variables(0.0, 1.0, ["good", "bad", "worse"])
+    with pytest.raises(lp.LpError) as many:
+        p.tighten_bounds([0, 1, 2], [0.0, lower, lower], [1.0, upper, upper])
+    assert str(many.value) == str(one.value) and "'bad'" in str(many.value)
+    assert p.lower.tolist() == [0.0] * 3 and p.upper.tolist() == [1.0] * 3
+
+
+def test_tightened_bounds_never_loosen():
+    p = lp.LinearProgram()
+    p.add_variables([-1.0, 0.0, -math.inf], [1.0, 2.0, math.inf], list("abc"))
+    p.tighten_bounds([0, 1, 2, 2], [-2.0, 0.5, -3.0, -1.0],
+                     [0.5, 3.0, 4.0, 2.0])
+    assert p.lower.tolist() == [-1.0, 0.5, -1.0]
+    assert p.upper.tolist() == [0.5, 2.0, 2.0]
+    # unknown columns, and an upper bound that data fills in later
+    p.add_variable(0.0, lp.Data("cap"), "u")
+    for columns in ([3], [4], [-1]):
+        with pytest.raises(lp.LpError):
+            p.tighten_bounds(columns, 0.0, 1.0)
+    assert p.lower.tolist() == [-1.0, 0.5, -1.0, 0.0]
+    assert p.upper.tolist() == [0.5, 2.0, 2.0, math.inf]
+
+
 def test_bulk_appends_match_one_at_a_time():
     # interleaved with buffered single appends, the bulk ones give the same
     # arrays, names and slots
@@ -411,6 +440,35 @@ def test_held_model_restarts_after_a_solve_that_is_not_optimal(record_highs):
     assert [entry[0] for entry in log].count("setBasis") == 1
     with pytest.raises(lp.LpError):
         cold.solve([1.0])
+
+
+def test_held_model_runs_primal_only_after_a_cost_change(record_highs):
+    # a cost change leaves a held basis primal feasible, so primal simplex
+    # re-solves from it, also when restarting from the last optimal basis;
+    # the first solve, a restart without a basis and solve_warm run dual
+    strategy = lp._highs.simplex_constants.SimplexStrategy
+    dual, primal = int(strategy.kSimplexStrategyDual), \
+        int(strategy.kSimplexStrategyPrimal)
+    assert "_Highs.setOptionValue" in lp._BINDING
+    p = lp.LinearProgram()
+    x = p.add_variable(0.0, math.inf, "x")
+    y = p.add_variable(0.0, 3.0, "y")
+    p.add_constraint([(x, 1.0), (y, 1.0)], lp.GE, 1.0)
+    p.add_objective_term(x, 1.0)
+    p.add_objective_term(y, 2.0)
+    log = record_highs()
+    held = lp.HeldModel(p)
+    assert [held.solve().objective, held.solve([2.0, 1.0]).objective,
+            held.solve([-1.0, 1.0]).status, held.solve([2.0, 3.0]).objective,
+            held.solve().objective] == [1.0, 1.0, lp.UNBOUNDED, 2.0, 2.0]
+    cold = lp.HeldModel(p)
+    assert cold.solve([-1.0, 1.0]).status == lp.UNBOUNDED
+    assert cold.solve([3.0, 4.0]).objective == pytest.approx(3.0, abs=1e-9)
+    sol, basis = lp.solve_warm(p)
+    assert lp.solve_warm(p, basis)[0].objective == sol.objective == 1.0
+    assert [entry[0] for entry in log].count("setBasis") == 2
+    assert log.strategies == [dual, primal, primal, primal, dual,
+                              dual, dual, dual, dual]
 
 
 def test_only_lp_touches_the_solver_backend():

@@ -143,11 +143,13 @@ def test_threads_share_the_compiled_block(desk, desk_scenarios):
 
 
 #: sha256 of each preset's compiled template (see ``template_digest``),
-#: pinned when the grid block was still emitted row by row
+#: pinned when the flow polygon's axis sides became column bounds; the
+#: layout change itself is checked against the all-rows polygon in
+#: ``test_network.py``
 TEMPLATE_DIGESTS = {
-    "desk": "4c38ebb23b78a864b10ff7f492a9a592e610e2f4d623f85bfdd88ad5b375e06e",
-    "day": "492f3192100ba97183e7d6089406b242a43046859b693f96051ec6c920aa8391",
-    "full": "65b54f984ee0639201e4fa56bec3dca4ea2d392f4240ebe820f07a4341c39f2a",
+    "desk": "942d15bb329d8d782ef569fc3ebd2e62be1e69f47e60f5be2bd0cb62a5c32f22",
+    "day": "19da27111dde2535d2fc58e5545a48752d7013da12b5289e5c44a8de46b2c325",
+    "full": "255eba6e4113a558641f43850e3328824ceb1640f42c20be7579f33e84a392df",
 }
 
 

@@ -1,13 +1,19 @@
 import ast
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from vppsched import instance as im
 from vppsched import lp
 from vppsched import network as nw
+from vppsched import scenarios as sg
+from vppsched import stochastic as st
+from vppsched.devices import DerPark
 from vppsched.market import MarketHorizon
+from vppsched.model import VppModel
 
 from test_devices import instantiate
 
@@ -240,13 +246,28 @@ def test_grid_block_is_emitted_in_bulk():
 def row_by_row_grid(program, network, topo, horizon, cons_p, cons_q,
                     segments):
     """Reference for the bulk emitters: the grid block one ``add_variable``
-    and one ``add_constraint`` at a time, in the documented order."""
+    and one ``add_constraint`` at a time, in the documented order, the flow
+    polygon's axis sides as bounds of the flow columns."""
     T, K = horizon.step_count, len(network.branches)
     root = network.root_id()
     scale = 1.0 / network.s_base_kw
     free = lambda name: program.add_variable(-math.inf, math.inf, name)
-    fp = {k: [free(f"fp[{k},{t}]") for t in range(T)] for k in range(K)}
-    fq = {k: [free(f"fq[{k},{t}]") for t in range(T)] for k in range(K)}
+    sides = nw.polygon_sides(segments)
+    rating = [br.s_max_kva / network.s_base_kw * math.cos(math.pi / segments)
+              for br in network.branches]
+
+    def flow(k, axis, name):
+        # the polygon sides on this flow's axis bound its column
+        lo, hi = -math.inf, math.inf
+        for side in sides:
+            c = side[axis]
+            if side[1 - axis] == 0.0:
+                lo, hi = (lo, min(hi, rating[k] / c)) if c > 0 \
+                    else (max(lo, rating[k] / c), hi)
+        return program.add_variable(lo, hi, name)
+
+    fp = {k: [flow(k, 0, f"fp[{k},{t}]") for t in range(T)] for k in range(K)}
+    fq = {k: [flow(k, 1, f"fq[{k},{t}]") for t in range(T)] for k in range(K)}
     v = {b.id: [program.add_variable(*((1.0, 1.0) if b.id == root
                                        else (b.v_min, b.v_max)),
                                      f"v[{b.id},{t}]") for t in range(T)]
@@ -281,13 +302,12 @@ def row_by_row_grid(program, network, topo, horizon, cons_p, cons_q,
             program.add_constraint(
                 [(v[dn][t], 1.0), (v[up][t], -1.0), (fp[k][t], 2.0 * br.r_pu),
                  (fq[k][t], 2.0 * br.x_pu)], lp.EQ, 0.0, f"vdrop[{k},{t}]")
-    for k, br in enumerate(network.branches):
-        rhs = br.s_max_kva / network.s_base_kw * math.cos(math.pi / segments)
+    for k in range(K):
         for t in range(T):
-            for seg, (c, s) in enumerate(nw.polygon_sides(segments)):
-                program.add_constraint(
-                    [(j, a) for j, a in ((fp[k][t], c), (fq[k][t], s)) if a],
-                    lp.LE, rhs, f"flow[{k},{t},{seg}]")
+            for seg, (c, s) in enumerate(sides):
+                if c and s:
+                    program.add_constraint([(fp[k][t], c), (fq[k][t], s)],
+                                           lp.LE, rating[k], f"flow[{k},{t},{seg}]")
     return nw.GridHandles(fp, fq, v, pcc, wit)
 
 
@@ -333,3 +353,121 @@ def test_bulk_grid_matches_row_by_row_emission(seed):
     assert (bulk.col_names, bulk.row_names, repr(bulk.slots)) \
         == (ref.col_names, ref.row_names, repr(ref.slots))
     assert repr(handles[0]) == repr(handles[1])
+
+
+def polygon_rows_reference(program, network, handles, horizon, segments=8):
+    """The flow polygon as it was emitted before its axis sides became
+    column bounds: every side a row cos(a_k) P + sin(a_k) Q <= s_max
+    cos(pi/K), zero coefficients left out. The oracle for the new layout."""
+    for k, br in enumerate(network.branches):
+        rhs = br.s_max_kva / network.s_base_kw * math.cos(math.pi / segments)
+        for t in range(horizon.step_count):
+            p, q = handles.branch_p[k][t], handles.branch_q[k][t]
+            for seg, (c, s) in enumerate(nw.polygon_sides(segments)):
+                program.add_constraint([(j, a) for j, a in ((p, c), (q, s)) if a],
+                                       lp.LE, rhs, f"flow[{k},{t},{seg}]")
+
+
+def flow_program(net, points, segments, emit):
+    """One branch's flow columns, a step per point, limited by ``emit``;
+    returns the program and the points as its primal vector."""
+    T = len(points)
+    program = lp.LinearProgram()
+    fp = program.add_variables(-math.inf, math.inf, [f"fp[0,{t}]" for t in range(T)])
+    fq = program.add_variables(-math.inf, math.inf, [f"fq[0,{t}]" for t in range(T)])
+    handles = nw.GridHandles({0: fp.tolist()}, {0: fq.tolist()}, {}, [], {})
+    emit(program, net, handles, MarketHorizon(T, 0.25, 0.25), segments)
+    return program, np.concatenate([points[:, 0], points[:, 1]])
+
+
+def admitted(program, x, T):
+    """Per step, whether its point keeps every column bound and every row
+    within the slack ``polygon_admits`` allows."""
+    ok = (x >= program.lower - 1e-12) & (x <= program.upper + 1e-12)
+    ok = ok[:T] & ok[T:]
+    over = program.matrix @ x > program.rhs + 1e-12
+    ok[np.unique(program.matrix[over].indices % T)] = False
+    return ok
+
+
+@pytest.mark.parametrize("segments", [4, 6, 8, 12])
+def test_axis_bounds_and_rows_admit_the_polygon(segments):
+    # the new layout (axis sides as bounds, the rest as rows) and the old
+    # one (every side a row) admit exactly the points polygon_admits
+    # admits: random points, the vertices, and points 1e-9 in and out
+    net = chain_network(2, s_max=250.0)
+    s = 250.0 / net.s_base_kw
+    r = s * math.cos(math.pi / segments)
+    angles = 2.0 * math.pi * np.arange(segments) / segments
+    normals = np.column_stack((np.cos(angles), np.sin(angles)))
+    vertices = s * np.column_stack((np.cos(angles + math.pi / segments),
+                                    np.sin(angles + math.pi / segments)))
+    radial = vertices / s
+    points = np.concatenate(
+        [np.random.default_rng(segments).uniform(-1.2 * s, 1.2 * s, (2000, 2)),
+         vertices, vertices + 1e-9 * radial, vertices - 1e-9 * radial,
+         (r + 1e-9) * normals, (r - 1e-9) * normals])
+    want = np.array([nw.polygon_admits(p, q, s, segments) for p, q in points])
+    assert want.any() and not want.all()
+    rows = []
+    for emit in (nw.emit_flow_limits, polygon_rows_reference):
+        program, x = flow_program(net, points, segments, emit)
+        assert np.array_equal(admitted(program, x, len(points)), want)
+        rows.append(program.num_constraints)
+    # only the sides on an axis left the rows (for 8 sides, 4 of them)
+    on_axis = sum(1 for c, q in nw.polygon_sides(segments) if not (c and q))
+    assert rows == [(segments - on_axis) * len(points), segments * len(points)]
+
+
+def random_feeder_model(seed):
+    """The desk park on feeder ``seed`` of the bulk-emission test (devices
+    moved onto its buses), with each branch rated just above the peak load
+    of the buses it feeds, so that the flow polygon binds."""
+    desk = im.desk_instance()
+    rng = np.random.default_rng(seed)
+    net = nw.make_synthetic_feeder(int(rng.integers(2, 9)), seed=seed)
+    n, segments = len(net.buses), int(rng.integers(4, 13))
+    park = desk.model.park
+    park = DerPark(*([dataclasses.replace(d, node=d.node % n) for d in devs]
+                     for devs in (park.dgs, park.hps, park.evs, park.bess)))
+    sset = sg.build_scenarios(desk.forecast, sg.DEFAULT_ERROR_SPECS, 3, seed)
+    below = np.zeros(n)
+    for b in range(1, n):
+        if b in sset.scenarios[0].load_active:
+            below[b] = max(np.max(np.hypot(sc.load_active[b], sc.load_reactive[b]))
+                           for sc in sset.scenarios)
+    for hp in park.hps:
+        below[hp.node] += hp.max_elec_kw
+    for br in reversed(net.branches):          # children come after parents
+        below[br.from_bus] += below[br.to_bus]
+    branches = [dataclasses.replace(
+        br, s_max_kva=(below[br.to_bus] + float(rng.uniform(0.5, 6.0)))
+        / math.cos(math.pi / segments)) for br in net.branches]
+    return VppModel(desk.model.horizon, nw.RadialNetwork(net.buses, branches),
+                    park, desk.model.market, segments), sset
+
+
+def test_extensive_optimum_matches_the_all_rows_polygon(monkeypatch):
+    # on the 12 random feeders, the extensive optimum with the axis sides as
+    # bounds equals the optimum with every side a row, within 1e-9 relative
+    neutral = st.RiskMeasure(st.EXPECTATION)
+    binding = 0
+    for seed in range(12):
+        results = []
+        for emit in (nw.emit_flow_limits, polygon_rows_reference):
+            monkeypatch.setattr(nw, "emit_flow_limits", emit)
+            model, sset = random_feeder_model(seed)
+            ef = st.build_extensive(model, sset, neutral)
+            results.append((ef, lp.solve(ef.program)))
+        monkeypatch.undo()
+        (ef, new), (old_ef, old) = results
+        assert ef.program.num_constraints < old_ef.program.num_constraints
+        assert new.status == old.status == lp.OPTIMAL
+        assert new.objective == pytest.approx(old.objective, rel=1e-9, abs=1e-9)
+        # the polygon binds where a flow sits on its bound or on a side row
+        p, x = ef.program, new.primal
+        flows = np.array(["_fp[" in name or "_fq[" in name for name in p.col_names])
+        sides = np.array(["_flow[" in name for name in p.row_names])
+        binding += bool(np.any(np.minimum(x - p.lower, p.upper - x)[flows] <= 1e-9)
+                        or np.any((p.rhs - p.matrix @ x)[sides] <= 1e-9))
+    assert binding >= 6

@@ -19,6 +19,9 @@ from vppsched.config import load_config
 LEVELS = [round(0.1 * k, 1) for k in range(11)]
 NEUTRAL = st.RiskMeasure(st.EXPECTATION)
 REL = 1e-9
+STRATEGY = lp._highs.simplex_constants.SimplexStrategy
+DUAL = int(STRATEGY.kSimplexStrategyDual)
+PRIMAL = int(STRATEGY.kSimplexStrategyPrimal)
 
 #: tariff windows inside each preset's horizon; window hours count from the
 #: horizon start, so the two desk hours are 0-2
@@ -111,6 +114,8 @@ def test_failed_level_keeps_the_last_optimal_basis(case, monkeypatch,
     assert [entry for entry in log if entry[0] == "setBasis"] \
         == [("setBasis", bases[2])]
     assert calls.index("setBasis") == runs[4] - 1
+    # the restart from the last optimal basis after a cost change is primal
+    assert log.strategies == [DUAL] + [PRIMAL] * 5
     for row in rows[4:]:
         assert_matches_cold(row, cold_level(cfg, model, sset, row.level))
 
@@ -132,6 +137,48 @@ def test_extensive_sweep_runs_on_the_warm_seam_only(case, monkeypatch,
     assert linprog_calls == []
     assert calls.count("passModel") == 1
     assert calls.count("run") == len(LEVELS)
+    # level 0 solves cold with dual simplex; every later level changes only
+    # costs, so the held basis stays primal feasible and primal simplex
+    # re-solves from it
+    assert log.strategies == [DUAL] + [PRIMAL] * (len(LEVELS) - 1)
+
+
+def test_level_reports_equal_the_full_series(case, monkeypatch):
+    # each level's profit and withdrawal profile, read from the scenario
+    # costs and the coupling-point columns only, are bitwise those computed
+    # from the full dispatch series of the same solution
+    cfg, model, sset = case
+    solutions = []
+    solve = lp.HeldModel.solve
+
+    def kept(self, cost=None):
+        solutions.append(solve(self, cost))
+        return solutions[-1]
+
+    monkeypatch.setattr(lp.HeldModel, "solve", kept)
+    rows, profiles = rp.tariff_sweep(cfg, model, sset, LEVELS)
+    monkeypatch.undo()
+    low = cfg.window_steps(cfg.sweep_low_hours)
+    high = cfg.window_steps(cfg.sweep_high_hours)
+    probs = sset.probabilities()
+    dt = model.horizon.step_hours
+    ef = st.build_extensive(model, sset, NEUTRAL)
+    for row, sol in zip(rows, solutions):
+        tariff = model.market.tariff_per_mwh.copy()
+        tariff[low] *= 1.0 - row.level
+        tariff[high] *= 1.0 + row.level
+        level, _ = rp.tariff_level(ef, model, probs, tariff)
+        out = rp._extensive_output(level, st.extensive_solution(model, level,
+                                                                sset, sol))
+        profile = np.zeros(model.horizon.step_count)
+        for pi, series in zip(probs, out.series):
+            profile += pi * np.maximum(series["pcc_kw"], 0.0)
+        profit = -float(probs @ np.array([b.total for b in out.breakdowns]))
+        assert profiles[row.level].tobytes() == profile.tobytes()
+        assert row.expected_profit == profit
+        assert (row.low_withdrawal_kwh, row.high_withdrawal_kwh) \
+            == (float(np.sum(profile[low])) * dt,
+                float(np.sum(profile[high])) * dt)
 
 
 def test_levels_swap_only_the_tariff_costs(case, monkeypatch):
