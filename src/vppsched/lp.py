@@ -5,20 +5,23 @@ the rows as a sparse matrix with a sense and a right-hand side each. It
 grows one row or column at a time through ``add_*``, many at once through
 ``add_rows`` (CSR pieces) and ``add_variables`` under the same checks, or
 is built from arrays in one step; ``tighten_bounds`` narrows the bounds
-of columns it holds. ``solve``
-hands the program to HiGHS dual simplex through ``scipy.optimize.linprog``
-and reports primal values, per-constraint dual multipliers, and bound
-multipliers. ``HeldModel`` does the same on scipy's bundled HiGHS binding
-directly: it passes a program to HiGHS once and re-solves it after each
-cost change with primal simplex from the basis and factorization HiGHS
-holds, which a cost change leaves primal feasible, so the tariff-sweep
-levels, which differ only in costs, re-solve in a few simplex
-iterations. ``solve_warm`` is one dual simplex solve on a fresh held
-model from an optional starting basis, returning the final basis: the
-Benders subproblems and the master gaining cut rows re-solve from their
-last one.
-Bound multipliers are split by basis status only when first read. No
-other module touches the solver backend.
+of columns it holds, and ``mark_lazy`` marks rows and column bounds that
+are rarely active. ``solve`` hands the program to HiGHS dual simplex
+through ``scipy.optimize.linprog`` and reports primal values,
+per-constraint dual multipliers, and bound multipliers. It screens the
+lazy rows and bounds: they reach HiGHS only once a solution violates
+them, in rounds of cold solves, and the report is that of the full
+program. ``HeldModel`` solves on scipy's bundled HiGHS binding directly:
+it passes a program to HiGHS once, every row and bound stated (a warm
+basis fixes the row set), and re-solves it after each cost change with
+primal simplex from the basis and factorization HiGHS holds, which a
+cost change leaves primal feasible, so the tariff-sweep levels, which
+differ only in costs, re-solve in a few simplex iterations.
+``solve_warm`` is one dual simplex solve on a fresh held model from an
+optional starting basis, returning the final basis: the Benders
+subproblems and the master gaining cut rows re-solve from their last
+one. Row duals are converted and bound multipliers split by basis status
+only when first read. No other module touches the solver backend.
 
 A column upper bound, a right-hand side or a labelled cost may be left to
 data: ``Data`` names the series entry that supplies it, and the program
@@ -126,12 +129,19 @@ class LpSolution:
     status: str
     objective: float
     primal: np.ndarray
-    duals: np.ndarray
+    #: the row duals, or a function computing them, called on first read
+    row_duals: object
     #: simplex iterations the solve took
     iterations: int = 0
     #: the bound multipliers (lower, upper), or a function computing them,
     #: called on first read
     bound_marginals: object = (np.zeros(0), np.zeros(0))
+
+    @property
+    def duals(self) -> np.ndarray:
+        if callable(self.row_duals):
+            self.row_duals = self.row_duals()
+        return self.row_duals
 
     def _marginals(self) -> tuple[np.ndarray, np.ndarray]:
         if callable(self.bound_marginals):
@@ -151,10 +161,12 @@ class LinearProgram:
     """Minimization LP in arrays, given as keywords (see ``_ARRAYS``) or
     grown through ``add_*``, whose calls are buffered and merged into the
     arrays on the next read. Names may be given as a function, evaluated on
-    first use."""
+    first use. ``lazy_rows`` and ``lazy_columns`` index the rows and the
+    column bounds that ``solve`` screens; they belong to the program as
+    fully as any other row or bound."""
 
     def __init__(self, name: str = "", col_names=None, row_names=None,
-                 **arrays):
+                 lazy_rows=(), lazy_columns=(), **arrays):
         self.name = name
         arrays.setdefault("indptr", [0])
         self._arrays = {key: np.asarray(arrays.get(key, ()), dtype=dtype)
@@ -164,6 +176,8 @@ class LinearProgram:
         #: data slots (target, index, Data); the target is UPPER, RHS or the
         #: label of a cost stream
         self.slots: list[tuple[str, int, Data]] = []
+        self.lazy_rows = np.asarray(lazy_rows, dtype=np.int64)
+        self.lazy_columns = np.asarray(lazy_columns, dtype=np.int64)
 
     def __getattr__(self, key):
         arrays = self.__dict__.get("_arrays", {})
@@ -274,6 +288,18 @@ class LinearProgram:
             _check_bounds(lo[k], hi[k], self.col_names[k])
         self._arrays.update(lower=lo, upper=hi)
 
+    def mark_lazy(self, rows=(), columns=()) -> None:
+        """Mark ``rows`` and the bounds of ``columns`` as lazy: limits that
+        are rarely active, which ``solve`` states to HiGHS only once a
+        solution violates them. Refuses an unknown index."""
+        for key, idx, n in (("lazy_rows", rows, self.num_constraints),
+                            ("lazy_columns", columns, self.num_variables)):
+            idx = np.asarray(idx, dtype=np.int64)
+            unknown = (idx < 0) | (idx >= n)
+            if unknown.any():
+                raise LpError(f"{key}: unknown index {idx[np.argmax(unknown)]}")
+            setattr(self, key, np.r_[getattr(self, key), idx])
+
     def add_constraint(self, terms, sense: str, rhs: float | Data,
                        name: str = "") -> int:
         """Append a constraint; ``terms`` is an iterable of (var index, coef).
@@ -380,38 +406,79 @@ def _status_from_scipy(code: int) -> str:
     raise LpSolveError(f"solver reported failure (scipy status {code})")
 
 
+def _outside(value, lo, hi) -> np.ndarray:
+    """Where ``value`` leaves ``[lo, hi]`` by more than the screening
+    tolerance, ``_SOLVER_TOL`` relative to the side it crosses."""
+    return (lo - value > _SOLVER_TOL * (1.0 + np.abs(lo))) \
+        | (value - hi > _SOLVER_TOL * (1.0 + np.abs(hi)))
+
+
 def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
     """Solve to optimality with HiGHS dual simplex; never fails silently.
 
-    Raises LpSolveError on numerical breakdown or iteration exhaustion."""
-    A, sense, rhs = program.matrix, program.sense, program.rhs
-    eq_rows = np.flatnonzero(sense == EQ)
-    ub_rows = np.flatnonzero(sense != EQ)
-    # HiGHS via linprog takes A_ub x <= b_ub: >= rows enter negated
-    sign = np.where(sense[ub_rows] == LE, 1.0, -1.0)
-    A_ub = A[ub_rows]
-    A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
+    The lazy rows and column bounds are screened, in rounds: the first
+    solves without the lazy rows and with the lazy columns free; each later
+    one states the rows and bounds the last primal violates by more than
+    ``_SOLVER_TOL * (1 + |rhs or bound|)`` and solves cold again, until none
+    is. An optimum of a relaxation that is feasible for the program is
+    optimal for it, so the report is the full program's: a left-out row has
+    dual 0 and a relaxed bound multiplier 0 (inactive, so the duals stay
+    feasible and ``dual_objective`` equals the primal), and the iterations
+    and the iteration limit count over all rounds. An infeasible relaxation
+    means an infeasible program; an unbounded one is solved again with
+    every row and bound stated.
 
-    res = linprog(program.cost, A_ub=A_ub, b_ub=sign * rhs[ub_rows],
-                  A_eq=A[eq_rows], b_eq=rhs[eq_rows],
-                  bounds=np.column_stack((program.lower, program.upper)),
-                  method="highs-ds",
-                  options={"maxiter": maxiter,
-                           "primal_feasibility_tolerance": _SOLVER_TOL,
-                           "dual_feasibility_tolerance": _SOLVER_TOL})
-    status = _status_from_scipy(res.status)
-    if status != OPTIMAL:
-        return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
-                          iterations=int(res.nit))
+    Raises LpSolveError on numerical breakdown or iteration exhaustion."""
+    lower, upper = program.lower, program.upper
+    sense, rhs = program.sense, program.rhs
+    stated = np.ones(len(rhs), dtype=bool)
+    stated[program.lazy_rows] = False
+    bounded = np.ones(len(lower), dtype=bool)
+    bounded[program.lazy_columns] = False
+    lazy = np.flatnonzero(~stated)
+    A = program.matrix
+    A_lazy = A[lazy]
+    iterations = 0
+    while True:
+        eq_rows = np.flatnonzero(stated & (sense == EQ))
+        ub_rows = np.flatnonzero(stated & (sense != EQ))
+        # HiGHS via linprog takes A_ub x <= b_ub: >= rows enter negated
+        sign = np.where(sense[ub_rows] == LE, 1.0, -1.0)
+        A_ub = A[ub_rows]
+        A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
+        res = linprog(program.cost, A_ub=A_ub, b_ub=sign * rhs[ub_rows],
+                      A_eq=A[eq_rows], b_eq=rhs[eq_rows],
+                      bounds=np.column_stack((np.where(bounded, lower, -np.inf),
+                                              np.where(bounded, upper, np.inf))),
+                      method="highs-ds",
+                      options={"maxiter": maxiter - iterations,
+                               "primal_feasibility_tolerance": _SOLVER_TOL,
+                               "dual_feasibility_tolerance": _SOLVER_TOL})
+        iterations += int(res.nit)
+        status = _status_from_scipy(res.status)
+        if status == UNBOUNDED and not (stated.all() and bounded.all()):
+            stated[:] = bounded[:] = True
+            continue
+        if status != OPTIMAL:
+            return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
+                              iterations=iterations)
+        x = np.asarray(res.x)
+        rows = lazy[~stated[lazy] & _outside(
+            A_lazy @ x, *row_bounds(sense[lazy], rhs[lazy]))]
+        cols = np.flatnonzero(~bounded & _outside(x, lower, upper))
+        if not (len(rows) or len(cols)):
+            break
+        stated[rows] = bounded[cols] = True
 
     duals = np.zeros(program.num_constraints)
     # marginal is d obj / d (sign * rhs); chain rule restores d obj / d rhs
     duals[ub_rows] = sign * np.asarray(res.ineqlin.marginals)
     duals[eq_rows] = np.asarray(res.eqlin.marginals)
 
-    return LpSolution(OPTIMAL, float(res.fun), np.asarray(res.x), duals,
-                      int(res.nit), (np.asarray(res.lower.marginals),
-                                     np.asarray(res.upper.marginals)))
+    # a column still free sits at no bound, so its multipliers are 0
+    return LpSolution(OPTIMAL, float(res.fun), x, duals, iterations,
+                      (np.asarray(res.lower.marginals),
+                       np.asarray(res.upper.marginals)))
 
 
 class ColumnForm(NamedTuple):
@@ -474,7 +541,8 @@ class HeldModel:
     simplex. ``basis`` is the last optimal basis, or the starting one (a
     basis of a program of the same shape; presolve is skipped then). After
     a solve that ends not optimal, the next one restarts from ``basis``, or
-    cold without one."""
+    cold without one. A basis fixes the row set, so HiGHS is given every
+    row and bound, lazy ones too: nothing is screened here."""
 
     def __init__(self, program: LinearProgram | ColumnForm, basis=None):
         form = program if isinstance(program, ColumnForm) else column_form(program)
@@ -527,13 +595,15 @@ class HeldModel:
         sol, self.basis = highs.getSolution(), highs.getBasis()
         self._restart = False
         return LpSolution(OPTIMAL, float(info.objective_function_value),
-                          np.asarray(sol.col_value), np.asarray(sol.row_dual),
-                          iterations, partial(_bound_marginals, sol, self.basis))
+                          np.asarray(sol.col_value),
+                          lambda: np.asarray(sol.row_dual), iterations,
+                          partial(_bound_marginals, sol, self.basis))
 
 
 def solve_warm(program: LinearProgram | ColumnForm, basis=None):
-    """Solve once on a fresh ``HeldModel`` started from ``basis``. Returns
-    the solution and the final basis (None unless optimal).
+    """Solve once on a fresh ``HeldModel`` started from ``basis``, every
+    row and bound stated. Returns the solution and the final basis (None
+    unless optimal).
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
     held = HeldModel(program, basis)

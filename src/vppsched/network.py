@@ -8,6 +8,11 @@ branch limits are enforced by a regular inscribed polygon, which is
 conservative with respect to the true circular limit; its sides on an
 axis are bounds on the flow columns, the others rows.
 
+The voltage bands of the buses below the root and the polygon's diagonal
+sides are marked lazy (``lp.LinearProgram.mark_lazy``): on the shipped
+instances none is active at the optimum, so ``lp.solve`` states them to
+HiGHS only once a solution violates one.
+
 All network quantities inside the LP are per-unit; device and load
 quantities stay in kW/kvar and are scaled at the nodal-balance boundary.
 
@@ -170,7 +175,9 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
     The columns and the rows each go in as one bulk append. Rows run step by
     step: per bus ``balP``, ``balQ`` (none at the root) and ``wit``, then
     ``vdrop`` per branch; within a row the device terms come first in
-    ``balP``/``balQ`` and last in ``wit``."""
+    ``balP``/``balQ`` and last in ``wit``. The voltage bounds of every bus
+    but the root are lazy; with them left out, ``v`` is free and presolve
+    removes the ``vdrop`` rows."""
     T, K = horizon.step_count, len(network.branches)
     root = network.root_id()
     scale = 1.0 / network.s_base_kw
@@ -266,6 +273,7 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
     program.add_rows(np.r_[0, np.cumsum(np.bincount(row, minlength=width * T))],
                      np.concatenate(cols)[order], np.concatenate(coefs)[order],
                      sense, rhs, names)
+    program.mark_lazy(columns=v[rest].ravel())
 
     return GridHandles(dict(enumerate(fp.tolist())), dict(enumerate(fq.tolist())),
                        dict(zip(ids, v.tolist())), pcc[0].tolist(),
@@ -289,8 +297,8 @@ def emit_flow_limits(program: lp.LinearProgram, network: RadialNetwork,
     cos(a_k) P + sin(a_k) Q <= s_max cos(pi/K) for a_k = 2 pi k / K. A side
     on an axis has one nonzero component and is a bound on that flow
     column (for K = 8, |P| and |Q| <= s_max cos(pi/8)); the other sides are
-    rows, with both coefficients, appended in bulk by branch, step and side.
-    Returns the row indices."""
+    rows, with both coefficients, appended in bulk by branch, step and side,
+    and marked lazy. Returns the row indices."""
     if segments < 4:
         raise NetworkError("flow polygon needs at least 4 segments")
     T, K = horizon.step_count, len(network.branches)
@@ -309,14 +317,16 @@ def emit_flow_limits(program: lp.LinearProgram, network: RadialNetwork,
         program.tighten_bounds(pq[:, :, axis].ravel(),
                                bound if side[axis] < 0 else -math.inf,
                                bound if side[axis] > 0 else math.inf)
-    rows = np.flatnonzero(~on_axis)
-    cols = np.broadcast_to(pq[:, :, None, :], (K, T, len(rows), 2))
-    return program.add_rows(
-        np.arange(0, 2 * K * T * len(rows) + 1, 2), cols.ravel(),
-        np.broadcast_to(sides[rows], cols.shape).ravel(), lp.LE,
-        np.repeat(rhs, T * len(rows)),
+    diagonal = np.flatnonzero(~on_axis)
+    cols = np.broadcast_to(pq[:, :, None, :], (K, T, len(diagonal), 2))
+    rows = program.add_rows(
+        np.arange(0, 2 * K * T * len(diagonal) + 1, 2), cols.ravel(),
+        np.broadcast_to(sides[diagonal], cols.shape).ravel(), lp.LE,
+        np.repeat(rhs, T * len(diagonal)),
         [f"flow[{k},{t},{seg}]" for k in range(K) for t in range(T)
-         for seg in rows])
+         for seg in diagonal])
+    program.mark_lazy(rows=rows)
+    return rows
 
 
 def polygon_admits(p: float, q: float, s_max: float, segments: int) -> bool:

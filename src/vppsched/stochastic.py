@@ -89,12 +89,15 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
                     risk: RiskMeasure) -> ExtensiveForm:
     """One LP over all scenarios: the compiled block stacked once per
     scenario, block columns shifted, around the shared bid columns (so
-    non-anticipativity holds by construction)."""
+    non-anticipativity holds by construction). Each copy keeps the
+    template's lazy rows and column bounds, moved to its own rows and
+    columns."""
     if len(sset) == 0:
         raise StochasticError("empty scenario set")
     model.validate()
     tpl = model.template
     p, nf, nb, S = tpl.program, tpl.n_first, tpl.n_block, len(sset)
+    m = p.num_constraints
     blocks = [model.scenario_data(scen, k * nb)
               for k, scen in enumerate(sset.scenarios)]
     program = lp.LinearProgram(
@@ -108,7 +111,10 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
         indptr=np.r_[0, np.cumsum(np.tile(np.diff(p.indptr), S))],
         indices=np.concatenate([b.columns[p.indices] for b in blocks]),
         data=np.tile(p.data, S), sense=np.tile(p.sense, S),
-        rhs=np.concatenate([b.rhs for b in blocks]))
+        rhs=np.concatenate([b.rhs for b in blocks]),
+        lazy_rows=np.concatenate([k * m + p.lazy_rows for k in range(S)]),
+        lazy_columns=np.concatenate([b.columns[p.lazy_columns]
+                                     for b in blocks]))
     add_risk_objective(program, risk, sset.probabilities(),
                        [(block.columns, block.net_cost()) for block in blocks])
     return ExtensiveForm(program, tpl.first_stage, blocks)

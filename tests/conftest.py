@@ -41,6 +41,32 @@ def desk_benders(desk, desk_scenarios):
     return bd.iterate(desk.model, desk_scenarios, st.RiskMeasure(st.EXPECTATION))
 
 
+class LinprogLog(list):
+    """The rows each ``linprog`` run was given, in run order, and in
+    ``iterations`` the simplex iterations each took."""
+
+    def __init__(self):
+        super().__init__()
+        self.iterations = []
+
+
+@pytest.fixture
+def linprog_rows(monkeypatch):
+    """Logs the ``linprog`` runs of ``lp.solve``, one per screening round,
+    as a ``LinprogLog``."""
+    log = LinprogLog()
+    run = lp.linprog
+
+    def counted(*args, **kwargs):
+        log.append(kwargs["A_ub"].shape[0] + kwargs["A_eq"].shape[0])
+        res = run(*args, **kwargs)
+        log.iterations.append(int(res.nit))
+        return res
+
+    monkeypatch.setattr(lp, "linprog", counted)
+    return log
+
+
 class HighsLog(list):
     """The calls a recording HiGHS class received, in order."""
 

@@ -127,3 +127,29 @@ def cut_matches(cut, other, tol):
         return False
     scale = 1.0 + float(np.max(np.abs(g), initial=0.0))
     return bool(np.all(np.abs(g - g_old) <= tol * scale))
+
+
+def unscreened(program):
+    """A copy of ``program`` without lazy rows or bounds: ``lp.solve``
+    hands HiGHS every limit in one run. The reference for screened
+    solves."""
+    return lp.LinearProgram(
+        program.name, **{key: getattr(program, key).copy() for key in (
+            "lower", "upper", "cost", "indptr", "indices", "data", "sense",
+            "rhs")})
+
+
+def infeasibility(program, x):
+    """The largest violation by ``x`` of a row or a column bound of
+    ``program``, each relative to its side as ``lp.FEAS_TOL`` is read:
+    excess / (1 + |side|)."""
+    row_lo, row_hi = lp.row_bounds(program.sense, program.rhs)
+    act = program.matrix @ x
+    worst = 0.0
+    for side, excess in ((row_lo, row_lo - act), (row_hi, act - row_hi),
+                         (program.lower, program.lower - x),
+                         (program.upper, x - program.upper)):
+        finite = np.isfinite(side)
+        worst = max(worst, float(np.max(
+            excess[finite] / (1.0 + np.abs(side[finite])), initial=0.0)))
+    return worst

@@ -11,7 +11,8 @@ import pytest
 
 from vppsched import lp
 
-from oracles import random_feasible_bounded_lp, vertex_enumeration_optimum
+from oracles import (infeasibility, random_feasible_bounded_lp, unscreened,
+                     vertex_enumeration_optimum)
 
 
 def test_add_variable_assigns_dense_indices():
@@ -295,6 +296,103 @@ def test_primal_feasibility_residuals():
                 assert val == pytest.approx(rhs, abs=lp.FEAS_TOL * (1 + abs(rhs)))
 
 
+def screened_program():
+    """min -x - 2y + z / 2 over x, y in [0, 2], z >= x - 0.5 and w == y / 4,
+    with the lazy rows x + y <= 3 (binding) and x - y <= 5, and the lazy
+    bounds z in [0.8, 4] (binding) and w in [-1, 1]. Relaxed, x = y = 2
+    breaks the first row; with it stated, z = 0.5 breaks its bound; with
+    that stated, the optimum is (1, 2, 0.8, 0.5) at -4.6."""
+    p = lp.LinearProgram("screened")
+    x, y = p.add_variable(0.0, 2.0, "x"), p.add_variable(0.0, 2.0, "y")
+    z, w = p.add_variable(0.8, 4.0, "z"), p.add_variable(-1.0, 1.0, "w")
+    p.add_constraint([(z, 1.0), (x, -1.0)], lp.GE, -0.5, "zx")
+    p.add_constraint([(w, 1.0), (y, -0.25)], lp.EQ, 0.0, "wy")
+    sum_row = p.add_constraint([(x, 1.0), (y, 1.0)], lp.LE, 3.0, "sum")
+    p.add_constraint([(x, 1.0), (y, -1.0)], lp.LE, 5.0, "gap")
+    for idx, coef in ((x, -1.0), (y, -2.0), (z, 0.5)):
+        p.add_objective_term(idx, coef)
+    p.mark_lazy(rows=[sum_row, sum_row + 1], columns=[z, w])
+    return p
+
+
+def test_screening_states_only_what_a_round_violates(linprog_rows):
+    p = screened_program()
+    sol = lp.solve(p)
+    # round 1 leaves both lazy rows out, round 2 states "sum", round 3 the
+    # bound of z; "gap" and the bounds of w never reach HiGHS
+    assert linprog_rows == [2, 3, 3]
+    assert sol.iterations == sum(linprog_rows.iterations) > 0
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective == pytest.approx(-4.6, abs=1e-9)
+    assert sol.primal == pytest.approx([1.0, 2.0, 0.8, 0.5], abs=1e-9)
+    assert sol.objective == pytest.approx(lp.solve(unscreened(p)).objective,
+                                          abs=1e-12)
+    # a left-out row has dual 0 and a relaxed bound multiplier 0; the
+    # stated ones carry theirs, so the dual objective is the primal one
+    assert sol.duals[3] == 0.0 and sol.duals[2] == pytest.approx(-1.0, abs=1e-9)
+    assert sol.lower_marginals[3] == sol.upper_marginals[3] == 0.0
+    assert sol.lower_marginals[2] == pytest.approx(0.5, abs=1e-9)
+    assert lp.dual_objective(p, sol) == pytest.approx(-4.6, abs=1e-9)
+    assert infeasibility(p, sol.primal) <= lp.FEAS_TOL
+
+
+def test_screening_restates_an_unbounded_relaxation(linprog_rows):
+    # x free once its lazy bounds are relaxed: the program is bounded
+    p = lp.LinearProgram()
+    x = p.add_variable(0.0, 1.0, "x")
+    p.add_objective_term(x, -1.0)
+    p.mark_lazy(columns=[x])
+    sol = lp.solve(p)
+    assert len(linprog_rows) == 2
+    assert sol.status == lp.OPTIMAL and sol.objective == pytest.approx(-1.0)
+    assert sol.upper_marginals[x] == pytest.approx(-1.0)
+    # unbounded with everything stated stays unbounded
+    p.add_variable(-math.inf, 0.0, "y")
+    p.add_objective_term(1, 1.0)
+    assert lp.solve(p).status == lp.UNBOUNDED
+
+
+def test_screening_reports_an_infeasible_program(linprog_rows):
+    # infeasible in the first round, or only once a lazy row is stated
+    p = lp.LinearProgram()
+    x = p.add_variable(0.0, math.inf, "x")
+    p.add_constraint([(x, 1.0)], lp.GE, 2.0, "floor")
+    p.add_constraint([(x, 1.0)], lp.LE, 1.0, "cap")
+    p.add_objective_term(x, 1.0)
+    p.mark_lazy(rows=[1])
+    assert lp.solve(p).status == lp.INFEASIBLE
+    assert len(linprog_rows) == 2
+    p.add_constraint([(x, 1.0)], lp.LE, 0.5, "lower cap")
+    assert lp.solve(p).status == lp.INFEASIBLE
+    assert len(linprog_rows) == 3
+
+
+def test_random_screened_lps_match_vertex_enumeration():
+    # a random half of the rows and columns lazy: the same optimum, a
+    # feasible primal and strong duality on the full program
+    rng = np.random.default_rng(20261018)
+    for _ in range(120):
+        prog = random_feasible_bounded_lp(rng)
+        prog.mark_lazy(rows=np.flatnonzero(rng.random(prog.num_constraints) < 0.5),
+                       columns=np.flatnonzero(rng.random(prog.num_variables) < 0.5))
+        sol = lp.solve(prog)
+        assert sol.status == lp.OPTIMAL
+        best = vertex_enumeration_optimum(prog)
+        assert sol.objective == pytest.approx(best, abs=1e-7, rel=1e-7)
+        assert infeasibility(prog, sol.primal) <= lp.FEAS_TOL
+        dual = lp.dual_objective(prog, sol)
+        assert abs(sol.objective - dual) <= lp.OPT_TOL * (1.0 + abs(sol.objective))
+
+
+def test_mark_lazy_refuses_an_unknown_index():
+    p = screened_program()
+    with pytest.raises(lp.LpError, match="lazy_rows: unknown index 4"):
+        p.mark_lazy(rows=[0, 4])
+    with pytest.raises(lp.LpError, match="lazy_columns: unknown index -1"):
+        p.mark_lazy(columns=[-1])
+    assert p.lazy_rows.tolist() == [2, 3] and p.lazy_columns.tolist() == [2, 3]
+
+
 def test_lp_text_export_roundtrip_structure():
     p = lp.LinearProgram("demo")
     x = p.add_variable(0.0, 2.0, "x")
@@ -413,6 +511,23 @@ def test_held_solutions_do_not_depend_on_later_solves():
                           (early.lower_marginals, expected.lower_marginals),
                           (early.upper_marginals, expected.upper_marginals)]:
             assert np.array_equal(got, want)
+
+
+def test_held_row_duals_are_converted_on_first_read():
+    # the tariff sweep never reads them: they stay HiGHS's list until read,
+    # and then are bitwise the array converted at once, however many solves
+    # came in between
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        prog = random_feasible_bounded_lp(rng)
+        held = lp.HeldModel(prog)
+        sol = held.solve()
+        eager = np.asarray(held._highs.getSolution().row_dual)
+        assert callable(sol.row_duals)
+        held.solve(rng.uniform(-3.0, 3.0, size=prog.num_variables))
+        assert sol.duals.dtype == eager.dtype
+        assert sol.duals.tobytes() == eager.tobytes()
+        assert sol.duals is sol.duals
 
 
 def test_held_model_restarts_after_a_solve_that_is_not_optimal(record_highs):

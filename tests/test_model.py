@@ -17,6 +17,8 @@ from vppsched import scenarios as sg
 from vppsched import stochastic as st
 from vppsched.model import VppModel
 
+from oracles import unscreened
+
 EXPECT = st.RiskMeasure(st.EXPECTATION)
 CVAR9 = st.RiskMeasure(st.CVAR, 0.9)
 
@@ -175,3 +177,52 @@ def test_compiled_template_is_pinned(preset):
     # stacked or instantiated from the template reaches HiGHS unchanged
     assert template_digest(im.PRESETS[preset]().model) \
         == TEMPLATE_DIGESTS[preset]
+
+
+#: lazy rows and lazy column bounds of the compiled block: the diagonal
+#: sides of the flow polygon and the voltage band below the root
+LAZY_COUNTS = {"desk": (128, 32), "day": (384, 96), "full": (36864, 9216)}
+
+
+@pytest.mark.parametrize("preset", sorted(LAZY_COUNTS))
+def test_lazy_limits_are_the_flow_sides_and_voltage_bands(preset):
+    model = im.PRESETS[preset]().model
+    p = model.template.program
+    root = model.network.root_id()
+    rows = [i for i, name in enumerate(p.row_names) if name.startswith("flow[")]
+    cols = [j for j, name in enumerate(p.col_names)
+            if name.startswith("v[") and not name.startswith(f"v[{root},")]
+    assert sorted(p.lazy_rows.tolist()) == rows
+    assert sorted(p.lazy_columns.tolist()) == cols
+    assert (len(rows), len(cols)) == LAZY_COUNTS[preset]
+
+
+def test_instances_carry_the_lazy_limits(case):
+    # instantiate shifts the lazy rows past its fix rows; the extensive
+    # form moves them, and the lazy columns, to each block's own
+    model, sset = case
+    tpl = model.template
+    p = tpl.program
+    for bids in (None, np.zeros(tpl.n_first)):
+        sub = tpl.instantiate(model.scenario_data(sset.scenarios[0]), bids)
+        nf = 0 if bids is None else tpl.n_first
+        assert np.array_equal(sub.lazy_rows, p.lazy_rows + nf)
+        assert np.array_equal(sub.lazy_columns, p.lazy_columns)
+        assert [sub.row_names[i] for i in sub.lazy_rows] \
+            == [p.row_names[i] for i in p.lazy_rows]
+    ef = st.build_extensive(model, sset, CVAR9)
+    S = len(sset)
+    assert [ef.program.row_names[i] for i in ef.program.lazy_rows] \
+        == [f"s{k}_{p.row_names[i]}" for k in range(S) for i in p.lazy_rows]
+    assert [ef.program.col_names[j] for j in ef.program.lazy_columns] \
+        == [f"s{k}_{p.col_names[j]}" for k in range(S) for j in p.lazy_columns]
+
+
+@pytest.mark.parametrize("risk", [EXPECT, CVAR9])
+def test_screened_extensive_optimum_is_the_full_one(case, risk):
+    model, sset = case
+    program = st.build_extensive(model, sset, risk).program
+    sol, full = lp.solve(program), lp.solve(unscreened(program))
+    assert sol.objective == pytest.approx(full.objective, rel=1e-9)
+    assert lp.dual_objective(program, sol) == pytest.approx(
+        sol.objective, abs=lp.OPT_TOL * (1.0 + abs(sol.objective)))

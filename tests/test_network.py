@@ -15,6 +15,7 @@ from vppsched.devices import DerPark
 from vppsched.market import MarketHorizon
 from vppsched.model import VppModel
 
+from oracles import infeasibility, unscreened
 from test_devices import instantiate
 
 H1 = MarketHorizon(1, 0.25, 0.25)
@@ -471,3 +472,83 @@ def test_extensive_optimum_matches_the_all_rows_polygon(monkeypatch):
         binding += bool(np.any(np.minimum(x - p.lower, p.upper - x)[flows] <= 1e-9)
                         or np.any((p.rhs - p.matrix @ x)[sides] <= 1e-9))
     assert binding >= 6
+
+
+# --------------------------------------------------------------- screening
+
+def narrowed_band(model, v_min, v_max):
+    """``model`` with the squared voltage band of every bus but the root
+    set to [v_min, v_max]."""
+    net = model.network
+    buses = [b if b.is_root else dataclasses.replace(b, v_min=v_min, v_max=v_max)
+             for b in net.buses]
+    return dataclasses.replace(model, network=dataclasses.replace(net, buses=buses))
+
+
+def assert_screened_is_full_optimum(program, sol, rows, reference):
+    """``sol`` of ``program``, solved in the ``linprog`` runs ``rows``, is
+    the optimum of the program solved with every limit stated."""
+    assert len(rows) > 1
+    assert sol.status == reference.status == lp.OPTIMAL
+    assert sol.objective == pytest.approx(reference.objective, rel=1e-9)
+    assert infeasibility(program, sol.primal) <= lp.FEAS_TOL
+    assert lp.dual_objective(program, sol) == pytest.approx(sol.objective,
+                                                            abs=1e-7)
+
+
+@pytest.mark.parametrize("risk", [st.RiskMeasure(st.EXPECTATION),
+                                  st.RiskMeasure(st.CVAR, 0.9)])
+def test_screening_reaches_binding_voltage_bands(risk, linprog_rows):
+    # day with the band narrowed to +-0.2 % (squared): the relaxed optimum
+    # leaves it, so a later round states the bounds it breaks, and the
+    # result is the optimum with every limit stated
+    inst = im.day_instance()
+    model = narrowed_band(inst.model, 0.998, 1.002)
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
+    program = st.build_extensive(model, sset, risk).program
+    sol = lp.solve(program)
+    rounds = list(linprog_rows)
+    reference = lp.solve(unscreened(program))
+    assert_screened_is_full_optimum(program, sol, rounds, reference)
+    # the band binds: the optimum is dearer than with the shipped band
+    wide = st.build_extensive(inst.model, sset, risk).program
+    assert sol.objective > lp.solve(wide).objective + 1e-3
+
+
+def test_screening_reaches_a_binding_diagonal_side(linprog_rows):
+    # a 100 kVA branch feeding 60 kvar and as much controllable load as it
+    # carries: the diagonal side binds (P = sqrt(2) s cos(pi/8) - Q), which
+    # the relaxation, with only the axis bound P <= s cos(pi/8), breaks
+    net = chain_network(2, r=0.0, x=0.0, s_max=100.0)
+    program = lp.LinearProgram()
+    load = program.add_variable(0.0, 1000.0, "load")
+    handles = nw.emit_distflow(program, net, nw.validate_radial(net), H1,
+                               {1: [[(load, 1.0)]]}, {})
+    rows = nw.emit_flow_limits(program, net, handles, H1, segments=8)
+    program = with_loads(program, {1: np.array([0.0])}, {1: np.array([60.0])})
+    program.add_objective_term(load, -1.0)
+    sol = lp.solve(program)
+    rounds = list(linprog_rows)
+    assert_screened_is_full_optimum(program, sol, rounds,
+                                    lp.solve(unscreened(program)))
+    cut = 100.0 * math.cos(math.pi / 8)
+    assert sol.primal[load] == pytest.approx(math.sqrt(2.0) * cut - 60.0)
+    assert np.count_nonzero(sol.duals[rows]) == 1
+
+
+def test_limits_infeasible_only_when_stated_name_the_block():
+    # a band from 5 % above the root voltage needs an export far beyond the
+    # park's: the relaxation is feasible, the program is not, and the
+    # diagnosis still names the first block
+    desk = im.desk_instance()
+    model = narrowed_band(desk.model, 1.05 ** 2, 1.1 ** 2)
+    sset = sg.build_scenarios(desk.forecast, sg.DEFAULT_ERROR_SPECS, 2, seed=42)
+    ef = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
+    relaxed = unscreened(ef.program)
+    relaxed.lower[ef.program.lazy_columns] = -math.inf
+    relaxed.upper[ef.program.lazy_columns] = math.inf
+    assert lp.solve(relaxed).status == lp.OPTIMAL
+    assert lp.solve(ef.program).status == lp.INFEASIBLE
+    with pytest.raises(st.ModelInfeasible) as exc:
+        st.solve_extensive(model, ef, sset)
+    assert exc.value.scenario_index == 0
