@@ -18,6 +18,7 @@ checks of the configuration keys they override.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -52,7 +53,7 @@ def _parse_levels(spec: str) -> list[float]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad spec {spec!r}, expected start:stop:step") from exc
-    if step <= 0 or stop < start:
+    if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
         raise argparse.ArgumentTypeError(f"bad range {spec!r}")
     levels = []
     k = 0

@@ -183,7 +183,10 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     get = partial(_setting, raw)
     in_dir = partial(os.path.join, os.path.dirname(os.path.abspath(path)))
-    window = lambda hours: (float(hours[0]), float(hours[1]))
+    def window(hours) -> tuple[float, ...]:     # exactly [start, end]
+        if len(hours) != 2:
+            raise ValueError(f"a window is [start, end] hours, not {hours}")
+        return _floats(hours)
     if get("tariff_sweep.method", str) != "extensive":
         raise ConfigError("tariff_sweep method: the sweep solves only 'extensive'")
     return RunConfig(

@@ -166,14 +166,15 @@ def emit_dg(program: lp.LinearProgram, dg: DistributedGenerator,
     h = DeviceHandles(dg.name, dg.node)
     q_lim = _reactive_halfwidth(dg.inverter_kva, dg.nominal_kw)
     for t in range(horizon.step_count):
-        cap = lp.Data("capacity_factor", dg.name, t, dg.nominal_kw)
-        p = program.add_variable(0.0, cap, f"dg_{dg.name}[{t}]")
+        p = program.add_variable(0.0, math.inf, f"dg_{dg.name}[{t}]")
         q = program.add_variable(-q_lim, q_lim, f"dgq_{dg.name}[{t}]")
         h.p.append(p)
         h.q.append(q)
         program.add_objective_term(p, dg.marginal_cost * horizon.step_hours)
         h.cons_p.append([(p, -1.0)])
         h.cons_q.append([(q, -1.0)])
+    program.add_slots(lp.UPPER, h.p, "capacity_factor", dg.name,
+                      range(horizon.step_count), dg.nominal_kw)
     return h
 
 
@@ -193,15 +194,16 @@ def emit_hp(program: lp.LinearProgram, hp: HeatPump,
                                            f"hpT_{hp.name}[{t}]"))
     leak = dt / (hp.thermal_capacitance * hp.thermal_resistance)
     gain = dt * hp.cop / hp.thermal_capacitance
+    dyn = []
     for t in range(T):
         p = program.add_variable(0.0, hp.max_elec_kw, f"hp_{hp.name}[{t}]")
         h.p.append(p)
-        program.add_constraint(
+        dyn.append(program.add_constraint(
             [(h.temp[t + 1], 1.0), (h.temp[t], -(1.0 - leak)), (p, -gain)],
-            lp.EQ, lp.Data("ambient_temp", None, t, leak),
-            f"hp_dyn_{hp.name}[{t}]")
+            lp.EQ, 0.0, f"hp_dyn_{hp.name}[{t}]"))
         h.cons_p.append([(p, 1.0)])
         h.cons_q.append([])
+    program.add_slots(lp.RHS, dyn, "ambient_temp", None, range(T), leak)
     program.add_constraint([(h.temp[T], 1.0), (h.temp[0], -1.0)], lp.EQ, 0.0,
                            f"hp_tie_{hp.name}")
     return h
@@ -222,12 +224,8 @@ def emit_ev(program: lp.LinearProgram, ev: EvChargingEvent,
     h.soc.append(program.add_variable(ev.arrival_soc_kwh, ev.arrival_soc_kwh,
                                       f"evS_{ev.name}[{ev.arrival}]"))
     for t in range(ev.arrival, ev.departure):
-        ch = program.add_variable(
-            0.0, lp.Data("ev_availability", None, t, ev.max_charge_kw),
-            f"evC_{ev.name}[{t}]")
-        dis = program.add_variable(
-            0.0, lp.Data("ev_availability", None, t, ev.max_discharge_kw),
-            f"evD_{ev.name}[{t}]")
+        ch = program.add_variable(0.0, math.inf, f"evC_{ev.name}[{t}]")
+        dis = program.add_variable(0.0, math.inf, f"evD_{ev.name}[{t}]")
         nxt = program.add_variable(0.0, ev.battery_kwh, f"evS_{ev.name}[{t + 1}]")
         h.charge.append(ch)
         h.discharge.append(dis)
@@ -238,6 +236,9 @@ def emit_ev(program: lp.LinearProgram, ev: EvChargingEvent,
         h.soc.append(nxt)
         program.add_objective_term(dis, ev.discharge_compensation * dt)
         h.cons_p[t] = [(ch, 1.0), (dis, -1.0)]
+    program.add_slots(lp.UPPER, np.transpose([h.charge, h.discharge]),
+                      "ev_availability", None, np.c_[ev.arrival:ev.departure],
+                      [ev.max_charge_kw, ev.max_discharge_kw])
     window_hours = (ev.departure - ev.arrival) * dt
     program.add_constraint(
         [(h.soc[-1], 1.0), (h.soc[0], -1.0)], lp.GE,

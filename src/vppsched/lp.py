@@ -23,9 +23,9 @@ subproblems and the master gaining cut rows re-solve from their last
 one. Row duals are converted and bound multipliers split by basis status
 only when first read. No other module touches the solver backend.
 
-A column upper bound, a right-hand side or a labelled cost may be left to
-data: ``Data`` names the series entry that supplies it, and the program
-records each such slot for whoever fills it in.
+Column upper bounds, right-hand sides or labelled costs may be left to
+data, +inf or 0 in their place: ``add_slots`` records a run of such slots
+and the series entries that supply them, for whoever fills them in.
 
 Dual convention: every dual is the sensitivity of the optimal objective
 to that constraint's right-hand side (d obj / d rhs). In a minimization
@@ -108,18 +108,6 @@ class LpSolveError(Exception):
     """Numerical breakdown or iteration limit inside the solver backend."""
 
 
-class Data(NamedTuple):
-    """A coefficient supplied by data: ``series[step] * scale / divisor``,
-    where the series is data field ``field`` (its item ``key`` for keyed
-    fields). The divisor keeps conversions that divide exact."""
-
-    field: str
-    key: object = None
-    step: int = 0
-    scale: float = 1.0
-    divisor: float = 1.0
-
-
 @dataclass
 class LpSolution:
     """Solver report. ``duals`` has one entry per constraint, in the order
@@ -173,9 +161,9 @@ class LinearProgram:
                         for key, dtype in _ARRAYS.items()}
         self._names = [col_names or [], row_names or []]
         self._cols, self._rows, self._costs = [], [], []
-        #: data slots (target, index, Data); the target is UPPER, RHS or the
-        #: label of a cost stream
-        self.slots: list[tuple[str, int, Data]] = []
+        #: runs of data slots, one per ``add_slots`` call: (target, index,
+        #: field, key, step, scale, divisor), the index and the last three arrays
+        self.slots: list[tuple] = []
         self.lazy_rows = np.asarray(lazy_rows, dtype=np.int64)
         self.lazy_columns = np.asarray(lazy_columns, dtype=np.int64)
 
@@ -231,22 +219,18 @@ class LinearProgram:
     def num_constraints(self) -> int:
         return len(self._arrays["rhs"]) + len(self._rows)
 
-    def add_variable(self, lower: float = 0.0, upper: float | Data = math.inf,
+    def add_variable(self, lower: float = 0.0, upper: float = math.inf,
                      name: str = "") -> int:
-        """Append a column and return its index. An upper bound given as
-        ``Data`` is a slot (placeholder +inf)."""
-        slot, upper = (upper, math.inf) if isinstance(upper, Data) else (None, upper)
+        """Append a column and return its index."""
         _check_bounds(lower, upper, name)
-        if slot is not None:
-            self.slots.append((UPPER, self.num_variables, slot))
         self._cols.append((float(lower), float(upper)))
         self.col_names.append(name)
         return self.num_variables - 1
 
     def add_variables(self, lower, upper, names: list[str]) -> np.ndarray:
         """Append one column per name, in bulk: bounds are arrays or
-        scalars, never ``Data``. Refuses what ``add_variable`` refuses,
-        naming the first bad column. Returns the column indices."""
+        scalars. Refuses what ``add_variable`` refuses, naming the first bad
+        column. Returns the column indices."""
         n = len(names)
         lower = np.broadcast_to(np.asarray(lower, dtype=float), n)
         upper = np.broadcast_to(np.asarray(upper, dtype=float), n)
@@ -273,8 +257,8 @@ class LinearProgram:
         if unknown.any():
             raise LpError(f"bounds: unknown variable index "
                           f"{columns[np.argmax(unknown)]}")
-        slotted = np.isin(columns, [i for target, i, _ in self.slots
-                                    if target == UPPER])
+        slotted = np.isin(columns, [i for target, index, *_ in self.slots
+                                    if target == UPPER for i in index])
         if slotted.any():
             raise LpError(f"variable {self.col_names[columns[np.argmax(slotted)]]!r}"
                           f": upper bound is data")
@@ -300,16 +284,12 @@ class LinearProgram:
                 raise LpError(f"{key}: unknown index {idx[np.argmax(unknown)]}")
             setattr(self, key, np.r_[getattr(self, key), idx])
 
-    def add_constraint(self, terms, sense: str, rhs: float | Data,
+    def add_constraint(self, terms, sense: str, rhs: float,
                        name: str = "") -> int:
         """Append a constraint; ``terms`` is an iterable of (var index, coef).
-        A right-hand side given as ``Data`` is a slot (placeholder 0).
 
         Returns the row index (position in the dual vector)."""
-        slot, rhs = (rhs, 0.0) if isinstance(rhs, Data) else (None, rhs)
         clean = self._checked_row(terms, sense, rhs, name)
-        if slot is not None:
-            self.slots.append((RHS, self.num_constraints, slot))
         self._rows.append((clean, sense, float(rhs)))
         self.row_names.append(name)
         return self.num_constraints - 1
@@ -341,19 +321,15 @@ class LinearProgram:
         """Append one constraint per name, in bulk, as CSR pieces: row k has
         the terms ``indices[indptr[k]:indptr[k + 1]]`` with the coefficients
         ``data`` at the same positions, the sense ``sense`` (one for every
-        row, or one per row) and the right-hand side ``rhs[k]``, which may
-        be ``Data`` (a slot, placeholder 0). Refuses exactly what
-        ``add_constraint`` refuses, naming the first bad row, and then adds
-        nothing. Returns the row indices."""
+        row, or one per row) and the right-hand side ``rhs[k]``. Refuses
+        exactly what ``add_constraint`` refuses, naming the first bad row,
+        and then adds nothing. Returns the row indices."""
         m = len(names)
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
         data = np.asarray(data, dtype=float)
         sense = np.broadcast_to(np.asarray(sense), m)
-        slots = [] if isinstance(rhs, np.ndarray) else \
-            [(k, r) for k, r in enumerate(rhs) if isinstance(r, Data)]
-        values = np.array([0.0 if isinstance(r, Data) else r for r in rhs]
-                          if slots else rhs, dtype=float)
+        values = np.asarray(rhs, dtype=float)
         if (len(indptr) != m + 1 or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
                 or indptr[-1] != len(indices) or len(data) != len(indices)
                 or len(values) != m):
@@ -377,9 +353,26 @@ class LinearProgram:
         first = self.num_constraints
         self._extend(indptr=self._arrays["indptr"][-1] + indptr[1:],
                      indices=indices, data=data, sense=sense, rhs=values)
-        self.slots += [(RHS, first + k, d) for k, d in slots]
         self.row_names.extend(names)
         return np.arange(first, first + m)
+
+    def add_slots(self, target: str, index, field: str, key=None, step=0,
+                  scale=1.0, divisor=1.0) -> None:
+        """Leave the upper bounds (target UPPER) or right-hand sides (RHS) of
+        the columns or rows ``index``, or their costs in the stream labelled
+        ``target``, to data: ``series[step] * scale / divisor``, the series
+        being data field ``field`` (its item ``key`` if keyed), the last
+        three broadcast against ``index``; the divisor keeps conversions
+        that divide exact. Refuses an unknown index, and then adds nothing."""
+        index = np.asarray(index, dtype=np.int64)
+        n = self.num_constraints if target == RHS else self.num_variables
+        unknown = (index < 0) | (index >= n)
+        if unknown.any():
+            raise LpError(f"slots {target} of {field!r}: unknown index "
+                          f"{index[np.argmax(unknown)]}")
+        self.slots.append((target, index.ravel(), field, key, *(
+            np.broadcast_to(np.asarray(a, dtype=dtype), index.shape).ravel()
+            for a, dtype in ((step, np.int64), (scale, float), (divisor, float)))))
 
     def add_objective_term(self, index: int, coef: float) -> None:
         if index < 0 or index >= self.num_variables:

@@ -227,8 +227,8 @@ def bind_costs(program: lp.LinearProgram, horizon: MarketHorizon,
     streams += [("c_tariff", "tariff_per_mwh", wit_vars_by_bus[bus], f, 1.0)
                 for bus in sorted(wit_vars_by_bus)]
     for label, field, cols, scale, divisor in streams:
-        program.slots += [(label, col, lp.Data(field, None, t, scale, divisor))
-                          for t, col in enumerate(cols)]
+        program.add_slots(label, cols, field, None, range(len(cols)), scale,
+                          divisor)
 
 
 def dam_revenue_value(prices, dam_kw, step_hours) -> float:

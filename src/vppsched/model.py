@@ -5,7 +5,9 @@ technology matrix T are the same in every scenario. A scenario changes
 only data: costs (the six prices), right-hand sides (loads, ambient
 temperature) and column bounds (PV capacity factors, EV availability).
 ``VppModel.build_block`` emits the block once into a template program,
-the emitters leaving every scenario-dependent entry as a data slot, and
+the emitters leaving every scenario-dependent entry to data in runs of
+slots (``lp.LinearProgram.add_slots``, one call per device, stream or bus
+and series); ``BlockTemplate`` joins the runs into arrays once, and
 ``BlockTemplate.data`` fills the slots for one scenario, vectorized, as
 six per-stream cost vectors, right-hand sides and bounds. Every solve path
 stacks or instantiates that one template; the tariff is data too, the
@@ -58,17 +60,17 @@ class BlockTemplate:
         self.handles = handles
         self.n_first = len(first_stage.flat()) if first_stage else 0
         self.n_block = program.num_variables - self.n_first
-        # the slots as arrays; each reads one entry of one data series
-        target, index, data = zip(*program.slots) if program.slots else [()] * 3
-        series: dict[tuple, int] = {}
-        self.source = np.array([series.setdefault((d.field, d.key), len(series))
-                                for d in data], dtype=np.int64)
+        # the runs of slots as arrays; each slot reads one entry of one series
+        target, index, name, key, step, scale, divisor = \
+            zip(*program.slots) if program.slots else [()] * 7
+        runs, series = [len(i) for i in index], {}
+        source = [series.setdefault(s, len(series)) for s in zip(name, key)]
+        self.source = np.repeat(np.array(source, dtype=np.int64), runs)
         self.series = list(series)
-        self.step = np.array([d.step for d in data], dtype=np.int64)
-        self.scale = np.array([d.scale for d in data], dtype=float)
-        self.divisor = np.array([d.divisor for d in data], dtype=float)
-        self.target, self.targets = np.array(target), sorted(set(target))
-        self.index = np.array(index, dtype=np.int64)
+        join = lambda parts, dtype: np.concatenate([np.zeros(0, dtype), *parts])
+        self.step, self.index = join(step, np.int64), join(index, np.int64)
+        self.scale, self.divisor = join(scale, float), join(divisor, float)
+        self.target, self.targets = np.repeat(target, runs), sorted(set(target))
         program.matrix      # settle the arrays before instantiations share them
 
     def data(self, scenario, tariff=None, offset: int = 0) -> "ScenarioBlock":

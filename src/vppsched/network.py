@@ -254,25 +254,22 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
 
     row = np.concatenate(rows)
     order = np.argsort(row, kind="stable")
-    sense, rhs, names = [], [], []
-    for t in steps:
-        for i in ids:
-            sense.append(lp.EQ)
-            rhs.append(lp.Data("load_active", i, t, -scale))
-            names.append(f"balP[{i},{t}]")
-            if i != root:
-                sense.append(lp.EQ)
-                rhs.append(lp.Data("load_reactive", i, t, -scale))
-                names.append(f"balQ[{i},{t}]")
-            sense.append(lp.GE)
-            rhs.append(lp.Data("load_active", i, t))
-            names.append(f"wit[{i},{t}]")
-        sense += [lp.EQ] * K
-        rhs += [0.0] * K
-        names += [f"vdrop[{k},{t}]" for k in range(K)]
-    program.add_rows(np.r_[0, np.cumsum(np.bincount(row, minlength=width * T))],
-                     np.concatenate(cols)[order], np.concatenate(coefs)[order],
-                     sense, rhs, names)
+    sense = np.full((T, width), lp.EQ)
+    sense[:, wit_row] = lp.GE
+    label = [f"{kind}[{i}" for i in ids for kind in ("balP", "balQ", "wit")
+             if kind != "balQ" or i != root] + [f"vdrop[{k}" for k in range(K)]
+    grid_rows = program.add_rows(
+        np.r_[0, np.cumsum(np.bincount(row, minlength=width * T))],
+        np.concatenate(cols)[order], np.concatenate(coefs)[order], sense.ravel(),
+        np.zeros(width * T), [f"{name},{t}]" for t in steps for name in label]
+    ).reshape(T, width)
+    # the loads are data: minus the load in balP and balQ, the load in wit
+    for n, i in enumerate(ids):
+        program.add_slots(lp.RHS, grid_rows[:, [bal_p[n], wit_row[n]]],
+                          "load_active", i, np.c_[steps], [-scale, 1.0])
+        if i != root:
+            program.add_slots(lp.RHS, grid_rows[:, bal_p[n] + 1],
+                              "load_reactive", i, steps, -scale)
     program.mark_lazy(columns=v[rest].ravel())
 
     return GridHandles(dict(enumerate(fp.tolist())), dict(enumerate(fq.tolist())),

@@ -315,15 +315,22 @@ SOLVE = ["solve", "--method", "extensive"]
      "sweep level 1.5 outside [0, 1]"),
     (["tariff-sweep", "--levels", "0.5:1:0.5"], {},
      "sweep levels must start at 0"),
+    # a non-finite start, stop or step would list levels without end
+    *((["tariff-sweep", "--levels", spec], {},
+       f"argument --levels: bad range {spec!r}")
+      for spec in ("nan:1:0.1", "0:inf:0.1", "0:1:nan")),
     (["tariff-sweep"], {"extensive.max_variables": 10},
-     "extensive form would need ")],
+     "extensive form would need "),
+    (SOLVE, {"tariff_sweep.low_window_hours": [10, 14, 18]},
+     "config key tariff_sweep.low_window_hours: ")],
     ids=["count-ten", "workers-two", "tolerance-null", "alpha-x",
          "step-count-x", "max-variables-big", "levels-a", "flow-segments-x",
          "base-mva-x", "prequalified-x", "risk-5", "no-step-hours",
          "no-window-hours", "step-hours-nan", "window-hours-nan",
          "measure-bogus", "expectation-alpha-1.5", "max-iterations-0",
          "tolerance-0", "flag-alpha-1.5", "flag-workers-0", "flag-levels-to-2",
-         "flag-levels-from-0.5", "sweep-size-guard"])
+         "flag-levels-from-0.5", "flag-levels-nan-start", "flag-levels-inf-stop",
+         "flag-levels-nan-step", "sweep-size-guard", "window-three-hours"])
 def test_bad_setting_is_usage_error(desk_dir, capsys, command, edits,
                                     message):
     # a setting from the config or from a flag is held to one check, which

@@ -60,14 +60,14 @@ BAD_ROWS = {
     "negative index": ([(-1, 1.0)], lp.LE, 1.0),
     "duplicate": ([(1, 1.0), (0, 2.0), (1, 3.0)], lp.GE, 1.0),
     "coefficient": ([(0, math.nan)], lp.LE, 1.0),
-    "infinite coefficient": ([(1, -math.inf)], lp.GE, lp.Data("load")),
+    "infinite coefficient": ([(1, -math.inf)], lp.GE, 0.0),
 }
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
 def test_bulk_rows_refuse_what_add_constraint_refuses(bad):
     # same message, naming the first bad row, and nothing is added
-    rows = [([(0, 1.0), (1, 2.0)], lp.EQ, lp.Data("load", None, 1)),
+    rows = [([(0, 1.0), (1, 2.0)], lp.EQ, 0.0),
             BAD_ROWS[bad], ([(1, 1.0), (0, 1.0)], lp.GE, 0.0), BAD_ROWS[bad]]
     names = ["good", "bad", "fine", "worse"]
     single, bulk = lp.LinearProgram(), lp.LinearProgram()
@@ -128,7 +128,8 @@ def test_tightened_bounds_never_loosen():
     assert p.lower.tolist() == [-1.0, 0.5, -1.0]
     assert p.upper.tolist() == [0.5, 2.0, 2.0]
     # unknown columns, and an upper bound that data fills in later
-    p.add_variable(0.0, lp.Data("cap"), "u")
+    p.add_variable(0.0, math.inf, "u")
+    p.add_slots(lp.UPPER, [3], "cap")
     for columns in ([3], [4], [-1]):
         with pytest.raises(lp.LpError):
             p.tighten_bounds(columns, 0.0, 1.0)
@@ -141,8 +142,9 @@ def test_bulk_appends_match_one_at_a_time():
     # arrays, names and slots
     rng = np.random.default_rng(11)
     single, bulk = lp.LinearProgram(), lp.LinearProgram()
-    single.add_variable(0.0, lp.Data("cap", "a"), "u")
-    bulk.add_variable(0.0, lp.Data("cap", "a"), "u")
+    for p in (single, bulk):
+        p.add_variable(0.0, math.inf, "u")
+        p.add_slots(lp.UPPER, [0], "cap", "a")
     lower, upper = rng.uniform(-2, 0, 6), rng.uniform(0, 2, 6)
     names = [f"x{j}" for j in range(6)]
     for lo, hi, name in zip(lower, upper, names):
@@ -151,14 +153,21 @@ def test_bulk_appends_match_one_at_a_time():
     rows = []
     for k in range(12):
         idx = rng.choice(7, rng.integers(0, 5), replace=False)
-        rhs = lp.Data("load", k % 3, k) if k % 4 == 0 else float(rng.normal())
+        rhs = 0.0 if k % 4 == 0 else float(rng.normal())
         rows.append(([(int(i), float(rng.normal())) for i in idx],
                      lp.SENSES[k % 3], rhs))
-    single.add_constraint(*rows[0], name="r0")
-    bulk.add_constraint(*rows[0], name="r0")
+    # every fourth right-hand side is data, stated after its row
+    load = lambda p, k: p.add_slots(lp.RHS, [k], "load", k % 3, k)
+    for p in (single, bulk):
+        p.add_constraint(*rows[0], name="r0")
+        load(p, 0)
     for k, row in enumerate(rows[1:], 1):
         single.add_constraint(*row, name=f"r{k}")
+        if k % 4 == 0:
+            load(single, k)
     bulk.add_rows(*csr_pieces(rows[1:]), [f"r{k}" for k in range(1, 12)])
+    for k in range(4, 12, 4):
+        load(bulk, k)
     for p in (single, bulk):
         p.add_variable(-1.0, 1.0, "z")
         p.add_constraint([(7, 1.0)], lp.LE, 0.5, "last")
@@ -166,8 +175,53 @@ def test_bulk_appends_match_one_at_a_time():
                 "rhs"):
         a, b = getattr(single, key), getattr(bulk, key)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
-    assert (single.col_names, single.row_names, single.slots) \
-        == (bulk.col_names, bulk.row_names, bulk.slots)
+    assert (single.col_names, single.row_names, repr(single.slots)) \
+        == (bulk.col_names, bulk.row_names, repr(bulk.slots))
+
+
+def test_slots_refuse_unknown_rows_and_columns():
+    # as mark_lazy: an unknown index is refused and nothing is added
+    p = lp.LinearProgram()
+    p.add_variables(0.0, math.inf, ["x", "y"])
+    p.add_constraint([(0, 1.0)], lp.LE, 0.0, "r")
+    for target, index in ((lp.UPPER, [0, 2]), (lp.RHS, [1]), ("c_ops", [-1]),
+                          (lp.RHS, [[0], [3]])):
+        with pytest.raises(lp.LpError, match="unknown index"):
+            p.add_slots(target, index, "load")
+    assert p.slots == []
+    # step, scale and divisor broadcast against the index, row by row
+    p.add_variables(0.0, math.inf, ["u0", "v0", "u1", "v1"])
+    p.add_slots(lp.UPPER, [[2, 3], [4, 5]], "avail", None,
+                np.arange(2)[:, None], [4.0, 5.0], 2.0)
+    target, index, field, key, step, scale, divisor = p.slots[0]
+    assert (target, field, key) == (lp.UPPER, "avail", None)
+    assert index.tolist() == [2, 3, 4, 5] and step.tolist() == [0, 0, 1, 1]
+    assert scale.tolist() == [4.0, 5.0] * 2 and divisor.tolist() == [2.0] * 4
+    # a column whose upper bound is a slot keeps its bounds
+    with pytest.raises(lp.LpError, match="'v0': upper bound is data"):
+        p.tighten_bounds([0, 3], 0.0, 1.0)
+    assert p.upper.tolist() == [math.inf] * 6
+
+
+def test_only_lp_writes_slots():
+    # slots go in through add_slots alone: no other module assigns,
+    # augments or appends to a ``.slots`` attribute
+    package = os.path.dirname(lp.__file__)
+    slots = lambda n: isinstance(n, ast.Attribute) and n.attr == "slots"
+    offenders = []
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py") or fname == "lp.py":
+            continue
+        with open(os.path.join(package, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (slots(node) and isinstance(node.ctx, ast.Store)) or (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("append", "extend", "insert")
+                    and slots(node.func.value)):
+                offenders.append(f"{fname}:{node.lineno}")
+    assert offenders == []
 
 
 def test_single_variable_ge_dual_is_one():

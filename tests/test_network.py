@@ -13,10 +13,11 @@ from vppsched import scenarios as sg
 from vppsched import stochastic as st
 from vppsched.devices import DerPark
 from vppsched.market import MarketHorizon
-from vppsched.model import VppModel
+from vppsched.model import BlockTemplate, VppModel
 
 from oracles import infeasibility, unscreened
 from test_devices import instantiate
+from test_model import canonical_slots
 
 H1 = MarketHorizon(1, 0.25, 0.25)
 
@@ -283,21 +284,22 @@ def row_by_row_grid(program, network, topo, horizon, cons_p, cons_q,
             own_q = cons_q[i][t] if i in cons_q else []
             up = [(pcc[t], -scale)] if i == root \
                 else [(fp[topo.parent_branch[i]][t], -1.0)]
-            program.add_constraint(
+            row = program.add_constraint(
                 [(j, c * scale) for j, c in own_p] + up
                 + [(fp[k][t], 1.0) for k in topo.child_branches[i]],
-                lp.EQ, lp.Data("load_active", i, t, -scale), f"balP[{i},{t}]")
+                lp.EQ, 0.0, f"balP[{i},{t}]")
+            program.add_slots(lp.RHS, [row], "load_active", i, t, -scale)
             if i != root:
-                program.add_constraint(
+                row = program.add_constraint(
                     [(j, c * scale) for j, c in own_q]
                     + [(fq[topo.parent_branch[i]][t], -1.0)]
                     + [(fq[k][t], 1.0) for k in topo.child_branches[i]],
-                    lp.EQ, lp.Data("load_reactive", i, t, -scale),
-                    f"balQ[{i},{t}]")
-            program.add_constraint([(wit[i][t], 1.0)]
-                                   + [(j, -c) for j, c in own_p],
-                                   lp.GE, lp.Data("load_active", i, t),
-                                   f"wit[{i},{t}]")
+                    lp.EQ, 0.0, f"balQ[{i},{t}]")
+                program.add_slots(lp.RHS, [row], "load_reactive", i, t, -scale)
+            row = program.add_constraint([(wit[i][t], 1.0)]
+                                         + [(j, -c) for j, c in own_p],
+                                         lp.GE, 0.0, f"wit[{i},{t}]")
+            program.add_slots(lp.RHS, [row], "load_active", i, t)
         for k, br in enumerate(network.branches):
             up, dn = nw.branch_endpoints(network, topo, k)
             program.add_constraint(
@@ -351,8 +353,9 @@ def test_bulk_grid_matches_row_by_row_emission(seed):
                 "sense", "rhs"):
         a, b = getattr(bulk, key), getattr(ref, key)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
-    assert (bulk.col_names, bulk.row_names, repr(bulk.slots)) \
-        == (ref.col_names, ref.row_names, repr(ref.slots))
+    slots = [canonical_slots(BlockTemplate(p, horizon)) for p in programs]
+    assert (bulk.col_names, bulk.row_names, slots[0]) \
+        == (ref.col_names, ref.row_names, slots[1])
     assert repr(handles[0]) == repr(handles[1])
 
 
