@@ -27,6 +27,15 @@ cut rows entering with basic slacks. Subproblems may be solved on a thread
 pool opened once per run (``worker_map``); results are merged by scenario
 index, and each scenario's sequence of solves is its own, so the outcome
 does not depend on the worker count.
+
+The subproblems are screened (``StatedLimits``): the shared matrix holds
+the block's stated rows only and the lazy column bounds are relaxed, so
+HiGHS sees a network limit only once some scenario's primal violates it
+(``lp.Screen.violated``, the test of ``lp.solve``). The limit is then
+stated for every scenario, and the violating scenarios re-solve at the
+same bids until none violates one. A relaxed value and its duals
+underestimate the recourse value, so every cut is valid; the values that
+set the incumbent are exact.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from . import lp
 from . import market as mk
@@ -234,54 +243,136 @@ def solve_fixed_bids(model: VppModel, scenario: Scenario, scenario_index: int,
     return _checked(sol, model, scenario, scenario_index), block
 
 
+class StatedLimits:
+    """The lazy network limits of a run's subproblems (``lp.Screen``) and
+    the matrix all of them share: the stated rows of the instantiated block,
+    the bid-fixing rows ``fix[j]`` in front, then every lazy row some
+    subproblem's primal has violated, in the order they were stated. The
+    stated set only grows, for all scenarios at once and on the calling
+    thread, so a run does not depend on its worker count."""
+
+    def __init__(self, program: lp.LinearProgram):
+        A = program.matrix
+        self.screen = lp.Screen(A, program.lazy_rows, program.lazy_columns)
+        #: the rows stated from the start: all but the lazy ones
+        self.first = np.ones(A.shape[0], dtype=bool)
+        self.first[self.screen.rows] = False
+        self.matrix = A[self.first].tocsc()
+
+    def relaxed(self, program: lp.LinearProgram):
+        """``program``, an instantiation of the shared block, on the shared
+        matrix with its lazy limits left out, as a column-wise form; and
+        the ranges of its lazy rows and the bounds of its lazy columns, the
+        arguments of ``Screen.violated``. Only before anything is stated."""
+        s = self.screen
+        row_lo, row_hi = lp.row_bounds(program.sense, program.rhs)
+        lower, upper = program.lower.copy(), program.upper.copy()
+        limits = (row_lo[s.rows], row_hi[s.rows], lower[s.columns],
+                  upper[s.columns])
+        lower[s.columns], upper[s.columns] = -np.inf, np.inf
+        return lp.ColumnForm(self.matrix, program.cost, lower, upper,
+                             row_lo[self.first], row_hi[self.first]), limits
+
+    def restate(self, subs: list["Subproblem"]) -> list[int]:
+        """Check the last primal of every subproblem against the unstated
+        lazy limits and state each one violated for all of them; after an
+        unbounded relaxation, state everything. Returns the indices of the
+        subproblems to solve again: those whose primal violated a limit or
+        whose relaxation was unbounded. New rows enter every basis basic."""
+        screen = self.screen
+        rows, cols, again = [], [], []
+        for sub in subs:
+            if sub.primal is None:
+                again.append(sub.index)
+                continue
+            r, c = screen.violated(sub.primal, *sub.limits)
+            if len(r) or len(c):
+                again.append(sub.index)
+                rows.append(r)
+                cols.append(c)
+        if not again:
+            return again
+        if any(sub.primal is None for sub in subs):
+            rows = [np.flatnonzero(~screen.stated_rows)]
+            cols = [np.flatnonzero(~screen.stated_columns)]
+        rows, cols = np.unique(np.concatenate(rows)), np.unique(np.concatenate(cols))
+        screen.state(rows, cols)
+        self.matrix = vstack((self.matrix, screen.matrix[rows]), format="csc")
+        for sub in subs:
+            row_lo, row_hi, lower, upper = sub.limits
+            form = sub.form
+            form.lower[screen.columns[cols]] = lower[cols]
+            form.upper[screen.columns[cols]] = upper[cols]
+            sub.form = form._replace(matrix=self.matrix,
+                                     row_lo=np.r_[form.row_lo, row_lo[rows]],
+                                     row_hi=np.r_[form.row_hi, row_hi[rows]])
+            if sub.basis is not None:
+                lp.with_basic_rows(sub.basis, len(rows))
+        return again
+
+
 @dataclass
 class Subproblem:
     """One scenario's subproblem in a Benders run: its data on the matrix
-    all scenarios share, and the basis of its last solve."""
+    all scenarios share, with the lazy limits not yet stated left out, the
+    ranges of its lazy rows and the bounds of its lazy columns, and the
+    basis and primal of its last solve."""
 
     model: VppModel
     index: int
     scenario: Scenario
     form: lp.ColumnForm
+    limits: tuple
+    stated: StatedLimits
     basis: object = None
     #: simplex iterations of the last solve
     iterations: int = 0
+    #: primal of the last solve; None when its relaxation was unbounded
+    primal: np.ndarray | None = None
 
 
 def subproblems(model: VppModel, scenarios: list[Scenario]) -> list[Subproblem]:
     """The subproblems of a run: the compiled block with the bid-fixing
     rows ``fix[j]`` in front, as ``BlockTemplate.instantiate`` lays it out,
-    in column-wise form once; per scenario its costs, bounds and rows."""
+    in column-wise form on one matrix, its lazy limits left out until
+    ``StatedLimits.restate`` states them; per scenario its costs, bounds
+    and rows."""
     template = model.template
-    matrix = None
+    stated = None
     subs = []
     for s, scenario in enumerate(scenarios):
         program = template.instantiate(model.scenario_data(scenario),
                                        np.zeros(template.n_first))
-        if matrix is None:
-            matrix = program.matrix.tocsc()
-        subs.append(Subproblem(model, s, scenario, lp.ColumnForm(
-            matrix, program.cost, program.lower, program.upper,
-            *lp.row_bounds(program.sense, program.rhs))))
+        if stated is None:
+            stated = StatedLimits(program)
+        subs.append(Subproblem(model, s, scenario, *stated.relaxed(program),
+                               stated))
     return subs
 
 
 def solve_subproblem(sub: Subproblem,
                      x_hat: np.ndarray) -> tuple[float, np.ndarray]:
     """Second-stage value and a subgradient at the given bids, solved from
-    the subproblem's last basis.
+    the subproblem's last basis, of the relaxation the stated lazy limits
+    leave; its primal is kept for ``StatedLimits.restate``.
 
     The bids enter as free variables pinned by equality rows; the duals of
     those rows are exactly d(cost)/d(bid), so the returned affine function
-    underestimates the recourse value everywhere (LP value functions of
-    right-hand sides are convex)."""
+    underestimates the relaxed recourse value everywhere (LP value functions
+    of right-hand sides are convex), and so the recourse value itself. The
+    two values are equal when the primal violates no lazy limit. An
+    unbounded relaxation gives NaN until everything is stated."""
     n = len(x_hat)
     if sub.model.template.n_first != n:
         raise BendersError("first-stage vector length mismatch")
     sub.form.row_lo[:n] = sub.form.row_hi[:n] = x_hat
     sol, sub.basis = lp.solve_warm(sub.form, sub.basis)
     sub.iterations = sol.iterations
+    if sol.status == lp.UNBOUNDED and not sub.stated.screen.complete:
+        sub.primal = None
+        return math.nan, np.full(n, math.nan)
     _checked(sol, sub.model, sub.scenario, sub.index)
+    sub.primal = sol.primal
     return sol.objective, sol.duals[:n].copy()
 
 
@@ -299,6 +390,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
     probs = sset.probabilities()
     master = MasterProblem(model, len(sset), probs, risk)
     subs = subproblems(model, sset.scenarios)
+    stated = subs[0].stated
     report = ConvergenceReport()
     start = time.perf_counter()
 
@@ -313,6 +405,14 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             iterations spent."""
             nonlocal best_obj, best_x
             values = list(parallel_map(solve_subproblem, subs, repeat(x)))
+            iterations = sum(sub.iterations for sub in subs)
+            # the relaxed values are the recourse values only once no
+            # primal violates a lazy limit
+            while again := stated.restate(subs):
+                for s, value in zip(again, parallel_map(
+                        solve_subproblem, [subs[s] for s in again], repeat(x))):
+                    values[s] = value
+                iterations += sum(subs[s].iterations for s in again)
             costs = np.array([cost for cost, _ in values])
             gradients = np.array([grad for _, grad in values])
             realized = risk_functional(costs, probs, risk)
@@ -330,7 +430,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
                 s = int(np.argmax(bad))
                 raise BendersError(f"invalid cut for scenario {s}: "
                                    f"residual {resid[s]:.3e}")
-            return intercepts, gradients, sum(sub.iterations for sub in subs)
+            return intercepts, gradients, iterations
 
         for it in range(1, options.max_iterations + 1):
             lower, x_master = master.solve()

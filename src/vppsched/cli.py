@@ -62,6 +62,8 @@ def _parse_levels(spec: str) -> list[float]:
         if val > stop + 1e-9:
             break
         levels.append(val)
+        if not 0.0 <= val <= 1.0:
+            break       # the sweep refuses this level; list none beyond it
         k += 1
     return levels
 

@@ -11,17 +11,20 @@ through ``scipy.optimize.linprog`` and reports primal values,
 per-constraint dual multipliers, and bound multipliers. It screens the
 lazy rows and bounds: they reach HiGHS only once a solution violates
 them, in rounds of cold solves, and the report is that of the full
-program. ``HeldModel`` solves on scipy's bundled HiGHS binding directly:
-it passes a program to HiGHS once, every row and bound stated (a warm
-basis fixes the row set), and re-solves it after each cost change with
-primal simplex from the basis and factorization HiGHS holds, which a
-cost change leaves primal feasible, so the tariff-sweep levels, which
-differ only in costs, re-solve in a few simplex iterations.
-``solve_warm`` is one dual simplex solve on a fresh held model from an
-optional starting basis, returning the final basis: the Benders
-subproblems and the master gaining cut rows re-solve from their last
-one. Row duals are converted and bound multipliers split by basis status
-only when first read. No other module touches the solver backend.
+program. ``Screen`` holds which lazy limits are stated, and its
+``violated`` is the one screening test, which the Benders subproblems
+run too. ``HeldModel`` solves on scipy's bundled HiGHS binding directly:
+it passes a program to HiGHS once, with the rows and bounds it is given,
+and re-solves it after each cost change with primal simplex from the
+basis and factorization HiGHS holds, which a cost change leaves primal
+feasible, so the tariff-sweep levels, which differ only in costs,
+re-solve in a few simplex iterations. ``solve_warm`` is one dual simplex
+solve on a fresh held model from an optional starting basis, returning
+the final basis: the Benders subproblems, screened and gaining rows as
+their stated set grows, and the master gaining cut rows re-solve from
+their last one. Row duals are converted and bound multipliers split by
+basis status only when first read. No other module touches the solver
+backend.
 
 Column upper bounds, right-hand sides or labelled costs may be left to
 data, +inf or 0 in their place: ``add_slots`` records a run of such slots
@@ -150,8 +153,8 @@ class LinearProgram:
     grown through ``add_*``, whose calls are buffered and merged into the
     arrays on the next read. Names may be given as a function, evaluated on
     first use. ``lazy_rows`` and ``lazy_columns`` index the rows and the
-    column bounds that ``solve`` screens; they belong to the program as
-    fully as any other row or bound."""
+    column bounds that ``solve`` and the Benders subproblems screen; they
+    belong to the program as fully as any other row or bound."""
 
     def __init__(self, name: str = "", col_names=None, row_names=None,
                  lazy_rows=(), lazy_columns=(), **arrays):
@@ -274,8 +277,9 @@ class LinearProgram:
 
     def mark_lazy(self, rows=(), columns=()) -> None:
         """Mark ``rows`` and the bounds of ``columns`` as lazy: limits that
-        are rarely active, which ``solve`` states to HiGHS only once a
-        solution violates them. Refuses an unknown index."""
+        are rarely active, which ``solve`` and the Benders subproblems state
+        to HiGHS only once a solution violates them. Refuses an unknown
+        index."""
         for key, idx, n in (("lazy_rows", rows, self.num_constraints),
                             ("lazy_columns", columns, self.num_variables)):
             idx = np.asarray(idx, dtype=np.int64)
@@ -406,33 +410,71 @@ def _outside(value, lo, hi) -> np.ndarray:
         | (value - hi > _SOLVER_TOL * (1.0 + np.abs(hi)))
 
 
+class Screen:
+    """The lazy rows and column bounds of a program, and which of them are
+    stated to HiGHS so far: a set that only grows. ``violated`` is the one
+    screening test; ``solve`` runs it on the primal of each round, and the
+    Benders subproblems on the primal of each scenario."""
+
+    def __init__(self, matrix: csr_matrix, lazy_rows, lazy_columns):
+        #: the lazy rows and the columns with lazy bounds, sorted
+        self.rows = np.unique(lazy_rows)
+        self.columns = np.unique(lazy_columns)
+        #: the lazy rows of ``matrix``
+        self.matrix = matrix[self.rows]
+        #: which of ``rows`` and of ``columns`` are stated
+        self.stated_rows = np.zeros(len(self.rows), dtype=bool)
+        self.stated_columns = np.zeros(len(self.columns), dtype=bool)
+
+    @property
+    def complete(self) -> bool:
+        return bool(self.stated_rows.all() and self.stated_columns.all())
+
+    def violated(self, x, row_lo, row_hi, lower, upper):
+        """The unstated lazy rows and bounds that ``x`` leaves by more than
+        ``_SOLVER_TOL * (1 + |side|)``, as positions in ``rows`` and in
+        ``columns``: ``row_lo`` and ``row_hi`` are the ranges of ``rows``,
+        ``lower`` and ``upper`` the bounds of ``columns``."""
+        return (np.flatnonzero(~self.stated_rows
+                               & _outside(self.matrix @ x, row_lo, row_hi)),
+                np.flatnonzero(~self.stated_columns
+                               & _outside(x[self.columns], lower, upper)))
+
+    def state(self, rows=(), columns=()) -> None:
+        """State the lazy rows and bounds at these positions."""
+        self.stated_rows[rows] = True
+        self.stated_columns[columns] = True
+
+    def state_all(self) -> None:
+        self.stated_rows[:] = self.stated_columns[:] = True
+
+
 def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
     """Solve to optimality with HiGHS dual simplex; never fails silently.
 
     The lazy rows and column bounds are screened, in rounds: the first
     solves without the lazy rows and with the lazy columns free; each later
-    one states the rows and bounds the last primal violates by more than
-    ``_SOLVER_TOL * (1 + |rhs or bound|)`` and solves cold again, until none
-    is. An optimum of a relaxation that is feasible for the program is
-    optimal for it, so the report is the full program's: a left-out row has
-    dual 0 and a relaxed bound multiplier 0 (inactive, so the duals stay
-    feasible and ``dual_objective`` equals the primal), and the iterations
-    and the iteration limit count over all rounds. An infeasible relaxation
-    means an infeasible program; an unbounded one is solved again with
-    every row and bound stated.
+    one states the rows and bounds the last primal violates
+    (``Screen.violated``) and solves cold again, until none is. An optimum
+    of a relaxation that is feasible for the program is optimal for it, so
+    the report is the full program's: a left-out row has dual 0 and a
+    relaxed bound multiplier 0 (inactive, so the duals stay feasible and
+    ``dual_objective`` equals the primal), and the iterations and the
+    iteration limit count over all rounds. An infeasible relaxation means
+    an infeasible program; an unbounded one is solved again with every row
+    and bound stated.
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
     lower, upper = program.lower, program.upper
     sense, rhs = program.sense, program.rhs
-    stated = np.ones(len(rhs), dtype=bool)
-    stated[program.lazy_rows] = False
-    bounded = np.ones(len(lower), dtype=bool)
-    bounded[program.lazy_columns] = False
-    lazy = np.flatnonzero(~stated)
     A = program.matrix
-    A_lazy = A[lazy]
+    screen = Screen(A, program.lazy_rows, program.lazy_columns)
     iterations = 0
     while True:
+        stated = np.ones(len(rhs), dtype=bool)
+        stated[screen.rows[~screen.stated_rows]] = False
+        bounded = np.ones(len(lower), dtype=bool)
+        bounded[screen.columns[~screen.stated_columns]] = False
         eq_rows = np.flatnonzero(stated & (sense == EQ))
         ub_rows = np.flatnonzero(stated & (sense != EQ))
         # HiGHS via linprog takes A_ub x <= b_ub: >= rows enter negated
@@ -449,19 +491,19 @@ def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
                                "dual_feasibility_tolerance": _SOLVER_TOL})
         iterations += int(res.nit)
         status = _status_from_scipy(res.status)
-        if status == UNBOUNDED and not (stated.all() and bounded.all()):
-            stated[:] = bounded[:] = True
+        if status == UNBOUNDED and not screen.complete:
+            screen.state_all()
             continue
         if status != OPTIMAL:
             return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
                               iterations=iterations)
         x = np.asarray(res.x)
-        rows = lazy[~stated[lazy] & _outside(
-            A_lazy @ x, *row_bounds(sense[lazy], rhs[lazy]))]
-        cols = np.flatnonzero(~bounded & _outside(x, lower, upper))
+        rows, cols = screen.violated(
+            x, *row_bounds(sense[screen.rows], rhs[screen.rows]),
+            lower[screen.columns], upper[screen.columns])
         if not (len(rows) or len(cols)):
             break
-        stated[rows] = bounded[cols] = True
+        screen.state(rows, cols)
 
     duals = np.zeros(program.num_constraints)
     # marginal is d obj / d (sign * rhs); chain rule restores d obj / d rhs
@@ -534,8 +576,9 @@ class HeldModel:
     simplex. ``basis`` is the last optimal basis, or the starting one (a
     basis of a program of the same shape; presolve is skipped then). After
     a solve that ends not optimal, the next one restarts from ``basis``, or
-    cold without one. A basis fixes the row set, so HiGHS is given every
-    row and bound, lazy ones too: nothing is screened here."""
+    cold without one. HiGHS is given the rows and bounds of ``program``
+    as they are: a held model screens nothing itself, so a caller that
+    screens passes the relaxed form and states more in a new one."""
 
     def __init__(self, program: LinearProgram | ColumnForm, basis=None):
         form = program if isinstance(program, ColumnForm) else column_form(program)
@@ -594,9 +637,9 @@ class HeldModel:
 
 
 def solve_warm(program: LinearProgram | ColumnForm, basis=None):
-    """Solve once on a fresh ``HeldModel`` started from ``basis``, every
-    row and bound stated. Returns the solution and the final basis (None
-    unless optimal).
+    """Solve once on a fresh ``HeldModel`` started from ``basis``, with
+    the rows and bounds ``program`` states. Returns the solution and the
+    final basis (None unless optimal).
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
     held = HeldModel(program, basis)

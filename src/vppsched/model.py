@@ -71,7 +71,10 @@ class BlockTemplate:
         self.step, self.index = join(step, np.int64), join(index, np.int64)
         self.scale, self.divisor = join(scale, float), join(divisor, float)
         self.target, self.targets = np.repeat(target, runs), sorted(set(target))
-        program.matrix      # settle the arrays before instantiations share them
+        unknown = set(self.targets) - {lp.UPPER, lp.RHS, *STREAMS}
+        if unknown:
+            raise lp.LpError(f"slots: unknown target {min(unknown)!r}")
+        program.matrix     # settle the arrays before instantiations share them
 
     def data(self, scenario, tariff=None, offset: int = 0) -> "ScenarioBlock":
         """Fill every data slot from one scenario (and the grid tariff), for

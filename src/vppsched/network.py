@@ -10,8 +10,8 @@ axis are bounds on the flow columns, the others rows.
 
 The voltage bands of the buses below the root and the polygon's diagonal
 sides are marked lazy (``lp.LinearProgram.mark_lazy``): on the shipped
-instances none is active at the optimum, so ``lp.solve`` states them to
-HiGHS only once a solution violates one.
+instances none is active at the optimum, so ``lp.solve`` and the Benders
+subproblems state them to HiGHS only once a solution violates one.
 
 All network quantities inside the LP are per-unit; device and load
 quantities stay in kW/kvar and are scaled at the nodal-balance boundary.

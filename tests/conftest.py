@@ -78,9 +78,9 @@ class HighsLog(list):
 @pytest.fixture
 def record_highs(monkeypatch):
     """``record(fail_run=None)`` gives ``lp`` a HiGHS class that logs the
-    calls its instances receive (``passModel``, ``clearSolver``,
-    ``setBasis`` with its basis, ``run``, and ``getBasis`` with the basis it
-    returns) and reports run number ``fail_run`` (from 1) infeasible, and
+    calls its instances receive (``passModel`` with the column and row
+    counts it is given, ``clearSolver``, ``setBasis`` with its basis,
+    ``run``, and ``getBasis`` with the basis it returns) and reports run number ``fail_run`` (from 1) infeasible, and
     returns the log; ``log.strategies`` lists the simplex strategy in force
     at each ``run``, as HiGHS reports it. ``linprog`` keeps scipy's own
     class."""
@@ -90,7 +90,7 @@ def record_highs(monkeypatch):
 
         class Recording(lp._highs._Highs):
             def passModel(self, *args):
-                log.append(("passModel",))
+                log.append(("passModel", args[0], args[1]))
                 return super().passModel(*args)
 
             def clearSolver(self):

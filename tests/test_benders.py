@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from vppsched import reports as rp
 from vppsched import scenarios as sg
 from vppsched import stochastic as st
 
-from oracles import cut_matches
+from oracles import cut_matches, unscreened
+from test_network import narrowed_band, random_feeder_model
 
 EXPECT = st.RiskMeasure(st.EXPECTATION)
 CVAR9 = st.RiskMeasure(st.CVAR, 0.9)
@@ -547,3 +549,156 @@ def test_failed_detail_resolve_names_the_first_scenario(desk, desk_scenarios,
         rp.solve_with_method(desk.model, desk_scenarios, EXPECT, "benders",
                              bd.BendersOptions(workers=workers))
     assert exc.value.scenario_index == 1
+
+
+# ------------------------------------------------------- screened subproblems
+
+def screened_run(model, sset, risk, workers=1):
+    """Benders on ``model``, and the number of lazy rows and of lazy column
+    bounds its subproblems had stated at the end. After a round that
+    stated limits, the values the run realizes must be those of the
+    subproblems with every limit stated (a cold screened solve each)."""
+    grown, grew = [], []
+    restate, realize = bd.StatedLimits.restate, bd.risk_functional
+    template = model.template
+
+    def recorded(self, subs):
+        again = restate(self, subs)
+        grown.append((int(self.screen.stated_rows.sum()),
+                      int(self.screen.stated_columns.sum())))
+        if grown[-1] != (grown[-2:-1] or [(0, 0)])[0]:
+            grew[:] = [subs[0].form.row_lo[:template.n_first].copy()]
+        return again
+
+    def checked(costs, probs, risk):
+        if grew:
+            x = grew.pop()
+            exact = [lp.solve(template.instantiate(
+                model.scenario_data(scenario), x)).objective
+                for scenario in sset.scenarios]
+            assert costs == pytest.approx(exact, rel=1e-9, abs=1e-9)
+        return realize(costs, probs, risk)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bd.StatedLimits, "restate", recorded)
+        mp.setattr(bd, "risk_functional", checked)
+        res = bd.iterate(model, sset, risk, bd.BendersOptions(workers=workers))
+    return res, grown[-1]
+
+
+def assert_all_stated_optimum(model, sset, risk, res):
+    """``res`` converged inside the default budget to the extensive optimum
+    with every lazy limit stated, within the default tolerance, and its
+    bounds sandwiched that optimum at every iteration."""
+    ext = lp.solve(unscreened(st.build_extensive(model, sset, risk).program))
+    assert ext.status == lp.OPTIMAL
+    assert res.report.converged
+    assert res.report.iterations <= bd.BendersOptions().max_iterations
+    assert abs(res.objective - ext.objective) \
+        <= bd.BendersOptions().tolerance * max(1.0, abs(ext.objective))
+    _assert_bound_sandwich(res, ext)
+
+
+@pytest.fixture(scope="module")
+def narrowed_day():
+    """day with the squared voltage band of every bus but the root narrowed
+    to +-0.2 %, 5 scenarios (seed 42), and its neutral Benders run."""
+    day = instance.day_instance()
+    model = narrowed_band(day.model, 0.998, 1.002)
+    sset = sg.build_scenarios(day.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
+    return model, sset, screened_run(model, sset, EXPECT)
+
+
+@pytest.mark.parametrize("risk", [EXPECT, CVAR9], ids=["neutral", "cvar"])
+def test_subproblems_state_the_voltage_bands_they_break(narrowed_day, risk):
+    # the relaxed subproblems leave the narrowed band: the bounds they
+    # break are stated for every scenario, and the run still converges to
+    # the optimum with every limit stated
+    model, sset, neutral = narrowed_day
+    res, (rows, bounds) = neutral if risk is EXPECT \
+        else screened_run(model, sset, risk)
+    assert bounds > 0
+    assert_all_stated_optimum(model, sset, risk, res)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 5, 6])
+def test_subproblems_state_the_flow_sides_they_break(seed):
+    # random feeders rated just above their peak load, where a diagonal
+    # side of the flow polygon binds at the optimum
+    model, sset = random_feeder_model(seed)
+    program = st.build_extensive(model, sset, EXPECT).program
+    rows = np.unique(program.lazy_rows)
+    _, hi = lp.row_bounds(program.sense[rows], program.rhs[rows])
+    x = lp.solve(unscreened(program)).primal
+    assert np.any(hi - program.matrix[rows] @ x <= 1e-7)
+    res, (stated, _) = screened_run(model, sset, EXPECT)
+    assert stated > 0
+    assert_all_stated_optimum(model, sset, EXPECT, res)
+
+
+def test_stated_limits_do_not_depend_on_the_worker_count(narrowed_day):
+    # the set grows on the calling thread from all primals of a round, so a
+    # run on 2 workers under thread stress is bit-identical to one on 1
+    model, sset, (serial, grown) = narrowed_day
+    out = {}
+    run = threading.Thread(target=lambda: out.setdefault("run", screened_run(
+        model, sset, EXPECT, workers=2)), daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run.start()
+        run.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not run.is_alive() and "run" in out
+    parallel, grown_parallel = out["run"]
+    assert grown_parallel == grown
+    assert parallel.report.trace == [
+        row._replace(wall_time_s=mine.wall_time_s)
+        for row, mine in zip(serial.report.trace, parallel.report.trace)]
+    assert parallel.x.tobytes() == serial.x.tobytes()
+    assert parallel.objective == serial.objective
+
+
+@pytest.mark.parametrize("preset", ["desk", "day"])
+def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
+    # no primal leaves the shipped limits, so every subproblem HiGHS is
+    # given holds the template's stated rows and the bid-fixing rows only
+    inst = instance.PRESETS[preset]()
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
+    log = record_highs()
+    res, grown = screened_run(inst.model, sset, EXPECT)
+    assert res.report.converged and grown == (0, 0)
+    p = inst.model.template.program
+    assert len(p.lazy_rows) > 0
+    subs = [rows for _, cols, rows in
+            (e for e in log if e[0] == "passModel") if cols == p.num_variables]
+    assert len(subs) >= res.report.iterations * len(sset)
+    assert set(subs) == {inst.model.template.n_first + p.num_constraints
+                         - len(np.unique(p.lazy_rows))}
+
+
+def test_unbounded_relaxation_states_every_limit():
+    # min -y with y <= 1 + x lazy: the relaxation is unbounded, so every
+    # limit is stated and the subproblem re-solves to the bounded optimum
+    program = lp.LinearProgram()
+    x = program.add_variable(-math.inf, math.inf, "x")
+    y = program.add_variable(0.0, math.inf, "y")
+    z = program.add_variable(0.0, 2.0, "z")
+    program.add_constraint([(x, 1.0)], lp.EQ, 0.0, "fix[0]")
+    program.add_constraint([(y, 1.0), (x, -1.0)], lp.LE, 1.0, "cap")
+    program.add_constraint([(z, 1.0), (y, -1.0)], lp.EQ, 0.0, "link")
+    program.add_objective_term(y, -1.0)
+    program.mark_lazy(rows=[1], columns=[z])
+    stated = bd.StatedLimits(program)
+    model = types.SimpleNamespace(template=types.SimpleNamespace(n_first=1))
+    sub = bd.Subproblem(model, 0, None, *stated.relaxed(program), stated)
+    assert stated.matrix.shape == (2, 3)
+    cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
+    assert math.isnan(cost) and sub.primal is None
+    assert stated.restate([sub]) == [0] and stated.screen.complete
+    assert stated.matrix.shape == (3, 3)
+    cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
+    # y <= 1.5 binds, and z = y keeps inside its stated bound 2
+    assert cost == pytest.approx(-1.5) and grad == pytest.approx([-1.0])
+    assert stated.restate([sub]) == []

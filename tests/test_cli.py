@@ -313,6 +313,10 @@ SOLVE = ["solve", "--method", "extensive"]
     (SOLVE + ["--workers", "0"], {}, "workers must be at least 1"),
     (["tariff-sweep", "--levels", "0:2:0.5"], {},
      "sweep level 1.5 outside [0, 1]"),
+    # listing stops at the first level outside [0, 1], so a wide range
+    # fails at once
+    (["tariff-sweep", "--levels", "0:1e9:1"], {},
+     "sweep level 2.0 outside [0, 1]"),
     (["tariff-sweep", "--levels", "0.5:1:0.5"], {},
      "sweep levels must start at 0"),
     # a non-finite start, stop or step would list levels without end
@@ -329,7 +333,7 @@ SOLVE = ["solve", "--method", "extensive"]
          "no-window-hours", "step-hours-nan", "window-hours-nan",
          "measure-bogus", "expectation-alpha-1.5", "max-iterations-0",
          "tolerance-0", "flag-alpha-1.5", "flag-workers-0", "flag-levels-to-2",
-         "flag-levels-from-0.5", "flag-levels-nan-start", "flag-levels-inf-stop",
+         "flag-levels-to-1e9", "flag-levels-from-0.5", "flag-levels-nan-start", "flag-levels-inf-stop",
          "flag-levels-nan-step", "sweep-size-guard", "window-three-hours"])
 def test_bad_setting_is_usage_error(desk_dir, capsys, command, edits,
                                     message):

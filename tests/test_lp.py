@@ -203,23 +203,69 @@ def test_slots_refuse_unknown_rows_and_columns():
     assert p.upper.tolist() == [math.inf] * 6
 
 
+def other_modules():
+    """(file name, syntax tree) of every package module but ``lp.py``."""
+    package = os.path.dirname(lp.__file__)
+    for fname in sorted(os.listdir(package)):
+        if fname.endswith(".py") and fname != "lp.py":
+            with open(os.path.join(package, fname)) as fh:
+                yield fname, ast.parse(fh.read())
+
+
 def test_only_lp_writes_slots():
     # slots go in through add_slots alone: no other module assigns,
     # augments or appends to a ``.slots`` attribute
-    package = os.path.dirname(lp.__file__)
     slots = lambda n: isinstance(n, ast.Attribute) and n.attr == "slots"
     offenders = []
-    for fname in sorted(os.listdir(package)):
-        if not fname.endswith(".py") or fname == "lp.py":
-            continue
-        with open(os.path.join(package, fname)) as fh:
-            tree = ast.parse(fh.read())
+    for fname, tree in other_modules():
         for node in ast.walk(tree):
             if (slots(node) and isinstance(node.ctx, ast.Store)) or (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("append", "extend", "insert")
                     and slots(node.func.value)):
+                offenders.append(f"{fname}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_lp_touches_the_solver_backend():
+    # one solver-backend seam: no other module imports scipy.optimize or
+    # names linprog or the private HiGHS binding
+    banned = {"linprog", "_highspy"}
+    offenders = []
+    for fname, tree in other_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if any(n.startswith("scipy.optimize") or banned & set(n.split("."))
+                   for n in names):
+                offenders.append(f"{fname}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_lp_reads_its_private_names():
+    # the screening test, its tolerance and the binding stay behind the
+    # seam: no other module reads a private name of lp (lp._outside,
+    # lp._SOLVER_TOL, lp._highs, ...) or imports one from it
+    offenders = []
+    for fname, tree in other_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr] if ast.unparse(node.value) == "lp" else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "lp":
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.startswith("_") for n in names):
                 offenders.append(f"{fname}:{node.lineno}")
     assert offenders == []
 
@@ -638,35 +684,6 @@ def test_held_model_runs_primal_only_after_a_cost_change(record_highs):
     assert [entry[0] for entry in log].count("setBasis") == 2
     assert log.strategies == [dual, primal, primal, primal, dual,
                               dual, dual, dual, dual]
-
-
-def test_only_lp_touches_the_solver_backend():
-    # one solver-backend seam: no other module imports scipy.optimize or
-    # names linprog or the private HiGHS binding
-    package = os.path.dirname(lp.__file__)
-    banned = {"linprog", "_highspy"}
-    offenders = []
-    for fname in sorted(os.listdir(package)):
-        if not fname.endswith(".py") or fname == "lp.py":
-            continue
-        with open(os.path.join(package, fname)) as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                names = [module] + [f"{module}.{a.name}" for a in node.names]
-            elif isinstance(node, ast.Attribute):
-                names = [ast.unparse(node)]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            else:
-                continue
-            if any(n.startswith("scipy.optimize") or banned & set(n.split("."))
-                   for n in names):
-                offenders.append(f"{fname}:{node.lineno}")
-    assert offenders == []
 
 
 def test_import_names_a_missing_binding():

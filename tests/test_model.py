@@ -15,7 +15,7 @@ from vppsched import market as mk
 from vppsched import reports as rp
 from vppsched import scenarios as sg
 from vppsched import stochastic as st
-from vppsched.model import VppModel
+from vppsched.model import BlockTemplate, VppModel
 
 from oracles import unscreened
 
@@ -119,6 +119,20 @@ def test_scenario_data_is_checked_on_every_instantiation(desk):
         with pytest.raises(mk.MarketError):
             bad(**{short: np.ones(3)})
     model.scenario_data(scen)   # the template is left as it was
+
+
+def test_unknown_slot_target_is_refused_when_compiled():
+    # a cost label outside model.STREAMS would first fail in
+    # BlockTemplate.data, so the template refuses it, naming it
+    program = lp.LinearProgram()
+    program.add_variable(0.0, 1.0, "x")
+    program.add_slots("c_bogus", [0], "day_ahead_price")
+    with pytest.raises(lp.LpError, match="'c_bogus'"):
+        BlockTemplate(program, im.desk_instance().model.horizon)
+    for target in (lp.UPPER, "r_dam"):
+        program.slots[0] = (target, *program.slots[0][1:])
+        assert BlockTemplate(program, im.desk_instance().model.horizon).targets \
+            == [target]
 
 
 def test_threads_share_the_compiled_block(desk, desk_scenarios):
