@@ -49,7 +49,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csr_matrix
 
 from . import lp
 from . import market as mk
@@ -252,26 +252,15 @@ class StatedLimits:
     thread, so a run does not depend on its worker count."""
 
     def __init__(self, program: lp.LinearProgram):
-        A = program.matrix
-        self.screen = lp.Screen(A, program.lazy_rows, program.lazy_columns)
-        #: the rows stated from the start: all but the lazy ones
-        self.first = np.ones(A.shape[0], dtype=bool)
-        self.first[self.screen.rows] = False
-        self.matrix = A[self.first].tocsc()
+        self.screen = lp.Screen(program)
+        self.matrix = self.screen.form_matrix
 
     def relaxed(self, program: lp.LinearProgram):
         """``program``, an instantiation of the shared block, on the shared
         matrix with its lazy limits left out, as a column-wise form; and
-        the ranges of its lazy rows and the bounds of its lazy columns, the
-        arguments of ``Screen.violated``. Only before anything is stated."""
-        s = self.screen
-        row_lo, row_hi = lp.row_bounds(program.sense, program.rhs)
-        lower, upper = program.lower.copy(), program.upper.copy()
-        limits = (row_lo[s.rows], row_hi[s.rows], lower[s.columns],
-                  upper[s.columns])
-        lower[s.columns], upper[s.columns] = -np.inf, np.inf
-        return lp.ColumnForm(self.matrix, program.cost, lower, upper,
-                             row_lo[self.first], row_hi[self.first]), limits
+        its ``lp.Limits``, the argument of ``Screen.violated``. Only before
+        anything is stated."""
+        return self.screen.relaxed(program)
 
     def restate(self, subs: list["Subproblem"]) -> list[int]:
         """Check the last primal of every subproblem against the unstated
@@ -285,7 +274,7 @@ class StatedLimits:
             if sub.primal is None:
                 again.append(sub.index)
                 continue
-            r, c = screen.violated(sub.primal, *sub.limits)
+            r, c, _ = screen.violated(sub.primal, sub.limits)
             if len(r) or len(c):
                 again.append(sub.index)
                 rows.append(r)
@@ -297,15 +286,14 @@ class StatedLimits:
             cols = [np.flatnonzero(~screen.stated_columns)]
         rows, cols = np.unique(np.concatenate(rows)), np.unique(np.concatenate(cols))
         screen.state(rows, cols)
-        self.matrix = vstack((self.matrix, screen.matrix[rows]), format="csc")
+        self.matrix = screen.form_matrix
         for sub in subs:
-            row_lo, row_hi, lower, upper = sub.limits
-            form = sub.form
-            form.lower[screen.columns[cols]] = lower[cols]
-            form.upper[screen.columns[cols]] = upper[cols]
-            sub.form = form._replace(matrix=self.matrix,
-                                     row_lo=np.r_[form.row_lo, row_lo[rows]],
-                                     row_hi=np.r_[form.row_hi, row_hi[rows]])
+            limits, form = sub.limits, sub.form
+            form.lower[screen.columns[cols]] = limits.lower[cols]
+            form.upper[screen.columns[cols]] = limits.upper[cols]
+            sub.form = form._replace(
+                matrix=self.matrix, row_lo=np.r_[form.row_lo, limits.row_lo[rows]],
+                row_hi=np.r_[form.row_hi, limits.row_hi[rows]])
             if sub.basis is not None:
                 lp.with_basic_rows(sub.basis, len(rows))
         return again
@@ -322,7 +310,7 @@ class Subproblem:
     index: int
     scenario: Scenario
     form: lp.ColumnForm
-    limits: tuple
+    limits: lp.Limits
     stated: StatedLimits
     basis: object = None
     #: simplex iterations of the last solve
@@ -368,7 +356,7 @@ def solve_subproblem(sub: Subproblem,
     sub.form.row_lo[:n] = sub.form.row_hi[:n] = x_hat
     sol, sub.basis = lp.solve_warm(sub.form, sub.basis)
     sub.iterations = sol.iterations
-    if sol.status == lp.UNBOUNDED and not sub.stated.screen.complete:
+    if sol.status == lp.UNBOUNDED and not sub.stated.screen.all_stated:
         sub.primal = None
         return math.nan, np.full(n, math.nan)
     _checked(sol, sub.model, sub.scenario, sub.index)

@@ -5,25 +5,33 @@ the rows as a sparse matrix with a sense and a right-hand side each. It
 grows one row or column at a time through ``add_*``, many at once through
 ``add_rows`` (CSR pieces) and ``add_variables`` under the same checks, or
 is built from arrays in one step; ``tighten_bounds`` narrows the bounds
-of columns it holds, and ``mark_lazy`` marks rows and column bounds that
-are rarely active. ``solve`` hands the program to HiGHS dual simplex
-through ``scipy.optimize.linprog`` and reports primal values,
-per-constraint dual multipliers, and bound multipliers. It screens the
-lazy rows and bounds: they reach HiGHS only once a solution violates
-them, in rounds of cold solves, and the report is that of the full
-program. ``Screen`` holds which lazy limits are stated, and its
-``violated`` is the one screening test, which the Benders subproblems
-run too. ``HeldModel`` solves on scipy's bundled HiGHS binding directly:
-it passes a program to HiGHS once, with the rows and bounds it is given,
-and re-solves it after each cost change with primal simplex from the
-basis and factorization HiGHS holds, which a cost change leaves primal
-feasible, so the tariff-sweep levels, which differ only in costs,
-re-solve in a few simplex iterations. ``solve_warm`` is one dual simplex
-solve on a fresh held model from an optional starting basis, returning
-the final basis: the Benders subproblems, screened and gaining rows as
-their stated set grows, and the master gaining cut rows re-solve from
-their last one. Row duals are converted and bound multipliers split by
-basis status only when first read. No other module touches the solver
+of columns it holds, ``mark_lazy`` marks rows and column bounds that
+are rarely active, and ``mark_derived`` a derived block: equality rows
+that fix as many zero-cost columns, given the others. ``solve`` hands
+the program to HiGHS dual simplex through ``scipy.optimize.linprog`` and
+reports primal values, per-constraint dual multipliers, and bound
+multipliers. It screens the lazy rows and bounds: they reach HiGHS only
+once a solution violates them, in rounds of cold solves, and the report
+is that of the full program. ``Screen`` holds which lazy limits are
+stated, and its ``violated`` is the one screening test, which the
+Benders subproblems run too. Given a derived block, it also leaves the
+block out of the relaxed form it gives, completes a primal of that form
+from the block's rows by one sparse solve, and checks the block's bounds
+too; any violation states the block. ``HeldModel`` solves
+on scipy's bundled HiGHS binding directly: it passes a program to HiGHS
+once, with the rows and bounds it is given, and re-solves it after each
+cost change, sending only the costs that changed, with primal simplex
+from the basis and factorization HiGHS holds, which a cost change leaves
+primal feasible, so the tariff-sweep levels, which differ only in costs,
+re-solve in a few simplex iterations. The sweep holds the relaxed form
+with the block left out; ``solve_held`` grows it by what a completed
+primal violates, passing the grown form again, and re-solves from the
+held vertex extended to a basis of it. ``solve_warm`` is one dual
+simplex solve on a fresh held model from an optional starting basis,
+returning the final basis: the Benders subproblems, screened and gaining
+rows as their stated set grows, and the master gaining cut rows re-solve
+from their last one. Row duals are converted and bound multipliers split
+by basis status only when first read. No other module touches the solver
 backend.
 
 Column upper bounds, right-hand sides or labelled costs may be left to
@@ -39,14 +47,15 @@ nonpositive, and duals of ``==`` rows are free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 import scipy
 from scipy.optimize import linprog
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, hstack, vstack
+from scipy.sparse.linalg import splu
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -154,7 +163,9 @@ class LinearProgram:
     arrays on the next read. Names may be given as a function, evaluated on
     first use. ``lazy_rows`` and ``lazy_columns`` index the rows and the
     column bounds that ``solve`` and the Benders subproblems screen; they
-    belong to the program as fully as any other row or bound."""
+    belong to the program as fully as any other row or bound.
+    ``derived_rows`` and ``derived_columns`` are the rows and columns of
+    its derived block, if one is marked (``mark_derived``)."""
 
     def __init__(self, name: str = "", col_names=None, row_names=None,
                  lazy_rows=(), lazy_columns=(), **arrays):
@@ -169,6 +180,7 @@ class LinearProgram:
         self.slots: list[tuple] = []
         self.lazy_rows = np.asarray(lazy_rows, dtype=np.int64)
         self.lazy_columns = np.asarray(lazy_columns, dtype=np.int64)
+        self.derived_rows = self.derived_columns = np.zeros(0, dtype=np.int64)
 
     def __getattr__(self, key):
         arrays = self.__dict__.get("_arrays", {})
@@ -282,11 +294,29 @@ class LinearProgram:
         index."""
         for key, idx, n in (("lazy_rows", rows, self.num_constraints),
                             ("lazy_columns", columns, self.num_variables)):
-            idx = np.asarray(idx, dtype=np.int64)
-            unknown = (idx < 0) | (idx >= n)
-            if unknown.any():
-                raise LpError(f"{key}: unknown index {idx[np.argmax(unknown)]}")
-            setattr(self, key, np.r_[getattr(self, key), idx])
+            setattr(self, key, np.r_[getattr(self, key), _indices(key, idx, n)])
+
+    def mark_derived(self, rows, columns) -> None:
+        """Mark equality ``rows`` and as many ``columns`` as the derived
+        block: given the other columns, the rows fix the block's columns
+        (``A[rows, columns]`` is square and nonsingular), which cost
+        nothing and appear in no row outside the block and the lazy rows.
+        A screen given the block leaves it out of the program HiGHS gets
+        and completes a primal from it (``Screen.complete``); the marks are
+        the program's own, and a program built from it (an instantiation,
+        an extensive form) does not carry them. Refuses
+        anything else, an unknown index included, and then marks nothing;
+        only a block that is singular with no row or column empty passes,
+        to be refused by the screen that factors it. (A sparse LU at
+        marking time, on every compiled block, raised the peak memory of
+        later solves: its freed work arrays lift the C allocator's mmap
+        threshold.)"""
+        rows = np.r_[self.derived_rows,
+                     _indices("derived_rows", rows, self.num_constraints)]
+        columns = np.r_[self.derived_columns,
+                        _indices("derived_columns", columns, self.num_variables)]
+        _check_block(self, rows, columns)
+        self.derived_rows, self.derived_columns = rows, columns
 
     def add_constraint(self, terms, sense: str, rhs: float,
                        name: str = "") -> int:
@@ -393,6 +423,57 @@ def _check_bounds(lower: float, upper: float, name: str) -> None:
         raise LpError(f"variable {name!r}: inverted bounds [{lower}, {upper}]")
 
 
+def _indices(key: str, idx, n: int) -> np.ndarray:
+    """``idx`` as an index array; refuses an index outside [0, n)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    unknown = (idx < 0) | (idx >= n)
+    if unknown.any():
+        raise LpError(f"{key}: unknown index {idx[np.argmax(unknown)]}")
+    return idx
+
+
+def _check_block(program: LinearProgram, rows, columns) -> None:
+    """Raise LpError unless ``rows`` and ``columns`` may be the derived
+    block of ``program`` (see ``mark_derived``), short of the numerical
+    test that the block is nonsingular, which the screen that factors it
+    makes."""
+    if len(rows) != len(columns) or len(np.unique(rows)) != len(rows) \
+            or len(np.unique(columns)) != len(columns):
+        raise LpError(f"derived block: {len(rows)} rows for "
+                      f"{len(columns)} columns, or one twice")
+    if not len(rows):
+        return
+    unequal = program.sense[rows] != EQ
+    if unequal.any():
+        raise LpError(f"derived block: row "
+                      f"{program.row_names[rows[np.argmax(unequal)]]!r} is not "
+                      f"an equality")
+    costly = program.cost[columns] != 0.0
+    if costly.any():
+        raise LpError(f"derived block: column "
+                      f"{program.col_names[columns[np.argmax(costly)]]!r} has a cost")
+    # the nonzero entries in the block's columns, by row and column
+    mine = np.zeros(program.num_variables, dtype=bool)
+    mine[columns] = True
+    at = np.flatnonzero(mine[program.indices] & (program.data != 0.0))
+    row = np.searchsorted(program.indptr, at, side="right") - 1
+    column = program.indices[at]
+    in_block = np.zeros(program.num_constraints, dtype=bool)
+    in_block[rows] = True
+    inside = in_block.copy()
+    inside[program.lazy_rows] = True
+    stray = ~inside[row]
+    if stray.any():
+        k = int(np.argmax(stray))
+        raise LpError(f"derived block: column {program.col_names[column[k]]!r}"
+                      f" in row {program.row_names[row[k]]!r}")
+    held = in_block[row]
+    if len(np.unique(row[held])) < len(rows) \
+            or len(np.unique(column[held])) < len(columns):
+        raise LpError("derived block: a row or a column of it is empty "
+                      "(the block is singular)")
+
+
 def _status_from_scipy(code: int) -> str:
     if code == 0:
         return OPTIMAL
@@ -410,43 +491,179 @@ def _outside(value, lo, hi) -> np.ndarray:
         | (value - hi > _SOLVER_TOL * (1.0 + np.abs(hi)))
 
 
+class Limits(NamedTuple):
+    """What a relaxed form leaves out of its program, read by
+    ``Screen.violated`` and ``Screen.complete``: the ranges of the lazy
+    rows, the bounds of the lazy columns and of the derived columns, and
+    the right-hand sides of the derived rows."""
+
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    block_lower: np.ndarray
+    block_upper: np.ndarray
+    block_rhs: np.ndarray
+
+
 class Screen:
     """The lazy rows and column bounds of a program, and which of them are
-    stated to HiGHS so far: a set that only grows. ``violated`` is the one
-    screening test; ``solve`` runs it on the primal of each round, and the
-    Benders subproblems on the primal of each scenario."""
+    stated to HiGHS so far: a set that only grows. Given ``derived``, the
+    rows and columns of a derived block of the program (see
+    ``LinearProgram.mark_derived``), also that block, left out until the
+    first limit is stated and then stated whole. ``violated`` is the one
+    screening test; ``solve`` runs it on the primal of each round, the
+    Benders subproblems on the primal of each scenario, and ``solve_held``
+    on the completed primal of a held relaxed form.
 
-    def __init__(self, matrix: csr_matrix, lazy_rows, lazy_columns):
+    The relaxed form of a program (``relaxed``) holds, in this order, the
+    rows neither lazy nor derived, the derived rows once stated, and the
+    stated lazy rows in the order they were stated; its columns are those
+    not derived, then the derived ones once stated. So stating more only
+    appends rows and columns, to the matrix too: the block's columns appear
+    in no row before its own."""
+
+    def __init__(self, program: LinearProgram, derived=None):
+        #: the program's matrix, kept until the relaxed form's is made
+        self.program_matrix = A = program.matrix
+        self.shape = A.shape
         #: the lazy rows and the columns with lazy bounds, sorted
-        self.rows = np.unique(lazy_rows)
-        self.columns = np.unique(lazy_columns)
-        #: the lazy rows of ``matrix``
-        self.matrix = matrix[self.rows]
-        #: which of ``rows`` and of ``columns`` are stated
+        self.rows = np.unique(program.lazy_rows)
+        self.columns = np.unique(program.lazy_columns)
+        #: the lazy rows of the program's matrix
+        self.matrix = A[self.rows]
+        #: which of ``rows`` and of ``columns`` are stated; the stated rows
+        #: as positions in ``rows``, in the order they were stated
         self.stated_rows = np.zeros(len(self.rows), dtype=bool)
         self.stated_columns = np.zeros(len(self.columns), dtype=bool)
+        self.order = np.zeros(0, dtype=np.int64)
+        #: the derived rows and columns, sorted; empty without a block
+        self.block_rows, self.block_columns = (
+            np.unique(np.asarray(k, dtype=np.int64))
+            for k in (((), ()) if derived is None else derived))
+        self.block_stated = not len(self.block_columns)
+        self._layout = self._form = None
+        if not self.block_stated:
+            _check_block(program, self.block_rows, self.block_columns)
+            #: the derived rows of the program's matrix, and A[R, not C]
+            self._block_matrix = A[self.block_rows]
+            self._coupling = self._block_matrix[:, self.layout()[1]]
+            try:
+                self._factor = splu(
+                    self._block_matrix[:, self.block_columns].tocsc())
+            except RuntimeError:
+                raise LpError("derived block: its rows do not fix its "
+                              "columns (the block is singular)") from None
 
     @property
-    def complete(self) -> bool:
-        return bool(self.stated_rows.all() and self.stated_columns.all())
+    def all_stated(self) -> bool:
+        return bool(self.block_stated and self.stated_rows.all()
+                    and self.stated_columns.all())
 
-    def violated(self, x, row_lo, row_hi, lower, upper):
-        """The unstated lazy rows and bounds that ``x`` leaves by more than
-        ``_SOLVER_TOL * (1 + |side|)``, as positions in ``rows`` and in
-        ``columns``: ``row_lo`` and ``row_hi`` are the ranges of ``rows``,
-        ``lower`` and ``upper`` the bounds of ``columns``."""
-        return (np.flatnonzero(~self.stated_rows
-                               & _outside(self.matrix @ x, row_lo, row_hi)),
-                np.flatnonzero(~self.stated_columns
-                               & _outside(x[self.columns], lower, upper)))
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The program's rows and columns in the relaxed form, in its order."""
+        if self._layout is None:
+            rows = np.ones(self.shape[0], dtype=bool)
+            rows[self.rows] = rows[self.block_rows] = False
+            columns = np.ones(self.shape[1], dtype=bool)
+            columns[self.block_columns] = False
+            block = slice(None if self.block_stated else 0)
+            self._layout = (
+                np.r_[np.flatnonzero(rows), self.block_rows[block],
+                      self.rows[self.order]],
+                np.r_[np.flatnonzero(columns), self.block_columns[block]])
+        return self._layout
+
+    @property
+    def form_matrix(self) -> csc_matrix:
+        """The matrix of the relaxed form, column-wise; the same for every
+        program of the screened one's matrix."""
+        if self._form is None:
+            rows, columns = self.layout()
+            A = self.program_matrix[rows]
+            self._form = (A[:, columns] if len(self.block_columns) else A).tocsc()
+            self.program_matrix = None
+        return self._form
+
+    def limits(self, program: LinearProgram) -> Limits:
+        """The limits of ``program``, of the screened one's matrix, that its
+        relaxed form may leave out."""
+        row_lo, row_hi = row_bounds(program.sense[self.rows],
+                                    program.rhs[self.rows])
+        return Limits(row_lo, row_hi, program.lower[self.columns],
+                      program.upper[self.columns],
+                      program.lower[self.block_columns],
+                      program.upper[self.block_columns],
+                      program.rhs[self.block_rows])
+
+    def relaxed(self, program: LinearProgram,
+                cost=None) -> tuple[ColumnForm, Limits]:
+        """``program``, of the screened one's matrix, as its relaxed form:
+        the unstated lazy rows and, until stated, the derived block left out,
+        and the unstated lazy bounds relaxed; under ``cost`` (one per column
+        of ``program``) if given. Also returns its ``limits``."""
+        rows, columns = self.layout()
+        cost = program.cost if cost is None else cost
+        row_lo, row_hi = row_bounds(program.sense[rows], program.rhs[rows])
+        lower, upper = program.lower.copy(), program.upper.copy()
+        lower[self.columns[~self.stated_columns]] = -np.inf
+        upper[self.columns[~self.stated_columns]] = np.inf
+        if len(self.block_columns):
+            cost, lower, upper = cost[columns], lower[columns], upper[columns]
+        return ColumnForm(self.form_matrix, cost, lower, upper, row_lo,
+                          row_hi), self.limits(program)
+
+    def complete(self, x, limits: Limits) -> np.ndarray:
+        """The primal of the program from the primal ``x`` of its relaxed
+        form: each column in its place, and the derived columns, while the
+        block is not stated, from the derived rows:
+        x_C = A[R, C]^-1 (b_R - A[R, not C] x), on a factor made once."""
+        columns = self.layout()[1]
+        full = np.empty(self.shape[1])
+        full[columns] = x
+        if not self.block_stated:
+            full[self.block_columns] = self._factor.solve(
+                limits.block_rhs - self._coupling @ x)
+        return full
+
+    def violated(self, x, limits: Limits):
+        """The unstated lazy rows and bounds that the program's primal ``x``
+        leaves by more than ``_SOLVER_TOL * (1 + |side|)``, as positions in
+        ``rows`` and in ``columns``, and whether, the block not stated, a
+        derived column leaves its bounds so."""
+        return (np.flatnonzero(~self.stated_rows & _outside(
+                    self.matrix @ x, limits.row_lo, limits.row_hi)),
+                np.flatnonzero(~self.stated_columns & _outside(
+                    x[self.columns], limits.lower, limits.upper)),
+                not self.block_stated and bool(np.any(_outside(
+                    x[self.block_columns], limits.block_lower,
+                    limits.block_upper))))
 
     def state(self, rows=(), columns=()) -> None:
-        """State the lazy rows and bounds at these positions."""
+        """State the lazy rows and bounds at these positions, the rows after
+        those stated before, and the derived block with them."""
+        rows = np.asarray(rows, dtype=np.int64)
+        new = rows[~self.stated_rows[rows]]
+        self.order = np.r_[self.order, new]
         self.stated_rows[rows] = True
         self.stated_columns[columns] = True
+        first = not self.block_stated
+        self.block_stated = True
+        self._layout = None
+        if self._form is None:
+            return
+        grown, form = [self.matrix[new]], self._form
+        if first:
+            grown.insert(0, self._block_matrix)
+            form = hstack((form, csc_matrix((form.shape[0],
+                                             len(self.block_columns)))))
+        if len(self.block_columns):
+            grown = [part[:, self.layout()[1]] for part in grown]
+        self._form = vstack([form, *grown], format="csc")
 
     def state_all(self) -> None:
-        self.stated_rows[:] = self.stated_columns[:] = True
+        self.state(np.flatnonzero(~self.stated_rows),
+                   np.flatnonzero(~self.stated_columns))
 
 
 def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
@@ -467,8 +684,8 @@ def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
     lower, upper = program.lower, program.upper
     sense, rhs = program.sense, program.rhs
-    A = program.matrix
-    screen = Screen(A, program.lazy_rows, program.lazy_columns)
+    screen = Screen(program)
+    A = screen.program_matrix
     iterations = 0
     while True:
         stated = np.ones(len(rhs), dtype=bool)
@@ -491,16 +708,14 @@ def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
                                "dual_feasibility_tolerance": _SOLVER_TOL})
         iterations += int(res.nit)
         status = _status_from_scipy(res.status)
-        if status == UNBOUNDED and not screen.complete:
+        if status == UNBOUNDED and not screen.all_stated:
             screen.state_all()
             continue
         if status != OPTIMAL:
             return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
                               iterations=iterations)
         x = np.asarray(res.x)
-        rows, cols = screen.violated(
-            x, *row_bounds(sense[screen.rows], rhs[screen.rows]),
-            lower[screen.columns], upper[screen.columns])
+        rows, cols, _ = screen.violated(x, screen.limits(program))
         if not (len(rows) or len(cols)):
             break
         screen.state(rows, cols)
@@ -567,32 +782,39 @@ _HIGHS_STATUS = {_HS.kOptimal: OPTIMAL, _HS.kInfeasible: INFEASIBLE,
 
 class HeldModel:
     """A program held in one HiGHS instance, which receives it once. Each
-    ``solve`` may first replace the costs and then re-runs, so HiGHS keeps
-    its own basis and factorization between calls: programs that differ
-    only in costs (the tariff-sweep levels) re-solve in a few simplex
-    iterations. A cost change leaves the held basis primal feasible, so a
-    re-solve after one runs primal simplex from it; every other solve (the
-    first, a restart without a basis, and ``solve_warm``) runs dual
-    simplex. ``basis`` is the last optimal basis, or the starting one (a
-    basis of a program of the same shape; presolve is skipped then). After
-    a solve that ends not optimal, the next one restarts from ``basis``, or
-    cold without one. HiGHS is given the rows and bounds of ``program``
-    as they are: a held model screens nothing itself, so a caller that
-    screens passes the relaxed form and states more in a new one."""
+    ``solve`` may first replace the costs, sending HiGHS only the ones that
+    differ from those it holds, and then re-runs, so HiGHS keeps its own
+    basis and factorization between calls: programs that differ only in
+    costs (the tariff-sweep levels) re-solve in a few simplex iterations.
+    A cost change leaves the held basis primal feasible, so a re-solve
+    after one runs primal simplex from it; every other solve (the first, a
+    restart without a basis, one after the program grew, and
+    ``solve_warm``) runs dual simplex. ``basis`` is the last optimal basis,
+    or the starting one (a basis of a program of the same shape; presolve
+    is skipped then). After a solve that ends not optimal, the next one
+    restarts from ``basis``, or cold without one. HiGHS is given the rows
+    and bounds of ``program`` as they are: a held model screens nothing
+    itself, so a caller that screens passes the relaxed form and, to grow
+    it, passes the grown form again through ``reset`` (``solve_held``)."""
 
     def __init__(self, program: LinearProgram | ColumnForm, basis=None):
-        form = program if isinstance(program, ColumnForm) else column_form(program)
+        self._highs = _highs._Highs()
+        self._highs.passOptions(_WARM_OPTIONS)
+        self._strategy = _DUAL
+        self.reset(program if isinstance(program, ColumnForm)
+                   else column_form(program), basis)
+
+    def reset(self, form: ColumnForm, basis=None) -> None:
+        """Hold ``form`` instead, and start its next solve from ``basis``."""
         A = form.matrix
         m, n = A.shape
-        self._highs = highs = _highs._Highs()
-        highs.passOptions(_WARM_OPTIONS)
-        if highs.passModel(n, m, A.nnz, _COLWISE, _MINIMIZE, 0.0, form.cost,
-                           form.lower, form.upper, form.row_lo, form.row_hi,
-                           A.indptr, A.indices, A.data,
-                           np.zeros(n, np.int32)) == _highs.HighsStatus.kError:
+        if self._highs.passModel(n, m, A.nnz, _COLWISE, _MINIMIZE, 0.0,
+                                 form.cost, form.lower, form.upper, form.row_lo,
+                                 form.row_hi, A.indptr, A.indices, A.data,
+                                 np.zeros(n, np.int32)) == _highs.HighsStatus.kError:
             raise LpSolveError("HiGHS rejected the program")
-        self._columns = np.arange(n, dtype=np.int32)
-        self._strategy = _DUAL
+        #: the costs HiGHS holds
+        self.cost = np.array(form.cost, dtype=float)
         self.basis = basis
         #: whether HiGHS must restart from ``basis`` before the next run
         self._restart = basis is not None
@@ -602,12 +824,16 @@ class HeldModel:
         and status mapping, after replacing the costs by ``cost`` if given.
 
         Raises LpSolveError on numerical breakdown or iteration exhaustion."""
-        highs, n = self._highs, len(self._columns)
+        highs = self._highs
         if cost is not None:
-            cost = np.asarray(cost, dtype=float)
-            if cost.shape != (n,):
-                raise LpError(f"{cost.shape} costs for {n} columns")
-            highs.changeColsCost(n, self._columns, cost)
+            cost = np.array(cost, dtype=float)
+            if cost.shape != self.cost.shape:
+                raise LpError(f"{cost.shape} costs for {len(self.cost)} columns")
+            changed = np.flatnonzero(cost != self.cost)
+            if len(changed):
+                highs.changeColsCost(len(changed), changed.astype(np.int32),
+                                     cost[changed])
+            self.cost = cost
         if self._restart:
             if self.basis is None:
                 highs.clearSolver()
@@ -645,6 +871,45 @@ def solve_warm(program: LinearProgram | ColumnForm, basis=None):
     held = HeldModel(program, basis)
     sol = held.solve()
     return sol, held.basis if sol.status == OPTIMAL else None
+
+
+def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
+               limits: Limits, cost) -> LpSolution:
+    """Solve ``held``, which holds the relaxed form of ``program`` under
+    ``screen``, under ``cost`` (one per column of ``program``), complete its
+    primal and check it. Should it violate a left-out limit, state that
+    limit with the block, pass the grown form to ``held`` and re-solve from
+    the held vertex, extended to a basis of the grown form: the block's
+    columns basic and its rows at their right-hand side (A[R, C] is
+    nonsingular), new rows with basic slacks, so the reduced costs stay as
+    they are; until nothing is violated. An unbounded relaxation states
+    everything and re-solves cold. Returns the solution with the completed
+    primal; its row duals and bound multipliers stay those of the relaxed
+    form.
+
+    Raises LpSolveError on numerical breakdown or iteration exhaustion."""
+    sol = held.solve(cost[screen.layout()[1]])
+    while True:
+        if sol.status == UNBOUNDED and not screen.all_stated:
+            screen.state_all()
+            held.reset(screen.relaxed(program, cost)[0])
+        elif sol.status != OPTIMAL:
+            return sol
+        else:
+            x = screen.complete(sol.primal, limits)
+            rows, columns, block = screen.violated(x, limits)
+            if not (len(rows) or len(columns) or block):
+                return replace(sol, primal=x)
+            basis = held.basis
+            if not screen.block_stated:
+                basis.col_status = basis.col_status + [
+                    _highs.HighsBasisStatus.kBasic] * len(screen.block_columns)
+                basis.row_status = basis.row_status + [
+                    _highs.HighsBasisStatus.kLower] * len(screen.block_rows)
+            screen.state(rows, columns)
+            held.reset(screen.relaxed(program, cost)[0],
+                       with_basic_rows(basis, len(rows)))
+        sol = held.solve()
 
 
 def _bound_marginals(sol, basis) -> tuple[np.ndarray, np.ndarray]:

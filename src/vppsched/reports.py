@@ -9,10 +9,12 @@ hash and the scenario-manifest hash it was produced from.
 The sweep's levels differ only in tariff costs. The extensive form is
 stacked once; a level recomputes only its tariff stream and cost vector.
 The levels are solved in order on one held HiGHS model, which receives the
-first level's program and then only each later level's costs, and a level
-reads back only its scenario costs and coupling-point columns; a one-shot
-extensive solve stays a cold solve. The detail re-solves of a Benders run
-go to the run's worker threads.
+active-power core of the extensive form once (the lazy limits and the
+derived reactive/voltage block left out) and then only the costs each
+level changes; each level's primal is completed and checked against what
+the core leaves out, and a level reads back only its scenario costs and
+coupling-point columns; a one-shot extensive solve stays a cold solve.
+The detail re-solves of a Benders run go to the run's worker threads.
 """
 
 from __future__ import annotations
@@ -348,15 +350,19 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     the same scenario set, and report changes against the unmodified
     baseline. The tariff is data: the extensive form is stacked once, and a
     level recomputes only the tariff stream and the cost vector
-    (``tariff_level``). The first level's program goes to one
-    ``lp.HeldModel`` and solves cold; each later level passes it only its
-    costs and re-solves from the basis HiGHS holds, or, after a failed
-    level, from the last optimal one. Levels differ only in tariff costs,
-    so that basis stays primal feasible and primal simplex takes a few
-    dozen iterations from it, or none. A level's report reads only its
-    scenario costs, from ``st.extensive_solution`` (which also checks the
-    status), and the coupling-point columns of each block, not the full
-    dispatch series. Level order affects only which optimal vertex a
+    (``tariff_level``). One ``lp.HeldModel`` holds the form's relaxed core
+    (``lp.Screen.relaxed``: no lazy row or bound, no derived block,
+    ``st.derived_block``); the first level solves cold, and each later
+    level sends only the costs it changes and re-solves from the basis
+    HiGHS holds, or, after a failed level, from the last optimal one.
+    Levels differ only in tariff costs, so that basis stays primal feasible
+    and primal simplex takes a few dozen iterations from it, or none.
+    ``lp.solve_held`` completes each level's primal from the derived rows
+    and, should it break a left-out limit, states the block with that limit
+    and re-solves the level from the vertex HiGHS holds. A level's report
+    reads only its scenario costs, from ``st.extensive_solution`` (which
+    also checks the status), and the coupling-point columns of each block,
+    not the full dispatch series. Level order affects only which optimal vertex a
     degenerate level returns. The levels lie in [0, 1] and the first is 0,
     the unmodified tariff."""
     levels = cfg.sweep_levels if levels is None else levels
@@ -374,7 +380,9 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     probs = sset.probabilities()
     ef = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
     pcc = np.asarray(model.template.handles.grid.pcc)
-    held = None
+    screen = lp.Screen(ef.program, st.derived_block(model, ef))
+    form, limits = screen.relaxed(ef.program)
+    held = lp.HeldModel(form)
 
     rows: list[SweepRow] = []
     profiles: dict[float, np.ndarray] = {}
@@ -387,12 +395,7 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
             tariff[t] *= (1.0 + lvl)
         level, cost = tariff_level(ef, model, probs, tariff)
         try:
-            if held is None:
-                # level 0, the unmodified tariff: its costs are the program's
-                held = lp.HeldModel(ef.program)
-                sol = held.solve()
-            else:
-                sol = held.solve(cost)
+            sol = lp.solve_held(held, screen, ef.program, limits, cost)
             costs = st.extensive_solution(model, level, sset,
                                           sol).scenario_costs
         except st.StochasticError:

@@ -120,6 +120,18 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
     return ExtensiveForm(program, tpl.first_stage, blocks)
 
 
+def derived_block(model: VppModel, ef: ExtensiveForm):
+    """The rows and columns of the derived block of ``ef``, the extensive
+    form of ``model``: the template's block moved to each copy's own rows
+    and columns, the argument of ``lp.Screen``. Only the tariff sweep reads
+    it, so ``build_extensive`` does not carry it."""
+    p = model.template.program
+    m = p.num_constraints
+    return (np.concatenate([k * m + p.derived_rows
+                            for k in range(len(ef.blocks))]),
+            np.concatenate([b.columns[p.derived_columns] for b in ef.blocks]))
+
+
 def add_risk_objective(program: lp.LinearProgram, risk: RiskMeasure,
                        probs: np.ndarray, costs) -> None:
     """Add to ``program`` the objective of the risk measure over the

@@ -27,19 +27,36 @@ def _cell(value) -> str:
     return str(int(value)) if isinstance(value, int) else repr(float(value))
 
 
-def write(path, header, rows) -> None:
-    """Write a header and rows of cells; a refused cell writes no file."""
+def _column(values) -> list[str]:
+    """The cells of a column as ``_cell`` writes each; a numeric array in one
+    pass, every entry as ``repr(float(x))`` (a NumPy integer or bool is no
+    Python int)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        return list(map(repr, values.astype(float).tolist()))
+    return list(map(_cell, values))
+
+
+def _write(path, lines) -> None:
+    """Write the lines of cell strings that ``lines()`` gives; a refused
+    cell writes no file."""
     try:
-        text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+        text = "".join(",".join(line) + "\n" for line in lines())
     except TableError as exc:
         raise TableError(f"{path}: {exc}") from None
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
 
+def write(path, header, rows) -> None:
+    """Write a header and rows of cells; a refused cell writes no file."""
+    _write(path, lambda: (map(_cell, row) for row in [header, *rows]))
+
+
 def write_columns(path, columns: dict) -> None:
-    """Write equal-length columns, given by name in file order."""
-    write(path, list(columns), zip(*columns.values(), strict=True))
+    """Write equal-length columns, given by name in file order, formatting
+    each column at once."""
+    _write(path, lambda: [map(_cell, columns),
+                          *zip(*map(_column, columns.values()), strict=True)])
 
 
 def read(path) -> tuple[list[str], list[list[str]]]:

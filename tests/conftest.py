@@ -79,11 +79,12 @@ class HighsLog(list):
 def record_highs(monkeypatch):
     """``record(fail_run=None)`` gives ``lp`` a HiGHS class that logs the
     calls its instances receive (``passModel`` with the column and row
-    counts it is given, ``clearSolver``, ``setBasis`` with its basis,
-    ``run``, and ``getBasis`` with the basis it returns) and reports run number ``fail_run`` (from 1) infeasible, and
-    returns the log; ``log.strategies`` lists the simplex strategy in force
-    at each ``run``, as HiGHS reports it. ``linprog`` keeps scipy's own
-    class."""
+    counts it is given, ``changeColsCost`` with its entry count,
+    ``clearSolver``, ``setBasis`` with its basis, ``run``, and
+    ``getBasis`` with the basis it returns) and reports run number
+    ``fail_run`` (from 1) infeasible, and returns the log;
+    ``log.strategies`` lists the simplex strategy in force at each
+    ``run``, as HiGHS reports it. ``linprog`` keeps scipy's own class."""
 
     def record(fail_run=None):
         log = HighsLog()
@@ -92,6 +93,10 @@ def record_highs(monkeypatch):
             def passModel(self, *args):
                 log.append(("passModel", args[0], args[1]))
                 return super().passModel(*args)
+
+            def changeColsCost(self, *args):
+                log.append(("changeColsCost", args[0]))
+                return super().changeColsCost(*args)
 
             def clearSolver(self):
                 log.append(("clearSolver",))

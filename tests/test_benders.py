@@ -696,7 +696,7 @@ def test_unbounded_relaxation_states_every_limit():
     assert stated.matrix.shape == (2, 3)
     cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
     assert math.isnan(cost) and sub.primal is None
-    assert stated.restate([sub]) == [0] and stated.screen.complete
+    assert stated.restate([sub]) == [0] and stated.screen.all_stated
     assert stated.matrix.shape == (3, 3)
     cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
     # y <= 1.5 binds, and z = y keeps inside its stated bound 2

@@ -493,6 +493,123 @@ def test_mark_lazy_refuses_an_unknown_index():
     assert p.lazy_rows.tolist() == [2, 3] and p.lazy_columns.tolist() == [2, 3]
 
 
+def derived_program(derived=True):
+    """min cost . (a, b, c, e) over a in [-3, 3], b in [-5, 1], c in [-2, 2]
+    and e in [0, 1], the bounds of b and e lazy, with -1 <= b - a <= 1, the
+    row c - a == 0, which fixes c, and the lazy row c <= 1; given
+    ``derived``, the row and c are the derived block."""
+    p = lp.LinearProgram("derived")
+    a, b = p.add_variable(-3.0, 3.0, "a"), p.add_variable(-5.0, 1.0, "b")
+    c, e = p.add_variable(-2.0, 2.0, "c"), p.add_variable(0.0, 1.0, "e")
+    p.add_constraint([(b, 1.0), (a, -1.0)], lp.LE, 1.0, "up")
+    p.add_constraint([(b, 1.0), (a, -1.0)], lp.GE, -1.0, "down")
+    link = p.add_constraint([(c, 1.0), (a, -1.0)], lp.EQ, 0.0, "link")
+    cap = p.add_constraint([(c, 1.0)], lp.LE, 1.0, "cap")
+    p.mark_lazy(rows=[cap], columns=[b, e])
+    if derived:
+        p.mark_derived([link], [c])
+    return p
+
+
+def block(p):
+    """The derived block ``p`` marks, as ``lp.Screen`` takes it."""
+    return p.derived_rows, p.derived_columns
+
+
+def test_mark_derived_refuses_what_is_not_a_block():
+    p = derived_program(derived=False)
+    refused = {"derived_rows: unknown index 9": ([9], [2]),
+               "derived_columns: unknown index 4": ([2], [4]),
+               "1 rows for 2 columns": ([2], [2, 0]),
+               "row 'up' is not an equality": ([0], [2]),
+               "column 'a' in row 'up'": ([2], [0])}
+    for message, (rows, columns) in refused.items():
+        with pytest.raises(lp.LpError, match=message):
+            p.mark_derived(rows, columns)
+    assert len(p.derived_rows) == len(p.derived_columns) == 0
+    # the block is marked once: its row or column twice is refused
+    p.mark_derived([2], [2])
+    with pytest.raises(lp.LpError, match="or one twice"):
+        p.mark_derived([2], [2])
+    costly = derived_program()
+    costly.add_objective_term(2, 1.0)
+    with pytest.raises(lp.LpError, match="column 'c' has a cost"):
+        lp.Screen(costly, block(costly))
+    # a row that does not hold its column fixes nothing
+    q = lp.LinearProgram()
+    x, y = q.add_variable(0.0, 1.0, "x"), q.add_variable(0.0, 1.0, "y")
+    q.add_constraint([(x, 1.0)], lp.EQ, 0.5, "pin")
+    with pytest.raises(lp.LpError, match="empty"):
+        q.mark_derived([0], [y])
+    # a column held by a lazy row only is still missing from the block
+    q.add_constraint([(y, 1.0)], lp.LE, 0.5, "cap")
+    q.mark_lazy(rows=[1])
+    with pytest.raises(lp.LpError, match="empty"):
+        q.mark_derived([0], [y])
+    assert p.derived_rows.tolist() == [2] and p.derived_columns.tolist() == [2]
+    assert len(q.derived_rows) == len(q.derived_columns) == 0
+    # nor do two rows that hold both columns alike: marked, the block is
+    # refused by the screen that factors it
+    t = lp.LinearProgram()
+    x, y, z = (t.add_variable(0.0, 1.0, name) for name in "xyz")
+    t.add_constraint([(x, 1.0), (y, 1.0), (z, -1.0)], lp.EQ, 0.0, "sum")
+    t.add_constraint([(x, 2.0), (y, 2.0), (z, -2.0)], lp.EQ, 0.0, "twice")
+    t.mark_derived([0, 1], [x, y])
+    with pytest.raises(lp.LpError, match="singular"):
+        lp.Screen(t, block(t))
+    assert lp.Screen(t).block_stated
+
+
+def test_held_core_grows_by_what_its_completion_breaks(record_highs):
+    # one held relaxed form, four costs: the completed c leaves its bound
+    # (the block is stated), then breaks the lazy row, then b its lazy
+    # bound, each time by the grown form passed again and re-solved from
+    # the held vertex extended to a basis of it; last the relaxation is
+    # unbounded in e (everything stated, cold). Each matches a cold solve
+    p = derived_program()
+    screen = lp.Screen(p, block(p))
+    form, limits = screen.relaxed(p)
+    assert form.matrix.shape == (2, 3) and list(screen.layout()[1]) == [0, 1, 3]
+    log = record_highs()
+    held = lp.HeldModel(form)
+    for cost, stated, start in (
+            ([1.0, 0.0, 0.0, 0.0], ([False], [False, False]), "setBasis"),
+            ([-1.0, 0.5, 0.0, 0.0], ([True], [False, False]), "setBasis"),
+            ([0.0, -1.0, 0.0, 0.0], ([True], [True, False]), "setBasis"),
+            ([0.0, 0.0, 0.0, -1.0], ([True], [True, True]), "run")):
+        del log[:]
+        sol = lp.solve_held(held, screen, p, limits, np.array(cost))
+        assert screen.block_stated
+        assert (screen.stated_rows.tolist(), screen.stated_columns.tolist()) \
+            == stated
+        calls = [entry[0] for entry in log]
+        assert calls.count("passModel") == 1
+        assert calls[calls.index("passModel") + 1] == start
+        p.cost[:] = cost
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective == pytest.approx(lp.solve(unscreened(p)).objective,
+                                              abs=1e-9)
+        assert sol.primal @ p.cost == pytest.approx(sol.objective, abs=1e-9)
+        assert infeasibility(p, sol.primal) <= lp.FEAS_TOL
+        p.cost[:] = 0.0
+    assert screen.all_stated and held.basis is not None
+    assert len(held.cost) == 4 and screen.form_matrix.shape == (4, 4)
+
+
+def test_held_model_sends_only_the_costs_that_change(record_highs):
+    p = screened_program()
+    log = record_highs()
+    held = lp.HeldModel(p)
+    held.solve(p.cost)
+    cost = p.cost.copy()
+    cost[[0, 3]] = [-3.0, 0.25]
+    held.solve(cost)
+    held.solve(cost.copy())
+    assert [entry for entry in log if entry[0] == "changeColsCost"] \
+        == [("changeColsCost", 2)]
+    assert held.cost.tobytes() == cost.tobytes()
+
+
 def test_lp_text_export_roundtrip_structure():
     p = lp.LinearProgram("demo")
     x = p.add_variable(0.0, 2.0, "x")

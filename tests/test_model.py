@@ -227,7 +227,8 @@ def test_lazy_limits_are_the_flow_sides_and_voltage_bands(preset):
 
 def test_instances_carry_the_lazy_limits(case):
     # instantiate shifts the lazy rows past its fix rows; the extensive
-    # form moves them, and the lazy columns, to each block's own
+    # form moves them, and the lazy columns, to each block's own, and
+    # ``derived_block`` so moves the derived block, which neither carries
     model, sset = case
     tpl = model.template
     p = tpl.program
@@ -238,12 +239,22 @@ def test_instances_carry_the_lazy_limits(case):
         assert np.array_equal(sub.lazy_columns, p.lazy_columns)
         assert [sub.row_names[i] for i in sub.lazy_rows] \
             == [p.row_names[i] for i in p.lazy_rows]
+        assert len(sub.derived_rows) == len(sub.derived_columns) == 0
     ef = st.build_extensive(model, sset, CVAR9)
     S = len(sset)
     assert [ef.program.row_names[i] for i in ef.program.lazy_rows] \
         == [f"s{k}_{p.row_names[i]}" for k in range(S) for i in p.lazy_rows]
     assert [ef.program.col_names[j] for j in ef.program.lazy_columns] \
         == [f"s{k}_{p.col_names[j]}" for k in range(S) for j in p.lazy_columns]
+    assert len(ef.program.derived_rows) == len(ef.program.derived_columns) == 0
+    rows, columns = st.derived_block(model, ef)
+    assert [ef.program.row_names[i] for i in rows] \
+        == [f"s{k}_{p.row_names[i]}" for k in range(S) for i in p.derived_rows]
+    assert [ef.program.col_names[j] for j in columns] \
+        == [f"s{k}_{p.col_names[j]}" for k in range(S)
+            for j in p.derived_columns]
+    # the CVaR tail rows leave the block derived
+    lp.Screen(ef.program, (rows, columns))
 
 
 @pytest.mark.parametrize("risk", [EXPECT, CVAR9])

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from vppsched import instance as im
 from vppsched import lp
@@ -555,3 +556,61 @@ def test_limits_infeasible_only_when_stated_name_the_block():
     with pytest.raises(st.ModelInfeasible) as exc:
         st.solve_extensive(model, ef, sset)
     assert exc.value.scenario_index == 0
+
+
+# ------------------------------------------------------------ derived block
+
+def assert_derived_block(model):
+    """The derived block of ``model``'s compiled block: the balQ and vdrop
+    rows and the fq and non-root v columns, as many rows as columns, a
+    block A[R, C] that factors, no cost on C, and no nonzero of C outside
+    R and the lazy rows."""
+    p = model.template.program
+    root = model.network.root_id()
+    rows = [i for i, name in enumerate(p.row_names)
+            if name.startswith(("balQ[", "vdrop["))]
+    cols = [j for j, name in enumerate(p.col_names) if name.startswith("fq[")
+            or name.startswith("v[") and not name.startswith(f"v[{root},")]
+    assert sorted(p.derived_rows.tolist()) == rows
+    assert sorted(p.derived_columns.tolist()) == cols
+    assert len(rows) == len(cols) > 0
+    assert (p.sense[rows] == lp.EQ).all()
+    A = p.matrix.tocsc()
+    factor = splu(A[rows][:, cols].tocsc())
+    assert np.isfinite(factor.solve(np.ones(len(rows)))).all()
+    assert not p.cost[cols].any()
+    block = A[:, cols]
+    hit = np.unique(block.indices[block.data != 0.0])
+    assert set(hit.tolist()) <= set(rows) | set(p.lazy_rows.tolist())
+
+
+@pytest.mark.parametrize("preset", ["desk", "day", "full"])
+def test_presets_mark_the_reactive_voltage_block(preset):
+    assert_derived_block(im.PRESETS[preset]().model)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_feeders_mark_the_reactive_voltage_block(seed):
+    assert_derived_block(random_feeder_model(seed)[0])
+
+
+@pytest.mark.parametrize("preset", ["desk", "day"])
+def test_completed_core_optimum_is_feasible_and_optimal(preset):
+    # the core, without the lazy limits and the derived block, solved once:
+    # its primal completed from the derived rows meets every row and bound
+    # of the full program, at the full program's optimum
+    inst = im.PRESETS[preset]()
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
+    ef = st.build_extensive(inst.model, sset, st.RiskMeasure(st.EXPECTATION))
+    program, (rows, columns) = ef.program, st.derived_block(inst.model, ef)
+    screen = lp.Screen(program, (rows, columns))
+    form, limits = screen.relaxed(program)
+    assert form.matrix.shape == (
+        program.num_constraints - len(program.lazy_rows) - len(rows),
+        program.num_variables - len(columns))
+    sol, _ = lp.solve_warm(form)
+    x = screen.complete(sol.primal, limits)
+    assert infeasibility(program, x) <= lp.FEAS_TOL
+    assert screen.violated(x, limits)[2] is False
+    full = lp.solve(unscreened(program))
+    assert x @ program.cost == pytest.approx(full.objective, rel=1e-9)

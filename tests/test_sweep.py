@@ -1,8 +1,11 @@
-"""The tariff sweep holds one HiGHS model and re-solves each level on it
-with only the costs changed: every level must still equal its own cold
-extensive solve, repeat bit for bit, restart from the last optimal basis
-after a failed level, and pass its model to HiGHS once."""
+"""The tariff sweep holds one HiGHS model of the extensive form's
+active-power core and re-solves each level on it with only the changed
+costs sent: every level must still equal its own cold extensive solve,
+repeat bit for bit, restart from the last optimal basis after a failed
+level, and pass its model to HiGHS once, or, where a completed primal
+breaks a left-out limit, once more with the derived block stated."""
 
+import dataclasses
 import json
 import math
 
@@ -16,6 +19,9 @@ from vppsched import scenarios as sg
 from vppsched import stochastic as st
 from vppsched.config import load_config
 
+from oracles import infeasibility
+from test_network import narrowed_band
+
 LEVELS = [round(0.1 * k, 1) for k in range(11)]
 NEUTRAL = st.RiskMeasure(st.EXPECTATION)
 REL = 1e-9
@@ -28,9 +34,9 @@ PRIMAL = int(STRATEGY.kSimplexStrategyPrimal)
 WINDOWS = {"desk": ([0, 1], [1, 2]), "day": ([10, 14], [17, 21])}
 
 
-@pytest.fixture(scope="module", params=["desk", "day"])
-def case(request, tmp_path_factory):
-    name = request.param
+def sweep_case(name, tmp_path_factory):
+    """The config of preset ``name`` with the sweep windows of ``WINDOWS``,
+    its model and 5 scenarios (seed 42)."""
     path = im.write_instance(im.PRESETS[name](),
                              str(tmp_path_factory.mktemp(name)),
                              scenario_count=5, scenario_seed=42)
@@ -47,16 +53,30 @@ def case(request, tmp_path_factory):
     return cfg, cfg.build_model(), sset
 
 
+@pytest.fixture(scope="module", params=["desk", "day"])
+def case(request, tmp_path_factory):
+    return sweep_case(request.param, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def day_case(tmp_path_factory):
+    return sweep_case("day", tmp_path_factory)
+
+
+def level_tariff(cfg, model, level):
+    tariff = model.market.tariff_per_mwh.copy()
+    tariff[cfg.window_steps(cfg.sweep_low_hours)] *= 1.0 - level
+    tariff[cfg.window_steps(cfg.sweep_high_hours)] *= 1.0 + level
+    return tariff
+
+
 def cold_level(cfg, model, sset, level):
     """Expected profit and low/high-window withdrawals of one level, from a
     cold extensive solve of the model under that level's tariff."""
     low = cfg.window_steps(cfg.sweep_low_hours)
     high = cfg.window_steps(cfg.sweep_high_hours)
-    tariff = model.market.tariff_per_mwh.copy()
-    tariff[low] *= 1.0 - level
-    tariff[high] *= 1.0 + level
-    out = rp.solve_with_method(model.with_tariff(tariff), sset, NEUTRAL,
-                               "extensive")
+    out = rp.solve_with_method(model.with_tariff(level_tariff(cfg, model, level)),
+                               sset, NEUTRAL, "extensive")
     probs = sset.probabilities()
     profile = sum(pi * np.maximum(series["pcc_kw"], 0.0)
                   for pi, series in zip(probs, out.series))
@@ -143,10 +163,18 @@ def test_extensive_sweep_runs_on_the_warm_seam_only(case, monkeypatch,
     assert log.strategies == [DUAL] + [PRIMAL] * (len(LEVELS) - 1)
 
 
+def core(model, ef):
+    """The screen of the sweep's extensive form ``ef`` of ``model``, its
+    derived block included, and the limits its relaxed form leaves out."""
+    screen = lp.Screen(ef.program, st.derived_block(model, ef))
+    return screen, screen.relaxed(ef.program)[1]
+
+
 def test_level_reports_equal_the_full_series(case, monkeypatch):
     # each level's profit and withdrawal profile, read from the scenario
     # costs and the coupling-point columns only, are bitwise those computed
-    # from the full dispatch series of the same solution
+    # from the full dispatch series of the same solution: the held core's,
+    # completed
     cfg, model, sset = case
     solutions = []
     solve = lp.HeldModel.solve
@@ -163,11 +191,13 @@ def test_level_reports_equal_the_full_series(case, monkeypatch):
     probs = sset.probabilities()
     dt = model.horizon.step_hours
     ef = st.build_extensive(model, sset, NEUTRAL)
+    screen, limits = core(model, ef)
+    # no level states a limit, so each solved once on the core
+    assert len(solutions) == len(rows)
     for row, sol in zip(rows, solutions):
-        tariff = model.market.tariff_per_mwh.copy()
-        tariff[low] *= 1.0 - row.level
-        tariff[high] *= 1.0 + row.level
-        level, _ = rp.tariff_level(ef, model, probs, tariff)
+        level, _ = rp.tariff_level(ef, model, probs,
+                                   level_tariff(cfg, model, row.level))
+        sol = dataclasses.replace(sol, primal=screen.complete(sol.primal, limits))
         out = rp._extensive_output(level, st.extensive_solution(model, level,
                                                                 sset, sol))
         profile = np.zeros(model.horizon.step_count)
@@ -183,13 +213,14 @@ def test_level_reports_equal_the_full_series(case, monkeypatch):
 
 def test_levels_swap_only_the_tariff_costs(case, monkeypatch):
     # the sweep stacks the extensive form once; each level's cost vector and
-    # breakdowns are bitwise those of a form built under the level's tariff
+    # breakdowns are bitwise those of a form built under the level's tariff,
+    # and the held core gets that vector's restriction to its columns
     cfg, model, sset = case
     passed = []
     init, solve = lp.HeldModel.__init__, lp.HeldModel.solve
 
     def held(self, program, basis=None):
-        passed.append(program.cost)        # the first level's, solved as is
+        passed.append(program.cost)        # the form's, level 0's restricted
         init(self, program, basis)
 
     def recorded(self, cost=None):
@@ -201,19 +232,19 @@ def test_levels_swap_only_the_tariff_costs(case, monkeypatch):
     monkeypatch.setattr(lp.HeldModel, "solve", recorded)
     rp.tariff_sweep(cfg, model, sset, LEVELS)
     monkeypatch.undo()
-    low = cfg.window_steps(cfg.sweep_low_hours)
-    high = cfg.window_steps(cfg.sweep_high_hours)
     probs = sset.probabilities()
     ef = st.build_extensive(model, sset, NEUTRAL)
+    columns = core(model, ef)[0].layout()[1]
     x = np.random.default_rng(3).normal(size=ef.program.num_variables)
-    assert len(passed) == len(LEVELS)
+    # the core's first costs, and then one vector per level
+    assert len(passed) == len(LEVELS) + 1
+    assert passed.pop(0).tobytes() == ef.program.cost[columns].tobytes()
     for level, cost in zip(LEVELS, passed):
-        tariff = model.market.tariff_per_mwh.copy()
-        tariff[low] *= 1.0 - level
-        tariff[high] *= 1.0 + level
+        tariff = level_tariff(cfg, model, level)
         ref = st.build_extensive(model.with_tariff(tariff), sset, NEUTRAL)
         form, swapped = rp.tariff_level(ef, model, probs, tariff)
-        assert np.asarray(cost).tobytes() == ref.program.cost.tobytes()
+        assert np.asarray(cost).tobytes() \
+            == ref.program.cost[columns].tobytes()
         assert swapped.tobytes() == ref.program.cost.tobytes()
         assert [b.breakdown(x) for b in form.blocks] \
             == [b.breakdown(x) for b in ref.blocks]
@@ -221,3 +252,101 @@ def test_levels_swap_only_the_tariff_costs(case, monkeypatch):
             for name in theirs.streams:
                 assert mine.streams[name].tobytes() \
                     == theirs.streams[name].tobytes()
+
+
+def test_sweep_holds_the_core_and_sends_only_changed_costs(case, record_highs):
+    # one pass of the core: no lazy row, no derived row or column; level 0
+    # sends no cost, each later level the core costs that differ from the
+    # level before's (on day the tariff columns of the two windows)
+    cfg, model, sset = case
+    log = record_highs()
+    rp.tariff_sweep(cfg, model, sset, LEVELS)
+    ef = st.build_extensive(model, sset, NEUTRAL)
+    p, (screen, _) = ef.program, core(model, ef)
+    rows, columns = screen.layout()
+    assert len(columns) == p.num_variables - len(screen.block_columns)
+    assert len(rows) == p.num_constraints - len(np.unique(p.lazy_rows)) \
+        - len(screen.block_rows)
+    assert [entry for entry in log if entry[0] == "passModel"] \
+        == [("passModel", len(columns), len(rows))]
+    probs = sset.probabilities()
+    costs = [rp.tariff_level(ef, model, probs, level_tariff(cfg, model, level))[1]
+             [columns] for level in LEVELS]
+    changed = [int(np.count_nonzero(b != a)) for a, b in zip(costs, costs[1:])]
+    assert 0 < min(changed) and max(changed) < len(columns)
+    assert [entry for entry in log if entry[0] == "changeColsCost"] \
+        == [("changeColsCost", n) for n in changed if n]
+
+
+def reactive_bound_model(model, sset, scale=12.0, margin=3.0):
+    """``model`` and ``sset`` with the reactive load of bus 2 scaled by
+    ``scale`` and the branch feeding it rated so that its reactive axis
+    bound, |Q| <= s cos(pi/8), lies ``margin`` kvar above that load's peak:
+    the reactive power of the PV unit on bus 2 is free in the core, and the
+    flow it completes to can leave that bound."""
+    scenarios = [dataclasses.replace(sc, load_reactive={
+        **sc.load_reactive, 2: scale * sc.load_reactive[2]})
+        for sc in sset.scenarios]
+    peak = max(float(np.max(sc.load_reactive[2])) for sc in scenarios)
+    net = model.network
+    branches = [dataclasses.replace(br, s_max_kva=(peak + margin)
+                                    / math.cos(math.pi / 8))
+                if br.to_bus == 2 else br for br in net.branches]
+    assert sum(br.to_bus == 2 for br in net.branches) == 1
+    assert [dv.node for dv in model.park.dgs] == [2]
+    return (dataclasses.replace(model, network=dataclasses.replace(
+        net, branches=branches)),
+        dataclasses.replace(sset, scenarios=scenarios))
+
+
+@pytest.mark.parametrize("limit", ["voltage band", "reactive axis"])
+def test_sweep_states_the_block_its_completion_breaks(day_case, limit,
+                                                     monkeypatch, record_highs):
+    # day with the band narrowed to +-0.2 % (a lazy bound of a derived
+    # column), or with a reactive axis bound that the completed flow leaves
+    # (a bound of a derived column only): the sweep states the block once,
+    # by a second pass of the grown form started from the extended basis,
+    # every level's primal is feasible for the full program, and every
+    # level matches its cold solve
+    cfg, model, sset = day_case
+    if limit == "voltage band":
+        model = narrowed_band(model, 0.998, 1.002)
+    else:
+        model, sset = reactive_bound_model(model, sset)
+    found, solved = [], []
+    violated, solve_held = lp.Screen.violated, lp.solve_held
+
+    def checked(self, x, limits):
+        found.append(violated(self, x, limits))
+        return found[-1]
+
+    def kept(held, screen, program, limits, cost):
+        solved.append((screen, program,
+                       solve_held(held, screen, program, limits, cost)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(lp.Screen, "violated", checked)
+    monkeypatch.setattr(lp, "solve_held", kept)
+    log = record_highs()
+    rows, _ = rp.tariff_sweep(cfg, model, sset, LEVELS)
+    monkeypatch.undo()
+    screen = solved[0][0]
+    core_pass, grown_pass = [entry for entry in log if entry[0] == "passModel"]
+    assert grown_pass[1] == core_pass[1] + len(screen.block_columns)
+    assert grown_pass[2] >= core_pass[2] + len(screen.block_rows)
+    # the grown form re-solves from the extended basis, not cold
+    calls = [entry[0] for entry in log]
+    grown_at = calls.index("passModel", 1)
+    assert calls[grown_at + 1:grown_at + 3] == ["setBasis", "run"]
+    rows_broken, bounds_broken, block = next(
+        f for f in found if len(f[0]) or len(f[1]) or f[2])
+    if limit == "voltage band":
+        assert len(bounds_broken) > 0
+    else:
+        assert len(rows_broken) == len(bounds_broken) == 0 and block
+    assert len(solved) == len(LEVELS)
+    for _, program, sol in solved:
+        assert infeasibility(program, sol.primal) <= lp.FEAS_TOL
+    for row in rows:
+        assert not row.failed
+        assert_matches_cold(row, cold_level(cfg, model, sset, row.level))

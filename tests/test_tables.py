@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from vppsched import instance as im
+from vppsched import reports as rp
 from vppsched import scenarios as sg
+from vppsched import stochastic as st
 from vppsched import tables
+from vppsched.model import extract_block_series
 
 
 def test_only_tables_speaks_csv():
@@ -111,3 +114,43 @@ def test_missing_column_names_file_and_column(tmp_path):
     path.write_text("a\n1\n")
     with pytest.raises(tables.TableError, match="line 1, column b"):
         tables.read_columns(path)["b"]
+
+
+def per_cell_columns(path, columns):
+    """The column writer as it was: one ``_cell`` call per cell."""
+    tables.write(path, list(columns), zip(*columns.values(), strict=True))
+
+
+@pytest.mark.parametrize("preset", ["desk", "day", "full"])
+def test_solution_tables_equal_the_per_cell_ones(preset, tmp_path, monkeypatch):
+    # write_solution formats each column at once, to the bytes the per-cell
+    # writer gives: float, -0.0, integer-valued, int, bool and Python int
+    # cells alike
+    inst = im.PRESETS[preset]()
+    model, T = inst.model, inst.model.horizon.step_count
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 2, 42)
+    tpl = model.template
+    blocks = [model.scenario_data(sc, k * tpl.n_block)
+              for k, sc in enumerate(sset.scenarios)]
+    x = np.random.default_rng(7).normal(
+        scale=100.0, size=tpl.n_first + len(blocks) * tpl.n_block)
+    x[::5], x[1::7], x[2::11] = -0.0, 0.0, np.round(x[2::11])
+    series = [extract_block_series(block, x) for block in blocks]
+    series[0].update(count=np.arange(T) - 3, flag=np.arange(T) % 3 == 0,
+                     listed=list(range(T)), small=np.arange(T, dtype=np.int8))
+    bids = x[:tpl.n_first].copy()
+    bids[T:] = np.abs(bids[T:])           # capacity bids are nonnegative
+    out = rp.SolveOutput(1.5, model.first_stage_decision(bids),
+                         [block.breakdown(x) for block in blocks], series)
+    written = []
+    for writer in (tables.write_columns, per_cell_columns):
+        monkeypatch.setattr(tables, "write_columns", writer)
+        out_dir = tmp_path / writer.__name__
+        rp.write_solution(str(out_dir), model, sset, out, "extensive",
+                          st.RiskMeasure(st.EXPECTATION), "cfg", "manifest", 0.0)
+        written.append({name: (out_dir / name).read_bytes()
+                        for name in sorted(os.listdir(out_dir))})
+    assert written[0] == written[1]
+    assert len(written[0]) == 2 + len(blocks) + 1
+    dispatch = written[0]["dispatch_0000.csv"].decode()
+    assert ",-0.0" in dispatch and ",1.0," in dispatch and ",-3.0," in dispatch
