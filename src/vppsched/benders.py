@@ -28,12 +28,13 @@ pool opened once per run (``worker_map``); results are merged by scenario
 index, and each scenario's sequence of solves is its own, so the outcome
 does not depend on the worker count.
 
-The subproblems are screened (``StatedLimits``): the shared matrix holds
+The subproblems are screened by one ``lp.Screen``: the shared matrix holds
 the block's stated rows only and the lazy column bounds are relaxed, so
 HiGHS sees a network limit only once some scenario's primal violates it
-(``lp.Screen.violated``, the test of ``lp.solve``). The limit is then
-stated for every scenario, and the violating scenarios re-solve at the
-same bids until none violates one. A relaxed value and its duals
+(``lp.Screen.violated``, the test of ``lp.solve``, read against the
+scenario's own vectors). ``restate`` then states the limit for every
+scenario, and the violating scenarios re-solve at the same bids until
+none violates one. A relaxed value and its duals
 underestimate the recourse value, so every cut is valid; the values that
 set the incumbent are exact.
 """
@@ -243,75 +244,29 @@ def solve_fixed_bids(model: VppModel, scenario: Scenario, scenario_index: int,
     return _checked(sol, model, scenario, scenario_index), block
 
 
-class StatedLimits:
-    """The lazy network limits of a run's subproblems (``lp.Screen``) and
-    the matrix all of them share: the stated rows of the instantiated block,
-    the bid-fixing rows ``fix[j]`` in front, then every lazy row some
-    subproblem's primal has violated, in the order they were stated. The
-    stated set only grows, for all scenarios at once and on the calling
-    thread, so a run does not depend on its worker count."""
+class Vectors(NamedTuple):
+    """The vectors of one instantiation of the shared block: what a
+    scenario's subproblem differs in, the bids in ``rhs[:n_first]``."""
 
-    def __init__(self, program: lp.LinearProgram):
-        self.screen = lp.Screen(program)
-        self.matrix = self.screen.form_matrix
-
-    def relaxed(self, program: lp.LinearProgram):
-        """``program``, an instantiation of the shared block, on the shared
-        matrix with its lazy limits left out, as a column-wise form; and
-        its ``lp.Limits``, the argument of ``Screen.violated``. Only before
-        anything is stated."""
-        return self.screen.relaxed(program)
-
-    def restate(self, subs: list["Subproblem"]) -> list[int]:
-        """Check the last primal of every subproblem against the unstated
-        lazy limits and state each one violated for all of them; after an
-        unbounded relaxation, state everything. Returns the indices of the
-        subproblems to solve again: those whose primal violated a limit or
-        whose relaxation was unbounded. New rows enter every basis basic."""
-        screen = self.screen
-        rows, cols, again = [], [], []
-        for sub in subs:
-            if sub.primal is None:
-                again.append(sub.index)
-                continue
-            r, c, _ = screen.violated(sub.primal, sub.limits)
-            if len(r) or len(c):
-                again.append(sub.index)
-                rows.append(r)
-                cols.append(c)
-        if not again:
-            return again
-        if any(sub.primal is None for sub in subs):
-            rows = [np.flatnonzero(~screen.stated_rows)]
-            cols = [np.flatnonzero(~screen.stated_columns)]
-        rows, cols = np.unique(np.concatenate(rows)), np.unique(np.concatenate(cols))
-        screen.state(rows, cols)
-        self.matrix = screen.form_matrix
-        for sub in subs:
-            limits, form = sub.limits, sub.form
-            form.lower[screen.columns[cols]] = limits.lower[cols]
-            form.upper[screen.columns[cols]] = limits.upper[cols]
-            sub.form = form._replace(
-                matrix=self.matrix, row_lo=np.r_[form.row_lo, limits.row_lo[rows]],
-                row_hi=np.r_[form.row_hi, limits.row_hi[rows]])
-            if sub.basis is not None:
-                lp.with_basic_rows(sub.basis, len(rows))
-        return again
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
 
 
 @dataclass
 class Subproblem:
-    """One scenario's subproblem in a Benders run: its data on the matrix
-    all scenarios share, with the lazy limits not yet stated left out, the
-    ranges of its lazy rows and the bounds of its lazy columns, and the
-    basis and primal of its last solve."""
+    """One scenario's subproblem in a Benders run: the vectors of its
+    instantiation, the screen all scenarios share (its lazy limits and the
+    matrix of its relaxed form), and the basis and primal of its last
+    solve."""
 
     model: VppModel
     index: int
     scenario: Scenario
-    form: lp.ColumnForm
-    limits: lp.Limits
-    stated: StatedLimits
+    data: Vectors
+    screen: lp.Screen
     basis: object = None
     #: simplex iterations of the last solve
     iterations: int = 0
@@ -322,27 +277,58 @@ class Subproblem:
 def subproblems(model: VppModel, scenarios: list[Scenario]) -> list[Subproblem]:
     """The subproblems of a run: the compiled block with the bid-fixing
     rows ``fix[j]`` in front, as ``BlockTemplate.instantiate`` lays it out,
-    in column-wise form on one matrix, its lazy limits left out until
-    ``StatedLimits.restate`` states them; per scenario its costs, bounds
-    and rows."""
+    screened by one ``lp.Screen``, whose form matrix is made here, on the
+    calling thread; per scenario its vectors."""
     template = model.template
-    stated = None
+    screen = None
     subs = []
     for s, scenario in enumerate(scenarios):
         program = template.instantiate(model.scenario_data(scenario),
                                        np.zeros(template.n_first))
-        if stated is None:
-            stated = StatedLimits(program)
-        subs.append(Subproblem(model, s, scenario, *stated.relaxed(program),
-                               stated))
+        if screen is None:
+            screen = lp.Screen(program)
+            screen.form_matrix      # made now, not on a worker thread
+        subs.append(Subproblem(model, s, scenario, Vectors._make(
+            getattr(program, name) for name in Vectors._fields), screen))
     return subs
+
+
+def restate(subs: list[Subproblem]) -> list[int]:
+    """Check the last primal of every subproblem against the unstated lazy
+    limits of their shared screen and state each one violated for all of
+    them, on the calling thread; after an unbounded relaxation, state
+    everything. Returns the indices of the subproblems to solve again:
+    those whose primal violated a limit or whose relaxation was unbounded.
+    New rows enter every basis basic."""
+    screen = subs[0].screen
+    rows, cols, again = [], [], []
+    for sub in subs:
+        if sub.primal is None:
+            again.append(sub.index)
+            continue
+        r, c, _ = screen.violated(sub.primal, sub.data)
+        if len(r) or len(c):
+            again.append(sub.index)
+            rows.append(r)
+            cols.append(c)
+    if not again:
+        return again
+    if any(sub.primal is None for sub in subs):
+        rows = [np.flatnonzero(~screen.stated_rows)]
+        cols = [np.flatnonzero(~screen.stated_columns)]
+    rows, cols = np.unique(np.concatenate(rows)), np.unique(np.concatenate(cols))
+    screen.state(rows, cols)
+    for sub in subs:
+        if sub.basis is not None:
+            lp.with_basic_rows(sub.basis, len(rows))
+    return again
 
 
 def solve_subproblem(sub: Subproblem,
                      x_hat: np.ndarray) -> tuple[float, np.ndarray]:
     """Second-stage value and a subgradient at the given bids, solved from
     the subproblem's last basis, of the relaxation the stated lazy limits
-    leave; its primal is kept for ``StatedLimits.restate``.
+    leave; its primal is kept for ``restate``.
 
     The bids enter as free variables pinned by equality rows; the duals of
     those rows are exactly d(cost)/d(bid), so the returned affine function
@@ -353,10 +339,10 @@ def solve_subproblem(sub: Subproblem,
     n = len(x_hat)
     if sub.model.template.n_first != n:
         raise BendersError("first-stage vector length mismatch")
-    sub.form.row_lo[:n] = sub.form.row_hi[:n] = x_hat
-    sol, sub.basis = lp.solve_warm(sub.form, sub.basis)
+    sub.data.rhs[:n] = x_hat
+    sol, sub.basis = lp.solve_warm(sub.screen.relaxed(sub.data), sub.basis)
     sub.iterations = sol.iterations
-    if sol.status == lp.UNBOUNDED and not sub.stated.screen.all_stated:
+    if sol.status == lp.UNBOUNDED and not sub.screen.all_stated:
         sub.primal = None
         return math.nan, np.full(n, math.nan)
     _checked(sol, sub.model, sub.scenario, sub.index)
@@ -378,7 +364,6 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
     probs = sset.probabilities()
     master = MasterProblem(model, len(sset), probs, risk)
     subs = subproblems(model, sset.scenarios)
-    stated = subs[0].stated
     report = ConvergenceReport()
     start = time.perf_counter()
 
@@ -396,7 +381,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             iterations = sum(sub.iterations for sub in subs)
             # the relaxed values are the recourse values only once no
             # primal violates a lazy limit
-            while again := stated.restate(subs):
+            while again := restate(subs):
                 for s, value in zip(again, parallel_map(
                         solve_subproblem, [subs[s] for s in again], repeat(x))):
                     values[s] = value

@@ -14,10 +14,11 @@ multipliers. It screens the lazy rows and bounds: they reach HiGHS only
 once a solution violates them, in rounds of cold solves, and the report
 is that of the full program. ``Screen`` holds which lazy limits are
 stated, and its ``violated`` is the one screening test, which the
-Benders subproblems run too. Given a derived block, it also leaves the
-block out of the relaxed form it gives, completes a primal of that form
-from the block's rows by one sparse solve, and checks the block's bounds
-too; any violation states the block. ``HeldModel`` solves
+Benders subproblems run too; it reads the limits left out from the
+program's own vectors when it runs. Given a derived block, it also
+leaves the block out of the relaxed form it gives, completes a primal of
+that form from the block's rows by one sparse solve, and checks the
+block's bounds too; any violation states the block. ``HeldModel`` solves
 on scipy's bundled HiGHS binding directly: it passes a program to HiGHS
 once, with the rows and bounds it is given, and re-solves it after each
 cost change, sending only the costs that changed, with primal simplex
@@ -491,21 +492,6 @@ def _outside(value, lo, hi) -> np.ndarray:
         | (value - hi > _SOLVER_TOL * (1.0 + np.abs(hi)))
 
 
-class Limits(NamedTuple):
-    """What a relaxed form leaves out of its program, read by
-    ``Screen.violated`` and ``Screen.complete``: the ranges of the lazy
-    rows, the bounds of the lazy columns and of the derived columns, and
-    the right-hand sides of the derived rows."""
-
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    block_lower: np.ndarray
-    block_upper: np.ndarray
-    block_rhs: np.ndarray
-
-
 class Screen:
     """The lazy rows and column bounds of a program, and which of them are
     stated to HiGHS so far: a set that only grows. Given ``derived``, the
@@ -516,12 +502,20 @@ class Screen:
     Benders subproblems on the primal of each scenario, and ``solve_held``
     on the completed primal of a held relaxed form.
 
+    The screen holds no limit itself: ``relaxed``, ``violated`` and
+    ``complete`` read them, when they run, from the vectors (``cost``,
+    ``lower``, ``upper``, ``sense``, ``rhs``) of the program they are given,
+    which may be any of the screened one's matrix, such as another
+    scenario's instantiation.
+
     The relaxed form of a program (``relaxed``) holds, in this order, the
     rows neither lazy nor derived, the derived rows once stated, and the
     stated lazy rows in the order they were stated; its columns are those
     not derived, then the derived ones once stated. So stating more only
     appends rows and columns, to the matrix too: the block's columns appear
-    in no row before its own."""
+    in no row before its own. ``state`` settles the layout, and the form
+    matrix once made, on its calling thread, so threads that only read the
+    screen (``relaxed``) compute neither."""
 
     def __init__(self, program: LinearProgram, derived=None):
         #: the program's matrix, kept until the relaxed form's is made
@@ -585,23 +579,11 @@ class Screen:
             self.program_matrix = None
         return self._form
 
-    def limits(self, program: LinearProgram) -> Limits:
-        """The limits of ``program``, of the screened one's matrix, that its
-        relaxed form may leave out."""
-        row_lo, row_hi = row_bounds(program.sense[self.rows],
-                                    program.rhs[self.rows])
-        return Limits(row_lo, row_hi, program.lower[self.columns],
-                      program.upper[self.columns],
-                      program.lower[self.block_columns],
-                      program.upper[self.block_columns],
-                      program.rhs[self.block_rows])
-
-    def relaxed(self, program: LinearProgram,
-                cost=None) -> tuple[ColumnForm, Limits]:
+    def relaxed(self, program, cost=None) -> ColumnForm:
         """``program``, of the screened one's matrix, as its relaxed form:
         the unstated lazy rows and, until stated, the derived block left out,
         and the unstated lazy bounds relaxed; under ``cost`` (one per column
-        of ``program``) if given. Also returns its ``limits``."""
+        of ``program``) if given."""
         rows, columns = self.layout()
         cost = program.cost if cost is None else cost
         row_lo, row_hi = row_bounds(program.sense[rows], program.rhs[rows])
@@ -610,11 +592,10 @@ class Screen:
         upper[self.columns[~self.stated_columns]] = np.inf
         if len(self.block_columns):
             cost, lower, upper = cost[columns], lower[columns], upper[columns]
-        return ColumnForm(self.form_matrix, cost, lower, upper, row_lo,
-                          row_hi), self.limits(program)
+        return ColumnForm(self.form_matrix, cost, lower, upper, row_lo, row_hi)
 
-    def complete(self, x, limits: Limits) -> np.ndarray:
-        """The primal of the program from the primal ``x`` of its relaxed
+    def complete(self, x, program) -> np.ndarray:
+        """The primal of ``program`` from the primal ``x`` of its relaxed
         form: each column in its place, and the derived columns, while the
         block is not stated, from the derived rows:
         x_C = A[R, C]^-1 (b_R - A[R, not C] x), on a factor made once."""
@@ -623,21 +604,23 @@ class Screen:
         full[columns] = x
         if not self.block_stated:
             full[self.block_columns] = self._factor.solve(
-                limits.block_rhs - self._coupling @ x)
+                program.rhs[self.block_rows] - self._coupling @ x)
         return full
 
-    def violated(self, x, limits: Limits):
-        """The unstated lazy rows and bounds that the program's primal ``x``
-        leaves by more than ``_SOLVER_TOL * (1 + |side|)``, as positions in
-        ``rows`` and in ``columns``, and whether, the block not stated, a
-        derived column leaves its bounds so."""
+    def violated(self, x, program):
+        """The unstated lazy rows and bounds of ``program`` that its primal
+        ``x`` leaves by more than ``_SOLVER_TOL * (1 + |side|)``, as
+        positions in ``rows`` and in ``columns``, and whether, the block not
+        stated, a derived column leaves its bounds so."""
+        block = self.block_columns
         return (np.flatnonzero(~self.stated_rows & _outside(
-                    self.matrix @ x, limits.row_lo, limits.row_hi)),
+                    self.matrix @ x, *row_bounds(program.sense[self.rows],
+                                                 program.rhs[self.rows]))),
                 np.flatnonzero(~self.stated_columns & _outside(
-                    x[self.columns], limits.lower, limits.upper)),
+                    x[self.columns], program.lower[self.columns],
+                    program.upper[self.columns])),
                 not self.block_stated and bool(np.any(_outside(
-                    x[self.block_columns], limits.block_lower,
-                    limits.block_upper))))
+                    x[block], program.lower[block], program.upper[block]))))
 
     def state(self, rows=(), columns=()) -> None:
         """State the lazy rows and bounds at these positions, the rows after
@@ -650,6 +633,7 @@ class Screen:
         first = not self.block_stated
         self.block_stated = True
         self._layout = None
+        columns = self.layout()[1]
         if self._form is None:
             return
         grown, form = [self.matrix[new]], self._form
@@ -658,7 +642,7 @@ class Screen:
             form = hstack((form, csc_matrix((form.shape[0],
                                              len(self.block_columns)))))
         if len(self.block_columns):
-            grown = [part[:, self.layout()[1]] for part in grown]
+            grown = [part[:, columns] for part in grown]
         self._form = vstack([form, *grown], format="csc")
 
     def state_all(self) -> None:
@@ -715,7 +699,7 @@ def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
             return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
                               iterations=iterations)
         x = np.asarray(res.x)
-        rows, cols, _ = screen.violated(x, screen.limits(program))
+        rows, cols, _ = screen.violated(x, program)
         if not (len(rows) or len(cols)):
             break
         screen.state(rows, cols)
@@ -874,7 +858,7 @@ def solve_warm(program: LinearProgram | ColumnForm, basis=None):
 
 
 def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
-               limits: Limits, cost) -> LpSolution:
+               cost) -> LpSolution:
     """Solve ``held``, which holds the relaxed form of ``program`` under
     ``screen``, under ``cost`` (one per column of ``program``), complete its
     primal and check it. Should it violate a left-out limit, state that
@@ -892,12 +876,12 @@ def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
     while True:
         if sol.status == UNBOUNDED and not screen.all_stated:
             screen.state_all()
-            held.reset(screen.relaxed(program, cost)[0])
+            held.reset(screen.relaxed(program, cost))
         elif sol.status != OPTIMAL:
             return sol
         else:
-            x = screen.complete(sol.primal, limits)
-            rows, columns, block = screen.violated(x, limits)
+            x = screen.complete(sol.primal, program)
+            rows, columns, block = screen.violated(x, program)
             if not (len(rows) or len(columns) or block):
                 return replace(sol, primal=x)
             basis = held.basis
@@ -907,7 +891,7 @@ def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
                 basis.row_status = basis.row_status + [
                     _highs.HighsBasisStatus.kLower] * len(screen.block_rows)
             screen.state(rows, columns)
-            held.reset(screen.relaxed(program, cost)[0],
+            held.reset(screen.relaxed(program, cost),
                        with_basic_rows(basis, len(rows)))
         sol = held.solve()
 

@@ -381,8 +381,7 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     ef = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
     pcc = np.asarray(model.template.handles.grid.pcc)
     screen = lp.Screen(ef.program, st.derived_block(model, ef))
-    form, limits = screen.relaxed(ef.program)
-    held = lp.HeldModel(form)
+    held = lp.HeldModel(screen.relaxed(ef.program))
 
     rows: list[SweepRow] = []
     profiles: dict[float, np.ndarray] = {}
@@ -395,7 +394,7 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
             tariff[t] *= (1.0 + lvl)
         level, cost = tariff_level(ef, model, probs, tariff)
         try:
-            sol = lp.solve_held(held, screen, ef.program, limits, cost)
+            sol = lp.solve_held(held, screen, ef.program, cost)
             costs = st.extensive_solution(model, level, sset,
                                           sol).scenario_costs
         except st.StochasticError:

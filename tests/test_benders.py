@@ -559,15 +559,16 @@ def screened_run(model, sset, risk, workers=1):
     stated limits, the values the run realizes must be those of the
     subproblems with every limit stated (a cold screened solve each)."""
     grown, grew = [], []
-    restate, realize = bd.StatedLimits.restate, bd.risk_functional
+    restate, realize = bd.restate, bd.risk_functional
     template = model.template
 
-    def recorded(self, subs):
-        again = restate(self, subs)
-        grown.append((int(self.screen.stated_rows.sum()),
-                      int(self.screen.stated_columns.sum())))
+    def recorded(subs):
+        again = restate(subs)
+        screen = subs[0].screen
+        grown.append((int(screen.stated_rows.sum()),
+                      int(screen.stated_columns.sum())))
         if grown[-1] != (grown[-2:-1] or [(0, 0)])[0]:
-            grew[:] = [subs[0].form.row_lo[:template.n_first].copy()]
+            grew[:] = [subs[0].data.rhs[:template.n_first].copy()]
         return again
 
     def checked(costs, probs, risk):
@@ -580,7 +581,7 @@ def screened_run(model, sset, risk, workers=1):
         return realize(costs, probs, risk)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bd.StatedLimits, "restate", recorded)
+        mp.setattr(bd, "restate", recorded)
         mp.setattr(bd, "risk_functional", checked)
         res = bd.iterate(model, sset, risk, bd.BendersOptions(workers=workers))
     return res, grown[-1]
@@ -660,6 +661,27 @@ def test_stated_limits_do_not_depend_on_the_worker_count(narrowed_day):
     assert parallel.objective == serial.objective
 
 
+def test_no_worker_thread_settles_the_shared_screen(narrowed_day, monkeypatch):
+    # the worker threads only read the screen all subproblems share: its
+    # layout and form matrix are made when the subproblems are built and
+    # again whenever a limit is stated, both on the calling thread
+    model, sset, _ = narrowed_day
+    settled = []
+    layout = lp.Screen.layout
+
+    def recorded(self):
+        if self._layout is None or self._form is None:
+            settled.append(threading.current_thread())
+        return layout(self)
+
+    monkeypatch.setattr(lp.Screen, "layout", recorded)
+    res = bd.iterate(model, sset, EXPECT, bd.BendersOptions(workers=2))
+    assert res.report.converged
+    # once for the subproblems, then once per round that stated a limit
+    assert len(settled) >= 2
+    assert set(settled) == {threading.main_thread()}
+
+
 @pytest.mark.parametrize("preset", ["desk", "day"])
 def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
     # no primal leaves the shipped limits, so every subproblem HiGHS is
@@ -690,15 +712,16 @@ def test_unbounded_relaxation_states_every_limit():
     program.add_constraint([(z, 1.0), (y, -1.0)], lp.EQ, 0.0, "link")
     program.add_objective_term(y, -1.0)
     program.mark_lazy(rows=[1], columns=[z])
-    stated = bd.StatedLimits(program)
+    screen = lp.Screen(program)
     model = types.SimpleNamespace(template=types.SimpleNamespace(n_first=1))
-    sub = bd.Subproblem(model, 0, None, *stated.relaxed(program), stated)
-    assert stated.matrix.shape == (2, 3)
+    sub = bd.Subproblem(model, 0, None, bd.Vectors._make(
+        getattr(program, name) for name in bd.Vectors._fields), screen)
+    assert screen.form_matrix.shape == (2, 3)
     cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
     assert math.isnan(cost) and sub.primal is None
-    assert stated.restate([sub]) == [0] and stated.screen.all_stated
-    assert stated.matrix.shape == (3, 3)
+    assert bd.restate([sub]) == [0] and screen.all_stated
+    assert screen.form_matrix.shape == (3, 3)
     cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
     # y <= 1.5 binds, and z = y keeps inside its stated bound 2
     assert cost == pytest.approx(-1.5) and grad == pytest.approx([-1.0])
-    assert stated.restate([sub]) == []
+    assert bd.restate([sub]) == []

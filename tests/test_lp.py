@@ -560,6 +560,40 @@ def test_mark_derived_refuses_what_is_not_a_block():
     assert lp.Screen(t).block_stated
 
 
+def test_relaxed_form_leaves_out_the_lazy_limits_and_the_block():
+    # nothing stated: the lazy row and the block's row and column are left
+    # out, the lazy bounds of b and e freed and every other bound kept;
+    # everything stated: the program itself, in the order of the layout
+    p = derived_program()
+    for column, coef in ((0, 2.0), (1, -1.0), (3, 0.5)):
+        p.add_objective_term(column, coef)
+    full = lp.column_form(p)
+    screen = lp.Screen(p, block(p))
+
+    def assert_restricted(form, rows, columns):
+        assert form.matrix.toarray().tolist() \
+            == full.matrix.toarray()[np.ix_(rows, columns)].tolist()
+        for key in ("row_lo", "row_hi"):
+            assert getattr(form, key).tolist() == getattr(full, key)[rows].tolist()
+        assert form.cost.tolist() == full.cost[columns].tolist()
+
+    form = screen.relaxed(p)
+    rows, columns = screen.layout()
+    assert rows.tolist() == [0, 1] and columns.tolist() == [0, 1, 3]
+    assert_restricted(form, rows, columns)
+    assert form.lower.tolist() == [-3.0, -math.inf, -math.inf]
+    assert form.upper.tolist() == [3.0, math.inf, math.inf]
+    cost = np.array([1.0, 2.0, 0.0, 3.0])
+    assert screen.relaxed(p, cost).cost.tolist() == [1.0, 2.0, 3.0]
+    screen.state_all()
+    form = screen.relaxed(p)
+    rows, columns = screen.layout()
+    assert sorted(rows) == sorted(columns) == [0, 1, 2, 3]
+    assert_restricted(form, rows, columns)
+    assert form.lower.tolist() == full.lower[columns].tolist()
+    assert form.upper.tolist() == full.upper[columns].tolist()
+
+
 def test_held_core_grows_by_what_its_completion_breaks(record_highs):
     # one held relaxed form, four costs: the completed c leaves its bound
     # (the block is stated), then breaks the lazy row, then b its lazy
@@ -568,7 +602,7 @@ def test_held_core_grows_by_what_its_completion_breaks(record_highs):
     # unbounded in e (everything stated, cold). Each matches a cold solve
     p = derived_program()
     screen = lp.Screen(p, block(p))
-    form, limits = screen.relaxed(p)
+    form = screen.relaxed(p)
     assert form.matrix.shape == (2, 3) and list(screen.layout()[1]) == [0, 1, 3]
     log = record_highs()
     held = lp.HeldModel(form)
@@ -578,7 +612,7 @@ def test_held_core_grows_by_what_its_completion_breaks(record_highs):
             ([0.0, -1.0, 0.0, 0.0], ([True], [True, False]), "setBasis"),
             ([0.0, 0.0, 0.0, -1.0], ([True], [True, True]), "run")):
         del log[:]
-        sol = lp.solve_held(held, screen, p, limits, np.array(cost))
+        sol = lp.solve_held(held, screen, p, np.array(cost))
         assert screen.block_stated
         assert (screen.stated_rows.tolist(), screen.stated_columns.tolist()) \
             == stated

@@ -604,13 +604,13 @@ def test_completed_core_optimum_is_feasible_and_optimal(preset):
     ef = st.build_extensive(inst.model, sset, st.RiskMeasure(st.EXPECTATION))
     program, (rows, columns) = ef.program, st.derived_block(inst.model, ef)
     screen = lp.Screen(program, (rows, columns))
-    form, limits = screen.relaxed(program)
+    form = screen.relaxed(program)
     assert form.matrix.shape == (
         program.num_constraints - len(program.lazy_rows) - len(rows),
         program.num_variables - len(columns))
     sol, _ = lp.solve_warm(form)
-    x = screen.complete(sol.primal, limits)
+    x = screen.complete(sol.primal, program)
     assert infeasibility(program, x) <= lp.FEAS_TOL
-    assert screen.violated(x, limits)[2] is False
+    assert screen.violated(x, program)[2] is False
     full = lp.solve(unscreened(program))
     assert x @ program.cost == pytest.approx(full.objective, rel=1e-9)

@@ -165,9 +165,8 @@ def test_extensive_sweep_runs_on_the_warm_seam_only(case, monkeypatch,
 
 def core(model, ef):
     """The screen of the sweep's extensive form ``ef`` of ``model``, its
-    derived block included, and the limits its relaxed form leaves out."""
-    screen = lp.Screen(ef.program, st.derived_block(model, ef))
-    return screen, screen.relaxed(ef.program)[1]
+    derived block included."""
+    return lp.Screen(ef.program, st.derived_block(model, ef))
 
 
 def test_level_reports_equal_the_full_series(case, monkeypatch):
@@ -191,13 +190,14 @@ def test_level_reports_equal_the_full_series(case, monkeypatch):
     probs = sset.probabilities()
     dt = model.horizon.step_hours
     ef = st.build_extensive(model, sset, NEUTRAL)
-    screen, limits = core(model, ef)
+    screen = core(model, ef)
     # no level states a limit, so each solved once on the core
     assert len(solutions) == len(rows)
     for row, sol in zip(rows, solutions):
         level, _ = rp.tariff_level(ef, model, probs,
                                    level_tariff(cfg, model, row.level))
-        sol = dataclasses.replace(sol, primal=screen.complete(sol.primal, limits))
+        sol = dataclasses.replace(
+            sol, primal=screen.complete(sol.primal, ef.program))
         out = rp._extensive_output(level, st.extensive_solution(model, level,
                                                                 sset, sol))
         profile = np.zeros(model.horizon.step_count)
@@ -234,7 +234,7 @@ def test_levels_swap_only_the_tariff_costs(case, monkeypatch):
     monkeypatch.undo()
     probs = sset.probabilities()
     ef = st.build_extensive(model, sset, NEUTRAL)
-    columns = core(model, ef)[0].layout()[1]
+    columns = core(model, ef).layout()[1]
     x = np.random.default_rng(3).normal(size=ef.program.num_variables)
     # the core's first costs, and then one vector per level
     assert len(passed) == len(LEVELS) + 1
@@ -262,7 +262,7 @@ def test_sweep_holds_the_core_and_sends_only_changed_costs(case, record_highs):
     log = record_highs()
     rp.tariff_sweep(cfg, model, sset, LEVELS)
     ef = st.build_extensive(model, sset, NEUTRAL)
-    p, (screen, _) = ef.program, core(model, ef)
+    p, screen = ef.program, core(model, ef)
     rows, columns = screen.layout()
     assert len(columns) == p.num_variables - len(screen.block_columns)
     assert len(rows) == p.num_constraints - len(np.unique(p.lazy_rows)) \
@@ -316,13 +316,13 @@ def test_sweep_states_the_block_its_completion_breaks(day_case, limit,
     found, solved = [], []
     violated, solve_held = lp.Screen.violated, lp.solve_held
 
-    def checked(self, x, limits):
-        found.append(violated(self, x, limits))
+    def checked(self, x, program):
+        found.append(violated(self, x, program))
         return found[-1]
 
-    def kept(held, screen, program, limits, cost):
+    def kept(held, screen, program, cost):
         solved.append((screen, program,
-                       solve_held(held, screen, program, limits, cost)))
+                       solve_held(held, screen, program, cost)))
         return solved[-1][2]
 
     monkeypatch.setattr(lp.Screen, "violated", checked)
