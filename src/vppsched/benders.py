@@ -29,14 +29,14 @@ index, and each scenario's sequence of solves is its own, so the outcome
 does not depend on the worker count.
 
 The subproblems are screened by one ``lp.Screen``: the shared matrix holds
-the block's stated rows only and the lazy column bounds are relaxed, so
-HiGHS sees a network limit only once some scenario's primal violates it
-(``lp.Screen.violated``, the test of ``lp.solve``, read against the
-scenario's own vectors). ``restate`` then states the limit for every
-scenario, and the violating scenarios re-solve at the same bids until
-none violates one. A relaxed value and its duals
-underestimate the recourse value, so every cut is valid; the values that
-set the incumbent are exact.
+the compiled block's stated rows only, without the derived
+reactive/voltage block until a limit is stated, so HiGHS sees a network limit only once
+some scenario's completed primal violates it (``lp.Screen.violated``, the
+test of ``lp.solve``, read against the scenario's own vectors).
+``restate`` then states the limit, with the block, for every scenario,
+and the violating scenarios re-solve at the same bids until none violates
+one. A relaxed value and its duals underestimate the recourse value, so
+every cut is valid; the values that set the incumbent are exact.
 """
 
 from __future__ import annotations
@@ -258,9 +258,9 @@ class Vectors(NamedTuple):
 @dataclass
 class Subproblem:
     """One scenario's subproblem in a Benders run: the vectors of its
-    instantiation, the screen all scenarios share (its lazy limits and the
-    matrix of its relaxed form), and the basis and primal of its last
-    solve."""
+    instantiation, the screen all scenarios share (its lazy rows, its
+    derived block and the matrix of its relaxed form), and the basis and
+    completed primal of its last solve."""
 
     model: VppModel
     index: int
@@ -270,15 +270,17 @@ class Subproblem:
     basis: object = None
     #: simplex iterations of the last solve
     iterations: int = 0
-    #: primal of the last solve; None when its relaxation was unbounded
+    #: completed primal of the last solve; None when its relaxation was
+    #: unbounded
     primal: np.ndarray | None = None
 
 
 def subproblems(model: VppModel, scenarios: list[Scenario]) -> list[Subproblem]:
     """The subproblems of a run: the compiled block with the bid-fixing
     rows ``fix[j]`` in front, as ``BlockTemplate.instantiate`` lays it out,
-    screened by one ``lp.Screen``, whose form matrix is made here, on the
-    calling thread; per scenario its vectors."""
+    screened by one ``lp.Screen`` (its lazy rows and derived block left
+    out), whose form matrix is made here, on the calling thread; per
+    scenario its vectors."""
     template = model.template
     screen = None
     subs = []
@@ -295,46 +297,43 @@ def subproblems(model: VppModel, scenarios: list[Scenario]) -> list[Subproblem]:
 
 def restate(subs: list[Subproblem]) -> list[int]:
     """Check the last primal of every subproblem against the unstated lazy
-    limits of their shared screen and state each one violated for all of
-    them, on the calling thread; after an unbounded relaxation, state
-    everything. Returns the indices of the subproblems to solve again:
-    those whose primal violated a limit or whose relaxation was unbounded.
-    New rows enter every basis basic."""
+    rows and the derived block of their shared screen and state each row
+    violated, with the block, for all of them, on the calling thread; after
+    an unbounded relaxation, state everything. Returns the indices of the
+    subproblems to solve again: those whose primal violated a limit or
+    whose relaxation was unbounded. Every basis grows with the form
+    (``lp.Screen.state``)."""
     screen = subs[0].screen
-    rows, cols, again = [], [], []
+    rows, again = [np.zeros(0, dtype=np.int64)], []
     for sub in subs:
         if sub.primal is None:
             again.append(sub.index)
             continue
-        r, c, _ = screen.violated(sub.primal, sub.data)
-        if len(r) or len(c):
+        r, block = screen.violated(sub.primal, sub.data)
+        if len(r) or block:
             again.append(sub.index)
             rows.append(r)
-            cols.append(c)
     if not again:
         return again
     if any(sub.primal is None for sub in subs):
         rows = [np.flatnonzero(~screen.stated_rows)]
-        cols = [np.flatnonzero(~screen.stated_columns)]
-    rows, cols = np.unique(np.concatenate(rows)), np.unique(np.concatenate(cols))
-    screen.state(rows, cols)
-    for sub in subs:
-        if sub.basis is not None:
-            lp.with_basic_rows(sub.basis, len(rows))
+    screen.state(np.unique(np.concatenate(rows)),
+                 [sub.basis for sub in subs if sub.basis is not None])
     return again
 
 
 def solve_subproblem(sub: Subproblem,
                      x_hat: np.ndarray) -> tuple[float, np.ndarray]:
     """Second-stage value and a subgradient at the given bids, solved from
-    the subproblem's last basis, of the relaxation the stated lazy limits
-    leave; its primal is kept for ``restate``.
+    the subproblem's last basis, of the relaxation the stated limits leave;
+    its primal, completed (``lp.Screen.complete``), is kept for
+    ``restate``.
 
     The bids enter as free variables pinned by equality rows; the duals of
     those rows are exactly d(cost)/d(bid), so the returned affine function
     underestimates the relaxed recourse value everywhere (LP value functions
     of right-hand sides are convex), and so the recourse value itself. The
-    two values are equal when the primal violates no lazy limit. An
+    two values are equal when the primal violates no left-out limit. An
     unbounded relaxation gives NaN until everything is stated."""
     n = len(x_hat)
     if sub.model.template.n_first != n:
@@ -346,7 +345,7 @@ def solve_subproblem(sub: Subproblem,
         sub.primal = None
         return math.nan, np.full(n, math.nan)
     _checked(sol, sub.model, sub.scenario, sub.index)
-    sub.primal = sol.primal
+    sub.primal = sub.screen.complete(sol.primal, sub.data)
     return sol.objective, sol.duals[:n].copy()
 
 
@@ -380,7 +379,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             values = list(parallel_map(solve_subproblem, subs, repeat(x)))
             iterations = sum(sub.iterations for sub in subs)
             # the relaxed values are the recourse values only once no
-            # primal violates a lazy limit
+            # completed primal violates a left-out limit
             while again := restate(subs):
                 for s, value in zip(again, parallel_map(
                         solve_subproblem, [subs[s] for s in again], repeat(x))):

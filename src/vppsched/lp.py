@@ -5,35 +5,33 @@ the rows as a sparse matrix with a sense and a right-hand side each. It
 grows one row or column at a time through ``add_*``, many at once through
 ``add_rows`` (CSR pieces) and ``add_variables`` under the same checks, or
 is built from arrays in one step; ``tighten_bounds`` narrows the bounds
-of columns it holds, ``mark_lazy`` marks rows and column bounds that
-are rarely active, and ``mark_derived`` a derived block: equality rows
-that fix as many zero-cost columns, given the others. ``solve`` hands
-the program to HiGHS dual simplex through ``scipy.optimize.linprog`` and
-reports primal values, per-constraint dual multipliers, and bound
-multipliers. It screens the lazy rows and bounds: they reach HiGHS only
-once a solution violates them, in rounds of cold solves, and the report
-is that of the full program. ``Screen`` holds which lazy limits are
-stated, and its ``violated`` is the one screening test, which the
-Benders subproblems run too; it reads the limits left out from the
-program's own vectors when it runs. Given a derived block, it also
-leaves the block out of the relaxed form it gives, completes a primal of
-that form from the block's rows by one sparse solve, and checks the
-block's bounds too; any violation states the block. ``HeldModel`` solves
-on scipy's bundled HiGHS binding directly: it passes a program to HiGHS
-once, with the rows and bounds it is given, and re-solves it after each
-cost change, sending only the costs that changed, with primal simplex
-from the basis and factorization HiGHS holds, which a cost change leaves
-primal feasible, so the tariff-sweep levels, which differ only in costs,
-re-solve in a few simplex iterations. The sweep holds the relaxed form
-with the block left out; ``solve_held`` grows it by what a completed
-primal violates, passing the grown form again, and re-solves from the
-held vertex extended to a basis of it. ``solve_warm`` is one dual
-simplex solve on a fresh held model from an optional starting basis,
-returning the final basis: the Benders subproblems, screened and gaining
-rows as their stated set grows, and the master gaining cut rows re-solve
-from their last one. Row duals are converted and bound multipliers split
-by basis status only when first read. No other module touches the solver
-backend.
+of columns it holds, ``mark_lazy`` marks rows that are rarely active, and
+``mark_derived`` a derived block: equality rows that fix as many
+zero-cost columns, given the others. ``solve`` hands the program to HiGHS
+dual simplex through ``scipy.optimize.linprog`` and reports primal
+values, per-constraint dual multipliers, and bound multipliers. Every
+solve path screens its program through one ``Screen``: the lazy rows and
+the derived block reach HiGHS only once a solution violates a lazy row or
+a bound of a derived column, and the block, while left out, is completed
+from its rows by one sparse solve. ``Screen`` holds which lazy rows are
+stated and whether the block is; its ``violated`` is the one screening
+test, and it reads the limits left out from the program's own vectors
+when it runs. ``solve`` screens in rounds of cold solves, and its report
+is that of the full program. ``HeldModel`` solves on scipy's bundled
+HiGHS binding directly: it passes a program to HiGHS once, with the rows
+and bounds it is given, and re-solves it after each cost change, sending
+only the costs that changed, with primal simplex from the basis and
+factorization HiGHS holds, which a cost change leaves primal feasible, so
+the tariff-sweep levels, which differ only in costs, re-solve in a few
+simplex iterations. The sweep holds the relaxed form; ``solve_held``
+grows it by what a completed primal violates, passing the grown form
+again, and re-solves from the held vertex extended to a basis of it
+(``Screen.state``). ``solve_warm`` is one dual simplex solve on a fresh
+held model from an optional starting basis, returning the final basis:
+the Benders subproblems, screened and growing as their stated set grows,
+and the master gaining cut rows re-solve from their last one. Row duals
+are converted and bound multipliers split by basis status only when
+first read. No other module touches the solver backend.
 
 Column upper bounds, right-hand sides or labelled costs may be left to
 data, +inf or 0 in their place: ``add_slots`` records a run of such slots
@@ -162,14 +160,14 @@ class LinearProgram:
     """Minimization LP in arrays, given as keywords (see ``_ARRAYS``) or
     grown through ``add_*``, whose calls are buffered and merged into the
     arrays on the next read. Names may be given as a function, evaluated on
-    first use. ``lazy_rows`` and ``lazy_columns`` index the rows and the
-    column bounds that ``solve`` and the Benders subproblems screen; they
-    belong to the program as fully as any other row or bound.
-    ``derived_rows`` and ``derived_columns`` are the rows and columns of
-    its derived block, if one is marked (``mark_derived``)."""
+    first use. ``lazy_rows`` index the rows that a ``Screen`` leaves out
+    until violated, and ``derived_rows`` and ``derived_columns`` the rows
+    and columns of its derived block, if one is marked
+    (``mark_derived``); they belong to the program as fully as any other
+    row or column."""
 
     def __init__(self, name: str = "", col_names=None, row_names=None,
-                 lazy_rows=(), lazy_columns=(), **arrays):
+                 lazy_rows=(), derived_rows=(), derived_columns=(), **arrays):
         self.name = name
         arrays.setdefault("indptr", [0])
         self._arrays = {key: np.asarray(arrays.get(key, ()), dtype=dtype)
@@ -180,8 +178,8 @@ class LinearProgram:
         #: field, key, step, scale, divisor), the index and the last three arrays
         self.slots: list[tuple] = []
         self.lazy_rows = np.asarray(lazy_rows, dtype=np.int64)
-        self.lazy_columns = np.asarray(lazy_columns, dtype=np.int64)
-        self.derived_rows = self.derived_columns = np.zeros(0, dtype=np.int64)
+        self.derived_rows = np.asarray(derived_rows, dtype=np.int64)
+        self.derived_columns = np.asarray(derived_columns, dtype=np.int64)
 
     def __getattr__(self, key):
         arrays = self.__dict__.get("_arrays", {})
@@ -288,24 +286,23 @@ class LinearProgram:
             _check_bounds(lo[k], hi[k], self.col_names[k])
         self._arrays.update(lower=lo, upper=hi)
 
-    def mark_lazy(self, rows=(), columns=()) -> None:
-        """Mark ``rows`` and the bounds of ``columns`` as lazy: limits that
-        are rarely active, which ``solve`` and the Benders subproblems state
-        to HiGHS only once a solution violates them. Refuses an unknown
-        index."""
-        for key, idx, n in (("lazy_rows", rows, self.num_constraints),
-                            ("lazy_columns", columns, self.num_variables)):
-            setattr(self, key, np.r_[getattr(self, key), _indices(key, idx, n)])
+    def mark_lazy(self, rows) -> None:
+        """Mark ``rows`` as lazy: limits that are rarely active, which every
+        solve path states to HiGHS only once a solution violates them.
+        Refuses an unknown index."""
+        self.lazy_rows = np.r_[self.lazy_rows, _indices(
+            "lazy_rows", rows, self.num_constraints)]
 
     def mark_derived(self, rows, columns) -> None:
         """Mark equality ``rows`` and as many ``columns`` as the derived
         block: given the other columns, the rows fix the block's columns
         (``A[rows, columns]`` is square and nonsingular), which cost
         nothing and appear in no row outside the block and the lazy rows.
-        A screen given the block leaves it out of the program HiGHS gets
-        and completes a primal from it (``Screen.complete``); the marks are
-        the program's own, and a program built from it (an instantiation,
-        an extensive form) does not carry them. Refuses
+        A screen leaves the block out of the program HiGHS gets until a
+        limit is stated, and completes a primal from it
+        (``Screen.complete``); the marks are the program's own, and a
+        program built from it (an instantiation, an extensive form)
+        carries them, moved to its own rows and columns. Refuses
         anything else, an unknown index included, and then marks nothing;
         only a block that is singular with no row or column empty passes,
         to be refused by the screen that factors it. (A sparse LU at
@@ -493,14 +490,13 @@ def _outside(value, lo, hi) -> np.ndarray:
 
 
 class Screen:
-    """The lazy rows and column bounds of a program, and which of them are
-    stated to HiGHS so far: a set that only grows. Given ``derived``, the
-    rows and columns of a derived block of the program (see
-    ``LinearProgram.mark_derived``), also that block, left out until the
-    first limit is stated and then stated whole. ``violated`` is the one
-    screening test; ``solve`` runs it on the primal of each round, the
-    Benders subproblems on the primal of each scenario, and ``solve_held``
-    on the completed primal of a held relaxed form.
+    """The lazy rows and the derived block of a program (see
+    ``LinearProgram.mark_lazy`` and ``mark_derived``), and which of them
+    are stated to HiGHS so far: a set that only grows. The block is left
+    out until the first limit is stated, and then stated whole.
+    ``violated`` is the one screening test; ``solve`` runs it on the
+    completed primal of each round, the Benders subproblems on that of each
+    scenario, and ``solve_held`` on that of a held relaxed form.
 
     The screen holds no limit itself: ``relaxed``, ``violated`` and
     ``complete`` read them, when they run, from the vectors (``cost``,
@@ -515,26 +511,22 @@ class Screen:
     appends rows and columns, to the matrix too: the block's columns appear
     in no row before its own. ``state`` settles the layout, and the form
     matrix once made, on its calling thread, so threads that only read the
-    screen (``relaxed``) compute neither."""
+    screen (``relaxed``, ``complete``, ``violated``) compute neither."""
 
-    def __init__(self, program: LinearProgram, derived=None):
+    def __init__(self, program: LinearProgram):
         #: the program's matrix, kept until the relaxed form's is made
         self.program_matrix = A = program.matrix
         self.shape = A.shape
-        #: the lazy rows and the columns with lazy bounds, sorted
+        #: the lazy rows, sorted, and those rows of the program's matrix
         self.rows = np.unique(program.lazy_rows)
-        self.columns = np.unique(program.lazy_columns)
-        #: the lazy rows of the program's matrix
         self.matrix = A[self.rows]
-        #: which of ``rows`` and of ``columns`` are stated; the stated rows
-        #: as positions in ``rows``, in the order they were stated
+        #: which of ``rows`` are stated; the stated ones as positions in
+        #: ``rows``, in the order they were stated
         self.stated_rows = np.zeros(len(self.rows), dtype=bool)
-        self.stated_columns = np.zeros(len(self.columns), dtype=bool)
         self.order = np.zeros(0, dtype=np.int64)
         #: the derived rows and columns, sorted; empty without a block
-        self.block_rows, self.block_columns = (
-            np.unique(np.asarray(k, dtype=np.int64))
-            for k in (((), ()) if derived is None else derived))
+        self.block_rows = np.unique(program.derived_rows)
+        self.block_columns = np.unique(program.derived_columns)
         self.block_stated = not len(self.block_columns)
         self._layout = self._form = None
         if not self.block_stated:
@@ -551,8 +543,7 @@ class Screen:
 
     @property
     def all_stated(self) -> bool:
-        return bool(self.block_stated and self.stated_rows.all()
-                    and self.stated_columns.all())
+        return bool(self.block_stated and self.stated_rows.all())
 
     def layout(self) -> tuple[np.ndarray, np.ndarray]:
         """The program's rows and columns in the relaxed form, in its order."""
@@ -574,25 +565,19 @@ class Screen:
         program of the screened one's matrix."""
         if self._form is None:
             rows, columns = self.layout()
-            A = self.program_matrix[rows]
-            self._form = (A[:, columns] if len(self.block_columns) else A).tocsc()
+            self._form = self.program_matrix[rows][:, columns].tocsc()
             self.program_matrix = None
         return self._form
 
     def relaxed(self, program, cost=None) -> ColumnForm:
         """``program``, of the screened one's matrix, as its relaxed form:
-        the unstated lazy rows and, until stated, the derived block left out,
-        and the unstated lazy bounds relaxed; under ``cost`` (one per column
-        of ``program``) if given."""
+        the unstated lazy rows and, until stated, the derived block left
+        out; under ``cost`` (one per column of ``program``) if given."""
         rows, columns = self.layout()
         cost = program.cost if cost is None else cost
-        row_lo, row_hi = row_bounds(program.sense[rows], program.rhs[rows])
-        lower, upper = program.lower.copy(), program.upper.copy()
-        lower[self.columns[~self.stated_columns]] = -np.inf
-        upper[self.columns[~self.stated_columns]] = np.inf
-        if len(self.block_columns):
-            cost, lower, upper = cost[columns], lower[columns], upper[columns]
-        return ColumnForm(self.form_matrix, cost, lower, upper, row_lo, row_hi)
+        return ColumnForm(self.form_matrix, cost[columns],
+                          program.lower[columns], program.upper[columns],
+                          *row_bounds(program.sense[rows], program.rhs[rows]))
 
     def complete(self, x, program) -> np.ndarray:
         """The primal of ``program`` from the primal ``x`` of its relaxed
@@ -608,29 +593,37 @@ class Screen:
         return full
 
     def violated(self, x, program):
-        """The unstated lazy rows and bounds of ``program`` that its primal
-        ``x`` leaves by more than ``_SOLVER_TOL * (1 + |side|)``, as
-        positions in ``rows`` and in ``columns``, and whether, the block not
-        stated, a derived column leaves its bounds so."""
+        """The unstated lazy rows of ``program`` that its primal ``x``
+        leaves by more than ``_SOLVER_TOL * (1 + |side|)``, as positions in
+        ``rows``, and whether, the block not stated, a derived column leaves
+        its bounds so."""
         block = self.block_columns
         return (np.flatnonzero(~self.stated_rows & _outside(
                     self.matrix @ x, *row_bounds(program.sense[self.rows],
                                                  program.rhs[self.rows]))),
-                np.flatnonzero(~self.stated_columns & _outside(
-                    x[self.columns], program.lower[self.columns],
-                    program.upper[self.columns])),
                 not self.block_stated and bool(np.any(_outside(
                     x[block], program.lower[block], program.upper[block]))))
 
-    def state(self, rows=(), columns=()) -> None:
-        """State the lazy rows and bounds at these positions, the rows after
-        those stated before, and the derived block with them."""
+    def state(self, rows=(), bases=()) -> None:
+        """State the lazy rows at these positions, after those stated
+        before, and the derived block with them. Each of ``bases``, a basis
+        of the relaxed form so far, grows in place to one of the grown
+        form: should the block enter, its columns basic and its rows at
+        their right-hand side (A[R, C] is nonsingular), then the new rows
+        with basic slacks; so its vertex and reduced costs stay as they
+        are."""
         rows = np.asarray(rows, dtype=np.int64)
         new = rows[~self.stated_rows[rows]]
+        first = not self.block_stated
+        for basis in bases:
+            if first:
+                basis.col_status = basis.col_status + [
+                    _highs.HighsBasisStatus.kBasic] * len(self.block_columns)
+                basis.row_status = basis.row_status + [
+                    _highs.HighsBasisStatus.kLower] * len(self.block_rows)
+            with_basic_rows(basis, len(new))
         self.order = np.r_[self.order, new]
         self.stated_rows[rows] = True
-        self.stated_columns[columns] = True
-        first = not self.block_stated
         self.block_stated = True
         self._layout = None
         columns = self.layout()[1]
@@ -641,53 +634,47 @@ class Screen:
             grown.insert(0, self._block_matrix)
             form = hstack((form, csc_matrix((form.shape[0],
                                              len(self.block_columns)))))
-        if len(self.block_columns):
-            grown = [part[:, columns] for part in grown]
-        self._form = vstack([form, *grown], format="csc")
+        self._form = vstack([form, *(part[:, columns] for part in grown)],
+                            format="csc")
 
     def state_all(self) -> None:
-        self.state(np.flatnonzero(~self.stated_rows),
-                   np.flatnonzero(~self.stated_columns))
+        self.state(np.flatnonzero(~self.stated_rows))
 
 
-def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
+def solve(program: LinearProgram) -> LpSolution:
     """Solve to optimality with HiGHS dual simplex; never fails silently.
 
-    The lazy rows and column bounds are screened, in rounds: the first
-    solves without the lazy rows and with the lazy columns free; each later
-    one states the rows and bounds the last primal violates
-    (``Screen.violated``) and solves cold again, until none is. An optimum
-    of a relaxation that is feasible for the program is optimal for it, so
-    the report is the full program's: a left-out row has dual 0 and a
-    relaxed bound multiplier 0 (inactive, so the duals stay feasible and
-    ``dual_objective`` equals the primal), and the iterations and the
-    iteration limit count over all rounds. An infeasible relaxation means
-    an infeasible program; an unbounded one is solved again with every row
-    and bound stated.
+    The program is screened (``Screen``), in rounds: the first solves its
+    relaxed form, without the lazy rows and the derived block; each later
+    one states the rows the last completed primal violates, and the block
+    with them (``Screen.violated``), and solves cold again, until none is.
+    An optimum of a relaxation that is feasible for the program is optimal
+    for it, so the report is the full program's: a left-out row has dual 0
+    and a left-out column multipliers 0 (the block's columns cost nothing
+    and no stated row but the block's holds them, so the duals stay
+    feasible and ``dual_objective`` equals the primal), and the iterations
+    and the iteration limit count over all rounds. An infeasible relaxation
+    means an infeasible program; an unbounded one is solved again with
+    every row and the block stated.
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
-    lower, upper = program.lower, program.upper
-    sense, rhs = program.sense, program.rhs
     screen = Screen(program)
-    A = screen.program_matrix
     iterations = 0
     while True:
-        stated = np.ones(len(rhs), dtype=bool)
-        stated[screen.rows[~screen.stated_rows]] = False
-        bounded = np.ones(len(lower), dtype=bool)
-        bounded[screen.columns[~screen.stated_columns]] = False
-        eq_rows = np.flatnonzero(stated & (sense == EQ))
-        ub_rows = np.flatnonzero(stated & (sense != EQ))
+        form = screen.relaxed(program)
+        eq = np.flatnonzero(form.row_lo == form.row_hi)
+        ub = np.flatnonzero(form.row_lo != form.row_hi)
         # HiGHS via linprog takes A_ub x <= b_ub: >= rows enter negated
-        sign = np.where(sense[ub_rows] == LE, 1.0, -1.0)
-        A_ub = A[ub_rows]
-        A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
-        res = linprog(program.cost, A_ub=A_ub, b_ub=sign * rhs[ub_rows],
-                      A_eq=A[eq_rows], b_eq=rhs[eq_rows],
-                      bounds=np.column_stack((np.where(bounded, lower, -np.inf),
-                                              np.where(bounded, upper, np.inf))),
+        at_most = np.isfinite(form.row_hi[ub])
+        sign = np.where(at_most, 1.0, -1.0)
+        A_ub = form.matrix[ub]
+        A_ub.data *= sign[A_ub.indices]
+        res = linprog(form.cost, A_ub=A_ub,
+                      b_ub=np.where(at_most, form.row_hi[ub], -form.row_lo[ub]),
+                      A_eq=form.matrix[eq], b_eq=form.row_lo[eq],
+                      bounds=np.column_stack((form.lower, form.upper)),
                       method="highs-ds",
-                      options={"maxiter": maxiter - iterations,
+                      options={"maxiter": _MAX_ITERATIONS - iterations,
                                "primal_feasibility_tolerance": _SOLVER_TOL,
                                "dual_feasibility_tolerance": _SOLVER_TOL})
         iterations += int(res.nit)
@@ -698,21 +685,22 @@ def solve(program: LinearProgram, maxiter: int = _MAX_ITERATIONS) -> LpSolution:
         if status != OPTIMAL:
             return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
                               iterations=iterations)
-        x = np.asarray(res.x)
-        rows, cols, _ = screen.violated(x, program)
-        if not (len(rows) or len(cols)):
+        x = screen.complete(np.asarray(res.x), program)
+        rows, block = screen.violated(x, program)
+        if not (len(rows) or block):
             break
-        screen.state(rows, cols)
+        screen.state(rows)
 
+    rows, columns = screen.layout()
     duals = np.zeros(program.num_constraints)
     # marginal is d obj / d (sign * rhs); chain rule restores d obj / d rhs
-    duals[ub_rows] = sign * np.asarray(res.ineqlin.marginals)
-    duals[eq_rows] = np.asarray(res.eqlin.marginals)
-
-    # a column still free sits at no bound, so its multipliers are 0
+    duals[rows[ub]] = sign * np.asarray(res.ineqlin.marginals)
+    duals[rows[eq]] = np.asarray(res.eqlin.marginals)
+    lower, upper = np.zeros((2, program.num_variables))
+    lower[columns] = res.lower.marginals
+    upper[columns] = res.upper.marginals
     return LpSolution(OPTIMAL, float(res.fun), x, duals, iterations,
-                      (np.asarray(res.lower.marginals),
-                       np.asarray(res.upper.marginals)))
+                      (lower, upper))
 
 
 class ColumnForm(NamedTuple):
@@ -863,10 +851,9 @@ def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
     ``screen``, under ``cost`` (one per column of ``program``), complete its
     primal and check it. Should it violate a left-out limit, state that
     limit with the block, pass the grown form to ``held`` and re-solve from
-    the held vertex, extended to a basis of the grown form: the block's
-    columns basic and its rows at their right-hand side (A[R, C] is
-    nonsingular), new rows with basic slacks, so the reduced costs stay as
-    they are; until nothing is violated. An unbounded relaxation states
+    the held vertex, extended to a basis of the grown form
+    (``Screen.state``), so the reduced costs stay as they are; until
+    nothing is violated. An unbounded relaxation states
     everything and re-solves cold. Returns the solution with the completed
     primal; its row duals and bound multipliers stay those of the relaxed
     form.
@@ -881,18 +868,12 @@ def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
             return sol
         else:
             x = screen.complete(sol.primal, program)
-            rows, columns, block = screen.violated(x, program)
-            if not (len(rows) or len(columns) or block):
+            rows, block = screen.violated(x, program)
+            if not (len(rows) or block):
                 return replace(sol, primal=x)
             basis = held.basis
-            if not screen.block_stated:
-                basis.col_status = basis.col_status + [
-                    _highs.HighsBasisStatus.kBasic] * len(screen.block_columns)
-                basis.row_status = basis.row_status + [
-                    _highs.HighsBasisStatus.kLower] * len(screen.block_rows)
-            screen.state(rows, columns)
-            held.reset(screen.relaxed(program, cost),
-                       with_basic_rows(basis, len(rows)))
+            screen.state(rows, [basis])
+            held.reset(screen.relaxed(program, cost), basis)
         sol = held.solve()
 
 

@@ -133,8 +133,8 @@ class BlockTemplate:
         leading equality rows ``fix[j]``, whose duals are d(cost)/d(bid),
         and the program minimizes the scenario's net cost. Without bids the
         first stage keeps its bounds and the objective is zero: a
-        feasibility probe of the block. The template's lazy rows and column
-        bounds stay lazy, the rows shifted past the ``fix`` rows."""
+        feasibility probe of the block. The template's lazy rows and derived
+        block stay marked, the rows shifted past the ``fix`` rows."""
         p = self.program
         nf = 0 if bids is None else self.n_first
         lower, upper = p.lower.copy(), block.upper.copy()
@@ -148,7 +148,8 @@ class BlockTemplate:
             indices=np.r_[np.arange(nf), p.indices], data=np.r_[np.ones(nf), p.data],
             sense=np.r_[np.full(nf, lp.EQ), p.sense],
             rhs=np.r_[[] if bids is None else bids, block.rhs],
-            lazy_rows=p.lazy_rows + nf, lazy_columns=p.lazy_columns)
+            lazy_rows=p.lazy_rows + nf, derived_rows=p.derived_rows + nf,
+            derived_columns=p.derived_columns)
 
 
 @dataclass

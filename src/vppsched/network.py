@@ -8,16 +8,16 @@ branch limits are enforced by a regular inscribed polygon, which is
 conservative with respect to the true circular limit; its sides on an
 axis are bounds on the flow columns, the others rows.
 
-The voltage bands of the buses below the root and the polygon's diagonal
-sides are marked lazy (``lp.LinearProgram.mark_lazy``): on the shipped
-instances none is active at the optimum, so ``lp.solve`` and the Benders
-subproblems state them to HiGHS only once a solution violates one. The
-reactive balances and the voltage recursion (the ``balQ`` and ``vdrop``
-rows, the ``fq`` and non-root ``v`` columns) are marked as the derived
-block (``lp.LinearProgram.mark_derived``): given the active-power
-solution, the tree fixes the reactive flows from the leaves up and the
-voltages from the root down (Baran & Wu 1989), so the tariff sweep holds
-the program without them and fills them in after each level.
+The polygon's diagonal sides are marked lazy
+(``lp.LinearProgram.mark_lazy``), and the reactive balances and the
+voltage recursion (the ``balQ`` and ``vdrop`` rows, the ``fq`` and
+non-root ``v`` columns) are marked as the derived block
+(``lp.LinearProgram.mark_derived``): given the active-power solution, the
+tree fixes the reactive flows from the leaves up and the voltages from the
+root down (Baran & Wu 1989). On the shipped instances no diagonal side and
+no voltage band is active at the optimum, so every solve path holds the
+program without them (``lp.Screen``), fills the block in after each solve,
+and states them to HiGHS only once a solution violates one.
 
 All network quantities inside the LP are per-unit; device and load
 quantities stay in kW/kvar and are scaled at the nodal-balance boundary.
@@ -181,10 +181,9 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
     The columns and the rows each go in as one bulk append. Rows run step by
     step: per bus ``balP``, ``balQ`` (none at the root) and ``wit``, then
     ``vdrop`` per branch; within a row the device terms come first in
-    ``balP``/``balQ`` and last in ``wit``. The voltage bounds of every bus
-    but the root are lazy; with them left out, ``v`` is free and presolve
-    removes the ``vdrop`` rows. The ``balQ`` and ``vdrop`` rows with the
-    ``fq`` and non-root ``v`` columns are the derived block."""
+    ``balP``/``balQ`` and last in ``wit``. The ``balQ`` and ``vdrop`` rows
+    with the ``fq`` and non-root ``v`` columns are the derived block, so the
+    voltage bands below the root reach HiGHS only with the block."""
     T, K = horizon.step_count, len(network.branches)
     root = network.root_id()
     scale = 1.0 / network.s_base_kw
@@ -277,7 +276,6 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
         if i != root:
             program.add_slots(lp.RHS, grid_rows[:, bal_p[n] + 1],
                               "load_reactive", i, steps, -scale)
-    program.mark_lazy(columns=v[rest].ravel())
     program.mark_derived(np.sort(np.r_[grid_rows[:, bal_p[rest] + 1].ravel(),
                                        grid_rows[:, vdrop].ravel()]),
                          np.r_[fq.ravel(), v[rest].ravel()])

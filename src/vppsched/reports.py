@@ -10,9 +10,9 @@ The sweep's levels differ only in tariff costs. The extensive form is
 stacked once; a level recomputes only its tariff stream and cost vector.
 The levels are solved in order on one held HiGHS model, which receives the
 active-power core of the extensive form once (the lazy limits and the
-derived reactive/voltage block left out) and then only the costs each
-level changes; each level's primal is completed and checked against what
-the core leaves out, and a level reads back only its scenario costs and
+derived reactive/voltage block left out, as on every solve path) and then
+only the costs each level changes; each level's primal is completed and
+checked against what the core leaves out, and a level reads back only its scenario costs and
 coupling-point columns; a one-shot extensive solve stays a cold solve.
 The detail re-solves of a Benders run go to the run's worker threads.
 """
@@ -351,10 +351,10 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     baseline. The tariff is data: the extensive form is stacked once, and a
     level recomputes only the tariff stream and the cost vector
     (``tariff_level``). One ``lp.HeldModel`` holds the form's relaxed core
-    (``lp.Screen.relaxed``: no lazy row or bound, no derived block,
-    ``st.derived_block``); the first level solves cold, and each later
-    level sends only the costs it changes and re-solves from the basis
-    HiGHS holds, or, after a failed level, from the last optimal one.
+    (``lp.Screen.relaxed``: no lazy row, no derived block); the first
+    level solves cold, and each later level sends only the costs it
+    changes and re-solves from the basis HiGHS holds, or, after a failed
+    level, from the last optimal one.
     Levels differ only in tariff costs, so that basis stays primal feasible
     and primal simplex takes a few dozen iterations from it, or none.
     ``lp.solve_held`` completes each level's primal from the derived rows
@@ -380,7 +380,7 @@ def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,
     probs = sset.probabilities()
     ef = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
     pcc = np.asarray(model.template.handles.grid.pcc)
-    screen = lp.Screen(ef.program, st.derived_block(model, ef))
+    screen = lp.Screen(ef.program)
     held = lp.HeldModel(screen.relaxed(ef.program))
 
     rows: list[SweepRow] = []

@@ -90,7 +90,7 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
     """One LP over all scenarios: the compiled block stacked once per
     scenario, block columns shifted, around the shared bid columns (so
     non-anticipativity holds by construction). Each copy keeps the
-    template's lazy rows and column bounds, moved to its own rows and
+    template's lazy rows and derived block, moved to its own rows and
     columns."""
     if len(sset) == 0:
         raise StochasticError("empty scenario set")
@@ -113,23 +113,12 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
         data=np.tile(p.data, S), sense=np.tile(p.sense, S),
         rhs=np.concatenate([b.rhs for b in blocks]),
         lazy_rows=np.concatenate([k * m + p.lazy_rows for k in range(S)]),
-        lazy_columns=np.concatenate([b.columns[p.lazy_columns]
-                                     for b in blocks]))
+        derived_rows=np.concatenate([k * m + p.derived_rows for k in range(S)]),
+        derived_columns=np.concatenate([b.columns[p.derived_columns]
+                                        for b in blocks]))
     add_risk_objective(program, risk, sset.probabilities(),
                        [(block.columns, block.net_cost()) for block in blocks])
     return ExtensiveForm(program, tpl.first_stage, blocks)
-
-
-def derived_block(model: VppModel, ef: ExtensiveForm):
-    """The rows and columns of the derived block of ``ef``, the extensive
-    form of ``model``: the template's block moved to each copy's own rows
-    and columns, the argument of ``lp.Screen``. Only the tariff sweep reads
-    it, so ``build_extensive`` does not carry it."""
-    p = model.template.program
-    m = p.num_constraints
-    return (np.concatenate([k * m + p.derived_rows
-                            for k in range(len(ef.blocks))]),
-            np.concatenate([b.columns[p.derived_columns] for b in ef.blocks]))
 
 
 def add_risk_objective(program: lp.LinearProgram, risk: RiskMeasure,

@@ -130,9 +130,9 @@ def cut_matches(cut, other, tol):
 
 
 def unscreened(program):
-    """A copy of ``program`` without lazy rows or bounds: ``lp.solve``
-    hands HiGHS every limit in one run. The reference for screened
-    solves."""
+    """A copy of ``program`` without lazy rows or a derived block:
+    ``lp.solve`` hands HiGHS every row and column in one run. The reference
+    for screened solves."""
     return lp.LinearProgram(
         program.name, **{key: getattr(program, key).copy() for key in (
             "lower", "upper", "cost", "indptr", "indices", "data", "sense",

@@ -554,10 +554,11 @@ def test_failed_detail_resolve_names_the_first_scenario(desk, desk_scenarios,
 # ------------------------------------------------------- screened subproblems
 
 def screened_run(model, sset, risk, workers=1):
-    """Benders on ``model``, and the number of lazy rows and of lazy column
-    bounds its subproblems had stated at the end. After a round that
-    stated limits, the values the run realizes must be those of the
-    subproblems with every limit stated (a cold screened solve each)."""
+    """Benders on ``model``, and the number of lazy rows its subproblems
+    had stated at the end and whether they had stated the derived block.
+    After a round that stated limits, the values the run realizes must be
+    those of the subproblems with every limit stated (a cold screened solve
+    each)."""
     grown, grew = [], []
     restate, realize = bd.restate, bd.risk_functional
     template = model.template
@@ -565,9 +566,8 @@ def screened_run(model, sset, risk, workers=1):
     def recorded(subs):
         again = restate(subs)
         screen = subs[0].screen
-        grown.append((int(screen.stated_rows.sum()),
-                      int(screen.stated_columns.sum())))
-        if grown[-1] != (grown[-2:-1] or [(0, 0)])[0]:
+        grown.append((int(screen.stated_rows.sum()), screen.block_stated))
+        if grown[-1] != (grown[-2:-1] or [(0, False)])[0]:
             grew[:] = [subs[0].data.rhs[:template.n_first].copy()]
         return again
 
@@ -612,13 +612,13 @@ def narrowed_day():
 
 @pytest.mark.parametrize("risk", [EXPECT, CVAR9], ids=["neutral", "cvar"])
 def test_subproblems_state_the_voltage_bands_they_break(narrowed_day, risk):
-    # the relaxed subproblems leave the narrowed band: the bounds they
-    # break are stated for every scenario, and the run still converges to
-    # the optimum with every limit stated
+    # the completed subproblem primals leave the narrowed band: the derived
+    # block, and with it the band, is stated for every scenario, and the run
+    # still converges to the optimum with every limit stated
     model, sset, neutral = narrowed_day
-    res, (rows, bounds) = neutral if risk is EXPECT \
+    res, (rows, block) = neutral if risk is EXPECT \
         else screened_run(model, sset, risk)
-    assert bounds > 0
+    assert block
     assert_all_stated_optimum(model, sset, risk, res)
 
 
@@ -685,24 +685,28 @@ def test_no_worker_thread_settles_the_shared_screen(narrowed_day, monkeypatch):
 @pytest.mark.parametrize("preset", ["desk", "day"])
 def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
     # no primal leaves the shipped limits, so every subproblem HiGHS is
-    # given holds the template's stated rows and the bid-fixing rows only
+    # given holds the template's core, neither lazy nor derived, and the
+    # bid-fixing rows only
     inst = instance.PRESETS[preset]()
     sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
     log = record_highs()
     res, grown = screened_run(inst.model, sset, EXPECT)
-    assert res.report.converged and grown == (0, 0)
+    assert res.report.converged and grown == (0, False)
     p = inst.model.template.program
-    assert len(p.lazy_rows) > 0
+    assert len(p.lazy_rows) > 0 and len(p.derived_rows) > 0
+    core = p.num_variables - len(np.unique(p.derived_columns))
     subs = [rows for _, cols, rows in
-            (e for e in log if e[0] == "passModel") if cols == p.num_variables]
+            (e for e in log if e[0] == "passModel") if cols == core]
     assert len(subs) >= res.report.iterations * len(sset)
     assert set(subs) == {inst.model.template.n_first + p.num_constraints
-                         - len(np.unique(p.lazy_rows))}
+                         - len(np.unique(p.lazy_rows))
+                         - len(np.unique(p.derived_rows))}
 
 
 def test_unbounded_relaxation_states_every_limit():
-    # min -y with y <= 1 + x lazy: the relaxation is unbounded, so every
-    # limit is stated and the subproblem re-solves to the bounded optimum
+    # min -y with y <= 1 + x lazy and z == y derived: the relaxation is
+    # unbounded, so every limit is stated and the subproblem re-solves to
+    # the bounded optimum
     program = lp.LinearProgram()
     x = program.add_variable(-math.inf, math.inf, "x")
     y = program.add_variable(0.0, math.inf, "y")
@@ -711,12 +715,13 @@ def test_unbounded_relaxation_states_every_limit():
     program.add_constraint([(y, 1.0), (x, -1.0)], lp.LE, 1.0, "cap")
     program.add_constraint([(z, 1.0), (y, -1.0)], lp.EQ, 0.0, "link")
     program.add_objective_term(y, -1.0)
-    program.mark_lazy(rows=[1], columns=[z])
+    program.mark_lazy(rows=[1])
+    program.mark_derived([2], [z])
     screen = lp.Screen(program)
     model = types.SimpleNamespace(template=types.SimpleNamespace(n_first=1))
     sub = bd.Subproblem(model, 0, None, bd.Vectors._make(
         getattr(program, name) for name in bd.Vectors._fields), screen)
-    assert screen.form_matrix.shape == (2, 3)
+    assert screen.form_matrix.shape == (1, 2)
     cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
     assert math.isnan(cost) and sub.primal is None
     assert bd.restate([sub]) == [0] and screen.all_stated

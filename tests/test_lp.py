@@ -5,14 +5,19 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from vppsched import instance as im
 from vppsched import lp
+from vppsched import scenarios as sg
+from vppsched import stochastic as st
 
 from oracles import (infeasibility, random_feasible_bounded_lp, unscreened,
                      vertex_enumeration_optimum)
+from test_network import narrowed_band
 
 
 def test_add_variable_assigns_dense_indices():
@@ -397,58 +402,65 @@ def test_primal_feasibility_residuals():
 
 
 def screened_program():
-    """min -x - 2y + z / 2 over x, y in [0, 2], z >= x - 0.5 and w == y / 4,
-    with the lazy rows x + y <= 3 (binding) and x - y <= 5, and the lazy
-    bounds z in [0.8, 4] (binding) and w in [-1, 1]. Relaxed, x = y = 2
-    breaks the first row; with it stated, z = 0.5 breaks its bound; with
-    that stated, the optimum is (1, 2, 0.8, 0.5) at -4.6."""
+    """min -x - 2y + z / 2 over x, y in [0, 2] and z >= 0 with z >= x - 0.5,
+    the lazy rows x + y <= 3 (binding), x - y <= 5 and z >= 0.8 (binding),
+    and w in [-1, 1] the derived block's column, fixed by its row
+    w == y / 4. Relaxed, x = y = 2 breaks the first lazy row; with it
+    stated, z = 0.5 breaks the last; with that stated, the optimum is
+    (1, 2, 0.8, 0.5) at -4.6."""
     p = lp.LinearProgram("screened")
     x, y = p.add_variable(0.0, 2.0, "x"), p.add_variable(0.0, 2.0, "y")
-    z, w = p.add_variable(0.8, 4.0, "z"), p.add_variable(-1.0, 1.0, "w")
+    z, w = p.add_variable(0.0, 4.0, "z"), p.add_variable(-1.0, 1.0, "w")
     p.add_constraint([(z, 1.0), (x, -1.0)], lp.GE, -0.5, "zx")
-    p.add_constraint([(w, 1.0), (y, -0.25)], lp.EQ, 0.0, "wy")
+    wy = p.add_constraint([(w, 1.0), (y, -0.25)], lp.EQ, 0.0, "wy")
     sum_row = p.add_constraint([(x, 1.0), (y, 1.0)], lp.LE, 3.0, "sum")
     p.add_constraint([(x, 1.0), (y, -1.0)], lp.LE, 5.0, "gap")
+    p.add_constraint([(z, 1.0)], lp.GE, 0.8, "floor")
     for idx, coef in ((x, -1.0), (y, -2.0), (z, 0.5)):
         p.add_objective_term(idx, coef)
-    p.mark_lazy(rows=[sum_row, sum_row + 1], columns=[z, w])
+    p.mark_lazy(rows=[sum_row, sum_row + 1, sum_row + 2])
+    p.mark_derived([wy], [w])
     return p
 
 
 def test_screening_states_only_what_a_round_violates(linprog_rows):
     p = screened_program()
     sol = lp.solve(p)
-    # round 1 leaves both lazy rows out, round 2 states "sum", round 3 the
-    # bound of z; "gap" and the bounds of w never reach HiGHS
-    assert linprog_rows == [2, 3, 3]
+    # round 1 leaves the lazy rows and the block out, round 2 states "sum"
+    # with the block, round 3 "floor"; "gap" never reaches HiGHS
+    assert linprog_rows == [1, 3, 4]
     assert sol.iterations == sum(linprog_rows.iterations) > 0
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(-4.6, abs=1e-9)
     assert sol.primal == pytest.approx([1.0, 2.0, 0.8, 0.5], abs=1e-9)
     assert sol.objective == pytest.approx(lp.solve(unscreened(p)).objective,
                                           abs=1e-12)
-    # a left-out row has dual 0 and a relaxed bound multiplier 0; the
-    # stated ones carry theirs, so the dual objective is the primal one
+    # a left-out row has dual 0; the stated ones carry theirs, and the
+    # bounds of w, inactive, multipliers 0, so the dual objective is the
+    # primal one
     assert sol.duals[3] == 0.0 and sol.duals[2] == pytest.approx(-1.0, abs=1e-9)
     assert sol.lower_marginals[3] == sol.upper_marginals[3] == 0.0
-    assert sol.lower_marginals[2] == pytest.approx(0.5, abs=1e-9)
+    assert sol.duals[4] == pytest.approx(0.5, abs=1e-9)
     assert lp.dual_objective(p, sol) == pytest.approx(-4.6, abs=1e-9)
     assert infeasibility(p, sol.primal) <= lp.FEAS_TOL
 
 
 def test_screening_restates_an_unbounded_relaxation(linprog_rows):
-    # x free once its lazy bounds are relaxed: the program is bounded
+    # x unbounded above once the block (y == x, y in [0, 1]) is left out:
+    # the program is bounded
     p = lp.LinearProgram()
-    x = p.add_variable(0.0, 1.0, "x")
+    x, y = p.add_variable(0.0, math.inf, "x"), p.add_variable(0.0, 1.0, "y")
+    p.add_constraint([(y, 1.0), (x, -1.0)], lp.EQ, 0.0, "link")
     p.add_objective_term(x, -1.0)
-    p.mark_lazy(columns=[x])
+    p.mark_derived([0], [y])
     sol = lp.solve(p)
     assert len(linprog_rows) == 2
     assert sol.status == lp.OPTIMAL and sol.objective == pytest.approx(-1.0)
-    assert sol.upper_marginals[x] == pytest.approx(-1.0)
+    assert sol.upper_marginals[y] == pytest.approx(-1.0)
+    assert lp.dual_objective(p, sol) == pytest.approx(-1.0)
     # unbounded with everything stated stays unbounded
-    p.add_variable(-math.inf, 0.0, "y")
-    p.add_objective_term(1, 1.0)
+    p.add_variable(-math.inf, 0.0, "z")
+    p.add_objective_term(2, 1.0)
     assert lp.solve(p).status == lp.UNBOUNDED
 
 
@@ -467,14 +479,40 @@ def test_screening_reports_an_infeasible_program(linprog_rows):
     assert len(linprog_rows) == 3
 
 
+def with_derived_column(prog, rng):
+    """``prog`` with a derived column d = a . x, its row the block, and the
+    lazy row d + x_0 <= r: d bounded, and r set, around their values at a
+    point between the optima of ``prog`` under its cost and under the
+    opposite one, which stays feasible, so that the bounds of d may cut
+    the optimum off."""
+    flipped = unscreened(prog)
+    flipped.cost[:] = -flipped.cost
+    low, high = lp.solve(prog).primal, lp.solve(flipped).primal
+    x = low + rng.uniform(0.2, 0.8) * (high - low)
+    n = prog.num_variables
+    a = rng.uniform(-2.0, 2.0, size=n)
+    value = float(a @ x)
+    margin = rng.uniform(0.0, 0.5, size=2)
+    d = prog.add_variable(value - margin[0], value + margin[1], "d")
+    row = prog.add_constraint([(d, 1.0)] + [(j, -a[j]) for j in range(n)],
+                              lp.EQ, 0.0, "derive")
+    cap = prog.add_constraint([(d, 1.0), (0, 1.0)], lp.LE,
+                              value + x[0] + float(rng.uniform(0.0, 1.0)), "cap")
+    prog.mark_lazy(rows=[cap])
+    prog.mark_derived([row], [d])
+    return prog
+
+
 def test_random_screened_lps_match_vertex_enumeration():
-    # a random half of the rows and columns lazy: the same optimum, a
-    # feasible primal and strong duality on the full program
+    # a random half of the rows lazy, and half the programs with a derived
+    # column held by a lazy row, its bounds binding in some: the same
+    # optimum, a feasible primal and strong duality on the full program
     rng = np.random.default_rng(20261018)
-    for _ in range(120):
+    for k in range(120):
         prog = random_feasible_bounded_lp(rng)
-        prog.mark_lazy(rows=np.flatnonzero(rng.random(prog.num_constraints) < 0.5),
-                       columns=np.flatnonzero(rng.random(prog.num_variables) < 0.5))
+        prog.mark_lazy(rows=np.flatnonzero(rng.random(prog.num_constraints) < 0.5))
+        if k % 2:
+            prog = with_derived_column(prog, rng)
         sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
         best = vertex_enumeration_optimum(prog)
@@ -484,36 +522,95 @@ def test_random_screened_lps_match_vertex_enumeration():
         assert abs(sol.objective - dual) <= lp.OPT_TOL * (1.0 + abs(sol.objective))
 
 
+def day_extensive(band=None):
+    """The neutral extensive form of day over 5 scenarios (seed 42), with
+    the squared voltage band below the root set to ``band`` if given."""
+    inst = im.day_instance()
+    model = inst.model if band is None else narrowed_band(inst.model, *band)
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
+    return st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION)).program
+
+
+def test_one_shot_solve_hands_highs_only_the_core(linprog_rows):
+    # day's optimum leaves no lazy row and no bound of a derived column, so
+    # one linprog run gets every row but the lazy and the derived ones
+    program = day_extensive()
+    sol = lp.solve(program)
+    assert len(program.lazy_rows) > 0 and len(program.derived_rows) > 0
+    assert linprog_rows == [program.num_constraints
+                            - len(np.unique(program.lazy_rows))
+                            - len(np.unique(program.derived_rows))]
+    assert sol.status == lp.OPTIMAL
+    assert infeasibility(program, sol.primal) <= lp.FEAS_TOL
+
+
+def test_one_shot_solve_states_the_block_a_binding_band_needs(linprog_rows):
+    # with the band narrowed to +-0.2 % (squared) a voltage bound binds: the
+    # completed primal of the core leaves it, so the next run states the
+    # block, and the result is the optimum with everything stated
+    program = day_extensive((0.998, 1.002))
+    sol = lp.solve(program)
+    assert len(linprog_rows) >= 2
+    assert linprog_rows[1] >= linprog_rows[0] + len(np.unique(program.derived_rows))
+    v = [j for j in program.derived_columns if "_v[" in program.col_names[j]]
+    slack = np.minimum(sol.primal - program.lower, program.upper - sol.primal)
+    assert np.min(slack[v]) <= 1e-9
+    reference = lp.solve(unscreened(program))
+    assert abs(sol.objective - reference.objective) \
+        <= lp.OPT_TOL * (1.0 + abs(reference.objective))
+    assert abs(lp.dual_objective(program, sol) - sol.objective) \
+        <= lp.OPT_TOL * (1.0 + abs(sol.objective))
+    assert infeasibility(program, sol.primal) <= lp.FEAS_TOL
+
+
+def test_completion_on_many_threads_matches_one():
+    # the Benders worker threads complete their primals on the one factor
+    # their shared screen holds: under thread stress, on more threads than
+    # cores, every completion is bitwise the one made on a single thread
+    program = day_extensive()
+    screen = lp.Screen(program)
+    screen.form_matrix
+    rng = np.random.default_rng(7)
+    xs = [rng.normal(size=len(screen.layout()[1])) for _ in range(64)]
+    serial = [screen.complete(x, program).tobytes() for x in xs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2 * (os.cpu_count() or 1)) as pool:
+            futures = [pool.submit(screen.complete, x, program) for x in xs]
+            parallel = [f.result(timeout=60).tobytes() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+
+
 def test_mark_lazy_refuses_an_unknown_index():
     p = screened_program()
-    with pytest.raises(lp.LpError, match="lazy_rows: unknown index 4"):
-        p.mark_lazy(rows=[0, 4])
-    with pytest.raises(lp.LpError, match="lazy_columns: unknown index -1"):
-        p.mark_lazy(columns=[-1])
-    assert p.lazy_rows.tolist() == [2, 3] and p.lazy_columns.tolist() == [2, 3]
+    with pytest.raises(lp.LpError, match="lazy_rows: unknown index 5"):
+        p.mark_lazy(rows=[0, 5])
+    with pytest.raises(lp.LpError, match="lazy_rows: unknown index -1"):
+        p.mark_lazy(rows=[-1])
+    assert p.lazy_rows.tolist() == [2, 3, 4]
 
 
 def derived_program(derived=True):
-    """min cost . (a, b, c, e) over a in [-3, 3], b in [-5, 1], c in [-2, 2]
-    and e in [0, 1], the bounds of b and e lazy, with -1 <= b - a <= 1, the
-    row c - a == 0, which fixes c, and the lazy row c <= 1; given
-    ``derived``, the row and c are the derived block."""
+    """min cost . (a, b, c, e) over a in [-3, 3], b >= -5, c in [-2, 2] and
+    e >= 0, with -1 <= b - a <= 1, the row c - a == 0, which fixes c, and
+    the lazy rows c <= 1, b <= 1 and e <= 1; given ``derived``, the row and
+    c are the derived block."""
     p = lp.LinearProgram("derived")
-    a, b = p.add_variable(-3.0, 3.0, "a"), p.add_variable(-5.0, 1.0, "b")
-    c, e = p.add_variable(-2.0, 2.0, "c"), p.add_variable(0.0, 1.0, "e")
+    a, b = p.add_variable(-3.0, 3.0, "a"), p.add_variable(-5.0, math.inf, "b")
+    c, e = p.add_variable(-2.0, 2.0, "c"), p.add_variable(0.0, math.inf, "e")
     p.add_constraint([(b, 1.0), (a, -1.0)], lp.LE, 1.0, "up")
     p.add_constraint([(b, 1.0), (a, -1.0)], lp.GE, -1.0, "down")
     link = p.add_constraint([(c, 1.0), (a, -1.0)], lp.EQ, 0.0, "link")
     cap = p.add_constraint([(c, 1.0)], lp.LE, 1.0, "cap")
-    p.mark_lazy(rows=[cap], columns=[b, e])
+    p.add_constraint([(b, 1.0)], lp.LE, 1.0, "b cap")
+    p.add_constraint([(e, 1.0)], lp.LE, 1.0, "e cap")
+    p.mark_lazy(rows=[cap, cap + 1, cap + 2])
     if derived:
         p.mark_derived([link], [c])
     return p
-
-
-def block(p):
-    """The derived block ``p`` marks, as ``lp.Screen`` takes it."""
-    return p.derived_rows, p.derived_columns
 
 
 def test_mark_derived_refuses_what_is_not_a_block():
@@ -534,7 +631,7 @@ def test_mark_derived_refuses_what_is_not_a_block():
     costly = derived_program()
     costly.add_objective_term(2, 1.0)
     with pytest.raises(lp.LpError, match="column 'c' has a cost"):
-        lp.Screen(costly, block(costly))
+        lp.Screen(costly)
     # a row that does not hold its column fixes nothing
     q = lp.LinearProgram()
     x, y = q.add_variable(0.0, 1.0, "x"), q.add_variable(0.0, 1.0, "y")
@@ -549,26 +646,27 @@ def test_mark_derived_refuses_what_is_not_a_block():
     assert p.derived_rows.tolist() == [2] and p.derived_columns.tolist() == [2]
     assert len(q.derived_rows) == len(q.derived_columns) == 0
     # nor do two rows that hold both columns alike: marked, the block is
-    # refused by the screen that factors it
+    # refused by the screen that factors it, and without the marks there
+    # is no block to leave out
     t = lp.LinearProgram()
     x, y, z = (t.add_variable(0.0, 1.0, name) for name in "xyz")
     t.add_constraint([(x, 1.0), (y, 1.0), (z, -1.0)], lp.EQ, 0.0, "sum")
     t.add_constraint([(x, 2.0), (y, 2.0), (z, -2.0)], lp.EQ, 0.0, "twice")
     t.mark_derived([0, 1], [x, y])
     with pytest.raises(lp.LpError, match="singular"):
-        lp.Screen(t, block(t))
-    assert lp.Screen(t).block_stated
+        lp.Screen(t)
+    assert lp.Screen(unscreened(t)).block_stated
 
 
 def test_relaxed_form_leaves_out_the_lazy_limits_and_the_block():
-    # nothing stated: the lazy row and the block's row and column are left
-    # out, the lazy bounds of b and e freed and every other bound kept;
-    # everything stated: the program itself, in the order of the layout
+    # nothing stated: the lazy rows and the block's row and column are
+    # left out, and every bound of the other columns kept; everything
+    # stated: the program itself, in the order of the layout
     p = derived_program()
     for column, coef in ((0, 2.0), (1, -1.0), (3, 0.5)):
         p.add_objective_term(column, coef)
     full = lp.column_form(p)
-    screen = lp.Screen(p, block(p))
+    screen = lp.Screen(p)
 
     def assert_restricted(form, rows, columns):
         assert form.matrix.toarray().tolist() \
@@ -576,46 +674,46 @@ def test_relaxed_form_leaves_out_the_lazy_limits_and_the_block():
         for key in ("row_lo", "row_hi"):
             assert getattr(form, key).tolist() == getattr(full, key)[rows].tolist()
         assert form.cost.tolist() == full.cost[columns].tolist()
+        assert form.lower.tolist() == full.lower[columns].tolist()
+        assert form.upper.tolist() == full.upper[columns].tolist()
 
     form = screen.relaxed(p)
     rows, columns = screen.layout()
     assert rows.tolist() == [0, 1] and columns.tolist() == [0, 1, 3]
     assert_restricted(form, rows, columns)
-    assert form.lower.tolist() == [-3.0, -math.inf, -math.inf]
+    assert form.lower.tolist() == [-3.0, -5.0, 0.0]
     assert form.upper.tolist() == [3.0, math.inf, math.inf]
     cost = np.array([1.0, 2.0, 0.0, 3.0])
     assert screen.relaxed(p, cost).cost.tolist() == [1.0, 2.0, 3.0]
     screen.state_all()
     form = screen.relaxed(p)
     rows, columns = screen.layout()
-    assert sorted(rows) == sorted(columns) == [0, 1, 2, 3]
+    assert sorted(rows) == list(range(6)) and sorted(columns) == [0, 1, 2, 3]
     assert_restricted(form, rows, columns)
-    assert form.lower.tolist() == full.lower[columns].tolist()
-    assert form.upper.tolist() == full.upper[columns].tolist()
 
 
 def test_held_core_grows_by_what_its_completion_breaks(record_highs):
     # one held relaxed form, four costs: the completed c leaves its bound
-    # (the block is stated), then breaks the lazy row, then b its lazy
-    # bound, each time by the grown form passed again and re-solved from
-    # the held vertex extended to a basis of it; last the relaxation is
-    # unbounded in e (everything stated, cold). Each matches a cold solve
+    # (the block is stated), then breaks the lazy row c <= 1, then b the
+    # lazy row b <= 1, each time by the grown form passed again and
+    # re-solved from the held vertex extended to a basis of it; last the
+    # relaxation is unbounded in e (everything stated, cold). Each matches
+    # a cold solve
     p = derived_program()
-    screen = lp.Screen(p, block(p))
+    screen = lp.Screen(p)
     form = screen.relaxed(p)
     assert form.matrix.shape == (2, 3) and list(screen.layout()[1]) == [0, 1, 3]
     log = record_highs()
     held = lp.HeldModel(form)
     for cost, stated, start in (
-            ([1.0, 0.0, 0.0, 0.0], ([False], [False, False]), "setBasis"),
-            ([-1.0, 0.5, 0.0, 0.0], ([True], [False, False]), "setBasis"),
-            ([0.0, -1.0, 0.0, 0.0], ([True], [True, False]), "setBasis"),
-            ([0.0, 0.0, 0.0, -1.0], ([True], [True, True]), "run")):
+            ([1.0, 0.0, 0.0, 0.0], [False, False, False], "setBasis"),
+            ([-1.0, 0.5, 0.0, 0.0], [True, False, False], "setBasis"),
+            ([0.0, -1.0, 0.0, 0.0], [True, True, False], "setBasis"),
+            ([0.0, 0.0, 0.0, -1.0], [True, True, True], "run")):
         del log[:]
         sol = lp.solve_held(held, screen, p, np.array(cost))
         assert screen.block_stated
-        assert (screen.stated_rows.tolist(), screen.stated_columns.tolist()) \
-            == stated
+        assert screen.stated_rows.tolist() == stated
         calls = [entry[0] for entry in log]
         assert calls.count("passModel") == 1
         assert calls[calls.index("passModel") + 1] == start
@@ -627,7 +725,7 @@ def test_held_core_grows_by_what_its_completion_breaks(record_highs):
         assert infeasibility(p, sol.primal) <= lp.FEAS_TOL
         p.cost[:] = 0.0
     assert screen.all_stated and held.basis is not None
-    assert len(held.cost) == 4 and screen.form_matrix.shape == (4, 4)
+    assert len(held.cost) == 4 and screen.form_matrix.shape == (6, 4)
 
 
 def test_held_model_sends_only_the_costs_that_change(record_highs):

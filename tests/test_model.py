@@ -207,8 +207,9 @@ def test_compiled_template_is_pinned(preset):
         == TEMPLATE_DIGESTS[preset]
 
 
-#: lazy rows and lazy column bounds of the compiled block: the diagonal
-#: sides of the flow polygon and the voltage band below the root
+#: the limits of the compiled block left out until violated: the diagonal
+#: sides of the flow polygon (lazy rows) and the voltage bands below the
+#: root (bounds of derived columns)
 LAZY_COUNTS = {"desk": (128, 32), "day": (384, 96), "full": (36864, 9216)}
 
 
@@ -221,40 +222,38 @@ def test_lazy_limits_are_the_flow_sides_and_voltage_bands(preset):
     cols = [j for j, name in enumerate(p.col_names)
             if name.startswith("v[") and not name.startswith(f"v[{root},")]
     assert sorted(p.lazy_rows.tolist()) == rows
-    assert sorted(p.lazy_columns.tolist()) == cols
+    assert set(cols) <= set(p.derived_columns.tolist())
     assert (len(rows), len(cols)) == LAZY_COUNTS[preset]
 
 
 def test_instances_carry_the_lazy_limits(case):
-    # instantiate shifts the lazy rows past its fix rows; the extensive
-    # form moves them, and the lazy columns, to each block's own, and
-    # ``derived_block`` so moves the derived block, which neither carries
+    # instantiate shifts the lazy rows and the derived rows past its fix
+    # rows; the extensive form moves them, and the derived columns, to each
+    # block's own
     model, sset = case
     tpl = model.template
     p = tpl.program
+    assert len(p.lazy_rows) > 0 and len(p.derived_rows) > 0
     for bids in (None, np.zeros(tpl.n_first)):
         sub = tpl.instantiate(model.scenario_data(sset.scenarios[0]), bids)
         nf = 0 if bids is None else tpl.n_first
         assert np.array_equal(sub.lazy_rows, p.lazy_rows + nf)
-        assert np.array_equal(sub.lazy_columns, p.lazy_columns)
-        assert [sub.row_names[i] for i in sub.lazy_rows] \
-            == [p.row_names[i] for i in p.lazy_rows]
-        assert len(sub.derived_rows) == len(sub.derived_columns) == 0
+        assert np.array_equal(sub.derived_rows, p.derived_rows + nf)
+        assert np.array_equal(sub.derived_columns, p.derived_columns)
+        for key in ("lazy_rows", "derived_rows"):
+            assert [sub.row_names[i] for i in getattr(sub, key)] \
+                == [p.row_names[i] for i in getattr(p, key)]
     ef = st.build_extensive(model, sset, CVAR9)
     S = len(sset)
-    assert [ef.program.row_names[i] for i in ef.program.lazy_rows] \
-        == [f"s{k}_{p.row_names[i]}" for k in range(S) for i in p.lazy_rows]
-    assert [ef.program.col_names[j] for j in ef.program.lazy_columns] \
-        == [f"s{k}_{p.col_names[j]}" for k in range(S) for j in p.lazy_columns]
-    assert len(ef.program.derived_rows) == len(ef.program.derived_columns) == 0
-    rows, columns = st.derived_block(model, ef)
-    assert [ef.program.row_names[i] for i in rows] \
-        == [f"s{k}_{p.row_names[i]}" for k in range(S) for i in p.derived_rows]
-    assert [ef.program.col_names[j] for j in columns] \
+    for key in ("lazy_rows", "derived_rows"):
+        assert [ef.program.row_names[i] for i in getattr(ef.program, key)] \
+            == [f"s{k}_{p.row_names[i]}" for k in range(S)
+                for i in getattr(p, key)]
+    assert [ef.program.col_names[j] for j in ef.program.derived_columns] \
         == [f"s{k}_{p.col_names[j]}" for k in range(S)
             for j in p.derived_columns]
     # the CVaR tail rows leave the block derived
-    lp.Screen(ef.program, (rows, columns))
+    lp.Screen(ef.program)
 
 
 @pytest.mark.parametrize("risk", [EXPECT, CVAR9])

@@ -371,6 +371,8 @@ def polygon_rows_reference(program, network, handles, horizon, segments=8):
             for seg, (c, s) in enumerate(nw.polygon_sides(segments)):
                 program.add_constraint([(j, a) for j, a in ((p, c), (q, s)) if a],
                                        lp.LE, rhs, f"flow[{k},{t},{seg}]")
+    # every side is stated, so the flow columns leave no block to derive
+    program.derived_rows = program.derived_columns = np.zeros(0, np.int64)
 
 
 def flow_program(net, points, segments, emit):
@@ -549,8 +551,8 @@ def test_limits_infeasible_only_when_stated_name_the_block():
     sset = sg.build_scenarios(desk.forecast, sg.DEFAULT_ERROR_SPECS, 2, seed=42)
     ef = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
     relaxed = unscreened(ef.program)
-    relaxed.lower[ef.program.lazy_columns] = -math.inf
-    relaxed.upper[ef.program.lazy_columns] = math.inf
+    relaxed.lower[ef.program.derived_columns] = -math.inf
+    relaxed.upper[ef.program.derived_columns] = math.inf
     assert lp.solve(relaxed).status == lp.OPTIMAL
     assert lp.solve(ef.program).status == lp.INFEASIBLE
     with pytest.raises(st.ModelInfeasible) as exc:
@@ -602,15 +604,16 @@ def test_completed_core_optimum_is_feasible_and_optimal(preset):
     inst = im.PRESETS[preset]()
     sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
     ef = st.build_extensive(inst.model, sset, st.RiskMeasure(st.EXPECTATION))
-    program, (rows, columns) = ef.program, st.derived_block(inst.model, ef)
-    screen = lp.Screen(program, (rows, columns))
+    program = ef.program
+    screen = lp.Screen(program)
     form = screen.relaxed(program)
     assert form.matrix.shape == (
-        program.num_constraints - len(program.lazy_rows) - len(rows),
-        program.num_variables - len(columns))
+        program.num_constraints - len(program.lazy_rows)
+        - len(program.derived_rows),
+        program.num_variables - len(program.derived_columns))
     sol, _ = lp.solve_warm(form)
     x = screen.complete(sol.primal, program)
     assert infeasibility(program, x) <= lp.FEAS_TOL
-    assert screen.violated(x, program)[2] is False
+    assert screen.violated(x, program)[1] is False
     full = lp.solve(unscreened(program))
     assert x @ program.cost == pytest.approx(full.objective, rel=1e-9)

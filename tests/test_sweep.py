@@ -163,12 +163,6 @@ def test_extensive_sweep_runs_on_the_warm_seam_only(case, monkeypatch,
     assert log.strategies == [DUAL] + [PRIMAL] * (len(LEVELS) - 1)
 
 
-def core(model, ef):
-    """The screen of the sweep's extensive form ``ef`` of ``model``, its
-    derived block included."""
-    return lp.Screen(ef.program, st.derived_block(model, ef))
-
-
 def test_level_reports_equal_the_full_series(case, monkeypatch):
     # each level's profit and withdrawal profile, read from the scenario
     # costs and the coupling-point columns only, are bitwise those computed
@@ -190,7 +184,7 @@ def test_level_reports_equal_the_full_series(case, monkeypatch):
     probs = sset.probabilities()
     dt = model.horizon.step_hours
     ef = st.build_extensive(model, sset, NEUTRAL)
-    screen = core(model, ef)
+    screen = lp.Screen(ef.program)
     # no level states a limit, so each solved once on the core
     assert len(solutions) == len(rows)
     for row, sol in zip(rows, solutions):
@@ -234,7 +228,7 @@ def test_levels_swap_only_the_tariff_costs(case, monkeypatch):
     monkeypatch.undo()
     probs = sset.probabilities()
     ef = st.build_extensive(model, sset, NEUTRAL)
-    columns = core(model, ef).layout()[1]
+    columns = lp.Screen(ef.program).layout()[1]
     x = np.random.default_rng(3).normal(size=ef.program.num_variables)
     # the core's first costs, and then one vector per level
     assert len(passed) == len(LEVELS) + 1
@@ -262,7 +256,7 @@ def test_sweep_holds_the_core_and_sends_only_changed_costs(case, record_highs):
     log = record_highs()
     rp.tariff_sweep(cfg, model, sset, LEVELS)
     ef = st.build_extensive(model, sset, NEUTRAL)
-    p, screen = ef.program, core(model, ef)
+    p, screen = ef.program, lp.Screen(ef.program)
     rows, columns = screen.layout()
     assert len(columns) == p.num_variables - len(screen.block_columns)
     assert len(rows) == p.num_constraints - len(np.unique(p.lazy_rows)) \
@@ -302,9 +296,9 @@ def reactive_bound_model(model, sset, scale=12.0, margin=3.0):
 @pytest.mark.parametrize("limit", ["voltage band", "reactive axis"])
 def test_sweep_states_the_block_its_completion_breaks(day_case, limit,
                                                      monkeypatch, record_highs):
-    # day with the band narrowed to +-0.2 % (a lazy bound of a derived
+    # day with the band narrowed to +-0.2 % (the bound of a derived v
     # column), or with a reactive axis bound that the completed flow leaves
-    # (a bound of a derived column only): the sweep states the block once,
+    # (the bound of a derived fq column): the sweep states the block once,
     # by a second pass of the grown form started from the extended basis,
     # every level's primal is feasible for the full program, and every
     # level matches its cold solve
@@ -338,12 +332,10 @@ def test_sweep_states_the_block_its_completion_breaks(day_case, limit,
     calls = [entry[0] for entry in log]
     grown_at = calls.index("passModel", 1)
     assert calls[grown_at + 1:grown_at + 3] == ["setBasis", "run"]
-    rows_broken, bounds_broken, block = next(
-        f for f in found if len(f[0]) or len(f[1]) or f[2])
-    if limit == "voltage band":
-        assert len(bounds_broken) > 0
-    else:
-        assert len(rows_broken) == len(bounds_broken) == 0 and block
+    rows_broken, block = next(f for f in found if len(f[0]) or f[1])
+    assert block
+    if limit == "reactive axis":
+        assert len(rows_broken) == 0
     assert len(solved) == len(LEVELS)
     for _, program, sol in solved:
         assert infeasibility(program, sol.primal) <= lp.FEAS_TOL
