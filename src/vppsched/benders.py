@@ -19,24 +19,29 @@ indicates a physically inconsistent model and aborts with
 ``stochastic.ModelInfeasible``.
 
 The recourse is fixed, so every subproblem is the same matrix with its own
-costs, bounds and right-hand sides: the run builds that matrix once, keeps
-per scenario only its data vectors and the basis of its last solve, and
-each iteration changes only the bids on the fixing rows and re-solves from
-that basis. The master likewise re-solves from its previous basis, the new
-cut rows entering with basic slacks. Subproblems may be solved on a thread
-pool opened once per run (``worker_map``); results are merged by scenario
-index, and each scenario's sequence of solves is its own, so the outcome
-does not depend on the worker count.
+costs, bounds and right-hand sides: the run builds that matrix once and
+keeps per scenario its data vectors and one ``lp.HeldModel``, which HiGHS
+receives once, on the scenario's first solve; each later solve sends it
+only the bids, as new bounds of the fixing rows, and HiGHS re-solves with
+dual simplex from the basis and factorization it holds. The master is held
+the same way: its head is passed once and each solve sends only the cut
+rows accepted since the last one, entering with basic slacks. The held
+models live for the run, about 0.85 MB each on ``day``. Subproblems may be
+solved on a thread pool opened once per run (``worker_map``); results are
+merged by scenario index, and each scenario's sequence of solves is its
+own, so the outcome does not depend on the worker count.
 
 The subproblems are screened by one ``lp.Screen``: the shared matrix holds
 the compiled block's stated rows only, without the derived
-reactive/voltage block until a limit is stated, so HiGHS sees a network limit only once
-some scenario's completed primal violates it (``lp.Screen.violated``, the
-test of ``lp.solve``, read against the scenario's own vectors).
-``restate`` then states the limit, with the block, for every scenario,
-and the violating scenarios re-solve at the same bids until none violates
-one. A relaxed value and its duals underestimate the recourse value, so
-every cut is valid; the values that set the incumbent are exact.
+reactive/voltage block until a limit is stated, so HiGHS sees a network
+limit only once some scenario's completed primal violates it
+(``lp.Screen.violated``, the test of ``lp.solve``, read against the
+scenario's own vectors). ``restate`` then states the limit, with the
+block, for every scenario, passes each held model the grown form with its
+basis grown to match, and the violating scenarios re-solve at the same
+bids until none violates one. A relaxed value and its duals underestimate
+the recourse value, so every cut is valid; the values that set the
+incumbent are exact.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from . import lp
 from . import market as mk
@@ -122,10 +127,11 @@ class BendersResult:
 
 
 class MasterProblem:
-    """First-stage LP refined by optimality cuts, re-solved from the basis
-    of its previous solve: a head built once (the bids, theta_s and the
-    risk objective over them) and the cuts, kept once as arrays in
-    acceptance order, so that new cut rows come last."""
+    """First-stage LP refined by optimality cuts, held in one
+    ``lp.HeldModel``: a head built once (the bids, theta_s and the risk
+    objective over them) and passed to HiGHS once, and the cuts, kept once
+    as arrays in acceptance order, each sent to HiGHS once, as a new row
+    with a basic slack, before the solve after its acceptance."""
 
     def __init__(self, model: VppModel, n_scenarios: int, probs: np.ndarray,
                  risk: RiskMeasure):
@@ -140,7 +146,9 @@ class MasterProblem:
         self.scenarios = np.zeros(0, dtype=np.int64)
         self.intercepts = np.zeros(0)
         self.gradients = np.zeros((0, len(self.x_indices)))
-        self.basis = None
+        self.held = lp.HeldModel(self.head)
+        #: the number of cuts HiGHS holds
+        self._sent = 0
         #: simplex iterations of the last solve
         self.iterations = 0
         #: theta_s at the optimum of the last solve
@@ -175,31 +183,36 @@ class MasterProblem:
             self.gradients = np.vstack((self.gradients, *new_g))
         return len(accepted)
 
-    def form(self) -> lp.ColumnForm:
-        """The head's rows and then one row per cut,
+    def _cut_rows(self, first: int = 0) -> csr_matrix:
+        """The rows of the cuts from ``first`` on,
         theta_s - gradient . x >= intercept, its zero gradient entries
         left out."""
-        head, k = self.head, self.num_cuts
+        gradients = self.gradients[first:]
         columns = np.column_stack((
-            self.theta[self.scenarios],
-            np.broadcast_to(self.x_indices, self.gradients.shape)))
-        coef = np.column_stack((np.ones(k), -self.gradients))
+            np.broadcast_to(self.x_indices, gradients.shape),
+            self.theta[self.scenarios[first:]]))
+        coef = np.column_stack((-gradients, np.ones(len(gradients))))
         keep = coef != 0.0
-        matrix = csr_matrix(
-            (np.r_[head.data, coef[keep]], np.r_[head.indices, columns[keep]],
-             np.r_[head.indptr, head.indptr[-1] + np.cumsum(keep.sum(1))]),
-            shape=(len(head.rhs) + k, len(head.lower)))
-        row_lo, row_hi = lp.row_bounds(head.sense, head.rhs)
-        return lp.ColumnForm(matrix.tocsc(), head.cost, head.lower, head.upper,
-                             np.r_[row_lo, self.intercepts],
-                             np.r_[row_hi, np.full(k, np.inf)])
+        return csr_matrix((coef[keep], columns[keep],
+                           np.r_[0, np.cumsum(keep.sum(1))]),
+                          shape=(len(gradients), len(self.head.lower)))
+
+    def form(self) -> lp.ColumnForm:
+        """The head's rows and then one row per cut (``_cut_rows``): the
+        program the held model holds after its next solve."""
+        head = lp.column_form(self.head)
+        return head._replace(
+            matrix=vstack((head.matrix, self._cut_rows()), format="csc"),
+            row_lo=np.r_[head.row_lo, self.intercepts],
+            row_hi=np.r_[head.row_hi, np.full(self.num_cuts, np.inf)])
 
     def solve(self) -> tuple[float, np.ndarray]:
-        form = self.form()
-        if self.basis is not None:
-            lp.with_basic_rows(self.basis, len(form.row_lo)
-                               - len(self.basis.row_status))
-        sol, self.basis = lp.solve_warm(form, self.basis)
+        if self.num_cuts > self._sent:
+            self.held.add_rows(self._cut_rows(self._sent),
+                               self.intercepts[self._sent:],
+                               np.full(self.num_cuts - self._sent, np.inf))
+            self._sent = self.num_cuts
+        sol = self.held.solve()
         self.iterations = sol.iterations
         if sol.status != lp.OPTIMAL:
             raise BendersError(f"master problem ended with status {sol.status}")
@@ -259,15 +272,16 @@ class Vectors(NamedTuple):
 class Subproblem:
     """One scenario's subproblem in a Benders run: the vectors of its
     instantiation, the screen all scenarios share (its lazy rows, its
-    derived block and the matrix of its relaxed form), and the basis and
-    completed primal of its last solve."""
+    derived block and the matrix of its relaxed form), the held model of
+    its relaxed form, and the completed primal of its last solve."""
 
     model: VppModel
     index: int
     scenario: Scenario
     data: Vectors
     screen: lp.Screen
-    basis: object = None
+    #: the relaxed form HiGHS holds, from the first solve on
+    held: lp.HeldModel | None = None
     #: simplex iterations of the last solve
     iterations: int = 0
     #: completed primal of the last solve; None when its relaxation was
@@ -296,13 +310,15 @@ def subproblems(model: VppModel, scenarios: list[Scenario]) -> list[Subproblem]:
 
 
 def restate(subs: list[Subproblem]) -> list[int]:
-    """Check the last primal of every subproblem against the unstated lazy
+    """Check the last primal of every subproblem, each solved at least
+    once (``solve_subproblem``), against the unstated lazy
     rows and the derived block of their shared screen and state each row
     violated, with the block, for all of them, on the calling thread; after
     an unbounded relaxation, state everything. Returns the indices of the
     subproblems to solve again: those whose primal violated a limit or
     whose relaxation was unbounded. Every basis grows with the form
-    (``lp.Screen.state``)."""
+    (``lp.Screen.state``), and each held model then holds the grown form
+    (``lp.HeldModel.reset``), to re-solve from its grown basis."""
     screen = subs[0].screen
     rows, again = [np.zeros(0, dtype=np.int64)], []
     for sub in subs:
@@ -318,15 +334,19 @@ def restate(subs: list[Subproblem]) -> list[int]:
     if any(sub.primal is None for sub in subs):
         rows = [np.flatnonzero(~screen.stated_rows)]
     screen.state(np.unique(np.concatenate(rows)),
-                 [sub.basis for sub in subs if sub.basis is not None])
+                 [sub.held.basis for sub in subs if sub.held.basis is not None])
+    for sub in subs:
+        sub.held.reset(screen.relaxed(sub.data), sub.held.basis)
     return again
 
 
 def solve_subproblem(sub: Subproblem,
                      x_hat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Second-stage value and a subgradient at the given bids, solved from
-    the subproblem's last basis, of the relaxation the stated limits leave;
-    its primal, completed (``lp.Screen.complete``), is kept for
+    """Second-stage value and a subgradient at the given bids, of the
+    relaxation the stated limits leave, solved by the subproblem's held
+    model: built on the first solve, and afterwards sent only the bids, as
+    the bounds of the fixing rows, so HiGHS re-solves from the basis it
+    holds; its primal, completed (``lp.Screen.complete``), is kept for
     ``restate``.
 
     The bids enter as free variables pinned by equality rows; the duals of
@@ -339,7 +359,11 @@ def solve_subproblem(sub: Subproblem,
     if sub.model.template.n_first != n:
         raise BendersError("first-stage vector length mismatch")
     sub.data.rhs[:n] = x_hat
-    sol, sub.basis = lp.solve_warm(sub.screen.relaxed(sub.data), sub.basis)
+    if sub.held is None:
+        sub.held = lp.HeldModel(sub.screen.relaxed(sub.data))
+    else:
+        sub.held.set_row_bounds(np.arange(n), x_hat, x_hat)
+    sol = sub.held.solve()
     sub.iterations = sol.iterations
     if sol.status == lp.UNBOUNDED and not sub.screen.all_stated:
         sub.primal = None

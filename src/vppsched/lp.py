@@ -19,19 +19,19 @@ test, and it reads the limits left out from the program's own vectors
 when it runs. ``solve`` screens in rounds of cold solves, and its report
 is that of the full program. ``HeldModel`` solves on scipy's bundled
 HiGHS binding directly: it passes a program to HiGHS once, with the rows
-and bounds it is given, and re-solves it after each cost change, sending
-only the costs that changed, with primal simplex from the basis and
-factorization HiGHS holds, which a cost change leaves primal feasible, so
-the tariff-sweep levels, which differ only in costs, re-solve in a few
-simplex iterations. The sweep holds the relaxed form; ``solve_held``
-grows it by what a completed primal violates, passing the grown form
-again, and re-solves from the held vertex extended to a basis of it
-(``Screen.state``). ``solve_warm`` is one dual simplex solve on a fresh
-held model from an optional starting basis, returning the final basis:
-the Benders subproblems, screened and growing as their stated set grows,
-and the master gaining cut rows re-solve from their last one. Row duals
-are converted and bound multipliers split by basis status only when
-first read. No other module touches the solver backend.
+and bounds it is given, and afterwards sends only what changes, so HiGHS
+re-solves from the basis and factorization it holds. The calls it makes
+after the first are ``changeColsCost`` (new costs, the tariff-sweep
+levels), after which primal simplex re-solves, since a cost change leaves
+the basis primal feasible, and ``changeRowBounds`` (new bids on the
+fixing rows of a Benders subproblem) and ``addRows`` (new cuts of the
+Benders master, entering with basic slacks), after which dual simplex
+re-solves, since a row change leaves the basis dual feasible. The sweep
+holds the relaxed form; ``solve_held`` grows it by what a completed
+primal violates, passing the grown form again, and re-solves from the
+held vertex extended to a basis of it (``Screen.state``). Row duals are
+converted and bound multipliers split by basis status only when first
+read. No other module touches the solver backend.
 
 Column upper bounds, right-hand sides or labelled costs may be left to
 data, +inf or 0 in their place: ``add_slots`` records a run of such slots
@@ -63,7 +63,8 @@ except ImportError:  # scipy older than 1.15 has no bundled binding
 
 #: the names of scipy's private HiGHS binding that ``HeldModel`` uses
 _BINDING = ("_Highs", "_Highs.passOptions", "_Highs.passModel",
-            "_Highs.changeColsCost", "_Highs.setOptionValue",
+            "_Highs.changeColsCost", "_Highs.changeRowBounds",
+            "_Highs.addRows", "_Highs.setOptionValue",
             "_Highs.clearSolver", "_Highs.setBasis",
             "_Highs.run", "_Highs.getInfo", "_Highs.getModelStatus",
             "_Highs.modelStatusToString", "_Highs.getSolution",
@@ -753,15 +754,20 @@ _HIGHS_STATUS = {_HS.kOptimal: OPTIMAL, _HS.kInfeasible: INFEASIBLE,
 
 
 class HeldModel:
-    """A program held in one HiGHS instance, which receives it once. Each
-    ``solve`` may first replace the costs, sending HiGHS only the ones that
-    differ from those it holds, and then re-runs, so HiGHS keeps its own
-    basis and factorization between calls: programs that differ only in
-    costs (the tariff-sweep levels) re-solve in a few simplex iterations.
-    A cost change leaves the held basis primal feasible, so a re-solve
-    after one runs primal simplex from it; every other solve (the first, a
-    restart without a basis, one after the program grew, and
-    ``solve_warm``) runs dual simplex. ``basis`` is the last optimal basis,
+    """A program held in one HiGHS instance, which receives it once
+    (``passModel``); afterwards HiGHS is sent only what changes: new costs
+    (``changeColsCost``, through ``solve``), new bounds of held rows
+    (``changeRowBounds``, through ``set_row_bounds``) and new rows
+    (``addRows``, through ``add_rows``). HiGHS keeps its own basis and
+    factorization between solves, so programs that differ only in costs
+    (the tariff-sweep levels), in right-hand sides (a Benders subproblem
+    at new bids) or by a few rows (the Benders master after new cuts)
+    re-solve in a few simplex iterations. A cost change leaves the held
+    basis primal feasible, so a solve whose costs are the only change
+    since the last optimum runs primal simplex from it; a row change
+    leaves it dual feasible, so every other solve (the first, a restart
+    without a basis, and one after a ``reset``, ``set_row_bounds`` or
+    ``add_rows``) runs dual simplex. ``basis`` is the last optimal basis,
     or the starting one (a basis of a program of the same shape; presolve
     is skipped then). After a solve that ends not optimal, the next one
     restarts from ``basis``, or cold without one. HiGHS is given the rows
@@ -790,6 +796,37 @@ class HeldModel:
         self.basis = basis
         #: whether HiGHS must restart from ``basis`` before the next run
         self._restart = basis is not None
+        #: whether rows changed since the last optimum (the next run is dual)
+        self._rows_changed = True
+
+    def set_row_bounds(self, rows, lo, hi) -> None:
+        """Change the bounds of the held ``rows`` to ``[lo, hi]``, one
+        ``changeRowBounds`` call per row (the binding has no call for many)."""
+        change = self._highs.changeRowBounds
+        for row, low, high in zip(np.asarray(rows).tolist(),
+                                  np.asarray(lo, dtype=float).tolist(),
+                                  np.asarray(hi, dtype=float).tolist()):
+            if change(row, low, high) == _highs.HighsStatus.kError:
+                raise LpError(f"HiGHS refused bounds [{low}, {high}] "
+                              f"of row {row}")
+        self._rows_changed = True
+
+    def add_rows(self, matrix: csr_matrix, row_lo, row_hi) -> None:
+        """Append the rows of ``matrix`` (one column per held column) with
+        the ranges ``[row_lo, row_hi]``; they enter the held basis, and
+        ``basis``, with basic slacks (``with_basic_rows``)."""
+        m, n = matrix.shape
+        if n != len(self.cost):
+            raise LpError(f"rows over {n} columns for {len(self.cost)} columns")
+        if self._highs.addRows(m, np.asarray(row_lo, dtype=float),
+                               np.asarray(row_hi, dtype=float), matrix.nnz,
+                               matrix.indptr.astype(np.int32),
+                               matrix.indices.astype(np.int32),
+                               matrix.data) == _highs.HighsStatus.kError:
+            raise LpSolveError("HiGHS rejected the rows")
+        if self.basis is not None:
+            with_basic_rows(self.basis, m)
+        self._rows_changed = True
 
     def solve(self, cost=None) -> LpSolution:
         """Solve like the module's ``solve``, with the same dual convention
@@ -811,7 +848,8 @@ class HeldModel:
                 highs.clearSolver()
             elif highs.setBasis(self.basis) == _highs.HighsStatus.kError:
                 raise LpSolveError("HiGHS rejected the starting basis")
-        strategy = _DUAL if cost is None or self.basis is None else _PRIMAL
+        strategy = _DUAL if cost is None or self.basis is None \
+            or self._rows_changed else _PRIMAL
         if strategy != self._strategy:
             highs.setOptionValue("simplex_strategy", strategy)
             self._strategy = strategy
@@ -827,22 +865,11 @@ class HeldModel:
             return LpSolution(_HIGHS_STATUS[code], math.nan, np.zeros(0),
                               np.zeros(0), iterations=iterations)
         sol, self.basis = highs.getSolution(), highs.getBasis()
-        self._restart = False
+        self._restart = self._rows_changed = False
         return LpSolution(OPTIMAL, float(info.objective_function_value),
                           np.asarray(sol.col_value),
                           lambda: np.asarray(sol.row_dual), iterations,
                           partial(_bound_marginals, sol, self.basis))
-
-
-def solve_warm(program: LinearProgram | ColumnForm, basis=None):
-    """Solve once on a fresh ``HeldModel`` started from ``basis``, with
-    the rows and bounds ``program`` states. Returns the solution and the
-    final basis (None unless optimal).
-
-    Raises LpSolveError on numerical breakdown or iteration exhaustion."""
-    held = HeldModel(program, basis)
-    sol = held.solve()
-    return sol, held.basis if sol.status == OPTIMAL else None
 
 
 def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,

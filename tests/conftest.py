@@ -1,6 +1,8 @@
 import types
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from vppsched import benders as bd
 from vppsched import instance
@@ -68,11 +70,18 @@ def linprog_rows(monkeypatch):
 
 
 class HighsLog(list):
-    """The calls a recording HiGHS class received, in order."""
+    """The calls a recording HiGHS class received, in order, and in
+    ``by_model`` the calls of each instance, by instance, in the order
+    the instances got their first logged call."""
 
     def __init__(self):
         super().__init__()
         self.strategies = []
+        self.by_model = {}
+
+    def note(self, model, entry) -> None:
+        self.append(entry)
+        self.by_model.setdefault(model, []).append(entry)
 
 
 @pytest.fixture
@@ -80,34 +89,49 @@ def record_highs(monkeypatch):
     """``record(fail_run=None)`` gives ``lp`` a HiGHS class that logs the
     calls its instances receive (``passModel`` with the column and row
     counts it is given, ``changeColsCost`` with its entry count,
-    ``clearSolver``, ``setBasis`` with its basis, ``run``, and
-    ``getBasis`` with the basis it returns) and reports run number
+    ``changeRowBounds`` with its row and bounds, ``addRows`` with the rows
+    it is given as a CSR matrix and their ranges, ``clearSolver``,
+    ``setBasis`` with its basis, ``run``, and ``getBasis`` with the basis
+    it returns), and reports run number
     ``fail_run`` (from 1) infeasible, and returns the log;
     ``log.strategies`` lists the simplex strategy in force at each
-    ``run``, as HiGHS reports it. ``linprog`` keeps scipy's own class."""
+    ``run``, as HiGHS reports it, and ``log.by_model`` the calls of each
+    instance. ``linprog`` keeps scipy's own class."""
 
     def record(fail_run=None):
         log = HighsLog()
 
         class Recording(lp._highs._Highs):
             def passModel(self, *args):
-                log.append(("passModel", args[0], args[1]))
+                log.note(self, ("passModel", args[0], args[1]))
                 return super().passModel(*args)
 
             def changeColsCost(self, *args):
-                log.append(("changeColsCost", args[0]))
+                log.note(self, ("changeColsCost", args[0]))
                 return super().changeColsCost(*args)
 
+            def changeRowBounds(self, row, lower, upper):
+                log.note(self, ("changeRowBounds", row, lower, upper))
+                return super().changeRowBounds(row, lower, upper)
+
+            def addRows(self, m, lower, upper, nnz, starts, indices, values):
+                log.note(self, ("addRows", csr_matrix(
+                    (np.array(values), np.array(indices),
+                     np.r_[starts[:m], nnz]), shape=(m, self.getNumCol())),
+                    np.array(lower), np.array(upper)))
+                return super().addRows(m, lower, upper, nnz, starts, indices,
+                                       values)
+
             def clearSolver(self):
-                log.append(("clearSolver",))
+                log.note(self, ("clearSolver",))
                 return super().clearSolver()
 
             def setBasis(self, basis):
-                log.append(("setBasis", basis))
+                log.note(self, ("setBasis", basis))
                 return super().setBasis(basis)
 
             def run(self):
-                log.append(("run",))
+                log.note(self, ("run",))
                 log.strategies.append(
                     self.getOptionValue("simplex_strategy")[1])
                 return super().run()
@@ -119,7 +143,7 @@ def record_highs(monkeypatch):
 
             def getBasis(self):
                 basis = super().getBasis()
-                log.append(("getBasis", basis))
+                log.note(self, ("getBasis", basis))
                 return basis
 
         binding = types.SimpleNamespace(**vars(lp._highs))

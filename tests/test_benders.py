@@ -208,6 +208,35 @@ def test_cut_store_equals_one_at_a_time_appends(desk):
             assert got.tobytes() == want.tobytes()
 
 
+def test_held_master_matches_a_rebuilt_one(desk):
+    # along a random cut sequence, with repeats, the held master, sent only
+    # the cuts accepted since its last solve, has after every add_cuts the
+    # optimum of its whole form solved cold
+    master = bd.MasterProblem(desk.model, 3, np.full(3, 1.0 / 3.0), EXPECT)
+    n = len(master.x_indices)
+    rng = np.random.default_rng(7)
+    seen = []
+    for _ in range(12):
+        batch = []
+        for _ in range(6):
+            if seen and rng.random() < 0.3:
+                batch.append(seen[int(rng.integers(len(seen)))])
+            else:
+                g = rng.normal(size=n)
+                g[rng.random(n) < 0.3] = 0.0
+                batch.append((int(rng.integers(3)), float(rng.normal() * 10.0),
+                              g))
+        seen += batch
+        master.add_cuts(*zip(*batch))
+        lower, x = master.solve()
+        cold = lp.HeldModel(master.form()).solve()
+        assert cold.status == lp.OPTIMAL
+        assert abs(lower - cold.objective) <= lp.OPT_TOL * (1.0 + abs(cold.objective))
+        assert master.theta_hat == pytest.approx(cold.primal[master.theta],
+                                                 rel=1e-7, abs=1e-7)
+    assert 0 < master.num_cuts < len(seen)
+
+
 @pytest.mark.parametrize("risk", [EXPECT, CVAR9], ids=["neutral", "cvar"])
 def test_benders_runs_dual_simplex_only(desk, desk_scenarios, record_highs,
                                         risk):
@@ -219,6 +248,61 @@ def test_benders_runs_dual_simplex_only(desk, desk_scenarios, record_highs,
     strategy = lp._highs.simplex_constants.SimplexStrategy
     assert len(log.strategies) == [e[0] for e in log].count("run") > 0
     assert set(log.strategies) == {int(strategy.kSimplexStrategyDual)}
+
+
+def test_held_models_receive_only_new_bids_and_new_cuts(desk, desk_scenarios,
+                                                        record_highs,
+                                                        monkeypatch):
+    # HiGHS gets each Benders LP once; between two solves a subproblem gets
+    # only the bids, as the bounds of its n_first fixing rows, and the
+    # master only the cuts accepted since its last solve, in one addRows
+    solves = []
+    solve = bd.MasterProblem.solve
+
+    def recorded(self):
+        start = len(log)
+        out = solve(self)
+        solves.append((self, self.num_cuts, [e[0] for e in log[start:]],
+                       log[start:]))
+        return out
+
+    monkeypatch.setattr(bd.MasterProblem, "solve", recorded)
+    log = record_highs()
+    res = bd.iterate(desk.model, desk_scenarios, EXPECT,
+                     bd.BendersOptions(max_iterations=8))
+    n = desk.model.template.n_first
+    master = solves[0][0]
+    master_calls, *sub_calls = log.by_model.values()
+    assert len(sub_calls) == len(desk_scenarios)
+    for calls in sub_calls:
+        names = [e[0] for e in calls]
+        runs = names.count("run")
+        assert runs >= res.report.iterations
+        assert names == ["passModel", "run", "getBasis"] + (
+            ["changeRowBounds"] * n + ["run", "getBasis"]) * (runs - 1)
+        bounds = [e[1:] for e in calls if e[0] == "changeRowBounds"]
+        assert [row for row, _, _ in bounds] == list(range(n)) * (runs - 1)
+        assert all(lo == hi for _, lo, hi in bounds)
+    # the master: its head passed once, then per solve the new cuts
+    assert [e[0] for e in master_calls].count("passModel") == 1
+    assert len(solves) == res.report.iterations
+    theta, x = master.theta, master.x_indices
+    sent = 0
+    for _, cuts, names, entries in solves:
+        new = slice(sent, cuts)
+        if cuts == sent:
+            assert names == ["run", "getBasis"]
+            continue
+        assert names == ["addRows", "run", "getBasis"]
+        _, rows, lo, hi = entries[0]
+        want = np.zeros((cuts - sent, len(master.head.lower)))
+        want[np.arange(cuts - sent), theta[master.scenarios[new]]] = 1.0
+        want[:, x] = -master.gradients[new]
+        assert np.array_equal(rows.toarray(), want)
+        assert np.array_equal(lo, master.intercepts[new])
+        assert np.all(hi == np.inf)
+        sent = cuts
+    assert sent > 0
 
 
 def test_warm_subproblems_match_cold_solves(desk, desk_scenarios, monkeypatch):
@@ -682,11 +766,43 @@ def test_no_worker_thread_settles_the_shared_screen(narrowed_day, monkeypatch):
     assert set(settled) == {threading.main_thread()}
 
 
+def test_held_subproblems_resolve_the_grown_form(narrowed_day, record_highs):
+    # at the narrowed run's bids the completed primals leave the band: each
+    # restate passes every held model the grown form, with its basis grown
+    # to match, and once none violates a limit, each held subproblem
+    # re-solves to the value of a cold solve of its instantiation
+    model, sset, (res, _) = narrowed_day
+    template = model.template
+    subs = bd.subproblems(model, sset.scenarios)
+    log = record_highs()
+    for sub in subs:
+        bd.solve_subproblem(sub, res.x)
+    passed = log.count(("run",))
+    rounds = 0
+    while again := bd.restate(subs):
+        rounds += 1
+        for s in again:
+            bd.solve_subproblem(subs[s], res.x)
+    assert rounds > 0 and subs[0].screen.block_stated
+    assert log.count(("run",)) > passed
+    for sub, calls in zip(subs, log.by_model.values()):
+        cost, _ = bd.solve_subproblem(sub, res.x)
+        cold = lp.solve(template.instantiate(
+            model.scenario_data(sub.scenario), res.x))
+        assert cost == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        names = [e[0] for e in calls]
+        assert names.count("passModel") == 1 + rounds
+        # the first run after each grown form starts from the grown basis
+        assert all(names[names.index("run", k) - 1] == "setBasis"
+                   for k, name in enumerate(names) if name == "passModel" and k)
+
+
 @pytest.mark.parametrize("preset", ["desk", "day"])
 def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
-    # no primal leaves the shipped limits, so every subproblem HiGHS is
-    # given holds the template's core, neither lazy nor derived, and the
-    # bid-fixing rows only
+    # no primal leaves the shipped limits, so each subproblem's HiGHS is
+    # passed one model in the run, the template's core, neither lazy nor
+    # derived, and the bid-fixing rows only, and re-runs it at every
+    # iteration
     inst = instance.PRESETS[preset]()
     sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
     log = record_highs()
@@ -695,12 +811,16 @@ def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
     p = inst.model.template.program
     assert len(p.lazy_rows) > 0 and len(p.derived_rows) > 0
     core = p.num_variables - len(np.unique(p.derived_columns))
-    subs = [rows for _, cols, rows in
-            (e for e in log if e[0] == "passModel") if cols == core]
-    assert len(subs) >= res.report.iterations * len(sset)
-    assert set(subs) == {inst.model.template.n_first + p.num_constraints
-                         - len(np.unique(p.lazy_rows))
-                         - len(np.unique(p.derived_rows))}
+    subs = [calls for calls in log.by_model.values()
+            if calls[0][0] == "passModel" and calls[0][1] == core]
+    assert len(subs) == len(sset)
+    for calls in subs:
+        passed = [e[1:] for e in calls if e[0] == "passModel"]
+        assert passed == [(core, inst.model.template.n_first + p.num_constraints
+                           - len(np.unique(p.lazy_rows))
+                           - len(np.unique(p.derived_rows)))]
+    assert sum(e[0] == "run" for calls in subs for e in calls) \
+        >= res.report.iterations * len(sset)
 
 
 def test_unbounded_relaxation_states_every_limit():

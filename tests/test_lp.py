@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from vppsched import instance as im
 from vppsched import lp
@@ -761,14 +762,15 @@ def test_warm_solve_matches_vertex_enumeration():
     rng = np.random.default_rng(20261018)
     for _ in range(120):
         prog = random_feasible_bounded_lp(rng)
-        sol, basis = lp.solve_warm(prog)
+        held = lp.HeldModel(prog)
+        sol = held.solve()
         assert sol.status == lp.OPTIMAL
         best = vertex_enumeration_optimum(prog)
         assert sol.objective == pytest.approx(best, abs=1e-7, rel=1e-7)
         dual = lp.dual_objective(prog, sol)
         assert abs(sol.objective - dual) <= lp.OPT_TOL * (1.0 + abs(sol.objective))
         # the same data from its own basis is already optimal
-        again, _ = lp.solve_warm(prog, basis)
+        again = lp.HeldModel(prog, held.basis).solve()
         assert again.iterations == 0
         assert again.objective == pytest.approx(sol.objective, abs=1e-9)
 
@@ -779,26 +781,30 @@ def test_warm_solve_reports_status_like_solve():
     p.add_constraint([(x, 1.0)], lp.GE, 1.0)
     p.add_constraint([(x, 1.0)], lp.LE, 0.0)
     p.add_objective_term(x, 1.0)
-    sol, basis = lp.solve_warm(p)
-    assert sol.status == lp.solve(p).status == lp.INFEASIBLE and basis is None
+    held = lp.HeldModel(p)
+    sol = held.solve()
+    assert sol.status == lp.solve(p).status == lp.INFEASIBLE
+    assert held.basis is None
     q = lp.LinearProgram()
     y = q.add_variable(0.0, math.inf, "y")
     q.add_objective_term(y, -1.0)
-    assert lp.solve_warm(q)[0].status == lp.solve(q).status == lp.UNBOUNDED
+    assert lp.HeldModel(q).solve().status == lp.solve(q).status == lp.UNBOUNDED
 
 
 def test_warm_solve_after_appended_rows():
-    # the Benders master: rows appended after a solve enter with basic
-    # slacks; a row the optimum satisfies costs no iteration
+    # a program grown by rows and passed again, as ``solve_held`` and
+    # ``benders.restate`` do: a held model started from the old basis with
+    # basic slacks for the new rows; a row the optimum satisfies costs no
+    # iteration
     rng = np.random.default_rng(3)
     for _ in range(40):
         prog = random_feasible_bounded_lp(rng)
-        sol, basis = lp.solve_warm(prog)
-        x = sol.primal
+        held = lp.HeldModel(prog)
+        x = held.solve().primal
         coefs = rng.uniform(-2.0, 2.0, size=prog.num_variables)
         slack = float(rng.uniform(-1.0, 1.0))
         prog.add_constraint(list(enumerate(coefs)), lp.LE, float(coefs @ x) + slack)
-        warm, _ = lp.solve_warm(prog, lp.with_basic_rows(basis, 1))
+        warm = lp.HeldModel(prog, lp.with_basic_rows(held.basis, 1)).solve()
         cold = lp.solve(prog)
         assert warm.status == cold.status
         if cold.status == lp.OPTIMAL:
@@ -814,13 +820,77 @@ def test_warm_bound_multipliers_do_not_depend_on_later_use_of_the_basis():
     rng = np.random.default_rng(11)
     for _ in range(20):
         prog = random_feasible_bounded_lp(rng)
-        early, _ = lp.solve_warm(prog)
+        early = lp.HeldModel(prog).solve()
         expected = (early.lower_marginals, early.upper_marginals)
-        late, basis = lp.solve_warm(prog)
+        held = lp.HeldModel(prog)
+        late = held.solve()
         prog.add_constraint([(0, 1.0)], lp.LE, 1e9)
-        lp.solve_warm(prog, lp.with_basic_rows(basis, 1))
+        lp.HeldModel(prog, lp.with_basic_rows(held.basis, 1)).solve()
         assert np.array_equal(late.lower_marginals, expected[0])
         assert np.array_equal(late.upper_marginals, expected[1])
+
+
+def test_held_model_after_appended_rows_matches_cold_solves(record_highs):
+    # the Benders master: rows sent to a held model (addRows) enter with
+    # basic slacks, in HiGHS and in its basis, and re-solve with dual
+    # simplex; rows the optimum satisfies cost no iteration
+    dual = int(lp._highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    rng = np.random.default_rng(5)
+    log = record_highs()
+    for _ in range(40):
+        prog = random_feasible_bounded_lp(rng)
+        held = lp.HeldModel(prog)
+        x = held.solve().primal
+        k = int(rng.integers(1, 3))
+        coefs = rng.uniform(-2.0, 2.0, size=(k, prog.num_variables))
+        rhs = coefs @ x + rng.uniform(-1.0, 1.0, size=k)
+        held.add_rows(csr_matrix(coefs), np.full(k, -np.inf), rhs)
+        for row, side in zip(coefs, rhs):
+            prog.add_constraint(list(enumerate(row)), lp.LE, float(side))
+        assert len(held.basis.row_status) == prog.num_constraints
+        warm, cold = held.solve(prog.cost), lp.solve(prog)
+        assert warm.status == cold.status
+        if cold.status == lp.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-7,
+                                                   rel=1e-7)
+        if np.all(rhs >= coefs @ x):
+            assert warm.iterations == 0
+    assert [e[0] for e in log].count("addRows") == 40
+    assert set(log.strategies) == {dual}
+    with pytest.raises(lp.LpError):
+        held.add_rows(csr_matrix((1, prog.num_variables + 1)), [0.0], [1.0])
+
+
+def test_held_model_after_new_row_bounds_matches_cold_solves(record_highs):
+    # the Benders subproblems: new bounds of held rows, sent row by row
+    # (changeRowBounds), re-solve with dual simplex from the held basis,
+    # also when the costs change with them
+    dual = int(lp._highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    rng = np.random.default_rng(6)
+    log = record_highs()
+    changed = 0
+    for _ in range(60):
+        prog = random_feasible_bounded_lp(rng)
+        held = lp.HeldModel(prog)
+        assert held.solve().status == lp.OPTIMAL
+        rows = np.flatnonzero(rng.random(prog.num_constraints) < 0.5)
+        prog.rhs[rows] += rng.uniform(-0.5, 0.5, size=len(rows))
+        held.set_row_bounds(rows, *lp.row_bounds(prog.sense[rows],
+                                                 prog.rhs[rows]))
+        changed += len(rows)
+        if rng.random() < 0.5:
+            prog.cost[:] = rng.uniform(-3.0, 3.0, size=prog.num_variables)
+        sol, cold = held.solve(prog.cost), lp.solve(prog)
+        assert sol.status == cold.status
+        if cold.status == lp.OPTIMAL:
+            assert sol.objective == pytest.approx(cold.objective, abs=1e-7,
+                                                  rel=1e-7)
+            assert abs(sol.objective - lp.dual_objective(prog, sol)) \
+                <= lp.OPT_TOL * (1.0 + abs(sol.objective))
+    assert [e[0] for e in log].count("changeRowBounds") == changed > 0
+    assert set(log.strategies) == {dual}
+    with pytest.raises(lp.LpError):
+        held.set_row_bounds([prog.num_constraints], [0.0], [1.0])
 
 
 def test_held_model_after_a_cost_change_matches_vertex_enumeration():
@@ -850,7 +920,7 @@ def test_held_solutions_do_not_depend_on_later_solves():
     rng = np.random.default_rng(12)
     for _ in range(20):
         prog = random_feasible_bounded_lp(rng)
-        expected, _ = lp.solve_warm(prog)
+        expected = lp.HeldModel(prog).solve()
         held = lp.HeldModel(prog)
         early = held.solve()
         for _ in range(3):
@@ -909,7 +979,8 @@ def test_held_model_restarts_after_a_solve_that_is_not_optimal(record_highs):
 def test_held_model_runs_primal_only_after_a_cost_change(record_highs):
     # a cost change leaves a held basis primal feasible, so primal simplex
     # re-solves from it, also when restarting from the last optimal basis;
-    # the first solve, a restart without a basis and solve_warm run dual
+    # the first solve, a restart without a basis and a solve from a given
+    # basis without new costs run dual
     strategy = lp._highs.simplex_constants.SimplexStrategy
     dual, primal = int(strategy.kSimplexStrategyDual), \
         int(strategy.kSimplexStrategyPrimal)
@@ -928,8 +999,9 @@ def test_held_model_runs_primal_only_after_a_cost_change(record_highs):
     cold = lp.HeldModel(p)
     assert cold.solve([-1.0, 1.0]).status == lp.UNBOUNDED
     assert cold.solve([3.0, 4.0]).objective == pytest.approx(3.0, abs=1e-9)
-    sol, basis = lp.solve_warm(p)
-    assert lp.solve_warm(p, basis)[0].objective == sol.objective == 1.0
+    warm = lp.HeldModel(p)
+    sol = warm.solve()
+    assert lp.HeldModel(p, warm.basis).solve().objective == sol.objective == 1.0
     assert [entry[0] for entry in log].count("setBasis") == 2
     assert log.strategies == [dual, primal, primal, primal, dual,
                               dual, dual, dual, dual]

@@ -611,7 +611,7 @@ def test_completed_core_optimum_is_feasible_and_optimal(preset):
         program.num_constraints - len(program.lazy_rows)
         - len(program.derived_rows),
         program.num_variables - len(program.derived_columns))
-    sol, _ = lp.solve_warm(form)
+    sol = lp.HeldModel(form).solve()
     x = screen.complete(sol.primal, program)
     assert infeasibility(program, x) <= lp.FEAS_TOL
     assert screen.violated(x, program)[1] is False
