@@ -32,8 +32,8 @@ merged by scenario index, and each scenario's sequence of solves is its
 own, so the outcome does not depend on the worker count.
 
 The subproblems are screened by one ``lp.Screen``: the shared matrix holds
-the compiled block's stated rows only, without the derived
-reactive/voltage block until a limit is stated, so HiGHS sees a network
+the compiled block's stated rows only, without the derived branch-flow
+block (see ``network``) until a limit is stated, so HiGHS sees a network
 limit only once some scenario's completed primal violates it
 (``lp.Screen.violated``, the test of ``lp.solve``, read against the
 scenario's own vectors). ``restate`` then states the limit, with the
@@ -167,14 +167,16 @@ class MasterProblem:
         appended together. Returns the number added."""
         accepted = []
         for s, b, g in zip(scenarios, intercepts, gradients):
-            mine = self.scenarios == s
-            fresh = [(b2, g2) for s2, b2, g2 in accepted if s2 == s]
-            held_b = np.r_[self.intercepts[mine], [b2 for b2, _ in fresh]]
-            held_g = np.vstack([self.gradients[mine]] + [g2 for _, g2 in fresh])
-            scale = 1.0 + float(np.max(np.abs(g), initial=0.0))
-            if not np.any((np.abs(held_b - b) <= _CUT_DEDUPE_TOL * (1.0 + abs(b)))
-                          & np.all(np.abs(held_g - g) <= _CUT_DEDUPE_TOL * scale,
-                                   axis=1)):
+            tol_b = _CUT_DEDUPE_TOL * (1.0 + abs(b))
+            tol_g = _CUT_DEDUPE_TOL * (1.0 + float(np.max(np.abs(g), initial=0.0)))
+            # the held cuts of s are compared by intercept first, so only
+            # those whose intercept matches have their gradients read
+            near = np.flatnonzero((self.scenarios == s)
+                                  & (np.abs(self.intercepts - b) <= tol_b))
+            if not (np.all(np.abs(self.gradients[near] - g) <= tol_g, axis=1).any()
+                    or any(s2 == s and abs(b2 - b) <= tol_b
+                           and np.all(np.abs(g2 - g) <= tol_g)
+                           for s2, b2, g2 in accepted)):
                 accepted.append((s, b, g))
         if accepted:
             new_s, new_b, new_g = zip(*accepted)
@@ -333,7 +335,7 @@ def restate(subs: list[Subproblem]) -> list[int]:
         return again
     if any(sub.primal is None for sub in subs):
         rows = [np.flatnonzero(~screen.stated_rows)]
-    screen.state(np.unique(np.concatenate(rows)),
+    screen.state(np.concatenate(rows),
                  [sub.held.basis for sub in subs if sub.held.basis is not None])
     for sub in subs:
         sub.held.reset(screen.relaxed(sub.data), sub.held.basis)

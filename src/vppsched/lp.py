@@ -431,13 +431,22 @@ def _indices(key: str, idx, n: int) -> np.ndarray:
     return idx
 
 
+def _unique(a) -> np.ndarray:
+    """The distinct entries of the index array ``a``, sorted, as
+    ``np.unique`` gives them: a sort, keeping the first of each run of
+    equal entries. (``np.unique`` hashes integers, which on the block's
+    index arrays takes some 40 times as long.)"""
+    a = np.sort(np.asarray(a, dtype=np.int64).ravel())
+    return a[np.r_[True, a[1:] != a[:-1]]] if len(a) else a
+
+
 def _check_block(program: LinearProgram, rows, columns) -> None:
     """Raise LpError unless ``rows`` and ``columns`` may be the derived
     block of ``program`` (see ``mark_derived``), short of the numerical
     test that the block is nonsingular, which the screen that factors it
     makes."""
-    if len(rows) != len(columns) or len(np.unique(rows)) != len(rows) \
-            or len(np.unique(columns)) != len(columns):
+    if len(rows) != len(columns) or len(_unique(rows)) != len(rows) \
+            or len(_unique(columns)) != len(columns):
         raise LpError(f"derived block: {len(rows)} rows for "
                       f"{len(columns)} columns, or one twice")
     if not len(rows):
@@ -467,8 +476,8 @@ def _check_block(program: LinearProgram, rows, columns) -> None:
         raise LpError(f"derived block: column {program.col_names[column[k]]!r}"
                       f" in row {program.row_names[row[k]]!r}")
     held = in_block[row]
-    if len(np.unique(row[held])) < len(rows) \
-            or len(np.unique(column[held])) < len(columns):
+    if len(_unique(row[held])) < len(rows) \
+            or len(_unique(column[held])) < len(columns):
         raise LpError("derived block: a row or a column of it is empty "
                       "(the block is singular)")
 
@@ -519,15 +528,15 @@ class Screen:
         self.program_matrix = A = program.matrix
         self.shape = A.shape
         #: the lazy rows, sorted, and those rows of the program's matrix
-        self.rows = np.unique(program.lazy_rows)
+        self.rows = _unique(program.lazy_rows)
         self.matrix = A[self.rows]
         #: which of ``rows`` are stated; the stated ones as positions in
         #: ``rows``, in the order they were stated
         self.stated_rows = np.zeros(len(self.rows), dtype=bool)
         self.order = np.zeros(0, dtype=np.int64)
         #: the derived rows and columns, sorted; empty without a block
-        self.block_rows = np.unique(program.derived_rows)
-        self.block_columns = np.unique(program.derived_columns)
+        self.block_rows = _unique(program.derived_rows)
+        self.block_columns = _unique(program.derived_columns)
         self.block_stated = not len(self.block_columns)
         self._layout = self._form = None
         if not self.block_stated:
@@ -606,14 +615,14 @@ class Screen:
                     x[block], program.lower[block], program.upper[block]))))
 
     def state(self, rows=(), bases=()) -> None:
-        """State the lazy rows at these positions, after those stated
-        before, and the derived block with them. Each of ``bases``, a basis
-        of the relaxed form so far, grows in place to one of the grown
-        form: should the block enter, its columns basic and its rows at
-        their right-hand side (A[R, C] is nonsingular), then the new rows
-        with basic slacks; so its vertex and reduced costs stay as they
-        are."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """State the lazy rows at these positions, each once in ascending
+        order, after those stated before, and the derived block with them.
+        Each of ``bases``, a basis of the relaxed form so far, grows in
+        place to one of the grown form: should the block enter, its columns
+        basic and its rows at their right-hand side (A[R, C] is
+        nonsingular), then the new rows with basic slacks; so its vertex and
+        reduced costs stay as they are."""
+        rows = _unique(rows)
         new = rows[~self.stated_rows[rows]]
         first = not self.block_stated
         for basis in bases:

@@ -78,9 +78,11 @@ class BlockTemplate:
 
     def data(self, scenario, tariff=None, offset: int = 0) -> "ScenarioBlock":
         """Fill every data slot from one scenario (and the grid tariff), for
-        a copy of the block whose own columns start ``offset`` further on.
-        Every series must span the horizon; buses without a load series
-        carry none. Bad values raise LpError as ``add_*`` would."""
+        a copy of the block whose own columns start ``offset`` further on;
+        the slots of one right-hand side add up onto the template's (the
+        feeder-wide balance holds every bus's load). Every series must span
+        the horizon; buses without a load series carry none. Bad values
+        raise LpError as ``add_*`` would."""
         arrays = []
         for name, key in self.series:
             values = tariff if name == "tariff_per_mwh" else getattr(scenario, name)
@@ -109,8 +111,11 @@ class BlockTemplate:
         streams["c_ops"] = p.cost.copy()
         for target in self.targets:
             at = self.target == target
-            (upper if target == lp.UPPER else rhs if target == lp.RHS
-             else streams[target])[self.index[at]] = values[at]
+            if target == lp.RHS:
+                np.add.at(rhs, self.index[at], values[at])
+            else:
+                (upper if target == lp.UPPER
+                 else streams[target])[self.index[at]] = values[at]
         columns = np.arange(p.num_variables)
         columns[self.n_first:] += offset
         return ScenarioBlock(scenario, self, upper, rhs, streams, columns)

@@ -8,16 +8,19 @@ branch limits are enforced by a regular inscribed polygon, which is
 conservative with respect to the true circular limit; its sides on an
 axis are bounds on the flow columns, the others rows.
 
-The polygon's diagonal sides are marked lazy
-(``lp.LinearProgram.mark_lazy``), and the reactive balances and the
-voltage recursion (the ``balQ`` and ``vdrop`` rows, the ``fq`` and
-non-root ``v`` columns) are marked as the derived block
-(``lp.LinearProgram.mark_derived``): given the active-power solution, the
-tree fixes the reactive flows from the leaves up and the voltages from the
-root down (Baran & Wu 1989). On the shipped instances no diagonal side and
-no voltage band is active at the optimum, so every solve path holds the
-program without them (``lp.Screen``), fills the block in after each solve,
-and states them to HiGHS only once a solution violates one.
+The root's active balance is stated feeder-wide: the sum of every bus's
+active balance, in which each branch flow cancels, so the row holds every
+bus's consumption, the import and every bus's load. The polygon's diagonal
+sides are marked lazy (``lp.LinearProgram.mark_lazy``), and the rest of
+the branch flow (the non-root ``balP``, the ``balQ`` and the ``vdrop``
+rows, the ``fp``, ``fq`` and non-root ``v`` columns) is marked as the
+derived block (``lp.LinearProgram.mark_derived``): given the injections,
+the tree fixes the flows from the leaves up and the voltages from the root
+down (Baran & Wu 1989). On the shipped instances no diagonal side, no axis
+bound of a flow and no voltage band is active at the optimum, so every
+solve path holds the program without them (``lp.Screen``), fills the block
+in after each solve, and states them to HiGHS only once a solution
+violates one.
 
 All network quantities inside the LP are per-unit; device and load
 quantities stay in kW/kvar and are scaled at the nodal-balance boundary.
@@ -181,9 +184,15 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
     The columns and the rows each go in as one bulk append. Rows run step by
     step: per bus ``balP``, ``balQ`` (none at the root) and ``wit``, then
     ``vdrop`` per branch; within a row the device terms come first in
-    ``balP``/``balQ`` and last in ``wit``. The ``balQ`` and ``vdrop`` rows
-    with the ``fq`` and non-root ``v`` columns are the derived block, so the
-    voltage bands below the root reach HiGHS only with the block."""
+    ``balP``/``balQ`` and last in ``wit``. The root's ``balP`` row is the
+    feeder-wide balance, the sum of every bus's: every bus's consumption
+    terms, one per column (a column's coefficients added up in the order of
+    ``cons_p_terms``) in column order, then the import, and in the
+    right-hand side every bus's load, one slot each, which
+    ``model.BlockTemplate.data`` adds up. The non-root ``balP``, the
+    ``balQ`` and the ``vdrop`` rows with the ``fp``, ``fq`` and non-root
+    ``v`` columns are the derived block, so the axis bounds of the flows and
+    the voltage bands below the root reach HiGHS only with the block."""
     T, K = horizon.step_count, len(network.branches)
     root = network.root_id()
     scale = 1.0 / network.s_base_kw
@@ -211,9 +220,10 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
     width = int(per_bus.sum()) + K
     rest = [n for n, i in enumerate(ids) if i != root]
     parent = [topo.parent_branch[ids[n]] for n in rest]
-    child = np.array([(at[i], k) for i in ids for k in topo.child_branches[i]],
+    # (bus position, branch) of the branches leaving each bus off the root
+    child = np.array([(at[i], k) for i in ids if i != root
+                      for k in topo.child_branches[i]],
                      dtype=np.int64).reshape(-1, 2)
-    child_q = child[child[:, 0] != at[root]]
     ends = np.array([[at[b] for b in branch_endpoints(network, topo, k)]
                      for k in range(K)], dtype=np.int64).reshape(-1, 2)
 
@@ -227,19 +237,31 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
         cols.append(col.ravel())
         coefs.append(np.broadcast_to(np.reshape(coef, (-1, 1)), col.shape).ravel())
 
-    def devices(table, row_of, factor):
+    def devices(table, row_of, factor, merge=False):
         """The device terms of ``table`` on the rows ``row_of[bus]``, their
-        coefficients times ``factor``."""
+        coefficients times ``factor``; given ``merge``, the terms of one
+        column on one row add up, in the order of ``table``, to one term,
+        and a row's terms run in column order."""
         terms = np.array([(width * t + row_of[at[bus]], idx, coef)
                           for bus, per_step in table.items() if bus in at
                           for t, step_terms in zip(steps, per_step)
                           for idx, coef in step_terms], dtype=float).reshape(-1, 3)
-        rows.append(terms[:, 0].astype(np.int64))
-        cols.append(terms[:, 1].astype(np.int64))
-        coefs.append(terms[:, 2] * factor)
+        row, col = terms[:, :2].astype(np.int64).T
+        coef = terms[:, 2] * factor
+        if merge:
+            key, term = np.unique(np.c_[row, col], axis=0, return_inverse=True)
+            (row, col), coef = key.T, np.bincount(term.ravel(), coef, len(key))
+        rows.append(row)
+        cols.append(col)
+        coefs.append(coef)
 
-    # balP: consumption, then the import or the parent branch, then children
-    devices(cons_p_terms, bal_p, scale)
+    # balP: consumption, then the parent branch, then children; the root's
+    # row is the feeder-wide balance, the sum of every bus's, in which each
+    # branch flow cancels: every bus's consumption, then the import
+    devices({i: terms for i, terms in cons_p_terms.items() if i != root},
+            bal_p, scale)
+    devices(cons_p_terms, np.full(len(ids), bal_p[at[root]]), scale,
+            merge=True)
     grid([bal_p[at[root]]], pcc, -scale)
     grid(bal_p[rest], fp[parent], -1.0)
     grid(bal_p[child[:, 0]], fp[child[:, 1]], 1.0)
@@ -247,7 +269,7 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
     devices({i: terms for i, terms in cons_q_terms.items() if i != root},
             bal_p + 1, scale)
     grid(bal_p[rest] + 1, fq[parent], -1.0)
-    grid(bal_p[child_q[:, 0]] + 1, fq[child_q[:, 1]], 1.0)
+    grid(bal_p[child[:, 0]] + 1, fq[child[:, 1]], 1.0)
     # withdrawal epigraph: wit >= local consumption, wit >= 0
     grid(wit_row, wit, 1.0)
     devices(cons_p_terms, wit_row, -1.0)
@@ -269,16 +291,19 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
         np.concatenate(cols)[order], np.concatenate(coefs)[order], sense.ravel(),
         np.zeros(width * T), [f"{name},{t}]" for t in steps for name in label]
     ).reshape(T, width)
-    # the loads are data: minus the load in balP and balQ, the load in wit
+    # the loads are data: minus the load in balP and balQ, the load in wit;
+    # a non-root bus's load enters the root's row too, which adds them up
     for n, i in enumerate(ids):
         program.add_slots(lp.RHS, grid_rows[:, [bal_p[n], wit_row[n]]],
                           "load_active", i, np.c_[steps], [-scale, 1.0])
         if i != root:
+            program.add_slots(lp.RHS, grid_rows[:, bal_p[at[root]]],
+                              "load_active", i, steps, -scale)
             program.add_slots(lp.RHS, grid_rows[:, bal_p[n] + 1],
                               "load_reactive", i, steps, -scale)
-    program.mark_derived(np.sort(np.r_[grid_rows[:, bal_p[rest] + 1].ravel(),
-                                       grid_rows[:, vdrop].ravel()]),
-                         np.r_[fq.ravel(), v[rest].ravel()])
+    program.mark_derived(
+        np.sort(grid_rows[:, np.r_[bal_p[rest], bal_p[rest] + 1, vdrop]].ravel()),
+        np.r_[fp.ravel(), fq.ravel(), v[rest].ravel()])
 
     return GridHandles(dict(enumerate(fp.tolist())), dict(enumerate(fq.tolist())),
                        dict(zip(ids, v.tolist())), pcc[0].tolist(),

@@ -9,11 +9,12 @@ hash and the scenario-manifest hash it was produced from.
 The sweep's levels differ only in tariff costs. The extensive form is
 stacked once; a level recomputes only its tariff stream and cost vector.
 The levels are solved in order on one held HiGHS model, which receives the
-active-power core of the extensive form once (the lazy limits and the
-derived reactive/voltage block left out, as on every solve path) and then
-only the costs each level changes; each level's primal is completed and
-checked against what the core leaves out, and a level reads back only its scenario costs and
-coupling-point columns; a one-shot extensive solve stays a cold solve.
+core of the extensive form once (the lazy limits and the derived
+branch-flow block left out, as on every solve path) and then only the
+costs each level changes; each level's primal is completed and checked
+against what the core leaves out, and a level reads back only its
+scenario costs and coupling-point columns; a one-shot extensive solve
+stays a cold solve.
 The detail re-solves of a Benders run go to the run's worker threads.
 """
 

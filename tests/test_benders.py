@@ -15,7 +15,8 @@ from vppsched import scenarios as sg
 from vppsched import stochastic as st
 
 from oracles import cut_matches, unscreened
-from test_network import narrowed_band, random_feeder_model
+from test_network import (active_axis_day, breaks_a_flow_bound, narrowed_band,
+                          random_feeder_model)
 
 EXPECT = st.RiskMeasure(st.EXPECTATION)
 CVAR9 = st.RiskMeasure(st.CVAR, 0.9)
@@ -124,16 +125,13 @@ def test_master_and_extensive_share_the_risk_rows(desk, desk_scenarios, risk):
     assert len(ext[3]) == (0 if risk.kind == st.EXPECTATION else S)
 
 
-def test_cut_dedupe_matches_pairwise_scan(desk):
-    # the stacked per-scenario test accepts exactly what the pairwise
-    # oracle scan over all earlier cuts accepts; cuts are taken at
-    # x_hat = 0, so that each intercept is the value there
-    master = bd.MasterProblem(desk.model, 3, np.full(3, 1.0 / 3.0), EXPECT)
-    n = len(master.x_indices)
+def near_duplicate_cuts(n, rng, count=80):
+    """``count`` random cuts over ``n`` bids and 3 scenarios, each a
+    ``(scenario, intercept, gradient)`` triple; most copy an earlier cut
+    moved by a multiple of the dedupe tolerance."""
     tol = bd._CUT_DEDUPE_TOL
-    rng = np.random.default_rng(11)
     cuts = []
-    for _ in range(80):
+    for _ in range(count):
         if cuts and rng.random() < 0.6:
             # a copy of an earlier cut, moved by a multiple of the tolerance,
             # sometimes filed under another scenario
@@ -150,6 +148,17 @@ def test_cut_dedupe_matches_pairwise_scan(desk):
             g = rng.normal(size=n) * float(rng.choice([1.0, 1e3]))
             g[rng.random(n) < 0.5] = 0.0
             cuts.append((int(rng.integers(3)), float(rng.normal() * 100.0), g))
+    return cuts
+
+
+def test_cut_dedupe_matches_pairwise_scan(desk):
+    # the stacked per-scenario test accepts exactly what the pairwise
+    # oracle scan over all earlier cuts accepts; cuts are taken at
+    # x_hat = 0, so that each intercept is the value there
+    master = bd.MasterProblem(desk.model, 3, np.full(3, 1.0 / 3.0), EXPECT)
+    n = len(master.x_indices)
+    tol = bd._CUT_DEDUPE_TOL
+    cuts = near_duplicate_cuts(n, np.random.default_rng(11))
     accepted = []
     for cut in cuts:
         if not any(cut_matches(cut, old, tol) for old in accepted):
@@ -167,6 +176,31 @@ def test_cut_dedupe_matches_pairwise_scan(desk):
                               [c[1] for c in mine])
         assert np.array_equal(master.gradients[stored],
                               np.array([c[2] for c in mine]).reshape(-1, n))
+
+
+def test_cut_dedupe_across_calls_matches_pairwise_scan(desk):
+    # the cuts offered over many calls, near-duplicates inside one call and
+    # across calls: each call accepts exactly what the pairwise oracle scan
+    # over every cut accepted before it accepts, in the same order
+    tol = bd._CUT_DEDUPE_TOL
+    for seed in range(4):
+        master = bd.MasterProblem(desk.model, 3, np.full(3, 1.0 / 3.0), EXPECT)
+        rng = np.random.default_rng(seed)
+        cuts = near_duplicate_cuts(len(master.x_indices), rng, 120)
+        ends = np.r_[0, np.sort(rng.choice(np.arange(1, 120), 15, replace=False)),
+                     120]
+        accepted, added = [], []
+        for first, last in zip(ends[:-1], ends[1:]):
+            call = cuts[first:last]
+            before = len(accepted)
+            for cut in call:
+                if not any(cut_matches(cut, old, tol) for old in accepted):
+                    accepted.append(cut)
+            added.append(master.add_cuts(*zip(*call)) == len(accepted) - before)
+        assert all(added) and 0 < len(accepted) < len(cuts)
+        assert master.scenarios.tolist() == [c[0] for c in accepted]
+        assert np.array_equal(master.intercepts, [c[1] for c in accepted])
+        assert np.array_equal(master.gradients, np.array([c[2] for c in accepted]))
 
 
 def test_cut_store_equals_one_at_a_time_appends(desk):
@@ -703,6 +737,29 @@ def test_subproblems_state_the_voltage_bands_they_break(narrowed_day, risk):
     res, (rows, block) = neutral if risk is EXPECT \
         else screened_run(model, sset, risk)
     assert block
+    assert_all_stated_optimum(model, sset, risk, res)
+
+
+@pytest.mark.parametrize("risk", [EXPECT, CVAR9], ids=["neutral", "cvar"])
+def test_subproblems_state_the_flow_bounds_they_break(risk, monkeypatch):
+    # day with the branch to bus 4 rated below the flow its core optimum
+    # draws: a completed subproblem primal takes a derived fp column past its
+    # axis bound, the block is stated for every scenario, and the run still
+    # converges to the optimum with every limit stated
+    model, sset = active_axis_day()
+    names = model.template.program.col_names
+    broken = []
+    violated = lp.Screen.violated
+
+    def checked(self, x, program):
+        found = violated(self, x, program)
+        if found[1]:
+            broken.append(breaks_a_flow_bound(names, program, x))
+        return found
+
+    monkeypatch.setattr(lp.Screen, "violated", checked)
+    res, (_, block) = screened_run(model, sset, risk)
+    assert block and any(broken)
     assert_all_stated_optimum(model, sset, risk, res)
 
 

@@ -585,6 +585,20 @@ def test_completion_on_many_threads_matches_one():
     assert parallel == serial
 
 
+def test_sorted_uniqueness_matches_np_unique():
+    # the screen's index sets: random, empty, all one entry, and runs of
+    # repeats in any order
+    rng = np.random.default_rng(7)
+    cases = [rng.integers(0, 50, 200), rng.integers(-5, 5, 1000),
+             np.zeros(0, np.int64), np.full(30, 4), np.arange(40)[::-1],
+             np.repeat(rng.permutation(25), rng.integers(1, 4, 25)),
+             rng.integers(0, 10**9, 5000)]
+    for a in cases:
+        unique = lp._unique(a)
+        assert unique.dtype == np.int64
+        assert np.array_equal(unique, np.unique(a))
+
+
 def test_mark_lazy_refuses_an_unknown_index():
     p = screened_program()
     with pytest.raises(lp.LpError, match="lazy_rows: unknown index 5"):

@@ -159,13 +159,17 @@ def test_threads_share_the_compiled_block(desk, desk_scenarios):
 
 
 #: sha256 of each preset's compiled template (see ``template_digest``),
-#: pinned when the slots became runs of arrays, on the template whose flow
-#: polygon's axis sides had become column bounds; that layout change is
-#: checked against the all-rows polygon in ``test_network.py``
+#: pinned again when the root's balP row became the feeder-wide balance
+#: (the sum of every bus's balP row, with every bus's load slot), which
+#: moved the non-root balP rows and the fp columns into the derived block;
+#: ``test_network.py`` checks that row against the sum of the paper-form
+#: rows and every other row, column and slot against the paper form, as it
+#: checks the polygon's axis sides as column bounds against the all-rows
+#: polygon
 TEMPLATE_DIGESTS = {
-    "desk": "7b688f7986b1db53f5dc1614366c0a1cabe53fffdf7062f16697057d636eeff6",
-    "day": "204d171180d29efff62ff506a6d0e17c6e585206569115ea338edd0783e7a98c",
-    "full": "f8595a42c0fe9ab3a0c263644c071c29858e8e20f2dad07d982d80b185ad46f8",
+    "desk": "f67bdad79e8dbc0679aad762bb137f83bdae20083bd91cfbc10ca071825834bd",
+    "day": "4f97f2d40c8586ff0f64e1a6f524b2e4d6d45855f0e9eb8d7e3a86233bad95b0",
+    "full": "e368a4ea039c75785f979c33778f50a2d7e7535b948acf2d3ae523e214fc4198",
 }
 
 

@@ -247,10 +247,14 @@ def test_grid_block_is_emitted_in_bulk():
 
 
 def row_by_row_grid(program, network, topo, horizon, cons_p, cons_q,
-                    segments):
+                    segments, paper=False):
     """Reference for the bulk emitters: the grid block one ``add_variable``
     and one ``add_constraint`` at a time, in the documented order, the flow
-    polygon's axis sides as bounds of the flow columns."""
+    polygon's axis sides as bounds of the flow columns. The root's ``balP``
+    row is the feeder-wide balance: every bus's consumption terms added up
+    by column, in bus order and then in column order, then the import, and
+    every bus's load; given ``paper``, it is the root's own balance, as the
+    paper states it."""
     T, K = horizon.step_count, len(network.branches)
     root = network.root_id()
     scale = 1.0 / network.s_base_kw
@@ -283,13 +287,25 @@ def row_by_row_grid(program, network, topo, horizon, cons_p, cons_q,
             i = b.id
             own_p = cons_p[i][t] if i in cons_p else []
             own_q = cons_q[i][t] if i in cons_q else []
-            up = [(pcc[t], -scale)] if i == root \
-                else [(fp[topo.parent_branch[i]][t], -1.0)]
-            row = program.add_constraint(
-                [(j, c * scale) for j, c in own_p] + up
-                + [(fp[k][t], 1.0) for k in topo.child_branches[i]],
-                lp.EQ, 0.0, f"balP[{i},{t}]")
-            program.add_slots(lp.RHS, [row], "load_active", i, t, -scale)
+            if i == root and not paper:
+                terms = {}
+                for bus in network.buses:
+                    for j, c in cons_p[bus.id][t] if bus.id in cons_p else []:
+                        terms[j] = terms.get(j, 0.0) + c * scale
+                row = program.add_constraint(
+                    sorted(terms.items()) + [(pcc[t], -scale)],
+                    lp.EQ, 0.0, f"balP[{i},{t}]")
+                for bus in network.buses:
+                    program.add_slots(lp.RHS, [row], "load_active", bus.id, t,
+                                      -scale)
+            else:
+                up = [(pcc[t], -scale)] if i == root \
+                    else [(fp[topo.parent_branch[i]][t], -1.0)]
+                row = program.add_constraint(
+                    [(j, c * scale) for j, c in own_p] + up
+                    + [(fp[k][t], 1.0) for k in topo.child_branches[i]],
+                    lp.EQ, 0.0, f"balP[{i},{t}]")
+                program.add_slots(lp.RHS, [row], "load_active", i, t, -scale)
             if i != root:
                 row = program.add_constraint(
                     [(j, c * scale) for j, c in own_q]
@@ -491,6 +507,34 @@ def narrowed_band(model, v_min, v_max):
     return dataclasses.replace(model, network=dataclasses.replace(net, buses=buses))
 
 
+def narrowed_rating(model, bus, s_max_kva):
+    """``model`` with the branch that feeds ``bus`` rated ``s_max_kva``."""
+    net = model.network
+    k = nw.validate_radial(net).parent_branch[bus]
+    branches = list(net.branches)
+    branches[k] = dataclasses.replace(branches[k], s_max_kva=s_max_kva)
+    return dataclasses.replace(model, network=dataclasses.replace(
+        net, branches=branches))
+
+
+def active_axis_day():
+    """day with the branch feeding the EV's bus 4 rated 20 kVA, so that its
+    active axis bound, |P| <= 20 cos(pi/8) = 18.5 kW, lies below the flow
+    the core's optimum draws through it (21.1 kW); and 5 scenarios (seed
+    42)."""
+    inst = im.day_instance()
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
+    return narrowed_rating(inst.model, 4, 20.0), sset
+
+
+def breaks_a_flow_bound(names, program, x) -> bool:
+    """Whether ``x`` takes an active flow column, by the column ``names``,
+    out of the bounds that ``program`` gives it by more than the screening
+    tolerance."""
+    fp = np.flatnonzero(np.char.find(np.array(names), "fp[") >= 0)
+    return bool(np.any(lp._outside(x[fp], program.lower[fp], program.upper[fp])))
+
+
 def assert_screened_is_full_optimum(program, sol, rows, reference):
     """``sol`` of ``program``, solved in the ``linprog`` runs ``rows``, is
     the optimum of the program solved with every limit stated."""
@@ -517,6 +561,28 @@ def test_screening_reaches_binding_voltage_bands(risk, linprog_rows):
     reference = lp.solve(unscreened(program))
     assert_screened_is_full_optimum(program, sol, rounds, reference)
     # the band binds: the optimum is dearer than with the shipped band
+    wide = st.build_extensive(inst.model, sset, risk).program
+    assert sol.objective > lp.solve(wide).objective + 1e-3
+
+
+@pytest.mark.parametrize("risk", [st.RiskMeasure(st.EXPECTATION),
+                                  st.RiskMeasure(st.CVAR, 0.9)])
+def test_screening_reaches_a_binding_active_axis_bound(risk, linprog_rows):
+    # the completed core optimum takes a derived fp column past its axis
+    # bound: a later round states the block, and the result is the optimum
+    # with every limit stated, dearer than with the shipped rating
+    model, sset = active_axis_day()
+    program = st.build_extensive(model, sset, risk).program
+    screen = lp.Screen(program)
+    core = lp.HeldModel(screen.relaxed(program)).solve()
+    assert breaks_a_flow_bound(program.col_names, program,
+                               screen.complete(core.primal, program))
+    sol = lp.solve(program)
+    rounds = list(linprog_rows)
+    assert rounds[1] >= rounds[0] + len(program.derived_rows)
+    assert_screened_is_full_optimum(program, sol, rounds,
+                                    lp.solve(unscreened(program)))
+    inst = im.day_instance()
     wide = st.build_extensive(inst.model, sset, risk).program
     assert sol.objective > lp.solve(wide).objective + 1e-3
 
@@ -563,15 +629,17 @@ def test_limits_infeasible_only_when_stated_name_the_block():
 # ------------------------------------------------------------ derived block
 
 def assert_derived_block(model):
-    """The derived block of ``model``'s compiled block: the balQ and vdrop
-    rows and the fq and non-root v columns, as many rows as columns, a
-    block A[R, C] that factors, no cost on C, and no nonzero of C outside
-    R and the lazy rows."""
+    """The derived block of ``model``'s compiled block: the non-root balP,
+    the balQ and the vdrop rows and the fp, fq and non-root v columns, as
+    many rows as columns, a block A[R, C] that factors, no cost on C, and
+    no nonzero of C outside R and the lazy rows."""
     p = model.template.program
     root = model.network.root_id()
     rows = [i for i, name in enumerate(p.row_names)
-            if name.startswith(("balQ[", "vdrop["))]
-    cols = [j for j, name in enumerate(p.col_names) if name.startswith("fq[")
+            if name.startswith(("balP[", "balQ[", "vdrop["))
+            and not name.startswith(f"balP[{root},")]
+    cols = [j for j, name in enumerate(p.col_names)
+            if name.startswith(("fp[", "fq["))
             or name.startswith("v[") and not name.startswith(f"v[{root},")]
     assert sorted(p.derived_rows.tolist()) == rows
     assert sorted(p.derived_columns.tolist()) == cols
@@ -594,6 +662,93 @@ def test_presets_mark_the_reactive_voltage_block(preset):
 @pytest.mark.parametrize("seed", range(12))
 def test_random_feeders_mark_the_reactive_voltage_block(seed):
     assert_derived_block(random_feeder_model(seed)[0])
+
+
+def paper_form(model):
+    """``model`` compiled with its grid emitted row by row in the paper's
+    form (``row_by_row_grid`` given ``paper``): the root's balP row its own
+    balance, no limit lazy, no block derived."""
+    emit = lambda program, net, topo, hz, cons_p, cons_q: row_by_row_grid(
+        program, net, topo, hz, cons_p, cons_q, model.flow_segments, paper=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nw, "emit_distflow", emit)
+        mp.setattr(nw, "emit_flow_limits", lambda *args: None)
+        twin = dataclasses.replace(model)
+        twin.template
+    return twin
+
+
+def assert_root_row_sums_the_paper_rows(model):
+    """Each root balP row of ``model``'s compiled block is the sum of the
+    balP rows of its step in the paper's form, in its coefficients and its
+    right-hand-side slots; every other row, column and slot is the paper
+    form's own."""
+    feeder, paper = model.template, paper_form(model).template
+    p, q = feeder.program, paper.program
+    root = model.network.root_id()
+    assert (p.col_names, p.row_names) == (q.col_names, q.row_names)
+    for key in ("lower", "upper", "cost", "sense", "rhs"):
+        assert np.array_equal(getattr(p, key), getattr(q, key)), key
+    names = np.array(p.row_names)
+    roots = np.flatnonzero(np.char.startswith(names, f"balP[{root},"))
+    assert len(roots) == model.horizon.step_count
+    others = np.setdiff1d(np.arange(len(names)), roots)
+    A, B = p.matrix, q.matrix
+    assert (A[others] != B[others]).nnz == 0
+    slots = [canonical_slots(tpl) for tpl in (feeder, paper)]
+    on = lambda k, rows: sorted(slot[2:] for slot in slots[k]
+                                if slot[0] == lp.RHS and slot[1] in rows)
+    off_root = set(others.tolist())
+    assert [s for s in slots[0] if s[0] != lp.RHS or s[1] in off_root] \
+        == [s for s in slots[1] if s[0] != lp.RHS or s[1] in off_root]
+    for t, row in enumerate(roots):
+        step = np.flatnonzero(np.char.startswith(names, "balP[")
+                              & np.char.endswith(names, f",{t}]"))
+        assert np.array_equal(A[row].toarray(), B[step].sum(axis=0).A)
+        assert on(0, {row}) == on(1, set(step.tolist()))
+
+
+@pytest.mark.parametrize("preset", ["desk", "day", "full"])
+def test_preset_root_row_is_the_feeder_wide_balance(preset):
+    assert_root_row_sums_the_paper_rows(im.PRESETS[preset]().model)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_feeder_root_row_is_the_feeder_wide_balance(seed):
+    assert_root_row_sums_the_paper_rows(random_feeder_model(seed)[0])
+
+
+@pytest.mark.parametrize("preset", ["desk", "day"])
+@pytest.mark.parametrize("risk", [st.RiskMeasure(st.EXPECTATION),
+                                  st.RiskMeasure(st.CVAR, 0.9)])
+def test_feeder_wide_balance_keeps_the_optimum(preset, risk):
+    # the unscreened extensive optimum is the same in either form
+    inst = im.PRESETS[preset]()
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
+    new, old = (lp.solve(unscreened(st.build_extensive(m, sset, risk).program))
+                for m in (inst.model, paper_form(inst.model)))
+    assert new.status == old.status == lp.OPTIMAL
+    assert new.objective == pytest.approx(old.objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("preset, count", [("desk", 5), ("day", 5), ("full", 4)])
+@pytest.mark.parametrize("risk", [st.RiskMeasure(st.EXPECTATION),
+                                  st.RiskMeasure(st.CVAR, 0.9)])
+def test_preset_optimum_leaves_every_derived_bound_slack(preset, count, risk,
+                                                          linprog_rows):
+    # every solve path leaves the derived block out because at a shipped
+    # optimum no bound of a derived column binds: one run of the core, and
+    # every fp, fq and v column well inside its bounds
+    inst = im.PRESETS[preset]()
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, count,
+                              seed=42)
+    program = st.build_extensive(inst.model, sset, risk).program
+    sol = lp.solve(program)
+    assert sol.status == lp.OPTIMAL and len(linprog_rows) == 1
+    block = program.derived_columns
+    x, lo, hi = sol.primal[block], program.lower[block], program.upper[block]
+    assert np.all(x - lo > 1e-6 * (1.0 + np.abs(lo)))
+    assert np.all(hi - x > 1e-6 * (1.0 + np.abs(hi)))
 
 
 @pytest.mark.parametrize("preset", ["desk", "day"])

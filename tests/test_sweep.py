@@ -1,9 +1,10 @@
-"""The tariff sweep holds one HiGHS model of the extensive form's
-active-power core and re-solves each level on it with only the changed
-costs sent: every level must still equal its own cold extensive solve,
-repeat bit for bit, restart from the last optimal basis after a failed
-level, and pass its model to HiGHS once, or, where a completed primal
-breaks a left-out limit, once more with the derived block stated."""
+"""The tariff sweep holds one HiGHS model of the extensive form's core
+(no lazy row, no derived branch-flow block) and re-solves each level on it
+with only the changed costs sent: every level must still equal its own
+cold extensive solve, repeat bit for bit, restart from the last optimal
+basis after a failed level, and pass its model to HiGHS once, or, where a
+completed primal breaks a left-out limit, once more with the derived block
+stated."""
 
 import dataclasses
 import json
@@ -20,7 +21,7 @@ from vppsched import stochastic as st
 from vppsched.config import load_config
 
 from oracles import infeasibility
-from test_network import narrowed_band
+from test_network import breaks_a_flow_bound, narrowed_band, narrowed_rating
 
 LEVELS = [round(0.1 * k, 1) for k in range(11)]
 NEUTRAL = st.RiskMeasure(st.EXPECTATION)
@@ -293,25 +294,31 @@ def reactive_bound_model(model, sset, scale=12.0, margin=3.0):
         dataclasses.replace(sset, scenarios=scenarios))
 
 
-@pytest.mark.parametrize("limit", ["voltage band", "reactive axis"])
+@pytest.mark.parametrize("limit", ["voltage band", "reactive axis",
+                                   "active axis"])
 def test_sweep_states_the_block_its_completion_breaks(day_case, limit,
                                                      monkeypatch, record_highs):
     # day with the band narrowed to +-0.2 % (the bound of a derived v
-    # column), or with a reactive axis bound that the completed flow leaves
-    # (the bound of a derived fq column): the sweep states the block once,
-    # by a second pass of the grown form started from the extended basis,
-    # every level's primal is feasible for the full program, and every
-    # level matches its cold solve
+    # column), with a reactive axis bound that the completed flow leaves
+    # (the bound of a derived fq column), or with the branch to bus 4 rated
+    # below the active flow the core draws (the bound of a derived fp
+    # column): the sweep states the block once, by a second pass of the
+    # grown form started from the extended basis, every level's primal is
+    # feasible for the full program, and every level matches its cold solve
     cfg, model, sset = day_case
     if limit == "voltage band":
         model = narrowed_band(model, 0.998, 1.002)
-    else:
+    elif limit == "reactive axis":
         model, sset = reactive_bound_model(model, sset)
-    found, solved = [], []
+    else:
+        model = narrowed_rating(model, 4, 20.0)
+    found, solved, flows = [], [], []
     violated, solve_held = lp.Screen.violated, lp.solve_held
 
     def checked(self, x, program):
         found.append(violated(self, x, program))
+        if found[-1][1]:
+            flows.append(breaks_a_flow_bound(program.col_names, program, x))
         return found[-1]
 
     def kept(held, screen, program, cost):
@@ -336,6 +343,7 @@ def test_sweep_states_the_block_its_completion_breaks(day_case, limit,
     assert block
     if limit == "reactive axis":
         assert len(rows_broken) == 0
+    assert flows[0] == (limit == "active axis")
     assert len(solved) == len(LEVELS)
     for _, program, sol in solved:
         assert infeasibility(program, sol.primal) <= lp.FEAS_TOL
