@@ -36,9 +36,10 @@ the compiled block's stated rows only, without the derived branch-flow
 block (see ``network``) until a limit is stated, so HiGHS sees a network
 limit only once some scenario's completed primal violates it
 (``lp.Screen.violated``, the test of ``lp.solve``, read against the
-scenario's own vectors). ``restate`` then states the limit, with the
-block, for every scenario, passes each held model the grown form with its
-basis grown to match, and the violating scenarios re-solve at the same
+scenario's own vectors). ``lp.Screen.restate``, the step of ``lp.solve``,
+then states the limit, with the block, for every scenario, passes each
+held model the grown form with its basis grown to match (or cold after an
+unbounded relaxation), and the violating scenarios re-solve at the same
 bids until none violates one. A relaxed value and its duals underestimate
 the recourse value, so every cut is valid; the values that set the
 incumbent are exact.
@@ -55,7 +56,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csr_matrix
 
 from . import lp
 from . import market as mk
@@ -199,15 +200,6 @@ class MasterProblem:
                            np.r_[0, np.cumsum(keep.sum(1))]),
                           shape=(len(gradients), len(self.head.lower)))
 
-    def form(self) -> lp.ColumnForm:
-        """The head's rows and then one row per cut (``_cut_rows``): the
-        program the held model holds after its next solve."""
-        head = lp.column_form(self.head)
-        return head._replace(
-            matrix=vstack((head.matrix, self._cut_rows()), format="csc"),
-            row_lo=np.r_[head.row_lo, self.intercepts],
-            row_hi=np.r_[head.row_hi, np.full(self.num_cuts, np.inf)])
-
     def solve(self) -> tuple[float, np.ndarray]:
         if self.num_cuts > self._sent:
             self.held.add_rows(self._cut_rows(self._sent),
@@ -311,37 +303,6 @@ def subproblems(model: VppModel, scenarios: list[Scenario]) -> list[Subproblem]:
     return subs
 
 
-def restate(subs: list[Subproblem]) -> list[int]:
-    """Check the last primal of every subproblem, each solved at least
-    once (``solve_subproblem``), against the unstated lazy
-    rows and the derived block of their shared screen and state each row
-    violated, with the block, for all of them, on the calling thread; after
-    an unbounded relaxation, state everything. Returns the indices of the
-    subproblems to solve again: those whose primal violated a limit or
-    whose relaxation was unbounded. Every basis grows with the form
-    (``lp.Screen.state``), and each held model then holds the grown form
-    (``lp.HeldModel.reset``), to re-solve from its grown basis."""
-    screen = subs[0].screen
-    rows, again = [np.zeros(0, dtype=np.int64)], []
-    for sub in subs:
-        if sub.primal is None:
-            again.append(sub.index)
-            continue
-        r, block = screen.violated(sub.primal, sub.data)
-        if len(r) or block:
-            again.append(sub.index)
-            rows.append(r)
-    if not again:
-        return again
-    if any(sub.primal is None for sub in subs):
-        rows = [np.flatnonzero(~screen.stated_rows)]
-    screen.state(np.concatenate(rows),
-                 [sub.held.basis for sub in subs if sub.held.basis is not None])
-    for sub in subs:
-        sub.held.reset(screen.relaxed(sub.data), sub.held.basis)
-    return again
-
-
 def solve_subproblem(sub: Subproblem,
                      x_hat: np.ndarray) -> tuple[float, np.ndarray]:
     """Second-stage value and a subgradient at the given bids, of the
@@ -349,7 +310,7 @@ def solve_subproblem(sub: Subproblem,
     model: built on the first solve, and afterwards sent only the bids, as
     the bounds of the fixing rows, so HiGHS re-solves from the basis it
     holds; its primal, completed (``lp.Screen.complete``), is kept for
-    ``restate``.
+    ``lp.Screen.restate``.
 
     The bids enter as free variables pinned by equality rows; the duals of
     those rows are exactly d(cost)/d(bid), so the returned affine function
@@ -389,6 +350,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
     probs = sset.probabilities()
     master = MasterProblem(model, len(sset), probs, risk)
     subs = subproblems(model, sset.scenarios)
+    screen, programs = subs[0].screen, [sub.data for sub in subs]
     report = ConvergenceReport()
     start = time.perf_counter()
 
@@ -406,7 +368,8 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             iterations = sum(sub.iterations for sub in subs)
             # the relaxed values are the recourse values only once no
             # completed primal violates a left-out limit
-            while again := restate(subs):
+            while again := screen.restate([sub.primal for sub in subs],
+                                          programs, [sub.held for sub in subs]):
                 for s, value in zip(again, parallel_map(
                         solve_subproblem, [subs[s] for s in again], repeat(x))):
                     values[s] = value

@@ -16,7 +16,9 @@ a bound of a derived column, and the block, while left out, is completed
 from its rows by one sparse solve. ``Screen`` holds which lazy rows are
 stated and whether the block is; its ``violated`` is the one screening
 test, and it reads the limits left out from the program's own vectors
-when it runs. ``solve`` screens in rounds of cold solves, and its report
+when it runs; its ``restate`` is the one step that acts on a violation:
+it states what the completed primals break and passes the held models the
+grown form. ``solve`` screens in rounds of cold solves, and its report
 is that of the full program. ``HeldModel`` solves on scipy's bundled
 HiGHS binding directly: it passes a program to HiGHS once, with the rows
 and bounds it is given, and afterwards sends only what changes, so HiGHS
@@ -28,8 +30,8 @@ fixing rows of a Benders subproblem) and ``addRows`` (new cuts of the
 Benders master, entering with basic slacks), after which dual simplex
 re-solves, since a row change leaves the basis dual feasible. The sweep
 holds the relaxed form; ``solve_held`` grows it by what a completed
-primal violates, passing the grown form again, and re-solves from the
-held vertex extended to a basis of it (``Screen.state``). Row duals are
+primal violates (``Screen.restate``) and re-solves from the held vertex
+extended to a basis of the grown form. Row duals are
 converted and bound multipliers split by basis status only when first
 read. No other module touches the solver backend.
 
@@ -504,9 +506,10 @@ class Screen:
     ``LinearProgram.mark_lazy`` and ``mark_derived``), and which of them
     are stated to HiGHS so far: a set that only grows. The block is left
     out until the first limit is stated, and then stated whole.
-    ``violated`` is the one screening test; ``solve`` runs it on the
-    completed primal of each round, the Benders subproblems on that of each
-    scenario, and ``solve_held`` on that of a held relaxed form.
+    ``violated`` is the one screening test and ``restate`` the one step
+    that acts on it; ``solve`` runs it on the completed primal of each
+    round, the Benders subproblems on those of all scenarios, and
+    ``solve_held`` on that of a held relaxed form.
 
     The screen holds no limit itself: ``relaxed``, ``violated`` and
     ``complete`` read them, when they run, from the vectors (``cost``,
@@ -579,13 +582,12 @@ class Screen:
             self.program_matrix = None
         return self._form
 
-    def relaxed(self, program, cost=None) -> ColumnForm:
+    def relaxed(self, program) -> ColumnForm:
         """``program``, of the screened one's matrix, as its relaxed form:
         the unstated lazy rows and, until stated, the derived block left
-        out; under ``cost`` (one per column of ``program``) if given."""
+        out."""
         rows, columns = self.layout()
-        cost = program.cost if cost is None else cost
-        return ColumnForm(self.form_matrix, cost[columns],
+        return ColumnForm(self.form_matrix, program.cost[columns],
                           program.lower[columns], program.upper[columns],
                           *row_bounds(program.sense[rows], program.rhs[rows]))
 
@@ -647,8 +649,33 @@ class Screen:
         self._form = vstack([form, *(part[:, columns] for part in grown)],
                             format="csc")
 
-    def state_all(self) -> None:
-        self.state(np.flatnonzero(~self.stated_rows))
+    def restate(self, primals, programs, held=()) -> list[int]:
+        """Check each completed primal against the unstated limits of its
+        program (``violated``); a primal of None, from an unbounded
+        relaxation, breaks every limit. State whatever any primal breaks,
+        with the block, on the calling thread, growing the bases of the
+        ``held`` models (``state``), and pass each of them, paired with
+        ``programs``, the grown relaxed form under the costs it holds: the
+        block's columns are appended and cost nothing. After an unbounded
+        relaxation every held model restarts cold. Returns the positions of
+        the primals to solve again."""
+        rows, again = [], []
+        for k, (x, program) in enumerate(zip(primals, programs)):
+            r, block = self.violated(x, program) if x is not None else (
+                np.flatnonzero(~self.stated_rows), not self.block_stated)
+            if len(r) or block:
+                again.append(k)
+                rows.append(r)
+        if not again:
+            return again
+        cold = any(x is None for x in primals)
+        self.state(np.concatenate(rows), [] if cold else [
+            h.basis for h in held if h.basis is not None])
+        for h, program in zip(held, programs):
+            form = self.relaxed(program)
+            h.reset(form._replace(cost=np.r_[h.cost, np.zeros(
+                len(form.cost) - len(h.cost))]), None if cold else h.basis)
+        return again
 
 
 def solve(program: LinearProgram) -> LpSolution:
@@ -657,7 +684,7 @@ def solve(program: LinearProgram) -> LpSolution:
     The program is screened (``Screen``), in rounds: the first solves its
     relaxed form, without the lazy rows and the derived block; each later
     one states the rows the last completed primal violates, and the block
-    with them (``Screen.violated``), and solves cold again, until none is.
+    with them (``Screen.restate``), and solves cold again, until none is.
     An optimum of a relaxation that is feasible for the program is optimal
     for it, so the report is the full program's: a left-out row has dual 0
     and a left-out column multipliers 0 (the block's columns cost nothing
@@ -689,17 +716,15 @@ def solve(program: LinearProgram) -> LpSolution:
                                "dual_feasibility_tolerance": _SOLVER_TOL})
         iterations += int(res.nit)
         status = _status_from_scipy(res.status)
-        if status == UNBOUNDED and not screen.all_stated:
-            screen.state_all()
-            continue
-        if status != OPTIMAL:
-            return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
-                              iterations=iterations)
-        x = screen.complete(np.asarray(res.x), program)
-        rows, block = screen.violated(x, program)
-        if not (len(rows) or block):
+        if status not in (OPTIMAL, UNBOUNDED):
             break
-        screen.state(rows)
+        x = screen.complete(np.asarray(res.x), program) \
+            if status == OPTIMAL else None
+        if not screen.restate([x], [program]):
+            break
+    if status != OPTIMAL:
+        return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
+                          iterations=iterations)
 
     rows, columns = screen.layout()
     duals = np.zeros(program.num_constraints)
@@ -781,8 +806,8 @@ class HeldModel:
     is skipped then). After a solve that ends not optimal, the next one
     restarts from ``basis``, or cold without one. HiGHS is given the rows
     and bounds of ``program`` as they are: a held model screens nothing
-    itself, so a caller that screens passes the relaxed form and, to grow
-    it, passes the grown form again through ``reset`` (``solve_held``)."""
+    itself, so a caller that screens passes the relaxed form, and
+    ``Screen.restate`` passes the grown form again through ``reset``."""
 
     def __init__(self, program: LinearProgram | ColumnForm, basis=None):
         self._highs = _highs._Highs()
@@ -885,32 +910,28 @@ def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
                cost) -> LpSolution:
     """Solve ``held``, which holds the relaxed form of ``program`` under
     ``screen``, under ``cost`` (one per column of ``program``), complete its
-    primal and check it. Should it violate a left-out limit, state that
-    limit with the block, pass the grown form to ``held`` and re-solve from
-    the held vertex, extended to a basis of the grown form
-    (``Screen.state``), so the reduced costs stay as they are; until
-    nothing is violated. An unbounded relaxation states
-    everything and re-solves cold. Returns the solution with the completed
-    primal; its row duals and bound multipliers stay those of the relaxed
-    form.
+    primal and check it: while it breaks a left-out limit, or the
+    relaxation is unbounded, ``Screen.restate`` states the limit with the
+    block and passes ``held`` the grown form, and ``held`` re-solves, from
+    the held vertex extended to a basis of the grown form, so the reduced
+    costs stay as they are, or cold after an unbounded relaxation. Returns
+    the solution with the completed primal and the simplex iterations of
+    every round; its row duals and bound multipliers stay those of the
+    relaxed form.
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
     sol = held.solve(cost[screen.layout()[1]])
-    while True:
-        if sol.status == UNBOUNDED and not screen.all_stated:
-            screen.state_all()
-            held.reset(screen.relaxed(program, cost))
-        elif sol.status != OPTIMAL:
-            return sol
-        else:
-            x = screen.complete(sol.primal, program)
-            rows, block = screen.violated(x, program)
-            if not (len(rows) or block):
-                return replace(sol, primal=x)
-            basis = held.basis
-            screen.state(rows, [basis])
-            held.reset(screen.relaxed(program, cost), basis)
+    iterations = sol.iterations
+    while sol.status in (OPTIMAL, UNBOUNDED):
+        x = screen.complete(sol.primal, program) \
+            if sol.status == OPTIMAL else None
+        if not screen.restate([x], [program], [held]):
+            break
         sol = held.solve()
+        iterations += sol.iterations
+    if sol.status == OPTIMAL:
+        sol = replace(sol, primal=x)
+    return replace(sol, iterations=iterations)
 
 
 def _bound_marginals(sol, basis) -> tuple[np.ndarray, np.ndarray]:

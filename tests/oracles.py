@@ -3,14 +3,16 @@
 These deliberately avoid the code paths they check: LP optima come from
 exhaustive vertex enumeration, tail risk from direct minimization of the
 piecewise-linear certainty-equivalent over candidate thresholds, and the
-normal quantile from bisection of the CDF, and duplicate Benders cuts from
-a pairwise comparison.
+normal quantile from bisection of the CDF, duplicate Benders cuts from
+a pairwise comparison, and the program a held Benders master holds from
+its head and its cuts, row by row.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.sparse import csc_matrix, vstack
 
 from vppsched import lp
 
@@ -153,3 +155,17 @@ def infeasibility(program, x):
         worst = max(worst, float(np.max(
             excess[finite] / (1.0 + np.abs(side[finite])), initial=0.0)))
     return worst
+
+
+def master_form(master):
+    """The program the held model of the Benders master ``master`` holds
+    after its next solve: the head's rows, then per cut k the row
+    theta_s - gradients[k] . x >= intercepts[k], s = scenarios[k]."""
+    head = lp.column_form(master.head)
+    cuts = np.zeros((master.num_cuts, head.matrix.shape[1]))
+    cuts[:, master.x_indices] = -master.gradients
+    cuts[np.arange(master.num_cuts), master.theta[master.scenarios]] = 1.0
+    return head._replace(
+        matrix=vstack((head.matrix, csc_matrix(cuts)), format="csc"),
+        row_lo=np.r_[head.row_lo, master.intercepts],
+        row_hi=np.r_[head.row_hi, np.full(master.num_cuts, np.inf)])

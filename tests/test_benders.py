@@ -14,7 +14,7 @@ from vppsched import reports as rp
 from vppsched import scenarios as sg
 from vppsched import stochastic as st
 
-from oracles import cut_matches, unscreened
+from oracles import cut_matches, master_form, unscreened
 from test_network import (active_axis_day, breaks_a_flow_bound, narrowed_band,
                           random_feeder_model)
 
@@ -67,10 +67,10 @@ def test_master_cut_dedupe(desk, desk_scenarios):
     master = bd.MasterProblem(desk.model, len(desk_scenarios),
                               desk_scenarios.probabilities(), EXPECT)
     n = len(master.x_indices)
-    rows_before = master.form().matrix.shape[0]
+    rows_before = master_form(master).matrix.shape[0]
     assert master.add_cuts([0], [5.0], [np.ones(n)]) == 1
     assert master.add_cuts([0], [5.0], [np.ones(n)]) == 0
-    assert master.form().matrix.shape[0] == rows_before + 1
+    assert master_form(master).matrix.shape[0] == rows_before + 1
     assert master.add_cuts([], [], np.zeros((0, n))) == 0
     # same coefficients for another scenario are a different cut
     assert master.add_cuts([1], [5.0], [np.ones(n)]) == 1
@@ -164,11 +164,11 @@ def test_cut_dedupe_matches_pairwise_scan(desk):
         if not any(cut_matches(cut, old, tol) for old in accepted):
             accepted.append(cut)
     assert 0 < len(accepted) < len(cuts)
-    rows = master.form().matrix.shape[0]
+    rows = master_form(master).matrix.shape[0]
     scenarios, intercepts, gradients = zip(*cuts)
     assert master.add_cuts(scenarios, intercepts, gradients) \
         == len(accepted) == master.num_cuts
-    assert master.form().matrix.shape[0] == rows + len(accepted)
+    assert master_form(master).matrix.shape[0] == rows + len(accepted)
     for s in range(3):
         mine = [c for c in accepted if c[0] == s]
         stored = master.scenarios == s
@@ -263,7 +263,7 @@ def test_held_master_matches_a_rebuilt_one(desk):
         seen += batch
         master.add_cuts(*zip(*batch))
         lower, x = master.solve()
-        cold = lp.HeldModel(master.form()).solve()
+        cold = lp.HeldModel(master_form(master)).solve()
         assert cold.status == lp.OPTIMAL
         assert abs(lower - cold.objective) <= lp.OPT_TOL * (1.0 + abs(cold.objective))
         assert master.theta_hat == pytest.approx(cold.primal[master.theta],
@@ -671,6 +671,14 @@ def test_failed_detail_resolve_names_the_first_scenario(desk, desk_scenarios,
 
 # ------------------------------------------------------- screened subproblems
 
+def restate_run(subs):
+    """``lp.Screen.restate`` over the subproblems of a run, each solved at
+    least once, as ``bd.iterate`` calls it."""
+    return subs[0].screen.restate([sub.primal for sub in subs],
+                                  [sub.data for sub in subs],
+                                  [sub.held for sub in subs])
+
+
 def screened_run(model, sset, risk, workers=1):
     """Benders on ``model``, and the number of lazy rows its subproblems
     had stated at the end and whether they had stated the derived block.
@@ -678,15 +686,16 @@ def screened_run(model, sset, risk, workers=1):
     those of the subproblems with every limit stated (a cold screened solve
     each)."""
     grown, grew = [], []
-    restate, realize = bd.restate, bd.risk_functional
+    restate, realize = lp.Screen.restate, bd.risk_functional
     template = model.template
 
-    def recorded(subs):
-        again = restate(subs)
-        screen = subs[0].screen
-        grown.append((int(screen.stated_rows.sum()), screen.block_stated))
+    def recorded(self, primals, programs, held=()):
+        again = restate(self, primals, programs, held)
+        if not held:        # a cold screen of a reference solve below
+            return again
+        grown.append((int(self.stated_rows.sum()), self.block_stated))
         if grown[-1] != (grown[-2:-1] or [(0, False)])[0]:
-            grew[:] = [subs[0].data.rhs[:template.n_first].copy()]
+            grew[:] = [programs[0].rhs[:template.n_first].copy()]
         return again
 
     def checked(costs, probs, risk):
@@ -699,7 +708,7 @@ def screened_run(model, sset, risk, workers=1):
         return realize(costs, probs, risk)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bd, "restate", recorded)
+        mp.setattr(lp.Screen, "restate", recorded)
         mp.setattr(bd, "risk_functional", checked)
         res = bd.iterate(model, sset, risk, bd.BendersOptions(workers=workers))
     return res, grown[-1]
@@ -836,7 +845,7 @@ def test_held_subproblems_resolve_the_grown_form(narrowed_day, record_highs):
         bd.solve_subproblem(sub, res.x)
     passed = log.count(("run",))
     rounds = 0
-    while again := bd.restate(subs):
+    while again := restate_run(subs):
         rounds += 1
         for s in again:
             bd.solve_subproblem(subs[s], res.x)
@@ -901,9 +910,9 @@ def test_unbounded_relaxation_states_every_limit():
     assert screen.form_matrix.shape == (1, 2)
     cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
     assert math.isnan(cost) and sub.primal is None
-    assert bd.restate([sub]) == [0] and screen.all_stated
+    assert restate_run([sub]) == [0] and screen.all_stated
     assert screen.form_matrix.shape == (3, 3)
     cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
     # y <= 1.5 binds, and z = y keeps inside its stated bound 2
     assert cost == pytest.approx(-1.5) and grad == pytest.approx([-1.0])
-    assert bd.restate([sub]) == []
+    assert restate_run([sub]) == []

@@ -1,9 +1,13 @@
+import csv
 import json
 import math
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
 
+from vppsched import benders as bd
 from vppsched import cli
 from vppsched import stochastic as st
 from vppsched import tables
@@ -473,7 +477,6 @@ def test_lp_dump_names_every_column_and_row(desk_dir, risk):
 
 def test_shipped_instances_match_generator(tmp_path):
     """The checked-in instance directories must be exactly reproducible."""
-    import pathlib
     repo = pathlib.Path(__file__).resolve().parent.parent
     for preset, count in (("desk", 10), ("day", 5)):
         shipped = repo / "instances" / preset
@@ -486,3 +489,36 @@ def test_shipped_instances_match_generator(tmp_path):
             if path.is_file():
                 assert (regen / path.name).read_bytes() == path.read_bytes(), \
                     f"{preset}/{path.name} drifted from the generator"
+
+
+def test_shipped_desk_runs_match_the_readme_commands(tmp_path):
+    # the README's commands, run on a copy of instances/desk, give the
+    # shipped runs' objective, expected cost and scenario totals: within
+    # 1e-9 relative for the extensive run, within the Benders tolerance for
+    # the Benders one
+    shipped = pathlib.Path(__file__).resolve().parents[1] / "instances" / "desk"
+    if not shipped.exists():
+        pytest.skip("instances not shipped in this checkout")
+    root = tmp_path / "desk"
+    shutil.copytree(shipped, root,
+                    ignore=shutil.ignore_patterns("runs", "scenarios"))
+    cfg = str(root / "config.json")
+    assert cli.main(["generate-scenarios", "--config", cfg]) == 0
+    assert cli.main(["solve", "--config", cfg, "--method", "extensive"]) == 0
+    assert cli.main(["solve", "--config", cfg, "--method", "benders",
+                     "--workers", "4"]) == 0
+    for method, rel in (("extensive", 1e-9),
+                        ("benders", bd.BendersOptions().tolerance)):
+        mine, theirs = (path / "runs" / f"solution_{method}_expectation"
+                        for path in (root, shipped))
+        summaries = [read_json(run / "summary.json") for run in (mine, theirs)]
+        for key in ("objective", "expected_cost"):
+            assert summaries[0][key] == pytest.approx(summaries[1][key],
+                                                      rel=rel), (method, key)
+        totals = []
+        for run in (mine, theirs):
+            with open(run / "breakdown.csv", newline="") as fh:
+                totals.append([float(row["total_cost"])
+                               for row in csv.DictReader(fh)])
+        assert len(totals[0]) == 10
+        assert totals[0] == pytest.approx(totals[1], rel=rel), method

@@ -258,6 +258,18 @@ def test_only_lp_touches_the_solver_backend():
     assert offenders == []
 
 
+def test_only_lp_restates_a_screen():
+    # one re-statement step, ``Screen.restate``: no other module checks a
+    # primal against a screen, grows one or passes a held model a program
+    # again
+    offenders = [f"{fname}:{node.lineno}" for fname, tree in other_modules()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("state", "violated", "reset")]
+    assert offenders == []
+
+
 def test_only_lp_reads_its_private_names():
     # the screening test, its tolerance and the binding stay behind the
     # seam: no other module reads a private name of lp (lp._outside,
@@ -698,39 +710,48 @@ def test_relaxed_form_leaves_out_the_lazy_limits_and_the_block():
     assert_restricted(form, rows, columns)
     assert form.lower.tolist() == [-3.0, -5.0, 0.0]
     assert form.upper.tolist() == [3.0, math.inf, math.inf]
-    cost = np.array([1.0, 2.0, 0.0, 3.0])
-    assert screen.relaxed(p, cost).cost.tolist() == [1.0, 2.0, 3.0]
-    screen.state_all()
+    assert screen.restate([None], [p]) == [0]
     form = screen.relaxed(p)
     rows, columns = screen.layout()
     assert sorted(rows) == list(range(6)) and sorted(columns) == [0, 1, 2, 3]
     assert_restricted(form, rows, columns)
 
 
-def test_held_core_grows_by_what_its_completion_breaks(record_highs):
+def test_held_core_grows_by_what_its_completion_breaks(record_highs,
+                                                      monkeypatch):
     # one held relaxed form, four costs: the completed c leaves its bound
     # (the block is stated), then breaks the lazy row c <= 1, then b the
     # lazy row b <= 1, each time by the grown form passed again and
     # re-solved from the held vertex extended to a basis of it; last the
     # relaxation is unbounded in e (everything stated, cold). Each matches
-    # a cold solve
+    # a cold solve and reports the iterations of all its held runs
     p = derived_program()
     screen = lp.Screen(p)
     form = screen.relaxed(p)
     assert form.matrix.shape == (2, 3) and list(screen.layout()[1]) == [0, 1, 3]
     log = record_highs()
     held = lp.HeldModel(form)
+    runs = []
+    solve = lp.HeldModel.solve
+
+    def counted(self, cost=None):
+        sol = solve(self, cost)
+        runs.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(lp.HeldModel, "solve", counted)
     for cost, stated, start in (
             ([1.0, 0.0, 0.0, 0.0], [False, False, False], "setBasis"),
             ([-1.0, 0.5, 0.0, 0.0], [True, False, False], "setBasis"),
             ([0.0, -1.0, 0.0, 0.0], [True, True, False], "setBasis"),
             ([0.0, 0.0, 0.0, -1.0], [True, True, True], "run")):
-        del log[:]
+        del log[:], runs[:]
         sol = lp.solve_held(held, screen, p, np.array(cost))
         assert screen.block_stated
         assert screen.stated_rows.tolist() == stated
         calls = [entry[0] for entry in log]
         assert calls.count("passModel") == 1
+        assert len(runs) == 2 and sol.iterations == sum(runs)
         assert calls[calls.index("passModel") + 1] == start
         p.cost[:] = cost
         assert sol.status == lp.OPTIMAL
@@ -806,8 +827,8 @@ def test_warm_solve_reports_status_like_solve():
 
 
 def test_warm_solve_after_appended_rows():
-    # a program grown by rows and passed again, as ``solve_held`` and
-    # ``benders.restate`` do: a held model started from the old basis with
+    # a program grown by rows and passed again, as ``Screen.restate``
+    # does: a held model started from the old basis with
     # basic slacks for the new rows; a row the optimum satisfies costs no
     # iteration
     rng = np.random.default_rng(3)
