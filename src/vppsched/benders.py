@@ -4,7 +4,7 @@ The master optimizes the bid variables plus one recourse approximation
 theta_s per scenario under the risk objective of ``stochastic`` (and its
 tail rows when the risk measure is the CVaR). Each iteration fixes the
 bids at a separation point, solves every scenario subproblem independently,
-reads the duals of the bid-fixing rows as subgradients of the recourse
+reads the reduced costs of the bid columns as subgradients of the recourse
 value, and appends one optimality cut per scenario. The separation point is
 the in-out point IN_OUT_ALPHA * core + (1 - IN_OUT_ALPHA) * x_master, with
 IN_OUT_ALPHA = 0.8 (Ben-Ameur & Neto 2007; Fischetti, Ljubic & Sinnl 2017),
@@ -18,18 +18,18 @@ feasibility cuts are needed; a subproblem that still reports infeasibility
 indicates a physically inconsistent model and aborts with
 ``stochastic.ModelInfeasible``.
 
-The recourse is fixed, so every subproblem is the same matrix with its own
-costs, bounds and right-hand sides: the run builds that matrix once and
-keeps per scenario its data vectors and one ``lp.HeldModel``, which HiGHS
-receives once, on the scenario's first solve; each later solve sends it
-only the bids, as new bounds of the fixing rows, and HiGHS re-solves with
-dual simplex from the basis and factorization it holds. The master is held
-the same way: its head is passed once and each solve sends only the cut
-rows accepted since the last one, entering with basic slacks. The held
-models live for the run, about 0.85 MB each on ``day``. Subproblems may be
-solved on a thread pool opened once per run (``worker_map``); results are
-merged by scenario index, and each scenario's sequence of solves is its
-own, so the outcome does not depend on the worker count.
+The recourse is fixed, so every subproblem is the compiled block with its
+own costs, bounds and right-hand sides, the bids the bounds of its
+first-stage columns: the run keeps per scenario its data vectors and one
+``lp.HeldModel``, which HiGHS receives once, on the scenario's first solve;
+each later solve sends it only the bids, as new column bounds in one call,
+and HiGHS re-solves with dual simplex from the basis it holds. The master
+is held the same way: its head is passed once and each solve sends only
+the cut rows accepted since the last one, entering with basic slacks. The
+held models live for the run, about 0.85 MB each on ``day``. Subproblems
+may be solved on a thread pool opened once per run (``worker_map``);
+results are merged by scenario index, and each scenario's sequence of
+solves is its own, so the outcome does not depend on the worker count.
 
 The subproblems are screened by one ``lp.Screen``: the shared matrix holds
 the compiled block's stated rows only, without the derived branch-flow
@@ -40,7 +40,7 @@ scenario's own vectors). ``lp.Screen.restate``, the step of ``lp.solve``,
 then states the limit, with the block, for every scenario, passes each
 held model the grown form with its basis grown to match (or cold after an
 unbounded relaxation), and the violating scenarios re-solve at the same
-bids until none violates one. A relaxed value and its duals underestimate
+bids until none violates one. A relaxed value and its cut underestimate
 the recourse value, so every cut is valid; the values that set the
 incumbent are exact.
 """
@@ -253,7 +253,7 @@ def solve_fixed_bids(model: VppModel, scenario: Scenario, scenario_index: int,
 
 class Vectors(NamedTuple):
     """The vectors of one instantiation of the shared block: what a
-    scenario's subproblem differs in, the bids in ``rhs[:n_first]``."""
+    scenario's subproblem differs in, the bids the first-stage bounds."""
 
     cost: np.ndarray
     lower: np.ndarray
@@ -284,20 +284,17 @@ class Subproblem:
 
 
 def subproblems(model: VppModel, scenarios: list[Scenario]) -> list[Subproblem]:
-    """The subproblems of a run: the compiled block with the bid-fixing
-    rows ``fix[j]`` in front, as ``BlockTemplate.instantiate`` lays it out,
-    screened by one ``lp.Screen`` (its lazy rows and derived block left
-    out), whose form matrix is made here, on the calling thread; per
-    scenario its vectors."""
+    """The subproblems of a run: the compiled block, screened by one
+    ``lp.Screen`` (its lazy rows and derived block left out), whose form
+    matrix is made here, on the calling thread; per scenario the vectors of
+    its instantiation (``BlockTemplate.instantiate``)."""
     template = model.template
-    screen = None
+    screen = lp.Screen(template.program)
+    screen.form_matrix      # made now, not on a worker thread
     subs = []
     for s, scenario in enumerate(scenarios):
         program = template.instantiate(model.scenario_data(scenario),
                                        np.zeros(template.n_first))
-        if screen is None:
-            screen = lp.Screen(program)
-            screen.form_matrix      # made now, not on a worker thread
         subs.append(Subproblem(model, s, scenario, Vectors._make(
             getattr(program, name) for name in Vectors._fields), screen))
     return subs
@@ -308,24 +305,25 @@ def solve_subproblem(sub: Subproblem,
     """Second-stage value and a subgradient at the given bids, of the
     relaxation the stated limits leave, solved by the subproblem's held
     model: built on the first solve, and afterwards sent only the bids, as
-    the bounds of the fixing rows, so HiGHS re-solves from the basis it
-    holds; its primal, completed (``lp.Screen.complete``), is kept for
+    the bounds of the first-stage columns, so HiGHS re-solves from the basis
+    it holds; its primal, completed (``lp.Screen.complete``), is kept for
     ``lp.Screen.restate``.
 
-    The bids enter as free variables pinned by equality rows; the duals of
-    those rows are exactly d(cost)/d(bid), so the returned affine function
+    The bids are the first-stage columns fixed by their bounds; the reduced
+    costs of those columns are exactly d(cost)/d(bid) (0 for a degenerate
+    basic one, still a subgradient), so the returned affine function
     underestimates the relaxed recourse value everywhere (LP value functions
-    of right-hand sides are convex), and so the recourse value itself. The
-    two values are equal when the primal violates no left-out limit. An
-    unbounded relaxation gives NaN until everything is stated."""
+    of bounds are convex), and so the recourse value itself. The two values
+    are equal when the primal violates no left-out limit. An unbounded
+    relaxation gives NaN until everything is stated."""
     n = len(x_hat)
     if sub.model.template.n_first != n:
         raise BendersError("first-stage vector length mismatch")
-    sub.data.rhs[:n] = x_hat
+    sub.data.lower[:n] = sub.data.upper[:n] = x_hat
     if sub.held is None:
         sub.held = lp.HeldModel(sub.screen.relaxed(sub.data))
     else:
-        sub.held.set_row_bounds(np.arange(n), x_hat, x_hat)
+        sub.held.set_column_bounds(np.arange(n), x_hat, x_hat)
     sol = sub.held.solve()
     sub.iterations = sol.iterations
     if sol.status == lp.UNBOUNDED and not sub.screen.all_stated:
@@ -333,7 +331,7 @@ def solve_subproblem(sub: Subproblem,
         return math.nan, np.full(n, math.nan)
     _checked(sol, sub.model, sub.scenario, sub.index)
     sub.primal = sub.screen.complete(sol.primal, sub.data)
-    return sol.objective, sol.duals[:n].copy()
+    return sol.objective, sol.column_duals[:n]
 
 
 def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,

@@ -25,15 +25,15 @@ and bounds it is given, and afterwards sends only what changes, so HiGHS
 re-solves from the basis and factorization it holds. The calls it makes
 after the first are ``changeColsCost`` (new costs, the tariff-sweep
 levels), after which primal simplex re-solves, since a cost change leaves
-the basis primal feasible, and ``changeRowBounds`` (new bids on the
-fixing rows of a Benders subproblem) and ``addRows`` (new cuts of the
-Benders master, entering with basic slacks), after which dual simplex
-re-solves, since a row change leaves the basis dual feasible. The sweep
-holds the relaxed form; ``solve_held`` grows it by what a completed
-primal violates (``Screen.restate``) and re-solves from the held vertex
-extended to a basis of the grown form. Row duals are
-converted and bound multipliers split by basis status only when first
-read. No other module touches the solver backend.
+the basis primal feasible, and ``changeColsBounds`` (new bids, the bounds
+of the first-stage columns of a Benders subproblem) and ``addRows`` (new
+cuts of the Benders master, entering with basic slacks), after which dual
+simplex re-solves, since a bound or row change leaves the basis dual
+feasible. The sweep holds the relaxed form; ``solve_held`` grows it by
+what a completed primal violates (``Screen.restate``) and re-solves from
+the held vertex extended to a basis of the grown form. Row duals and
+reduced costs are converted and bound multipliers split by basis status
+only when first read. No other module touches the solver backend.
 
 Column upper bounds, right-hand sides or labelled costs may be left to
 data, +inf or 0 in their place: ``add_slots`` records a run of such slots
@@ -65,7 +65,7 @@ except ImportError:  # scipy older than 1.15 has no bundled binding
 
 #: the names of scipy's private HiGHS binding that ``HeldModel`` uses
 _BINDING = ("_Highs", "_Highs.passOptions", "_Highs.passModel",
-            "_Highs.changeColsCost", "_Highs.changeRowBounds",
+            "_Highs.changeColsCost", "_Highs.changeColsBounds",
             "_Highs.addRows", "_Highs.setOptionValue",
             "_Highs.clearSolver", "_Highs.setBasis",
             "_Highs.run", "_Highs.getInfo", "_Highs.getModelStatus",
@@ -125,8 +125,9 @@ class LpSolveError(Exception):
 @dataclass
 class LpSolution:
     """Solver report. ``duals`` has one entry per constraint, in the order
-    constraints were added; ``lower_marginals``/``upper_marginals`` carry the
-    bound multipliers needed to reconstruct the dual objective."""
+    constraints were added, and ``column_duals`` one per column, its
+    reduced cost; ``lower_marginals``/``upper_marginals`` carry the bound
+    multipliers needed to reconstruct the dual objective."""
 
     status: str
     objective: float
@@ -138,20 +139,19 @@ class LpSolution:
     #: the bound multipliers (lower, upper), or a function computing them,
     #: called on first read
     bound_marginals: object = (np.zeros(0), np.zeros(0))
+    #: the reduced costs, or a function computing them, called on first read
+    reduced_costs: object = partial(np.zeros, 0)
 
-    @property
-    def duals(self) -> np.ndarray:
-        if callable(self.row_duals):
-            self.row_duals = self.row_duals()
-        return self.row_duals
+    def _read(self, key: str):
+        """Field ``key``, computed and kept on first read if a function."""
+        if callable(getattr(self, key)):
+            setattr(self, key, getattr(self, key)())
+        return getattr(self, key)
 
-    def _marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        if callable(self.bound_marginals):
-            self.bound_marginals = self.bound_marginals()
-        return self.bound_marginals
-
-    lower_marginals = property(lambda self: self._marginals()[0])
-    upper_marginals = property(lambda self: self._marginals()[1])
+    duals = property(lambda self: self._read("row_duals"))
+    column_duals = property(lambda self: self._read("reduced_costs"))
+    lower_marginals = property(lambda self: self._read("bound_marginals")[0])
+    upper_marginals = property(lambda self: self._read("bound_marginals")[1])
 
 
 #: the arrays of a program: columns, rows in CSR form, row sense and rhs
@@ -735,7 +735,7 @@ def solve(program: LinearProgram) -> LpSolution:
     lower[columns] = res.lower.marginals
     upper[columns] = res.upper.marginals
     return LpSolution(OPTIMAL, float(res.fun), x, duals, iterations,
-                      (lower, upper))
+                      (lower, upper), lower + upper)
 
 
 class ColumnForm(NamedTuple):
@@ -790,19 +790,19 @@ _HIGHS_STATUS = {_HS.kOptimal: OPTIMAL, _HS.kInfeasible: INFEASIBLE,
 class HeldModel:
     """A program held in one HiGHS instance, which receives it once
     (``passModel``); afterwards HiGHS is sent only what changes: new costs
-    (``changeColsCost``, through ``solve``), new bounds of held rows
-    (``changeRowBounds``, through ``set_row_bounds``) and new rows
+    (``changeColsCost``, through ``solve``), new column bounds
+    (``changeColsBounds``, through ``set_column_bounds``) and new rows
     (``addRows``, through ``add_rows``). HiGHS keeps its own basis and
     factorization between solves, so programs that differ only in costs
-    (the tariff-sweep levels), in right-hand sides (a Benders subproblem
-    at new bids) or by a few rows (the Benders master after new cuts)
+    (the tariff-sweep levels), in column bounds (a Benders subproblem at
+    new bids) or by a few rows (the Benders master after new cuts)
     re-solve in a few simplex iterations. A cost change leaves the held
     basis primal feasible, so a solve whose costs are the only change
-    since the last optimum runs primal simplex from it; a row change
-    leaves it dual feasible, so every other solve (the first, a restart
-    without a basis, and one after a ``reset``, ``set_row_bounds`` or
-    ``add_rows``) runs dual simplex. ``basis`` is the last optimal basis,
-    or the starting one (a basis of a program of the same shape; presolve
+    since the last optimum runs primal simplex from it; a bound or row
+    change leaves it dual feasible, so every other solve (the first, a
+    restart without a basis, and one after a ``reset``,
+    ``set_column_bounds`` or ``add_rows``) runs dual simplex. ``basis`` is
+    the last optimal basis, or the starting one (a basis of a program of the same shape; presolve
     is skipped then). After a solve that ends not optimal, the next one
     restarts from ``basis``, or cold without one. HiGHS is given the rows
     and bounds of ``program`` as they are: a held model screens nothing
@@ -830,19 +830,17 @@ class HeldModel:
         self.basis = basis
         #: whether HiGHS must restart from ``basis`` before the next run
         self._restart = basis is not None
-        #: whether rows changed since the last optimum (the next run is dual)
+        #: whether bounds or rows changed since the last optimum (run dual)
         self._rows_changed = True
 
-    def set_row_bounds(self, rows, lo, hi) -> None:
-        """Change the bounds of the held ``rows`` to ``[lo, hi]``, one
-        ``changeRowBounds`` call per row (the binding has no call for many)."""
-        change = self._highs.changeRowBounds
-        for row, low, high in zip(np.asarray(rows).tolist(),
-                                  np.asarray(lo, dtype=float).tolist(),
-                                  np.asarray(hi, dtype=float).tolist()):
-            if change(row, low, high) == _highs.HighsStatus.kError:
-                raise LpError(f"HiGHS refused bounds [{low}, {high}] "
-                              f"of row {row}")
+    def set_column_bounds(self, columns, lower, upper) -> None:
+        """Change the bounds of the held ``columns`` to ``[lower, upper]``,
+        in one ``changeColsBounds`` call."""
+        columns = np.asarray(columns, dtype=np.int32)
+        if self._highs.changeColsBounds(
+                len(columns), columns, np.asarray(lower, dtype=float),
+                np.asarray(upper, dtype=float)) == _highs.HighsStatus.kError:
+            raise LpError(f"HiGHS refused the bounds of columns {columns}")
         self._rows_changed = True
 
     def add_rows(self, matrix: csr_matrix, row_lo, row_hi) -> None:
@@ -903,7 +901,8 @@ class HeldModel:
         return LpSolution(OPTIMAL, float(info.objective_function_value),
                           np.asarray(sol.col_value),
                           lambda: np.asarray(sol.row_dual), iterations,
-                          partial(_bound_marginals, sol, self.basis))
+                          partial(_bound_marginals, sol, self.basis),
+                          lambda: np.asarray(sol.col_dual))
 
 
 def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,

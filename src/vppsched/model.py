@@ -132,28 +132,24 @@ class BlockTemplate:
 
     def instantiate(self, block: "ScenarioBlock", bids=None,
                     name: str = "") -> lp.LinearProgram:
-        """The block for one scenario as a program of its own.
+        """The block for one scenario as a program of its own, sharing the
+        template's matrix, senses and lazy and derived marks.
 
-        Given bids, the first-stage columns are freed and pinned to them by
-        leading equality rows ``fix[j]``, whose duals are d(cost)/d(bid),
-        and the program minimizes the scenario's net cost. Without bids the
-        first stage keeps its bounds and the objective is zero: a
-        feasibility probe of the block. The template's lazy rows and derived
-        block stay marked, the rows shifted past the ``fix`` rows."""
+        Given bids, the first-stage columns are fixed to them by their
+        bounds, so their reduced costs are d(cost)/d(bid), and the program
+        minimizes the scenario's net cost. Without bids the first stage
+        keeps its bounds and the objective is zero: a feasibility probe of
+        the block."""
         p = self.program
-        nf = 0 if bids is None else self.n_first
         lower, upper = p.lower.copy(), block.upper.copy()
-        lower[:nf], upper[:nf] = -np.inf, np.inf
+        if bids is not None:
+            lower[:self.n_first] = upper[:self.n_first] = bids
         return lp.LinearProgram(
-            name, lambda: list(p.col_names),
-            lambda: [f"fix[{j}]" for j in range(nf)] + p.row_names,
+            name, lambda: list(p.col_names), lambda: list(p.row_names),
             lower=lower, upper=upper,
             cost=np.zeros(len(lower)) if bids is None else block.net_cost(),
-            indptr=np.r_[np.arange(nf), p.indptr + nf],
-            indices=np.r_[np.arange(nf), p.indices], data=np.r_[np.ones(nf), p.data],
-            sense=np.r_[np.full(nf, lp.EQ), p.sense],
-            rhs=np.r_[[] if bids is None else bids, block.rhs],
-            lazy_rows=p.lazy_rows + nf, derived_rows=p.derived_rows + nf,
+            indptr=p.indptr, indices=p.indices, data=p.data, sense=p.sense,
+            rhs=block.rhs, lazy_rows=p.lazy_rows, derived_rows=p.derived_rows,
             derived_columns=p.derived_columns)
 
 

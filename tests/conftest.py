@@ -89,8 +89,8 @@ def record_highs(monkeypatch):
     """``record(fail_run=None)`` gives ``lp`` a HiGHS class that logs the
     calls its instances receive (``passModel`` with the column and row
     counts it is given, ``changeColsCost`` with its entry count,
-    ``changeRowBounds`` with its row and bounds, ``addRows`` with the rows
-    it is given as a CSR matrix and their ranges, ``clearSolver``,
+    ``changeColsBounds`` with its columns and bounds, ``addRows`` with the
+    rows it is given as a CSR matrix and their ranges, ``clearSolver``,
     ``setBasis`` with its basis, ``run``, and ``getBasis`` with the basis
     it returns), and reports run number
     ``fail_run`` (from 1) infeasible, and returns the log;
@@ -110,9 +110,10 @@ def record_highs(monkeypatch):
                 log.note(self, ("changeColsCost", args[0]))
                 return super().changeColsCost(*args)
 
-            def changeRowBounds(self, row, lower, upper):
-                log.note(self, ("changeRowBounds", row, lower, upper))
-                return super().changeRowBounds(row, lower, upper)
+            def changeColsBounds(self, n, columns, lower, upper):
+                log.note(self, ("changeColsBounds", np.array(columns),
+                                np.array(lower), np.array(upper)))
+                return super().changeColsBounds(n, columns, lower, upper)
 
             def addRows(self, m, lower, upper, nnz, starts, indices, values):
                 log.note(self, ("addRows", csr_matrix(

@@ -36,21 +36,38 @@ def test_subproblem_value_matches_extensive_blocks(desk, desk_scenarios,
         assert cost == pytest.approx(sol.breakdowns[s].total, rel=1e-6, abs=1e-6)
 
 
-def test_subgradient_inequality_by_finite_differences(desk, desk_scenarios):
-    sub, = bd.subproblems(desk.model, desk_scenarios.scenarios[:1])
-    n = desk.model.horizon.step_count + 2 * desk.model.horizon.window_count
+@pytest.mark.parametrize("preset", ["desk", "day"])
+def test_subgradient_inequality_by_finite_differences(preset, request):
+    # the reduced costs of the fixed bid columns are a subgradient: along
+    # single bids and along one random direction over all bids
+    if preset == "desk":
+        model = request.getfixturevalue("desk").model
+        scenario = request.getfixturevalue("desk_scenarios").scenarios[0]
+    else:
+        day = instance.day_instance()
+        model = day.model
+        scenario = sg.build_scenarios(day.forecast, sg.DEFAULT_ERROR_SPECS, 5,
+                                      seed=42).scenarios[0]
+    sub, = bd.subproblems(model, [scenario])
+    T = model.horizon.step_count
+    n = T + 2 * model.horizon.window_count
     x_hat = np.zeros(n)
-    x_hat[:desk.model.horizon.step_count] = 2.0
+    x_hat[:T] = 2.0
     f0, grad = bd.solve_subproblem(sub, x_hat)
+    assert np.count_nonzero(grad) > 0
     rng = np.random.default_rng(2)
     for j in rng.choice(n, size=4, replace=False):
         for delta in (0.5, -0.5):
             x_pert = x_hat.copy()
             x_pert[j] += delta
-            if j >= desk.model.horizon.step_count and x_pert[j] < 0:
+            if j >= T and x_pert[j] < 0:
                 continue   # capacity bids live in the nonnegative orthant
             f1, _ = bd.solve_subproblem(sub, x_pert)
             assert f1 >= f0 + grad[j] * delta - 1e-6 * (1 + abs(f0))
+    direction = rng.normal(size=n)
+    direction[T:] = np.abs(direction[T:])
+    f1, _ = bd.solve_subproblem(sub, x_hat + 0.5 * direction)
+    assert f1 >= f0 + 0.5 * grad @ direction - 1e-6 * (1 + abs(f0))
 
 
 def test_cut_intercept_reproduces_value_at_origin_point(desk, desk_scenarios):
@@ -288,8 +305,9 @@ def test_held_models_receive_only_new_bids_and_new_cuts(desk, desk_scenarios,
                                                         record_highs,
                                                         monkeypatch):
     # HiGHS gets each Benders LP once; between two solves a subproblem gets
-    # only the bids, as the bounds of its n_first fixing rows, and the
-    # master only the cuts accepted since its last solve, in one addRows
+    # only the bids, as the bounds of its n_first first-stage columns in one
+    # changeColsBounds, and the master only the cuts accepted since its last
+    # solve, in one addRows
     solves = []
     solve = bd.MasterProblem.solve
 
@@ -313,10 +331,10 @@ def test_held_models_receive_only_new_bids_and_new_cuts(desk, desk_scenarios,
         runs = names.count("run")
         assert runs >= res.report.iterations
         assert names == ["passModel", "run", "getBasis"] + (
-            ["changeRowBounds"] * n + ["run", "getBasis"]) * (runs - 1)
-        bounds = [e[1:] for e in calls if e[0] == "changeRowBounds"]
-        assert [row for row, _, _ in bounds] == list(range(n)) * (runs - 1)
-        assert all(lo == hi for _, lo, hi in bounds)
+            ["changeColsBounds", "run", "getBasis"]) * (runs - 1)
+        bounds = [e[1:] for e in calls if e[0] == "changeColsBounds"]
+        assert all(columns.tolist() == list(range(n)) for columns, _, _ in bounds)
+        assert all(np.array_equal(lo, hi) for _, lo, hi in bounds)
     # the master: its head passed once, then per solve the new cuts
     assert [e[0] for e in master_calls].count("passModel") == 1
     assert len(solves) == res.report.iterations
@@ -695,7 +713,7 @@ def screened_run(model, sset, risk, workers=1):
             return again
         grown.append((int(self.stated_rows.sum()), self.block_stated))
         if grown[-1] != (grown[-2:-1] or [(0, False)])[0]:
-            grew[:] = [programs[0].rhs[:template.n_first].copy()]
+            grew[:] = [programs[0].lower[:template.n_first].copy()]
         return again
 
     def checked(costs, probs, risk):
@@ -867,8 +885,7 @@ def test_held_subproblems_resolve_the_grown_form(narrowed_day, record_highs):
 def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
     # no primal leaves the shipped limits, so each subproblem's HiGHS is
     # passed one model in the run, the template's core, neither lazy nor
-    # derived, and the bid-fixing rows only, and re-runs it at every
-    # iteration
+    # derived, and re-runs it at every iteration
     inst = instance.PRESETS[preset]()
     sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
     log = record_highs()
@@ -882,7 +899,7 @@ def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
     assert len(subs) == len(sset)
     for calls in subs:
         passed = [e[1:] for e in calls if e[0] == "passModel"]
-        assert passed == [(core, inst.model.template.n_first + p.num_constraints
+        assert passed == [(core, p.num_constraints
                            - len(np.unique(p.lazy_rows))
                            - len(np.unique(p.derived_rows)))]
     assert sum(e[0] == "run" for calls in subs for e in calls) \
@@ -890,28 +907,28 @@ def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
 
 
 def test_unbounded_relaxation_states_every_limit():
-    # min -y with y <= 1 + x lazy and z == y derived: the relaxation is
-    # unbounded, so every limit is stated and the subproblem re-solves to
-    # the bounded optimum
+    # min -y with the bid x fixed by its bounds, y <= 1 + x lazy and
+    # z == y derived: the relaxation is unbounded, so every limit is stated
+    # and the subproblem re-solves to the bounded optimum
     program = lp.LinearProgram()
     x = program.add_variable(-math.inf, math.inf, "x")
     y = program.add_variable(0.0, math.inf, "y")
     z = program.add_variable(0.0, 2.0, "z")
-    program.add_constraint([(x, 1.0)], lp.EQ, 0.0, "fix[0]")
     program.add_constraint([(y, 1.0), (x, -1.0)], lp.LE, 1.0, "cap")
     program.add_constraint([(z, 1.0), (y, -1.0)], lp.EQ, 0.0, "link")
     program.add_objective_term(y, -1.0)
-    program.mark_lazy(rows=[1])
-    program.mark_derived([2], [z])
+    program.mark_lazy(rows=[0])
+    program.mark_derived([1], [z])
     screen = lp.Screen(program)
     model = types.SimpleNamespace(template=types.SimpleNamespace(n_first=1))
     sub = bd.Subproblem(model, 0, None, bd.Vectors._make(
         getattr(program, name) for name in bd.Vectors._fields), screen)
-    assert screen.form_matrix.shape == (1, 2)
+    assert screen.form_matrix.shape == (0, 2)
     cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
     assert math.isnan(cost) and sub.primal is None
+    assert sub.data.lower[x] == sub.data.upper[x] == 0.5
     assert restate_run([sub]) == [0] and screen.all_stated
-    assert screen.form_matrix.shape == (3, 3)
+    assert screen.form_matrix.shape == (2, 3)
     cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
     # y <= 1.5 binds, and z = y keeps inside its stated bound 2
     assert cost == pytest.approx(-1.5) and grad == pytest.approx([-1.0])

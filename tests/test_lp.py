@@ -896,23 +896,28 @@ def test_held_model_after_appended_rows_matches_cold_solves(record_highs):
         held.add_rows(csr_matrix((1, prog.num_variables + 1)), [0.0], [1.0])
 
 
-def test_held_model_after_new_row_bounds_matches_cold_solves(record_highs):
-    # the Benders subproblems: new bounds of held rows, sent row by row
-    # (changeRowBounds), re-solve with dual simplex from the held basis,
-    # also when the costs change with them
+def test_held_model_after_new_column_bounds_matches_cold_solves(record_highs):
+    # the Benders subproblems: new bounds of held columns, some fixed as a
+    # bid is, sent in one changeColsBounds, re-solve with dual simplex from
+    # the held basis, also when the costs change with them; a fixed
+    # column's reduced cost is its bound multiplier
     dual = int(lp._highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
     rng = np.random.default_rng(6)
     log = record_highs()
-    changed = 0
+    calls = 0
     for _ in range(60):
         prog = random_feasible_bounded_lp(rng)
         held = lp.HeldModel(prog)
         assert held.solve().status == lp.OPTIMAL
-        rows = np.flatnonzero(rng.random(prog.num_constraints) < 0.5)
-        prog.rhs[rows] += rng.uniform(-0.5, 0.5, size=len(rows))
-        held.set_row_bounds(rows, *lp.row_bounds(prog.sense[rows],
-                                                 prog.rhs[rows]))
-        changed += len(rows)
+        columns = np.flatnonzero(rng.random(prog.num_variables) < 0.5)
+        lo, hi = prog.lower[columns], prog.upper[columns]
+        at = lo + rng.uniform(0.0, 1.0, size=len(columns)) * (hi - lo)
+        fixed = rng.random(len(columns)) < 0.5
+        prog.lower[columns] = np.where(fixed, at, lo - rng.uniform(0.0, 0.5))
+        prog.upper[columns] = np.where(fixed, at, at + rng.uniform(0.0, 0.5))
+        held.set_column_bounds(columns, prog.lower[columns],
+                               prog.upper[columns])
+        calls += 1
         if rng.random() < 0.5:
             prog.cost[:] = rng.uniform(-3.0, 3.0, size=prog.num_variables)
         sol, cold = held.solve(prog.cost), lp.solve(prog)
@@ -922,10 +927,13 @@ def test_held_model_after_new_row_bounds_matches_cold_solves(record_highs):
                                                   rel=1e-7)
             assert abs(sol.objective - lp.dual_objective(prog, sol)) \
                 <= lp.OPT_TOL * (1.0 + abs(sol.objective))
-    assert [e[0] for e in log].count("changeRowBounds") == changed > 0
+            assert np.array_equal(sol.column_duals, sol.lower_marginals
+                                  + sol.upper_marginals)
+    bounds = [e for e in log if e[0] == "changeColsBounds"]
+    assert len(bounds) == calls == 60
     assert set(log.strategies) == {dual}
     with pytest.raises(lp.LpError):
-        held.set_row_bounds([prog.num_constraints], [0.0], [1.0])
+        held.set_column_bounds([prog.num_variables], [0.0], [1.0])
 
 
 def test_held_model_after_a_cost_change_matches_vertex_enumeration():
@@ -1040,6 +1048,27 @@ def test_held_model_runs_primal_only_after_a_cost_change(record_highs):
     assert [entry[0] for entry in log].count("setBasis") == 2
     assert log.strategies == [dual, primal, primal, primal, dual,
                               dual, dual, dual, dual]
+
+
+def test_binding_names_exactly_the_highs_methods_lp_calls():
+    # the import guard names what the held models use: every method lp
+    # reads off a HiGHS instance (``self._highs``, or a name bound to it)
+    # is a ``_Highs.*`` entry of _BINDING, and every such entry is read
+    with open(lp.__file__) as fh:
+        tree = ast.parse(fh.read())
+    instance = lambda n: isinstance(n, ast.Attribute) and n.attr == "_highs" \
+        and isinstance(n.value, ast.Name) and n.value.id == "self"
+    aliases = {target.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and instance(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    called = {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and (
+                  instance(node.value) or isinstance(node.value, ast.Name)
+                  and node.value.id in aliases)}
+    listed = {name.split(".", 1)[1] for name in lp._BINDING
+              if name.startswith("_Highs.")}
+    assert aliases and called == listed
+    assert "changeColsBounds" in listed and "changeRowBounds" not in listed
 
 
 def test_import_names_a_missing_binding():

@@ -231,22 +231,32 @@ def test_lazy_limits_are_the_flow_sides_and_voltage_bands(preset):
 
 
 def test_instances_carry_the_lazy_limits(case):
-    # instantiate shifts the lazy rows and the derived rows past its fix
-    # rows; the extensive form moves them, and the derived columns, to each
-    # block's own
+    # an instantiation shares the template's matrix, senses and marks, the
+    # bids fixing the first-stage columns by their bounds; the extensive
+    # form moves the marks, and the derived columns, to each block's own
     model, sset = case
     tpl = model.template
     p = tpl.program
     assert len(p.lazy_rows) > 0 and len(p.derived_rows) > 0
-    for bids in (None, np.zeros(tpl.n_first)):
-        sub = tpl.instantiate(model.scenario_data(sset.scenarios[0]), bids)
-        nf = 0 if bids is None else tpl.n_first
-        assert np.array_equal(sub.lazy_rows, p.lazy_rows + nf)
-        assert np.array_equal(sub.derived_rows, p.derived_rows + nf)
-        assert np.array_equal(sub.derived_columns, p.derived_columns)
+    bids = np.linspace(0.0, 1.0, tpl.n_first)
+    for x in (None, bids):
+        sub = tpl.instantiate(model.scenario_data(sset.scenarios[0]), x)
+        assert sub.num_constraints == p.num_constraints
+        for key in ("indptr", "indices", "data", "sense", "lazy_rows",
+                    "derived_rows", "derived_columns"):
+            assert np.array_equal(getattr(sub, key), getattr(p, key)) \
+                and np.shares_memory(getattr(sub, key), getattr(p, key)), key
         for key in ("lazy_rows", "derived_rows"):
             assert [sub.row_names[i] for i in getattr(sub, key)] \
                 == [p.row_names[i] for i in getattr(p, key)]
+        first = slice(tpl.n_first)
+        if x is None:
+            assert np.array_equal(sub.lower[first], p.lower[first])
+            assert np.array_equal(sub.upper[first], p.upper[first])
+        else:
+            assert np.array_equal(sub.lower[first], bids)
+            assert np.array_equal(sub.upper[first], bids)
+        assert not np.shares_memory(sub.lower, p.lower)
     ef = st.build_extensive(model, sset, CVAR9)
     S = len(sset)
     for key in ("lazy_rows", "derived_rows"):
