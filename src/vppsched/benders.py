@@ -258,7 +258,6 @@ class Vectors(NamedTuple):
     cost: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    sense: np.ndarray
     rhs: np.ndarray
 
 
@@ -286,7 +285,8 @@ class Subproblem:
 def subproblems(model: VppModel, scenarios: list[Scenario]) -> list[Subproblem]:
     """The subproblems of a run: the compiled block, screened by one
     ``lp.Screen`` (its lazy rows and derived block left out), whose form
-    matrix is made here, on the calling thread; per scenario the vectors of
+    matrix, and the block's factor if no screen of the template made it
+    yet, are made here, on the calling thread; per scenario the vectors of
     its instantiation (``BlockTemplate.instantiate``)."""
     template = model.template
     screen = lp.Screen(template.program)

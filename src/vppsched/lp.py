@@ -13,7 +13,12 @@ values, per-constraint dual multipliers, and bound multipliers. Every
 solve path screens its program through one ``Screen``: the lazy rows and
 the derived block reach HiGHS only once a solution violates a lazy row or
 a bound of a derived column, and the block, while left out, is completed
-from its rows by one sparse solve. ``Screen`` holds which lazy rows are
+from its rows by one sparse solve. A program's marks (``Marks``) are
+shared by every program on its matrix, an instantiation of a compiled
+block or, copy by copy, an extensive form, and so is what a screen
+derives from them and the matrix: the check of the matrix, the lazy and
+derived rows, and the block's sparse LU, made once by the first screen,
+on its calling thread. ``Screen`` holds which lazy rows are
 stated and whether the block is; its ``violated`` is the one screening
 test, and it reads the limits left out from the program's own vectors
 when it runs; its ``restate`` is the one step that acts on a violation:
@@ -48,6 +53,7 @@ nonpositive, and duals of ``==`` rows are free.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
@@ -167,10 +173,12 @@ class LinearProgram:
     until violated, and ``derived_rows`` and ``derived_columns`` the rows
     and columns of its derived block, if one is marked
     (``mark_derived``); they belong to the program as fully as any other
-    row or column."""
+    row or column. A program on another's matrix may be given that one's
+    ``marks`` instead, and shares them."""
 
     def __init__(self, name: str = "", col_names=None, row_names=None,
-                 lazy_rows=(), derived_rows=(), derived_columns=(), **arrays):
+                 lazy_rows=(), derived_rows=(), derived_columns=(),
+                 marks: Marks | None = None, **arrays):
         self.name = name
         arrays.setdefault("indptr", [0])
         self._arrays = {key: np.asarray(arrays.get(key, ()), dtype=dtype)
@@ -180,9 +188,28 @@ class LinearProgram:
         #: runs of data slots, one per ``add_slots`` call: (target, index,
         #: field, key, step, scale, divisor), the index and the last three arrays
         self.slots: list[tuple] = []
-        self.lazy_rows = np.asarray(lazy_rows, dtype=np.int64)
-        self.derived_rows = np.asarray(derived_rows, dtype=np.int64)
-        self.derived_columns = np.asarray(derived_columns, dtype=np.int64)
+        self._marks = marks or Marks(lazy_rows, derived_rows, derived_columns)
+
+    @property
+    def marks(self) -> Marks:
+        """The lazy rows and the derived block, shared with every program
+        given them (``marks``) on the same matrix; a program whose matrix
+        grows gets marks of its own."""
+        self._flush()
+        return self._marks
+
+    def _marked(key: str):
+        """The mark array ``key``; setting it gives the program marks of
+        its own."""
+        def mark(self, value):
+            arrays = {k: getattr(self.marks, k) for k in Marks.KEYS}
+            self._marks = Marks(**{**arrays, key: value})
+        return property(lambda self: getattr(self.marks, key), mark)
+
+    lazy_rows = _marked("lazy_rows")
+    derived_rows = _marked("derived_rows")
+    derived_columns = _marked("derived_columns")
+    del _marked
 
     def __getattr__(self, key):
         arrays = self.__dict__.get("_arrays", {})
@@ -210,10 +237,14 @@ class LinearProgram:
             self._rows = []
 
     def _extend(self, **arrays) -> None:
-        """Append to the program's arrays; the caller flushes first."""
+        """Append to the program's arrays, which no longer shares its marks;
+        the caller flushes first."""
         for key, values in arrays.items():
             self._arrays[key] = np.concatenate(
                 (self._arrays[key], np.asarray(values, dtype=_ARRAYS[key])))
+        m = self._marks
+        self._marks = Marks(m.lazy_rows, m.derived_rows, m.derived_columns,
+                            m.copies)
 
     @property
     def matrix(self) -> csr_matrix:
@@ -303,21 +334,23 @@ class LinearProgram:
         nothing and appear in no row outside the block and the lazy rows.
         A screen leaves the block out of the program HiGHS gets until a
         limit is stated, and completes a primal from it
-        (``Screen.complete``); the marks are the program's own, and a
-        program built from it (an instantiation, an extensive form)
-        carries them, moved to its own rows and columns. Refuses
-        anything else, an unknown index included, and then marks nothing;
-        only a block that is singular with no row or column empty passes,
-        to be refused by the screen that factors it. (A sparse LU at
-        marking time, on every compiled block, raised the peak memory of
-        later solves: its freed work arrays lift the C allocator's mmap
-        threshold.)"""
+        (``Screen.complete``); a program built from this one (an
+        instantiation, an extensive form) carries the marks, and what the
+        screens derive from them (``Marks``), moved to its own rows and
+        columns. Refuses anything else, an unknown index included, and
+        then marks nothing; only a block that is singular with no row or
+        column empty passes, to be refused by the first screen, which
+        factors it. (A sparse LU at marking time, on every compiled block,
+        raised the peak memory of later solves: its freed work arrays lift
+        the C allocator's mmap threshold.)"""
         rows = np.r_[self.derived_rows,
                      _indices("derived_rows", rows, self.num_constraints)]
         columns = np.r_[self.derived_columns,
                         _indices("derived_columns", columns, self.num_variables)]
-        _check_block(self, rows, columns)
-        self.derived_rows, self.derived_columns = rows, columns
+        _check_pairs(rows, columns)
+        _check_vectors(self, rows, columns)
+        _check_matrix(self, rows, columns)
+        self._marks = Marks(self.lazy_rows, rows, columns)
 
     def add_constraint(self, terms, sense: str, rhs: float,
                        name: str = "") -> int:
@@ -442,17 +475,18 @@ def _unique(a) -> np.ndarray:
     return a[np.r_[True, a[1:] != a[:-1]]] if len(a) else a
 
 
-def _check_block(program: LinearProgram, rows, columns) -> None:
-    """Raise LpError unless ``rows`` and ``columns`` may be the derived
-    block of ``program`` (see ``mark_derived``), short of the numerical
-    test that the block is nonsingular, which the screen that factors it
-    makes."""
+def _check_pairs(rows, columns) -> None:
+    """Raise LpError unless the derived ``rows`` and ``columns`` pair up,
+    each once."""
     if len(rows) != len(columns) or len(_unique(rows)) != len(rows) \
             or len(_unique(columns)) != len(columns):
         raise LpError(f"derived block: {len(rows)} rows for "
                       f"{len(columns)} columns, or one twice")
-    if not len(rows):
-        return
+
+
+def _check_vectors(program: LinearProgram, rows, columns) -> None:
+    """Raise LpError unless the derived ``rows`` are equalities and the
+    derived ``columns`` cost nothing in ``program``."""
     unequal = program.sense[rows] != EQ
     if unequal.any():
         raise LpError(f"derived block: row "
@@ -462,10 +496,22 @@ def _check_block(program: LinearProgram, rows, columns) -> None:
     if costly.any():
         raise LpError(f"derived block: column "
                       f"{program.col_names[columns[np.argmax(costly)]]!r} has a cost")
+
+
+def _check_matrix(program: LinearProgram, rows, columns, start: int = 0) -> None:
+    """Raise LpError unless, in the rows of ``program``'s matrix from
+    ``start`` on, the derived ``columns`` appear only in the derived
+    ``rows`` and the lazy rows and, from row 0 on, fill every row and
+    column of the block; short of the numerical test that the block is
+    nonsingular, which its factor makes (see ``mark_derived``)."""
+    if not len(rows):
+        return
     # the nonzero entries in the block's columns, by row and column
     mine = np.zeros(program.num_variables, dtype=bool)
     mine[columns] = True
-    at = np.flatnonzero(mine[program.indices] & (program.data != 0.0))
+    at = program.indptr[start] + np.flatnonzero(
+        mine[program.indices[program.indptr[start]:]]
+        & (program.data[program.indptr[start]:] != 0.0))
     row = np.searchsorted(program.indptr, at, side="right") - 1
     column = program.indices[at]
     in_block = np.zeros(program.num_constraints, dtype=bool)
@@ -478,10 +524,107 @@ def _check_block(program: LinearProgram, rows, columns) -> None:
         raise LpError(f"derived block: column {program.col_names[column[k]]!r}"
                       f" in row {program.row_names[row[k]]!r}")
     held = in_block[row]
-    if len(_unique(row[held])) < len(rows) \
-            or len(_unique(column[held])) < len(columns):
+    if not start and (len(_unique(row[held])) < len(rows)
+                      or len(_unique(column[held])) < len(columns)):
         raise LpError("derived block: a row or a column of it is empty "
                       "(the block is singular)")
+
+
+class Block(NamedTuple):
+    """What a screen derives from a program's matrix and marks alone (see
+    ``Marks.block``)."""
+
+    #: the lazy rows, sorted, and those rows of the matrix
+    rows: np.ndarray
+    matrix: csr_matrix
+    #: the derived rows and columns, sorted; empty without a block
+    block_rows: np.ndarray
+    block_columns: np.ndarray
+    #: the derived rows of the matrix
+    block_matrix: csr_matrix
+    #: the rows and columns of the relaxed form with nothing stated
+    layout: tuple
+    #: x_C = A[R, C]^-1 b for the derived rows R and columns C
+    solve: object
+
+
+class Marks:
+    """The lazy rows and the derived block of a program (``mark_lazy``,
+    ``mark_derived``), shared by reference by every program built on the
+    same matrix: an instantiation carries its template's. ``block``
+    derives what a screen needs of the matrix and the marks alone, the
+    sparse LU of the block included, once, on the first screen, on its
+    calling thread, for every program that carries the marks; screens on
+    other threads meanwhile wait for it.
+
+    An extensive form's marks are ``tiled``: its first rows are copies of
+    the rows of a template program, each on its own columns, and its block
+    is the template's block once per copy, so its completion solves one
+    right-hand side per copy on the template's factor, and the check of
+    its matrix reads only the rows after the copies."""
+
+    KEYS = ("lazy_rows", "derived_rows", "derived_columns")
+
+    def __init__(self, lazy_rows=(), derived_rows=(), derived_columns=(),
+                 copies=None):
+        self.lazy_rows = np.asarray(lazy_rows, dtype=np.int64)
+        self.derived_rows = np.asarray(derived_rows, dtype=np.int64)
+        self.derived_columns = np.asarray(derived_columns, dtype=np.int64)
+        #: (template program, column map) of tiled marks, else None
+        self.copies = copies
+        self._block = None
+        self._lock = threading.Lock()
+
+    @classmethod
+    def tiled(cls, template: LinearProgram, columns) -> Marks:
+        """The marks of a program whose first ``S * m`` rows are the ``m``
+        rows of ``template``, once per row of ``columns`` (S by the
+        template's column count): copy k's column j is the program's column
+        ``columns[k, j]``, each map increasing on the derived columns."""
+        columns = np.asarray(columns, dtype=np.int64)
+        shift = template.num_constraints * np.arange(len(columns))[:, None]
+        t = template.marks
+        return cls((shift + t.lazy_rows).ravel(), (shift + t.derived_rows).ravel(),
+                   columns[:, t.derived_columns].ravel(), (template, columns))
+
+    def block(self, program: LinearProgram) -> Block:
+        """What a screen derives from the matrix of ``program``, which
+        carries these marks, and the marks, made on the first call. Refuses
+        with LpError what ``mark_derived`` refuses of the marks and the
+        matrix, and a numerically singular block."""
+        with self._lock:
+            if self._block is None:
+                self._block = self._derive(program)
+        return self._block
+
+    def _derive(self, program: LinearProgram) -> Block:
+        A = program.matrix
+        rows = _unique(self.lazy_rows)
+        block_rows = _unique(self.derived_rows)
+        block_columns = _unique(self.derived_columns)
+        _check_pairs(self.derived_rows, self.derived_columns)
+        layout_rows = np.ones(A.shape[0], dtype=bool)
+        layout_rows[rows] = layout_rows[block_rows] = False
+        layout_columns = np.ones(A.shape[1], dtype=bool)
+        layout_columns[block_columns] = False
+        solve = None
+        if self.copies is not None:
+            template, columns = self.copies
+            _check_matrix(program, block_rows, block_columns,
+                          len(columns) * template.num_constraints)
+            tile = template.marks.block(template)
+            size = len(tile.block_rows)
+            solve = lambda b: tile.solve(b.reshape(-1, size).T).T.ravel()
+        elif len(block_rows):
+            _check_matrix(program, block_rows, block_columns)
+            try:
+                solve = splu(A[block_rows][:, block_columns].tocsc()).solve
+            except RuntimeError:
+                raise LpError("derived block: its rows do not fix its "
+                              "columns (the block is singular)") from None
+        return Block(rows, A[rows], block_rows, block_columns, A[block_rows],
+                     (np.flatnonzero(layout_rows), np.flatnonzero(layout_columns)),
+                     solve)
 
 
 def _status_from_scipy(code: int) -> str:
@@ -511,10 +654,18 @@ class Screen:
     round, the Benders subproblems on those of all scenarios, and
     ``solve_held`` on that of a held relaxed form.
 
+    What the screen derives from the matrix and the marks alone, the
+    block's factor included, is the marks' (``Marks.block``): made by the
+    first screen of any program that carries them, and shared by every
+    later one. A screen keeps its stated set, the program's matrix until
+    the relaxed form's is made, and the senses of its rows; it checks the
+    program's own vectors, refusing a derived row that is not an equality
+    or a derived column with a cost.
+
     The screen holds no limit itself: ``relaxed``, ``violated`` and
     ``complete`` read them, when they run, from the vectors (``cost``,
-    ``lower``, ``upper``, ``sense``, ``rhs``) of the program they are given,
-    which may be any of the screened one's matrix, such as another
+    ``lower``, ``upper``, ``rhs``) of the program they are given, which
+    may be any of the screened one's matrix and senses, such as another
     scenario's instantiation.
 
     The relaxed form of a program (``relaxed``) holds, in this order, the
@@ -527,32 +678,22 @@ class Screen:
     screen (``relaxed``, ``complete``, ``violated``) compute neither."""
 
     def __init__(self, program: LinearProgram):
+        self.block = block = program.marks.block(program)
         #: the program's matrix, kept until the relaxed form's is made
-        self.program_matrix = A = program.matrix
-        self.shape = A.shape
-        #: the lazy rows, sorted, and those rows of the program's matrix
-        self.rows = _unique(program.lazy_rows)
-        self.matrix = A[self.rows]
+        self.program_matrix = program.matrix
+        self.shape = self.program_matrix.shape
+        self.rows, self.matrix = block.rows, block.matrix
         #: which of ``rows`` are stated; the stated ones as positions in
         #: ``rows``, in the order they were stated
         self.stated_rows = np.zeros(len(self.rows), dtype=bool)
         self.order = np.zeros(0, dtype=np.int64)
-        #: the derived rows and columns, sorted; empty without a block
-        self.block_rows = _unique(program.derived_rows)
-        self.block_columns = _unique(program.derived_columns)
+        self.block_rows, self.block_columns = block.block_rows, block.block_columns
         self.block_stated = not len(self.block_columns)
-        self._layout = self._form = None
         if not self.block_stated:
-            _check_block(program, self.block_rows, self.block_columns)
-            #: the derived rows of the program's matrix, and A[R, not C]
-            self._block_matrix = A[self.block_rows]
-            self._coupling = self._block_matrix[:, self.layout()[1]]
-            try:
-                self._factor = splu(
-                    self._block_matrix[:, self.block_columns].tocsc())
-            except RuntimeError:
-                raise LpError("derived block: its rows do not fix its "
-                              "columns (the block is singular)") from None
+            _check_vectors(program, self.block_rows, self.block_columns)
+        self._layout, self._form = block.layout, None
+        #: the rows whose range is open below (``<=``) and above (``>=``)
+        self._le, self._ge = program.sense == LE, program.sense == GE
 
     @property
     def all_stated(self) -> bool:
@@ -561,15 +702,9 @@ class Screen:
     def layout(self) -> tuple[np.ndarray, np.ndarray]:
         """The program's rows and columns in the relaxed form, in its order."""
         if self._layout is None:
-            rows = np.ones(self.shape[0], dtype=bool)
-            rows[self.rows] = rows[self.block_rows] = False
-            columns = np.ones(self.shape[1], dtype=bool)
-            columns[self.block_columns] = False
-            block = slice(None if self.block_stated else 0)
-            self._layout = (
-                np.r_[np.flatnonzero(rows), self.block_rows[block],
-                      self.rows[self.order]],
-                np.r_[np.flatnonzero(columns), self.block_columns[block]])
+            rows, columns = self.block.layout
+            self._layout = (np.r_[rows, self.block_rows, self.rows[self.order]],
+                            np.r_[columns, self.block_columns])
         return self._layout
 
     @property
@@ -582,6 +717,12 @@ class Screen:
             self.program_matrix = None
         return self._form
 
+    def _ranges(self, rows, program):
+        """The ranges ``(row_lo, row_hi)`` of ``rows`` of ``program``."""
+        rhs = program.rhs[rows]
+        return (np.where(self._le[rows], -np.inf, rhs),
+                np.where(self._ge[rows], np.inf, rhs))
+
     def relaxed(self, program) -> ColumnForm:
         """``program``, of the screened one's matrix, as its relaxed form:
         the unstated lazy rows and, until stated, the derived block left
@@ -589,19 +730,19 @@ class Screen:
         rows, columns = self.layout()
         return ColumnForm(self.form_matrix, program.cost[columns],
                           program.lower[columns], program.upper[columns],
-                          *row_bounds(program.sense[rows], program.rhs[rows]))
+                          *self._ranges(rows, program))
 
     def complete(self, x, program) -> np.ndarray:
         """The primal of ``program`` from the primal ``x`` of its relaxed
         form: each column in its place, and the derived columns, while the
         block is not stated, from the derived rows:
-        x_C = A[R, C]^-1 (b_R - A[R, not C] x), on a factor made once."""
-        columns = self.layout()[1]
-        full = np.empty(self.shape[1])
-        full[columns] = x
+        x_C = A[R, C]^-1 (b_R - A[R, not C] x), on the marks' factor."""
+        full = np.zeros(self.shape[1])
+        full[self.layout()[1]] = x
         if not self.block_stated:
-            full[self.block_columns] = self._factor.solve(
-                program.rhs[self.block_rows] - self._coupling @ x)
+            # the derived columns are still 0 in ``full``
+            full[self.block_columns] = self.block.solve(
+                program.rhs[self.block_rows] - self.block.block_matrix @ full)
         return full
 
     def violated(self, x, program):
@@ -611,8 +752,7 @@ class Screen:
         its bounds so."""
         block = self.block_columns
         return (np.flatnonzero(~self.stated_rows & _outside(
-                    self.matrix @ x, *row_bounds(program.sense[self.rows],
-                                                 program.rhs[self.rows]))),
+                    self.matrix @ x, *self._ranges(self.rows, program))),
                 not self.block_stated and bool(np.any(_outside(
                     x[block], program.lower[block], program.upper[block]))))
 
@@ -643,7 +783,7 @@ class Screen:
             return
         grown, form = [self.matrix[new]], self._form
         if first:
-            grown.insert(0, self._block_matrix)
+            grown.insert(0, self.block.block_matrix)
             form = hstack((form, csc_matrix((form.shape[0],
                                              len(self.block_columns)))))
         self._form = vstack([form, *(part[:, columns] for part in grown)],

@@ -133,7 +133,8 @@ class BlockTemplate:
     def instantiate(self, block: "ScenarioBlock", bids=None,
                     name: str = "") -> lp.LinearProgram:
         """The block for one scenario as a program of its own, sharing the
-        template's matrix, senses and lazy and derived marks.
+        template's matrix, senses and marks (``lp.Marks``), and so what
+        screens derive from them.
 
         Given bids, the first-stage columns are fixed to them by their
         bounds, so their reduced costs are d(cost)/d(bid), and the program
@@ -149,8 +150,7 @@ class BlockTemplate:
             lower=lower, upper=upper,
             cost=np.zeros(len(lower)) if bids is None else block.net_cost(),
             indptr=p.indptr, indices=p.indices, data=p.data, sense=p.sense,
-            rhs=block.rhs, lazy_rows=p.lazy_rows, derived_rows=p.derived_rows,
-            derived_columns=p.derived_columns)
+            rhs=block.rhs, marks=p.marks)
 
 
 @dataclass

@@ -91,13 +91,13 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
     scenario, block columns shifted, around the shared bid columns (so
     non-anticipativity holds by construction). Each copy keeps the
     template's lazy rows and derived block, moved to its own rows and
-    columns."""
+    columns, and its block is completed on the template's factor
+    (``lp.Marks.tiled``)."""
     if len(sset) == 0:
         raise StochasticError("empty scenario set")
     model.validate()
     tpl = model.template
     p, nf, nb, S = tpl.program, tpl.n_first, tpl.n_block, len(sset)
-    m = p.num_constraints
     blocks = [model.scenario_data(scen, k * nb)
               for k, scen in enumerate(sset.scenarios)]
     program = lp.LinearProgram(
@@ -112,10 +112,7 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
         indices=np.concatenate([b.columns[p.indices] for b in blocks]),
         data=np.tile(p.data, S), sense=np.tile(p.sense, S),
         rhs=np.concatenate([b.rhs for b in blocks]),
-        lazy_rows=np.concatenate([k * m + p.lazy_rows for k in range(S)]),
-        derived_rows=np.concatenate([k * m + p.derived_rows for k in range(S)]),
-        derived_columns=np.concatenate([b.columns[p.derived_columns]
-                                        for b in blocks]))
+        marks=lp.Marks.tiled(p, [b.columns for b in blocks]))
     add_risk_objective(program, risk, sset.probabilities(),
                        [(block.columns, block.net_cost()) for block in blocks])
     return ExtensiveForm(program, tpl.first_stage, blocks)

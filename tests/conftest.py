@@ -1,3 +1,4 @@
+import threading
 import types
 
 import numpy as np
@@ -41,6 +42,21 @@ def desk_cvar(desk, desk_scenarios):
 @pytest.fixture(scope="session")
 def desk_benders(desk, desk_scenarios):
     return bd.iterate(desk.model, desk_scenarios, st.RiskMeasure(st.EXPECTATION))
+
+
+@pytest.fixture
+def splu_threads(monkeypatch):
+    """Logs the thread of every sparse LU that ``lp`` makes, in call
+    order."""
+    log = []
+    factor = lp.splu
+
+    def recorded(*args, **kwargs):
+        log.append(threading.current_thread())
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "splu", recorded)
+    return log
 
 
 class LinprogLog(list):

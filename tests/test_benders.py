@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -829,11 +830,14 @@ def test_stated_limits_do_not_depend_on_the_worker_count(narrowed_day):
     assert parallel.objective == serial.objective
 
 
-def test_no_worker_thread_settles_the_shared_screen(narrowed_day, monkeypatch):
+def test_no_worker_thread_settles_the_shared_screen(narrowed_day, monkeypatch,
+                                                   splu_threads):
     # the worker threads only read the screen all subproblems share: its
     # layout and form matrix are made when the subproblems are built and
-    # again whenever a limit is stated, both on the calling thread
+    # again whenever a limit is stated, and the block's factor by the
+    # first screen of a fresh template, all on the calling thread
     model, sset, _ = narrowed_day
+    model = dataclasses.replace(model)      # a template of its own
     settled = []
     layout = lp.Screen.layout
 
@@ -848,6 +852,19 @@ def test_no_worker_thread_settles_the_shared_screen(narrowed_day, monkeypatch):
     # once for the subproblems, then once per round that stated a limit
     assert len(settled) >= 2
     assert set(settled) == {threading.main_thread()}
+    assert splu_threads == [threading.main_thread()]
+
+
+def test_a_benders_solve_factors_the_block_once(splu_threads):
+    # the subproblems, on 2 workers, and the detail re-solves of every
+    # scenario share the template's marks: one sparse LU in the whole run,
+    # made on the calling thread
+    day = instance.day_instance()
+    sset = sg.build_scenarios(day.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
+    out = rp.solve_with_method(day.model, sset, EXPECT, "benders",
+                               bd.BendersOptions(workers=2))
+    assert out.converged and len(out.series) == len(sset)
+    assert splu_threads == [threading.main_thread()]
 
 
 def test_held_subproblems_resolve_the_grown_form(narrowed_day, record_highs):

@@ -597,6 +597,24 @@ def test_completion_on_many_threads_matches_one():
     assert parallel == serial
 
 
+def test_screens_on_many_threads_share_one_derivation(splu_threads):
+    # programs on the marks of a fresh extensive form, screened at once on
+    # more threads than cores: one derivation, on one factor of the
+    # template's block, serves every screen
+    program = day_extensive()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2 * (os.cpu_count() or 1)) as pool:
+            futures = [pool.submit(lp.Screen, on_marks_of(program))
+                       for _ in range(16)]
+            screens = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(splu_threads) == 1
+    assert all(screen.block is screens[0].block for screen in screens)
+
+
 def test_sorted_uniqueness_matches_np_unique():
     # the screen's index sets: random, empty, all one entry, and runs of
     # repeats in any order
@@ -682,7 +700,41 @@ def test_mark_derived_refuses_what_is_not_a_block():
     t.mark_derived([0, 1], [x, y])
     with pytest.raises(lp.LpError, match="singular"):
         lp.Screen(t)
+    # the refusal is not kept as a factor: every later screen refuses too
+    with pytest.raises(lp.LpError, match="singular"):
+        lp.Screen(t)
     assert lp.Screen(unscreened(t)).block_stated
+
+
+def on_marks_of(p, **vectors):
+    """A program on the matrix and the marks of ``p``, with ``vectors``
+    in place of its own."""
+    arrays = {key: getattr(p, key) for key in ("lower", "upper", "cost", "indptr",
+                                               "indices", "data", "sense", "rhs")}
+    return lp.LinearProgram(p.name, p.col_names, p.row_names, marks=p.marks,
+                            **{**arrays, **vectors})
+
+
+def test_screens_on_shared_marks_check_their_own_vectors(splu_threads):
+    # a program that shares the marks of a screened one shares its factor,
+    # but its own screen still refuses a cost on a derived column and a
+    # derived row that is not an equality
+    p = derived_program()
+    lp.Screen(p)
+    assert lp.Screen(on_marks_of(p, cost=np.array([1.0, 0.0, 0.0, 0.0]))) \
+        .block_columns.tolist() == [2]
+    assert len(splu_threads) == 1
+    with pytest.raises(lp.LpError, match="column 'c' has a cost"):
+        lp.Screen(on_marks_of(p, cost=np.array([0.0, 0.0, 1.0, 0.0])))
+    sense = p.sense.copy()
+    sense[2] = lp.GE
+    with pytest.raises(lp.LpError, match="row 'link' is not an equality"):
+        lp.Screen(on_marks_of(p, sense=sense))
+    # a program whose matrix grows gets marks of its own
+    q = on_marks_of(p)
+    q.add_constraint([(0, 1.0)], lp.LE, 2.0, "a cap")
+    assert q.marks is not p.marks and lp.Screen(q).shape == (7, 4)
+    assert len(splu_threads) == 2
 
 
 def test_relaxed_form_leaves_out_the_lazy_limits_and_the_block():

@@ -242,6 +242,7 @@ def test_instances_carry_the_lazy_limits(case):
     for x in (None, bids):
         sub = tpl.instantiate(model.scenario_data(sset.scenarios[0]), x)
         assert sub.num_constraints == p.num_constraints
+        assert sub.marks is p.marks
         for key in ("indptr", "indices", "data", "sense", "lazy_rows",
                     "derived_rows", "derived_columns"):
             assert np.array_equal(getattr(sub, key), getattr(p, key)) \

@@ -772,3 +772,46 @@ def test_completed_core_optimum_is_feasible_and_optimal(preset):
     assert screen.violated(x, program)[1] is False
     full = lp.solve(unscreened(program))
     assert x @ program.cost == pytest.approx(full.objective, rel=1e-9)
+
+
+def extensive_case(case):
+    """The neutral extensive form of a preset over 5 scenarios (seed 42),
+    or of random feeder ``case``."""
+    if isinstance(case, int):
+        model, sset = random_feeder_model(case)
+    else:
+        inst = im.PRESETS[case]()
+        model = inst.model
+        sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5,
+                                  seed=42)
+    return st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
+
+
+@pytest.mark.parametrize("case", ["desk", "day", *range(12)])
+def test_extensive_completion_matches_a_factor_of_its_own_block(case):
+    # the extensive form completes its block, the template's once per
+    # scenario, on the template's factor, one right-hand side a scenario:
+    # the same derived columns as a sparse LU of the extensive block itself
+    program = extensive_case(case).program
+    screen = lp.Screen(program)
+    x = lp.HeldModel(screen.relaxed(program)).solve().primal
+    rows, cols = screen.block_rows, screen.block_columns
+    A = program.matrix[rows]
+    own = splu(A[:, cols].tocsc()).solve(
+        program.rhs[rows] - A[:, screen.layout()[1]] @ x)
+    got = screen.complete(x, program)[cols]
+    assert np.max(np.abs(got - own)) <= 1e-12 * np.max(np.abs(own))
+
+
+@pytest.mark.parametrize("risk", [st.RiskMeasure(st.EXPECTATION),
+                                  st.RiskMeasure(st.CVAR, 0.9)])
+def test_extensive_solve_factors_no_block_of_its_own(risk, splu_threads):
+    # once a screen of the template has factored its block, a screened
+    # solve of the extensive form, the CVaR's tail rows and columns
+    # appended, makes no sparse LU
+    inst = im.day_instance()
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
+    lp.Screen(inst.model.template.program)
+    assert len(splu_threads) == 1
+    sol = lp.solve(st.build_extensive(inst.model, sset, risk).program)
+    assert sol.status == lp.OPTIMAL and len(splu_threads) == 1
