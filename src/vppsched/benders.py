@@ -21,9 +21,13 @@ indicates a physically inconsistent model and aborts with
 The recourse is fixed, so every subproblem is the compiled block with its
 own costs, bounds and right-hand sides, the bids the bounds of its
 first-stage columns: the run keeps per scenario its data vectors and one
-``lp.HeldModel``, which HiGHS receives once, on the scenario's first solve;
-each later solve sends it only the bids, as new column bounds in one call,
-and HiGHS re-solves with dual simplex from the basis it holds. The master
+``lp.HeldModel``, which HiGHS receives once, on the scenario's first solve.
+All scenarios share one matrix, so only scenario 0's first solve starts
+cold; every other scenario's first solve starts from a copy of scenario 0's
+optimal basis (the bunching of the L-shaped method, Birge & Louveaux
+2011), the same for any worker count. Each later solve sends the held
+model only the bids, as new column bounds in one call, and HiGHS
+re-solves with dual simplex from the basis it holds. The master
 is held the same way: its head is passed once and each solve sends only
 the cut rows accepted since the last one, entering with basic slacks. The
 held models live for the run, about 0.85 MB each on ``day``. Subproblems
@@ -275,6 +279,8 @@ class Subproblem:
     screen: lp.Screen
     #: the relaxed form HiGHS holds, from the first solve on
     held: lp.HeldModel | None = None
+    #: a basis of the relaxed form that the first solve starts from, if set
+    seed: object = None
     #: simplex iterations of the last solve
     iterations: int = 0
     #: completed primal of the last solve; None when its relaxation was
@@ -304,10 +310,12 @@ def solve_subproblem(sub: Subproblem,
                      x_hat: np.ndarray) -> tuple[float, np.ndarray]:
     """Second-stage value and a subgradient at the given bids, of the
     relaxation the stated limits leave, solved by the subproblem's held
-    model: built on the first solve, and afterwards sent only the bids, as
-    the bounds of the first-stage columns, so HiGHS re-solves from the basis
-    it holds; its primal, completed (``lp.Screen.complete``), is kept for
-    ``lp.Screen.restate``.
+    model: built on the first solve, starting from a copy of ``sub.seed``
+    if set, and afterwards sent only the bids, as the bounds of the
+    first-stage columns, so HiGHS re-solves from the basis it holds; its
+    primal, completed (``lp.Screen.complete``), is kept for
+    ``lp.Screen.restate``, and its value counts what the columns no row
+    holds cost (``lp.Screen.settled``).
 
     The bids are the first-stage columns fixed by their bounds; the reduced
     costs of those columns are exactly d(cost)/d(bid) (0 for a degenerate
@@ -320,17 +328,21 @@ def solve_subproblem(sub: Subproblem,
     if sub.model.template.n_first != n:
         raise BendersError("first-stage vector length mismatch")
     sub.data.lower[:n] = sub.data.upper[:n] = x_hat
+    screen = sub.screen
     if sub.held is None:
-        sub.held = lp.HeldModel(sub.screen.relaxed(sub.data))
+        sub.held = lp.HeldModel(screen.relaxed(sub.data), sub.seed)
     else:
         sub.held.set_column_bounds(np.arange(n), x_hat, x_hat)
     sol = sub.held.solve()
     sub.iterations = sol.iterations
-    if sol.status == lp.UNBOUNDED and not sub.screen.all_stated:
+    if sol.status == lp.UNBOUNDED and not screen.all_stated:
         sub.primal = None
         return math.nan, np.full(n, math.nan)
+    if sol.status == lp.OPTIMAL:
+        sol = screen.settled(sol, screen.complete(sol.primal, sub.data),
+                             sub.data.cost)
     _checked(sol, sub.model, sub.scenario, sub.index)
-    sub.primal = sub.screen.complete(sol.primal, sub.data)
+    sub.primal = sol.primal
     return sol.objective, sol.column_duals[:n]
 
 
@@ -362,7 +374,15 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             return the audited cuts, one per scenario, with the simplex
             iterations spent."""
             nonlocal best_obj, best_x
-            values = list(parallel_map(solve_subproblem, subs, repeat(x)))
+            values = []
+            if subs[0].held is None:
+                # the first solves: scenario 0 cold, and every other one from
+                # a copy (``lp.HeldModel``) of its optimal basis
+                values.append(solve_subproblem(subs[0], x))
+                for sub in subs[1:]:
+                    sub.seed = subs[0].held.basis
+            values += parallel_map(solve_subproblem, subs[len(values):],
+                                   repeat(x))
             iterations = sum(sub.iterations for sub in subs)
             # the relaxed values are the recourse values only once no
             # completed primal violates a left-out limit

@@ -13,13 +13,14 @@ values, per-constraint dual multipliers, and bound multipliers. Every
 solve path screens its program through one ``Screen``: the lazy rows and
 the derived block reach HiGHS only once a solution violates a lazy row or
 a bound of a derived column, and the block, while left out, is completed
-from its rows by one sparse solve. A program's marks (``Marks``) are
-shared by every program on its matrix, an instantiation of a compiled
-block or, copy by copy, an extensive form, and so is what a screen
-derives from them and the matrix: the check of the matrix, the lazy and
-derived rows, and the block's sparse LU, made once by the first screen,
-on its calling thread. ``Screen`` holds which lazy rows are
-stated and whether the block is; its ``violated`` is the one screening
+from its rows by one sparse solve; a column that no row holds never
+reaches HiGHS, and sits at the bound its cost prefers. A program's marks
+(``Marks``) are shared by every program on its matrix, an instantiation
+of a compiled block or, copy by copy, an extensive form, and so is what a
+screen derives from them and the matrix: the check of the matrix, the
+lazy and derived rows, the row-less columns and the block's sparse LU,
+made once by the first screen, on its calling thread. ``Screen`` holds
+which lazy rows are stated and whether the block is; its ``violated`` is the one screening
 test, and it reads the limits left out from the program's own vectors
 when it runs; its ``restate`` is the one step that acts on a violation:
 it states what the completed primals break and passes the held models the
@@ -40,9 +41,10 @@ the held vertex extended to a basis of the grown form. Row duals and
 reduced costs are converted and bound multipliers split by basis status
 only when first read. No other module touches the solver backend.
 
-Column upper bounds, right-hand sides or labelled costs may be left to
-data, +inf or 0 in their place: ``add_slots`` records a run of such slots
-and the series entries that supply them, for whoever fills them in.
+Column bounds, right-hand sides or labelled costs may be left to data, the
+template's bound, 0 or +inf in their place: ``add_slots`` records a run of
+such slots and the series entries that supply them, for whoever fills them
+in; a lower-bound slot only ever raises the bound it is given.
 
 Dual convention: every dual is the sensitivity of the optimal objective
 to that constraint's right-hand side (d obj / d rhs). In a minimization
@@ -102,8 +104,10 @@ EQ = "=="
 
 SENSES = (LE, GE, EQ)
 
-#: slot targets besides cost labels: a column upper bound, a row rhs
+#: slot targets besides cost labels: a column upper bound, a column lower
+#: bound (data only ever raises it), a row rhs
 UPPER = "upper"
+LOWER = "lower"
 RHS = "rhs"
 
 #: feasibility / optimality tolerances the solution report is held to
@@ -426,9 +430,11 @@ class LinearProgram:
 
     def add_slots(self, target: str, index, field: str, key=None, step=0,
                   scale=1.0, divisor=1.0) -> None:
-        """Leave the upper bounds (target UPPER) or right-hand sides (RHS) of
-        the columns or rows ``index``, or their costs in the stream labelled
-        ``target``, to data: ``series[step] * scale / divisor``, the series
+        """Leave the upper bounds (target UPPER), lower bounds (LOWER, data
+        raising the bound the program holds, never lowering it) or
+        right-hand sides (RHS) of the columns or rows ``index``, or their
+        costs in the stream labelled ``target``, to data:
+        ``series[step] * scale / divisor``, the series
         being data field ``field`` (its item ``key`` if keyed), the last
         three broadcast against ``index``; the divisor keeps conversions
         that divide exact. Refuses an unknown index, and then adds nothing."""
@@ -542,6 +548,9 @@ class Block(NamedTuple):
     block_columns: np.ndarray
     #: the derived rows of the matrix
     block_matrix: csr_matrix
+    #: the columns that no row holds, sorted; none if no other column is
+    #: left to the relaxed form
+    rowless: np.ndarray
     #: the rows and columns of the relaxed form with nothing stated
     layout: tuple
     #: x_C = A[R, C]^-1 b for the derived rows R and columns C
@@ -605,8 +614,12 @@ class Marks:
         _check_pairs(self.derived_rows, self.derived_columns)
         layout_rows = np.ones(A.shape[0], dtype=bool)
         layout_rows[rows] = layout_rows[block_rows] = False
+        rowless = np.flatnonzero(
+            np.bincount(A.indices, minlength=A.shape[1]) == 0)
+        if len(rowless) + len(block_columns) == A.shape[1]:
+            rowless = rowless[:0]       # HiGHS takes no form without columns
         layout_columns = np.ones(A.shape[1], dtype=bool)
-        layout_columns[block_columns] = False
+        layout_columns[block_columns] = layout_columns[rowless] = False
         solve = None
         if self.copies is not None:
             template, columns = self.copies
@@ -623,6 +636,7 @@ class Marks:
                 raise LpError("derived block: its rows do not fix its "
                               "columns (the block is singular)") from None
         return Block(rows, A[rows], block_rows, block_columns, A[block_rows],
+                     rowless,
                      (np.flatnonzero(layout_rows), np.flatnonzero(layout_columns)),
                      solve)
 
@@ -671,11 +685,15 @@ class Screen:
     The relaxed form of a program (``relaxed``) holds, in this order, the
     rows neither lazy nor derived, the derived rows once stated, and the
     stated lazy rows in the order they were stated; its columns are those
-    not derived, then the derived ones once stated. So stating more only
-    appends rows and columns, to the matrix too: the block's columns appear
-    in no row before its own. ``state`` settles the layout, and the form
-    matrix once made, on its calling thread, so threads that only read the
-    screen (``relaxed``, ``complete``, ``violated``) compute neither."""
+    neither derived nor row-less, then the derived ones once stated. So
+    stating more only appends rows and columns, to the matrix too: the
+    block's columns appear in no row before its own. A column that no row
+    of the program holds is in no form at all: its optimum is the bound its
+    cost prefers, which ``complete`` sets, and ``settled`` adds what it
+    costs there to the objective of the relaxed form. ``state`` settles the
+    layout, and the form matrix once made, on its calling thread, so
+    threads that only read the screen (``relaxed``, ``complete``,
+    ``violated``) compute neither."""
 
     def __init__(self, program: LinearProgram):
         self.block = block = program.marks.block(program)
@@ -688,6 +706,7 @@ class Screen:
         self.stated_rows = np.zeros(len(self.rows), dtype=bool)
         self.order = np.zeros(0, dtype=np.int64)
         self.block_rows, self.block_columns = block.block_rows, block.block_columns
+        self.rowless = block.rowless
         self.block_stated = not len(self.block_columns)
         if not self.block_stated:
             _check_vectors(program, self.block_rows, self.block_columns)
@@ -732,18 +751,40 @@ class Screen:
                           program.lower[columns], program.upper[columns],
                           *self._ranges(rows, program))
 
-    def complete(self, x, program) -> np.ndarray:
+    def complete(self, x, program, cost=None) -> np.ndarray:
         """The primal of ``program`` from the primal ``x`` of its relaxed
-        form: each column in its place, and the derived columns, while the
+        form: each column in its place; each row-less column at the bound
+        its cost (``cost``, else the program's) prefers, the lower one when
+        the cost is >= 0, and at 0 within its bounds when it costs nothing
+        and that bound is infinite; and the derived columns, while the
         block is not stated, from the derived rows:
         x_C = A[R, C]^-1 (b_R - A[R, not C] x), on the marks' factor."""
         full = np.zeros(self.shape[1])
         full[self.layout()[1]] = x
+        if len(self.rowless):
+            at = self.rowless
+            c = (program.cost if cost is None else cost)[at]
+            lo, hi = program.lower[at], program.upper[at]
+            value = np.where(c >= 0.0, lo, hi)
+            free = (c == 0.0) & np.isinf(value)
+            value[free] = np.clip(0.0, lo[free], hi[free])
+            full[at] = value
         if not self.block_stated:
             # the derived columns are still 0 in ``full``
             full[self.block_columns] = self.block.solve(
                 program.rhs[self.block_rows] - self.block.block_matrix @ full)
         return full
+
+    def settled(self, sol: LpSolution, x, cost) -> LpSolution:
+        """``sol``, an optimum of the relaxed form, as the program's: its
+        primal the completed ``x``, and its objective plus what the
+        row-less columns cost (``cost``) at ``x``; unbounded if a bound
+        their costs prefer is infinite. Its duals stay the relaxed form's."""
+        objective = sol.objective + float(cost[self.rowless] @ x[self.rowless])
+        if objective == -math.inf:
+            return LpSolution(UNBOUNDED, math.nan, np.zeros(0), np.zeros(0),
+                              iterations=sol.iterations)
+        return replace(sol, objective=objective, primal=x)
 
     def violated(self, x, program):
         """The unstated lazy rows of ``program`` that its primal ``x``
@@ -827,12 +868,13 @@ def solve(program: LinearProgram) -> LpSolution:
     with them (``Screen.restate``), and solves cold again, until none is.
     An optimum of a relaxation that is feasible for the program is optimal
     for it, so the report is the full program's: a left-out row has dual 0
-    and a left-out column multipliers 0 (the block's columns cost nothing
-    and no stated row but the block's holds them, so the duals stay
-    feasible and ``dual_objective`` equals the primal), and the iterations
-    and the iteration limit count over all rounds. An infeasible relaxation
-    means an infeasible program; an unbounded one is solved again with
-    every row and the block stated.
+    and a left-out derived column multipliers 0 (the block's columns cost
+    nothing and no stated row but the block's holds them, so the duals stay
+    feasible and ``dual_objective`` equals the primal), a row-less column,
+    at the bound its cost prefers, its cost as that bound's multiplier and
+    as its reduced cost, and the iterations and the iteration limit count
+    over all rounds. An infeasible relaxation means an infeasible program;
+    an unbounded one is solved again with every row and the block stated.
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
     screen = Screen(program)
@@ -874,8 +916,12 @@ def solve(program: LinearProgram) -> LpSolution:
     lower, upper = np.zeros((2, program.num_variables))
     lower[columns] = res.lower.marginals
     upper[columns] = res.upper.marginals
-    return LpSolution(OPTIMAL, float(res.fun), x, duals, iterations,
-                      (lower, upper), lower + upper)
+    cost = program.cost[screen.rowless]
+    lower[screen.rowless] = np.maximum(cost, 0.0)
+    upper[screen.rowless] = np.minimum(cost, 0.0)
+    return screen.settled(LpSolution(OPTIMAL, float(res.fun), x, duals,
+                                     iterations, (lower, upper), lower + upper),
+                          x, program.cost)
 
 
 class ColumnForm(NamedTuple):
@@ -942,8 +988,10 @@ class HeldModel:
     change leaves it dual feasible, so every other solve (the first, a
     restart without a basis, and one after a ``reset``,
     ``set_column_bounds`` or ``add_rows``) runs dual simplex. ``basis`` is
-    the last optimal basis, or the starting one (a basis of a program of the same shape; presolve
-    is skipped then). After a solve that ends not optimal, the next one
+    the last optimal basis, or the starting one: a basis of a program of
+    the same shape, which the model copies, since ``Screen.state`` and
+    ``with_basic_rows`` grow the basis it holds in place (presolve is
+    skipped then). After a solve that ends not optimal, the next one
     restarts from ``basis``, or cold without one. HiGHS is given the rows
     and bounds of ``program`` as they are: a held model screens nothing
     itself, so a caller that screens passes the relaxed form, and
@@ -954,7 +1002,8 @@ class HeldModel:
         self._highs.passOptions(_WARM_OPTIONS)
         self._strategy = _DUAL
         self.reset(program if isinstance(program, ColumnForm)
-                   else column_form(program), basis)
+                   else column_form(program),
+                   None if basis is None else _copied(basis))
 
     def reset(self, form: ColumnForm, basis=None) -> None:
         """Hold ``form`` instead, and start its next solve from ``basis``."""
@@ -1054,22 +1103,23 @@ def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
     block and passes ``held`` the grown form, and ``held`` re-solves, from
     the held vertex extended to a basis of the grown form, so the reduced
     costs stay as they are, or cold after an unbounded relaxation. Returns
-    the solution with the completed primal and the simplex iterations of
-    every round; its row duals and bound multipliers stay those of the
+    the solution with the completed primal, the objective with what the
+    row-less columns cost (``Screen.settled``) and the simplex iterations
+    of every round; its row duals and bound multipliers stay those of the
     relaxed form.
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
     sol = held.solve(cost[screen.layout()[1]])
     iterations = sol.iterations
     while sol.status in (OPTIMAL, UNBOUNDED):
-        x = screen.complete(sol.primal, program) \
+        x = screen.complete(sol.primal, program, cost) \
             if sol.status == OPTIMAL else None
         if not screen.restate([x], [program], [held]):
             break
         sol = held.solve()
         iterations += sol.iterations
     if sol.status == OPTIMAL:
-        sol = replace(sol, primal=x)
+        sol = screen.settled(sol, x, cost)
     return replace(sol, iterations=iterations)
 
 
@@ -1081,6 +1131,15 @@ def _bound_marginals(sol, basis) -> tuple[np.ndarray, np.ndarray]:
     col_status = np.fromiter(map(int, basis.col_status), np.int8, len(col_dual))
     return (np.where(col_status == _AT_LOWER, col_dual, 0.0),
             np.where(col_status == _AT_UPPER, col_dual, 0.0))
+
+
+def _copied(basis):
+    """A copy of the HiGHS basis ``basis`` (the binding's basis has no
+    copy of its own)."""
+    copy = _highs.HighsBasis()
+    for key in ("valid", "alien", "was_alien", "col_status", "row_status"):
+        setattr(copy, key, getattr(basis, key))
+    return copy
 
 
 def with_basic_rows(basis, count: int):

@@ -3,7 +3,8 @@
 The two-stage program has fixed recourse: the recourse matrix W and the
 technology matrix T are the same in every scenario. A scenario changes
 only data: costs (the six prices), right-hand sides (loads, ambient
-temperature) and column bounds (PV capacity factors, EV availability).
+temperature) and column bounds (PV capacity factors, EV availability, the
+withdrawal at a bus without controllable consumption).
 ``VppModel.build_block`` emits the block once into a template program,
 the emitters leaving every scenario-dependent entry to data in runs of
 slots (``lp.LinearProgram.add_slots``, one call per device, stream or bus
@@ -71,7 +72,7 @@ class BlockTemplate:
         self.step, self.index = join(step, np.int64), join(index, np.int64)
         self.scale, self.divisor = join(scale, float), join(divisor, float)
         self.target, self.targets = np.repeat(target, runs), sorted(set(target))
-        unknown = set(self.targets) - {lp.UPPER, lp.RHS, *STREAMS}
+        unknown = set(self.targets) - {lp.UPPER, lp.LOWER, lp.RHS, *STREAMS}
         if unknown:
             raise lp.LpError(f"slots: unknown target {min(unknown)!r}")
         program.matrix     # settle the arrays before instantiations share them
@@ -80,9 +81,12 @@ class BlockTemplate:
         """Fill every data slot from one scenario (and the grid tariff), for
         a copy of the block whose own columns start ``offset`` further on;
         the slots of one right-hand side add up onto the template's (the
-        feeder-wide balance holds every bus's load). Every series must span
-        the horizon; buses without a load series carry none. Bad values
-        raise LpError as ``add_*`` would."""
+        feeder-wide balance holds every bus's load), and a lower-bound slot
+        only raises the template's bound (a withdrawal is at least the
+        positive part of its bus's load). Every series must span the
+        horizon; buses without a load series carry none. Bad values, a
+        bound below the other one included, raise LpError as ``add_*``
+        would."""
         arrays = []
         for name, key in self.series:
             values = tariff if name == "tariff_per_mwh" else getattr(scenario, name)
@@ -97,28 +101,33 @@ class BlockTemplate:
         values = np.concatenate(arrays or [np.zeros(0)])[
             offsets[self.source] + self.step] * self.scale / self.divisor
 
-        # an upper bound may be +inf but not below its lower bound; a
-        # right-hand side or a cost must be finite
-        p, up = self.program, self.target == lp.UPPER
-        bad = np.isnan(values) | ~up & np.isinf(values)
-        bad[up] |= values[up] < p.lower[self.index[up]]
-        if bad.any():
-            k = np.flatnonzero(bad)[0]
-            raise lp.LpError(f"scenario data {self.series[self.source[k]]} "
-                             f"step {self.step[k]}: bad value {values[k]}")
-        upper, rhs = p.upper.copy(), p.rhs.copy()
+        p = self.program
+        lower, upper, rhs = p.lower.copy(), p.upper.copy(), p.rhs.copy()
         streams = {name: np.zeros(p.num_variables) for name in STREAMS}
         streams["c_ops"] = p.cost.copy()
         for target in self.targets:
             at = self.target == target
             if target == lp.RHS:
                 np.add.at(rhs, self.index[at], values[at])
+            elif target == lp.LOWER:
+                with np.errstate(invalid="ignore"):  # a NaN is refused below
+                    np.maximum.at(lower, self.index[at], values[at])
             else:
                 (upper if target == lp.UPPER
                  else streams[target])[self.index[at]] = values[at]
+        # an upper bound may be +inf but not below its lower bound; a lower
+        # bound, a right-hand side or a cost must be finite
+        up = self.target == lp.UPPER
+        bound = up | (self.target == lp.LOWER)
+        bad = np.isnan(values) | ~up & np.isinf(values)
+        bad[bound] |= lower[self.index[bound]] > upper[self.index[bound]]
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            raise lp.LpError(f"scenario data {self.series[self.source[k]]} "
+                             f"step {self.step[k]}: bad value {values[k]}")
         columns = np.arange(p.num_variables)
         columns[self.n_first:] += offset
-        return ScenarioBlock(scenario, self, upper, rhs, streams, columns)
+        return ScenarioBlock(scenario, self, lower, upper, rhs, streams, columns)
 
     def tariff_stream(self, tariff) -> np.ndarray:
         """The ``c_tariff`` stream that ``data`` fills in under ``tariff``,
@@ -142,7 +151,7 @@ class BlockTemplate:
         keeps its bounds and the objective is zero: a feasibility probe of
         the block."""
         p = self.program
-        lower, upper = p.lower.copy(), block.upper.copy()
+        lower, upper = block.lower.copy(), block.upper.copy()
         if bids is not None:
             lower[:self.n_first] = upper[:self.n_first] = bids
         return lp.LinearProgram(
@@ -155,13 +164,14 @@ class BlockTemplate:
 
 @dataclass
 class ScenarioBlock:
-    """One scenario's data in the compiled block: column upper bounds, row
+    """One scenario's data in the compiled block: column bounds, row
     right-hand sides and, per stream, the cost of every column (revenues
     counted positive). Inside a larger program, template column j is the
     program's column ``columns[j]``."""
 
     scenario: Scenario
     template: BlockTemplate
+    lower: np.ndarray
     upper: np.ndarray
     rhs: np.ndarray
     streams: dict[str, np.ndarray]

@@ -181,11 +181,18 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
     enter with negative coefficients). The fixed loads of every bus are data
     (``load_active``, ``load_reactive``) in the right-hand sides.
 
+    The withdrawal ``wit`` is at least the bus's consumption and at least 0.
+    Where the bus has controllable consumption at the step, that is a row,
+    ``wit`` >= consumption with the load as its right-hand side; elsewhere
+    the consumption is the load alone, and its positive part is the lower
+    bound of the ``wit`` column (an ``lp.LOWER`` slot), so no row holds the
+    column.
+
     The columns and the rows each go in as one bulk append. Rows run step by
-    step: per bus ``balP``, ``balQ`` (none at the root) and ``wit``, then
-    ``vdrop`` per branch; within a row the device terms come first in
-    ``balP``/``balQ`` and last in ``wit``. The root's ``balP`` row is the
-    feeder-wide balance, the sum of every bus's: every bus's consumption
+    step: per bus ``balP``, ``balQ`` (none at the root) and ``wit`` (where
+    stated), then ``vdrop`` per branch; within a row the device terms come
+    first in ``balP``/``balQ`` and last in ``wit``. The root's ``balP`` row
+    is the feeder-wide balance, the sum of every bus's: every bus's consumption
     terms, one per column (a column's coefficients added up in the order of
     ``cons_p_terms``) in column order, then the import, and in the
     right-hand side every bus's load, one slot each, which
@@ -226,6 +233,14 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
                      dtype=np.int64).reshape(-1, 2)
     ends = np.array([[at[b] for b in branch_endpoints(network, topo, k)]
                      for k in range(K)], dtype=np.int64).reshape(-1, 2)
+
+    # whether a bus has controllable consumption at a step, (T, buses): only
+    # then is its withdrawal a row
+    controlled = np.array([[bool(cons_p_terms.get(i) and cons_p_terms[i][t])
+                            for i in ids] for t in steps],
+                          dtype=bool).reshape(T, -1)
+    kept = np.ones((T, width), dtype=bool)
+    kept[:, wit_row] = controlled
 
     # terms as (row, column, coefficient), chunk after chunk; a stable sort
     # by row keeps each row's terms in chunk order
@@ -270,7 +285,8 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
             bal_p + 1, scale)
     grid(bal_p[rest] + 1, fq[parent], -1.0)
     grid(bal_p[child[:, 0]] + 1, fq[child[:, 1]], 1.0)
-    # withdrawal epigraph: wit >= local consumption, wit >= 0
+    # withdrawal epigraph: wit >= local consumption, wit >= 0, a row only
+    # where the bus has controllable consumption (``controlled``)
     grid(wit_row, wit, 1.0)
     devices(cons_p_terms, wit_row, -1.0)
     # voltage drop along each branch, downstream minus upstream
@@ -280,22 +296,34 @@ def emit_distflow(program: lp.LinearProgram, network: RadialNetwork,
     grid(vdrop, fp, [2.0 * br.r_pu for br in network.branches])
     grid(vdrop, fq, [2.0 * br.x_pu for br in network.branches])
 
-    row = np.concatenate(rows)
+    # the rows not stated go, and so does the wit term of each
+    row, kept = np.concatenate(rows), kept.ravel()
+    on = kept[row]
+    row = (np.cumsum(kept) - 1)[row[on]]
     order = np.argsort(row, kind="stable")
     sense = np.full((T, width), lp.EQ)
     sense[:, wit_row] = lp.GE
     label = [f"{kind}[{i}" for i in ids for kind in ("balP", "balQ", "wit")
              if kind != "balQ" or i != root] + [f"vdrop[{k}" for k in range(K)]
-    grid_rows = program.add_rows(
-        np.r_[0, np.cumsum(np.bincount(row, minlength=width * T))],
-        np.concatenate(cols)[order], np.concatenate(coefs)[order], sense.ravel(),
-        np.zeros(width * T), [f"{name},{t}]" for t in steps for name in label]
-    ).reshape(T, width)
-    # the loads are data: minus the load in balP and balQ, the load in wit;
-    # a non-root bus's load enters the root's row too, which adds them up
+    names = [f"{name},{t}]" for t in steps for name in label]
+    grid_rows = np.full(width * T, -1)
+    grid_rows[kept] = program.add_rows(
+        np.r_[0, np.cumsum(np.bincount(row, minlength=int(kept.sum())))],
+        np.concatenate(cols)[on][order], np.concatenate(coefs)[on][order],
+        sense.ravel()[kept], np.zeros(int(kept.sum())),
+        [name for name, k in zip(names, kept) if k])
+    grid_rows = grid_rows.reshape(T, width)
+    # the loads are data: minus the load in balP and balQ, the load in wit
+    # or, without a row, the withdrawal's lower bound; a non-root bus's load
+    # enters the root's row too, which adds them up
     for n, i in enumerate(ids):
-        program.add_slots(lp.RHS, grid_rows[:, [bal_p[n], wit_row[n]]],
-                          "load_active", i, np.c_[steps], [-scale, 1.0])
+        stated = np.flatnonzero(controlled[:, n])
+        free = np.flatnonzero(~controlled[:, n])
+        program.add_slots(lp.RHS, grid_rows[:, bal_p[n]], "load_active", i,
+                          steps, -scale)
+        program.add_slots(lp.RHS, grid_rows[stated, wit_row[n]], "load_active",
+                          i, stated)
+        program.add_slots(lp.LOWER, wit[n, free], "load_active", i, free)
         if i != root:
             program.add_slots(lp.RHS, grid_rows[:, bal_p[at[root]]],
                               "load_active", i, steps, -scale)

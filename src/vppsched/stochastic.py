@@ -105,7 +105,7 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
         lambda: p.col_names[:nf] + [f"s{k}_{name}" for k in range(S)
                                     for name in p.col_names[nf:]],
         lambda: [f"s{k}_{name}" for k in range(S) for name in p.row_names],
-        lower=np.r_[p.lower[:nf], np.tile(p.lower[nf:], S)],
+        lower=np.concatenate([p.lower[:nf]] + [b.lower[nf:] for b in blocks]),
         upper=np.concatenate([p.upper[:nf]] + [b.upper[nf:] for b in blocks]),
         cost=np.zeros(nf + S * nb),
         indptr=np.r_[0, np.cumsum(np.tile(np.diff(p.indptr), S))],

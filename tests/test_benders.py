@@ -308,7 +308,9 @@ def test_held_models_receive_only_new_bids_and_new_cuts(desk, desk_scenarios,
     # HiGHS gets each Benders LP once; between two solves a subproblem gets
     # only the bids, as the bounds of its n_first first-stage columns in one
     # changeColsBounds, and the master only the cuts accepted since its last
-    # solve, in one addRows
+    # solve, in one addRows. Scenario 0's first solve starts cold, and every
+    # other scenario's from scenario 0's optimal basis, so its first run
+    # follows one setBasis
     solves = []
     solve = bd.MasterProblem.solve
 
@@ -327,11 +329,12 @@ def test_held_models_receive_only_new_bids_and_new_cuts(desk, desk_scenarios,
     master = solves[0][0]
     master_calls, *sub_calls = log.by_model.values()
     assert len(sub_calls) == len(desk_scenarios)
-    for calls in sub_calls:
+    for s, calls in enumerate(sub_calls):
         names = [e[0] for e in calls]
         runs = names.count("run")
         assert runs >= res.report.iterations
-        assert names == ["passModel", "run", "getBasis"] + (
+        assert names == ["passModel"] + ["setBasis"] * (s > 0) + [
+            "run", "getBasis"] + (
             ["changeColsBounds", "run", "getBasis"]) * (runs - 1)
         bounds = [e[1:] for e in calls if e[0] == "changeColsBounds"]
         assert all(columns.tolist() == list(range(n)) for columns, _, _ in bounds)
@@ -356,6 +359,32 @@ def test_held_models_receive_only_new_bids_and_new_cuts(desk, desk_scenarios,
         assert np.all(hi == np.inf)
         sent = cuts
     assert sent > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_subproblem_solves_start_from_scenario_0s_basis(
+        desk, desk_scenarios, record_highs, workers):
+    # every scenario shares one matrix: scenario 0's first solve runs cold,
+    # before any other, and every other scenario's first solve starts from a
+    # copy of scenario 0's first optimal basis, one setBasis before its
+    # first run, on any worker count
+    log = record_highs()
+    bd.iterate(desk.model, desk_scenarios, EXPECT,
+               bd.BendersOptions(max_iterations=2, workers=workers))
+    master, first, *others = log.by_model.values()
+    assert len(others) == len(desk_scenarios) - 1
+    names = [e[0] for e in first]
+    assert names[:3] == ["passModel", "run", "getBasis"]
+    assert "setBasis" not in names
+    basis = first[2][1]
+    for calls in others:
+        names = [e[0] for e in calls]
+        assert names[:4] == ["passModel", "setBasis", "run", "getBasis"]
+        assert names.count("setBasis") == 1
+        seed = calls[1][1]
+        assert seed is not basis
+        assert (list(seed.col_status), list(seed.row_status)) \
+            == (list(basis.col_status), list(basis.row_status))
 
 
 def test_warm_subproblems_match_cold_solves(desk, desk_scenarios, monkeypatch):
@@ -902,7 +931,8 @@ def test_held_subproblems_resolve_the_grown_form(narrowed_day, record_highs):
 def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
     # no primal leaves the shipped limits, so each subproblem's HiGHS is
     # passed one model in the run, the template's core, neither lazy nor
-    # derived, and re-runs it at every iteration
+    # derived nor in no row (the withdrawal of a bus without controllable
+    # consumption, a bound since), and re-runs it at every iteration
     inst = instance.PRESETS[preset]()
     sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
     log = record_highs()
@@ -910,7 +940,9 @@ def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
     assert res.report.converged and grown == (0, False)
     p = inst.model.template.program
     assert len(p.lazy_rows) > 0 and len(p.derived_rows) > 0
-    core = p.num_variables - len(np.unique(p.derived_columns))
+    rowless = np.bincount(p.indices, minlength=p.num_variables) == 0
+    assert rowless.sum() > 0
+    core = p.num_variables - len(np.unique(p.derived_columns)) - rowless.sum()
     subs = [calls for calls in log.by_model.values()
             if calls[0][0] == "passModel" and calls[0][1] == core]
     assert len(subs) == len(sset)

@@ -9,6 +9,10 @@ import pytest
 
 from vppsched import benders as bd
 from vppsched import cli
+from vppsched import config as cf
+from vppsched import market as mk
+from vppsched import reports as rp
+from vppsched import scenarios as sg
 from vppsched import stochastic as st
 from vppsched import tables
 from vppsched import instance as inst_mod
@@ -522,3 +526,62 @@ def test_shipped_desk_runs_match_the_readme_commands(tmp_path):
                                for row in csv.DictReader(fh)])
         assert len(totals[0]) == 10
         assert totals[0] == pytest.approx(totals[1], rel=rel), method
+
+
+def consumption_floor(model, scenario, series):
+    """Per bus, the positive part of its active consumption at each step:
+    its load plus its devices' consumption terms, read from the dispatch
+    ``series`` of ``scenario``."""
+    handles = model.template.handles
+    T = model.horizon.step_count
+    value = {}
+    for h in handles.devices:
+        start = h.window[0] if h.window else 0
+        for key, idxs in (("p", h.p), ("charge", h.charge),
+                          ("discharge", h.discharge)):
+            for k, j in enumerate(idxs or []):
+                value[j] = series[f"dev_{h.name}_{key}_kw"][start + k]
+    floor = {bus: np.array(scenario.load_active.get(bus, np.zeros(T)),
+                           dtype=float) for bus in handles.grid.wit}
+    for h in handles.devices:
+        for t, terms in enumerate(h.cons_p):
+            floor[h.node][t] += sum(c * value[j] for j, c in terms)
+    return {bus: np.maximum(v, 0.0) for bus, v in floor.items()}
+
+
+@pytest.mark.parametrize("method", ["extensive", "benders"])
+@pytest.mark.parametrize("preset", ["desk", "day"])
+def test_withdrawal_is_the_positive_part_of_consumption(preset, method):
+    # the tariff is positive at every step, so at an optimum every bus
+    # withdraws the positive part of its consumption, whether a row states
+    # it (controllable consumption at the step) or the withdrawal's lower
+    # bound (the load alone): the dispatch series and the evaluator's
+    # tariff stream, within 1e-9, on the shipped desk scenarios against the
+    # shipped runs too
+    inst = inst_mod.PRESETS[preset]()
+    model = inst.model
+    assert np.all(model.market.tariff_per_mwh > 0.0)
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 5, seed=42)
+    shipped = pathlib.Path(__file__).resolve().parents[1] / "instances" / "desk"
+    runs = [(model, sset, None)]
+    if preset == "desk" and shipped.exists():
+        cfg = cf.load_config(str(shipped / "config.json"))
+        runs.append((cfg.build_model(), sg.load_scenario_set(cfg.scenario_dir)[0],
+                     shipped / "runs" / f"solution_{method}_expectation"))
+    dt = model.horizon.step_hours
+    for model, sset, reference in runs:
+        out = rp.solve_with_method(model, sset, st.RiskMeasure(st.EXPECTATION),
+                                   method)
+        for s, (scen, series) in enumerate(zip(sset.scenarios, out.series)):
+            floor = consumption_floor(model, scen, series)
+            wit = {bus: series[f"wit_{bus}_kw"] for bus in floor}
+            if reference is not None:
+                col = tables.read_columns(str(reference / f"dispatch_{s:04d}.csv"))
+                for bus in floor:
+                    assert wit[bus] == pytest.approx(col[f"wit_{bus}_kw"],
+                                                     rel=1e-9, abs=1e-9)
+            for bus in floor:
+                assert wit[bus] == pytest.approx(floor[bus], rel=1e-9, abs=1e-9)
+            tariff = model.market.tariff_per_mwh
+            assert mk.tariff_cost_value(tariff, wit, dt) == pytest.approx(
+                mk.tariff_cost_value(tariff, floor, dt), rel=1e-9, abs=1e-9)

@@ -190,8 +190,8 @@ def test_slots_refuse_unknown_rows_and_columns():
     p = lp.LinearProgram()
     p.add_variables(0.0, math.inf, ["x", "y"])
     p.add_constraint([(0, 1.0)], lp.LE, 0.0, "r")
-    for target, index in ((lp.UPPER, [0, 2]), (lp.RHS, [1]), ("c_ops", [-1]),
-                          (lp.RHS, [[0], [3]])):
+    for target, index in ((lp.UPPER, [0, 2]), (lp.LOWER, [2]), (lp.RHS, [1]),
+                          ("c_ops", [-1]), (lp.RHS, [[0], [3]])):
         with pytest.raises(lp.LpError, match="unknown index"):
             p.add_slots(target, index, "load")
     assert p.slots == []
@@ -516,23 +516,101 @@ def with_derived_column(prog, rng):
     return prog
 
 
+def with_rowless_columns(prog, rng):
+    """``prog`` with columns that no row holds, one per cost sign (-, 0, +)
+    and kind of bound (both finite, lower or upper only, none) that leaves
+    the program bounded; returns their indices and the value each takes at
+    an optimum: the bound its cost prefers, or, costing nothing, the lower
+    bound, else 0 within its bounds."""
+    columns, values = [], []
+    for sign in (-1.0, 0.0, 1.0):
+        for finite in ((True, True), (True, False), (False, True),
+                       (False, False)):
+            if (sign > 0 and not finite[0]) or (sign < 0 and not finite[1]):
+                continue
+            lo = float(rng.uniform(-3.0, 1.0))
+            hi = lo + float(rng.uniform(0.5, 3.0))
+            lo, hi = (lo if finite[0] else -math.inf), (hi if finite[1] else math.inf)
+            j = prog.add_variable(lo, hi, f"free{len(columns)}")
+            prog.add_objective_term(j, sign * float(rng.uniform(0.5, 2.0)))
+            columns.append(j)
+            values.append(hi if sign < 0 else lo if finite[0]
+                          else float(np.clip(0.0, lo, hi)))
+    return np.array(columns), np.array(values)
+
+
 def test_random_screened_lps_match_vertex_enumeration():
-    # a random half of the rows lazy, and half the programs with a derived
-    # column held by a lazy row, its bounds binding in some: the same
-    # optimum, a feasible primal and strong duality on the full program
+    # a random half of the rows lazy, half the programs with a derived
+    # column held by a lazy row, its bounds binding in some, and a third
+    # with columns that no row holds, under every cost sign and kind of
+    # bound: the same optimum, a feasible primal and strong duality on the
+    # full program; a row-less column at the bound its cost prefers, its
+    # cost the multiplier of that bound and its reduced cost
     rng = np.random.default_rng(20261018)
     for k in range(120):
         prog = random_feasible_bounded_lp(rng)
         prog.mark_lazy(rows=np.flatnonzero(rng.random(prog.num_constraints) < 0.5))
         if k % 2:
             prog = with_derived_column(prog, rng)
+        best = vertex_enumeration_optimum(prog)
+        rowless, values = np.zeros(0, np.int64), np.zeros(0)
+        if k % 3 == 0:
+            rowless, values = with_rowless_columns(prog, rng)
+            best += float(prog.cost[rowless] @ values)
         sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
-        best = vertex_enumeration_optimum(prog)
         assert sol.objective == pytest.approx(best, abs=1e-7, rel=1e-7)
         assert infeasibility(prog, sol.primal) <= lp.FEAS_TOL
         dual = lp.dual_objective(prog, sol)
         assert abs(sol.objective - dual) <= lp.OPT_TOL * (1.0 + abs(sol.objective))
+        cost = prog.cost[rowless]
+        assert sol.primal[rowless].tolist() == values.tolist()
+        assert sol.lower_marginals[rowless].tolist() \
+            == np.maximum(cost, 0.0).tolist()
+        assert sol.upper_marginals[rowless].tolist() \
+            == np.minimum(cost, 0.0).tolist()
+        assert sol.column_duals[rowless].tolist() == cost.tolist()
+
+
+def rowless_program(lower, upper, cost):
+    """min x + cost z over x in [0, 1] with x >= 0.5 and z in
+    [lower, upper], a column that no row holds."""
+    p = lp.LinearProgram("rowless")
+    x = p.add_variable(0.0, 1.0, "x")
+    z = p.add_variable(lower, upper, "z")
+    p.add_constraint([(x, 1.0)], lp.GE, 0.5, "floor")
+    p.add_objective_term(x, 1.0)
+    p.add_objective_term(z, cost)
+    return p
+
+
+def held_solve(p):
+    screen = lp.Screen(p)
+    return lp.solve_held(lp.HeldModel(screen.relaxed(p)), screen, p, p.cost)
+
+
+def test_rowless_column_pulled_to_an_infinite_bound_is_unbounded(record_highs):
+    # HiGHS never sees the column; the solve reports the program unbounded
+    for lower, upper, cost in ((-math.inf, 1.0, 2.0), (-1.0, math.inf, -2.0)):
+        p = rowless_program(lower, upper, cost)
+        log = record_highs()
+        assert held_solve(p).status == lp.UNBOUNDED
+        assert [e[1:] for e in log if e[0] == "passModel"] == [(1, 1)]
+        assert lp.solve(p).status == lp.UNBOUNDED
+
+
+def test_rowless_column_without_cost_takes_its_lower_bound():
+    for solve in (lp.solve, held_solve):
+        p = rowless_program(-2.0, 3.0, 0.0)
+        sol = solve(p)
+        assert sol.status == lp.OPTIMAL
+        assert sol.primal.tolist() == [pytest.approx(0.5, abs=1e-9), -2.0]
+        assert sol.objective == pytest.approx(0.5, abs=1e-9)
+        # a row-less column that costs something counts in the objective
+        p.cost[1] = 1.5
+        sol = solve(p)
+        assert sol.primal[1] == -2.0
+        assert sol.objective == pytest.approx(0.5 - 3.0, abs=1e-9)
 
 
 def day_extensive(band=None):

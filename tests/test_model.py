@@ -32,7 +32,7 @@ def case(request):
 
 def structure(program):
     return [a.tobytes() for a in (program.indptr, program.indices,
-                                  program.data, program.sense, program.lower)]
+                                  program.data, program.sense)]
 
 
 @pytest.mark.parametrize("bids", [False, True])
@@ -46,6 +46,9 @@ def test_scenarios_change_only_data(case, bids):
     assert a.col_names == b.col_names and a.row_names == b.row_names
     assert not np.array_equal(a.rhs, b.rhs)
     assert not np.array_equal(a.upper, b.upper)
+    # the withdrawal at a bus without controllable consumption is bounded
+    # below by the bus's load, which is data
+    assert not np.array_equal(a.lower, b.lower)
     if bids:
         assert not np.array_equal(a.cost, b.cost)
 
@@ -121,6 +124,63 @@ def test_scenario_data_is_checked_on_every_instantiation(desk):
     model.scenario_data(scen)   # the template is left as it was
 
 
+def lower_slot_template(template_lower):
+    """A block of two columns, both of lower bound ``template_lower``, whose
+    lower bounds are slots of the series ``floor``."""
+    program = lp.LinearProgram()
+    program.add_variables(template_lower, np.inf, ["x", "y"])
+    program.add_constraint([(0, 1.0), (1, 1.0)], lp.LE, 10.0, "cap")
+    program.add_slots(lp.LOWER, [0, 1], "floor", None, [0, 1])
+    return BlockTemplate(program, mk.MarketHorizon(2, 0.25, 0.25))
+
+
+def test_lower_slots_only_raise_the_template_bound():
+    # as for an upper slot, a NaN or infinite value is refused; a value
+    # below the template's bound leaves it, so a negative load gives 0
+    scen = lambda values: type("Scenario", (), {"floor": np.array(values)})()
+    tpl = lower_slot_template(0.0)
+    assert tpl.targets == [lp.LOWER]
+    assert tpl.data(scen([2.5, -1.0])).lower.tolist() == [2.5, 0.0]
+    assert lower_slot_template(-3.0).data(scen([-1.0, -4.0])).lower.tolist() \
+        == [-1.0, -3.0]
+    for bad in ([np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(lp.LpError, match="bad value"):
+            tpl.data(scen(bad))
+    # a lower bound raised above the upper one is refused too
+    tpl.program.upper[1] = 1.0
+    with pytest.raises(lp.LpError, match="floor.*step 1: bad value 2.0"):
+        tpl.data(scen([0.0, 2.0]))
+    tpl.program.upper[1] = np.inf
+    assert tpl.program.lower.tolist() == [0.0, 0.0]
+
+
+def test_instances_carry_each_scenarios_lower_bounds(case):
+    # the withdrawal of a bus without controllable consumption is at least
+    # the positive part of the bus's load: its scenario's, in every
+    # instantiation and in its copy of the extensive form
+    model, sset = case
+    tpl = model.template
+    nf = tpl.n_first
+    blocks = [model.scenario_data(scen) for scen in sset.scenarios]
+    p = tpl.program
+    held = np.bincount(p.indices, minlength=p.num_variables) > 0
+    floor = {j: (bus, t) for bus, columns in tpl.handles.grid.wit.items()
+             for t, j in enumerate(columns) if not held[j]}
+    assert floor
+    for block, scen in zip(blocks, sset.scenarios):
+        for j, (bus, t) in floor.items():
+            load = scen.load_active.get(bus, np.zeros(t + 1))[t]
+            assert block.lower[j] == max(0.0, load)
+        for bids in (None, np.linspace(0.0, 1.0, nf)):
+            sub = tpl.instantiate(block, bids)
+            assert np.array_equal(sub.lower[nf:], block.lower[nf:])
+    for risk in (EXPECT, CVAR9):
+        ef = st.build_extensive(model, sset, risk)
+        for k, block in enumerate(ef.blocks):
+            assert np.array_equal(ef.program.lower[block.columns[nf:]],
+                                  blocks[k].lower[nf:])
+
+
 def test_unknown_slot_target_is_refused_when_compiled():
     # a cost label outside model.STREAMS would first fail in
     # BlockTemplate.data, so the template refuses it, naming it
@@ -129,7 +189,7 @@ def test_unknown_slot_target_is_refused_when_compiled():
     program.add_slots("c_bogus", [0], "day_ahead_price")
     with pytest.raises(lp.LpError, match="'c_bogus'"):
         BlockTemplate(program, im.desk_instance().model.horizon)
-    for target in (lp.UPPER, "r_dam"):
+    for target in (lp.UPPER, lp.LOWER, "r_dam"):
         program.slots[0] = (target, *program.slots[0][1:])
         assert BlockTemplate(program, im.desk_instance().model.horizon).targets \
             == [target]
@@ -165,11 +225,17 @@ def test_threads_share_the_compiled_block(desk, desk_scenarios):
 #: ``test_network.py`` checks that row against the sum of the paper-form
 #: rows and every other row, column and slot against the paper form, as it
 #: checks the polygon's axis sides as column bounds against the all-rows
-#: polygon
+#: polygon; and pinned again when the withdrawal row of a bus without
+#: controllable consumption at a step (wit >= load, its only entry the wit
+#: column) became that column's lower-bound slot (``lp.LOWER``), which
+#: dropped those rows (6 739 of 76 242 on full) and moved their load slots
+#: to the columns; ``test_network.py`` checks the emission against a
+#: row-by-row reference, and ``test_instances_carry_each_scenarios_lower_
+#: bounds`` the bounds each scenario fills in
 TEMPLATE_DIGESTS = {
-    "desk": "f67bdad79e8dbc0679aad762bb137f83bdae20083bd91cfbc10ca071825834bd",
-    "day": "4f97f2d40c8586ff0f64e1a6f524b2e4d6d45855f0e9eb8d7e3a86233bad95b0",
-    "full": "e368a4ea039c75785f979c33778f50a2d7e7535b948acf2d3ae523e214fc4198",
+    "desk": "a8b203465467b7c8ecc2fbd6fe313fbe8a9de77058959aaca1460684153f9986",
+    "day": "a8559911cad1d762f742a603b8daa743471a562556438ff71608fd5835f5e727",
+    "full": "f1344a15e6f383adc7fd6c835da11b92eb5ad122608792e9a6aed9549adcd4bd",
 }
 
 

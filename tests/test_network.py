@@ -313,10 +313,15 @@ def row_by_row_grid(program, network, topo, horizon, cons_p, cons_q,
                     + [(fq[k][t], 1.0) for k in topo.child_branches[i]],
                     lp.EQ, 0.0, f"balQ[{i},{t}]")
                 program.add_slots(lp.RHS, [row], "load_reactive", i, t, -scale)
-            row = program.add_constraint([(wit[i][t], 1.0)]
-                                         + [(j, -c) for j, c in own_p],
-                                         lp.GE, 0.0, f"wit[{i},{t}]")
-            program.add_slots(lp.RHS, [row], "load_active", i, t)
+            # the withdrawal epigraph is a row only where the bus has
+            # controllable consumption; elsewhere the load bounds wit below
+            if own_p:
+                row = program.add_constraint([(wit[i][t], 1.0)]
+                                             + [(j, -c) for j, c in own_p],
+                                             lp.GE, 0.0, f"wit[{i},{t}]")
+                program.add_slots(lp.RHS, [row], "load_active", i, t)
+            else:
+                program.add_slots(lp.LOWER, [wit[i][t]], "load_active", i, t)
         for k, br in enumerate(network.branches):
             up, dn = nw.branch_endpoints(network, topo, k)
             program.add_constraint(
@@ -762,10 +767,15 @@ def test_completed_core_optimum_is_feasible_and_optimal(preset):
     program = ef.program
     screen = lp.Screen(program)
     form = screen.relaxed(program)
+    # the withdrawal of a bus without controllable consumption is a bound,
+    # so no row holds its column, and the core leaves that column out too
+    rowless = np.bincount(program.matrix.indices,
+                          minlength=program.num_variables) == 0
+    assert rowless.sum() > 0
     assert form.matrix.shape == (
         program.num_constraints - len(program.lazy_rows)
         - len(program.derived_rows),
-        program.num_variables - len(program.derived_columns))
+        program.num_variables - len(program.derived_columns) - rowless.sum())
     sol = lp.HeldModel(form).solve()
     x = screen.complete(sol.primal, program)
     assert infeasibility(program, x) <= lp.FEAS_TOL

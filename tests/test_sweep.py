@@ -259,7 +259,12 @@ def test_sweep_holds_the_core_and_sends_only_changed_costs(case, record_highs):
     ef = st.build_extensive(model, sset, NEUTRAL)
     p, screen = ef.program, lp.Screen(ef.program)
     rows, columns = screen.layout()
-    assert len(columns) == p.num_variables - len(screen.block_columns)
+    # nor a column that no row holds: the withdrawal of a bus without
+    # controllable consumption, bounded below by its load
+    rowless = np.bincount(p.matrix.indices, minlength=p.num_variables) == 0
+    assert rowless.sum() > 0
+    assert len(columns) == p.num_variables - len(screen.block_columns) \
+        - rowless.sum()
     assert len(rows) == p.num_constraints - len(np.unique(p.lazy_rows)) \
         - len(screen.block_rows)
     assert [entry for entry in log if entry[0] == "passModel"] \
