@@ -16,7 +16,8 @@ solve as ``trace.csv`` records it. Imbalance volumes are unbounded, so
 every bid vector admits a feasible second stage (complete recourse) and no
 feasibility cuts are needed; a subproblem that still reports infeasibility
 indicates a physically inconsistent model and aborts with
-``stochastic.ModelInfeasible``.
+``stochastic.ModelInfeasible``, naming the template rows of the Farkas ray
+its held model keeps (``lp.certificate_rows``).
 
 The recourse is fixed, so every subproblem is the compiled block with its
 own costs, bounds and right-hand sides, the bids the bounds of its
@@ -64,7 +65,6 @@ from scipy.sparse import csr_matrix
 
 from . import lp
 from . import market as mk
-from .devices import infeasibility_suspects
 from .model import ScenarioBlock, VppModel
 from .scenarios import Scenario, ScenarioSet
 from .stochastic import ModelInfeasible, RiskMeasure, add_risk_objective, \
@@ -231,12 +231,17 @@ def worker_map(workers: int):
         yield pool.map
 
 
-def _checked(sol: lp.LpSolution, model: VppModel, scenario: Scenario,
-             scenario_index: int) -> lp.LpSolution:
+def _checked(sol: lp.LpSolution, scenario_index: int,
+             sub: Subproblem | None = None) -> lp.LpSolution:
+    """``sol``, the subproblem's solve, if optimal; if infeasible, raises
+    ``ModelInfeasible`` naming the template rows of the ray the held model
+    of ``sub`` kept (``lp.certificate_rows``), else BendersError."""
     if sol.status == lp.INFEASIBLE:
-        raise ModelInfeasible(
-            scenario_index,
-            infeasibility_suspects(model.park, scenario, model.horizon))
+        rows = []
+        if sub is not None:
+            names = sub.model.template.program.row_names
+            rows = [names[r] for r in lp.certificate_rows(sol, sub.screen)]
+        raise ModelInfeasible(scenario_index, rows)
     if sol.status != lp.OPTIMAL:
         raise BendersError(
             f"subproblem {scenario_index} ended with status {sol.status}")
@@ -252,7 +257,7 @@ def solve_fixed_bids(model: VppModel, scenario: Scenario, scenario_index: int,
         raise BendersError("first-stage vector length mismatch")
     block = model.scenario_data(scenario)
     sol = lp.solve(template.instantiate(block, x_hat, f"sub_{scenario_index}"))
-    return _checked(sol, model, scenario, scenario_index), block
+    return _checked(sol, scenario_index), block
 
 
 class Vectors(NamedTuple):
@@ -341,7 +346,7 @@ def solve_subproblem(sub: Subproblem,
     if sol.status == lp.OPTIMAL:
         sol = screen.settled(sol, screen.complete(sol.primal, sub.data),
                              sub.data.cost)
-    _checked(sol, sub.model, sub.scenario, sub.index)
+    _checked(sol, sub.index, sub)
     sub.primal = sol.primal
     return sol.objective, sol.column_duals[:n]
 

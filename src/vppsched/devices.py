@@ -23,7 +23,6 @@ import numpy as np
 
 from . import lp, tables
 from .market import MarketHorizon
-from .scenarios import Scenario
 
 
 class DeviceError(Exception):
@@ -277,54 +276,6 @@ def emit_bess(program: lp.LinearProgram, bess: Bess,
     program.add_constraint([(h.soc[T], 1.0), (h.soc[0], -1.0)], lp.EQ, 0.0,
                            f"st_tie_{bess.name}")
     return h
-
-
-# -------------------------------------------------------------- diagnostics
-
-def hp_comfort_reachable(hp: HeatPump, ambient: np.ndarray,
-                         horizon: MarketHorizon) -> bool:
-    """Necessary condition for comfort feasibility: the zero-power and
-    full-power temperature envelopes must bracket the comfort band at every
-    step. The LP remains the final feasibility authority."""
-    leak = horizon.step_hours / (hp.thermal_capacitance * hp.thermal_resistance)
-    gain = horizon.step_hours * hp.cop / hp.thermal_capacitance
-    t_lo = t_hi = hp.initial_temp
-    for t in range(horizon.step_count):
-        amb = float(ambient[t])
-        t_lo = t_lo + leak * (amb - t_lo)
-        t_hi = t_hi + leak * (amb - t_hi) + gain * hp.max_elec_kw
-        t_hi = min(t_hi, hp.comfort_max)   # controller would back off
-        if t_hi < hp.comfort_min - 1e-9 or t_lo > hp.comfort_max + 1e-9:
-            return False
-        t_lo = max(t_lo, hp.comfort_min)   # cannot dip below and recover freely
-    return True
-
-
-def ev_charge_reachable(ev: EvChargingEvent, availability: np.ndarray,
-                        horizon: MarketHorizon) -> bool:
-    """Necessary condition: required energy gain fits the battery and the
-    available charging envelope."""
-    dt = horizon.step_hours
-    required = ev.min_avg_charge_kw * (ev.departure - ev.arrival) * dt
-    if ev.arrival_soc_kwh + required > ev.battery_kwh + 1e-9:
-        return False
-    max_gain = sum(ev.charge_eff * ev.max_charge_kw * float(availability[t]) * dt
-                   for t in range(ev.arrival, ev.departure))
-    return max_gain + 1e-9 >= required
-
-
-def infeasibility_suspects(park: DerPark, scenario: Scenario,
-                           horizon: MarketHorizon) -> list[str]:
-    """Names of devices whose necessary feasibility conditions fail under the
-    given scenario; used to annotate LP infeasibility reports."""
-    bad = []
-    for hp in park.hps:
-        if not hp_comfort_reachable(hp, scenario.ambient_temp, horizon):
-            bad.append(hp.name)
-    for ev in park.evs:
-        if not ev_charge_reachable(ev, scenario.ev_availability, horizon):
-            bad.append(ev.name)
-    return bad
 
 
 # ----------------------------------------------------------------- file io

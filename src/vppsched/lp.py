@@ -49,7 +49,11 @@ in; a lower-bound slot only ever raises the bound it is given.
 Dual convention: every dual is the sensitivity of the optimal objective
 to that constraint's right-hand side (d obj / d rhs). In a minimization
 this means duals of ``>=`` rows are nonnegative, duals of ``<=`` rows are
-nonpositive, and duals of ``==`` rows are free.
+nonpositive, and duals of ``==`` rows are free. The row duals of an
+infeasible ``HeldModel`` solve are HiGHS's Farkas ray y under the same
+signs: y . rhs exceeds the largest (A^T y) . x over the column bounds, so
+no point within them meets the rows where y is nonzero, which
+``certificate_rows`` names.
 """
 
 from __future__ import annotations
@@ -78,9 +82,9 @@ _BINDING = ("_Highs", "_Highs.passOptions", "_Highs.passModel",
             "_Highs.clearSolver", "_Highs.setBasis",
             "_Highs.run", "_Highs.getInfo", "_Highs.getModelStatus",
             "_Highs.modelStatusToString", "_Highs.getSolution",
-            "_Highs.getBasis", "HighsBasis", "HighsBasisStatus",
-            "HighsModelStatus", "HighsOptions", "HighsStatus", "MatrixFormat",
-            "ObjSense", "simplex_constants")
+            "_Highs.getBasis", "_Highs.getDualRay", "HighsBasis",
+            "HighsBasisStatus", "HighsModelStatus", "HighsOptions",
+            "HighsStatus", "MatrixFormat", "ObjSense", "simplex_constants")
 
 
 def _binding(name: str):
@@ -118,6 +122,8 @@ OPT_TOL = 1e-7
 _SOLVER_TOL = 1e-9
 #: simplex iteration limit of a solve
 _MAX_ITERATIONS = 200_000
+#: an entry of a Farkas ray names its row above this share of the largest
+_RAY_TOL = 1e-9
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -1052,6 +1058,8 @@ class HeldModel:
     def solve(self, cost=None) -> LpSolution:
         """Solve like the module's ``solve``, with the same dual convention
         and status mapping, after replacing the costs by ``cost`` if given.
+        An infeasible solve reports as its row duals HiGHS's Farkas ray
+        (``certificate_rows``), or none if HiGHS gives none.
 
         Raises LpSolveError on numerical breakdown or iteration exhaustion."""
         highs = self._highs
@@ -1082,9 +1090,15 @@ class HeldModel:
         if code not in _HIGHS_STATUS:
             raise LpSolveError(f"solver reported failure (HiGHS model status "
                                f"{highs.modelStatusToString(code)})")
-        if _HIGHS_STATUS[code] != OPTIMAL:
-            return LpSolution(_HIGHS_STATUS[code], math.nan, np.zeros(0),
-                              np.zeros(0), iterations=iterations)
+        status = _HIGHS_STATUS[code]
+        if status != OPTIMAL:
+            ray = np.zeros(0)
+            if status == INFEASIBLE:
+                # read now: the next run replaces it
+                _, has, values = highs.getDualRay()
+                ray = np.asarray(values) if has else ray
+            return LpSolution(status, math.nan, np.zeros(0), ray,
+                              iterations=iterations)
         sol, self.basis = highs.getSolution(), highs.getBasis()
         self._restart = self._rows_changed = False
         return LpSolution(OPTIMAL, float(info.objective_function_value),
@@ -1106,7 +1120,7 @@ def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
     the solution with the completed primal, the objective with what the
     row-less columns cost (``Screen.settled``) and the simplex iterations
     of every round; its row duals and bound multipliers stay those of the
-    relaxed form.
+    relaxed form, and so does the Farkas ray of an infeasible one.
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
     sol = held.solve(cost[screen.layout()[1]])
@@ -1121,6 +1135,17 @@ def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
     if sol.status == OPTIMAL:
         sol = screen.settled(sol, x, cost)
     return replace(sol, iterations=iterations)
+
+
+def certificate_rows(sol: LpSolution, screen: Screen) -> np.ndarray:
+    """The program rows, ascending, of the entries above ``_RAY_TOL`` times
+    the largest in the Farkas ray of ``sol``, a ``HeldModel`` solve of
+    ``screen``'s relaxed form: with the column bounds alone they admit no
+    point (Chinneck 2008). None if ``sol`` carries no ray."""
+    y = np.abs(sol.duals) if sol.status == INFEASIBLE else np.zeros(0)
+    if not len(y):
+        return np.zeros(0, dtype=np.int64)
+    return np.sort(screen.layout()[0][y > _RAY_TOL * y.max()])
 
 
 def _bound_marginals(sol, basis) -> tuple[np.ndarray, np.ndarray]:

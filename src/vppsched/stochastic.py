@@ -15,7 +15,10 @@ The extensive form stacks the compiled scenario block once per scenario:
 the template's rows repeat with the block columns shifted by a per-scenario
 offset, the first-stage columns are shared (so non-anticipativity holds by
 construction), and each scenario supplies only its costs, right-hand sides
-and column bounds.
+and column bounds. An infeasible extensive form is explained by one held
+solve of its relaxed form: the rows of HiGHS's Farkas ray form an
+infeasible subsystem (``lp.certificate_rows``), which ``ModelInfeasible``
+names with the scenario block it lies in.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 
 from . import lp
 from . import market as mk
-from .devices import infeasibility_suspects
 from .model import ScenarioBlock, VppModel
 from .scenarios import ScenarioSet
 
@@ -40,19 +42,25 @@ class StochasticError(Exception):
 
 
 class ModelInfeasible(StochasticError):
-    """Scenario block ``scenario_index`` admits no second stage, with the
-    devices ``suspects`` whose envelope check fails; without an index the
-    blocks are infeasible only together, through the first stage."""
+    """The model admits no solution. ``rows`` names the rows of the
+    solver's Farkas certificate, which admit no point with the column
+    bounds (none without one), and ``scenario_index`` the scenario block
+    they lie in, None when they span blocks (first-stage coupling)."""
 
-    def __init__(self, scenario_index=None, suspects=()):
-        msg = "model infeasible through first-stage coupling"
-        if scenario_index is not None:
-            msg = f"scenario block {scenario_index} is infeasible"
-            if suspects:
-                msg += f" (device suspects: {', '.join(suspects)})"
-        super().__init__(msg)
+    def __init__(self, scenario_index=None, rows=()):
         self.scenario_index = scenario_index
-        self.suspects = list(suspects)
+        self.rows = list(rows)
+        msg = "model infeasible" if scenario_index is None \
+            else f"scenario block {scenario_index} is infeasible"
+        if not self.rows:
+            msg += " (the solver gave no certificate)"
+        else:
+            if scenario_index is None:
+                msg += " through first-stage coupling"
+            shown = self.rows[:10] + ["..."] * (len(self.rows) > 10)
+            msg += (f"; the certificate names {len(self.rows)} rows: "
+                    f"{', '.join(shown)}")
+        super().__init__(msg)
 
 
 @dataclass(frozen=True)
@@ -148,30 +156,37 @@ def add_expected_cost(cost: np.ndarray, probs: np.ndarray, costs) -> None:
         cost[columns] += pi * coef
 
 
-def _diagnose_infeasible(model: VppModel, sset: ScenarioSet) -> ModelInfeasible:
-    """Probe scenario blocks one at a time (bids within their bounds) to
-    name the violated block and any device whose envelope check fails."""
-    tpl = model.template
-    for k, scen in enumerate(sset.scenarios):
-        probe = tpl.instantiate(model.scenario_data(scen), name=f"probe_{k}")
-        if lp.solve(probe).status == lp.INFEASIBLE:
-            return ModelInfeasible(k, infeasibility_suspects(model.park, scen,
-                                                             model.horizon))
-    return ModelInfeasible()
+def _diagnose_infeasible(model: VppModel, ef: ExtensiveForm) -> ModelInfeasible:
+    """Name the rows of the Farkas certificate of one held solve of the
+    extensive form's relaxed form (``lp.certificate_rows``), and the
+    scenario block they lie in: row r of the stacked copies lies in block
+    r // m, m the template's row count."""
+    program = ef.program
+    screen = lp.Screen(program)
+    sol = lp.solve_held(lp.HeldModel(screen.relaxed(program)), screen,
+                        program, program.cost)
+    rows = lp.certificate_rows(sol, screen)
+    blocks = np.unique(rows // model.template.program.num_constraints)
+    names = program.row_names
+    return ModelInfeasible(
+        int(blocks[0]) if len(blocks) == 1 and blocks[0] < len(ef.blocks)
+        else None, [names[r] for r in rows])
 
 
 def solve_extensive(model: VppModel, ef: ExtensiveForm,
                     sset: ScenarioSet) -> ExtensiveSolution:
-    return extensive_solution(model, ef, sset, lp.solve(ef.program))
+    """Solve the extensive form; if infeasible, raises the report of
+    ``_diagnose_infeasible``."""
+    sol = lp.solve(ef.program)
+    if sol.status == lp.INFEASIBLE:
+        raise _diagnose_infeasible(model, ef)
+    return extensive_solution(model, ef, sset, sol)
 
 
 def extensive_solution(model: VppModel, ef: ExtensiveForm, sset: ScenarioSet,
                        sol: lp.LpSolution) -> ExtensiveSolution:
     """The solution of the extensive form from the solver's report on its
-    program: raises ``ModelInfeasible`` (naming the block) or
-    ``StochasticError`` unless the report is optimal."""
-    if sol.status == lp.INFEASIBLE:
-        raise _diagnose_infeasible(model, sset)
+    program: raises ``StochasticError`` unless the report is optimal."""
     if sol.status != lp.OPTIMAL:
         raise StochasticError(f"extensive form ended with status {sol.status}")
     breakdowns = [block.breakdown(sol.primal) for block in ef.blocks]

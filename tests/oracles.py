@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: LP optima come from
 exhaustive vertex enumeration, tail risk from direct minimization of the
 piecewise-linear certainty-equivalent over candidate thresholds, and the
 normal quantile from bisection of the CDF, duplicate Benders cuts from
-a pairwise comparison, and the program a held Benders master holds from
-its head and its cuts, row by row.
+a pairwise comparison, the program a held Benders master holds from
+its head and its cuts, row by row, and the infeasibility of the rows of a
+Farkas certificate from a cold solve of those rows alone.
 """
 
 import itertools
@@ -169,3 +170,18 @@ def master_form(master):
         matrix=vstack((head.matrix, csc_matrix(cuts)), format="csc"),
         row_lo=np.r_[head.row_lo, master.intercepts],
         row_hi=np.r_[head.row_hi, np.full(master.num_cuts, np.inf)])
+
+
+def names_infeasible_rows(program, rows):
+    """Whether the rows of ``program`` named ``rows``, with every column
+    bound and no other row, admit no point, as ``lp.solve`` finds: what the
+    rows of a Farkas certificate must do."""
+    index = {name: r for r, name in enumerate(program.row_names)}
+    keep = np.array(sorted(index[name] for name in rows), dtype=np.int64)
+    A = program.matrix[keep]
+    subsystem = lp.LinearProgram(
+        "subsystem", lower=program.lower, upper=program.upper,
+        cost=np.zeros(program.num_variables), indptr=A.indptr,
+        indices=A.indices, data=A.data, sense=program.sense[keep],
+        rhs=program.rhs[keep])
+    return len(keep) > 0 and lp.solve(subsystem).status == lp.INFEASIBLE

@@ -16,6 +16,7 @@ from vppsched import scenarios as sg
 from vppsched import stochastic as st
 
 from oracles import cut_matches, master_form, unscreened
+from test_stochastic import assert_certified
 from test_network import (active_axis_day, breaks_a_flow_bound, narrowed_band,
                           random_feeder_model)
 
@@ -591,7 +592,13 @@ def test_subproblem_infeasibility_aborts_with_diagnostics(desk):
     with pytest.raises(st.ModelInfeasible) as exc:
         bd.iterate(model, sset, EXPECT)
     assert exc.value.scenario_index == 0
-    assert "ev_greedy" in exc.value.suspects
+    assert exc.value.rows == ["ev_min_ev_greedy"]
+    assert_certified(exc.value, model, sset)
+    ef = st.build_extensive(model, sset, EXPECT)
+    with pytest.raises(st.ModelInfeasible) as exc:
+        st.solve_extensive(model, ef, sset)
+    assert exc.value.rows == ["s0_ev_min_ev_greedy"]
+    assert_certified(exc.value, model, sset, ef)
 
 
 def test_invalid_options_rejected(desk, desk_scenarios):

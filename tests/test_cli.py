@@ -157,17 +157,19 @@ def test_evaluate_refuses_foreign_scenarios(desk_dir, tmp_path):
     assert cli.main(["generate-scenarios", "--config", cfg]) == 0
 
 
-def test_infeasible_model_exit_code(tmp_path):
+def test_infeasible_model_exit_code(tmp_path, capsys):
     bad = desk_instance()
     bad.model.park.hps[0] = type(bad.model.park.hps[0])(
         "hp1", 3, 0.01, 3.0, 8.0, 6.0, 19.0, 23.0, 21.0)
     bad.forecast.ambient_temp = np.full(8, -40.0)
     cfg_path = write_instance(bad, str(tmp_path), scenario_count=2)
     assert cli.main(["generate-scenarios", "--config", cfg_path]) == 0
-    assert cli.main(["solve", "--config", cfg_path, "--method",
-                     "extensive"]) == 3
-    assert cli.main(["solve", "--config", cfg_path, "--method",
-                     "benders"]) == 3
+    for method in ("extensive", "benders"):
+        capsys.readouterr()
+        assert cli.main(["solve", "--config", cfg_path, "--method",
+                         method]) == 3
+        # the rows of the certificate, the heat pump's dynamics among them
+        assert "hp_dyn_hp1[" in capsys.readouterr().err
 
 
 def test_convergence_failure_exit_code(desk_dir):

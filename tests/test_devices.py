@@ -125,9 +125,6 @@ def test_undersized_heater_is_lp_infeasible():
     program = lp.LinearProgram()
     dv.emit_hp(program, hp, H8)
     assert lp.solve(instantiate(program, scen)).status == lp.INFEASIBLE
-    assert not dv.hp_comfort_reachable(hp, scen.ambient_temp, H8)
-    park = dv.DerPark(hps=[hp])
-    assert dv.infeasibility_suspects(park, scen, H8) == ["hp1"]
 
 
 def test_hp_validation():
@@ -211,11 +208,12 @@ def test_ev_validation():
         ev_fixture(charge_eff=0.0)
 
 
-def test_ev_charge_reachability_diagnostic():
-    ev = ev_fixture(min_avg_charge_kw=50.0)
-    assert not dv.ev_charge_reachable(ev, np.ones(8), H8)
-    ok = ev_fixture(min_avg_charge_kw=2.0)
-    assert dv.ev_charge_reachable(ok, np.ones(8), H8)
+def test_ev_charge_beyond_the_charger_is_lp_infeasible():
+    scen = plain_scenario()
+    for min_avg_kw, status in ((50.0, lp.INFEASIBLE), (2.0, lp.OPTIMAL)):
+        program = lp.LinearProgram()
+        dv.emit_ev(program, ev_fixture(min_avg_charge_kw=min_avg_kw), H8)
+        assert lp.solve(instantiate(program, scen)).status == status
 
 
 # -------------------------------------------------------------------- BESS

@@ -16,7 +16,8 @@ from vppsched import lp
 from vppsched import scenarios as sg
 from vppsched import stochastic as st
 
-from oracles import (infeasibility, random_feasible_bounded_lp, unscreened,
+from oracles import (infeasibility, names_infeasible_rows,
+                     random_feasible_bounded_lp, unscreened,
                      vertex_enumeration_optimum)
 from test_network import narrowed_band
 
@@ -490,6 +491,57 @@ def test_screening_reports_an_infeasible_program(linprog_rows):
     p.add_constraint([(x, 1.0)], lp.LE, 0.5, "lower cap")
     assert lp.solve(p).status == lp.INFEASIBLE
     assert len(linprog_rows) == 3
+
+
+def test_certificate_rows_of_random_infeasible_lps_admit_no_point():
+    # a random feasible LP, half of them with lazy rows, made infeasible by
+    # a row c . x >= max c . x + delta: the held solve, screened, keeps
+    # HiGHS's Farkas ray y as its row duals, signed as duals are, with
+    # y . rhs above the largest (A^T y) . x over the column bounds; the rows
+    # it names and the column bounds admit no point
+    rng = np.random.default_rng(20261020)
+    for k in range(120):
+        prog = random_feasible_bounded_lp(rng)
+        c = rng.uniform(-2.0, 2.0, size=prog.num_variables)
+        top = unscreened(prog)
+        top.cost[:] = -c
+        top = float(c @ lp.solve(top).primal)
+        prog.add_constraint(list(enumerate(c)), lp.GE,
+                            top + float(rng.uniform(0.1, 1.0)), "cut")
+        if k % 2:
+            prog.mark_lazy(rows=np.flatnonzero(
+                rng.random(prog.num_constraints) < 0.5))
+        screen = lp.Screen(prog)
+        sol = lp.solve_held(lp.HeldModel(screen.relaxed(prog)), screen, prog,
+                            prog.cost)
+        assert sol.status == lp.INFEASIBLE
+        y = np.zeros(prog.num_constraints)
+        y[screen.layout()[0]] = sol.duals
+        assert np.all(y[prog.sense == lp.GE] >= 0.0)
+        assert np.all(y[prog.sense == lp.LE] <= 0.0)
+        d = prog.matrix.T @ y
+        assert y @ prog.rhs > np.where(d > 0.0, prog.upper, prog.lower) @ d
+        rows = lp.certificate_rows(sol, screen)
+        assert names_infeasible_rows(prog, [prog.row_names[r] for r in rows])
+
+
+def test_a_solve_without_a_ray_names_no_rows(record_highs):
+    # HiGHS reports a feasible program infeasible (forced), so it gives no
+    # ray; the module's cold solve keeps none: no rows, and the report says
+    # that it has no certificate
+    p = lp.LinearProgram()
+    x = p.add_variable(0.0, 1.0, "x")
+    p.add_constraint([(x, 1.0)], lp.GE, 0.5, "floor")
+    record_highs(fail_run=1)
+    sol = lp.HeldModel(p).solve()
+    assert sol.status == lp.INFEASIBLE and len(sol.duals) == 0
+    assert len(lp.certificate_rows(sol, lp.Screen(p))) == 0
+    p.add_constraint([(x, 1.0)], lp.LE, 0.25, "cap")
+    sol = lp.solve(p)
+    assert sol.status == lp.INFEASIBLE
+    assert len(lp.certificate_rows(sol, lp.Screen(p))) == 0
+    for exc in (st.ModelInfeasible(), st.ModelInfeasible(1)):
+        assert exc.rows == [] and "no certificate" in str(exc)
 
 
 def with_derived_column(prog, rng):

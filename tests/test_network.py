@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from vppsched import benders as bd
 from vppsched import instance as im
 from vppsched import lp
 from vppsched import network as nw
@@ -19,6 +20,7 @@ from vppsched.model import BlockTemplate, VppModel
 from oracles import infeasibility, unscreened
 from test_devices import instantiate
 from test_model import canonical_slots
+from test_stochastic import assert_certified
 
 H1 = MarketHorizon(1, 0.25, 0.25)
 
@@ -629,6 +631,25 @@ def test_limits_infeasible_only_when_stated_name_the_block():
     with pytest.raises(st.ModelInfeasible) as exc:
         st.solve_extensive(model, ef, sset)
     assert exc.value.scenario_index == 0
+
+
+@pytest.mark.parametrize("risk", [st.EXPECTATION, st.CVAR])
+@pytest.mark.parametrize("limit", ["band", "rating"])
+def test_infeasible_limits_name_certified_rows(limit, risk):
+    # a voltage band the park cannot reach, or the branch to the EV's bus 4
+    # rated 1 VA: both methods name rows that admit no point on their own
+    desk = im.desk_instance()
+    model = narrowed_band(desk.model, 1.05 ** 2, 1.1 ** 2) if limit == "band" \
+        else narrowed_rating(desk.model, 4, 1e-3)
+    sset = sg.build_scenarios(desk.forecast, sg.DEFAULT_ERROR_SPECS, 2, seed=42)
+    measure = st.RiskMeasure(risk)
+    ef = st.build_extensive(model, sset, measure)
+    with pytest.raises(st.ModelInfeasible) as exc:
+        st.solve_extensive(model, ef, sset)
+    assert_certified(exc.value, model, sset, ef)
+    with pytest.raises(st.ModelInfeasible) as exc:
+        bd.iterate(model, sset, measure)
+    assert_certified(exc.value, model, sset)
 
 
 # ------------------------------------------------------------ derived block

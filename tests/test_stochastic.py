@@ -1,13 +1,19 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
+from vppsched import benders as bd
 from vppsched import devices as dv
+from vppsched import instance as im
+from vppsched import lp
 from vppsched import scenarios as sg
 from vppsched import stochastic as st
 from vppsched.market import MarketConfig
 from vppsched.model import VppModel
 
-from oracles import cvar_by_threshold_scan
+from oracles import cvar_by_threshold_scan, names_infeasible_rows
 
 
 # ------------------------------------------------------------ tail measure
@@ -214,5 +220,55 @@ def test_infeasible_model_names_block_and_device(desk):
     ef = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
     with pytest.raises(st.ModelInfeasible) as exc:
         st.solve_extensive(model, ef, sset)
-    assert exc.value.scenario_index == 0
-    assert "hp_tiny" in exc.value.suspects
+    assert_certified(exc.value, model, sset, ef)
+    assert_only_rows_of(exc.value, "hp", "hp_tiny")
+    with pytest.raises(st.ModelInfeasible) as exc:
+        bd.iterate(model, sset, st.RiskMeasure(st.EXPECTATION))
+    assert_certified(exc.value, model, sset)
+    assert_only_rows_of(exc.value, "hp", "hp_tiny", prefix="")
+
+
+def assert_certified(exc, model, sset, ef=None):
+    """The block ``exc`` names, instantiated alone with the bids within
+    their bounds, is infeasible, and the rows ``exc`` names admit no point
+    with the column bounds alone: rows of the extensive form ``ef``, or
+    without one of that block, as a Benders subproblem names them."""
+    assert exc.scenario_index is not None
+    block = model.scenario_data(sset.scenarios[exc.scenario_index])
+    probe = model.template.instantiate(block)
+    assert lp.solve(probe).status == lp.INFEASIBLE
+    assert names_infeasible_rows(probe if ef is None else ef.program, exc.rows)
+
+
+def assert_only_rows_of(exc, kind, device, prefix=None):
+    """``exc`` names only rows of the device ``device`` of kind ``kind``,
+    each after ``prefix``, by default that of its block in the extensive
+    form."""
+    if prefix is None:
+        prefix = f"s{exc.scenario_index}_"
+    pattern = rf"{prefix}{kind}_[a-z]+_{device}(\[\d+\])?"
+    assert all(re.fullmatch(pattern, name) for name in exc.rows)
+
+
+def test_full_undersized_heater_names_only_its_rows():
+    full = im.full_instance()
+    park = full.model.park
+    hps = [dataclasses.replace(park.hps[0], max_elec_kw=0.01), *park.hps[1:]]
+    model = dataclasses.replace(full.model, park=dataclasses.replace(
+        park, hps=hps))
+    sset = sg.build_scenarios(full.forecast, sg.DEFAULT_ERROR_SPECS, 2,
+                              seed=42)
+    ef = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
+    with pytest.raises(st.ModelInfeasible) as exc:
+        st.solve_extensive(model, ef, sset)
+    assert hps[0].name == "hp0"
+    assert_certified(exc.value, model, sset, ef)
+    assert_only_rows_of(exc.value, "hp", "hp0")
+
+
+def test_infeasible_report_shows_ten_rows_and_the_count():
+    rows = [f"r{k}" for k in range(12)]
+    text = str(st.ModelInfeasible(3, rows))
+    assert "scenario block 3" in text and "12 rows" in text
+    assert "r9" in text and "r10" not in text
+    assert "first-stage coupling" in str(st.ModelInfeasible(None, rows))
