@@ -25,21 +25,14 @@ test, and it reads the limits left out from the program's own vectors
 when it runs; its ``restate`` is the one step that acts on a violation:
 it states what the completed primals break and passes the held models the
 grown form. ``solve`` screens in rounds of cold solves, and its report
-is that of the full program. ``HeldModel`` solves on scipy's bundled
-HiGHS binding directly: it passes a program to HiGHS once, with the rows
-and bounds it is given, and afterwards sends only what changes, so HiGHS
-re-solves from the basis and factorization it holds. The calls it makes
-after the first are ``changeColsCost`` (new costs, the tariff-sweep
-levels), after which primal simplex re-solves, since a cost change leaves
-the basis primal feasible, and ``changeColsBounds`` (new bids, the bounds
-of the first-stage columns of a Benders subproblem) and ``addRows`` (new
-cuts of the Benders master, entering with basic slacks), after which dual
-simplex re-solves, since a bound or row change leaves the basis dual
-feasible. The sweep holds the relaxed form; ``solve_held`` grows it by
-what a completed primal violates (``Screen.restate``) and re-solves from
-the held vertex extended to a basis of the grown form. Row duals and
-reduced costs are converted and bound multipliers split by basis status
-only when first read. No other module touches the solver backend.
+is the full program's (``reported``). ``HeldModel`` solves on scipy's
+bundled HiGHS binding directly: it passes a program to HiGHS once, with
+the rows and bounds it is given, and afterwards sends only what changes
+(costs, column bounds, rows), so HiGHS re-solves from the basis and
+factorization it holds; ``solve_held`` grows a held relaxed form by what
+its completed primal violates. Row duals and reduced costs are converted
+and bound multipliers split by basis status only when first read. No
+other module touches the solver backend.
 
 Column bounds, right-hand sides or labelled costs may be left to data, the
 template's bound, 0 or +inf in their place: ``add_slots`` records a run of
@@ -719,6 +712,7 @@ class Screen:
         self._layout, self._form = block.layout, None
         #: the rows whose range is open below (``<=``) and above (``>=``)
         self._le, self._ge = program.sense == LE, program.sense == GE
+        self.copies = program.marks.copies
 
     @property
     def all_stated(self) -> bool:
@@ -791,6 +785,27 @@ class Screen:
             return LpSolution(UNBOUNDED, math.nan, np.zeros(0), np.zeros(0),
                               iterations=sol.iterations)
         return replace(sol, objective=objective, primal=x)
+
+    def tiled_basis(self, bases):
+        """A basis of this relaxed form, a tiled program's (``Marks.tiled``),
+        from one basis per copy of the template's relaxed form with nothing
+        stated: each row and column takes its copy's status, a shared column
+        copy 0's. Alien, so ``setBasis`` completes the rank that the shared
+        basic columns leave short. LpError if a place lies outside every copy."""
+        template, columns = self.copies
+        t_rows, t_columns = template.marks.block(template).layout
+        status = [np.full(n, None, dtype=object) for n in self.shape]
+        for k in reversed(range(len(bases))):   # copy 0's status stays
+            status[0][k * template.num_constraints + t_rows] = bases[k].row_status
+            status[1][columns[k, t_columns]] = bases[k].col_status
+        basis = _highs.HighsBasis()
+        basis.valid = basis.alien = True
+        for key, at, placed in zip(("row_status", "col_status"),
+                                   self.layout(), status):
+            if np.equal(placed[at], None).any():
+                raise LpError(f"{key}: a place outside every copy")
+            setattr(basis, key, placed[at].tolist())
+        return basis
 
     def violated(self, x, program):
         """The unstated lazy rows of ``program`` that its primal ``x``
@@ -873,14 +888,10 @@ def solve(program: LinearProgram) -> LpSolution:
     one states the rows the last completed primal violates, and the block
     with them (``Screen.restate``), and solves cold again, until none is.
     An optimum of a relaxation that is feasible for the program is optimal
-    for it, so the report is the full program's: a left-out row has dual 0
-    and a left-out derived column multipliers 0 (the block's columns cost
-    nothing and no stated row but the block's holds them, so the duals stay
-    feasible and ``dual_objective`` equals the primal), a row-less column,
-    at the bound its cost prefers, its cost as that bound's multiplier and
-    as its reduced cost, and the iterations and the iteration limit count
-    over all rounds. An infeasible relaxation means an infeasible program;
-    an unbounded one is solved again with every row and the block stated.
+    for it, so the report is the full program's (``reported``), and the
+    iterations and the iteration limit count over all rounds. An infeasible
+    relaxation means an infeasible program; an unbounded one is solved
+    again with every row and the block stated.
 
     Raises LpSolveError on numerical breakdown or iteration exhaustion."""
     screen = Screen(program)
@@ -913,21 +924,34 @@ def solve(program: LinearProgram) -> LpSolution:
     if status != OPTIMAL:
         return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
                           iterations=iterations)
-
-    rows, columns = screen.layout()
-    duals = np.zeros(program.num_constraints)
+    duals = np.zeros(len(form.row_lo))
     # marginal is d obj / d (sign * rhs); chain rule restores d obj / d rhs
-    duals[rows[ub]] = sign * np.asarray(res.ineqlin.marginals)
-    duals[rows[eq]] = np.asarray(res.eqlin.marginals)
-    lower, upper = np.zeros((2, program.num_variables))
-    lower[columns] = res.lower.marginals
-    upper[columns] = res.upper.marginals
-    cost = program.cost[screen.rowless]
-    lower[screen.rowless] = np.maximum(cost, 0.0)
-    upper[screen.rowless] = np.minimum(cost, 0.0)
-    return screen.settled(LpSolution(OPTIMAL, float(res.fun), x, duals,
-                                     iterations, (lower, upper), lower + upper),
-                          x, program.cost)
+    duals[ub] = sign * np.asarray(res.ineqlin.marginals)
+    duals[eq] = np.asarray(res.eqlin.marginals)
+    return reported(screen.settled(
+        LpSolution(OPTIMAL, float(res.fun), x, duals, iterations,
+                   (res.lower.marginals, res.upper.marginals)),
+        x, program.cost), screen, program)
+
+
+def reported(sol: LpSolution, screen: Screen,
+             program: LinearProgram) -> LpSolution:
+    """``sol``, an optimum of ``screen``'s relaxed form settled as
+    ``program``'s (``Screen.settled``), its duals mapped to ``program``'s
+    rows and columns on first read: 0 for a left-out row or derived column,
+    a row-less column's cost as the multiplier of the bound it prefers, so
+    ``dual_objective`` equals the primal. Other solutions stay as they are."""
+    if sol.status != OPTIMAL:
+        return sol
+    (rows, columns), cost = screen.layout(), program.cost[screen.rowless]
+    at, (m, n) = np.r_[columns, screen.rowless], screen.shape
+    out = replace(sol, row_duals=lambda: np.bincount(rows, sol.duals, m),
+                  bound_marginals=lambda: [
+                      np.bincount(at, np.r_[side, pick(cost, 0.0)], n)
+                      for side, pick in ((sol.lower_marginals, np.maximum),
+                                         (sol.upper_marginals, np.minimum))])
+    out.reduced_costs = lambda: out.lower_marginals + out.upper_marginals
+    return out
 
 
 class ColumnForm(NamedTuple):

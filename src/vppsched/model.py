@@ -181,6 +181,8 @@ class ScenarioBlock:
         """Each column's cost: the breakdown total of its stream costs."""
         return mk.CostBreakdown(**self.streams).total
 
+    cost = property(net_cost)   # so ``lp.Screen.relaxed`` reads a program
+
     def breakdown(self, primal: np.ndarray) -> mk.CostBreakdown:
         x = primal[self.columns]
         return mk.CostBreakdown(*(float(self.streams[name] @ x)

@@ -14,7 +14,7 @@ branch-flow block left out, as on every solve path) and then only the
 costs each level changes; each level's primal is completed and checked
 against what the core leaves out, and a level reads back only its
 scenario costs and coupling-point columns; a one-shot extensive solve
-stays a cold solve.
+starts from its blocks' optima (``st.solve_extensive``).
 The detail re-solves of a Benders run go to the run's worker threads.
 """
 

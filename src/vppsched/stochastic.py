@@ -15,10 +15,10 @@ The extensive form stacks the compiled scenario block once per scenario:
 the template's rows repeat with the block columns shifted by a per-scenario
 offset, the first-stage columns are shared (so non-anticipativity holds by
 construction), and each scenario supplies only its costs, right-hand sides
-and column bounds. An infeasible extensive form is explained by one held
-solve of its relaxed form: the rows of HiGHS's Farkas ray form an
-infeasible subsystem (``lp.certificate_rows``), which ``ModelInfeasible``
-names with the scenario block it lies in.
+and column bounds. Under the expectation, whose objective sums the
+blocks' costs, it starts from its blocks' own optima. An infeasible solve,
+a block's or else the extensive form's, names the rows of its Farkas ray
+(``lp.certificate_rows``) and their block (``ModelInfeasible``).
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ class ExtensiveForm:
     program: lp.LinearProgram
     first_stage: mk.FirstStageVars
     blocks: list[ScenarioBlock]
+    risk: RiskMeasure
 
 
 @dataclass
@@ -123,7 +124,7 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
         marks=lp.Marks.tiled(p, [b.columns for b in blocks]))
     add_risk_objective(program, risk, sset.probabilities(),
                        [(block.columns, block.net_cost()) for block in blocks])
-    return ExtensiveForm(program, tpl.first_stage, blocks)
+    return ExtensiveForm(program, tpl.first_stage, blocks, risk)
 
 
 def add_risk_objective(program: lp.LinearProgram, risk: RiskMeasure,
@@ -156,31 +157,44 @@ def add_expected_cost(cost: np.ndarray, probs: np.ndarray, costs) -> None:
         cost[columns] += pi * coef
 
 
-def _diagnose_infeasible(model: VppModel, ef: ExtensiveForm) -> ModelInfeasible:
-    """Name the rows of the Farkas certificate of one held solve of the
-    extensive form's relaxed form (``lp.certificate_rows``), and the
-    scenario block they lie in: row r of the stacked copies lies in block
-    r // m, m the template's row count."""
-    program = ef.program
-    screen = lp.Screen(program)
-    sol = lp.solve_held(lp.HeldModel(screen.relaxed(program)), screen,
-                        program, program.cost)
-    rows = lp.certificate_rows(sol, screen)
-    blocks = np.unique(rows // model.template.program.num_constraints)
-    names = program.row_names
-    return ModelInfeasible(
-        int(blocks[0]) if len(blocks) == 1 and blocks[0] < len(ef.blocks)
-        else None, [names[r] for r in rows])
-
-
 def solve_extensive(model: VppModel, ef: ExtensiveForm,
                     sset: ScenarioSet) -> ExtensiveSolution:
-    """Solve the extensive form; if infeasible, raises the report of
-    ``_diagnose_infeasible``."""
-    sol = lp.solve(ef.program)
+    """Solve the extensive form on one held model of its relaxed form
+    (``lp.solve_held``), from its blocks' optima under the expectation
+    (``_block_bases``), cold under the CVaR. If infeasible, raises
+    ``ModelInfeasible`` with the rows of its Farkas ray and their block."""
+    program, screen = ef.program, lp.Screen(ef.program)
+    bases = _block_bases(model, ef) if ef.risk.kind == EXPECTATION else None
+    held = lp.HeldModel(screen.relaxed(program),
+                        bases and screen.tiled_basis(bases))
+    sol = lp.solve_held(held, screen, program, program.cost)
     if sol.status == lp.INFEASIBLE:
-        raise _diagnose_infeasible(model, ef)
-    return extensive_solution(model, ef, sset, sol)
+        rows, names = lp.certificate_rows(sol, screen), program.row_names
+        blocks = np.unique(rows // model.template.program.num_constraints)
+        raise ModelInfeasible(
+            int(blocks[0]) if len(blocks) == 1 and blocks[0] < len(ef.blocks)
+            else None, [names[r] for r in rows])
+    return extensive_solution(model, ef, sset, lp.reported(sol, screen, program))
+
+
+def _block_bases(model: VppModel, ef: ExtensiveForm) -> list | None:
+    """The optimal bases of the blocks' relaxed forms under their net
+    costs, the bids within their bounds and nothing restated: block 0 cold,
+    the others from its basis; None if one is unbounded. An infeasible
+    block raises ``ModelInfeasible`` naming the rows of its Farkas ray."""
+    screen, names = lp.Screen(model.template.program), \
+        model.template.program.row_names
+    bases = []
+    for k, block in enumerate(ef.blocks):
+        held = lp.HeldModel(screen.relaxed(block), bases[0] if bases else None)
+        sol = held.solve()
+        if sol.status == lp.INFEASIBLE:
+            raise ModelInfeasible(k, [f"s{k}_{names[r]}"
+                                      for r in lp.certificate_rows(sol, screen)])
+        if sol.status != lp.OPTIMAL:
+            return None
+        bases.append(held.basis)
+    return bases
 
 
 def extensive_solution(model: VppModel, ef: ExtensiveForm, sset: ScenarioSet,

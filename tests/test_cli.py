@@ -391,11 +391,11 @@ def test_run_settings_fall_back_on_run_defaults(tmp_path):
 def test_solver_failure_exits_4(desk_dir, capsys, monkeypatch):
     from vppsched import lp
 
-    def rejected(program):
+    def rejected(held, screen, program, cost):
         raise lp.LpSolveError("HiGHS rejected the program")
 
     root, cfg = desk_dir
-    monkeypatch.setattr(lp, "solve", rejected)
+    monkeypatch.setattr(lp, "solve_held", rejected)
     capsys.readouterr()
     assert cli.main(SOLVE + ["--config", cfg,
                              "--out", str(root / "rejected")]) == 4

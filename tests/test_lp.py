@@ -674,6 +674,29 @@ def day_extensive(band=None):
     return st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION)).program
 
 
+@pytest.mark.parametrize("preset", ["desk", "day"])
+def test_tiled_basis_of_one_copy_is_the_copy_basis(preset):
+    # the extensive form of one scenario is its block: the tiled basis is
+    # the block's optimal basis, from which the form takes no iteration
+    inst = getattr(im, f"{preset}_instance")()
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 1, seed=42)
+    ef = st.build_extensive(inst.model, sset, st.RiskMeasure(st.EXPECTATION))
+    block = lp.HeldModel(lp.Screen(inst.model.template.program).relaxed(
+        ef.blocks[0]))
+    assert block.solve().status == lp.OPTIMAL
+    screen = lp.Screen(ef.program)
+    basis = screen.tiled_basis([block.basis])
+    assert basis.alien
+    assert basis.col_status == block.basis.col_status
+    assert basis.row_status == block.basis.row_status
+    sol = lp.solve_held(lp.HeldModel(screen.relaxed(ef.program), basis),
+                        screen, ef.program, ef.program.cost)
+    assert sol.status == lp.OPTIMAL and sol.iterations == 0
+    cvar = st.build_extensive(inst.model, sset, st.RiskMeasure(st.CVAR))
+    with pytest.raises(lp.LpError, match="outside every copy"):
+        lp.Screen(cvar.program).tiled_basis([block.basis])
+
+
 def test_one_shot_solve_hands_highs_only_the_core(linprog_rows):
     # day's optimum leaves no lazy row and no bound of a derived column, so
     # one linprog run gets every row but the lazy and the derived ones

@@ -13,7 +13,8 @@ from vppsched import stochastic as st
 from vppsched.market import MarketConfig
 from vppsched.model import VppModel
 
-from oracles import cvar_by_threshold_scan, names_infeasible_rows
+from oracles import cvar_by_threshold_scan, infeasibility, \
+    names_infeasible_rows
 
 
 # ------------------------------------------------------------ tail measure
@@ -228,6 +229,27 @@ def test_infeasible_model_names_block_and_device(desk):
     assert_only_rows_of(exc.value, "hp", "hp_tiny", prefix="")
 
 
+def test_infeasible_later_block_is_named_by_its_own_solve(desk, record_highs):
+    # only block 2 is too cold for the heater: the block solves that start
+    # the extensive form find it, and it is named with the rows of its ray
+    # before the extensive form reaches HiGHS
+    park = dv.DerPark(hps=[dv.HeatPump("hp_tiny", 3, 0.02, 3.0, 5.0, 4.0,
+                                       19.0, 23.0, 19.0)])
+    base = sg.build_scenarios(desk.forecast, sg.zero_error_specs(), 3, seed=1)
+    sset = sg.ScenarioSet([dataclasses.replace(
+        scen, ambient_temp=np.full(8, -40.0 if k == 2 else 19.0))
+        for k, scen in enumerate(base.scenarios)], base.seed)
+    model = VppModel(desk.model.horizon, desk.model.network, park,
+                     desk.model.market)
+    ef = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION))
+    log = record_highs()
+    with pytest.raises(st.ModelInfeasible) as exc:
+        st.solve_extensive(model, ef, sset)
+    assert exc.value.scenario_index == 2 and len(log.by_model) == 3
+    assert_certified(exc.value, model, sset, ef)
+    assert_only_rows_of(exc.value, "hp", "hp_tiny")
+
+
 def assert_certified(exc, model, sset, ef=None):
     """The block ``exc`` names, instantiated alone with the bids within
     their bounds, is infeasible, and the rows ``exc`` names admit no point
@@ -272,3 +294,49 @@ def test_infeasible_report_shows_ten_rows_and_the_count():
     assert "scenario block 3" in text and "12 rows" in text
     assert "r9" in text and "r10" not in text
     assert "first-stage coupling" in str(st.ModelInfeasible(None, rows))
+
+
+# ------------------------------------------------------------ tiled start
+
+def cold_held(ef):
+    """The extensive form ``ef`` solved cold on one held model of its
+    relaxed form, as the program's solution."""
+    program = ef.program
+    screen = lp.Screen(program)
+    sol = lp.solve_held(lp.HeldModel(screen.relaxed(program)), screen,
+                        program, program.cost)
+    return lp.reported(sol, screen, program)
+
+
+@pytest.mark.parametrize("preset", ["desk", "day", "full"])
+def test_tiled_start_reaches_the_cold_optimum(preset):
+    inst = getattr(im, f"{preset}_instance")()
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 4, seed=42)
+    ef = st.build_extensive(inst.model, sset, st.RiskMeasure(st.EXPECTATION))
+    tiled = st.solve_extensive(inst.model, ef, sset).solution
+    cold = cold_held(ef)
+    assert tiled.objective == pytest.approx(cold.objective, rel=1e-9)
+    for sol in (tiled, cold):
+        assert infeasibility(ef.program, sol.primal) <= lp.FEAS_TOL
+        assert abs(lp.dual_objective(ef.program, sol) - sol.objective) \
+            <= 1e-7 * (1.0 + abs(sol.objective))
+
+
+@pytest.mark.parametrize("kind", [st.EXPECTATION, st.CVAR])
+def test_only_the_expectation_starts_from_a_tiled_basis(desk, desk_scenarios,
+                                                        record_highs, kind):
+    # under the expectation each block is solved on a model of its own, and
+    # the extensive model gets one alien basis; under the CVaR it starts
+    # cold, with no block solved
+    ef = st.build_extensive(desk.model, desk_scenarios, st.RiskMeasure(kind))
+    log = record_highs()
+    st.solve_extensive(desk.model, ef, desk_scenarios)
+    rows, columns = lp.Screen(ef.program).layout()
+    [calls] = [calls for calls in log.by_model.values()
+               if calls[0] == ("passModel", len(columns), len(rows))]
+    bases = [entry[1] for entry in calls if entry[0] == "setBasis"]
+    if kind == st.EXPECTATION:
+        assert len(log.by_model) == len(desk_scenarios) + 1
+        assert len(bases) == 1 and bases[0].alien
+    else:
+        assert len(log.by_model) == 1 and bases == []
