@@ -19,35 +19,30 @@ indicates a physically inconsistent model and aborts with
 ``stochastic.ModelInfeasible``, naming the template rows of the Farkas ray
 its held model keeps (``lp.certificate_rows``).
 
-The recourse is fixed, so every subproblem is the compiled block with its
-own costs, bounds and right-hand sides, the bids the bounds of its
-first-stage columns: the run keeps per scenario its data vectors and one
-``lp.HeldModel``, which HiGHS receives once, on the scenario's first solve.
-All scenarios share one matrix, so only scenario 0's first solve starts
-cold; every other scenario's first solve starts from a copy of scenario 0's
+The recourse is fixed, so every subproblem is the compiled block under one
+scenario's data, a row of the run's ``model.ScenarioData``, with each
+separation point's bids written into every row at once as the bounds of
+the first-stage columns (``Recourse``). Each scenario keeps one
+``lp.HeldModel``, which HiGHS receives once and afterwards only the bids,
+re-solving with dual simplex from the basis it holds. Only scenario 0's
+first solve starts cold; every other one starts from a copy of its
 optimal basis (the bunching of the L-shaped method, Birge & Louveaux
-2011), the same for any worker count. Each later solve sends the held
-model only the bids, as new column bounds in one call, and HiGHS
-re-solves with dual simplex from the basis it holds. The master
-is held the same way: its head is passed once and each solve sends only
-the cut rows accepted since the last one, entering with basic slacks. The
-held models live for the run, about 0.85 MB each on ``day``. Subproblems
-may be solved on a thread pool opened once per run (``worker_map``);
-results are merged by scenario index, and each scenario's sequence of
-solves is its own, so the outcome does not depend on the worker count.
+2011). The master is held the same way: its head is passed once and each
+solve sends only the cut rows accepted since the last one, entering with
+basic slacks. The held models live for the run, about 0.85 MB each on
+``day``. The solves may run on a thread pool opened once per run
+(``worker_map``), everything else on the calling thread, and each
+scenario's sequence of solves is its own, so the outcome does not depend
+on the worker count.
 
-The subproblems are screened by one ``lp.Screen``: the shared matrix holds
-the compiled block's stated rows only, without the derived branch-flow
-block (see ``network``) until a limit is stated, so HiGHS sees a network
-limit only once some scenario's completed primal violates it
-(``lp.Screen.violated``, the test of ``lp.solve``, read against the
-scenario's own vectors). ``lp.Screen.restate``, the step of ``lp.solve``,
-then states the limit, with the block, for every scenario, passes each
-held model the grown form with its basis grown to match (or cold after an
-unbounded relaxation), and the violating scenarios re-solve at the same
-bids until none violates one. A relaxed value and its cut underestimate
-the recourse value, so every cut is valid; the values that set the
-incumbent are exact.
+The subproblems are screened by one ``lp.Screen``: HiGHS sees a lazy
+network limit, and the derived branch-flow block (see ``network``), only
+once some scenario's completed primal violates one. A pass solves its
+scenarios, then completes, settles and checks them all at once; the check
+(``lp.Screen.restate``) states what any primal breaks, with the block, for
+every scenario, and the violating ones re-solve at the same bids in the
+next pass. A relaxed value and its cut underestimate the recourse value,
+so every cut is valid; the values that set the incumbent are exact.
 """
 
 from __future__ import annotations
@@ -232,15 +227,13 @@ def worker_map(workers: int):
 
 
 def _checked(sol: lp.LpSolution, scenario_index: int,
-             sub: Subproblem | None = None) -> lp.LpSolution:
+             run: Recourse | None = None) -> lp.LpSolution:
     """``sol``, the subproblem's solve, if optimal; if infeasible, raises
     ``ModelInfeasible`` naming the template rows of the ray the held model
-    of ``sub`` kept (``lp.certificate_rows``), else BendersError."""
+    of a ``run`` kept (``lp.certificate_rows``), else BendersError."""
     if sol.status == lp.INFEASIBLE:
-        rows = []
-        if sub is not None:
-            names = sub.model.template.program.row_names
-            rows = [names[r] for r in lp.certificate_rows(sol, sub.screen)]
+        rows = [] if run is None else [run.program.row_names[r] for r in
+                                       lp.certificate_rows(sol, run.screen)]
         raise ModelInfeasible(scenario_index, rows)
     if sol.status != lp.OPTIMAL:
         raise BendersError(
@@ -255,100 +248,104 @@ def solve_fixed_bids(model: VppModel, scenario: Scenario, scenario_index: int,
     template = model.template
     if template.n_first != len(x_hat):
         raise BendersError("first-stage vector length mismatch")
-    block = model.scenario_data(scenario)
-    sol = lp.solve(template.instantiate(block, x_hat, f"sub_{scenario_index}"))
-    return _checked(sol, scenario_index), block
-
-
-class Vectors(NamedTuple):
-    """The vectors of one instantiation of the shared block: what a
-    scenario's subproblem differs in, the bids the first-stage bounds."""
-
-    cost: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
+    data = model.scenario_data([scenario])[0]
+    sol = lp.solve(template.instantiate(data, x_hat, f"sub_{scenario_index}"))
+    return _checked(sol, scenario_index), ScenarioBlock(
+        scenario, template, data, np.arange(len(data.lower)))
 
 
 @dataclass
 class Subproblem:
-    """One scenario's subproblem in a Benders run: the vectors of its
-    instantiation, the screen all scenarios share (its lazy rows, its
-    derived block and the matrix of its relaxed form), the held model of
-    its relaxed form, and the completed primal of its last solve."""
+    """Scenario ``index`` of a run (``Recourse``), an index into its rows
+    of data and primals: the held model of its relaxed form, from its first
+    solve on, and the basis that first solve starts from, if set."""
 
-    model: VppModel
     index: int
-    scenario: Scenario
-    data: Vectors
-    screen: lp.Screen
-    #: the relaxed form HiGHS holds, from the first solve on
     held: lp.HeldModel | None = None
-    #: a basis of the relaxed form that the first solve starts from, if set
     seed: object = None
-    #: simplex iterations of the last solve
-    iterations: int = 0
-    #: completed primal of the last solve; None when its relaxation was
-    #: unbounded
-    primal: np.ndarray | None = None
 
 
-def subproblems(model: VppModel, scenarios: list[Scenario]) -> list[Subproblem]:
-    """The subproblems of a run: the compiled block, screened by one
-    ``lp.Screen`` (its lazy rows and derived block left out), whose form
-    matrix, and the block's factor if no screen of the template made it
-    yet, are made here, on the calling thread; per scenario the vectors of
-    its instantiation (``BlockTemplate.instantiate``)."""
-    template = model.template
-    screen = lp.Screen(template.program)
-    screen.form_matrix      # made now, not on a worker thread
-    subs = []
-    for s, scenario in enumerate(scenarios):
-        program = template.instantiate(model.scenario_data(scenario),
-                                       np.zeros(template.n_first))
-        subs.append(Subproblem(model, s, scenario, Vectors._make(
-            getattr(program, name) for name in Vectors._fields), screen))
-    return subs
+class Recourse:
+    """The subproblems of a Benders run over ``scenarios``, on ``model``'s
+    compiled block: the scenarios' data, filled in once (row s scenario
+    s's), and their net costs; the ``lp.Screen`` all share, its form
+    matrix, and the block's factor if no screen made it yet, made here on
+    the calling thread; a ``Subproblem`` per scenario; and the completed
+    primals of their last solves, one row each (NaN if unbounded)."""
+
+    def __init__(self, model: VppModel, scenarios: list[Scenario]):
+        template = model.template
+        self.program, self.n_first = template.program, template.n_first
+        self.data = model.scenario_data(scenarios)
+        self.cost = self.data.net_cost()
+        self.screen = lp.Screen(self.program)
+        self.screen.form_matrix
+        self.subs = [Subproblem(s) for s in range(len(self.cost))]
+        self.primal = np.full(self.cost.shape, np.nan)
+
+    def solve(self, x: np.ndarray, parallel_map=map):
+        """Each scenario's second-stage value and a subgradient at the bids
+        ``x``, written into every row, of the relaxation the stated limits
+        leave (NaN while unbounded), and the simplex iterations spent. A
+        pass solves its scenarios (``solve_subproblem``) on
+        ``parallel_map``, then completes, settles and checks
+        (``lp.Screen.restate``) them all at once: first every scenario, a
+        run's first from scenario 0's optimal basis, then those whose
+        primal broke a limit the pass before stated, until none does.
+
+        The reduced costs of the bid columns, fixed by their bounds, are
+        d(cost)/d(bid) (0 for a degenerate basic one), a subgradient: each
+        cut underestimates the relaxed recourse value (convex in the bounds)
+        and so the recourse value, which it equals once no limit is broken."""
+        n, screen, S = self.n_first, self.screen, len(self.subs)
+        if len(x) != n:
+            raise BendersError("first-stage vector length mismatch")
+        self.data.lower[:, :n] = self.data.upper[:, :n] = x
+        values, gradients = np.full(S, np.nan), np.full((S, n), np.nan)
+        again, iterations = list(range(S)), 0
+        while again:
+            subs = [self.subs[s] for s in again]
+            sols = []
+            if subs[0].held is None:
+                sols.append(solve_subproblem(self, subs[0]))
+                for sub in subs[1:]:
+                    sub.seed = subs[0].held.basis
+            sols += parallel_map(solve_subproblem, repeat(self),
+                                 subs[len(sols):])
+            iterations += sum(sol.iterations for sol in sols)
+            solved = [k for k, sol in enumerate(sols) if sol.status == lp.OPTIMAL]
+            rows = slice(None) if len(solved) == S else np.array(again)[solved]
+            settled = iter(solved and screen.settled(
+                [sols[k] for k in solved], screen.complete(
+                    [sols[k].primal for k in solved], self.data[rows],
+                    self.cost[rows]), self.cost[rows]))
+            for s, sol in zip(again, sols):
+                self.primal[s] = np.nan
+                if sol.status == lp.OPTIMAL:
+                    sol = next(settled)
+                elif sol.status == lp.UNBOUNDED and not screen.all_stated:
+                    continue
+                _checked(sol, s, self)
+                self.primal[s], values[s] = sol.primal, sol.objective
+                gradients[s] = sol.column_duals[:n]
+            again = screen.restate(self.primal, self.data,
+                                   [sub.held for sub in self.subs])
+        return values, gradients, iterations
 
 
-def solve_subproblem(sub: Subproblem,
-                     x_hat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Second-stage value and a subgradient at the given bids, of the
-    relaxation the stated limits leave, solved by the subproblem's held
-    model: built on the first solve, starting from a copy of ``sub.seed``
-    if set, and afterwards sent only the bids, as the bounds of the
-    first-stage columns, so HiGHS re-solves from the basis it holds; its
-    primal, completed (``lp.Screen.complete``), is kept for
-    ``lp.Screen.restate``, and its value counts what the columns no row
-    holds cost (``lp.Screen.settled``).
-
-    The bids are the first-stage columns fixed by their bounds; the reduced
-    costs of those columns are exactly d(cost)/d(bid) (0 for a degenerate
-    basic one, still a subgradient), so the returned affine function
-    underestimates the relaxed recourse value everywhere (LP value functions
-    of bounds are convex), and so the recourse value itself. The two values
-    are equal when the primal violates no left-out limit. An unbounded
-    relaxation gives NaN until everything is stated."""
-    n = len(x_hat)
-    if sub.model.template.n_first != n:
-        raise BendersError("first-stage vector length mismatch")
-    sub.data.lower[:n] = sub.data.upper[:n] = x_hat
-    screen = sub.screen
+def solve_subproblem(run: Recourse, sub: Subproblem) -> lp.LpSolution:
+    """The relaxed form of scenario ``sub.index`` at the bids in its row of
+    the run's data, solved by the subproblem's held model: built on the
+    first solve, from a copy of ``sub.seed`` if set, and afterwards sent
+    only the bids, as the bounds of the first-stage columns."""
+    n, s = run.n_first, sub.index
     if sub.held is None:
-        sub.held = lp.HeldModel(screen.relaxed(sub.data), sub.seed)
+        sub.held = lp.HeldModel(run.screen.relaxed(run.data[s], run.cost[s]),
+                                sub.seed)
     else:
-        sub.held.set_column_bounds(np.arange(n), x_hat, x_hat)
-    sol = sub.held.solve()
-    sub.iterations = sol.iterations
-    if sol.status == lp.UNBOUNDED and not screen.all_stated:
-        sub.primal = None
-        return math.nan, np.full(n, math.nan)
-    if sol.status == lp.OPTIMAL:
-        sol = screen.settled(sol, screen.complete(sol.primal, sub.data),
-                             sub.data.cost)
-    _checked(sol, sub.index, sub)
-    sub.primal = sol.primal
-    return sol.objective, sol.column_duals[:n]
+        bids = run.data.lower[s, :n]
+        sub.held.set_column_bounds(np.arange(n), bids, bids)
+    return sub.held.solve()
 
 
 def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
@@ -364,8 +361,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
     model.validate()
     probs = sset.probabilities()
     master = MasterProblem(model, len(sset), probs, risk)
-    subs = subproblems(model, sset.scenarios)
-    screen, programs = subs[0].screen, [sub.data for sub in subs]
+    recourse = Recourse(model, sset.scenarios)
     report = ConvergenceReport()
     start = time.perf_counter()
 
@@ -379,26 +375,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             return the audited cuts, one per scenario, with the simplex
             iterations spent."""
             nonlocal best_obj, best_x
-            values = []
-            if subs[0].held is None:
-                # the first solves: scenario 0 cold, and every other one from
-                # a copy (``lp.HeldModel``) of its optimal basis
-                values.append(solve_subproblem(subs[0], x))
-                for sub in subs[1:]:
-                    sub.seed = subs[0].held.basis
-            values += parallel_map(solve_subproblem, subs[len(values):],
-                                   repeat(x))
-            iterations = sum(sub.iterations for sub in subs)
-            # the relaxed values are the recourse values only once no
-            # completed primal violates a left-out limit
-            while again := screen.restate([sub.primal for sub in subs],
-                                          programs, [sub.held for sub in subs]):
-                for s, value in zip(again, parallel_map(
-                        solve_subproblem, [subs[s] for s in again], repeat(x))):
-                    values[s] = value
-                iterations += sum(subs[s].iterations for s in again)
-            costs = np.array([cost for cost, _ in values])
-            gradients = np.array([grad for _, grad in values])
+            costs, gradients, iterations = recourse.solve(x, parallel_map)
             realized = risk_functional(costs, probs, risk)
             if realized < best_obj:
                 best_obj = realized
@@ -440,7 +417,7 @@ def iterate(model: VppModel, sset: ScenarioSet, risk: RiskMeasure,
             report.converged = gap <= options.tolerance
             added = 0
             if not report.converged:
-                added = sum(master.add_cuts(range(len(subs)), intercepts,
+                added = sum(master.add_cuts(range(len(sset)), intercepts,
                                             gradients)
                             for intercepts, gradients, _ in rounds)
             report.trace.append(TraceRow(

@@ -11,28 +11,19 @@ zero-cost columns, given the others. ``solve`` hands the program to HiGHS
 dual simplex through ``scipy.optimize.linprog`` and reports primal
 values, per-constraint dual multipliers, and bound multipliers. Every
 solve path screens its program through one ``Screen``: the lazy rows and
-the derived block reach HiGHS only once a solution violates a lazy row or
-a bound of a derived column, and the block, while left out, is completed
-from its rows by one sparse solve; a column that no row holds never
-reaches HiGHS, and sits at the bound its cost prefers. A program's marks
-(``Marks``) are shared by every program on its matrix, an instantiation
-of a compiled block or, copy by copy, an extensive form, and so is what a
-screen derives from them and the matrix: the check of the matrix, the
-lazy and derived rows, the row-less columns and the block's sparse LU,
-made once by the first screen, on its calling thread. ``Screen`` holds
-which lazy rows are stated and whether the block is; its ``violated`` is the one screening
-test, and it reads the limits left out from the program's own vectors
-when it runs; its ``restate`` is the one step that acts on a violation:
-it states what the completed primals break and passes the held models the
-grown form. ``solve`` screens in rounds of cold solves, and its report
-is the full program's (``reported``). ``HeldModel`` solves on scipy's
-bundled HiGHS binding directly: it passes a program to HiGHS once, with
-the rows and bounds it is given, and afterwards sends only what changes
-(costs, column bounds, rows), so HiGHS re-solves from the basis and
-factorization it holds; ``solve_held`` grows a held relaxed form by what
-its completed primal violates. Row duals and reduced costs are converted
-and bound multipliers split by basis status only when first read. No
-other module touches the solver backend.
+the derived block reach HiGHS only once a completed primal violates one,
+and a column that no row holds never does. A program's marks (``Marks``),
+and what a screen derives from them, the block's sparse LU included, are
+shared by every program on its matrix: an instantiation of a compiled
+block or, copy by copy, an extensive form. ``solve`` screens in rounds of
+cold solves, and its report is the full program's (``reported``).
+``HeldModel`` solves on scipy's bundled HiGHS binding directly: it passes
+a program to HiGHS once, with the rows and bounds it is given, and
+afterwards sends only what changes (costs, column bounds, rows), so HiGHS
+re-solves from the basis and factorization it holds; ``solve_held`` grows
+a held relaxed form by what its completed primal violates. Row duals and
+reduced costs are converted and bound multipliers split by basis status
+only when first read. No other module touches the solver backend.
 
 Column bounds, right-hand sides or labelled costs may be left to data, the
 template's bound, 0 or +inf in their place: ``add_slots`` records a run of
@@ -552,7 +543,8 @@ class Block(NamedTuple):
     rowless: np.ndarray
     #: the rows and columns of the relaxed form with nothing stated
     layout: tuple
-    #: x_C = A[R, C]^-1 b for the derived rows R and columns C
+    #: x_C = A[R, C]^-1 b for the derived rows R and columns C, for each
+    #: row b of an array
     solve: object
 
 
@@ -626,11 +618,12 @@ class Marks:
                           len(columns) * template.num_constraints)
             tile = template.marks.block(template)
             size = len(tile.block_rows)
-            solve = lambda b: tile.solve(b.reshape(-1, size).T).T.ravel()
+            solve = lambda b: tile.solve(b.reshape(-1, size)).reshape(b.shape)
         elif len(block_rows):
             _check_matrix(program, block_rows, block_columns)
             try:
-                solve = splu(A[block_rows][:, block_columns].tocsc()).solve
+                lu = splu(A[block_rows][:, block_columns].tocsc())
+                solve = lambda b: lu.solve(b.T).T
             except RuntimeError:
                 raise LpError("derived block: its rows do not fix its "
                               "columns (the block is singular)") from None
@@ -663,36 +656,31 @@ class Screen:
     are stated to HiGHS so far: a set that only grows. The block is left
     out until the first limit is stated, and then stated whole.
     ``violated`` is the one screening test and ``restate`` the one step
-    that acts on it; ``solve`` runs it on the completed primal of each
-    round, the Benders subproblems on those of all scenarios, and
-    ``solve_held`` on that of a held relaxed form.
+    that acts on it, for ``solve``, ``solve_held`` and the Benders passes.
 
     What the screen derives from the matrix and the marks alone, the
-    block's factor included, is the marks' (``Marks.block``): made by the
-    first screen of any program that carries them, and shared by every
-    later one. A screen keeps its stated set, the program's matrix until
-    the relaxed form's is made, and the senses of its rows; it checks the
-    program's own vectors, refusing a derived row that is not an equality
+    block's factor included, is the marks' (``Marks.block``), shared by
+    every screen of a program that carries them. A screen keeps its stated
+    set, the program's matrix until the relaxed form's is made, and the
+    senses of its rows; it refuses a derived row that is not an equality
     or a derived column with a cost.
 
-    The screen holds no limit itself: ``relaxed``, ``violated`` and
-    ``complete`` read them, when they run, from the vectors (``cost``,
-    ``lower``, ``upper``, ``rhs``) of the program they are given, which
-    may be any of the screened one's matrix and senses, such as another
-    scenario's instantiation.
+    The screen holds no limit itself: its methods read them from the
+    vectors (``cost``, ``lower``, ``upper``, ``rhs``) of the ``program``
+    they are given, of the screened one's matrix and senses. ``complete``,
+    ``settled``, ``violated`` and ``restate`` serve many programs at once,
+    one per row of their primals and of those vectors (a vector serves
+    every row), such as the scenarios of one ``model.ScenarioData``.
 
-    The relaxed form of a program (``relaxed``) holds, in this order, the
-    rows neither lazy nor derived, the derived rows once stated, and the
-    stated lazy rows in the order they were stated; its columns are those
-    neither derived nor row-less, then the derived ones once stated. So
-    stating more only appends rows and columns, to the matrix too: the
-    block's columns appear in no row before its own. A column that no row
-    of the program holds is in no form at all: its optimum is the bound its
-    cost prefers, which ``complete`` sets, and ``settled`` adds what it
-    costs there to the objective of the relaxed form. ``state`` settles the
+    The relaxed form (``relaxed``) holds, in this order, the rows neither
+    lazy nor derived, the derived rows once stated, and the stated lazy
+    rows in the order they were stated; its columns are those neither
+    derived nor row-less, then the derived ones once stated. So stating
+    more only appends rows and columns. A column that no row holds is in
+    no form: its optimum is the bound its cost prefers, which ``complete``
+    sets and ``settled`` adds to the objective. ``state`` settles the
     layout, and the form matrix once made, on its calling thread, so
-    threads that only read the screen (``relaxed``, ``complete``,
-    ``violated``) compute neither."""
+    threads that only read the screen compute neither."""
 
     def __init__(self, program: LinearProgram):
         self.block = block = program.marks.block(program)
@@ -736,55 +724,61 @@ class Screen:
             self.program_matrix = None
         return self._form
 
-    def _ranges(self, rows, program):
-        """The ranges ``(row_lo, row_hi)`` of ``rows`` of ``program``."""
-        rhs = program.rhs[rows]
+    def _ranges(self, rows, rhs):
+        """The ranges ``(row_lo, row_hi)`` of ``rows`` under ``rhs``."""
+        rhs = rhs[..., rows]
         return (np.where(self._le[rows], -np.inf, rhs),
                 np.where(self._ge[rows], np.inf, rhs))
 
-    def relaxed(self, program) -> ColumnForm:
-        """``program``, of the screened one's matrix, as its relaxed form:
-        the unstated lazy rows and, until stated, the derived block left
-        out."""
+    def relaxed(self, program, cost=None) -> ColumnForm:
+        """``program``, of the screened one's matrix, as its relaxed form
+        under ``cost``, else its own costs: the unstated lazy rows and,
+        until stated, the derived block left out."""
         rows, columns = self.layout()
-        return ColumnForm(self.form_matrix, program.cost[columns],
+        cost = program.cost if cost is None else cost
+        return ColumnForm(self.form_matrix, cost[columns],
                           program.lower[columns], program.upper[columns],
-                          *self._ranges(rows, program))
+                          *self._ranges(rows, program.rhs))
 
     def complete(self, x, program, cost=None) -> np.ndarray:
-        """The primal of ``program`` from the primal ``x`` of its relaxed
-        form: each column in its place; each row-less column at the bound
-        its cost (``cost``, else the program's) prefers, the lower one when
-        the cost is >= 0, and at 0 within its bounds when it costs nothing
-        and that bound is infinite; and the derived columns, while the
-        block is not stated, from the derived rows:
-        x_C = A[R, C]^-1 (b_R - A[R, not C] x), on the marks' factor."""
-        full = np.zeros(self.shape[1])
-        full[self.layout()[1]] = x
+        """The primals of the programs from the primals ``x`` of their
+        relaxed forms: each column in its place; each row-less column at
+        the bound its cost (``cost``, else the program's) prefers, the lower
+        one when the cost is >= 0, and at 0 within its bounds when it costs
+        nothing and that bound is infinite; and the derived columns, while
+        the block is not stated, from the derived rows:
+        x_C = A[R, C]^-1 (b_R - A[R, not C] x), one factor solve for all."""
+        x = np.asarray(x)
+        full = np.zeros((*x.shape[:-1], self.shape[1]))
+        full[..., self.layout()[1]] = x
         if len(self.rowless):
             at = self.rowless
-            c = (program.cost if cost is None else cost)[at]
-            lo, hi = program.lower[at], program.upper[at]
+            c = (program.cost if cost is None else cost)[..., at]
+            lo, hi = program.lower[..., at], program.upper[..., at]
             value = np.where(c >= 0.0, lo, hi)
             free = (c == 0.0) & np.isinf(value)
             value[free] = np.clip(0.0, lo[free], hi[free])
-            full[at] = value
+            full[..., at] = value
         if not self.block_stated:
             # the derived columns are still 0 in ``full``
-            full[self.block_columns] = self.block.solve(
-                program.rhs[self.block_rows] - self.block.block_matrix @ full)
+            full[..., self.block_columns] = self.block.solve(
+                program.rhs[..., self.block_rows]
+                - (self.block.block_matrix @ full.T).T)
         return full
 
-    def settled(self, sol: LpSolution, x, cost) -> LpSolution:
-        """``sol``, an optimum of the relaxed form, as the program's: its
-        primal the completed ``x``, and its objective plus what the
-        row-less columns cost (``cost``) at ``x``; unbounded if a bound
-        their costs prefer is infinite. Its duals stay the relaxed form's."""
-        objective = sol.objective + float(cost[self.rowless] @ x[self.rowless])
-        if objective == -math.inf:
-            return LpSolution(UNBOUNDED, math.nan, np.zeros(0), np.zeros(0),
-                              iterations=sol.iterations)
-        return replace(sol, objective=objective, primal=x)
+    def settled(self, sols, x, cost) -> list[LpSolution]:
+        """``sols``, optima of the relaxed forms, as the programs': each
+        primal its completed row of ``x``, each objective plus what the
+        row-less columns cost there (``cost``, a row each); unbounded if a
+        bound their costs prefer is infinite. Duals stay the relaxed form's."""
+        # rows taken contiguous, so each sum is the one a program gets alone
+        extra = map(np.dot, np.take(cost, self.rowless, axis=1),
+                    np.take(x, self.rowless, axis=1))
+        return [LpSolution(UNBOUNDED, math.nan, np.zeros(0), np.zeros(0),
+                           iterations=sol.iterations)
+                if sol.objective + e == -math.inf
+                else replace(sol, objective=sol.objective + float(e), primal=xk)
+                for sol, e, xk in zip(sols, extra, x)]
 
     def tiled_basis(self, bases):
         """A basis of this relaxed form, a tiled program's (``Marks.tiled``),
@@ -808,15 +802,16 @@ class Screen:
         return basis
 
     def violated(self, x, program):
-        """The unstated lazy rows of ``program`` that its primal ``x``
-        leaves by more than ``_SOLVER_TOL * (1 + |side|)``, as positions in
-        ``rows``, and whether, the block not stated, a derived column leaves
-        its bounds so."""
+        """Per primal, which unstated lazy rows, of ``rows``, it leaves by
+        more than ``_SOLVER_TOL * (1 + |side|)``, and whether, the block not
+        stated, a derived column leaves its bounds so: one sparse product
+        for all."""
         block = self.block_columns
-        return (np.flatnonzero(~self.stated_rows & _outside(
-                    self.matrix @ x, *self._ranges(self.rows, program))),
-                not self.block_stated and bool(np.any(_outside(
-                    x[block], program.lower[block], program.upper[block]))))
+        return (~self.stated_rows & _outside(
+                    (self.matrix @ x.T).T, *self._ranges(self.rows, program.rhs)),
+                _outside(x[..., block], program.lower[..., block],
+                         program.upper[..., block]).any(axis=-1)
+                & (not self.block_stated))
 
     def state(self, rows=(), bases=()) -> None:
         """State the lazy rows at these positions, each once in ascending
@@ -851,32 +846,32 @@ class Screen:
         self._form = vstack([form, *(part[:, columns] for part in grown)],
                             format="csc")
 
-    def restate(self, primals, programs, held=()) -> list[int]:
-        """Check each completed primal against the unstated limits of its
-        program (``violated``); a primal of None, from an unbounded
-        relaxation, breaks every limit. State whatever any primal breaks,
-        with the block, on the calling thread, growing the bases of the
-        ``held`` models (``state``), and pass each of them, paired with
-        ``programs``, the grown relaxed form under the costs it holds: the
-        block's columns are appended and cost nothing. After an unbounded
-        relaxation every held model restarts cold. Returns the positions of
-        the primals to solve again."""
-        rows, again = [], []
-        for k, (x, program) in enumerate(zip(primals, programs)):
-            r, block = self.violated(x, program) if x is not None else (
-                np.flatnonzero(~self.stated_rows), not self.block_stated)
-            if len(r) or block:
-                again.append(k)
-                rows.append(r)
+    def restate(self, x, program, held=()) -> list[int]:
+        """Check the completed primals against the unstated limits
+        (``violated``); a row of NaN, from an unbounded relaxation, breaks
+        every limit. State whatever any breaks, with the block, on the
+        calling thread, growing the bases of the ``held`` models, one per
+        program (``state``), and pass each its program's grown relaxed form
+        under the costs it holds, the block's columns costing nothing;
+        after an unbounded relaxation, cold. Returns the rows to solve
+        again."""
+        x = np.atleast_2d(x)
+        rows, block = self.violated(x, program)
+        lost = np.isnan(x[:, 0])
+        rows[lost], block[lost] = ~self.stated_rows, not self.block_stated
+        again = np.flatnonzero(rows.any(axis=1) | block).tolist()
         if not again:
             return again
-        cold = any(x is None for x in primals)
-        self.state(np.concatenate(rows), [] if cold else [
+        cold = bool(lost.any())
+        self.state(np.flatnonzero(rows.any(axis=0)), [] if cold else [
             h.basis for h in held if h.basis is not None])
-        for h, program in zip(held, programs):
-            form = self.relaxed(program)
-            h.reset(form._replace(cost=np.r_[h.cost, np.zeros(
-                len(form.cost) - len(h.cost))]), None if cold else h.basis)
+        (form_rows, columns), rhs = self.layout(), np.atleast_2d(program.rhs)
+        lower, upper = np.atleast_2d(program.lower, program.upper)
+        for k, h in enumerate(held):
+            h.reset(ColumnForm(
+                self.form_matrix, np.r_[h.cost, np.zeros(len(columns) - len(h.cost))],
+                lower[k, columns], upper[k, columns],
+                *self._ranges(form_rows, rhs[k])), None if cold else h.basis)
         return again
 
 
@@ -918,8 +913,8 @@ def solve(program: LinearProgram) -> LpSolution:
         if status not in (OPTIMAL, UNBOUNDED):
             break
         x = screen.complete(np.asarray(res.x), program) \
-            if status == OPTIMAL else None
-        if not screen.restate([x], [program]):
+            if status == OPTIMAL else np.full(screen.shape[1], np.nan)
+        if not screen.restate(x, program):
             break
     if status != OPTIMAL:
         return LpSolution(status, math.nan, np.zeros(0), np.zeros(0),
@@ -929,9 +924,9 @@ def solve(program: LinearProgram) -> LpSolution:
     duals[ub] = sign * np.asarray(res.ineqlin.marginals)
     duals[eq] = np.asarray(res.eqlin.marginals)
     return reported(screen.settled(
-        LpSolution(OPTIMAL, float(res.fun), x, duals, iterations,
-                   (res.lower.marginals, res.upper.marginals)),
-        x, program.cost), screen, program)
+        [LpSolution(OPTIMAL, float(res.fun), x, duals, iterations,
+                    (res.lower.marginals, res.upper.marginals))],
+        x[None], program.cost[None])[0], screen, program)
 
 
 def reported(sol: LpSolution, screen: Screen,
@@ -1083,7 +1078,8 @@ class HeldModel:
         """Solve like the module's ``solve``, with the same dual convention
         and status mapping, after replacing the costs by ``cost`` if given.
         An infeasible solve reports as its row duals HiGHS's Farkas ray
-        (``certificate_rows``), or none if HiGHS gives none.
+        (``certificate_rows``), or none if HiGHS gives none; after a cold
+        run, from one more run without presolve.
 
         Raises LpSolveError on numerical breakdown or iteration exhaustion."""
         highs = self._highs
@@ -1118,6 +1114,12 @@ class HeldModel:
         if status != OPTIMAL:
             ray = np.zeros(0)
             if status == INFEASIBLE:
+                if self.basis is None:  # presolved: no ray, and a slow search
+                    highs.setOptionValue("presolve", "off")
+                    highs.clearSolver()
+                    highs.run()
+                    highs.setOptionValue("presolve", "choose")
+                    iterations += int(highs.getInfo().simplex_iteration_count)
                 # read now: the next run replaces it
                 _, has, values = highs.getDualRay()
                 ray = np.asarray(values) if has else ray
@@ -1151,13 +1153,13 @@ def solve_held(held: HeldModel, screen: Screen, program: LinearProgram,
     iterations = sol.iterations
     while sol.status in (OPTIMAL, UNBOUNDED):
         x = screen.complete(sol.primal, program, cost) \
-            if sol.status == OPTIMAL else None
-        if not screen.restate([x], [program], [held]):
+            if sol.status == OPTIMAL else np.full(screen.shape[1], np.nan)
+        if not screen.restate(x, program, [held]):
             break
         sol = held.solve()
         iterations += sol.iterations
     if sol.status == OPTIMAL:
-        sol = screen.settled(sol, x, cost)
+        sol, = screen.settled([sol], x[None], cost[None])
     return replace(sol, iterations=iterations)
 
 

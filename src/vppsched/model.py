@@ -9,12 +9,13 @@ withdrawal at a bus without controllable consumption).
 the emitters leaving every scenario-dependent entry to data in runs of
 slots (``lp.LinearProgram.add_slots``, one call per device, stream or bus
 and series); ``BlockTemplate`` joins the runs into arrays once, and
-``BlockTemplate.data`` fills the slots for one scenario, vectorized, as
-six per-stream cost vectors, right-hand sides and bounds. Every solve path
-stacks or instantiates that one template; the tariff is data too, the
-same for every scenario, so ``BlockTemplate.tariff_stream`` fills its
-stream once for all blocks. The grid, most of the block, is emitted in
-bulk (see ``network``).
+``BlockTemplate.data`` fills the slots of every scenario of a solve at
+once, vectorized, into one ``ScenarioData``: six cost streams, bounds and
+right-hand sides, one row per scenario. Every solve path reads rows of it:
+the extensive form ravels them, a Benders subproblem is an index into
+them. The tariff is data too, the same for every scenario, so
+``BlockTemplate.tariff_stream`` fills its stream once for all rows. The
+grid, most of the block, is emitted in bulk (see ``network``).
 """
 
 from __future__ import annotations
@@ -77,57 +78,60 @@ class BlockTemplate:
             raise lp.LpError(f"slots: unknown target {min(unknown)!r}")
         program.matrix     # settle the arrays before instantiations share them
 
-    def data(self, scenario, tariff=None, offset: int = 0) -> "ScenarioBlock":
-        """Fill every data slot from one scenario (and the grid tariff), for
-        a copy of the block whose own columns start ``offset`` further on;
-        the slots of one right-hand side add up onto the template's (the
-        feeder-wide balance holds every bus's load), and a lower-bound slot
-        only raises the template's bound (a withdrawal is at least the
-        positive part of its bus's load). Every series must span the
-        horizon; buses without a load series carry none. Bad values, a
-        bound below the other one included, raise LpError as ``add_*``
-        would."""
-        arrays = []
-        for name, key in self.series:
-            values = tariff if name == "tariff_per_mwh" else getattr(scenario, name)
-            if isinstance(values, dict):
-                if key not in values and name == "capacity_factor":
-                    raise dv.DeviceError(
-                        f"scenario has no capacity factors for {key!r}")
-                values = values.get(key, np.zeros(self.horizon.step_count))
-            mk.check_series_length(name, values, self.horizon)
-            arrays.append(np.asarray(values, dtype=float))
-        offsets = np.cumsum([0] + [len(a) for a in arrays])
-        values = np.concatenate(arrays or [np.zeros(0)])[
-            offsets[self.source] + self.step] * self.scale / self.divisor
+    def data(self, scenarios, tariff=None) -> "ScenarioData":
+        """Fill every data slot from each scenario (and the grid tariff),
+        one row per scenario; the slots of one right-hand side add up onto
+        the template's (the feeder-wide balance holds every bus's load), and
+        a lower-bound slot only raises the template's bound (a withdrawal is
+        at least the positive part of its bus's load). Every series must
+        span the horizon; buses without a load series carry none. Bad
+        values, a bound below the other one included, raise LpError as
+        ``add_*`` would, naming the first in the first scenario with one."""
+        rows = []
+        for scenario in scenarios:
+            arrays = []
+            for name, key in self.series:
+                values = tariff if name == "tariff_per_mwh" else \
+                    getattr(scenario, name)
+                if isinstance(values, dict):
+                    if key not in values and name == "capacity_factor":
+                        raise dv.DeviceError(
+                            f"scenario has no capacity factors for {key!r}")
+                    values = values.get(key, np.zeros(self.horizon.step_count))
+                mk.check_series_length(name, values, self.horizon)
+                arrays.append(np.asarray(values, dtype=float))
+            offsets = np.cumsum([0] + [len(a) for a in arrays])
+            rows.append(np.concatenate(arrays or [np.zeros(0)])[
+                offsets[self.source] + self.step])
+        values = np.array(rows, dtype=float) * self.scale / self.divisor
 
-        p = self.program
-        lower, upper, rhs = p.lower.copy(), p.upper.copy(), p.rhs.copy()
-        streams = {name: np.zeros(p.num_variables) for name in STREAMS}
-        streams["c_ops"] = p.cost.copy()
+        p, every = self.program, slice(None)
+        lower, upper, rhs, cost = (np.tile(a, (len(rows), 1))
+                                   for a in (p.lower, p.upper, p.rhs, p.cost))
+        streams = {name: np.zeros_like(cost) for name in STREAMS}
+        streams["c_ops"] = cost
         for target in self.targets:
             at = self.target == target
+            index = (every, self.index[at])
             if target == lp.RHS:
-                np.add.at(rhs, self.index[at], values[at])
+                np.add.at(rhs, index, values[:, at])
             elif target == lp.LOWER:
                 with np.errstate(invalid="ignore"):  # a NaN is refused below
-                    np.maximum.at(lower, self.index[at], values[at])
+                    np.maximum.at(lower, index, values[:, at])
             else:
                 (upper if target == lp.UPPER
-                 else streams[target])[self.index[at]] = values[at]
+                 else streams[target])[index] = values[:, at]
         # an upper bound may be +inf but not below its lower bound; a lower
         # bound, a right-hand side or a cost must be finite
         up = self.target == lp.UPPER
         bound = up | (self.target == lp.LOWER)
         bad = np.isnan(values) | ~up & np.isinf(values)
-        bad[bound] |= lower[self.index[bound]] > upper[self.index[bound]]
+        bad[:, bound] |= lower[:, self.index[bound]] > upper[:, self.index[bound]]
         if bad.any():
-            k = np.flatnonzero(bad)[0]
+            s, k = np.argwhere(bad)[0]
             raise lp.LpError(f"scenario data {self.series[self.source[k]]} "
-                             f"step {self.step[k]}: bad value {values[k]}")
-        columns = np.arange(p.num_variables)
-        columns[self.n_first:] += offset
-        return ScenarioBlock(scenario, self, lower, upper, rhs, streams, columns)
+                             f"step {self.step[k]}: bad value {values[s, k]}")
+        return ScenarioData(streams, lower, upper, rhs)
 
     def tariff_stream(self, tariff) -> np.ndarray:
         """The ``c_tariff`` stream that ``data`` fills in under ``tariff``,
@@ -139,9 +143,10 @@ class BlockTemplate:
             * self.scale[at] / self.divisor[at]
         return stream
 
-    def instantiate(self, block: "ScenarioBlock", bids=None,
+    def instantiate(self, data: "ScenarioData", bids=None,
                     name: str = "") -> lp.LinearProgram:
-        """The block for one scenario as a program of its own, sharing the
+        """The block for one scenario, its vectors ``data`` (a row of a
+        ``ScenarioData``), as a program of its own, sharing the
         template's matrix, senses and marks (``lp.Marks``), and so what
         screens derive from them.
 
@@ -151,41 +156,51 @@ class BlockTemplate:
         keeps its bounds and the objective is zero: a feasibility probe of
         the block."""
         p = self.program
-        lower, upper = block.lower.copy(), block.upper.copy()
+        lower, upper = data.lower.copy(), data.upper.copy()
         if bids is not None:
             lower[:self.n_first] = upper[:self.n_first] = bids
         return lp.LinearProgram(
             name, lambda: list(p.col_names), lambda: list(p.row_names),
             lower=lower, upper=upper,
-            cost=np.zeros(len(lower)) if bids is None else block.net_cost(),
+            cost=np.zeros(len(lower)) if bids is None else data.net_cost(),
             indptr=p.indptr, indices=p.indices, data=p.data, sense=p.sense,
-            rhs=block.rhs, marks=p.marks)
+            rhs=data.rhs, marks=p.marks)
 
 
 @dataclass
-class ScenarioBlock:
-    """One scenario's data in the compiled block: column bounds, row
-    right-hand sides and, per stream, the cost of every column (revenues
-    counted positive). Inside a larger program, template column j is the
-    program's column ``columns[j]``."""
+class ScenarioData:
+    """Every scenario's data in the compiled block, one row per scenario:
+    per stream the cost of every column (revenues counted positive), the
+    column bounds, and the row right-hand sides. ``data[k]`` takes rows
+    ``k`` of every array: a vector each for one scenario."""
 
-    scenario: Scenario
-    template: BlockTemplate
+    streams: dict[str, np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
     rhs: np.ndarray
-    streams: dict[str, np.ndarray]
-    columns: np.ndarray
+
+    def __getitem__(self, k) -> "ScenarioData":
+        return ScenarioData({name: s[k] for name, s in self.streams.items()},
+                            self.lower[k], self.upper[k], self.rhs[k])
 
     def net_cost(self) -> np.ndarray:
         """Each column's cost: the breakdown total of its stream costs."""
         return mk.CostBreakdown(**self.streams).total
 
-    cost = property(net_cost)   # so ``lp.Screen.relaxed`` reads a program
+
+@dataclass
+class ScenarioBlock:
+    """One scenario's copy of the block in a program: its data, a row of a
+    ``ScenarioData``; template column j is the program's ``columns[j]``."""
+
+    scenario: Scenario
+    template: BlockTemplate
+    data: ScenarioData
+    columns: np.ndarray
 
     def breakdown(self, primal: np.ndarray) -> mk.CostBreakdown:
         x = primal[self.columns]
-        return mk.CostBreakdown(*(float(self.streams[name] @ x)
+        return mk.CostBreakdown(*(float(self.data.streams[name] @ x)
                                   for name in STREAMS))
 
     @property
@@ -237,8 +252,8 @@ class VppModel:
                                            self.build_block(program, fs))
         return self._template
 
-    def scenario_data(self, scenario: Scenario, offset: int = 0) -> ScenarioBlock:
-        return self.template.data(scenario, self.market.tariff_per_mwh, offset)
+    def scenario_data(self, scenarios: list[Scenario]) -> ScenarioData:
+        return self.template.data(scenarios, self.market.tariff_per_mwh)
 
     def with_tariff(self, tariff: np.ndarray) -> "VppModel":
         """This model under another grid tariff. The tariff is data, so the

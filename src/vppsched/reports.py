@@ -35,7 +35,7 @@ from . import market as mk
 from . import stochastic as st
 from . import tables
 from .config import RunConfig, file_sha256
-from .model import STREAMS, VppModel, extract_block_series
+from .model import STREAMS, ScenarioBlock, VppModel, extract_block_series
 from .scenarios import Scenario, ScenarioSet
 
 
@@ -331,17 +331,19 @@ def _pct(value: float, base: float) -> float:
 def tariff_level(ef: st.ExtensiveForm, model: VppModel, probs: np.ndarray,
                  tariff: np.ndarray) -> tuple[st.ExtensiveForm, np.ndarray]:
     """The risk-neutral extensive form ``ef`` of ``model`` under another
-    tariff, without re-stacking: its blocks with the tariff stream replaced
-    and the program's cost vector under them. The tariff is not scenario
-    data, so one stream serves every block; both are bitwise what
+    tariff, without re-stacking: its data with the tariff stream replaced,
+    and the program's cost vector under it. The tariff is not scenario
+    data, so one stream serves every row; both are bitwise what
     ``st.build_extensive`` gives for ``model.with_tariff(tariff)``."""
     stream = model.template.tariff_stream(tariff)
-    blocks = [replace(block, streams={**block.streams, "c_tariff": stream})
-              for block in ef.blocks]
+    data = replace(ef.data, streams={**ef.data.streams, "c_tariff":
+                                     np.broadcast_to(stream, ef.data.lower.shape)})
     cost = np.zeros(ef.program.num_variables)
-    st.add_expected_cost(cost, probs,
-                         [(block.columns, block.net_cost()) for block in blocks])
-    return replace(ef, blocks=blocks), cost
+    st.add_expected_cost(cost, probs, zip([block.columns for block in ef.blocks],
+                                          data.net_cost()))
+    return replace(ef, data=data, blocks=[
+        ScenarioBlock(block.scenario, block.template, data[k], block.columns)
+        for k, block in enumerate(ef.blocks)]), cost
 
 
 def tariff_sweep(cfg: RunConfig, model: VppModel, sset: ScenarioSet,

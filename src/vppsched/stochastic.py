@@ -30,7 +30,7 @@ import numpy as np
 
 from . import lp
 from . import market as mk
-from .model import ScenarioBlock, VppModel
+from .model import ScenarioBlock, ScenarioData, VppModel
 from .scenarios import ScenarioSet
 
 EXPECTATION = "expectation"
@@ -81,6 +81,7 @@ class RiskMeasure:
 class ExtensiveForm:
     program: lp.LinearProgram
     first_stage: mk.FirstStageVars
+    data: ScenarioData
     blocks: list[ScenarioBlock]
     risk: RiskMeasure
 
@@ -98,33 +99,35 @@ def build_extensive(model: VppModel, sset: ScenarioSet,
                     risk: RiskMeasure) -> ExtensiveForm:
     """One LP over all scenarios: the compiled block stacked once per
     scenario, block columns shifted, around the shared bid columns (so
-    non-anticipativity holds by construction). Each copy keeps the
-    template's lazy rows and derived block, moved to its own rows and
-    columns, and its block is completed on the template's factor
-    (``lp.Marks.tiled``)."""
+    non-anticipativity holds by construction), each copy's vectors a row
+    of the scenarios' data. Each copy keeps the template's lazy rows and
+    derived block, moved to its own rows and columns, and is completed on
+    the template's factor (``lp.Marks.tiled``)."""
     if len(sset) == 0:
         raise StochasticError("empty scenario set")
     model.validate()
     tpl = model.template
     p, nf, nb, S = tpl.program, tpl.n_first, tpl.n_block, len(sset)
-    blocks = [model.scenario_data(scen, k * nb)
-              for k, scen in enumerate(sset.scenarios)]
+    data = model.scenario_data(sset.scenarios)
+    columns = np.tile(np.arange(nf + nb), (S, 1))
+    columns[:, nf:] += nb * np.arange(S)[:, None]
     program = lp.LinearProgram(
         "extensive",
         lambda: p.col_names[:nf] + [f"s{k}_{name}" for k in range(S)
                                     for name in p.col_names[nf:]],
         lambda: [f"s{k}_{name}" for k in range(S) for name in p.row_names],
-        lower=np.concatenate([p.lower[:nf]] + [b.lower[nf:] for b in blocks]),
-        upper=np.concatenate([p.upper[:nf]] + [b.upper[nf:] for b in blocks]),
+        lower=np.r_[p.lower[:nf], data.lower[:, nf:].ravel()],
+        upper=np.r_[p.upper[:nf], data.upper[:, nf:].ravel()],
         cost=np.zeros(nf + S * nb),
         indptr=np.r_[0, np.cumsum(np.tile(np.diff(p.indptr), S))],
-        indices=np.concatenate([b.columns[p.indices] for b in blocks]),
+        indices=columns[:, p.indices].ravel(),
         data=np.tile(p.data, S), sense=np.tile(p.sense, S),
-        rhs=np.concatenate([b.rhs for b in blocks]),
-        marks=lp.Marks.tiled(p, [b.columns for b in blocks]))
+        rhs=data.rhs.ravel(), marks=lp.Marks.tiled(p, columns))
     add_risk_objective(program, risk, sset.probabilities(),
-                       [(block.columns, block.net_cost()) for block in blocks])
-    return ExtensiveForm(program, tpl.first_stage, blocks, risk)
+                       zip(columns, data.net_cost()))
+    return ExtensiveForm(program, tpl.first_stage, data, [
+        ScenarioBlock(scen, tpl, data[k], columns[k])
+        for k, scen in enumerate(sset.scenarios)], risk)
 
 
 def add_risk_objective(program: lp.LinearProgram, risk: RiskMeasure,
@@ -184,9 +187,10 @@ def _block_bases(model: VppModel, ef: ExtensiveForm) -> list | None:
     block raises ``ModelInfeasible`` naming the rows of its Farkas ray."""
     screen, names = lp.Screen(model.template.program), \
         model.template.program.row_names
-    bases = []
-    for k, block in enumerate(ef.blocks):
-        held = lp.HeldModel(screen.relaxed(block), bases[0] if bases else None)
+    bases, cost = [], ef.data.net_cost()
+    for k in range(len(cost)):
+        held = lp.HeldModel(screen.relaxed(ef.data[k], cost[k]),
+                            bases[0] if bases else None)
         sol = held.solve()
         if sol.status == lp.INFEASIBLE:
             raise ModelInfeasible(k, [f"s{k}_{names[r]}"

@@ -14,6 +14,7 @@ from vppsched import lp
 from vppsched import reports as rp
 from vppsched import scenarios as sg
 from vppsched import stochastic as st
+from vppsched.model import STREAMS, ScenarioData
 
 from oracles import cut_matches, master_form, unscreened
 from test_stochastic import assert_certified
@@ -32,10 +33,11 @@ def test_subproblem_value_matches_extensive_blocks(desk, desk_scenarios,
     x_star = np.concatenate([sol.first_stage.p_dam_kw,
                              sol.first_stage.p_rcm_up_kw,
                              sol.first_stage.p_rcm_dn_kw])
-    subs = bd.subproblems(desk.model, desk_scenarios.scenarios)
+    costs, _, _ = bd.Recourse(desk.model, desk_scenarios.scenarios).solve(
+        x_star)
     for s in (0, 3, 7):
-        cost, _ = bd.solve_subproblem(subs[s], x_star)
-        assert cost == pytest.approx(sol.breakdowns[s].total, rel=1e-6, abs=1e-6)
+        assert costs[s] == pytest.approx(sol.breakdowns[s].total, rel=1e-6,
+                                         abs=1e-6)
 
 
 @pytest.mark.parametrize("preset", ["desk", "day"])
@@ -50,12 +52,12 @@ def test_subgradient_inequality_by_finite_differences(preset, request):
         model = day.model
         scenario = sg.build_scenarios(day.forecast, sg.DEFAULT_ERROR_SPECS, 5,
                                       seed=42).scenarios[0]
-    sub, = bd.subproblems(model, [scenario])
+    run = bd.Recourse(model, [scenario])
     T = model.horizon.step_count
     n = T + 2 * model.horizon.window_count
     x_hat = np.zeros(n)
     x_hat[:T] = 2.0
-    f0, grad = bd.solve_subproblem(sub, x_hat)
+    f0, grad = one_scenario(run, x_hat)
     assert np.count_nonzero(grad) > 0
     rng = np.random.default_rng(2)
     for j in rng.choice(n, size=4, replace=False):
@@ -64,19 +66,25 @@ def test_subgradient_inequality_by_finite_differences(preset, request):
             x_pert[j] += delta
             if j >= T and x_pert[j] < 0:
                 continue   # capacity bids live in the nonnegative orthant
-            f1, _ = bd.solve_subproblem(sub, x_pert)
+            f1, _ = one_scenario(run, x_pert)
             assert f1 >= f0 + grad[j] * delta - 1e-6 * (1 + abs(f0))
     direction = rng.normal(size=n)
     direction[T:] = np.abs(direction[T:])
-    f1, _ = bd.solve_subproblem(sub, x_hat + 0.5 * direction)
+    f1, _ = one_scenario(run, x_hat + 0.5 * direction)
     assert f1 >= f0 + 0.5 * grad @ direction - 1e-6 * (1 + abs(f0))
 
 
+def one_scenario(run, x):
+    """The value and subgradient at ``x`` of the one scenario of ``run``."""
+    costs, gradients, _ = run.solve(x)
+    return costs[0], gradients[0]
+
+
 def test_cut_intercept_reproduces_value_at_origin_point(desk, desk_scenarios):
-    sub = bd.subproblems(desk.model, desk_scenarios.scenarios)[1]
+    run = bd.Recourse(desk.model, desk_scenarios.scenarios[1:2])
     n = desk.model.horizon.step_count + 2 * desk.model.horizon.window_count
     x_hat = np.full(n, 1.5)
-    f, g = bd.solve_subproblem(sub, x_hat)
+    f, g = one_scenario(run, x_hat)
     intercept = f - float(g @ x_hat)
     assert intercept + float(g @ x_hat) == pytest.approx(f, abs=1e-9)
 
@@ -134,7 +142,7 @@ def test_master_and_extensive_share_the_risk_rows(desk, desk_scenarios, risk):
     desk.model.emit_first_stage(first_stage)
     ext = _risk_layer(ef.program, tpl.n_first + S * tpl.n_block,
                       S * tpl.program.num_constraints,
-                      [(b.columns, b.net_cost()) for b in ef.blocks], probs,
+                      [(b.columns, b.data.net_cost()) for b in ef.blocks], probs,
                       risk)
     head = _risk_layer(master.head, len(master.x_indices) + S,
                        first_stage.num_constraints,
@@ -391,22 +399,23 @@ def test_first_subproblem_solves_start_from_scenario_0s_basis(
 def test_warm_subproblems_match_cold_solves(desk, desk_scenarios, monkeypatch):
     # along the first master iterates, each subproblem re-solved from its
     # last basis has the value of a cold solve of the instantiated block
-    warm = bd.solve_subproblem
+    warm = bd.Recourse.solve
     template = desk.model.template
-    iterations = []
+    data = desk.model.scenario_data(desk_scenarios.scenarios)
+    solved = []
 
-    def compared(sub, x_hat):
-        cost, grad = warm(sub, x_hat)
-        block = desk.model.scenario_data(sub.scenario)
-        cold = lp.solve(template.instantiate(block, x_hat))
-        assert cost == pytest.approx(cold.objective, rel=1e-9)
-        iterations.append(sub.iterations)
-        return cost, grad
+    def compared(self, x_hat, parallel_map=map):
+        costs, grads, iterations = warm(self, x_hat, parallel_map)
+        for s, cost in enumerate(costs):
+            cold = lp.solve(template.instantiate(data[s], x_hat))
+            assert cost == pytest.approx(cold.objective, rel=1e-9)
+        solved.extend(costs)
+        return costs, grads, iterations
 
-    monkeypatch.setattr(bd, "solve_subproblem", compared)
+    monkeypatch.setattr(bd.Recourse, "solve", compared)
     bd.iterate(desk.model, desk_scenarios, EXPECT,
                bd.BendersOptions(tolerance=1e-12, max_iterations=6))
-    assert len(iterations) == 6 * len(desk_scenarios)
+    assert len(solved) == 6 * len(desk_scenarios)
 
 
 def test_single_scenario_convergence(desk):
@@ -531,14 +540,17 @@ def test_worker_count_does_not_change_result(desk, desk_scenarios,
     assert parallel.objective == pytest.approx(serial.objective, abs=1e-9)
 
 
+@pytest.mark.parametrize("risk", [EXPECT, CVAR9], ids=["neutral", "cvar"])
 def test_worker_count_bit_identical_under_thread_stress(desk, desk_scenarios,
-                                                        desk_benders):
+                                                        desk_benders, risk):
     # every scenario keeps its own basis, so its sequence of solves, and the
-    # whole run, cannot depend on which worker takes it or when
-    serial = desk_benders
+    # whole run, the master's tail rows under the CVaR included, cannot
+    # depend on which worker takes it or when
+    serial = desk_benders if risk is EXPECT \
+        else bd.iterate(desk.model, desk_scenarios, risk)
     out = {}
     run = threading.Thread(target=lambda: out.setdefault("res", bd.iterate(
-        desk.model, desk_scenarios, EXPECT, bd.BendersOptions(workers=8))),
+        desk.model, desk_scenarios, risk, bd.BendersOptions(workers=8))),
         daemon=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -614,18 +626,17 @@ def test_invalid_options_rejected(desk, desk_scenarios):
 def test_non_finite_cut_is_refused(desk, desk_scenarios, monkeypatch, entry):
     # a NaN passes any tolerance comparison; the audit must refuse it before
     # the cut reaches the master
-    solve = bd.solve_subproblem
+    solve = bd.Recourse.solve
 
-    def nan_in_scenario_2(sub, x_hat):
-        cost, grad = solve(sub, x_hat)
-        if sub.index == 2:
-            if entry == "cost":
-                cost = math.nan
-            else:
-                grad[0] = math.nan
-        return cost, grad
+    def nan_in_scenario_2(self, x_hat, parallel_map=map):
+        costs, grads, iterations = solve(self, x_hat, parallel_map)
+        if entry == "cost":
+            costs[2] = math.nan
+        else:
+            grads[2, 0] = math.nan
+        return costs, grads, iterations
 
-    monkeypatch.setattr(bd, "solve_subproblem", nan_in_scenario_2)
+    monkeypatch.setattr(bd.Recourse, "solve", nan_in_scenario_2)
     with pytest.raises(bd.BendersError, match="invalid cut for scenario 2"):
         bd.iterate(desk.model, desk_scenarios, EXPECT)
 
@@ -726,14 +737,6 @@ def test_failed_detail_resolve_names_the_first_scenario(desk, desk_scenarios,
 
 # ------------------------------------------------------- screened subproblems
 
-def restate_run(subs):
-    """``lp.Screen.restate`` over the subproblems of a run, each solved at
-    least once, as ``bd.iterate`` calls it."""
-    return subs[0].screen.restate([sub.primal for sub in subs],
-                                  [sub.data for sub in subs],
-                                  [sub.held for sub in subs])
-
-
 def screened_run(model, sset, risk, workers=1):
     """Benders on ``model``, and the number of lazy rows its subproblems
     had stated at the end and whether they had stated the derived block.
@@ -744,21 +747,22 @@ def screened_run(model, sset, risk, workers=1):
     restate, realize = lp.Screen.restate, bd.risk_functional
     template = model.template
 
-    def recorded(self, primals, programs, held=()):
-        again = restate(self, primals, programs, held)
+    data = model.scenario_data(sset.scenarios)
+
+    def recorded(self, x, program, held=()):
+        again = restate(self, x, program, held)
         if not held:        # a cold screen of a reference solve below
             return again
         grown.append((int(self.stated_rows.sum()), self.block_stated))
         if grown[-1] != (grown[-2:-1] or [(0, False)])[0]:
-            grew[:] = [programs[0].lower[:template.n_first].copy()]
+            grew[:] = [program.lower[0, :template.n_first].copy()]
         return again
 
     def checked(costs, probs, risk):
         if grew:
             x = grew.pop()
-            exact = [lp.solve(template.instantiate(
-                model.scenario_data(scenario), x)).objective
-                for scenario in sset.scenarios]
+            exact = [lp.solve(template.instantiate(data[s], x)).objective
+                     for s in range(len(sset))]
             assert costs == pytest.approx(exact, rel=1e-9, abs=1e-9)
         return realize(costs, probs, risk)
 
@@ -817,7 +821,7 @@ def test_subproblems_state_the_flow_bounds_they_break(risk, monkeypatch):
 
     def checked(self, x, program):
         found = violated(self, x, program)
-        if found[1]:
+        if found[1].any():
             broken.append(breaks_a_flow_bound(names, program, x))
         return found
 
@@ -903,30 +907,80 @@ def test_a_benders_solve_factors_the_block_once(splu_threads):
     assert splu_threads == [threading.main_thread()]
 
 
-def test_held_subproblems_resolve_the_grown_form(narrowed_day, record_highs):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_pass_completes_and_checks_its_scenarios_at_once(narrowed_day,
+                                                          monkeypatch, workers):
+    # a pass solves its scenarios, possibly on workers, and then, on the
+    # calling thread, completes them in one call and checks every
+    # scenario's primal in one; some rounds take more than one pass
+    model, sset, _ = narrowed_day
+    complete, violated, solve = lp.Screen.complete, lp.Screen.violated, \
+        bd.solve_subproblem
+    calls, rounds, separate = [], [], bd.Recourse.solve
+
+    def round_(self, x, parallel_map=map):
+        rounds.append(x)
+        return separate(self, x, parallel_map)
+
+    def completed(self, x, program, cost=None):
+        calls.append(("complete", len(x), threading.current_thread()))
+        return complete(self, x, program, cost)
+
+    def checked(self, x, program):
+        calls.append(("violated", len(x), threading.current_thread()))
+        return violated(self, x, program)
+
+    def solved(run, sub):
+        calls.append(("solve",))
+        return solve(run, sub)
+
+    monkeypatch.setattr(lp.Screen, "complete", completed)
+    monkeypatch.setattr(lp.Screen, "violated", checked)
+    monkeypatch.setattr(bd, "solve_subproblem", solved)
+    monkeypatch.setattr(bd.Recourse, "solve", round_)
+    res = bd.iterate(model, sset, EXPECT, bd.BendersOptions(workers=workers))
+    assert res.report.converged
+    ends = [k for k, call in enumerate(calls) if call[0] == "violated"]
+    assert ends[-1] == len(calls) - 1
+    solved_in = []
+    for first, last in zip([0] + [k + 1 for k in ends], ends):
+        names = [call[0] for call in calls[first:last + 1]]
+        solves = names.count("solve")
+        assert names == ["solve"] * solves + ["complete", "violated"]
+        assert calls[last - 1][1] == solves and calls[last][1] == len(sset)
+        assert calls[last - 1][2] is calls[last][2] is threading.main_thread()
+        solved_in.append(solves)
+    assert solved_in[0] == len(sset) and len(solved_in) > len(rounds)
+
+
+def test_held_subproblems_resolve_the_grown_form(narrowed_day, record_highs,
+                                                 monkeypatch):
     # at the narrowed run's bids the completed primals leave the band: each
     # restate passes every held model the grown form, with its basis grown
-    # to match, and once none violates a limit, each held subproblem
-    # re-solves to the value of a cold solve of its instantiation
+    # to match, and the scenarios it names re-solve; once none violates a
+    # limit, each held subproblem re-solves to the value of a cold solve of
+    # its instantiation
     model, sset, (res, _) = narrowed_day
     template = model.template
-    subs = bd.subproblems(model, sset.scenarios)
+    run = bd.Recourse(model, sset.scenarios)
+    restate, passes = lp.Screen.restate, []
+
+    def recorded(self, *args):
+        passes.append(restate(self, *args))
+        return passes[-1]
+
+    monkeypatch.setattr(lp.Screen, "restate", recorded)
     log = record_highs()
-    for sub in subs:
-        bd.solve_subproblem(sub, res.x)
-    passed = log.count(("run",))
-    rounds = 0
-    while again := restate_run(subs):
-        rounds += 1
-        for s in again:
-            bd.solve_subproblem(subs[s], res.x)
-    assert rounds > 0 and subs[0].screen.block_stated
-    assert log.count(("run",)) > passed
-    for sub, calls in zip(subs, log.by_model.values()):
-        cost, _ = bd.solve_subproblem(sub, res.x)
-        cold = lp.solve(template.instantiate(
-            model.scenario_data(sub.scenario), res.x))
-        assert cost == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+    run.solve(res.x)
+    rounds = len(passes) - 1
+    assert rounds > 0 and passes[-1] == [] and run.screen.block_stated
+    assert log.count(("run",)) == len(sset) + sum(map(len, passes))
+    costs, _, _ = run.solve(res.x)
+    assert passes[-1] == [] and len(passes) == rounds + 2
+    data = model.scenario_data(sset.scenarios)
+    for s, calls in enumerate(log.by_model.values()):
+        cold = lp.solve(template.instantiate(data[s], res.x))
+        assert costs[s] == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
         names = [e[0] for e in calls]
         assert names.count("passModel") == 1 + rounds
         # the first run after each grown form starts from the grown basis
@@ -962,7 +1016,7 @@ def test_shipped_subproblems_state_no_lazy_limit(preset, record_highs):
         >= res.report.iterations * len(sset)
 
 
-def test_unbounded_relaxation_states_every_limit():
+def test_unbounded_relaxation_states_every_limit(monkeypatch):
     # min -y with the bid x fixed by its bounds, y <= 1 + x lazy and
     # z == y derived: the relaxation is unbounded, so every limit is stated
     # and the subproblem re-solves to the bounded optimum
@@ -975,17 +1029,28 @@ def test_unbounded_relaxation_states_every_limit():
     program.add_objective_term(y, -1.0)
     program.mark_lazy(rows=[0])
     program.mark_derived([1], [z])
-    screen = lp.Screen(program)
-    model = types.SimpleNamespace(template=types.SimpleNamespace(n_first=1))
-    sub = bd.Subproblem(model, 0, None, bd.Vectors._make(
-        getattr(program, name) for name in bd.Vectors._fields), screen)
+    one = lambda a: np.array([a])
+    data = ScenarioData({**{name: np.zeros((1, 3)) for name in STREAMS},
+                         "c_ops": one(program.cost)}, one(program.lower),
+                        one(program.upper), one(program.rhs))
+    model = types.SimpleNamespace(
+        template=types.SimpleNamespace(program=program, n_first=1),
+        scenario_data=lambda scenarios: data)
+    run = bd.Recourse(model, [None])
+    screen = run.screen
     assert screen.form_matrix.shape == (0, 2)
-    cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
-    assert math.isnan(cost) and sub.primal is None
-    assert sub.data.lower[x] == sub.data.upper[x] == 0.5
-    assert restate_run([sub]) == [0] and screen.all_stated
-    assert screen.form_matrix.shape == (2, 3)
-    cost, grad = bd.solve_subproblem(sub, np.array([0.5]))
+    restate, passes = lp.Screen.restate, []
+
+    def recorded(self, primal, program, held=()):
+        passes.append((primal.copy(), restate(self, primal, program, held),
+                       self.all_stated, self.form_matrix.shape))
+        return passes[-1][1]
+
+    monkeypatch.setattr(lp.Screen, "restate", recorded)
+    cost, grad, _ = run.solve(np.array([0.5]))
+    (lost, again, stated, shape), (_, last, _, _) = passes
+    assert np.isnan(lost).all() and again == [0] and stated
+    assert shape == (2, 3) and last == []
+    assert data.lower[0, x] == data.upper[0, x] == 0.5
     # y <= 1.5 binds, and z = y keeps inside its stated bound 2
-    assert cost == pytest.approx(-1.5) and grad == pytest.approx([-1.0])
-    assert restate_run([sub]) == []
+    assert cost == pytest.approx([-1.5]) and grad[0] == pytest.approx([-1.0])

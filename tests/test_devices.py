@@ -27,7 +27,7 @@ def instantiate(program, scenario, horizon=H8):
     """The emitted program with the scenario's data in its slots (and a
     zero objective)."""
     template = BlockTemplate(program, horizon)
-    return template.instantiate(template.data(scenario))
+    return template.instantiate(template.data([scenario])[0])
 
 
 def bounds_of(program, idx):

@@ -682,7 +682,7 @@ def test_tiled_basis_of_one_copy_is_the_copy_basis(preset):
     sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 1, seed=42)
     ef = st.build_extensive(inst.model, sset, st.RiskMeasure(st.EXPECTATION))
     block = lp.HeldModel(lp.Screen(inst.model.template.program).relaxed(
-        ef.blocks[0]))
+        ef.data[0], ef.data.net_cost()[0]))
     assert block.solve().status == lp.OPTIMAL
     screen = lp.Screen(ef.program)
     basis = screen.tiled_basis([block.basis])
@@ -727,6 +727,34 @@ def test_one_shot_solve_states_the_block_a_binding_band_needs(linprog_rows):
     assert abs(lp.dual_objective(program, sol) - sol.objective) \
         <= lp.OPT_TOL * (1.0 + abs(sol.objective))
     assert infeasibility(program, sol.primal) <= lp.FEAS_TOL
+
+
+@pytest.mark.parametrize("preset", ["desk", "day"])
+def test_programs_complete_and_check_at_once_as_one_at_a_time(preset):
+    # the rows of one scenario data set, completed, settled and checked in
+    # one call each: bitwise what each row gives alone, the primals large
+    # enough that some leave lazy rows, and not the same ones
+    inst = im.PRESETS[preset]()
+    sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 6, seed=42)
+    data = inst.model.scenario_data(sset.scenarios)
+    cost = data.net_cost()
+    screen = lp.Screen(inst.model.template.program)
+    xs = np.random.default_rng(5).normal(
+        scale=100.0, size=(len(sset), len(screen.layout()[1])))
+    full = screen.complete(xs, data, cost)
+    rows, block = screen.violated(full, data)
+    sols = [lp.LpSolution(lp.OPTIMAL, float(k), x, np.zeros(0))
+            for k, x in enumerate(xs)]
+    settled = screen.settled(sols, full, cost)
+    assert block.any() and len({r.tobytes() for r in rows}) > 1
+    for k in range(len(sset)):
+        one = screen.complete(xs[k], data[k], cost[k])
+        assert full[k].tobytes() == one.tobytes()
+        one_rows, one_block = screen.violated(one, data[k])
+        assert (rows[k] == one_rows).all() and block[k] == one_block
+        assert settled[k].objective \
+            == k + float(cost[k][screen.rowless] @ one[screen.rowless])
+        assert settled[k].primal.tobytes() == one.tobytes()
 
 
 def test_completion_on_many_threads_matches_one():
@@ -915,7 +943,7 @@ def test_relaxed_form_leaves_out_the_lazy_limits_and_the_block():
     assert_restricted(form, rows, columns)
     assert form.lower.tolist() == [-3.0, -5.0, 0.0]
     assert form.upper.tolist() == [3.0, math.inf, math.inf]
-    assert screen.restate([None], [p]) == [0]
+    assert screen.restate(np.full(p.num_variables, np.nan), p) == [0]
     form = screen.relaxed(p)
     rows, columns = screen.layout()
     assert sorted(rows) == list(range(6)) and sorted(columns) == [0, 1, 2, 3]

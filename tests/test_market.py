@@ -70,8 +70,8 @@ def test_ram_revenue_both_directions_positive():
 
 def market_data(program, horizon, **series):
     """Stream costs the program's data slots take under the given series."""
-    return BlockTemplate(program, horizon).data(SimpleNamespace(**series),
-                                                series.get("tariff_per_mwh"))
+    return BlockTemplate(program, horizon).data([SimpleNamespace(**series)],
+                                                series.get("tariff_per_mwh"))[0]
 
 
 def test_terms_match_value_twins():

@@ -3,6 +3,7 @@ only its costs, right-hand sides and column bounds."""
 
 import hashlib
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -40,8 +41,8 @@ def test_scenarios_change_only_data(case, bids):
     model, sset = case
     tpl = model.template
     x = np.linspace(0.0, 1.0, tpl.n_first) if bids else None
-    a, b = (tpl.instantiate(model.scenario_data(scen), x)
-            for scen in sset.scenarios[:2])
+    data = model.scenario_data(sset.scenarios[:2])
+    a, b = (tpl.instantiate(data[k], x) for k in (0, 1))
     assert structure(a) == structure(b)
     assert a.col_names == b.col_names and a.row_names == b.row_names
     assert not np.array_equal(a.rhs, b.rhs)
@@ -76,7 +77,7 @@ def test_extensive_form_stacks_the_template(case, risk):
         assert np.array_equal(rows.indptr, tpl.program.indptr)
         assert np.array_equal(rows.indices, block.columns[tpl.program.indices])
         assert np.array_equal(rows.data, tpl.program.data)
-        assert np.array_equal(ef.program.rhs[k * m:(k + 1) * m], block.rhs)
+        assert np.array_equal(ef.program.rhs[k * m:(k + 1) * m], block.data.rhs)
     names = ef.program.col_names + ef.program.row_names
     assert len(set(ef.program.col_names)) == ef.program.num_variables
     assert len(set(ef.program.row_names)) == ef.program.num_constraints
@@ -109,7 +110,7 @@ def test_scenario_data_is_checked_on_every_instantiation(desk):
     model = desk.model
     sset = sg.build_scenarios(desk.forecast, sg.zero_error_specs(), 1, seed=0)
     scen = sset.scenarios[0]
-    bad = lambda **kw: model.scenario_data(type(scen)(**{**vars(scen), **kw}))
+    bad = lambda **kw: model.scenario_data([type(scen)(**{**vars(scen), **kw})])
     dg = model.park.dgs[0].name
     for cf in (np.full(8, np.nan), np.full(8, -1.0)):
         with pytest.raises(lp.LpError):
@@ -121,7 +122,7 @@ def test_scenario_data_is_checked_on_every_instantiation(desk):
     for short in ("ev_availability", "rcm_up_price", "day_ahead_price"):
         with pytest.raises(mk.MarketError):
             bad(**{short: np.ones(3)})
-    model.scenario_data(scen)   # the template is left as it was
+    model.scenario_data([scen])   # the template is left as it was
 
 
 def lower_slot_template(template_lower):
@@ -140,16 +141,16 @@ def test_lower_slots_only_raise_the_template_bound():
     scen = lambda values: type("Scenario", (), {"floor": np.array(values)})()
     tpl = lower_slot_template(0.0)
     assert tpl.targets == [lp.LOWER]
-    assert tpl.data(scen([2.5, -1.0])).lower.tolist() == [2.5, 0.0]
-    assert lower_slot_template(-3.0).data(scen([-1.0, -4.0])).lower.tolist() \
-        == [-1.0, -3.0]
+    assert tpl.data([scen([2.5, -1.0])]).lower.tolist() == [[2.5, 0.0]]
+    assert lower_slot_template(-3.0).data([scen([-1.0, -4.0])]).lower.tolist() \
+        == [[-1.0, -3.0]]
     for bad in ([np.nan, 1.0], [1.0, np.inf]):
         with pytest.raises(lp.LpError, match="bad value"):
-            tpl.data(scen(bad))
+            tpl.data([scen(bad)])
     # a lower bound raised above the upper one is refused too
     tpl.program.upper[1] = 1.0
     with pytest.raises(lp.LpError, match="floor.*step 1: bad value 2.0"):
-        tpl.data(scen([0.0, 2.0]))
+        tpl.data([scen([0.0, 2.0])])
     tpl.program.upper[1] = np.inf
     assert tpl.program.lower.tolist() == [0.0, 0.0]
 
@@ -161,7 +162,8 @@ def test_instances_carry_each_scenarios_lower_bounds(case):
     model, sset = case
     tpl = model.template
     nf = tpl.n_first
-    blocks = [model.scenario_data(scen) for scen in sset.scenarios]
+    data = model.scenario_data(sset.scenarios)
+    blocks = [data[k] for k in range(len(sset))]
     p = tpl.program
     held = np.bincount(p.indices, minlength=p.num_variables) > 0
     floor = {j: (bus, t) for bus, columns in tpl.handles.grid.wit.items()
@@ -202,20 +204,24 @@ def test_threads_share_the_compiled_block(desk, desk_scenarios):
                      desk.model.market)
     scenarios = desk_scenarios.scenarios
     x = np.full(model.template.n_first, 1.0)
-    serial = [bd.solve_subproblem(sub, x)
-              for sub in bd.subproblems(model, scenarios)]
-    subs = bd.subproblems(model, [scenarios[k % 10] for k in range(40)])
+    serial = bd.Recourse(model, scenarios).solve(x)
+    run = bd.Recourse(model, [scenarios[k % 10] for k in range(40)])
+    out = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(bd.solve_subproblem, sub, x) for sub in subs]
-            results = [f.result(timeout=120) for f in futures]
+            solving = threading.Thread(target=lambda: out.setdefault(
+                "run", run.solve(x, pool.map)), daemon=True)
+            solving.start()
+            solving.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    for k, (cost, grad) in enumerate(results):
-        assert cost == serial[k % 10][0]
-        assert np.array_equal(grad, serial[k % 10][1])
+    assert not solving.is_alive() and "run" in out
+    costs, grads, _ = out["run"]
+    for k in range(40):
+        assert costs[k] == serial[0][k % 10]
+        assert np.array_equal(grads[k], serial[1][k % 10])
 
 
 #: sha256 of each preset's compiled template (see ``template_digest``),
@@ -306,7 +312,7 @@ def test_instances_carry_the_lazy_limits(case):
     assert len(p.lazy_rows) > 0 and len(p.derived_rows) > 0
     bids = np.linspace(0.0, 1.0, tpl.n_first)
     for x in (None, bids):
-        sub = tpl.instantiate(model.scenario_data(sset.scenarios[0]), x)
+        sub = tpl.instantiate(model.scenario_data(sset.scenarios[:1])[0], x)
         assert sub.num_constraints == p.num_constraints
         assert sub.marks is p.marks
         for key in ("indptr", "indices", "data", "sense", "lazy_rows",

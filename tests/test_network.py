@@ -13,7 +13,7 @@ from vppsched import lp
 from vppsched import network as nw
 from vppsched import scenarios as sg
 from vppsched import stochastic as st
-from vppsched.devices import DerPark
+from vppsched.devices import Bess, DerPark
 from vppsched.market import MarketHorizon
 from vppsched.model import BlockTemplate, VppModel
 
@@ -535,11 +535,12 @@ def active_axis_day():
 
 
 def breaks_a_flow_bound(names, program, x) -> bool:
-    """Whether ``x`` takes an active flow column, by the column ``names``,
-    out of the bounds that ``program`` gives it by more than the screening
-    tolerance."""
+    """Whether ``x``, a primal or one per row, takes an active flow column,
+    by the column ``names``, out of the bounds that ``program`` (its row)
+    gives it by more than the screening tolerance."""
     fp = np.flatnonzero(np.char.find(np.array(names), "fp[") >= 0)
-    return bool(np.any(lp._outside(x[fp], program.lower[fp], program.upper[fp])))
+    return bool(np.any(lp._outside(x[..., fp], program.lower[..., fp],
+                                   program.upper[..., fp])))
 
 
 def assert_screened_is_full_optimum(program, sol, rows, reference):
@@ -650,6 +651,33 @@ def test_infeasible_limits_name_certified_rows(limit, risk):
     with pytest.raises(st.ModelInfeasible) as exc:
         bd.iterate(model, sset, measure)
     assert_certified(exc.value, model, sset)
+
+
+@pytest.mark.parametrize("risk", [st.EXPECTATION, st.CVAR])
+def test_battery_alone_with_a_load_names_its_rows_and_its_bus(risk):
+    # a battery and the load of desk's leaf bus 2 alone there, the branch
+    # feeding the bus rated 1 kVA, below the load at every step: st_tie
+    # returns the battery to its initial charge, so no dispatch serves the
+    # load, and both methods name the battery's st_dyn and st_tie rows and
+    # the bus's balance rows, which admit no point on their own
+    desk = im.desk_instance()
+    park = dataclasses.replace(desk.model.park, dgs=[], bess=[
+        Bess("bat2", 2, 15.0, 10.0, 12.0, 0.95, 0.95, 7.5, 0.01)])
+    model = narrowed_rating(dataclasses.replace(desk.model, park=park), 2, 1.0)
+    sset = sg.build_scenarios(desk.forecast, sg.DEFAULT_ERROR_SPECS, 2, seed=42)
+    steps = range(model.horizon.step_count)
+    expected = {"st_tie_bat2", *(f"st_dyn_bat2[{t}]" for t in steps),
+                *(f"balP[2,{t}]" for t in steps)}
+    measure = st.RiskMeasure(risk)
+    ef = st.build_extensive(model, sset, measure)
+    with pytest.raises(st.ModelInfeasible) as exc:
+        st.solve_extensive(model, ef, sset)
+    assert_certified(exc.value, model, sset, ef)
+    assert set(exc.value.rows) == {f"s0_{name}" for name in expected}
+    with pytest.raises(st.ModelInfeasible) as exc:
+        bd.iterate(model, sset, measure)
+    assert_certified(exc.value, model, sset)
+    assert set(exc.value.rows) == expected
 
 
 # ------------------------------------------------------------ derived block
@@ -800,7 +828,7 @@ def test_completed_core_optimum_is_feasible_and_optimal(preset):
     sol = lp.HeldModel(form).solve()
     x = screen.complete(sol.primal, program)
     assert infeasibility(program, x) <= lp.FEAS_TOL
-    assert screen.violated(x, program)[1] is False
+    assert not screen.violated(x, program)[1]
     full = lp.solve(unscreened(program))
     assert x @ program.cost == pytest.approx(full.objective, rel=1e-9)
 

@@ -150,7 +150,7 @@ def test_first_stage_columns_shared_across_blocks(desk_neutral):
     bids = ef.first_stage.flat()
     for block in ef.blocks:
         assert list(block.columns[bids]) == bids
-        dam_revenue = np.flatnonzero(block.streams["r_dam"])
+        dam_revenue = np.flatnonzero(block.data.streams["r_dam"])
         assert set(block.columns[dam_revenue]) == set(ef.first_stage.dam)
 
 
@@ -256,8 +256,8 @@ def assert_certified(exc, model, sset, ef=None):
     with the column bounds alone: rows of the extensive form ``ef``, or
     without one of that block, as a Benders subproblem names them."""
     assert exc.scenario_index is not None
-    block = model.scenario_data(sset.scenarios[exc.scenario_index])
-    probe = model.template.instantiate(block)
+    probe = model.template.instantiate(
+        model.scenario_data([sset.scenarios[exc.scenario_index]])[0])
     assert lp.solve(probe).status == lp.INFEASIBLE
     assert names_infeasible_rows(probe if ef is None else ef.program, exc.rows)
 

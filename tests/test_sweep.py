@@ -244,9 +244,9 @@ def test_levels_swap_only_the_tariff_costs(case, monkeypatch):
         assert [b.breakdown(x) for b in form.blocks] \
             == [b.breakdown(x) for b in ref.blocks]
         for mine, theirs in zip(form.blocks, ref.blocks):
-            for name in theirs.streams:
-                assert mine.streams[name].tobytes() \
-                    == theirs.streams[name].tobytes()
+            for name in theirs.data.streams:
+                assert mine.data.streams[name].tobytes() \
+                    == theirs.data.streams[name].tobytes()
 
 
 def test_sweep_holds_the_core_and_sends_only_changed_costs(case, record_highs):
@@ -322,7 +322,7 @@ def test_sweep_states_the_block_its_completion_breaks(day_case, limit,
 
     def checked(self, x, program):
         found.append(violated(self, x, program))
-        if found[-1][1]:
+        if found[-1][1].any():
             flows.append(breaks_a_flow_bound(program.col_names, program, x))
         return found[-1]
 
@@ -344,10 +344,10 @@ def test_sweep_states_the_block_its_completion_breaks(day_case, limit,
     calls = [entry[0] for entry in log]
     grown_at = calls.index("passModel", 1)
     assert calls[grown_at + 1:grown_at + 3] == ["setBasis", "run"]
-    rows_broken, block = next(f for f in found if len(f[0]) or f[1])
-    assert block
+    rows_broken, block = next(f for f in found if f[0].any() or f[1].any())
+    assert block.all()
     if limit == "reactive axis":
-        assert len(rows_broken) == 0
+        assert not rows_broken.any()
     assert flows[0] == (limit == "active axis")
     assert len(solved) == len(LEVELS)
     for _, program, sol in solved:

@@ -130,8 +130,7 @@ def test_solution_tables_equal_the_per_cell_ones(preset, tmp_path, monkeypatch):
     model, T = inst.model, inst.model.horizon.step_count
     sset = sg.build_scenarios(inst.forecast, sg.DEFAULT_ERROR_SPECS, 2, 42)
     tpl = model.template
-    blocks = [model.scenario_data(sc, k * tpl.n_block)
-              for k, sc in enumerate(sset.scenarios)]
+    blocks = st.build_extensive(model, sset, st.RiskMeasure(st.EXPECTATION)).blocks
     x = np.random.default_rng(7).normal(
         scale=100.0, size=tpl.n_first + len(blocks) * tpl.n_block)
     x[::5], x[1::7], x[2::11] = -0.0, 0.0, np.round(x[2::11])
